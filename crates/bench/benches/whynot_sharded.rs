@@ -2,10 +2,10 @@
 //! across shard counts, cold and warm.
 //!
 //! Measures the executor's two refinement models at 1/2/4/8 shards over
-//! the standard clustered corpus. `shards = 1` is the retained
-//! single-tree path; the sharded rows exercise the per-shard fan-out
-//! (per-shard segment sets for preference, the shared candidate skeleton
-//! with cross-shard abort for keywords). Cold disables the answer cache;
+//! the standard clustered corpus. Every row exercises the per-shard
+//! fan-out (per-shard segment sets for preference, the shared candidate
+//! skeleton with cross-shard abort for keywords); `shards = 1` is the
+//! same code over a one-cell partition. Cold disables the answer cache;
 //! warm pre-populates it with the whole workload. Results land in
 //! `BENCH_whynot.json` so CI archives the perf trajectory.
 //!

@@ -1,26 +1,26 @@
 //! The scatter-gather executor: the concurrency layer between the YASK
 //! engine and the server.
 //!
-//! An [`Executor`] owns the current *engine epoch* — **either** the
-//! single-tree [`Yask`] engine (`shards = 1`, the retained seed path)
-//! **or** a [`ShardedIndex`], never both — published through an
-//! arc-swap-style [`EpochCell`]. The sharded path answers *everything*
-//! from the shard trees: top-k by scatter-gather, and the why-not modules
-//! (explain, preference adjustment, keyword adaptation, combined) by the
-//! per-shard fan-out in `crate::whynot` — there is no global KcR-tree,
-//! so index memory and per-batch copy-on-write work cover the shard trees
-//! only. Readers pin an epoch for the duration of a query, so a
-//! concurrent write batch never tears the corpus or the trees out from
-//! under an in-flight computation; [`Executor::apply_batch`] derives the
-//! next epoch copy-on-write (only *touched* shard trees cloned) and
-//! publishes it atomically. The two LRU answer caches key by `(epoch,
-//! canonical request)`, so entries computed against a superseded corpus
-//! version can never be served — invalidation is a generation tag, not a
-//! scan. Every result is bit-identical to what a freshly built
-//! single-tree engine over the same live corpus would produce — sharding,
-//! caching and incremental maintenance are transparent optimizations,
-//! proven equivalent by the property suites in `tests/` and the ingest
-//! crate's oracle.
+//! An [`Executor`] owns the current *engine epoch* — one [`ShardedIndex`]
+//! of `shards ≥ 1` KcR-trees — published through an arc-swap-style
+//! [`EpochCell`]. *Everything* is answered from the shard trees, by the
+//! same code at every shard count: top-k by scatter-gather, and the
+//! why-not modules (explain, preference adjustment, keyword adaptation,
+//! combined) by the per-shard fan-out in `crate::whynot` — there is no
+//! global KcR-tree, so index memory and per-batch copy-on-write work
+//! cover the shard trees only. Readers pin an epoch for the duration of
+//! a query, so a concurrent write batch never tears the corpus or the
+//! trees out from under an in-flight computation;
+//! [`Executor::apply_batch`] derives the next epoch copy-on-write (only
+//! *touched* shard trees cloned) and publishes it atomically. The two
+//! LRU answer caches key by `(epoch, canonical request)`, so entries
+//! computed against a superseded corpus version can never be served —
+//! invalidation is a generation tag, not a scan. Every result is
+//! bit-identical to what a freshly built [`yask_core::Yask`] (one tree
+//! over the same live corpus) would produce — sharding, caching and
+//! incremental maintenance are transparent optimizations, proven
+//! equivalent by the property suites in `tests/` and the ingest crate's
+//! oracle, which hold `Yask` as the reference.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,13 +29,12 @@ use parking_lot::Mutex;
 use yask_obs::Trace;
 use yask_core::{
     CombinedRefinement, Explanation, KeywordRefinement, PreferenceRefinement, WhyNotAnswer,
-    WhyNotError, Yask, YaskConfig,
+    WhyNotError, YaskConfig,
 };
-use yask_index::{Corpus, ObjectId};
+use yask_index::{Corpus, KcAug, ObjectId};
 use yask_query::{topk_scan, Query, RankedObject, ScoreParams};
 use yask_util::EpochCell;
 
-use yask_index::KcAug;
 use yask_pager::{page_out_tree, BufferPool, PagedNodeSource};
 
 use crate::admission::Pressure;
@@ -51,7 +50,8 @@ use crate::whynot::ShardFanout;
 /// Executor configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecConfig {
-    /// Shard count; 1 selects the single-tree path (no pool, no shards).
+    /// Shard count (clamped to at least 1). One shard is a one-cell
+    /// partition served by the same scatter-gather as any other count.
     pub shards: usize,
     /// Worker threads for the scatter pool; 0 (the [`Default`]) resolves
     /// to the shard count.
@@ -87,7 +87,8 @@ pub struct ExecConfig {
     /// to fully resident serving; only the memory/latency trade moves.
     /// `None` (the default) keeps every arena resident.
     pub resident_budget: Option<usize>,
-    /// The wrapped engine's configuration.
+    /// Engine configuration: scoring model, tree parameters, keyword
+    /// options and default λ.
     pub yask: YaskConfig,
 }
 
@@ -105,19 +106,6 @@ impl Default for ExecConfig {
             heat_half_life: Duration::from_secs(60),
             resident_budget: None,
             yask: YaskConfig::default(),
-        }
-    }
-}
-
-impl ExecConfig {
-    /// A single-tree configuration (the seed engine's behaviour) with
-    /// caches still enabled.
-    pub fn single_tree(yask: YaskConfig) -> Self {
-        ExecConfig {
-            shards: 1,
-            workers: 1,
-            yask,
-            ..ExecConfig::default()
         }
     }
 }
@@ -165,20 +153,11 @@ impl Pager {
         self.sources.lock().push(Arc::downgrade(&src));
     }
 
-    /// Pages out every resident tree of an engine about to be published.
+    /// Pages out every resident tree of an index about to be published.
     /// Trees already paged (epoch-shared, untouched by the batch) keep
     /// their source — and their warm chunk cache.
-    fn page_engine(&self, engine: &mut EngineKind, config: YaskConfig) {
-        match engine {
-            EngineKind::Single(y) => {
-                if !y.tree().is_paged() {
-                    let mut tree = y.tree().clone();
-                    self.page_tree(&mut tree);
-                    *y = Yask::from_tree(tree, config);
-                }
-            }
-            EngineKind::Sharded(s) => s.page_resident_trees(|t| self.page_tree(t)),
-        }
+    fn page_index(&self, index: &mut ShardedIndex) {
+        index.page_resident_trees(|t| self.page_tree(t));
     }
 
     fn snapshot(&self) -> PagerSnapshot {
@@ -208,31 +187,14 @@ impl Pager {
     }
 }
 
-/// The index backing one epoch: exactly one of the two forms.
-enum EngineKind {
-    /// One KcR-tree over the whole corpus (`shards = 1`, the seed path —
-    /// and the oracle the sharded path is property-tested against).
-    Single(Yask),
-    /// K shard trees disjointly covering the corpus; every query class
-    /// (top-k *and* why-not) is computed from these alone.
-    Sharded(ShardedIndex),
-}
-
-impl EngineKind {
-    fn corpus(&self) -> &Corpus {
-        match self {
-            EngineKind::Single(y) => y.corpus(),
-            EngineKind::Sharded(s) => s.corpus(),
-        }
-    }
-}
-
-/// One published engine epoch: a consistent corpus version with the trees
-/// built over exactly its live objects.
+/// One published engine epoch: a consistent corpus version with the
+/// shard trees built over exactly its live objects.
 struct EngineState {
     epoch: u64,
     params: ScoreParams,
-    engine: EngineKind,
+    /// The shard trees disjointly covering the corpus; every query class
+    /// (top-k *and* why-not) is computed from these alone.
+    index: ShardedIndex,
     /// Index shape (per-shard node/byte counters), computed lazily on
     /// the first `/stats` call against this epoch and cached — the trees
     /// are immutable once published, and walking every node per poll
@@ -242,10 +204,8 @@ struct EngineState {
 
 impl EngineState {
     fn shard_shapes(&self) -> &[ShardShape] {
-        self.shapes.get_or_init(|| match &self.engine {
-            EngineKind::Single(y) => vec![ShardShape::of(y.tree())],
-            EngineKind::Sharded(s) => s.shards().iter().map(|t| ShardShape::of(t)).collect(),
-        })
+        self.shapes
+            .get_or_init(|| self.index.shards().iter().map(|t| ShardShape::of(t)).collect())
     }
 }
 
@@ -267,7 +227,7 @@ impl EngineHandle {
 
     /// The pinned corpus version.
     pub fn corpus(&self) -> &Corpus {
-        self.0.engine.corpus()
+        self.0.index.corpus()
     }
 
     /// The scoring configuration of the pinned epoch.
@@ -305,7 +265,7 @@ type EpochCache<K, V> = Option<Mutex<LruCache<(u64, K), Arc<V>>>>;
 pub struct Executor {
     state: EpochCell<EngineState>,
     config: ExecConfig,
-    pool: Option<WorkerPool>,
+    pool: WorkerPool,
     /// Serializes write batches; readers never take it.
     writer: Mutex<()>,
     // Values are Arc'd so a cache hit only bumps a refcount inside the
@@ -323,9 +283,9 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Builds the executor over a corpus: one single tree when
-    /// `config.shards == 1`, otherwise K shard trees (built in parallel)
-    /// and nothing else — the shard trees are the whole index.
+    /// Builds the executor over a corpus: `config.shards` shard trees
+    /// (built in parallel) and nothing else — the shard trees are the
+    /// whole index.
     pub fn new(corpus: Corpus, config: ExecConfig) -> Self {
         Executor::new_at_epoch(corpus, config, 0)
     }
@@ -342,28 +302,18 @@ impl Executor {
         };
         let params = ScoreParams::new(corpus.space()).with_model(config.yask.model);
         let pager = config.resident_budget.map(Pager::new);
-        let (mut engine, pool) = if config.shards > 1 {
-            (
-                EngineKind::Sharded(ShardedIndex::build(
-                    corpus,
-                    config.shards,
-                    config.yask.tree_params,
-                )),
-                Some(WorkerPool::with_capacity(
-                    config.workers,
-                    if config.queue_cap == 0 {
-                        usize::MAX
-                    } else {
-                        config.queue_cap
-                    },
-                )),
-            )
-        } else {
-            (EngineKind::Single(Yask::new(corpus, config.yask)), None)
-        };
+        let mut index = ShardedIndex::build(corpus, config.shards, config.yask.tree_params);
         if let Some(p) = &pager {
-            p.page_engine(&mut engine, config.yask);
+            p.page_index(&mut index);
         }
+        let pool = WorkerPool::with_capacity(
+            config.workers,
+            if config.queue_cap == 0 {
+                usize::MAX
+            } else {
+                config.queue_cap
+            },
+        );
         Executor {
             counters: ExecCounters::new(config.shards),
             workload: config
@@ -375,7 +325,7 @@ impl Executor {
             state: EpochCell::from(EngineState {
                 epoch,
                 params,
-                engine,
+                index,
                 shapes: std::sync::OnceLock::new(),
             }),
             config,
@@ -397,7 +347,7 @@ impl Executor {
 
     /// The current epoch's corpus version.
     pub fn corpus(&self) -> Corpus {
-        self.state.load().engine.corpus().clone()
+        self.state.load().index.corpus().clone()
     }
 
     /// The current epoch number.
@@ -410,7 +360,7 @@ impl Executor {
         &self.config
     }
 
-    /// Number of shards (1 = single-tree path).
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.config.shards
     }
@@ -427,9 +377,9 @@ impl Executor {
     /// every node-arena chunk the batch's root-to-leaf paths did not
     /// write into with the previous epoch's, so per-batch write
     /// amplification is O(spine), independent of tree (and shard) size.
-    /// On the sharded path inserts are first routed to their owning STR
-    /// cell and deletes to the shard that indexed them; untouched shards
-    /// are shared wholesale. The copy bill is accumulated into the
+    /// Inserts are first routed to their owning STR cell and deletes to
+    /// the shard that indexed them; untouched shards are shared
+    /// wholesale. The copy bill is accumulated into the
     /// `index_chunks_copied`/`index_copy_bytes` snapshot counters. The
     /// skew trigger may re-split the partition. In-flight readers keep
     /// the previous epoch; both caches are invalidated by the epoch tag.
@@ -447,43 +397,26 @@ impl Executor {
         let t0 = Instant::now();
         let cur = self.state.load();
 
-        let mut rebalanced = false;
-        let mut engine = match &cur.engine {
-            // Single tree: derive the next epoch's tree persistently —
-            // only the arena chunks under the batch's paths are copied.
-            EngineKind::Single(yask) => {
-                let (tree, copy) = yask.tree().with_updates(corpus, inserted, deleted);
-                self.counters.record_index_copy(&copy);
-                if let Some(wl) = &self.workload {
-                    wl.record_write_cell(0, inserted.len() + deleted.len());
-                }
-                EngineKind::Single(Yask::from_tree(tree, self.config.yask))
+        // Copy-on-write routing, then the rebalance check.
+        let (mut index, deltas, copy) = cur.index.apply(corpus.clone(), inserted, deleted);
+        for (i, &(ins, del)) in deltas.iter().enumerate() {
+            self.counters.shards[i].record_writes(ins, del);
+            if let Some(wl) = &self.workload {
+                wl.record_write_cell(i, ins + del);
             }
-            // Shard trees: copy-on-write routing, then the rebalance check.
-            EngineKind::Sharded(s) => {
-                let (next, deltas, copy) = s.apply(corpus.clone(), inserted, deleted);
-                for (i, &(ins, del)) in deltas.iter().enumerate() {
-                    self.counters.shards[i].record_writes(ins, del);
-                    if let Some(wl) = &self.workload {
-                        wl.record_write_cell(i, ins + del);
-                    }
-                }
-                self.counters.record_index_copy(&copy);
-                EngineKind::Sharded(if self.skew_exceeded(&next) {
-                    rebalanced = true;
-                    ShardedIndex::build(corpus, self.config.shards, self.config.yask.tree_params)
-                } else {
-                    next
-                })
-            }
-        };
+        }
+        self.counters.record_index_copy(&copy);
+        let rebalanced = self.skew_exceeded(&index);
+        if rebalanced {
+            index = ShardedIndex::build(corpus, self.config.shards, self.config.yask.tree_params);
+        }
 
         // Out-of-core: the batch's touched trees materialized back to
         // resident form to mutate; page them out again before publishing.
         // Untouched (epoch-shared) trees are already paged and keep
         // their warm chunk caches.
         if let Some(p) = &self.pager {
-            p.page_engine(&mut engine, self.config.yask);
+            p.page_index(&mut index);
         }
 
         let epoch = cur.epoch + 1;
@@ -492,7 +425,7 @@ impl Executor {
         self.state.store(Arc::new(EngineState {
             epoch,
             params: cur.params,
-            engine,
+            index,
             shapes: std::sync::OnceLock::new(),
         }));
         if let Some(wl) = &self.workload {
@@ -513,8 +446,7 @@ impl Executor {
     // -- top-k --------------------------------------------------------------
 
     /// Runs a spatial keyword top-k query: answer cache first, then the
-    /// scatter-gather (or single-tree) computation, all against one
-    /// pinned epoch.
+    /// scatter-gather computation, all against one pinned epoch.
     pub fn top_k(&self, query: &Query) -> Vec<RankedObject> {
         self.top_k_on(&self.engine(), query)
     }
@@ -557,7 +489,7 @@ impl Executor {
         // Heat tracks *demand* (cache hits included): where queries land,
         // not where compute happens.
         if let Some(wl) = &self.workload {
-            wl.record_query(self.route_cell(state, query), query.doc.raw());
+            wl.record_query(state.index.route(query.loc), query.doc.raw());
         }
         let key = self
             .topk_cache
@@ -636,59 +568,23 @@ impl Executor {
         deadline: Option<Deadline>,
     ) -> (Vec<RankedObject>, bool) {
         let t0 = Instant::now();
-        let (result, complete) = match (&state.engine, &self.pool) {
-            (EngineKind::Sharded(sharded), Some(pool)) => {
-                match self.scatter_gather(state.params, sharded, pool, query, trace, deadline) {
-                    Some((result, complete)) => {
-                        self.counters.record_query(true);
-                        (result, complete)
-                    }
-                    // A shard worker died mid-query (job panic): stay
-                    // exact by falling back to the scan oracle over the
-                    // pinned corpus version — unless the deadline is
-                    // already spent, in which case the honest answer is
-                    // an empty partial, not a late exact scan.
-                    None => {
-                        self.counters.record_query(false);
-                        if deadline.is_some_and(|d| d.expired()) {
-                            (Vec::new(), false)
-                        } else {
-                            (topk_scan(state.engine.corpus(), &state.params, query), true)
-                        }
-                    }
-                }
-            }
-            (EngineKind::Single(yask), _) => {
-                self.counters.record_query(false);
-                // The single tree has no scatter to bound; an already
-                // expired budget still returns the honest empty partial.
-                if deadline.is_some_and(|d| d.expired()) {
-                    (Vec::new(), false)
-                } else {
-                    (yask.top_k(query), true)
-                }
-            }
-            (EngineKind::Sharded(sharded), None) => {
-                // Unreachable by construction (sharded implies a pool),
-                // but stay exact if it ever happens.
-                self.counters.record_query(false);
-                (topk_scan(sharded.corpus(), &state.params, query), true)
-            }
+        let gathered = self.scatter_gather(state, query, trace, deadline);
+        self.counters.record_query(gathered.is_some());
+        let (result, complete) = match gathered {
+            Some(gathered) => gathered,
+            // A shard reply went missing (its job panicked or was
+            // dropped): stay exact by falling back to the scan oracle
+            // over the pinned corpus version — unless the deadline is
+            // already spent, in which case the honest answer is an empty
+            // partial, not a late exact scan.
+            None if deadline.is_some_and(|d| d.expired()) => (Vec::new(), false),
+            None => (topk_scan(state.index.corpus(), &state.params, query), true),
         };
         self.counters.topk.record(t0.elapsed());
         if let Some(wl) = &self.workload {
             wl.record_topk(t0.elapsed());
         }
         (result, complete)
-    }
-
-    /// The STR cell a query's location routes to (0 on the single-tree
-    /// path, whose one "cell" is the whole space).
-    fn route_cell(&self, state: &EngineState, query: &Query) -> usize {
-        match &state.engine {
-            EngineKind::Sharded(s) => s.route(query.loc),
-            EngineKind::Single(_) => 0,
-        }
     }
 
     /// Fans the query out to every shard, gathers per-shard top-k lists
@@ -699,18 +595,16 @@ impl Executor {
     /// shard's search short.
     fn scatter_gather(
         &self,
-        params: ScoreParams,
-        sharded: &ShardedIndex,
-        pool: &WorkerPool,
+        state: &EngineState,
         query: &Query,
         trace: Option<&Trace>,
         deadline: Option<Deadline>,
     ) -> Option<(Vec<RankedObject>, bool)> {
         let scatter = trace.map(|t| t.span("scatter"));
         crate::search::scatter_topk_bounded(
-            sharded.shards(),
-            pool,
-            params,
+            state.index.shards(),
+            &self.pool,
+            state.params,
             query,
             deadline,
             |i, stats, elapsed| {
@@ -736,19 +630,14 @@ impl Executor {
     }
 
     /// Boolean (conjunctive) top-k: per-shard boolean searches merged
-    /// under the workspace total order, or the single tree directly.
+    /// under the workspace total order.
     pub fn boolean_top_k(&self, query: &Query) -> Vec<RankedObject> {
         let state = self.state.load();
-        match &state.engine {
-            EngineKind::Single(yask) => yask.boolean_top_k(query),
-            EngineKind::Sharded(sharded) => {
-                let mut all = Vec::new();
-                for tree in sharded.shards() {
-                    all.extend(yask_query::boolean_topk_tree(tree, &state.params, query));
-                }
-                merge_topk(all, query.k)
-            }
+        let mut all = Vec::new();
+        for tree in state.index.shards() {
+            all.extend(yask_query::boolean_topk_tree(tree, &state.params, query));
         }
+        merge_topk(all, query.k)
     }
 
     /// Viewport query: all objects in `rect` passing the keyword filter,
@@ -762,32 +651,23 @@ impl Executor {
         mode: yask_query::MatchMode,
     ) -> Vec<ObjectId> {
         let state = self.state.load();
-        let mut ids = match &state.engine {
-            EngineKind::Single(yask) => yask.viewport(rect, doc, mode),
-            EngineKind::Sharded(sharded) => sharded
-                .shards()
-                .iter()
-                .flat_map(|tree| yask_query::range_keyword_tree(tree, rect, doc, mode))
-                .collect(),
-        };
+        let mut ids: Vec<ObjectId> = state
+            .index
+            .shards()
+            .iter()
+            .flat_map(|tree| yask_query::range_keyword_tree(tree, rect, doc, mode))
+            .collect();
         ids.sort_unstable();
         ids
     }
 
     // -- why-not (cached) ---------------------------------------------------
 
-    /// The per-shard why-not fan-out over a pinned sharded epoch.
-    fn fanout<'s>(
-        &'s self,
-        state: &'s EngineState,
-        sharded: &'s ShardedIndex,
-        deadline: Option<Deadline>,
-    ) -> ShardFanout<'s> {
+    /// The per-shard why-not fan-out over a pinned epoch.
+    fn fanout<'s>(&'s self, state: &'s EngineState, deadline: Option<Deadline>) -> ShardFanout<'s> {
         ShardFanout::new(
-            sharded,
-            self.pool
-                .as_ref()
-                .expect("sharded engine always has a pool"),
+            &state.index,
+            &self.pool,
             state.params,
             self.config.yask.keyword_options,
         )
@@ -823,11 +703,9 @@ impl Executor {
         deadline: Option<Deadline>,
     ) -> Result<Vec<Explanation>, WhyNotError> {
         self.cached_whynot(handle, query, desired, 0.0, WhyNotKind::Explain, trace, deadline, |state| {
-            match &state.engine {
-                EngineKind::Single(y) => y.explain(query, desired),
-                EngineKind::Sharded(s) => self.fanout(state, s, deadline).explain(query, desired),
-            }
-            .map(CachedAnswer::Explain)
+            self.fanout(state, deadline)
+                .explain(query, desired)
+                .map(CachedAnswer::Explain)
         })
         .map(|c| match &*c {
             CachedAnswer::Explain(v) => v.clone(),
@@ -867,13 +745,9 @@ impl Executor {
         deadline: Option<Deadline>,
     ) -> Result<PreferenceRefinement, WhyNotError> {
         self.cached_whynot(handle, query, missing, lambda, WhyNotKind::Preference, trace, deadline, |state| {
-            match &state.engine {
-                EngineKind::Single(y) => y.refine_preference(query, missing, lambda),
-                EngineKind::Sharded(s) => {
-                    self.fanout(state, s, deadline).refine_preference(query, missing, lambda)
-                }
-            }
-            .map(CachedAnswer::Preference)
+            self.fanout(state, deadline)
+                .refine_preference(query, missing, lambda)
+                .map(CachedAnswer::Preference)
         })
         .map(|c| match &*c {
             CachedAnswer::Preference(v) => v.clone(),
@@ -913,13 +787,9 @@ impl Executor {
         deadline: Option<Deadline>,
     ) -> Result<KeywordRefinement, WhyNotError> {
         self.cached_whynot(handle, query, missing, lambda, WhyNotKind::Keyword, trace, deadline, |state| {
-            match &state.engine {
-                EngineKind::Single(y) => y.refine_keywords(query, missing, lambda),
-                EngineKind::Sharded(s) => {
-                    self.fanout(state, s, deadline).refine_keywords(query, missing, lambda)
-                }
-            }
-            .map(CachedAnswer::Keyword)
+            self.fanout(state, deadline)
+                .refine_keywords(query, missing, lambda)
+                .map(CachedAnswer::Keyword)
         })
         .map(|c| match &*c {
             CachedAnswer::Keyword(v) => v.clone(),
@@ -959,13 +829,9 @@ impl Executor {
         deadline: Option<Deadline>,
     ) -> Result<CombinedRefinement, WhyNotError> {
         self.cached_whynot(handle, query, missing, lambda, WhyNotKind::Combined, trace, deadline, |state| {
-            match &state.engine {
-                EngineKind::Single(y) => y.refine_combined(query, missing, lambda),
-                EngineKind::Sharded(s) => {
-                    self.fanout(state, s, deadline).refine_combined(query, missing, lambda)
-                }
-            }
-            .map(CachedAnswer::Combined)
+            self.fanout(state, deadline)
+                .refine_combined(query, missing, lambda)
+                .map(CachedAnswer::Combined)
         })
         .map(|c| match &*c {
             CachedAnswer::Combined(v) => v.clone(),
@@ -1010,13 +876,9 @@ impl Executor {
         deadline: Option<Deadline>,
     ) -> Result<WhyNotAnswer, WhyNotError> {
         self.cached_whynot(handle, query, missing, lambda, WhyNotKind::Full, trace, deadline, |state| {
-            match &state.engine {
-                EngineKind::Single(y) => y.answer_with_lambda(query, missing, lambda),
-                EngineKind::Sharded(s) => {
-                    self.fanout(state, s, deadline).answer(query, missing, lambda)
-                }
-            }
-            .map(CachedAnswer::Full)
+            self.fanout(state, deadline)
+                .answer(query, missing, lambda)
+                .map(CachedAnswer::Full)
         })
         .map(|c| match &*c {
             CachedAnswer::Full(v) => v.clone(),
@@ -1046,7 +908,7 @@ impl Executor {
     ) -> Result<Arc<CachedAnswer>, WhyNotError> {
         let state = &handle.0;
         if let Some(wl) = &self.workload {
-            wl.record_query(self.route_cell(state, query), query.doc.raw());
+            wl.record_query(state.index.route(query.loc), query.doc.raw());
         }
         let key = self
             .answer_cache
@@ -1100,10 +962,7 @@ impl Executor {
     /// read as idle, so admission degrades to queue-depth-only.
     pub fn pressure(&self) -> Pressure {
         Pressure {
-            queue_depth_1m: self
-                .pool
-                .as_ref()
-                .map_or(0, |p| p.queue_depth_max_windowed(60)),
+            queue_depth_1m: self.pool.queue_depth_max_windowed(60),
             topk_p99_ms: self
                 .workload
                 .as_ref()
@@ -1117,7 +976,7 @@ impl Executor {
     pub fn pressure_for(&self, handle: &EngineHandle, query: &Query) -> Pressure {
         let mut p = self.pressure();
         if let Some(wl) = &self.workload {
-            p.hot_cell_ratio = wl.cell_heat_ratio(self.route_cell(&handle.0, query));
+            p.hot_cell_ratio = wl.cell_heat_ratio(handle.0.index.route(query.loc));
         }
         p
     }
@@ -1127,17 +986,14 @@ impl Executor {
     /// Snapshots every counter the executor maintains.
     pub fn stats(&self) -> ExecSnapshot {
         let state = self.state.load();
-        let corpus = state.engine.corpus();
+        let corpus = state.index.corpus();
         self.counters.snapshot(SnapshotInputs {
             shard_shapes: state.shard_shapes().to_vec(),
-            workers: self.pool.as_ref().map_or(0, |p| p.workers()),
-            queue_depth: self.pool.as_ref().map_or(0, |p| p.queue_depth()),
-            queue_depth_max: self.pool.as_ref().map_or(0, |p| p.queue_depth_max()),
-            queue_depth_max_1m: self
-                .pool
-                .as_ref()
-                .map_or(0, |p| p.queue_depth_max_windowed(60)),
-            queue_saturated: self.pool.as_ref().map_or(0, |p| p.saturated_submits()),
+            workers: self.pool.workers(),
+            queue_depth: self.pool.queue_depth(),
+            queue_depth_max: self.pool.queue_depth_max(),
+            queue_depth_max_1m: self.pool.queue_depth_max_windowed(60),
+            queue_saturated: self.pool.saturated_submits(),
             workload: self.workload.as_ref().map(|w| w.snapshot()),
             epoch: state.epoch,
             live_objects: corpus.len(),
@@ -1413,9 +1269,15 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_config_skips_pool() {
+    fn single_shard_config_scatters_like_any_other() {
         let corpus = random_corpus(120, 55);
-        let exec = Executor::new(corpus.clone(), ExecConfig::single_tree(YaskConfig::default()));
+        let exec = Executor::new(
+            corpus.clone(),
+            ExecConfig {
+                shards: 1,
+                ..ExecConfig::default()
+            },
+        );
         assert_eq!(exec.shard_count(), 1);
         let q = Query::new(Point::new(0.4, 0.6), ks(&[1]), 5);
         let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
@@ -1425,9 +1287,11 @@ mod tests {
             .collect();
         assert_eq!(got, want);
         let s = exec.stats();
-        assert_eq!(s.workers, 0);
-        assert_eq!(s.single_queries, 1);
-        assert_eq!(s.scatter_queries, 0);
+        assert_eq!(s.workers, 1);
+        assert_eq!(s.scatter_queries, 1);
+        assert_eq!(s.scan_fallbacks, 0);
+        assert_eq!(s.per_shard.len(), 1);
+        assert_eq!((s.per_shard[0].objects, s.per_shard[0].queries), (120, 1));
     }
 
     #[test]
@@ -1675,7 +1539,7 @@ mod tests {
         // submits leave each refinement waiting on workers stranded
         // behind the other's — a permanent pool deadlock (this test
         // would hang). With the guard, both complete and agree with the
-        // single-tree oracle.
+        // `yask_core::Yask` oracle.
         let corpus = random_corpus(300, 77);
         let exec = std::sync::Arc::new(Executor::new(
             corpus.clone(),
@@ -1686,16 +1550,9 @@ mod tests {
                 ..ExecConfig::default()
             },
         ));
-        let oracle = Executor::new(corpus, ExecConfig::single_tree(Default::default()));
+        let oracle = yask_core::Yask::new(corpus, YaskConfig::default());
         let q = Query::new(Point::new(0.4, 0.6), KeywordSet::from_raw([1u32, 3]), 4);
-        let missing = {
-            let all = topk_scan(
-                &oracle.corpus(),
-                &oracle.engine().score_params(),
-                &q.with_k(oracle.corpus().len()),
-            );
-            vec![all[q.k + 2].id]
-        };
+        let missing = vec![oracle.top_k(&q.with_k(oracle.corpus().len()))[q.k + 2].id];
         let mut handles = Vec::new();
         for _ in 0..2 {
             let exec = std::sync::Arc::clone(&exec);
@@ -1717,15 +1574,10 @@ mod tests {
     fn observatory_tracks_demand_per_routed_cell() {
         let corpus = random_corpus(400, 80);
         let exec = Executor::with_defaults(corpus.clone());
-        let handle = exec.engine();
-        let sharded = match &handle.0.engine {
-            EngineKind::Sharded(s) => s,
-            _ => unreachable!("default config is sharded"),
-        };
         // Fire queries at one fixed point: every touch must land in the
         // cell the router assigns that point, cache hits included.
         let p = Point::new(0.21, 0.84);
-        let cell = sharded.route(p);
+        let cell = exec.engine().0.index.route(p);
         let q = Query::new(p, ks(&[3, 5]), 5);
         for _ in 0..10 {
             exec.top_k(&q);

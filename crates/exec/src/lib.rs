@@ -1,10 +1,12 @@
 //! `yask_exec` — sharded, concurrent query execution for YASK.
 //!
 //! The seed system funnels every request through one [`yask_core::Yask`]
-//! facade wrapping a single KcR-tree. This crate adds the execution layer
-//! a production deployment needs between that engine and the server
-//! (after the distributable sub-index designs of QDR-Tree and the
-//! retrieval/answering split of SemaSK — see PAPERS.md):
+//! facade wrapping a single KcR-tree. This crate is the execution layer
+//! a production deployment needs between the paper's algorithms and the
+//! server (after the distributable sub-index designs of QDR-Tree and the
+//! retrieval/answering split of SemaSK — see PAPERS.md). It never
+//! constructs a `Yask`: that type stays the independent reference the
+//! property suites compare every answer against.
 //!
 //! * [`shard`] — STR-style spatial partitioning of the corpus into K
 //!   shards, one KcR-tree per shard, built in parallel over the *shared*
@@ -22,12 +24,13 @@
 //!   alone (per-shard exact rank counts summed, per-shard segment sets
 //!   merged, a shared cross-shard outrank bound aborting hopeless
 //!   candidates), so the executor needs **no global KcR-tree** —
-//!   property-tested equal to the `shards = 1` path for K ∈ {1, 2, 4, 8};
+//!   property-tested equal to `yask_core::Yask` for K ∈ {1, 2, 4, 8};
 //! * [`cache`] — bounded LRU caches for top-k results and why-not
 //!   answers, keyed by canonicalized `(query, k, λ, desired-set)` bits,
 //!   with hit/miss/eviction counters;
-//! * [`executor`] — the [`Executor`] facade tying it together, with the
-//!   single-tree engine kept as the `shards = 1` special case. The
+//! * [`executor`] — the [`Executor`] facade tying it together: one
+//!   engine for every shard count (`shards = 1` is a one-cell partition
+//!   run through the same scatter-gather, deadlines and failpoints). The
 //!   executor is *writable*: engine epochs are published through an
 //!   arc-swap-style cell, [`Executor::apply_batch`] derives the next
 //!   epoch copy-on-write with shard-aware write routing (inserts go to

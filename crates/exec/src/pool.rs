@@ -66,7 +66,7 @@ impl WorkerPool {
                         pending.fetch_sub(1, Ordering::Relaxed);
                         // A panicking job must not take the worker down:
                         // the scatter-gather caller detects the missing
-                        // result and falls back to the single-tree path.
+                        // result and falls back to the exact scan.
                         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                     }
                 })

@@ -2,7 +2,7 @@
 //!
 //! Lock-free counters updated on every query and every write batch —
 //! per-shard search timings, traversal work and applied write ops,
-//! scatter/single path counts, batch/rebalance totals — snapshotted
+//! scatter and scan-fallback counts, batch/rebalance totals — snapshotted
 //! together with pool queue depth, cache counters and the current epoch's
 //! corpus occupancy into one [`ExecSnapshot`] that the server exports
 //! through `/stats`.
@@ -141,7 +141,7 @@ pub(crate) struct ExecCounters {
     pub(crate) whynot: WhyNotHists,
     queries: AtomicU64,
     scatter_queries: AtomicU64,
-    single_queries: AtomicU64,
+    scan_fallbacks: AtomicU64,
     batches: AtomicU64,
     inserts: AtomicU64,
     deletes: AtomicU64,
@@ -160,7 +160,7 @@ impl ExecCounters {
             whynot: WhyNotHists::default(),
             queries: AtomicU64::new(0),
             scatter_queries: AtomicU64::new(0),
-            single_queries: AtomicU64::new(0),
+            scan_fallbacks: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
@@ -171,12 +171,14 @@ impl ExecCounters {
         }
     }
 
-    pub(crate) fn record_query(&self, scattered: bool) {
+    /// Counts one computed top-k: `gathered` when every shard replied,
+    /// otherwise the exact-scan fallback answered it.
+    pub(crate) fn record_query(&self, gathered: bool) {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        if scattered {
+        if gathered {
             self.scatter_queries.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.single_queries.fetch_add(1, Ordering::Relaxed);
+            self.scan_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -243,9 +245,9 @@ pub struct ShardSnapshot {
 /// Point-in-time view of the whole executor.
 #[derive(Clone, Debug, Default)]
 pub struct ExecSnapshot {
-    /// Configured shard count (1 = single-tree path).
+    /// Configured shard count (at least 1).
     pub shards: usize,
-    /// Worker threads serving the scatter pool (0 when single-tree).
+    /// Worker threads serving the scatter pool (at least 1).
     pub workers: usize,
     /// Jobs submitted to the pool but not yet started.
     pub queue_depth: usize,
@@ -264,8 +266,10 @@ pub struct ExecSnapshot {
     pub queries: u64,
     /// Queries computed by scatter-gather.
     pub scatter_queries: u64,
-    /// Queries computed on the single tree.
-    pub single_queries: u64,
+    /// Top-k answered by the exact scan because a shard reply went
+    /// missing (a shard job panicked or was dropped). 0 on a healthy
+    /// executor at any shard count.
+    pub scan_fallbacks: u64,
     /// The published corpus epoch (0 until the first write batch).
     pub epoch: u64,
     /// Live objects in the current epoch.
@@ -412,7 +416,7 @@ impl ExecCounters {
             queue_saturated: inputs.queue_saturated,
             queries: self.queries.load(Ordering::Relaxed),
             scatter_queries: self.scatter_queries.load(Ordering::Relaxed),
-            single_queries: self.single_queries.load(Ordering::Relaxed),
+            scan_fallbacks: self.scan_fallbacks.load(Ordering::Relaxed),
             epoch: inputs.epoch,
             live_objects: inputs.live_objects,
             tombstones: inputs.tombstones,
@@ -478,7 +482,7 @@ mod tests {
         });
         assert_eq!(s.queries, 2);
         assert_eq!(s.scatter_queries, 1);
-        assert_eq!(s.single_queries, 1);
+        assert_eq!(s.scan_fallbacks, 1);
         assert_eq!(s.per_shard.len(), 2);
         assert_eq!(s.per_shard[0].queries, 2);
         assert!((s.per_shard[0].mean_us - 200.0).abs() < 1e-9);

@@ -1,16 +1,19 @@
-//! Property tests: the out-of-core executor is *exactly* the resident
-//! one.
+//! Property tests: the out-of-core executor is *exactly* the paper's
+//! engine.
 //!
 //! For randomized corpora and queries, an executor whose shard trees are
 //! served through the buffer pool ([`ExecConfig::resident_budget`]) must
 //! answer top-k and every why-not module byte-identically to a fully
-//! resident executor — at budgets from "everything fits" down to one
-//! byte, where every node-chunk access faults through the pager. This is
-//! the oracle CI runs: paging is a memory-placement decision, never an
+//! resident executor *and* to [`yask_core::Yask`] (one resident tree,
+//! an implementation the executor shares no serving code with) — at
+//! budgets from "everything fits" down to one byte, where every
+//! node-chunk access faults through the pager. This is the oracle CI
+//! runs: paging is a memory-placement decision, never an
 //! answer-changing one.
 
 use proptest::prelude::*;
 
+use yask_core::{Yask, YaskConfig};
 use yask_exec::{ExecConfig, Executor};
 use yask_geo::{Point, Space};
 use yask_index::{Corpus, CorpusBuilder, ObjectId};
@@ -62,13 +65,14 @@ fn query() -> impl Strategy<Value = Query> {
         })
 }
 
-fn paged_exec(c: &Corpus, shards: usize, budget: usize) -> Executor {
+/// `budget = None` is the fully resident executor.
+fn exec(c: &Corpus, shards: usize, budget: Option<usize>) -> Executor {
     Executor::new(
         c.clone(),
         ExecConfig {
             shards,
             workers: shards.min(4),
-            resident_budget: Some(budget),
+            resident_budget: budget,
             // Caches off so every repeat recomputes through the pager.
             topk_cache: 0,
             answer_cache: 0,
@@ -80,23 +84,14 @@ fn paged_exec(c: &Corpus, shards: usize, budget: usize) -> Executor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Top-k equality at every budget, single-tree and sharded.
+    /// Top-k equality at every budget, one shard and several.
     #[test]
     fn paged_topk_equals_resident(c in corpus(10, 120), q in query()) {
+        let want = Yask::new(c.corpus.clone(), YaskConfig::default()).top_k(&q);
         for shards in [1usize, 3] {
-            let resident = Executor::new(
-                c.corpus.clone(),
-                ExecConfig {
-                    shards,
-                    workers: shards.min(4),
-                    topk_cache: 0,
-                    answer_cache: 0,
-                    ..ExecConfig::default()
-                },
-            );
-            let want = resident.top_k(&q);
+            prop_assert_eq!(&exec(&c.corpus, shards, None).top_k(&q), &want, "shards = {}", shards);
             for budget in BUDGETS {
-                let paged = paged_exec(&c.corpus, shards, budget);
+                let paged = exec(&c.corpus, shards, Some(budget));
                 prop_assert_eq!(
                     &paged.top_k(&q), &want,
                     "shards = {}, budget = {}", shards, budget
@@ -110,32 +105,36 @@ proptest! {
     /// one-byte budget, where every read faults.
     #[test]
     fn paged_whynot_equals_resident(c in corpus(40, 100), q in query()) {
-        let resident = Executor::new(
-            c.corpus.clone(),
-            ExecConfig { shards: 2, topk_cache: 0, answer_cache: 0, ..ExecConfig::default() },
-        );
+        let oracle = Yask::new(c.corpus.clone(), YaskConfig::default());
         // Pick the first object below the top-k as the missing one.
-        let all = resident.top_k(&q.with_k(c.corpus.len()));
+        let all = oracle.top_k(&q.with_k(c.corpus.len()));
         prop_assume!(all.len() > q.k);
         let missing: Vec<ObjectId> = vec![all[q.k].id];
-        let want = resident.answer_with_lambda(&q, &missing, 0.5);
-        let paged = paged_exec(&c.corpus, 2, 1);
-        let got = paged.answer_with_lambda(&q, &missing, 0.5);
-        match (want, got) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.explanations.len(), b.explanations.len());
-                prop_assert_eq!(a.preference.penalty, b.preference.penalty);
-                prop_assert_eq!(a.keyword.penalty, b.keyword.penalty);
-                prop_assert_eq!(a.recommended, b.recommended);
+        let want = oracle.answer_with_lambda(&q, &missing, 0.5);
+        for shards in [1usize, 3] {
+            let paged = exec(&c.corpus, shards, Some(1));
+            let got = paged.answer_with_lambda(&q, &missing, 0.5);
+            match (&want, got) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.explanations.len(), b.explanations.len());
+                    for (x, y) in a.explanations.iter().zip(&b.explanations) {
+                        prop_assert_eq!(x.rank, y.rank, "shards = {}", shards);
+                        prop_assert_eq!(&x.message, &y.message, "shards = {}", shards);
+                    }
+                    prop_assert_eq!(a.preference.penalty.to_bits(), b.preference.penalty.to_bits());
+                    prop_assert_eq!(a.preference.query.weights, b.preference.query.weights);
+                    prop_assert_eq!(a.keyword.penalty.to_bits(), b.keyword.penalty.to_bits());
+                    prop_assert_eq!(&a.keyword.query.doc, &b.keyword.query.doc);
+                    prop_assert_eq!(a.keyword.query.k, b.keyword.query.k);
+                    prop_assert_eq!(a.recommended, b.recommended, "shards = {}", shards);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, &b, "shards = {}", shards),
+                (a, b) => prop_assert!(false, "shards = {}: {:?} vs {:?}", shards, a, b),
             }
-            (a, b) => prop_assert!(
-                a.is_err() == b.is_err(),
-                "resident and paged disagree on error"
-            ),
+            // A one-byte budget cannot keep chunks resident: the run must
+            // have faulted, and the counters must say so.
+            let p = paged.stats().pager.expect("paged executor exposes pager stats");
+            prop_assert!(p.chunk_misses > 0, "one-byte budget must fault: {:?}", p);
         }
-        // A one-byte budget cannot keep chunks resident: the run must
-        // have faulted, and the counters must say so.
-        let p = paged.stats().pager.expect("paged executor exposes pager stats");
-        prop_assert!(p.chunk_misses > 0, "one-byte budget must fault: {:?}", p);
     }
 }

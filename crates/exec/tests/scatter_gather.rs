@@ -92,6 +92,34 @@ proptest! {
         }
     }
 
+    /// Boolean top-k and the viewport query have no scatter of their own
+    /// (per-shard tree searches merged on the caller): both must equal
+    /// `yask_core::Yask` over the same corpus for every shard count.
+    #[test]
+    fn boolean_and_viewport_equal_the_engine(
+        c in corpus(10, 120),
+        q in query(),
+        (x0, y0, w, h) in (0.0f64..0.8, 0.0f64..0.8, 0.05f64..0.6, 0.05f64..0.6),
+    ) {
+        let engine = yask_core::Yask::with_defaults(c.corpus.clone());
+        let rect = yask_geo::Rect::new(Point::new(x0, y0), Point::new(x0 + w, y0 + h));
+        for shards in SHARD_COUNTS {
+            let exec = Executor::new(
+                c.corpus.clone(),
+                ExecConfig { shards, workers: shards.min(4), ..ExecConfig::default() },
+            );
+            prop_assert_eq!(exec.boolean_top_k(&q), engine.boolean_top_k(&q), "shards = {}", shards);
+            for mode in [yask_query::MatchMode::Any, yask_query::MatchMode::All] {
+                let mut want = engine.viewport(&rect, &q.doc, mode);
+                want.sort_unstable();
+                prop_assert_eq!(
+                    exec.viewport(&rect, &q.doc, mode), want,
+                    "shards = {}, mode = {:?}", shards, mode
+                );
+            }
+        }
+    }
+
     /// Cache transparency: a repeated query returns the identical result
     /// and is served from the cache.
     #[test]

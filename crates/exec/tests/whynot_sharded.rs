@@ -1,5 +1,5 @@
-//! Property tests: the per-shard why-not fan-out is *exactly* the
-//! single-tree path.
+//! Property tests: the per-shard why-not fan-out is *exactly*
+//! [`yask_core::Yask`], the paper's single-tree engine.
 //!
 //! The executor no longer holds a global KcR-tree — explanations, keyword
 //! adaptation and preference adjustment are all computed from the shard
@@ -7,13 +7,15 @@
 //! segment sets merged before the sweep, the shared candidate skeleton
 //! with a cross-shard abort bound). These tests pin the tentpole claim:
 //! for K ∈ {1, 2, 4, 8}, on random corpora — with and without tombstones,
-//! before and after live write batches — every why-not answer equals the
-//! retained single-tree (`shards = 1`) path, down to penalties, refined
-//! queries, ranks and rendered messages.
+//! before and after live write batches — every why-not answer equals a
+//! fresh `Yask` over the same corpus version, down to penalties, refined
+//! queries, ranks and rendered messages. The executor never constructs a
+//! `Yask`, so the oracle is an independent implementation; `K = 1` is in
+//! the sweep because a one-cell partition runs the same fan-out code.
 
 use proptest::prelude::*;
 
-use yask_core::Explanation;
+use yask_core::{Explanation, Yask, YaskConfig};
 use yask_exec::{ExecConfig, Executor};
 use yask_geo::{Point, Space};
 use yask_index::{Corpus, CorpusBuilder, ObjectId};
@@ -75,10 +77,17 @@ fn exec_with(corpus: &Corpus, shards: usize) -> Executor {
     )
 }
 
+/// The independent reference: the paper's engine, one KcR-tree over the
+/// whole corpus version.
+fn oracle(corpus: &Corpus) -> Yask {
+    Yask::new(corpus.clone(), YaskConfig::default())
+}
+
 /// Picks a missing set strictly below the top-k of the initial query, or
 /// `None` when the corpus ranking leaves nothing to miss.
-fn pick_missing(corpus: &Corpus, exec: &Executor, q: &Query, m: usize) -> Option<Vec<ObjectId>> {
-    let all = topk_scan(corpus, &exec.engine().score_params(), &q.with_k(corpus.len()));
+fn pick_missing(oracle: &Yask, q: &Query, m: usize) -> Option<Vec<ObjectId>> {
+    let corpus = oracle.corpus();
+    let all = topk_scan(corpus, &oracle.score_params(), &q.with_k(corpus.len()));
     if all.len() < q.k + 1 + m {
         return None;
     }
@@ -105,12 +114,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Tentpole equivalence, keyword adaptation: the sharded fan-out's
-    /// refinement equals the single-tree path's — same refined doc, same
-    /// k′, bit-identical penalty — for every shard count.
+    /// refinement equals the single-tree engine's — same refined doc,
+    /// same k′, bit-identical penalty — for every shard count.
     #[test]
     fn sharded_keyword_refinement_matches_single_tree(c in corpus(30, 90), q in query()) {
-        let single = exec_with(&c.corpus, 1);
-        let Some(missing) = pick_missing(&c.corpus, &single, &q, 1) else { return; };
+        let single = oracle(&c.corpus);
+        let Some(missing) = pick_missing(&single, &q, 1) else { return; };
         let want = single.refine_keywords(&q, &missing, 0.5);
         for shards in SHARD_COUNTS {
             let exec = exec_with(&c.corpus, shards);
@@ -135,8 +144,8 @@ proptest! {
     /// construction merged before the sweep equals the single scan.
     #[test]
     fn sharded_pref_refinement_matches_single_tree(c in corpus(30, 90), q in query()) {
-        let single = exec_with(&c.corpus, 1);
-        let Some(missing) = pick_missing(&c.corpus, &single, &q, 2) else { return; };
+        let single = oracle(&c.corpus);
+        let Some(missing) = pick_missing(&single, &q, 2) else { return; };
         let want = single.refine_preference(&q, &missing, 0.5);
         for shards in SHARD_COUNTS {
             let exec = exec_with(&c.corpus, shards);
@@ -161,8 +170,8 @@ proptest! {
     /// rendered messages as the scan path.
     #[test]
     fn sharded_explain_matches_single_tree(c in corpus(30, 90), q in query()) {
-        let single = exec_with(&c.corpus, 1);
-        let Some(missing) = pick_missing(&c.corpus, &single, &q, 2) else { return; };
+        let single = oracle(&c.corpus);
+        let Some(missing) = pick_missing(&single, &q, 2) else { return; };
         let want = single.explain(&q, &missing).expect("valid request");
         for shards in SHARD_COUNTS {
             let exec = exec_with(&c.corpus, shards);
@@ -176,29 +185,33 @@ proptest! {
     /// chaining and recommendation glue.
     #[test]
     fn sharded_combined_and_answer_match(c in corpus(30, 70), q in query()) {
-        let single = exec_with(&c.corpus, 1);
-        let Some(missing) = pick_missing(&c.corpus, &single, &q, 1) else { return; };
-        let exec = exec_with(&c.corpus, 4);
-        match (exec.refine_combined(&q, &missing, 0.5), single.refine_combined(&q, &missing, 0.5)) {
-            (Ok(g), Ok(w)) => {
-                prop_assert_eq!(g.penalty.to_bits(), w.penalty.to_bits());
-                prop_assert_eq!(g.order, w.order);
-                prop_assert_eq!(&g.query.doc, &w.query.doc);
-                prop_assert_eq!(g.query.weights, w.query.weights);
-                prop_assert_eq!(g.query.k, w.query.k);
+        let single = oracle(&c.corpus);
+        let Some(missing) = pick_missing(&single, &q, 1) else { return; };
+        let combined_want = single.refine_combined(&q, &missing, 0.5);
+        let answer_want = single.answer_with_lambda(&q, &missing, 0.5);
+        for shards in SHARD_COUNTS {
+            let exec = exec_with(&c.corpus, shards);
+            match (exec.refine_combined(&q, &missing, 0.5), &combined_want) {
+                (Ok(g), Ok(w)) => {
+                    prop_assert_eq!(g.penalty.to_bits(), w.penalty.to_bits(), "K={}", shards);
+                    prop_assert_eq!(g.order, w.order, "K={}", shards);
+                    prop_assert_eq!(&g.query.doc, &w.query.doc, "K={}", shards);
+                    prop_assert_eq!(g.query.weights, w.query.weights, "K={}", shards);
+                    prop_assert_eq!(g.query.k, w.query.k, "K={}", shards);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(&a, b, "K={}", shards),
+                (a, b) => prop_assert!(false, "K={}: one path errored: {:?} vs {:?}", shards, a, b),
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "one path errored: {:?} vs {:?}", a, b),
-        }
-        match (exec.answer_with_lambda(&q, &missing, 0.5), single.answer_with_lambda(&q, &missing, 0.5)) {
-            (Ok(g), Ok(w)) => {
-                prop_assert_eq!(g.preference.penalty.to_bits(), w.preference.penalty.to_bits());
-                prop_assert_eq!(g.keyword.penalty.to_bits(), w.keyword.penalty.to_bits());
-                prop_assert_eq!(g.recommended, w.recommended);
-                assert_explanations_equal(&g.explanations, &w.explanations, "answer");
+            match (exec.answer_with_lambda(&q, &missing, 0.5), &answer_want) {
+                (Ok(g), Ok(w)) => {
+                    prop_assert_eq!(g.preference.penalty.to_bits(), w.preference.penalty.to_bits());
+                    prop_assert_eq!(g.keyword.penalty.to_bits(), w.keyword.penalty.to_bits());
+                    prop_assert_eq!(g.recommended, w.recommended, "K={}", shards);
+                    assert_explanations_equal(&g.explanations, &w.explanations, &format!("answer K={shards}"));
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(&a, b, "K={}", shards),
+                (a, b) => prop_assert!(false, "K={}: one path errored: {:?} vs {:?}", shards, a, b),
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "one path errored: {:?} vs {:?}", a, b),
         }
     }
 }
@@ -219,7 +232,7 @@ fn ks(ids: &[u32]) -> KeywordSet {
 
 /// All three modules stay exact on corpora with tombstones (post-delete
 /// epochs): fresh executors built over a corpus version carrying dead
-/// slots agree across every shard count and λ.
+/// slots agree with the oracle across every shard count and λ.
 #[test]
 fn tombstoned_corpora_stay_exact() {
     let base = random_corpus(150, 21);
@@ -228,7 +241,7 @@ fn tombstoned_corpora_stay_exact() {
     let (v1, _) = base.with_updates(std::iter::empty(), &victims);
     assert_eq!(v1.tombstones(), victims.len());
 
-    let single = exec_with(&v1, 1);
+    let single = oracle(&v1);
     let mut rng = Xoshiro256::seed_from_u64(7);
     for (case, &dead) in victims.iter().enumerate().take(6) {
         let q = Query::new(
@@ -236,7 +249,7 @@ fn tombstoned_corpora_stay_exact() {
             ks(&[rng.below(12) as u32, rng.below(12) as u32]),
             1 + rng.below(5),
         );
-        let Some(missing) = pick_missing(&v1, &single, &q, 1) else {
+        let Some(missing) = pick_missing(&single, &q, 1) else {
             continue;
         };
         for lambda in [0.2, 0.5, 0.8] {
@@ -280,7 +293,7 @@ fn tombstoned_corpora_stay_exact() {
 
 /// Satellite regression: why-not answers remain exact *after* live write
 /// batches — the incrementally maintained shard trees answer identically
-/// to a fresh single-tree executor built from the final corpus version.
+/// to a fresh single-tree engine built from the final corpus version.
 #[test]
 fn apply_batch_then_whynot_stays_exact() {
     let base = random_corpus(120, 22);
@@ -313,15 +326,15 @@ fn apply_batch_then_whynot_stays_exact() {
         corpus = next;
     }
 
-    // Oracle: a fresh single-tree executor over the final version.
-    let fresh = exec_with(&corpus, 1);
+    // Oracle: a fresh single-tree engine over the final version.
+    let fresh = oracle(&corpus);
     for case in 0..6 {
         let q = Query::new(
             Point::new(rng.next_f64(), rng.next_f64()),
             ks(&[rng.below(12) as u32, rng.below(12) as u32]),
             1 + rng.below(4),
         );
-        let Some(missing) = pick_missing(&corpus, &fresh, &q, 1) else {
+        let Some(missing) = pick_missing(&fresh, &q, 1) else {
             continue;
         };
         let kw_want = fresh.refine_keywords(&q, &missing, 0.5).unwrap();
@@ -346,8 +359,8 @@ fn apply_batch_then_whynot_stays_exact() {
 }
 
 /// The executor's index footprint is the shard trees alone: per-shard
-/// node counters sum to the snapshot totals, and the single-tree and
-/// sharded configurations index the same objects without a duplicate
+/// node counters sum to the snapshot totals, and the one-shard and
+/// four-shard configurations index the same objects without a duplicate
 /// global tree inflating either.
 #[test]
 fn index_counters_cover_exactly_the_shard_trees() {

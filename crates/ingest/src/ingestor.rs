@@ -745,7 +745,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let seed = random_corpus(20, 6);
         let ingest = Ingestor::with_wal(seed, &path).unwrap();
-        let exec = Executor::new(ingest.corpus(), ExecConfig::single_tree(Default::default()));
+        let exec = Executor::new(ingest.corpus(), ExecConfig { shards: 1, ..ExecConfig::default() });
         let batches = vec![
             vec![insert(0.1, 0.1, "ok")],
             vec![Update::Delete(ObjectId(999))], // invalid: foreign id
@@ -767,7 +767,7 @@ mod tests {
     fn group_size_cap_splits_oversized_groups() {
         let seed = random_corpus(30, 7);
         let ingest = Ingestor::new(seed); // volatile: chunking still applies
-        let exec = Executor::new(ingest.corpus(), ExecConfig::single_tree(Default::default()));
+        let exec = Executor::new(ingest.corpus(), ExecConfig { shards: 1, ..ExecConfig::default() });
         let batches: Vec<Vec<Update>> =
             (0..4).map(|i| vec![insert(0.2, 0.2, &format!("s{i}"))]).collect();
         let cfg = GroupCommitConfig {
@@ -810,7 +810,7 @@ mod tests {
         let final_corpus;
         {
             let ingest = Ingestor::with_wal_config(seed.clone(), &path, config).unwrap();
-            let exec = Executor::new(ingest.corpus(), ExecConfig::single_tree(Default::default()));
+            let exec = Executor::new(ingest.corpus(), ExecConfig { shards: 1, ..ExecConfig::default() });
             for i in 0..8 {
                 ingest
                     .apply(&exec, &[insert(0.1 + 0.1 * (i % 5) as f64, 0.2, &format!("c{i}"))])
@@ -846,7 +846,7 @@ mod tests {
         {
             let ingest = Ingestor::with_wal(seed.clone(), &path).unwrap();
             ingest.set_vocab_source(|| vec!["clean".to_owned(), "spa".to_owned()]);
-            let exec = Executor::new(ingest.corpus(), ExecConfig::single_tree(Default::default()));
+            let exec = Executor::new(ingest.corpus(), ExecConfig { shards: 1, ..ExecConfig::default() });
             ingest.apply(&exec, &[insert(0.3, 0.3, "a")]).unwrap();
             ingest
                 .apply(&exec, &[Update::Delete(ObjectId(2)), insert(0.4, 0.4, "b")])
@@ -891,7 +891,7 @@ mod tests {
         let final_epoch;
         {
             let ingest = Ingestor::with_wal(seed.clone(), &path).unwrap();
-            let exec = Executor::new(ingest.corpus(), ExecConfig::single_tree(Default::default()));
+            let exec = Executor::new(ingest.corpus(), ExecConfig { shards: 1, ..ExecConfig::default() });
             ingest.apply(&exec, &[insert(0.2, 0.7, "x")]).unwrap();
             ingest.apply(&exec, &[Update::Delete(ObjectId(4))]).unwrap();
             ingest.apply(&exec, &[insert(0.9, 0.1, "y")]).unwrap();
@@ -940,7 +940,7 @@ mod tests {
         let seed = random_corpus(20, 13);
         {
             let ingest = Ingestor::with_wal(seed.clone(), &path).unwrap();
-            let exec = Executor::new(ingest.corpus(), ExecConfig::single_tree(Default::default()));
+            let exec = Executor::new(ingest.corpus(), ExecConfig { shards: 1, ..ExecConfig::default() });
             ingest.apply(&exec, &[insert(0.5, 0.5, "z")]).unwrap();
             ingest.checkpoint_now().unwrap();
         }
@@ -961,7 +961,7 @@ mod tests {
         let seed = random_corpus(600, 14);
         let chunks_before = seed.chunk_count();
         let ingest = Ingestor::new(seed);
-        let exec = Executor::new(ingest.corpus(), ExecConfig::single_tree(Default::default()));
+        let exec = Executor::new(ingest.corpus(), ExecConfig { shards: 1, ..ExecConfig::default() });
         assert_eq!(ingest.copy_stats(), CopyStats::default());
         ingest
             .apply(&exec, &[insert(0.5, 0.5, "a"), Update::Delete(ObjectId(3))])
@@ -982,7 +982,7 @@ mod tests {
         clean(&path);
         let seed = random_corpus(30, 15);
         let ingest = Ingestor::with_wal(seed, &path).unwrap();
-        let exec = Executor::new(ingest.corpus(), ExecConfig::single_tree(Default::default()));
+        let exec = Executor::new(ingest.corpus(), ExecConfig { shards: 1, ..ExecConfig::default() });
         assert_eq!(ingest.latency_snapshots().wal_append.count, 0);
         ingest.apply(&exec, &[insert(0.2, 0.2, "h0")]).unwrap();
         ingest.apply(&exec, &[insert(0.3, 0.3, "h1")]).unwrap();
@@ -1002,7 +1002,7 @@ mod tests {
         assert_eq!(w60.sum_ns > 0, h.write_apply.sum_ns > 0);
         // Volatile ingestors still time publishes, just not the log.
         let volatile = Ingestor::new(random_corpus(10, 16));
-        let exec2 = Executor::new(volatile.corpus(), ExecConfig::single_tree(Default::default()));
+        let exec2 = Executor::new(volatile.corpus(), ExecConfig { shards: 1, ..ExecConfig::default() });
         volatile.apply(&exec2, &[insert(0.4, 0.4, "v0")]).unwrap();
         let hv = volatile.latency_snapshots();
         assert_eq!(hv.wal_append.count, 0);
@@ -1016,7 +1016,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let seed = random_corpus(10, 3);
         let ingest = Ingestor::with_wal(seed.clone(), &path).unwrap();
-        let exec = Executor::new(ingest.corpus(), ExecConfig::single_tree(Default::default()));
+        let exec = Executor::new(ingest.corpus(), ExecConfig { shards: 1, ..ExecConfig::default() });
         assert!(ingest.apply(&exec, &[Update::Delete(ObjectId(99))]).is_err());
         assert!(ingest.apply(&exec, &[]).is_err());
         assert_eq!(ingest.wal_stats().unwrap().batches, 0);

@@ -1511,7 +1511,7 @@ fn render_exec(s: &ExecSnapshot) -> Json {
         ("queue_saturated", Json::Num(s.queue_saturated as f64)),
         ("queries", Json::Num(s.queries as f64)),
         ("scatter_queries", Json::Num(s.scatter_queries as f64)),
-        ("single_queries", Json::Num(s.single_queries as f64)),
+        ("scan_fallbacks", Json::Num(s.scan_fallbacks as f64)),
         ("epoch", Json::Num(s.epoch as f64)),
         ("live_objects", Json::Num(s.live_objects as f64)),
         ("tombstones", Json::Num(s.tombstones as f64)),
@@ -1937,6 +1937,7 @@ mod tests {
         assert_eq!(exec.get("shards").unwrap().as_usize(), Some(4));
         assert_eq!(exec.get("workers").unwrap().as_usize(), Some(4));
         assert_eq!(exec.get("scatter_queries").unwrap().as_usize(), Some(1));
+        assert_eq!(exec.get("scan_fallbacks").unwrap().as_usize(), Some(0));
         let topk = exec.get("topk_cache").unwrap();
         assert_eq!(topk.get("misses").unwrap().as_usize(), Some(1));
         let per_shard = exec.get("per_shard").unwrap().as_array().unwrap();
@@ -1980,7 +1981,7 @@ mod tests {
         }
         assert_eq!(exec.get("index_chunks_copied").unwrap().as_usize(), Some(0));
         assert_eq!(exec.get("index_copy_bytes").unwrap().as_usize(), Some(0));
-        // A single-tree deployment of the same corpus reports one tree;
+        // A one-shard deployment of the same corpus reports one tree;
         // the sharded executor holds only its shards — no global tree on
         // top (the sharded node total stays in the same ballpark instead
         // of doubling).
@@ -1989,7 +1990,7 @@ mod tests {
             corpus,
             vocab,
             ServiceConfig {
-                exec: ExecConfig::single_tree(yask_core::YaskConfig::default()),
+                exec: ExecConfig { shards: 1, ..ExecConfig::default() },
                 session_ttl: Duration::from_secs(60),
                 ..ServiceConfig::default()
             },
@@ -2063,7 +2064,7 @@ mod tests {
             corpus,
             vocab,
             ServiceConfig {
-                exec: ExecConfig::single_tree(yask_core::YaskConfig::default()),
+                exec: ExecConfig { shards: 1, ..ExecConfig::default() },
                 session_ttl: Duration::from_millis(40),
                 ..ServiceConfig::default()
             },
@@ -2085,7 +2086,7 @@ mod tests {
             corpus,
             vocab,
             ServiceConfig {
-                exec: ExecConfig::single_tree(yask_core::YaskConfig::default()),
+                exec: ExecConfig { shards: 1, ..ExecConfig::default() },
                 session_ttl: Duration::from_millis(30),
                 ..ServiceConfig::default()
             },
@@ -2301,7 +2302,7 @@ mod tests {
         path.push(format!("yask-api-{}.wal", std::process::id()));
         std::fs::remove_file(&path).ok();
         let config = ServiceConfig {
-            exec: ExecConfig::single_tree(yask_core::YaskConfig::default()),
+            exec: ExecConfig { shards: 1, ..ExecConfig::default() },
             ..ServiceConfig::default()
         };
         {
@@ -2380,7 +2381,7 @@ mod tests {
         std::fs::remove_file(yask_ingest::checkpoint_path(&path)).ok();
         let (corpus, vocab) = yask_data::hk_hotels();
         let config = ServiceConfig {
-            exec: ExecConfig::single_tree(yask_core::YaskConfig::default()),
+            exec: ExecConfig { shards: 1, ..ExecConfig::default() },
             coalesce: crate::coalesce::CoalesceConfig {
                 window: Duration::from_millis(150),
                 ..Default::default()
@@ -2438,7 +2439,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(yask_ingest::checkpoint_path(&path)).ok();
         let config = ServiceConfig {
-            exec: ExecConfig::single_tree(yask_core::YaskConfig::default()),
+            exec: ExecConfig { shards: 1, ..ExecConfig::default() },
             checkpoint: yask_ingest::CheckpointConfig {
                 max_wal_batches: 2,
                 max_wal_bytes: u64::MAX,
@@ -2615,6 +2616,8 @@ mod tests {
         // The query ran: its sample must be in the top-k histogram, and
         // the 4 shard families each carry 4 labelled series.
         assert!(text.contains("yask_queries_total 1"), "query not counted");
+        assert!(text.contains("yask_scatter_queries_total 1"), "scatter not counted");
+        assert!(text.contains("yask_scan_fallbacks_total 0"), "healthy run fell back");
         assert!(
             text.contains("yask_topk_latency_seconds_count 1"),
             "top-k latency sample missing"

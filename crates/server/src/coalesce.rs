@@ -228,7 +228,7 @@ mod tests {
     fn harness(window: Duration) -> (Arc<Ingestor>, Arc<Executor>, Arc<WriteCoalescer>) {
         let c = corpus(60);
         let ingest = Arc::new(Ingestor::new(c.clone()));
-        let exec = Arc::new(Executor::new(c, ExecConfig::single_tree(Default::default())));
+        let exec = Arc::new(Executor::new(c, ExecConfig { shards: 1, ..ExecConfig::default() }));
         let coalescer = Arc::new(WriteCoalescer::new(CoalesceConfig {
             window,
             group: GroupCommitConfig::default(),

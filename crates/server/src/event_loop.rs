@@ -2,15 +2,15 @@
 //!
 //! One loop thread owns every socket: it accepts nonblocking, reads
 //! request bytes into per-connection buffers, parses complete requests
-//! incrementally (same keep-alive / pipelining / smuggling-hardening
-//! semantics as the blocking [`crate::http::read_request`] path), and
-//! dispatches them to a fixed worker pool. Workers run the handler and
-//! send serialized response bytes back over a completion channel; the
-//! loop flushes them **in request order** per connection via vectored
-//! writes. An idle keep-alive connection therefore costs one registered
-//! fd and a few hundred buffered bytes — not a parked worker thread,
-//! which is what lets ≤ pool-size workers serve thousands of idle
-//! connections.
+//! off them with `crate::http::try_parse` (the one request parser, so
+//! keep-alive / pipelining / smuggling hardening cannot drift between
+//! this loop and the blocking fallback), and dispatches them to a fixed
+//! worker pool. Workers run the handler and send serialized response
+//! bytes back over a completion channel; the loop flushes them **in
+//! request order** per connection via vectored writes. An idle
+//! keep-alive connection therefore costs one registered fd and a few
+//! hundred buffered bytes — not a parked worker thread, which is what
+//! lets ≤ pool-size workers serve thousands of idle connections.
 //!
 //! ```text
 //!             ┌────────────┐   jobs (token, seq, request)
@@ -27,13 +27,13 @@
 //! or an accept-boundary shed) or a silent close (clean client EOF, idle
 //! timeout, I/O error).
 //!
-//! **Timeouts.** The blocking path enforced
+//! **Timeouts.** The blocking fallback enforces
 //! [`ConnControl::idle_timeout`](crate::http::ConnControl::idle_timeout)
 //! with per-socket read/write timeouts; here a hashed [`TimerWheel`]
 //! holds one deadline per connection, re-armed (and re-read from the
 //! [`ConnPolicy`], so overload shrinks it) every time a response batch
-//! finishes flushing. Expiry closes silently, exactly like the blocking
-//! read-timeout path. Time comes from an injected [`Clock`], so the
+//! finishes flushing. Expiry closes silently, as a read timeout does
+//! there. Time comes from an injected [`Clock`], so the
 //! wheel and the idle logic are testable without real sleeps.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -47,13 +47,9 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use polling::{Interest, Poller};
 
 use crate::http::{
-    ConnPolicy, Handler, Request, Response, ServerHandle, MAX_BODY, MAX_REQUESTS_PER_CONNECTION,
+    try_parse, ConnPolicy, Handler, Parsed, Request, Response, ServerHandle,
+    MAX_REQUESTS_PER_CONNECTION,
 };
-
-/// Upper bound on the request head (request line + headers). The
-/// blocking path reads lines unbounded; the event loop buffers, so it
-/// needs an explicit cap against unterminated-header floods.
-const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// Per-readable-event read budget, so one firehose connection cannot
 /// starve the rest of the loop.
@@ -227,123 +223,6 @@ impl TimerWheel {
             Some(self.granularity)
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental request parsing
-// ---------------------------------------------------------------------------
-
-/// Outcome of trying to parse one request off the front of a buffer.
-#[derive(Debug)]
-pub(crate) enum Parsed {
-    /// The buffer does not yet hold a complete request.
-    NeedMore,
-    /// One complete request, consuming the first `usize` buffer bytes.
-    Complete(Box<Request>, usize),
-    /// Protocol error: answer `(status, message)` and close. The
-    /// remaining buffer bytes are untrustworthy (smuggling hardening)
-    /// and must be discarded.
-    Bad(u16, String),
-}
-
-/// Parses one request from `buf`, mirroring the blocking
-/// [`crate::http::read_request`] semantics exactly: malformed request
-/// line → 400; any `transfer-encoding` → 400 (chunked smuggling);
-/// unparseable `content-length` → 400; body beyond [`MAX_BODY`] → 413;
-/// lines may end `\r\n` or bare `\n`; header lines without a colon are
-/// ignored. Additionally caps the head section at [`MAX_HEAD_BYTES`]
-/// (the buffering loop needs a bound the blocking reader got for free
-/// from its read timeout).
-pub(crate) fn try_parse(buf: &[u8]) -> Parsed {
-    // Find the end of the head: the first empty line.
-    let mut line_start = 0usize;
-    let mut lines: Vec<&[u8]> = Vec::new();
-    let mut head_end = None;
-    for (i, &b) in buf.iter().enumerate() {
-        if b == b'\n' {
-            let mut line = &buf[line_start..i];
-            if line.last() == Some(&b'\r') {
-                line = &line[..line.len() - 1];
-            }
-            if line.is_empty() && !lines.is_empty() {
-                head_end = Some(i + 1);
-                break;
-            }
-            if line.is_empty() {
-                // Leading blank line before any request line: the
-                // blocking reader would treat it as a (malformed)
-                // request line, so mirror that.
-                return Parsed::Bad(400, "malformed request line".into());
-            }
-            lines.push(line);
-            line_start = i + 1;
-        }
-    }
-    let Some(head_end) = head_end else {
-        return if buf.len() > MAX_HEAD_BYTES {
-            Parsed::Bad(400, format!("request head exceeds {MAX_HEAD_BYTES} bytes"))
-        } else {
-            Parsed::NeedMore
-        };
-    };
-
-    let request_line = String::from_utf8_lossy(lines[0]);
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m.to_owned(), t.to_owned()),
-        _ => return Parsed::Bad(400, "malformed request line".into()),
-    };
-    let version = parts.next().unwrap_or("HTTP/1.0").to_owned();
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_owned(), q.to_owned()),
-        None => (target, String::new()),
-    };
-
-    let mut headers = Vec::new();
-    for line in &lines[1..] {
-        let text = String::from_utf8_lossy(line);
-        if let Some((k, v)) = text.split_once(':') {
-            headers.push((k.trim().to_ascii_lowercase(), v.trim().to_owned()));
-        }
-    }
-
-    // Chunked bodies are not implemented; on a persistent connection an
-    // unread chunked body would be re-parsed as pipelined requests
-    // (request smuggling), so reject and close.
-    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
-        return Parsed::Bad(
-            400,
-            "transfer-encoding is not supported; send a content-length body".into(),
-        );
-    }
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        None => 0,
-        Some((_, v)) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => return Parsed::Bad(400, format!("invalid content-length {v:?}")),
-        },
-    };
-    if content_length > MAX_BODY {
-        return Parsed::Bad(
-            413,
-            format!("body of {content_length} bytes exceeds the {MAX_BODY}-byte limit"),
-        );
-    }
-    let total = head_end + content_length;
-    if buf.len() < total {
-        return Parsed::NeedMore;
-    }
-    Parsed::Complete(
-        Box::new(Request {
-            method,
-            path,
-            query,
-            version,
-            headers,
-            body: buf[head_end..total].to_vec(),
-        }),
-        total,
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -678,8 +557,7 @@ impl EventLoop {
 
             if saw_eof && !dead {
                 if !conn.closed_read && !conn.read_buf.is_empty() {
-                    // EOF mid-request: best-effort 400, mirroring the
-                    // blocking reader's UnexpectedEof answer.
+                    // EOF mid-request: best-effort 400.
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
                     conn.pending.insert(
@@ -850,9 +728,8 @@ impl EventLoop {
             }
             if now >= conn.idle_deadline {
                 // Idle (or write-stalled) past the policy deadline:
-                // close silently, exactly like the blocking read
-                // timeout — a 400 here could be mistaken for the
-                // response to a request racing the timeout.
+                // close silently — a 400 here could be mistaken for
+                // the response to a request racing the timeout.
                 self.remove(token);
             }
         }
@@ -873,94 +750,6 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // -- parser ------------------------------------------------------------
-
-    fn complete(buf: &[u8]) -> (Request, usize) {
-        match try_parse(buf) {
-            Parsed::Complete(req, n) => (*req, n),
-            other => panic!("expected Complete, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_a_get_without_body() {
-        let (req, n) = complete(b"GET /health?x=1 HTTP/1.1\r\nhost: t\r\n\r\n");
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/health");
-        assert_eq!(req.query, "x=1");
-        assert_eq!(req.version, "HTTP/1.1");
-        assert_eq!(req.header("host"), Some("t"));
-        assert!(req.body.is_empty());
-        assert_eq!(n, b"GET /health?x=1 HTTP/1.1\r\nhost: t\r\n\r\n".len());
-    }
-
-    #[test]
-    fn parses_post_with_body_and_leftover_pipelined_bytes() {
-        let raw = b"POST /q HTTP/1.1\r\ncontent-length: 4\r\n\r\nbodyGET / HTTP/1.1\r\n\r\n";
-        let (req, n) = complete(raw);
-        assert_eq!(req.body, b"body");
-        // The second pipelined request parses from the leftover.
-        let (req2, _) = complete(&raw[n..]);
-        assert_eq!(req2.method, "GET");
-    }
-
-    #[test]
-    fn incomplete_head_and_incomplete_body_need_more() {
-        assert!(matches!(try_parse(b"GET / HTTP/1.1\r\nhos"), Parsed::NeedMore));
-        assert!(matches!(
-            try_parse(b"POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc"),
-            Parsed::NeedMore
-        ));
-        assert!(matches!(try_parse(b""), Parsed::NeedMore));
-    }
-
-    #[test]
-    fn bare_newlines_parse_like_the_blocking_reader() {
-        let (req, _) = complete(b"GET /x HTTP/1.1\nhost: t\n\n");
-        assert_eq!(req.path, "/x");
-        assert_eq!(req.header("host"), Some("t"));
-    }
-
-    #[test]
-    fn malformed_request_line_is_400() {
-        assert!(matches!(try_parse(b"GARBAGE\r\n\r\n"), Parsed::Bad(400, _)));
-    }
-
-    #[test]
-    fn transfer_encoding_is_rejected() {
-        let raw = b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n";
-        match try_parse(raw) {
-            Parsed::Bad(400, msg) => assert!(msg.contains("transfer-encoding")),
-            other => panic!("expected Bad(400), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unparseable_content_length_is_400() {
-        let raw = b"POST / HTTP/1.1\r\ncontent-length: banana\r\n\r\n";
-        assert!(matches!(try_parse(raw), Parsed::Bad(400, _)));
-    }
-
-    #[test]
-    fn oversized_body_is_413_before_the_body_arrives() {
-        let raw = format!("POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1);
-        assert!(matches!(try_parse(raw.as_bytes()), Parsed::Bad(413, _)));
-    }
-
-    #[test]
-    fn missing_version_defaults_to_http_10() {
-        let (req, _) = complete(b"GET /\r\n\r\n");
-        assert_eq!(req.version, "HTTP/1.0");
-        assert!(!req.wants_keep_alive());
-    }
-
-    #[test]
-    fn unterminated_head_is_bounded() {
-        let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
-        raw.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 16));
-        assert!(matches!(try_parse(&raw), Parsed::Bad(400, _)));
-    }
 
     // -- clock + wheel (the injected-clock idle-timeout harness) -----------
 

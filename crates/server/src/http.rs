@@ -3,11 +3,13 @@
 //! Enough of the protocol for the demo service and its tests: request
 //! line + headers + `Content-Length` bodies in, status + headers + body
 //! out, HTTP/1.1 persistent connections (`Connection: keep-alive`
-//! semantics, including pipelined requests — the reader is buffered per
-//! connection, not per request). Connections are dispatched to a fixed
-//! worker pool over a crossbeam channel.
+//! semantics, including pipelined requests — unparsed bytes are buffered
+//! per connection, not per request). This module holds the wire types,
+//! the one incremental request parser (`try_parse`) and the blocking
+//! thread-per-connection server; where the platform has a readiness
+//! poller, [`HttpServer`] serves through [`crate::event_loop`] instead.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -188,23 +190,68 @@ impl Response {
     }
 }
 
-/// Reads one request from a buffered connection. `Ok(None)` on a cleanly
-/// closed socket before any bytes. The reader persists across requests on
-/// a kept-alive connection, so pipelined bytes are never dropped.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
+/// Upper bound on the request head (request line + headers): the
+/// parser works on buffered bytes, so it needs an explicit cap against
+/// unterminated-header floods.
+const MAX_HEAD_BYTES: usize = 64 * 1024;
+
+/// Outcome of trying to parse one request off the front of a buffer.
+#[derive(Debug)]
+pub(crate) enum Parsed {
+    /// The buffer does not yet hold a complete request.
+    NeedMore,
+    /// One complete request, consuming the first `usize` buffer bytes.
+    Complete(Box<Request>, usize),
+    /// Protocol error: answer `(status, message)` and close. The
+    /// remaining buffer bytes are untrustworthy (smuggling hardening)
+    /// and must be discarded.
+    Bad(u16, String),
+}
+
+/// Parses one request off the front of `buf` — the one request parser
+/// both servers (the readiness loop and the blocking fallback) feed
+/// their connection buffers to. Malformed request line → 400; any
+/// `transfer-encoding` → 400 (chunked smuggling); unparseable
+/// `content-length` → 400; body beyond [`MAX_BODY`] → 413, decided
+/// before the body arrives; lines may end `\r\n` or bare `\n`; header
+/// lines without a colon are ignored; the head section is capped at
+/// [`MAX_HEAD_BYTES`].
+pub(crate) fn try_parse(buf: &[u8]) -> Parsed {
+    // Find the end of the head: the first empty line.
+    let mut line_start = 0usize;
+    let mut lines: Vec<&[u8]> = Vec::new();
+    let mut head_end = None;
+    for (i, &b) in buf.iter().enumerate() {
+        if b == b'\n' {
+            let mut line = &buf[line_start..i];
+            if line.last() == Some(&b'\r') {
+                line = &line[..line.len() - 1];
+            }
+            if line.is_empty() && !lines.is_empty() {
+                head_end = Some(i + 1);
+                break;
+            }
+            if line.is_empty() {
+                // Leading blank line before any request line.
+                return Parsed::Bad(400, "malformed request line".into());
+            }
+            lines.push(line);
+            line_start = i + 1;
+        }
     }
-    let mut parts = line.split_whitespace();
+    let Some(head_end) = head_end else {
+        return if buf.len() > MAX_HEAD_BYTES {
+            Parsed::Bad(400, format!("request head exceeds {MAX_HEAD_BYTES} bytes"))
+        } else {
+            Parsed::NeedMore
+        };
+    };
+
+    let request_line = String::from_utf8_lossy(lines[0]);
+    let mut parts = request_line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m.to_owned(), t.to_owned()),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "malformed request line",
-            ))
-        }
+        _ => return Parsed::Bad(400, "malformed request line".into()),
     };
     let version = parts.next().unwrap_or("HTTP/1.0").to_owned();
     let (path, query) = match target.split_once('?') {
@@ -213,63 +260,50 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
     };
 
     let mut headers = Vec::new();
-    loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-headers",
-            ));
-        }
-        let h = h.trim_end_matches(['\r', '\n']);
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
+    for line in &lines[1..] {
+        let text = String::from_utf8_lossy(line);
+        if let Some((k, v)) = text.split_once(':') {
             headers.push((k.trim().to_ascii_lowercase(), v.trim().to_owned()));
         }
     }
 
-    // Chunked bodies are not implemented. On a persistent connection an
+    // Chunked bodies are not implemented; on a persistent connection an
     // unread chunked body would be re-parsed as pipelined requests
-    // (request smuggling), so reject the request — the error path closes
-    // the connection, discarding any buffered body bytes.
+    // (request smuggling), so reject and close.
     if headers.iter().any(|(k, _)| k == "transfer-encoding") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "transfer-encoding is not supported; send a content-length body",
-        ));
+        return Parsed::Bad(
+            400,
+            "transfer-encoding is not supported; send a content-length body".into(),
+        );
     }
-    // A present-but-unparseable length must be an error, not 0: on a
-    // persistent connection an unconsumed body would be re-parsed as
-    // pipelined requests (same smuggling vector as transfer-encoding).
     let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
         None => 0,
-        Some((_, v)) => v.parse::<usize>().map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("invalid content-length {v:?}"),
-            )
-        })?,
+        Some((_, v)) => match v.parse::<usize>() {
+            Ok(n) => n,
+            Err(_) => return Parsed::Bad(400, format!("invalid content-length {v:?}")),
+        },
     };
-    // Oversized bodies get a distinguishable error kind so the worker
-    // loop can answer 413 instead of a generic 400.
     if content_length > MAX_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::FileTooLarge,
+        return Parsed::Bad(
+            413,
             format!("body of {content_length} bytes exceeds the {MAX_BODY}-byte limit"),
-        ));
+        );
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok(Some(Request {
-        method,
-        path,
-        query,
-        version,
-        headers,
-        body,
-    }))
+    let total = head_end + content_length;
+    if buf.len() < total {
+        return Parsed::NeedMore;
+    }
+    Parsed::Complete(
+        Box::new(Request {
+            method,
+            path,
+            query,
+            version,
+            headers,
+            body: buf[head_end..total].to_vec(),
+        }),
+        total,
+    )
 }
 
 /// The request handler signature.
@@ -375,93 +409,103 @@ impl HttpServer {
             // Readiness loop: one thread owns every socket, `workers`
             // threads run handlers. Idle keep-alive connections cost a
             // registered fd, not a parked worker.
-            return crate::event_loop::spawn(listener, workers, handler, policy);
+            crate::event_loop::spawn(listener, workers, handler, policy)
+        } else {
+            spawn_blocking(listener, workers, handler, policy)
         }
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+    }
+}
 
-        let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
-        for _ in 0..workers {
-            let rx = rx.clone();
-            let handler = handler.clone();
-            let policy = policy.clone();
-            std::thread::spawn(move || {
-                while let Ok(stream) = rx.recv() {
-                    let mut reader = BufReader::new(stream);
-                    let mut served = 0usize;
-                    loop {
-                        // A stalled or malicious client must not pin a
-                        // worker: bound both directions, re-reading the
-                        // policy each iteration so an overloaded server
-                        // shrinks idle keep-alive holds too.
-                        let control = policy();
-                        if let Some(retry) = control.shed {
-                            let _ = Response::error(
-                                503,
-                                "server overloaded; request not read",
-                            )
-                            .with_retry_after(retry)
-                            .write_to(reader.get_mut(), false);
-                            break;
-                        }
-                        let _ = reader.get_mut().set_read_timeout(Some(control.idle_timeout));
-                        let _ = reader
-                            .get_mut()
-                            .set_write_timeout(Some(control.idle_timeout));
-                        let (response, keep) = match read_request(&mut reader) {
-                            Ok(Some(req)) => {
-                                served += 1;
-                                let keep = req.wants_keep_alive()
-                                    && served < MAX_REQUESTS_PER_CONNECTION;
-                                (handler(&req), keep)
-                            }
-                            Ok(None) => break, // client closed cleanly
-                            // An idle kept-alive connection hitting the
-                            // read timeout must close silently: a 400
-                            // here could be read as the response to a
-                            // request racing the timeout.
-                            Err(e)
-                                if matches!(
-                                    e.kind(),
-                                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                                ) =>
-                            {
-                                break
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::FileTooLarge => {
-                                (Response::error(413, &e.to_string()), false)
-                            }
-                            Err(e) => (Response::error(400, &e.to_string()), false),
-                        };
-                        if response.write_to(reader.get_mut(), keep).is_err() || !keep {
-                            break;
-                        }
-                    }
-                }
-            });
-        }
+/// The thread-per-connection server: the only path where the `polling`
+/// shim has no poller (it reports `Unsupported` off Linux). An accept
+/// thread hands connections to `workers` threads, each serving one
+/// connection at a time to completion.
+pub(crate) fn spawn_blocking(
+    listener: TcpListener,
+    workers: usize,
+    handler: Handler,
+    policy: ConnPolicy,
+) -> io::Result<ServerHandle> {
+    let addr = listener.local_addr()?;
+    let stop = Arc::new(AtomicBool::new(false));
 
-        let stop_accept = stop.clone();
-        let accept_thread = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop_accept.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(s) => {
-                        let _ = tx.send(s);
-                    }
-                    Err(_) => continue,
-                }
+    let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
+    for _ in 0..workers {
+        let rx = rx.clone();
+        let handler = handler.clone();
+        let policy = policy.clone();
+        std::thread::spawn(move || {
+            while let Ok(stream) = rx.recv() {
+                serve_connection(stream, &handler, &policy);
             }
-            drop(tx); // workers drain and exit
         });
+    }
 
-        Ok(ServerHandle {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+    let stop_accept = stop.clone();
+    let accept_thread = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            if stop_accept.load(Ordering::SeqCst) {
+                break;
+            }
+            if let Ok(s) = stream {
+                let _ = tx.send(s);
+            }
+        }
+        drop(tx); // workers drain and exit
+    });
+
+    Ok(ServerHandle::from_parts(addr, stop, accept_thread))
+}
+
+/// Serves one connection until it closes: fill the buffer, parse one
+/// request off its front, answer, repeat. Bytes past the parsed request
+/// stay in `buf` for the next iteration (pipelining), exactly as the
+/// event loop's per-connection read buffer does.
+fn serve_connection(mut stream: TcpStream, handler: &Handler, policy: &ConnPolicy) {
+    let mut buf: Vec<u8> = Vec::new();
+    let mut chunk = [0u8; 16 * 1024];
+    let mut served = 0usize;
+    loop {
+        // A stalled or malicious client must not pin a worker: bound
+        // both directions, re-reading the policy each iteration so an
+        // overloaded server shrinks idle keep-alive holds too.
+        let control = policy();
+        if let Some(retry) = control.shed {
+            let _ = Response::error(503, "server overloaded; request not read")
+                .with_retry_after(retry)
+                .write_to(&mut stream, false);
+            return;
+        }
+        let _ = stream.set_read_timeout(Some(control.idle_timeout));
+        let _ = stream.set_write_timeout(Some(control.idle_timeout));
+        let (response, keep) = loop {
+            match try_parse(&buf) {
+                Parsed::Complete(req, consumed) => {
+                    buf.drain(..consumed);
+                    served += 1;
+                    let keep = req.wants_keep_alive() && served < MAX_REQUESTS_PER_CONNECTION;
+                    break (handler(&req), keep);
+                }
+                // The rest of the buffer is untrustworthy: answer and
+                // close, never parse it.
+                Parsed::Bad(status, msg) => break (Response::error(status, &msg), false),
+                Parsed::NeedMore => match stream.read(&mut chunk) {
+                    Ok(0) if buf.is_empty() => return, // client closed cleanly
+                    Ok(0) => {
+                        break (Response::error(400, "connection closed mid-request"), false)
+                    }
+                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    // Idle timeout or a dead socket: close silently — a
+                    // 400 here could be read as the response to a
+                    // request racing the timeout.
+                    Err(_) => return,
+                },
+            }
+        };
+        if response.write_to(&mut stream, keep).is_err() || !keep {
+            return;
+        }
     }
 }
 
@@ -471,35 +515,47 @@ mod tests {
     use crate::client::{http_get, http_post};
     use crate::json::Json;
 
+    fn echo_handler() -> Handler {
+        Arc::new(|req: &Request| match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/ping") => Response::json(Json::str("pong")),
+            ("POST", "/echo") => Response {
+                status: 200,
+                content_type: "application/json",
+                body: req.body.clone(),
+                retry_after: None,
+            },
+            _ => Response::error(404, "no such route"),
+        })
+    }
+
+    /// The platform's server (the readiness loop wherever
+    /// `polling::supported()`).
     fn echo_server() -> ServerHandle {
-        HttpServer::spawn(
-            0,
-            2,
-            Arc::new(|req: &Request| match (req.method.as_str(), req.path.as_str()) {
-                ("GET", "/ping") => Response::json(Json::str("pong")),
-                ("POST", "/echo") => Response {
-                    status: 200,
-                    content_type: "application/json",
-                    body: req.body.clone(),
-                    retry_after: None,
-                },
-                _ => Response::error(404, "no such route"),
-            }),
-        )
-        .unwrap()
+        HttpServer::spawn(0, 2, echo_handler()).unwrap()
+    }
+
+    /// Both servers behind the one parser. Every wire-level case below
+    /// runs against each: `polling::supported()` is true on CI, so
+    /// [`spawn_blocking`] has no other coverage.
+    fn each_server(case: impl Fn(&'static str, &ServerHandle)) {
+        case("platform", &echo_server());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let policy: ConnPolicy = Arc::new(ConnControl::default);
+        case("blocking", &spawn_blocking(listener, 2, echo_handler(), policy).unwrap());
     }
 
     #[test]
     fn get_and_post_round_trip() {
-        let server = echo_server();
-        let (status, body) = http_get(server.addr(), "/ping").unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, Json::str("pong"));
+        each_server(|label, server| {
+            let (status, body) = http_get(server.addr(), "/ping").unwrap();
+            assert_eq!(status, 200, "{label}");
+            assert_eq!(body, Json::str("pong"));
 
-        let payload = Json::obj([("x", Json::Num(1.5)), ("tag", Json::str("香港"))]);
-        let (status, body) = http_post(server.addr(), "/echo", &payload).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, payload);
+            let payload = Json::obj([("x", Json::Num(1.5)), ("tag", Json::str("香港"))]);
+            let (status, body) = http_post(server.addr(), "/echo", &payload).unwrap();
+            assert_eq!(status, 200, "{label}");
+            assert_eq!(body, payload);
+        });
     }
 
     #[test]
@@ -512,22 +568,24 @@ mod tests {
 
     #[test]
     fn concurrent_clients_are_served() {
-        let server = echo_server();
-        let addr = server.addr();
-        let mut handles = Vec::new();
-        for t in 0..8 {
-            handles.push(std::thread::spawn(move || {
-                for i in 0..20 {
-                    let payload = Json::obj([("t", Json::Num(t as f64)), ("i", Json::Num(i as f64))]);
-                    let (status, body) = http_post(addr, "/echo", &payload).unwrap();
-                    assert_eq!(status, 200);
-                    assert_eq!(body, payload);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        each_server(|_, server| {
+            let addr = server.addr();
+            let mut handles = Vec::new();
+            for t in 0..8 {
+                handles.push(std::thread::spawn(move || {
+                    for i in 0..20 {
+                        let payload =
+                            Json::obj([("t", Json::Num(t as f64)), ("i", Json::Num(i as f64))]);
+                        let (status, body) = http_post(addr, "/echo", &payload).unwrap();
+                        assert_eq!(status, 200);
+                        assert_eq!(body, payload);
+                    }
+                }));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+        });
     }
 
     #[test]
@@ -593,12 +651,109 @@ mod tests {
         assert!(req("HTTP/1.1", Some("Keep-Alive, Upgrade")).wants_keep_alive());
     }
 
+    // -- the request parser --------------------------------------------------
+
+    fn complete(buf: &[u8]) -> (Request, usize) {
+        match try_parse(buf) {
+            Parsed::Complete(req, n) => (*req, n),
+            other => panic!("expected Complete, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parses_a_get_without_body() {
+        let (req, n) = complete(b"GET /health?x=1 HTTP/1.1\r\nhost: t\r\n\r\n");
+        assert_eq!(req.method, "GET");
+        assert_eq!(req.path, "/health");
+        assert_eq!(req.query, "x=1");
+        assert_eq!(req.version, "HTTP/1.1");
+        assert_eq!(req.header("host"), Some("t"));
+        assert!(req.body.is_empty());
+        assert_eq!(n, b"GET /health?x=1 HTTP/1.1\r\nhost: t\r\n\r\n".len());
+    }
+
+    #[test]
+    fn parses_post_with_body_and_leftover_pipelined_bytes() {
+        let raw = b"POST /q HTTP/1.1\r\ncontent-length: 4\r\n\r\nbodyGET / HTTP/1.1\r\n\r\n";
+        let (req, n) = complete(raw);
+        assert_eq!(req.body, b"body");
+        // The second pipelined request parses from the leftover.
+        let (req2, _) = complete(&raw[n..]);
+        assert_eq!(req2.method, "GET");
+    }
+
+    #[test]
+    fn incomplete_head_and_incomplete_body_need_more() {
+        assert!(matches!(try_parse(b"GET / HTTP/1.1\r\nhos"), Parsed::NeedMore));
+        assert!(matches!(
+            try_parse(b"POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc"),
+            Parsed::NeedMore
+        ));
+        assert!(matches!(try_parse(b""), Parsed::NeedMore));
+    }
+
+    #[test]
+    fn bare_newlines_end_lines_too() {
+        let (req, _) = complete(b"GET /x HTTP/1.1\nhost: t\n\n");
+        assert_eq!(req.path, "/x");
+        assert_eq!(req.header("host"), Some("t"));
+    }
+
+    #[test]
+    fn malformed_request_line_is_400() {
+        assert!(matches!(try_parse(b"GARBAGE\r\n\r\n"), Parsed::Bad(400, _)));
+    }
+
+    #[test]
+    fn transfer_encoding_is_rejected() {
+        let raw = b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n";
+        match try_parse(raw) {
+            Parsed::Bad(400, msg) => assert!(msg.contains("transfer-encoding")),
+            other => panic!("expected Bad(400), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unparseable_content_length_is_400() {
+        let raw = b"POST / HTTP/1.1\r\ncontent-length: banana\r\n\r\n";
+        assert!(matches!(try_parse(raw), Parsed::Bad(400, _)));
+    }
+
+    #[test]
+    fn oversized_body_is_413_before_the_body_arrives() {
+        let raw = format!("POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1);
+        assert!(matches!(try_parse(raw.as_bytes()), Parsed::Bad(413, _)));
+    }
+
+    #[test]
+    fn missing_version_defaults_to_http_10() {
+        let (req, _) = complete(b"GET /\r\n\r\n");
+        assert_eq!(req.version, "HTTP/1.0");
+        assert!(!req.wants_keep_alive());
+    }
+
+    #[test]
+    fn unterminated_head_is_bounded() {
+        let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
+        raw.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 16));
+        assert!(matches!(try_parse(&raw), Parsed::Bad(400, _)));
+    }
+
+    // -- wire-level cases, run against both servers --------------------------
+
+    /// Sends `raw` on a fresh connection and reads until the server closes.
+    fn send_and_drain(server: &ServerHandle, raw: &[u8]) -> String {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(raw).unwrap();
+        let mut all = String::new();
+        stream.read_to_string(&mut all).unwrap();
+        all
+    }
+
     #[test]
     fn keep_alive_serves_multiple_requests_on_one_connection() {
-        use std::io::{BufRead, BufReader, Read, Write};
+        use std::io::{BufRead, BufReader};
 
-        let server = echo_server();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
         let read_one = |stream: &mut TcpStream| -> (u16, String, String) {
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let mut status_line = String::new();
@@ -626,122 +781,144 @@ mod tests {
             (status, connection, String::from_utf8(body).unwrap())
         };
 
-        for i in 0..3 {
-            let payload = format!("{{\"i\": {i}}}");
-            let req = format!(
-                "POST /echo HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{payload}",
-                payload.len()
-            );
-            stream.write_all(req.as_bytes()).unwrap();
-            let (status, connection, body) = read_one(&mut stream);
-            assert_eq!(status, 200, "request {i} on the shared connection");
-            assert_eq!(connection, "keep-alive");
-            assert_eq!(body, payload);
-        }
+        each_server(|label, server| {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            for i in 0..3 {
+                let payload = format!("{{\"i\": {i}}}");
+                let req = format!(
+                    "POST /echo HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{payload}",
+                    payload.len()
+                );
+                stream.write_all(req.as_bytes()).unwrap();
+                let (status, connection, body) = read_one(&mut stream);
+                assert_eq!(status, 200, "{label}: request {i} on the shared connection");
+                assert_eq!(connection, "keep-alive", "{label}");
+                assert_eq!(body, payload, "{label}");
+            }
 
-        // An explicit close is honored: response says close, then EOF.
-        stream
-            .write_all(b"GET /ping HTTP/1.1\r\nconnection: close\r\n\r\n")
-            .unwrap();
-        let (status, connection, _) = read_one(&mut stream);
-        assert_eq!(status, 200);
-        assert_eq!(connection, "close");
-        let mut rest = Vec::new();
-        stream.read_to_end(&mut rest).unwrap();
-        assert!(rest.is_empty(), "server must close after Connection: close");
+            // An explicit close is honored: response says close, then EOF.
+            stream
+                .write_all(b"GET /ping HTTP/1.1\r\nconnection: close\r\n\r\n")
+                .unwrap();
+            let (status, connection, _) = read_one(&mut stream);
+            assert_eq!(status, 200, "{label}");
+            assert_eq!(connection, "close", "{label}");
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "{label}: server must close after Connection: close");
+        });
     }
 
     #[test]
     fn invalid_content_length_is_rejected_and_connection_closed() {
-        use std::io::{Read, Write};
-
-        let server = echo_server();
-        for bad in ["abc", "99999999999999999999999", "-1"] {
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            let payload = format!(
-                "POST /echo HTTP/1.1\r\ncontent-length: {bad}\r\n\r\nGET /ping HTTP/1.1\r\n\r\n"
-            );
-            stream.write_all(payload.as_bytes()).unwrap();
-            let mut all = String::new();
-            stream.read_to_string(&mut all).unwrap();
-            // One 400 and a closed connection — the trailing bytes must
-            // never be interpreted as a second request.
-            assert!(all.starts_with("HTTP/1.1 400"), "{bad}: {all}");
-            assert_eq!(all.matches("HTTP/1.1").count(), 1, "{bad}: {all}");
-            assert!(all.contains("connection: close"));
-        }
+        each_server(|label, server| {
+            for bad in ["abc", "99999999999999999999999", "-1"] {
+                let all = send_and_drain(
+                    server,
+                    format!(
+                        "POST /echo HTTP/1.1\r\ncontent-length: {bad}\r\n\r\nGET /ping HTTP/1.1\r\n\r\n"
+                    )
+                    .as_bytes(),
+                );
+                // One 400 and a closed connection — the trailing bytes must
+                // never be interpreted as a second request.
+                assert!(all.starts_with("HTTP/1.1 400"), "{label} {bad}: {all}");
+                assert_eq!(all.matches("HTTP/1.1").count(), 1, "{label} {bad}: {all}");
+                assert!(all.contains("connection: close"), "{label}");
+            }
+        });
     }
 
     #[test]
     fn oversized_body_is_413_and_connection_closed() {
-        use std::io::{Read, Write};
-
-        let server = echo_server();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        // Declare a body one byte over the named limit; the server must
-        // answer 413 (not a generic 400) before reading any of it, then
-        // close so the unread bytes are never parsed as requests.
-        let req = format!(
-            "POST /echo HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            MAX_BODY + 1
-        );
-        stream.write_all(req.as_bytes()).unwrap();
-        let mut all = String::new();
-        stream.read_to_string(&mut all).unwrap();
-        assert!(all.starts_with("HTTP/1.1 413"), "{all}");
-        assert!(all.contains("Payload Too Large"), "{all}");
-        assert!(all.contains(&format!("{MAX_BODY}-byte limit")), "{all}");
-        assert!(all.contains("connection: close"));
-        // A body exactly at the limit is still readable (no off-by-one).
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let body = vec![b'x'; MAX_BODY];
-        let head = format!("POST /echo HTTP/1.1\r\ncontent-length: {MAX_BODY}\r\n\r\n");
-        stream.write_all(head.as_bytes()).unwrap();
-        stream.write_all(&body).unwrap();
-        let mut first_line = [0u8; 12];
-        stream.read_exact(&mut first_line).unwrap();
-        assert_eq!(&first_line, b"HTTP/1.1 200");
+        each_server(|label, server| {
+            // Declare a body one byte over the named limit; the server must
+            // answer 413 (not a generic 400) before reading any of it, then
+            // close so the unread bytes are never parsed as requests.
+            let all = send_and_drain(
+                server,
+                format!("POST /echo HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1).as_bytes(),
+            );
+            assert!(all.starts_with("HTTP/1.1 413"), "{label}: {all}");
+            assert!(all.contains("Payload Too Large"), "{label}: {all}");
+            assert!(all.contains(&format!("{MAX_BODY}-byte limit")), "{label}: {all}");
+            assert!(all.contains("connection: close"), "{label}");
+            // A body exactly at the limit is still readable (no off-by-one).
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            let body = vec![b'x'; MAX_BODY];
+            let head = format!("POST /echo HTTP/1.1\r\ncontent-length: {MAX_BODY}\r\n\r\n");
+            stream.write_all(head.as_bytes()).unwrap();
+            stream.write_all(&body).unwrap();
+            let mut first_line = [0u8; 12];
+            stream.read_exact(&mut first_line).unwrap();
+            assert_eq!(&first_line, b"HTTP/1.1 200", "{label}");
+        });
     }
 
     #[test]
     fn chunked_bodies_are_rejected_and_connection_closed() {
-        use std::io::{Read, Write};
-
-        let server = echo_server();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        // A chunked body whose content could smuggle a second request if
-        // it were left in the connection buffer.
-        stream
-            .write_all(
+        each_server(|label, server| {
+            // A chunked body whose content could smuggle a second request if
+            // it were left in the connection buffer.
+            let all = send_and_drain(
+                server,
                 b"POST /echo HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n\
                   24\r\nGET /ping HTTP/1.1\r\nhost: smuggled\r\n\r\n\r\n0\r\n\r\n",
-            )
-            .unwrap();
-        let mut all = String::new();
-        stream.read_to_string(&mut all).unwrap();
-        // Exactly one response — the 400 — and the smuggled GET is never
-        // answered because the connection closes.
-        assert!(all.starts_with("HTTP/1.1 400"), "{all}");
-        assert_eq!(all.matches("HTTP/1.1").count(), 1, "{all}");
-        assert!(all.contains("connection: close"));
+            );
+            // Exactly one response — the 400 — and the smuggled GET is never
+            // answered because the connection closes.
+            assert!(all.starts_with("HTTP/1.1 400"), "{label}: {all}");
+            assert_eq!(all.matches("HTTP/1.1").count(), 1, "{label}: {all}");
+            assert!(all.contains("connection: close"), "{label}");
+        });
     }
 
     #[test]
     fn pipelined_requests_are_all_answered() {
-        use std::io::{Read, Write};
-
-        let server = echo_server();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        // Two back-to-back requests in one write; the second arrives while
-        // the first is still being processed and must not be lost.
-        stream
-            .write_all(
+        each_server(|label, server| {
+            // Two back-to-back requests in one write; the second arrives while
+            // the first is still being processed and must not be lost.
+            let all = send_and_drain(
+                server,
                 b"GET /ping HTTP/1.1\r\n\r\nGET /ping HTTP/1.1\r\nconnection: close\r\n\r\n",
-            )
-            .unwrap();
-        let mut all = String::new();
-        stream.read_to_string(&mut all).unwrap();
-        assert_eq!(all.matches("HTTP/1.1 200 OK").count(), 2, "{all}");
-        assert_eq!(all.matches("pong").count(), 2);
+            );
+            assert_eq!(all.matches("HTTP/1.1 200 OK").count(), 2, "{label}: {all}");
+            assert_eq!(all.matches("pong").count(), 2, "{label}");
+        });
+    }
+
+    #[test]
+    fn request_cap_closes_a_chatty_connection() {
+        each_server(|label, server| {
+            // Exactly the cap, pipelined, none asking to close: every one is
+            // answered, the last says `close`, and the server hangs up.
+            let all = send_and_drain(
+                server,
+                &b"GET /ping HTTP/1.1\r\n\r\n".repeat(MAX_REQUESTS_PER_CONNECTION),
+            );
+            assert_eq!(
+                all.matches("HTTP/1.1 200 OK").count(),
+                MAX_REQUESTS_PER_CONNECTION,
+                "{label}"
+            );
+            assert_eq!(all.matches("connection: close").count(), 1, "{label}");
+            let last = all.rfind("HTTP/1.1 200 OK").unwrap();
+            assert!(all[last..].contains("connection: close"), "{label}: cap must close");
+        });
+    }
+
+    #[test]
+    fn eof_mid_request_is_answered_400() {
+        each_server(|label, server| {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .write_all(b"POST /echo HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc")
+                .unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut all = String::new();
+            stream.read_to_string(&mut all).unwrap();
+            assert!(all.starts_with("HTTP/1.1 400"), "{label}: {all}");
+            assert!(all.contains("mid-request"), "{label}: {all}");
+        });
     }
 }

@@ -9,12 +9,14 @@
 //! * [`json`] — a complete hand-rolled JSON value type, serializer and
 //!   recursive-descent parser (serde_json is outside the approved
 //!   dependency set — see DESIGN.md §4);
-//! * [`http`] — a minimal HTTP/1.1 request reader / response writer over
-//!   `std::net`, plus a crossbeam-channel worker-pool server;
+//! * [`http`] — the HTTP/1.1 wire types, the one incremental request
+//!   parser and the response writer over `std::net`, plus the blocking
+//!   thread-per-connection server (the fallback where [`event_loop`],
+//!   the readiness loop, has no poller);
 //! * [`api`] — the YASK REST endpoints (`/query`, `/whynot/explain`,
 //!   `/whynot/preference`, `/whynot/keywords`, `/session/close`, …)
-//!   bridging HTTP to the sharded [`yask_exec::Executor`] (which wraps
-//!   [`yask_core::Yask`]) and [`yask_core::SessionStore`];
+//!   bridging HTTP to the sharded [`yask_exec::Executor`] and
+//!   [`yask_core::SessionStore`];
 //! * [`coalesce`] — the time-window write coalescer: concurrent write
 //!   requests share one group-commit fsync pair by default;
 //! * [`metrics`] — the `GET /metrics` Prometheus text exposition over

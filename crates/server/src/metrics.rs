@@ -56,9 +56,9 @@ pub(crate) fn render_metrics(m: &MetricsInputs) -> String {
         e.scatter_queries,
     );
     p.counter(
-        "yask_single_queries_total",
-        "Queries computed on the single-tree path",
-        e.single_queries,
+        "yask_scan_fallbacks_total",
+        "Top-k answered by the exact scan because a shard reply went missing",
+        e.scan_fallbacks,
     );
     p.gauge("yask_shards", "Configured shard count", e.shards as f64);
     p.gauge("yask_workers", "Scatter pool worker threads", e.workers as f64);

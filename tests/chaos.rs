@@ -256,25 +256,45 @@ fn checkpoint_faults_leave_the_previous_checkpoint_intact() {
 
 // --- shard scatter faults -----------------------------------------------
 
+/// One shard is a one-cell partition on the same scatter path, so every
+/// shard fault case runs there too — a K=1 executor must evaluate the
+/// `exec.shard` failpoint and honour deadlines like any other.
+const CHAOS_SHARD_COUNTS: [usize; 2] = [1, 4];
+
 #[test]
 fn shard_error_falls_back_to_the_exact_scan() {
     let Some(_g) = chaos() else { return };
     let (corpus, _vocab) = yask::data::hk_hotels();
     let params = ScoreParams::new(corpus.space());
-    let exec = Executor::new(corpus.clone(), exec_config(4));
     let q = Query::new(Point::new(114.17, 22.30), KeywordSet::from_raw([0, 1]), 5);
     let want: Vec<ObjectId> = topk_scan(&corpus, &params, &q).iter().map(|r| r.id).collect();
+    for shards in CHAOS_SHARD_COUNTS {
+        let exec = Executor::new(corpus.clone(), exec_config(shards));
 
-    // One shard drops its reply: the gather comes up short and the
-    // executor must fall back to the exact scan — same answer, no hole.
-    failpoint::cfg_times("exec.shard", failpoint::Action::Error, 1);
-    let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
-    assert_eq!(got, want, "fallback answer diverged from the scan oracle");
-    assert!(failpoint::hits("exec.shard") >= 1, "failpoint never fired");
+        // Healthy traffic never touches the fallback, at any shard count.
+        for _ in 0..3 {
+            let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
+            assert_eq!(got, want, "K={shards}");
+        }
+        let s = exec.stats();
+        assert_eq!((s.scatter_queries, s.scan_fallbacks), (3, 0), "K={shards}");
 
-    // And with the fault gone the scatter path agrees too.
-    let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
-    assert_eq!(got, want);
+        // One shard drops its reply: the gather comes up short and the
+        // executor must fall back to the exact scan — same answer, no
+        // hole — and say so on its counter.
+        let hits = failpoint::hits("exec.shard");
+        failpoint::cfg_times("exec.shard", failpoint::Action::Error, 1);
+        let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
+        assert_eq!(got, want, "K={shards}: fallback answer diverged from the scan oracle");
+        assert!(failpoint::hits("exec.shard") > hits, "K={shards}: failpoint never fired");
+        assert_eq!(exec.stats().scan_fallbacks, 1, "K={shards}");
+
+        // And with the fault gone the scatter path agrees too.
+        let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
+        assert_eq!(got, want, "K={shards}");
+        let s = exec.stats();
+        assert_eq!((s.scatter_queries, s.scan_fallbacks), (4, 1), "K={shards}");
+    }
 }
 
 #[test]
@@ -282,20 +302,24 @@ fn shard_panic_leaves_the_pool_alive() {
     let Some(_g) = chaos() else { return };
     let (corpus, _vocab) = yask::data::hk_hotels();
     let params = ScoreParams::new(corpus.space());
-    let exec = Executor::new(corpus.clone(), exec_config(4));
     let q = Query::new(Point::new(114.17, 22.30), KeywordSet::from_raw([0, 1]), 5);
     let want: Vec<ObjectId> = topk_scan(&corpus, &params, &q).iter().map(|r| r.id).collect();
+    for shards in CHAOS_SHARD_COUNTS {
+        let exec = Executor::new(corpus.clone(), exec_config(shards));
 
-    // A shard job panics mid-query. The pool's catch_unwind absorbs it,
-    // the gather comes up short, the caller falls back to the scan.
-    failpoint::cfg_times("exec.shard", failpoint::Action::Panic, 1);
-    let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
-    assert_eq!(got, want);
-
-    // The pool survived: every worker still answers, repeatedly.
-    for _ in 0..8 {
+        // A shard job panics mid-query. The pool's catch_unwind absorbs
+        // it, the gather comes up short, the caller falls back to the scan.
+        failpoint::cfg_times("exec.shard", failpoint::Action::Panic, 1);
         let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
-        assert_eq!(got, want, "pool lost workers after a shard panic");
+        assert_eq!(got, want, "K={shards}");
+        assert_eq!(exec.stats().scan_fallbacks, 1, "K={shards}: panic never reached a shard job");
+
+        // The pool survived: every worker still answers, repeatedly.
+        for _ in 0..8 {
+            let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
+            assert_eq!(got, want, "K={shards}: pool lost workers after a shard panic");
+        }
+        assert_eq!(exec.stats().scatter_queries, 8, "K={shards}");
     }
 }
 
@@ -304,41 +328,46 @@ fn expired_deadlines_mid_scatter_leak_no_workers() {
     let Some(_g) = chaos() else { return };
     let (corpus, _vocab) = yask::data::hk_hotels();
     let params = ScoreParams::new(corpus.space());
-    let exec = Executor::new(corpus.clone(), exec_config(4));
-    let handle = exec.engine();
     let q = Query::new(Point::new(114.17, 22.30), KeywordSet::from_raw([0, 1]), 5);
-
-    // Stalled shards + a 1 ms budget: every query comes back partial.
-    failpoint::cfg("exec.shard", failpoint::Action::Delay(15));
-    for _ in 0..6 {
-        let TopKOutcome { complete, .. } = exec.top_k_deadline_on_traced(
-            &handle,
-            &q,
-            None,
-            Some(Deadline::after(Duration::from_millis(1))),
-        );
-        assert!(!complete, "a 1ms budget against 15ms shard stalls must truncate");
-    }
-    failpoint::clear("exec.shard");
-
-    // The regression this guards: expired deadlines must drain through
-    // the pool, not strand jobs. The queue returns to empty...
-    let mut drained = false;
-    for _ in 0..100 {
-        if exec.stats().queue_depth == 0 {
-            drained = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(drained, "scatter queue never drained after deadline expiry");
-
-    // ...and the very same pool still produces exact, complete answers.
     let want: Vec<ObjectId> = topk_scan(&corpus, &params, &q).iter().map(|r| r.id).collect();
-    let out = exec.top_k_deadline_on_traced(&handle, &q, None, None);
-    assert!(out.complete);
-    let got: Vec<ObjectId> = out.results.iter().map(|r| r.id).collect();
-    assert_eq!(got, want);
+    for shards in CHAOS_SHARD_COUNTS {
+        let exec = Executor::new(corpus.clone(), exec_config(shards));
+        let handle = exec.engine();
+
+        // Stalled shards + a 1 ms budget: every query comes back partial.
+        failpoint::cfg("exec.shard", failpoint::Action::Delay(15));
+        for _ in 0..6 {
+            let TopKOutcome { complete, .. } = exec.top_k_deadline_on_traced(
+                &handle,
+                &q,
+                None,
+                Some(Deadline::after(Duration::from_millis(1))),
+            );
+            assert!(
+                !complete,
+                "K={shards}: a 1ms budget against 15ms shard stalls must truncate"
+            );
+        }
+        failpoint::clear("exec.shard");
+
+        // The regression this guards: expired deadlines must drain through
+        // the pool, not strand jobs. The queue returns to empty...
+        let mut drained = false;
+        for _ in 0..100 {
+            if exec.stats().queue_depth == 0 {
+                drained = true;
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(drained, "K={shards}: scatter queue never drained after deadline expiry");
+
+        // ...and the very same pool still produces exact, complete answers.
+        let out = exec.top_k_deadline_on_traced(&handle, &q, None, None);
+        assert!(out.complete, "K={shards}");
+        let got: Vec<ObjectId> = out.results.iter().map(|r| r.id).collect();
+        assert_eq!(got, want, "K={shards}");
+    }
 }
 
 // --- end-to-end overload + deadline over HTTP ---------------------------
