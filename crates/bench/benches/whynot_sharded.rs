@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use yask_bench::{fmt_us, print_table, std_corpus};
-use yask_exec::{ExecConfig, Executor};
+use yask_exec::{ExecConfig, Executor, WhyNotKind};
 use yask_geo::Point;
 use yask_index::ObjectId;
 use yask_obs::HistogramSnapshot;
@@ -134,7 +134,7 @@ fn main() {
         let mut kw = measure(reps, &cases, |q, m| {
             std::hint::black_box(cold.refine_keywords(q, m, LAMBDA).ok());
         });
-        let kw_hist = cold.stats().whynot_hists.keyword;
+        let kw_hist = cold.stats().whynot_hists.of(WhyNotKind::Keyword).clone();
         record(
             format!("keyword/shards={shards}/cold"),
             shards,
@@ -147,7 +147,7 @@ fn main() {
         let mut pref = measure(reps, &cases, |q, m| {
             std::hint::black_box(cold.refine_preference(q, m, LAMBDA).ok());
         });
-        let pref_hist = cold.stats().whynot_hists.preference;
+        let pref_hist = cold.stats().whynot_hists.of(WhyNotKind::Preference).clone();
         record(
             format!("preference/shards={shards}/cold"),
             shards,

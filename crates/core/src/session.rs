@@ -122,10 +122,12 @@ impl SessionStore {
         id
     }
 
-    /// Counts the sessions matching `pred` — e.g. "how many sessions pin
-    /// an epoch older than the current one" for `/stats`.
-    pub fn count_where(&self, pred: impl Fn(&Session) -> bool) -> usize {
-        self.sessions.lock().values().filter(|s| pred(s)).count()
+    /// `(live sessions, sessions matching pred)` read under one lock in
+    /// one pass, so the two numbers of a scrape cannot disagree — e.g.
+    /// "how many sessions pin an epoch older than the current one".
+    pub fn len_and_count_where(&self, pred: impl Fn(&Session) -> bool) -> (usize, usize) {
+        let sessions = self.sessions.lock();
+        (sessions.len(), sessions.values().filter(|s| pred(s)).count())
     }
 
     /// Fetches (and touches) a session.
@@ -226,7 +228,7 @@ mod tests {
         assert!(store.get(plain).unwrap().pin.is_none());
         let got = store.get(pinned).unwrap().pin.expect("pin survives");
         assert_eq!(got.downcast_ref::<u64>(), Some(&42));
-        assert_eq!(store.count_where(|s| s.pin.is_some()), 1);
+        assert_eq!(store.len_and_count_where(|s| s.pin.is_some()), (2, 1));
         drop(got);
         // Dropping the session releases the pinned payload.
         assert!(store.remove(pinned));

@@ -71,6 +71,30 @@ pub enum WhyNotKind {
     Full,
 }
 
+impl WhyNotKind {
+    /// Every kind, in discriminant order: `ALL[kind as usize] == kind`,
+    /// so per-kind arrays index by `kind as usize`.
+    pub const ALL: [WhyNotKind; 5] = [
+        WhyNotKind::Explain,
+        WhyNotKind::Preference,
+        WhyNotKind::Keyword,
+        WhyNotKind::Combined,
+        WhyNotKind::Full,
+    ];
+
+    /// The module's name wherever it is exported: the `module` label of
+    /// the why-not histograms, the `whynot_<label>` routes and spans.
+    pub fn label(self) -> &'static str {
+        match self {
+            WhyNotKind::Explain => "explain",
+            WhyNotKind::Preference => "preference",
+            WhyNotKind::Keyword => "keyword",
+            WhyNotKind::Combined => "combined",
+            WhyNotKind::Full => "full",
+        }
+    }
+}
+
 /// Canonical identity of one why-not question.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AnswerKey {

@@ -44,7 +44,7 @@ use crate::observe::Workload;
 use crate::pool::WorkerPool;
 use crate::search::merge_topk;
 use crate::shard::ShardedIndex;
-use crate::stats::{ExecCounters, ExecSnapshot, PagerSnapshot, ShardShape, SnapshotInputs};
+use crate::stats::{ExecCounters, ExecSnapshot, PagerSnapshot, ShardShape};
 use crate::whynot::ShardFanout;
 
 /// Executor configuration.
@@ -927,10 +927,10 @@ impl Executor {
             return Err(WhyNotError::DeadlineExceeded);
         }
         let computed = {
-            let _span = trace.map(|t| t.span(Self::whynot_span_name(kind)));
+            let _span = trace.map(|t| t.span(format!("whynot_{}", kind.label())));
             let t0 = Instant::now();
             let computed = compute(state);
-            self.counters.whynot.of(kind).record(t0.elapsed());
+            self.counters.whynot[kind as usize].record(t0.elapsed());
             if let Some(wl) = &self.workload {
                 wl.record_whynot(kind, t0.elapsed());
             }
@@ -942,16 +942,6 @@ impl Executor {
             cache.lock().insert(key, clone);
         }
         Ok(value)
-    }
-
-    fn whynot_span_name(kind: WhyNotKind) -> &'static str {
-        match kind {
-            WhyNotKind::Explain => "whynot_explain",
-            WhyNotKind::Preference => "whynot_preference",
-            WhyNotKind::Keyword => "whynot_keyword",
-            WhyNotKind::Combined => "whynot_combined",
-            WhyNotKind::Full => "whynot_full",
-        }
     }
 
     // -- admission inputs ---------------------------------------------------
@@ -987,14 +977,12 @@ impl Executor {
     pub fn stats(&self) -> ExecSnapshot {
         let state = self.state.load();
         let corpus = state.index.corpus();
-        self.counters.snapshot(SnapshotInputs {
-            shard_shapes: state.shard_shapes().to_vec(),
+        ExecSnapshot {
             workers: self.pool.workers(),
             queue_depth: self.pool.queue_depth(),
             queue_depth_max: self.pool.queue_depth_max(),
             queue_depth_max_1m: self.pool.queue_depth_max_windowed(60),
             queue_saturated: self.pool.saturated_submits(),
-            workload: self.workload.as_ref().map(|w| w.snapshot()),
             epoch: state.epoch,
             live_objects: corpus.len(),
             tombstones: corpus.tombstones(),
@@ -1008,8 +996,10 @@ impl Executor {
                 .as_ref()
                 .map(|c| c.lock().snapshot())
                 .unwrap_or_default(),
+            workload: self.workload.as_ref().map(|w| w.snapshot()),
             pager: self.pager.as_ref().map(|p| p.snapshot()),
-        })
+            ..self.counters.snapshot(state.shard_shapes())
+        }
     }
 }
 
@@ -1152,7 +1142,7 @@ mod tests {
         assert_eq!(s.topk_hist.count, 1, "one cold compute");
         assert_eq!(s.topk_hit_hist.count, 1, "one cache hit");
         assert!(s.topk_hist.sum_ns > 0);
-        assert_eq!(s.whynot_hists.full.count, 1);
+        assert_eq!(s.whynot_hists.of(WhyNotKind::Full).count, 1);
         // Scatter ran once over 4 shards: each shard histogram sampled once.
         assert!(s.shard_search_hists.iter().all(|h| h.count == 1));
     }

@@ -29,25 +29,13 @@ const KEYWORD_SKETCH_CAP: usize = 64;
 /// How many hot keywords a snapshot reports.
 const KEYWORD_TOP_N: usize = 16;
 
-fn kind_index(kind: WhyNotKind) -> usize {
-    match kind {
-        WhyNotKind::Explain => 0,
-        WhyNotKind::Preference => 1,
-        WhyNotKind::Keyword => 2,
-        WhyNotKind::Combined => 3,
-        WhyNotKind::Full => 4,
-    }
-}
-
-const KIND_NAMES: [&str; 5] = ["explain", "preference", "keyword", "combined", "full"];
-
 /// The live recording side, owned by the executor (one per process).
 pub(crate) struct Workload {
     /// Uncached top-k compute latency.
     topk: SlidingWindow,
     /// Top-k cache-hit latency.
     topk_hit: SlidingWindow,
-    /// Per-module why-not compute latency, indexed by [`kind_index`].
+    /// Per-module why-not compute latency, indexed by `WhyNotKind as usize`.
     whynot: [SlidingWindow; 5],
     /// Whole write-batch publish latency.
     writes: SlidingWindow,
@@ -82,7 +70,7 @@ impl Workload {
     }
 
     pub(crate) fn record_whynot(&self, kind: WhyNotKind, elapsed: Duration) {
-        self.whynot[kind_index(kind)].record(elapsed);
+        self.whynot[kind as usize].record(elapsed);
     }
 
     pub(crate) fn record_write(&self, elapsed: Duration) {
@@ -202,10 +190,10 @@ pub struct WorkloadSnapshot {
 }
 
 impl WorkloadSnapshot {
-    /// The why-not modules with their exported label values, in the same
-    /// order as `WhyNotHistSnapshots::iter_named`.
+    /// The why-not modules with their exported label values, in
+    /// [`WhyNotKind::ALL`] order.
     pub fn whynot_named(&self) -> [(&'static str, &RouteWindows); 5] {
-        std::array::from_fn(|i| (KIND_NAMES[i], &self.whynot[i]))
+        WhyNotKind::ALL.map(|kind| (kind.label(), &self.whynot[kind as usize]))
     }
 }
 

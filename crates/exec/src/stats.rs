@@ -75,70 +75,34 @@ impl ShardCounters {
     }
 }
 
-/// One latency histogram per why-not module (plus the bundled answer).
-#[derive(Default)]
-pub(crate) struct WhyNotHists {
-    explain: Histogram,
-    preference: Histogram,
-    keyword: Histogram,
-    combined: Histogram,
-    full: Histogram,
-}
-
-impl WhyNotHists {
-    pub(crate) fn of(&self, kind: WhyNotKind) -> &Histogram {
-        match kind {
-            WhyNotKind::Explain => &self.explain,
-            WhyNotKind::Preference => &self.preference,
-            WhyNotKind::Keyword => &self.keyword,
-            WhyNotKind::Combined => &self.combined,
-            WhyNotKind::Full => &self.full,
-        }
-    }
-
-    fn snapshot(&self) -> WhyNotHistSnapshots {
-        WhyNotHistSnapshots {
-            explain: self.explain.snapshot(),
-            preference: self.preference.snapshot(),
-            keyword: self.keyword.snapshot(),
-            combined: self.combined.snapshot(),
-            full: self.full.snapshot(),
-        }
-    }
-}
-
-/// Snapshots of the per-module why-not latency histograms.
+/// Snapshots of the per-module why-not latency histograms (plus the
+/// bundled answer), indexed by `WhyNotKind as usize`.
 #[derive(Clone, Debug, Default)]
-pub struct WhyNotHistSnapshots {
-    pub explain: HistogramSnapshot,
-    pub preference: HistogramSnapshot,
-    pub keyword: HistogramSnapshot,
-    pub combined: HistogramSnapshot,
-    pub full: HistogramSnapshot,
-}
+pub struct WhyNotHistSnapshots(pub [HistogramSnapshot; 5]);
 
 impl WhyNotHistSnapshots {
-    /// The modules with their exported label values, in a fixed order.
+    /// One module's latency distribution.
+    pub fn of(&self, kind: WhyNotKind) -> &HistogramSnapshot {
+        &self.0[kind as usize]
+    }
+
+    /// The modules with their exported label values, in
+    /// [`WhyNotKind::ALL`] order.
     pub fn iter_named(&self) -> [(&'static str, &HistogramSnapshot); 5] {
-        [
-            ("explain", &self.explain),
-            ("preference", &self.preference),
-            ("keyword", &self.keyword),
-            ("combined", &self.combined),
-            ("full", &self.full),
-        ]
+        WhyNotKind::ALL.map(|kind| (kind.label(), self.of(kind)))
     }
 }
 
 /// Executor-wide accumulators.
+#[derive(Default)]
 pub(crate) struct ExecCounters {
     pub(crate) shards: Vec<ShardCounters>,
     /// Uncached top-k compute latency (the cold path).
     pub(crate) topk: Histogram,
     /// Top-k cache *hit* latency — so hit/miss cost compares honestly.
     pub(crate) topk_hit: Histogram,
-    /// Per-module why-not latencies.
-    pub(crate) whynot: WhyNotHists,
+    /// Per-module why-not latencies, indexed by `WhyNotKind as usize`.
+    pub(crate) whynot: [Histogram; 5],
     queries: AtomicU64,
     scatter_queries: AtomicU64,
     scan_fallbacks: AtomicU64,
@@ -155,19 +119,7 @@ impl ExecCounters {
     pub(crate) fn new(shards: usize) -> Self {
         ExecCounters {
             shards: (0..shards).map(|_| ShardCounters::default()).collect(),
-            topk: Histogram::new(),
-            topk_hit: Histogram::new(),
-            whynot: WhyNotHists::default(),
-            queries: AtomicU64::new(0),
-            scatter_queries: AtomicU64::new(0),
-            scan_fallbacks: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            deletes: AtomicU64::new(0),
-            rebalances: AtomicU64::new(0),
-            index_chunks_copied: AtomicU64::new(0),
-            index_chunks_created: AtomicU64::new(0),
-            index_copy_bytes: AtomicU64::new(0),
+            ..ExecCounters::default()
         }
     }
 
@@ -355,34 +307,23 @@ pub struct PagerSnapshot {
     pub paged_trees: usize,
 }
 
-/// The non-counter inputs of a snapshot, gathered by the executor from
-/// the pinned epoch, the pool and the caches.
-pub(crate) struct SnapshotInputs {
-    pub shard_shapes: Vec<ShardShape>,
-    pub workers: usize,
-    pub queue_depth: usize,
-    pub queue_depth_max: usize,
-    pub queue_depth_max_1m: usize,
-    pub queue_saturated: usize,
-    pub epoch: u64,
-    pub live_objects: usize,
-    pub tombstones: usize,
-    pub topk_cache: CacheSnapshot,
-    pub answer_cache: CacheSnapshot,
-    pub workload: Option<WorkloadSnapshot>,
-    pub pager: Option<PagerSnapshot>,
-}
-
 impl ExecCounters {
-    pub(crate) fn snapshot(&self, inputs: SnapshotInputs) -> ExecSnapshot {
+    /// The counter-derived half of a snapshot over the pinned epoch's
+    /// shard `shapes`. Everything the counters cannot see — pool, caches,
+    /// corpus occupancy, observatory, pager — is left at its default for
+    /// the executor to fill in with struct-update syntax.
+    pub(crate) fn snapshot(&self, shapes: &[ShardShape]) -> ExecSnapshot {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let shard_search_hists: Vec<HistogramSnapshot> =
+            self.shards.iter().map(|c| c.search.snapshot()).collect();
         let per_shard = self
             .shards
             .iter()
-            .zip(&inputs.shard_shapes)
-            .map(|(c, shape)| {
-                let queries = c.queries.load(Ordering::Relaxed);
-                let total_us = c.nanos.load(Ordering::Relaxed) as f64 / 1_000.0;
-                let search = c.search.snapshot();
+            .zip(shapes)
+            .zip(&shard_search_hists)
+            .map(|((c, shape), search)| {
+                let queries = load(&c.queries);
+                let total_us = load(&c.nanos) as f64 / 1_000.0;
                 ShardSnapshot {
                     objects: shape.objects,
                     nodes: shape.nodes,
@@ -396,48 +337,35 @@ impl ExecCounters {
                     },
                     p50_us: search.p50() as f64 / 1_000.0,
                     p99_us: search.p99() as f64 / 1_000.0,
-                    nodes_expanded: c.nodes_expanded.load(Ordering::Relaxed),
-                    objects_scored: c.objects_scored.load(Ordering::Relaxed),
-                    inserts: c.inserts.load(Ordering::Relaxed),
-                    deletes: c.deletes.load(Ordering::Relaxed),
+                    nodes_expanded: load(&c.nodes_expanded),
+                    objects_scored: load(&c.objects_scored),
+                    inserts: load(&c.inserts),
+                    deletes: load(&c.deletes),
                     arena_chunks: shape.arena_chunks,
                     arena_bytes: shape.arena_bytes,
                 }
             })
             .collect();
-        let shard_search_hists: Vec<HistogramSnapshot> =
-            self.shards.iter().map(|c| c.search.snapshot()).collect();
         ExecSnapshot {
-            shards: inputs.shard_shapes.len().max(1),
-            workers: inputs.workers,
-            queue_depth: inputs.queue_depth,
-            queue_depth_max: inputs.queue_depth_max,
-            queue_depth_max_1m: inputs.queue_depth_max_1m,
-            queue_saturated: inputs.queue_saturated,
-            queries: self.queries.load(Ordering::Relaxed),
-            scatter_queries: self.scatter_queries.load(Ordering::Relaxed),
-            scan_fallbacks: self.scan_fallbacks.load(Ordering::Relaxed),
-            epoch: inputs.epoch,
-            live_objects: inputs.live_objects,
-            tombstones: inputs.tombstones,
-            batches: self.batches.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            rebalances: self.rebalances.load(Ordering::Relaxed),
-            index_nodes: inputs.shard_shapes.iter().map(|s| s.nodes).sum(),
-            index_bytes: inputs.shard_shapes.iter().map(|s| s.bytes).sum(),
-            index_chunks_copied: self.index_chunks_copied.load(Ordering::Relaxed),
-            index_chunks_created: self.index_chunks_created.load(Ordering::Relaxed),
-            index_copy_bytes: self.index_copy_bytes.load(Ordering::Relaxed),
+            shards: shapes.len(),
+            queries: load(&self.queries),
+            scatter_queries: load(&self.scatter_queries),
+            scan_fallbacks: load(&self.scan_fallbacks),
+            batches: load(&self.batches),
+            inserts: load(&self.inserts),
+            deletes: load(&self.deletes),
+            rebalances: load(&self.rebalances),
+            index_nodes: shapes.iter().map(|s| s.nodes).sum(),
+            index_bytes: shapes.iter().map(|s| s.bytes).sum(),
+            index_chunks_copied: load(&self.index_chunks_copied),
+            index_chunks_created: load(&self.index_chunks_created),
+            index_copy_bytes: load(&self.index_copy_bytes),
             per_shard,
-            topk_cache: inputs.topk_cache,
-            answer_cache: inputs.answer_cache,
             topk_hist: self.topk.snapshot(),
             topk_hit_hist: self.topk_hit.snapshot(),
-            whynot_hists: self.whynot.snapshot(),
+            whynot_hists: WhyNotHistSnapshots(std::array::from_fn(|i| self.whynot[i].snapshot())),
             shard_search_hists,
-            workload: inputs.workload,
-            pager: inputs.pager,
+            ..ExecSnapshot::default()
         }
     }
 }
@@ -462,24 +390,11 @@ mod tests {
             chunks_created: 1,
             bytes_copied: 4096,
         });
-        let s = c.snapshot(SnapshotInputs {
-            shard_shapes: vec![
-                ShardShape { objects: 10, nodes: 3, bytes: 900, arena_chunks: 1, arena_bytes: 950 },
-                ShardShape { objects: 12, nodes: 4, bytes: 1100, arena_chunks: 2, arena_bytes: 1300 },
-            ],
-            workers: 4,
-            queue_depth: 0,
-            queue_depth_max: 7,
-            queue_depth_max_1m: 2,
-            queue_saturated: 3,
-            epoch: 2,
-            live_objects: 22,
-            tombstones: 3,
-            topk_cache: CacheSnapshot::default(),
-            answer_cache: CacheSnapshot::default(),
-            workload: None,
-            pager: None,
-        });
+        let s = c.snapshot(&[
+            ShardShape { objects: 10, nodes: 3, bytes: 900, arena_chunks: 1, arena_bytes: 950 },
+            ShardShape { objects: 12, nodes: 4, bytes: 1100, arena_chunks: 2, arena_bytes: 1300 },
+        ]);
+        assert_eq!(s.shards, 2);
         assert_eq!(s.queries, 2);
         assert_eq!(s.scatter_queries, 1);
         assert_eq!(s.scan_fallbacks, 1);
@@ -499,12 +414,7 @@ mod tests {
         assert_eq!(s.index_chunks_copied, 2);
         assert_eq!(s.index_chunks_created, 1);
         assert_eq!(s.index_copy_bytes, 4096);
-        assert_eq!((s.epoch, s.live_objects, s.tombstones), (2, 22, 3));
         assert_eq!((s.batches, s.inserts, s.deletes, s.rebalances), (2, 3, 3, 1));
-        assert_eq!(s.queue_depth_max, 7);
-        assert_eq!(s.queue_depth_max_1m, 2);
-        assert_eq!(s.queue_saturated, 3);
-        assert!(s.workload.is_none());
         // The shard histogram sampled the same searches the counters did.
         assert_eq!(s.shard_search_hists.len(), 2);
         assert_eq!(s.shard_search_hists[0].count, 2);
@@ -518,14 +428,17 @@ mod tests {
     #[test]
     fn whynot_hists_route_by_kind() {
         let c = ExecCounters::new(1);
-        c.whynot.of(WhyNotKind::Explain).record(Duration::from_micros(10));
-        c.whynot.of(WhyNotKind::Keyword).record(Duration::from_micros(20));
-        c.whynot.of(WhyNotKind::Keyword).record(Duration::from_micros(30));
-        let s = c.whynot.snapshot();
-        assert_eq!(s.explain.count, 1);
-        assert_eq!(s.keyword.count, 2);
-        assert_eq!(s.preference.count, 0);
+        c.whynot[WhyNotKind::Explain as usize].record(Duration::from_micros(10));
+        c.whynot[WhyNotKind::Keyword as usize].record(Duration::from_micros(20));
+        c.whynot[WhyNotKind::Keyword as usize].record(Duration::from_micros(30));
+        let s = c.snapshot(&[ShardShape::default()]).whynot_hists;
+        assert_eq!(s.of(WhyNotKind::Explain).count, 1);
+        assert_eq!(s.of(WhyNotKind::Keyword).count, 2);
+        assert_eq!(s.of(WhyNotKind::Preference).count, 0);
         let named: Vec<&str> = s.iter_named().iter().map(|(n, _)| *n).collect();
         assert_eq!(named, ["explain", "preference", "keyword", "combined", "full"]);
+        for (i, kind) in WhyNotKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "per-kind arrays index by discriminant");
+        }
     }
 }

@@ -32,8 +32,8 @@
 //! itself be interrupted and lose acknowledged batches) until the next
 //! checkpoint truncates them atomically. Checkpoint *failures* never
 //! fail the write that triggered them (the batch is already durable in
-//! the log); they are recorded in [`CheckpointStats::last_error`] and the
-//! next threshold crossing retries.
+//! the log); they are counted in [`CheckpointStats::failures`], kept in
+//! [`CheckpointStats::last_error`], and the next threshold crossing retries.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -87,13 +87,20 @@ impl CheckpointConfig {
     }
 }
 
-/// Checkpoint activity counters, surfaced by `/stats`.
+/// Checkpoint activity counters, surfaced by `/stats` (`ingest.checkpoints`,
+/// `checkpoint_epoch`, `checkpoint_failures`, `checkpoint_last_error`,
+/// `checkpoint_pool_*`) and `/metrics` (`yask_checkpoints_total`,
+/// `yask_checkpoint_failures_total`, …).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Checkpoints taken since startup.
     pub checkpoints: u64,
     /// Epoch of the most recent checkpoint (0 before the first).
     pub last_epoch: u64,
+    /// Checkpoint attempts that failed since startup, automatic or
+    /// [`Ingestor::checkpoint_now`]. While this climbs the log is not
+    /// being truncated: it — and recovery time — grow without bound.
+    pub failures: u64,
     /// The most recent checkpoint failure, if the latest attempt failed
     /// (cleared by the next success). The triggering write batch is
     /// unaffected — it is already durable in the log.
@@ -189,20 +196,27 @@ struct WriterState {
 
 impl WriterState {
     /// Runs one checkpoint: durable snapshot first, then the log
-    /// truncation. Requires a log and a checkpoint path. Timed into the
-    /// checkpoint histogram even on failure — the stall was real.
+    /// truncation. Requires a log and a checkpoint path (a volatile
+    /// ingestor has nothing to attempt, so its error is not counted).
+    /// Timed into the checkpoint histogram even on failure — the stall
+    /// was real — and a failed attempt is counted and kept in
+    /// `last_error` whoever asked for it.
     fn checkpoint(&mut self) -> Result<u64, IngestError> {
-        let t0 = Instant::now();
-        let result = self.checkpoint_inner();
-        self.checkpoint_hist.record(t0.elapsed());
-        result
-    }
-
-    fn checkpoint_inner(&mut self) -> Result<u64, IngestError> {
         let path = self
             .ckpt_path
             .clone()
             .ok_or_else(|| IngestError::WalCorrupt("no checkpoint path configured".into()))?;
+        let t0 = Instant::now();
+        let result = self.checkpoint_inner(&path);
+        self.checkpoint_hist.record(t0.elapsed());
+        if let Err(e) = &result {
+            self.ckpt_stats.failures += 1;
+            self.ckpt_stats.last_error = Some(e.to_string());
+        }
+        result
+    }
+
+    fn checkpoint_inner(&mut self, path: &Path) -> Result<u64, IngestError> {
         let vocab = match (&self.vocab_source, &self.recovered_vocab) {
             (Some(source), _) => source(),
             (None, Some(recovered)) => recovered.clone(),
@@ -210,7 +224,7 @@ impl WriterState {
         };
         let epoch = self.epoch;
         let pool = save_checkpoint(
-            &path,
+            path,
             &Checkpoint {
                 corpus: self.corpus.clone(),
                 epoch,
@@ -242,9 +256,7 @@ impl WriterState {
         {
             return;
         }
-        if let Err(e) = self.checkpoint() {
-            self.ckpt_stats.last_error = Some(e.to_string());
-        }
+        let _ = self.checkpoint();
     }
 }
 

@@ -2,10 +2,8 @@
 //!
 //! One loop thread owns every socket: it accepts nonblocking, reads
 //! request bytes into per-connection buffers, parses complete requests
-//! off them with `crate::http::try_parse` (the one request parser, so
-//! keep-alive / pipelining / smuggling hardening cannot drift between
-//! this loop and the blocking fallback), and dispatches them to a fixed
-//! worker pool. Workers run the handler and send serialized response
+//! off them with `crate::http::try_parse` (the one request parser),
+//! and dispatches them to a fixed worker pool. Workers run the handler and send serialized response
 //! bytes back over a completion channel; the loop flushes them **in
 //! request order** per connection via vectored writes. An idle
 //! keep-alive connection therefore costs one registered fd and a few
@@ -27,14 +25,13 @@
 //! or an accept-boundary shed) or a silent close (clean client EOF, idle
 //! timeout, I/O error).
 //!
-//! **Timeouts.** The blocking fallback enforces
-//! [`ConnControl::idle_timeout`](crate::http::ConnControl::idle_timeout)
-//! with per-socket read/write timeouts; here a hashed [`TimerWheel`]
-//! holds one deadline per connection, re-armed (and re-read from the
+//! **Timeouts.** A hashed [`TimerWheel`] enforces
+//! [`ConnControl::idle_timeout`](crate::http::ConnControl::idle_timeout):
+//! it holds one deadline per connection, re-armed (and re-read from the
 //! [`ConnPolicy`], so overload shrinks it) every time a response batch
-//! finishes flushing. Expiry closes silently, as a read timeout does
-//! there. Time comes from an injected [`Clock`], so the
-//! wheel and the idle logic are testable without real sleeps.
+//! finishes flushing. Expiry closes silently. Time comes from an
+//! injected [`Clock`], so the wheel and the idle logic are testable
+//! without real sleeps.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};

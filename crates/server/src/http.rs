@@ -4,12 +4,13 @@
 //! line + headers + `Content-Length` bodies in, status + headers + body
 //! out, HTTP/1.1 persistent connections (`Connection: keep-alive`
 //! semantics, including pipelined requests — unparsed bytes are buffered
-//! per connection, not per request). This module holds the wire types,
-//! the one incremental request parser (`try_parse`) and the blocking
-//! thread-per-connection server; where the platform has a readiness
-//! poller, [`HttpServer`] serves through [`crate::event_loop`] instead.
+//! per connection, not per request). This module holds the wire types
+//! and the one incremental request parser (`try_parse`); [`HttpServer`]
+//! serves through [`crate::event_loop`], the readiness loop. Linux is the
+//! supported serving platform: the `polling` shim has only an epoll
+//! backend, and elsewhere spawning reports `io::ErrorKind::Unsupported`.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -183,11 +184,6 @@ impl Response {
         bytes.extend_from_slice(&self.body);
         bytes
     }
-
-    fn write_to(&self, stream: &mut TcpStream, keep_alive: bool) -> io::Result<()> {
-        stream.write_all(&self.to_bytes(keep_alive))?;
-        stream.flush()
-    }
 }
 
 /// Upper bound on the request head (request line + headers): the
@@ -209,8 +205,7 @@ pub(crate) enum Parsed {
 }
 
 /// Parses one request off the front of `buf` — the one request parser
-/// both servers (the readiness loop and the blocking fallback) feed
-/// their connection buffers to. Malformed request line → 400; any
+/// the readiness loop feeds its connection buffers to. Malformed request line → 400; any
 /// `transfer-encoding` → 400 (chunked smuggling); unparseable
 /// `content-length` → 400; body beyond [`MAX_BODY`] → 413, decided
 /// before the body arrives; lines may end `\r\n` or bare `\n`; header
@@ -348,9 +343,9 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Assembles a handle around an accept/event-loop thread. The no-op
-    /// wake connection in [`ServerHandle::shutdown`] unblocks both a
-    /// blocking `accept()` and an epoll wait (listener turns readable).
+    /// Assembles a handle around the event-loop thread. The no-op wake
+    /// connection in [`ServerHandle::shutdown`] unblocks its epoll wait
+    /// (the listener turns readable).
     pub(crate) fn from_parts(
         addr: SocketAddr,
         stop: Arc<AtomicBool>,
@@ -371,7 +366,7 @@ impl ServerHandle {
     /// Stops accepting and joins the accept loop. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Unblock accept() with a no-op connection.
+        // Wake the loop with a no-op connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
@@ -405,107 +400,11 @@ impl HttpServer {
     ) -> io::Result<ServerHandle> {
         assert!(workers >= 1);
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        if polling::supported() {
-            // Readiness loop: one thread owns every socket, `workers`
-            // threads run handlers. Idle keep-alive connections cost a
-            // registered fd, not a parked worker.
-            crate::event_loop::spawn(listener, workers, handler, policy)
-        } else {
-            spawn_blocking(listener, workers, handler, policy)
-        }
-    }
-}
-
-/// The thread-per-connection server: the only path where the `polling`
-/// shim has no poller (it reports `Unsupported` off Linux). An accept
-/// thread hands connections to `workers` threads, each serving one
-/// connection at a time to completion.
-pub(crate) fn spawn_blocking(
-    listener: TcpListener,
-    workers: usize,
-    handler: Handler,
-    policy: ConnPolicy,
-) -> io::Result<ServerHandle> {
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
-    for _ in 0..workers {
-        let rx = rx.clone();
-        let handler = handler.clone();
-        let policy = policy.clone();
-        std::thread::spawn(move || {
-            while let Ok(stream) = rx.recv() {
-                serve_connection(stream, &handler, &policy);
-            }
-        });
-    }
-
-    let stop_accept = stop.clone();
-    let accept_thread = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if stop_accept.load(Ordering::SeqCst) {
-                break;
-            }
-            if let Ok(s) = stream {
-                let _ = tx.send(s);
-            }
-        }
-        drop(tx); // workers drain and exit
-    });
-
-    Ok(ServerHandle::from_parts(addr, stop, accept_thread))
-}
-
-/// Serves one connection until it closes: fill the buffer, parse one
-/// request off its front, answer, repeat. Bytes past the parsed request
-/// stay in `buf` for the next iteration (pipelining), exactly as the
-/// event loop's per-connection read buffer does.
-fn serve_connection(mut stream: TcpStream, handler: &Handler, policy: &ConnPolicy) {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let mut served = 0usize;
-    loop {
-        // A stalled or malicious client must not pin a worker: bound
-        // both directions, re-reading the policy each iteration so an
-        // overloaded server shrinks idle keep-alive holds too.
-        let control = policy();
-        if let Some(retry) = control.shed {
-            let _ = Response::error(503, "server overloaded; request not read")
-                .with_retry_after(retry)
-                .write_to(&mut stream, false);
-            return;
-        }
-        let _ = stream.set_read_timeout(Some(control.idle_timeout));
-        let _ = stream.set_write_timeout(Some(control.idle_timeout));
-        let (response, keep) = loop {
-            match try_parse(&buf) {
-                Parsed::Complete(req, consumed) => {
-                    buf.drain(..consumed);
-                    served += 1;
-                    let keep = req.wants_keep_alive() && served < MAX_REQUESTS_PER_CONNECTION;
-                    break (handler(&req), keep);
-                }
-                // The rest of the buffer is untrustworthy: answer and
-                // close, never parse it.
-                Parsed::Bad(status, msg) => break (Response::error(status, &msg), false),
-                Parsed::NeedMore => match stream.read(&mut chunk) {
-                    Ok(0) if buf.is_empty() => return, // client closed cleanly
-                    Ok(0) => {
-                        break (Response::error(400, "connection closed mid-request"), false)
-                    }
-                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    // Idle timeout or a dead socket: close silently — a
-                    // 400 here could be read as the response to a
-                    // request racing the timeout.
-                    Err(_) => return,
-                },
-            }
-        };
-        if response.write_to(&mut stream, keep).is_err() || !keep {
-            return;
-        }
+        // Readiness loop: one thread owns every socket, `workers`
+        // threads run handlers. Idle keep-alive connections cost a
+        // registered fd, not a parked worker. Off Linux the poller —
+        // and so this call — fails with `io::ErrorKind::Unsupported`.
+        crate::event_loop::spawn(listener, workers, handler, policy)
     }
 }
 
@@ -514,6 +413,7 @@ mod tests {
     use super::*;
     use crate::client::{http_get, http_post};
     use crate::json::Json;
+    use std::io::{Read, Write};
 
     fn echo_handler() -> Handler {
         Arc::new(|req: &Request| match (req.method.as_str(), req.path.as_str()) {
@@ -528,34 +428,21 @@ mod tests {
         })
     }
 
-    /// The platform's server (the readiness loop wherever
-    /// `polling::supported()`).
     fn echo_server() -> ServerHandle {
         HttpServer::spawn(0, 2, echo_handler()).unwrap()
     }
 
-    /// Both servers behind the one parser. Every wire-level case below
-    /// runs against each: `polling::supported()` is true on CI, so
-    /// [`spawn_blocking`] has no other coverage.
-    fn each_server(case: impl Fn(&'static str, &ServerHandle)) {
-        case("platform", &echo_server());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let policy: ConnPolicy = Arc::new(ConnControl::default);
-        case("blocking", &spawn_blocking(listener, 2, echo_handler(), policy).unwrap());
-    }
-
     #[test]
     fn get_and_post_round_trip() {
-        each_server(|label, server| {
-            let (status, body) = http_get(server.addr(), "/ping").unwrap();
-            assert_eq!(status, 200, "{label}");
-            assert_eq!(body, Json::str("pong"));
+        let server = &echo_server();
+        let (status, body) = http_get(server.addr(), "/ping").unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(body, Json::str("pong"));
 
-            let payload = Json::obj([("x", Json::Num(1.5)), ("tag", Json::str("香港"))]);
-            let (status, body) = http_post(server.addr(), "/echo", &payload).unwrap();
-            assert_eq!(status, 200, "{label}");
-            assert_eq!(body, payload);
-        });
+        let payload = Json::obj([("x", Json::Num(1.5)), ("tag", Json::str("香港"))]);
+        let (status, body) = http_post(server.addr(), "/echo", &payload).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(body, payload);
     }
 
     #[test]
@@ -568,24 +455,23 @@ mod tests {
 
     #[test]
     fn concurrent_clients_are_served() {
-        each_server(|_, server| {
-            let addr = server.addr();
-            let mut handles = Vec::new();
-            for t in 0..8 {
-                handles.push(std::thread::spawn(move || {
-                    for i in 0..20 {
-                        let payload =
-                            Json::obj([("t", Json::Num(t as f64)), ("i", Json::Num(i as f64))]);
-                        let (status, body) = http_post(addr, "/echo", &payload).unwrap();
-                        assert_eq!(status, 200);
-                        assert_eq!(body, payload);
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
+        let server = &echo_server();
+        let addr = server.addr();
+        let mut handles = Vec::new();
+        for t in 0..8 {
+            handles.push(std::thread::spawn(move || {
+                for i in 0..20 {
+                    let payload =
+                        Json::obj([("t", Json::Num(t as f64)), ("i", Json::Num(i as f64))]);
+                    let (status, body) = http_post(addr, "/echo", &payload).unwrap();
+                    assert_eq!(status, 200);
+                    assert_eq!(body, payload);
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
     }
 
     #[test]
@@ -781,144 +667,136 @@ mod tests {
             (status, connection, String::from_utf8(body).unwrap())
         };
 
-        each_server(|label, server| {
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            for i in 0..3 {
-                let payload = format!("{{\"i\": {i}}}");
-                let req = format!(
-                    "POST /echo HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{payload}",
-                    payload.len()
-                );
-                stream.write_all(req.as_bytes()).unwrap();
-                let (status, connection, body) = read_one(&mut stream);
-                assert_eq!(status, 200, "{label}: request {i} on the shared connection");
-                assert_eq!(connection, "keep-alive", "{label}");
-                assert_eq!(body, payload, "{label}");
-            }
+        let server = &echo_server();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        for i in 0..3 {
+            let payload = format!("{{\"i\": {i}}}");
+            let req = format!(
+                "POST /echo HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{payload}",
+                payload.len()
+            );
+            stream.write_all(req.as_bytes()).unwrap();
+            let (status, connection, body) = read_one(&mut stream);
+            assert_eq!(status, 200, "request {i} on the shared connection");
+            assert_eq!(connection, "keep-alive");
+            assert_eq!(body, payload);
+        }
 
-            // An explicit close is honored: response says close, then EOF.
-            stream
-                .write_all(b"GET /ping HTTP/1.1\r\nconnection: close\r\n\r\n")
-                .unwrap();
-            let (status, connection, _) = read_one(&mut stream);
-            assert_eq!(status, 200, "{label}");
-            assert_eq!(connection, "close", "{label}");
-            let mut rest = Vec::new();
-            stream.read_to_end(&mut rest).unwrap();
-            assert!(rest.is_empty(), "{label}: server must close after Connection: close");
-        });
+        // An explicit close is honored: response says close, then EOF.
+        stream
+            .write_all(b"GET /ping HTTP/1.1\r\nconnection: close\r\n\r\n")
+            .unwrap();
+        let (status, connection, _) = read_one(&mut stream);
+        assert_eq!(status, 200);
+        assert_eq!(connection, "close");
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "server must close after Connection: close");
     }
 
     #[test]
     fn invalid_content_length_is_rejected_and_connection_closed() {
-        each_server(|label, server| {
-            for bad in ["abc", "99999999999999999999999", "-1"] {
-                let all = send_and_drain(
-                    server,
-                    format!(
-                        "POST /echo HTTP/1.1\r\ncontent-length: {bad}\r\n\r\nGET /ping HTTP/1.1\r\n\r\n"
-                    )
-                    .as_bytes(),
-                );
-                // One 400 and a closed connection — the trailing bytes must
-                // never be interpreted as a second request.
-                assert!(all.starts_with("HTTP/1.1 400"), "{label} {bad}: {all}");
-                assert_eq!(all.matches("HTTP/1.1").count(), 1, "{label} {bad}: {all}");
-                assert!(all.contains("connection: close"), "{label}");
-            }
-        });
+        let server = &echo_server();
+        for bad in ["abc", "99999999999999999999999", "-1"] {
+            let all = send_and_drain(
+                server,
+                format!(
+                    "POST /echo HTTP/1.1\r\ncontent-length: {bad}\r\n\r\nGET /ping HTTP/1.1\r\n\r\n"
+                )
+                .as_bytes(),
+            );
+            // One 400 and a closed connection — the trailing bytes must
+            // never be interpreted as a second request.
+            assert!(all.starts_with("HTTP/1.1 400"), "{bad}: {all}");
+            assert_eq!(all.matches("HTTP/1.1").count(), 1, "{bad}: {all}");
+            assert!(all.contains("connection: close"));
+        }
     }
 
     #[test]
     fn oversized_body_is_413_and_connection_closed() {
-        each_server(|label, server| {
-            // Declare a body one byte over the named limit; the server must
-            // answer 413 (not a generic 400) before reading any of it, then
-            // close so the unread bytes are never parsed as requests.
-            let all = send_and_drain(
-                server,
-                format!("POST /echo HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1).as_bytes(),
-            );
-            assert!(all.starts_with("HTTP/1.1 413"), "{label}: {all}");
-            assert!(all.contains("Payload Too Large"), "{label}: {all}");
-            assert!(all.contains(&format!("{MAX_BODY}-byte limit")), "{label}: {all}");
-            assert!(all.contains("connection: close"), "{label}");
-            // A body exactly at the limit is still readable (no off-by-one).
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            let body = vec![b'x'; MAX_BODY];
-            let head = format!("POST /echo HTTP/1.1\r\ncontent-length: {MAX_BODY}\r\n\r\n");
-            stream.write_all(head.as_bytes()).unwrap();
-            stream.write_all(&body).unwrap();
-            let mut first_line = [0u8; 12];
-            stream.read_exact(&mut first_line).unwrap();
-            assert_eq!(&first_line, b"HTTP/1.1 200", "{label}");
-        });
+        let server = &echo_server();
+        // Declare a body one byte over the named limit; the server must
+        // answer 413 (not a generic 400) before reading any of it, then
+        // close so the unread bytes are never parsed as requests.
+        let all = send_and_drain(
+            server,
+            format!("POST /echo HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1).as_bytes(),
+        );
+        assert!(all.starts_with("HTTP/1.1 413"), "{all}");
+        assert!(all.contains("Payload Too Large"), "{all}");
+        assert!(all.contains(&format!("{MAX_BODY}-byte limit")), "{all}");
+        assert!(all.contains("connection: close"));
+        // A body exactly at the limit is still readable (no off-by-one).
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let body = vec![b'x'; MAX_BODY];
+        let head = format!("POST /echo HTTP/1.1\r\ncontent-length: {MAX_BODY}\r\n\r\n");
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(&body).unwrap();
+        let mut first_line = [0u8; 12];
+        stream.read_exact(&mut first_line).unwrap();
+        assert_eq!(&first_line, b"HTTP/1.1 200");
     }
 
     #[test]
     fn chunked_bodies_are_rejected_and_connection_closed() {
-        each_server(|label, server| {
-            // A chunked body whose content could smuggle a second request if
-            // it were left in the connection buffer.
-            let all = send_and_drain(
-                server,
-                b"POST /echo HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n\
-                  24\r\nGET /ping HTTP/1.1\r\nhost: smuggled\r\n\r\n\r\n0\r\n\r\n",
-            );
-            // Exactly one response — the 400 — and the smuggled GET is never
-            // answered because the connection closes.
-            assert!(all.starts_with("HTTP/1.1 400"), "{label}: {all}");
-            assert_eq!(all.matches("HTTP/1.1").count(), 1, "{label}: {all}");
-            assert!(all.contains("connection: close"), "{label}");
-        });
+        let server = &echo_server();
+        // A chunked body whose content could smuggle a second request if
+        // it were left in the connection buffer.
+        let all = send_and_drain(
+            server,
+            b"POST /echo HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n\
+              24\r\nGET /ping HTTP/1.1\r\nhost: smuggled\r\n\r\n\r\n0\r\n\r\n",
+        );
+        // Exactly one response — the 400 — and the smuggled GET is never
+        // answered because the connection closes.
+        assert!(all.starts_with("HTTP/1.1 400"), "{all}");
+        assert_eq!(all.matches("HTTP/1.1").count(), 1, "{all}");
+        assert!(all.contains("connection: close"));
     }
 
     #[test]
     fn pipelined_requests_are_all_answered() {
-        each_server(|label, server| {
-            // Two back-to-back requests in one write; the second arrives while
-            // the first is still being processed and must not be lost.
-            let all = send_and_drain(
-                server,
-                b"GET /ping HTTP/1.1\r\n\r\nGET /ping HTTP/1.1\r\nconnection: close\r\n\r\n",
-            );
-            assert_eq!(all.matches("HTTP/1.1 200 OK").count(), 2, "{label}: {all}");
-            assert_eq!(all.matches("pong").count(), 2, "{label}");
-        });
+        let server = &echo_server();
+        // Two back-to-back requests in one write; the second arrives while
+        // the first is still being processed and must not be lost.
+        let all = send_and_drain(
+            server,
+            b"GET /ping HTTP/1.1\r\n\r\nGET /ping HTTP/1.1\r\nconnection: close\r\n\r\n",
+        );
+        assert_eq!(all.matches("HTTP/1.1 200 OK").count(), 2, "{all}");
+        assert_eq!(all.matches("pong").count(), 2);
     }
 
     #[test]
     fn request_cap_closes_a_chatty_connection() {
-        each_server(|label, server| {
-            // Exactly the cap, pipelined, none asking to close: every one is
-            // answered, the last says `close`, and the server hangs up.
-            let all = send_and_drain(
-                server,
-                &b"GET /ping HTTP/1.1\r\n\r\n".repeat(MAX_REQUESTS_PER_CONNECTION),
-            );
-            assert_eq!(
-                all.matches("HTTP/1.1 200 OK").count(),
-                MAX_REQUESTS_PER_CONNECTION,
-                "{label}"
-            );
-            assert_eq!(all.matches("connection: close").count(), 1, "{label}");
-            let last = all.rfind("HTTP/1.1 200 OK").unwrap();
-            assert!(all[last..].contains("connection: close"), "{label}: cap must close");
-        });
+        let server = &echo_server();
+        // Exactly the cap, pipelined, none asking to close: every one is
+        // answered, the last says `close`, and the server hangs up.
+        let all = send_and_drain(
+            server,
+            &b"GET /ping HTTP/1.1\r\n\r\n".repeat(MAX_REQUESTS_PER_CONNECTION),
+        );
+        assert_eq!(
+            all.matches("HTTP/1.1 200 OK").count(),
+            MAX_REQUESTS_PER_CONNECTION
+        );
+        assert_eq!(all.matches("connection: close").count(), 1);
+        let last = all.rfind("HTTP/1.1 200 OK").unwrap();
+        assert!(all[last..].contains("connection: close"), "cap must close");
     }
 
     #[test]
     fn eof_mid_request_is_answered_400() {
-        each_server(|label, server| {
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            stream
-                .write_all(b"POST /echo HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc")
-                .unwrap();
-            stream.shutdown(std::net::Shutdown::Write).unwrap();
-            let mut all = String::new();
-            stream.read_to_string(&mut all).unwrap();
-            assert!(all.starts_with("HTTP/1.1 400"), "{label}: {all}");
-            assert!(all.contains("mid-request"), "{label}: {all}");
-        });
+        let server = &echo_server();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .write_all(b"POST /echo HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc")
+            .unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut all = String::new();
+        stream.read_to_string(&mut all).unwrap();
+        assert!(all.starts_with("HTTP/1.1 400"), "{all}");
+        assert!(all.contains("mid-request"), "{all}");
     }
 }

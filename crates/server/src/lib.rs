@@ -10,18 +10,22 @@
 //!   recursive-descent parser (serde_json is outside the approved
 //!   dependency set — see DESIGN.md §4);
 //! * [`http`] — the HTTP/1.1 wire types, the one incremental request
-//!   parser and the response writer over `std::net`, plus the blocking
-//!   thread-per-connection server (the fallback where [`event_loop`],
-//!   the readiness loop, has no poller);
+//!   parser and the response writer over `std::net`;
+//! * [`event_loop`] — the readiness loop every [`HttpServer`] serves
+//!   through. Linux is the supported serving platform: the `polling`
+//!   shim has only an epoll backend, and elsewhere `HttpServer::spawn`
+//!   returns `io::ErrorKind::Unsupported`;
 //! * [`api`] — the YASK REST endpoints (`/query`, `/whynot/explain`,
 //!   `/whynot/preference`, `/whynot/keywords`, `/session/close`, …)
 //!   bridging HTTP to the sharded [`yask_exec::Executor`] and
 //!   [`yask_core::SessionStore`];
 //! * [`coalesce`] — the time-window write coalescer: concurrent write
 //!   requests share one group-commit fsync pair by default;
-//! * [`metrics`] — the `GET /metrics` Prometheus text exposition over
-//!   the `yask_obs` counters and latency histograms (per-query span
-//!   traces are served by `GET /debug/slow` and inline via `?trace=1`);
+//! * [`metrics`] — every counter and gauge declared once; `GET /stats`
+//!   (JSON) and `GET /metrics` (Prometheus text exposition, plus the
+//!   `yask_obs` latency histograms) are two folds over that one list
+//!   (per-query span traces are served by `GET /debug/slow` and inline
+//!   via `?trace=1`);
 //! * [`client`] — a tiny blocking HTTP client used by the integration
 //!   tests, the benches and the demo example, with an opt-in retry
 //!   loop (capped exponential backoff + jitter, honoring the server's

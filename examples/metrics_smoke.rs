@@ -3,8 +3,10 @@
 //! through the HTTP surface, then scrape `GET /metrics` and validate the
 //! whole payload with the same Prometheus text-exposition parser the
 //! unit tests use — every family declared, every sample well-formed,
-//! every histogram series consistent. Finishes by checking the slow-query
-//! log (`GET /debug/slow`) carries the span trees it just produced.
+//! every histogram series consistent — then reads `GET /stats` and checks
+//! the counters it shares with `/metrics` agree. Finishes by checking the
+//! slow-query log (`GET /debug/slow`) carries the span trees it just
+//! produced.
 //!
 //! Run with: `cargo run --release --example metrics_smoke`
 
@@ -92,6 +94,30 @@ fn main() {
         "expected >= 8 histogram families, got {}",
         summary.histograms
     );
+
+    // `/stats` is the same sample list folded into JSON: the counters the
+    // two requests moved must read the same over the real socket under
+    // either name. This is how a newly added metric is verified too.
+    let (status, stats) = http_get_text(addr, "/stats").expect("scrape /stats");
+    assert_eq!(status, 200);
+    let stats = Json::parse(&stats).expect("parse /stats");
+    let pairs: [(&[&str], &str); 3] = [
+        (&["exec", "queries"], "yask_queries_total"),
+        (&["exec", "topk_cache", "misses"], r#"yask_cache_misses_total{cache="topk"}"#),
+        (&["sessions", "live"], "yask_sessions_live"),
+    ];
+    for (path, series) in pairs {
+        let on_stats = path
+            .iter()
+            .try_fold(&stats, |node, key| node.get(key))
+            .and_then(Json::as_f64);
+        let on_metrics = text
+            .lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse::<f64>().ok());
+        assert!(on_stats.is_some(), "/stats has no {path:?}");
+        assert_eq!(on_stats, on_metrics, "/stats {path:?} != /metrics {series}");
+    }
+    println!("GET /stats -> exec.queries, exec.topk_cache.misses, sessions.live match /metrics");
 
     // Both requests ran with ambient tracing on, so the slow-query log
     // must hold their span trees.

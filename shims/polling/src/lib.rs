@@ -10,8 +10,7 @@
 //! bindings (the C library is linked by default on `*-linux-gnu`
 //! targets, so no `libc` crate is needed). On every other platform the
 //! same API compiles but [`Poller::new`] returns
-//! [`std::io::ErrorKind::Unsupported`] and [`supported`] is `false` —
-//! callers fall back to their blocking implementation.
+//! [`std::io::ErrorKind::Unsupported`], which callers pass on.
 //!
 //! Semantics the server leans on:
 //!
@@ -59,11 +58,6 @@ pub struct Event {
     pub readable: bool,
     /// The fd is writable (or in an error/hangup state).
     pub writable: bool,
-}
-
-/// True when this platform has a working poller (Linux).
-pub fn supported() -> bool {
-    cfg!(target_os = "linux")
 }
 
 #[cfg(target_os = "linux")]
@@ -301,11 +295,6 @@ mod tests {
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
         (client, server)
-    }
-
-    #[test]
-    fn platform_is_supported() {
-        assert!(supported());
     }
 
     #[test]

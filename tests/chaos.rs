@@ -28,8 +28,8 @@ use yask::prelude::*;
 use yask::query::topk_scan;
 use yask::server::api::OverloadConfig;
 use yask::server::{
-    http_get, http_post, http_post_retry, http_post_with_headers, HttpServer, Json, RetryPolicy,
-    ServiceConfig, YaskService,
+    http_get, http_post, http_post_retry, http_post_with_headers, HttpServer, Json, Request,
+    RetryPolicy, ServiceConfig, YaskService,
 };
 use yask::util::failpoint;
 
@@ -252,6 +252,86 @@ fn checkpoint_faults_leave_the_previous_checkpoint_intact() {
     assert!(live_names(&reopened.corpus()).contains(&"gamma".to_string()));
     std::fs::remove_file(&wal).ok();
     std::fs::remove_file(&ckpt).ok();
+}
+
+/// The automatic path: `maybe_checkpoint` swallows a checkpoint failure
+/// so the write that crossed the threshold still succeeds — which made a
+/// full disk invisible (an unbounded WAL with every dashboard green).
+/// The failure must be counted and shown on both `/stats` and `/metrics`.
+#[test]
+fn swallowed_checkpoint_failure_is_counted_on_both_surfaces() {
+    let Some(_g) = chaos() else { return };
+    let wal = tmp("ckpt-auto.wal");
+    let ckpt = checkpoint_path(&wal);
+    let _ = std::fs::remove_file(&ckpt);
+    let (corpus, vocab) = yask::data::hk_hotels();
+    let config = ServiceConfig {
+        exec: exec_config(2),
+        checkpoint: CheckpointConfig { max_wal_batches: 2, max_wal_bytes: u64::MAX },
+        ..ServiceConfig::default()
+    };
+    let service = YaskService::with_wal(corpus, vocab, config, &wal).unwrap();
+    let call = |method: &str, path: &str, body: Option<Json>| {
+        service.handle(&Request {
+            method: method.into(),
+            path: path.into(),
+            query: String::new(),
+            version: "HTTP/1.1".into(),
+            headers: vec![],
+            body: body.map(|b| b.to_string().into_bytes()).unwrap_or_default(),
+        })
+    };
+    let insert = |name: &str| {
+        let body = Json::obj([
+            ("x", Json::Num(114.17)),
+            ("y", Json::Num(22.3)),
+            ("name", Json::str(name)),
+            ("keywords", Json::Arr(vec![Json::str("clean")])),
+        ]);
+        call("POST", "/objects", Some(body)).status
+    };
+    // (checkpoints, failures, last_error) off `/stats`, the failure
+    // counter off `/metrics`.
+    let read = || {
+        let stats = Json::parse(std::str::from_utf8(&call("GET", "/stats", None).body).unwrap()).unwrap();
+        let ingest = stats.get("ingest").unwrap().clone();
+        let metrics = String::from_utf8(call("GET", "/metrics", None).body).unwrap();
+        let exported = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("yask_checkpoint_failures_total "))
+            .expect("yask_checkpoint_failures_total missing")
+            .parse::<f64>()
+            .unwrap();
+        (
+            ingest.get("checkpoints").unwrap().as_f64().unwrap(),
+            ingest.get("checkpoint_failures").unwrap().as_f64().unwrap(),
+            ingest.get("checkpoint_last_error").unwrap().clone(),
+            exported,
+        )
+    };
+
+    assert_eq!(insert("one"), 200);
+    assert_eq!(read(), (0.0, 0.0, Json::Null, 0.0));
+
+    // The second batch crosses the threshold with the snapshot's fsync
+    // failing: the write is already durable in the log and succeeds; the
+    // failure shows on both surfaces.
+    failpoint::cfg("checkpoint.tmp.sync", failpoint::Action::Error);
+    assert_eq!(insert("two"), 200, "a failed checkpoint must not fail the write");
+    let (checkpoints, failures, last_error, exported) = read();
+    assert_eq!((checkpoints, failures, exported), (0.0, 1.0, 1.0));
+    assert!(last_error.as_str().is_some_and(|e| !e.is_empty()), "last_error: {last_error}");
+
+    // Disarmed: the next crossing retries, succeeds and clears the
+    // error; the failure stays counted.
+    failpoint::clear("checkpoint.tmp.sync");
+    assert_eq!(insert("three"), 200);
+    assert_eq!(read(), (1.0, 1.0, Json::Null, 1.0));
+
+    drop(service);
+    for path in [wal.clone(), ckpt, PathBuf::from(format!("{}.vocab", wal.display()))] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 // --- shard scatter faults -----------------------------------------------
