@@ -2,6 +2,8 @@
 //! paper-style table printing shared by the Criterion benches and the
 //! `experiments` binary (see DESIGN.md §2 for the experiment index).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use yask_data::{SpatialDistribution, SynthConfig};

@@ -25,6 +25,8 @@
 //! ([`pref::refine_preference_naive`], [`keyword::refine_keywords_naive`])
 //! used for differential testing and for the speedup experiments E6/E8.
 
+#![forbid(unsafe_code)]
+
 pub mod combined;
 pub(crate) mod common;
 pub mod engine;

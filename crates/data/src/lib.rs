@@ -16,6 +16,8 @@
 //! format. [`stats`] summarizes a dataset the way experiment E13 reports
 //! it.
 
+#![forbid(unsafe_code)]
+
 pub mod csv;
 pub mod hk;
 pub mod stats;

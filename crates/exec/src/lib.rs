@@ -63,6 +63,8 @@
 //!   the existing prune path) and the why-not fan-out, with partial
 //!   results always explicitly flagged and kept out of the caches.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod bound;
 pub mod cache;

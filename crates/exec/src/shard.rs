@@ -22,20 +22,26 @@
 //! the persistent node arena copies only the chunks the batch's
 //! root-to-leaf paths wrote into, so the write cost is O(spine), not
 //! O(shard). The per-shard copy bills are summed into the returned
-//! [`CopyStats`]. Sustained one-sided growth skews the partition, which
-//! the executor heals by rebuilding the index with a fresh STR split
-//! (see `rebalance` in the executor).
+//! [`CopyStats`]. The slot → shard table is a third
+//! [`yask_index::ChunkedCow`], so a batch copies only the assignment
+//! chunks its inserts land in. Sustained one-sided growth skews the
+//! partition, which the executor heals by rebuilding the index with a
+//! fresh STR split (see `rebalance` in the executor).
 
 use std::sync::Arc;
 
 use yask_geo::Point;
-use yask_index::{CopyStats, Corpus, KcRTree, ObjectId, RTreeParams};
+use yask_index::{ChunkedCow, CopyStats, Corpus, KcRTree, ObjectId, RTreeParams};
+
+/// Slots per assignment chunk (4 KiB of shard ids): inserts are appended
+/// slots, so a batch touches the tail chunk and nothing else.
+const ASSIGNMENT_CHUNK_SIZE: usize = 1024;
 
 /// A corpus partitioned into K spatial shards, one KcR-tree per shard.
 pub struct ShardedIndex {
     shards: Vec<Arc<KcRTree>>,
     /// Object index → shard index (meaningful for indexed slots only).
-    assignment: Vec<u32>,
+    assignment: ChunkedCow<u32, ASSIGNMENT_CHUNK_SIZE>,
     /// The STR cut boundaries that route new points to their owning cell.
     router: StrRouter,
     corpus: Corpus,
@@ -78,7 +84,7 @@ impl ShardedIndex {
 
         ShardedIndex {
             shards: trees,
-            assignment,
+            assignment: assignment.into_iter().collect(),
             router,
             corpus,
         }
@@ -111,7 +117,7 @@ impl ShardedIndex {
     /// The shard holding `id` (meaningful only for ids this index has
     /// seen: bulk-loaded or routed through [`ShardedIndex::apply`]).
     pub fn shard_of(&self, id: ObjectId) -> usize {
-        self.assignment[id.index()] as usize
+        *self.assignment.get(id.index()) as usize
     }
 
     /// The shard a *new* object at `p` would be routed to.
@@ -160,11 +166,16 @@ impl ShardedIndex {
         }
         let mut del: Vec<Vec<ObjectId>> = vec![Vec::new(); k];
         for &id in deleted {
-            del[self.assignment[id.index()] as usize].push(id);
+            del[self.shard_of(id)].push(id);
         }
 
+        // The tree bill is what `apply` reports; the assignment table's
+        // own (tail-chunk) copies are not part of it.
         let mut assignment = self.assignment.clone();
-        assignment.resize(corpus.slot_count(), 0);
+        let mut table_copy = CopyStats::default();
+        while assignment.len() < corpus.slot_count() {
+            assignment.push(0, &mut table_copy);
+        }
         let mut deltas = Vec::with_capacity(k);
         let mut copy = CopyStats::default();
         let shards: Vec<Arc<KcRTree>> = (0..k)
@@ -177,7 +188,7 @@ impl ShardedIndex {
                 let (tree, stats) = self.shards[s].with_updates(corpus.clone(), &ins[s], &del[s]);
                 copy.absorb(&stats);
                 for &id in &ins[s] {
-                    assignment[id.index()] = s as u32;
+                    *assignment.make_mut(id.index(), &mut table_copy) = s as u32;
                 }
                 Arc::new(tree)
             })
@@ -451,6 +462,41 @@ mod tests {
         for tree in next.shards() {
             tree.validate().expect("shard invariants after apply");
         }
+    }
+
+    #[test]
+    fn apply_shares_untouched_assignment_chunks_and_routes_deletes_identically() {
+        let n = 2 * ASSIGNMENT_CHUNK_SIZE + 500;
+        let corpus = random_corpus(n, 15);
+        let sharded = ShardedIndex::build(corpus.clone(), 4, RTreeParams::default());
+        assert_eq!(sharded.assignment.chunk_count(), 3);
+        let victims = [ObjectId(5), ObjectId(ASSIGNMENT_CHUNK_SIZE as u32 + 9)];
+        let (v1, new_ids) = corpus.with_updates(
+            [(Point::new(0.7, 0.2), KeywordSet::from_raw([3u32]), "new".to_owned())],
+            &victims,
+        );
+        let (next, deltas, _) = sharded.apply(v1.clone(), &new_ids, &victims);
+        // The insert extended the tail chunk; the two full chunks — the
+        // ones the deletes' slots live in — are the previous epoch's.
+        assert!(next.assignment.shares_chunk(&sharded.assignment, 0));
+        assert!(next.assignment.shares_chunk(&sharded.assignment, 1));
+        assert!(!next.assignment.shares_chunk(&sharded.assignment, 2));
+        assert_eq!(next.assignment.len(), v1.slot_count());
+        // Deletes went to the shard that indexed them and nowhere else.
+        let mut want = vec![0usize; 4];
+        for v in victims {
+            want[sharded.shard_of(v)] += 1;
+            assert!(!next.shards()[sharded.shard_of(v)].object_ids().contains(&v));
+        }
+        assert_eq!(deltas.iter().map(|d| d.1).collect::<Vec<_>>(), want);
+        // Every pre-existing slot keeps its shard.
+        for i in 0..n as u32 {
+            assert_eq!(next.shard_of(ObjectId(i)), sharded.shard_of(ObjectId(i)));
+        }
+        // A delete-only batch writes no assignment slot at all.
+        let (v2, _) = v1.with_updates(std::iter::empty(), &[ObjectId(6)]);
+        let (after, _, _) = next.apply(v2, &[], &[ObjectId(6)]);
+        assert!(after.assignment.same_version(&next.assignment));
     }
 
     #[test]

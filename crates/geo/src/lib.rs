@@ -11,6 +11,8 @@
 //!
 //! All types are plain `Copy` data; nothing here allocates.
 
+#![forbid(unsafe_code)]
+
 pub mod point;
 pub mod rect;
 pub mod space;

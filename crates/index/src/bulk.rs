@@ -7,11 +7,11 @@
 //! root remains. Bulk-built trees are near-100% full, which is what the
 //! benchmark sweeps want for fair index comparisons.
 
-use yask_geo::{Point, Rect};
+use yask_geo::Point;
 
 use crate::aug::Augmentation;
 use crate::corpus::{Corpus, ObjectId};
-use crate::rtree::{Node, NodeKind, RTree, RTreeParams};
+use crate::rtree::{NodeKind, RTree, RTreeParams};
 
 /// Bulk-loads `ids` from `corpus` into a fresh tree.
 pub fn str_bulk_load<A: Augmentation>(
@@ -33,11 +33,7 @@ pub fn str_bulk_load<A: Augmentation>(
     let mut level: Vec<crate::rtree::NodeId> = groups
         .into_iter()
         .map(|entries| {
-            let id = tree.alloc(Node {
-                mbr: Rect::EMPTY,
-                aug: None,
-                kind: NodeKind::Leaf(entries),
-            });
+            let id = tree.alloc(NodeKind::Leaf(entries));
             tree.refresh(id);
             id
         })
@@ -54,11 +50,7 @@ pub fn str_bulk_load<A: Augmentation>(
         level = groups
             .into_iter()
             .map(|children| {
-                let id = tree.alloc(Node {
-                    mbr: Rect::EMPTY,
-                    aug: None,
-                    kind: NodeKind::Internal(children),
-                });
+                let id = tree.alloc(NodeKind::Internal(children));
                 tree.refresh(id);
                 id
             })
@@ -119,6 +111,7 @@ fn str_pack<T>(mut items: Vec<(Point, T)>, cap: usize) -> Vec<Vec<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use yask_geo::Rect;
 
     #[test]
     fn pack_sizes_respect_cap() {

@@ -17,36 +17,29 @@
 //! tombstoned slots (index maintenance needs the payload to unindex it);
 //! use [`Corpus::contains`] to test liveness.
 //!
-//! **Chunked persistence.** Slots are stored in fixed-size chunks
-//! ([`CHUNK_SIZE`] objects each) behind individual `Arc`s, with the chunk
-//! spine itself behind one more `Arc`. Deriving a new version shares every
-//! untouched chunk structurally and deep-copies only the chunks a batch's
-//! deletes land in plus the tail chunk its inserts extend — so
+//! **Chunked persistence.** Slots are stored in a [`ChunkedCow`] of
+//! [`CHUNK_SIZE`]-object chunks — see [`crate::cow`] for the layout and
+//! the one copy rule. A slot's tombstone flag lives *in* the slot, so a
+//! delete is a copy-on-write touch of that slot and an insert a push:
 //! [`Corpus::with_updates`] costs O(batch + touched chunks), not O(n), and
-//! per-batch write amplification stays flat as the corpus grows. The copy
-//! work is observable: [`Corpus::with_updates_counted`] reports the chunks
-//! and approximate bytes each derivation actually duplicated, which the
-//! ingest layer accumulates and `/stats` surfaces. The R-tree node arena
-//! uses the same discipline on the index side (see [`crate::rtree`]):
-//! [`crate::RTree::with_updates`] path-copies tree chunks exactly like
-//! this and bills into the same [`CopyStats`] shape, so one epoch
+//! [`Corpus::with_updates_counted`] reports the [`CopyStats`] bill, which
+//! the ingest layer accumulates and `/stats` surfaces. The R-tree node
+//! arena ([`crate::rtree`]) is the same container, so one epoch
 //! derivation reports corpus-side and index-side write amplification in
 //! one vocabulary.
 
 use std::fmt;
-use std::sync::Arc;
 
 use yask_geo::{Point, Space};
 use yask_text::KeywordSet;
 
-/// Objects per chunk. A power of two so the slot → (chunk, offset) split
-/// is a shift and a mask on the hot [`Corpus::get`] path. 256 keeps the
-/// deep-copy cost of one touched chunk small (a single-object write batch
-/// copies at most two chunks) while a 50 000-object corpus still has a
-/// ~200-pointer spine, cheap to rebuild per batch.
+use crate::cow::{ApproxBytes, ChunkedCow, CopyStats};
+
+/// Objects per chunk: 256 keeps the deep-copy cost of one touched chunk
+/// small (a single-object write batch copies at most two chunks) while a
+/// 50 000-object corpus still has a ~200-pointer spine, cheap to copy
+/// per batch.
 pub const CHUNK_SIZE: usize = 256;
-const CHUNK_BITS: u32 = CHUNK_SIZE.trailing_zeros();
-const CHUNK_MASK: usize = CHUNK_SIZE - 1;
 
 /// Identifier of an object in a [`Corpus`]: its position in the object
 /// array. Dense ids keep rank tie-breaking deterministic and make
@@ -82,104 +75,28 @@ pub struct SpatioTextualObject {
     pub name: String,
 }
 
-impl SpatioTextualObject {
-    /// Approximate heap footprint, used to account copy-on-write work.
-    #[inline]
-    fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<SpatioTextualObject>() + self.name.len() + 4 * self.doc.len()
-    }
-}
-
-/// One fixed-capacity run of consecutive slots. All chunks except the
-/// last hold exactly [`CHUNK_SIZE`] objects.
+/// One id slot: the object plus its tombstone flag.
 #[derive(Clone)]
-struct Chunk {
-    objects: Vec<SpatioTextualObject>,
-    /// Tombstone flags, one per slot; `None` means every slot is live
-    /// (the common, allocation-free case for freshly built chunks).
-    dead: Option<Vec<bool>>,
-    /// Live objects in this chunk.
-    live: usize,
+struct Slot {
+    object: SpatioTextualObject,
+    dead: bool,
 }
 
-impl Chunk {
-    fn with_capacity() -> Chunk {
-        Chunk {
-            objects: Vec::with_capacity(CHUNK_SIZE),
-            dead: None,
-            live: 0,
-        }
-    }
-
+impl ApproxBytes for Slot {
+    /// Object struct, name and keyword ids.
     #[inline]
-    fn is_dead(&self, offset: usize) -> bool {
-        self.dead.as_ref().is_some_and(|d| d[offset])
-    }
-
-    fn kill(&mut self, offset: usize) {
-        let dead = self
-            .dead
-            .get_or_insert_with(|| vec![false; self.objects.len()]);
-        debug_assert!(!dead[offset], "double kill within a chunk");
-        dead[offset] = true;
-        self.live -= 1;
-    }
-
-    fn push(&mut self, o: SpatioTextualObject) {
-        debug_assert!(self.objects.len() < CHUNK_SIZE, "chunk overflow");
-        self.objects.push(o);
-        if let Some(dead) = &mut self.dead {
-            dead.push(false);
-        }
-        self.live += 1;
-    }
-
-    fn iter_live(&self) -> impl Iterator<Item = &SpatioTextualObject> {
-        let dead = self.dead.as_deref();
-        self.objects
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| dead.is_none_or(|d| !d[*i]))
-            .map(|(_, o)| o)
-    }
-
     fn approx_bytes(&self) -> usize {
-        self.objects.iter().map(|o| o.approx_bytes()).sum()
-    }
-}
-
-/// What one [`Corpus::with_updates_counted`] derivation duplicated — the
-/// observable proof that the write path is O(batch + touched chunks),
-/// not O(n): at a fixed batch size these numbers stay flat as the corpus
-/// grows.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CopyStats {
-    /// Pre-existing chunks deep-copied because the batch touched them.
-    pub chunks_copied: usize,
-    /// Fresh chunks appended for inserts that overflowed the tail.
-    pub chunks_created: usize,
-    /// Approximate heap bytes of the deep-copied chunks (object structs,
-    /// names, keyword ids) — the batch's actual copy-on-write bill.
-    pub bytes_copied: usize,
-}
-
-impl CopyStats {
-    /// Folds another derivation's counters in (cumulative accounting).
-    pub fn absorb(&mut self, other: &CopyStats) {
-        self.chunks_copied += other.chunks_copied;
-        self.chunks_created += other.chunks_created;
-        self.bytes_copied += other.bytes_copied;
+        let o = &self.object;
+        std::mem::size_of::<SpatioTextualObject>() + o.name.len() + 4 * o.doc.len()
     }
 }
 
 /// An immutable, shareable database of spatial objects.
 #[derive(Clone)]
 pub struct Corpus {
-    /// The chunk spine. Cloning a corpus clones one `Arc`; deriving a
-    /// version rebuilds the spine but shares every untouched chunk.
-    chunks: Arc<[Arc<Chunk>]>,
-    /// Total slot count, including tombstoned slots.
-    slots: usize,
+    /// Every id slot, tombstoned ones included. Cloning a corpus clones
+    /// one `Arc`; deriving a version shares every untouched chunk.
+    slots: ChunkedCow<Slot, CHUNK_SIZE>,
     /// Cached live-object count (`slot_count()` minus tombstones).
     live: usize,
     space: Space,
@@ -202,19 +119,19 @@ impl Corpus {
     /// bound on valid [`ObjectId`] indexes.
     #[inline]
     pub fn slot_count(&self) -> usize {
-        self.slots
+        self.slots.len()
     }
 
     /// Number of tombstoned slots.
     #[inline]
     pub fn tombstones(&self) -> usize {
-        self.slots - self.live
+        self.slots.len() - self.live
     }
 
     /// Number of chunks in this version's spine.
     #[inline]
     pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+        self.slots.chunk_count()
     }
 
     /// True when both corpora are the *same version* (they share one
@@ -222,14 +139,14 @@ impl Corpus {
     /// old flat object array.
     #[inline]
     pub fn same_version(&self, other: &Corpus) -> bool {
-        Arc::ptr_eq(&self.chunks, &other.chunks)
+        self.slots.same_version(&other.slots)
     }
 
     /// True when `id` names an existing slot that has not been deleted.
     #[inline]
     pub fn contains(&self, id: ObjectId) -> bool {
         let i = id.index();
-        i < self.slots && !self.chunks[i >> CHUNK_BITS].is_dead(i & CHUNK_MASK)
+        i < self.slots.len() && !self.slots.get(i).dead
     }
 
     /// The normalized data space (bounding box of all object locations
@@ -245,19 +162,19 @@ impl Corpus {
     #[inline]
     pub fn get(&self, id: ObjectId) -> &SpatioTextualObject {
         let i = id.index();
-        assert!(i < self.slots, "object id {id} out of range");
-        &self.chunks[i >> CHUNK_BITS].objects[i & CHUNK_MASK]
+        assert!(i < self.slots.len(), "object id {id} out of range");
+        &self.slots.get(i).object
     }
 
     /// All slots in id order, *including* tombstoned ones — callers that
     /// must skip deleted objects use [`Corpus::iter`].
     pub fn iter_slots(&self) -> impl Iterator<Item = &SpatioTextualObject> {
-        self.chunks.iter().flat_map(|c| c.objects.iter())
+        self.slots.iter().map(|s| &s.object)
     }
 
     /// Iterates the live objects.
     pub fn iter(&self) -> impl Iterator<Item = &SpatioTextualObject> {
-        self.chunks.iter().flat_map(|c| c.iter_live())
+        self.slots.iter().filter(|s| !s.dead).map(|s| &s.object)
     }
 
     /// Ids of the live objects, ascending.
@@ -304,66 +221,29 @@ impl Corpus {
         inserts: impl IntoIterator<Item = (Point, KeywordSet, String)>,
         deletes: &[ObjectId],
     ) -> (Corpus, Vec<ObjectId>, CopyStats) {
-        let mut chunks: Vec<Arc<Chunk>> = self.chunks.to_vec();
+        let mut next = self.clone();
         let mut stats = CopyStats::default();
-        let mut slots = self.slots;
-        let mut live = self.live;
 
         for &id in deletes {
-            let i = id.index();
-            // Liveness is checked against the *working* spine, not
+            // Liveness is checked against the *working* version, not
             // `self`: a batch that deletes the same slot twice must trip
             // this assert on the second occurrence.
-            assert!(
-                i < slots && !chunks[i >> CHUNK_BITS].is_dead(i & CHUNK_MASK),
-                "delete of unknown or dead object {id:?}"
-            );
-            chunk_mut(&mut chunks, i >> CHUNK_BITS, &mut stats).kill(i & CHUNK_MASK);
-            live -= 1;
+            assert!(next.contains(id), "delete of unknown or dead object {id:?}");
+            next.slots.make_mut(id.index(), &mut stats).dead = true;
+            next.live -= 1;
         }
 
         let mut new_ids = Vec::new();
         for (loc, doc, name) in inserts {
             assert!(loc.is_finite(), "object location must be finite: {loc:?}");
-            let id = ObjectId(u32::try_from(slots).expect("corpus exceeds u32 ids"));
-            let ci = slots >> CHUNK_BITS;
-            if ci == chunks.len() {
-                chunks.push(Arc::new(Chunk::with_capacity()));
-                stats.chunks_created += 1;
-            }
-            chunk_mut(&mut chunks, ci, &mut stats).push(SpatioTextualObject {
-                id,
-                loc,
-                doc,
-                name,
-            });
-            slots += 1;
-            live += 1;
+            let id = ObjectId(u32::try_from(next.slots.len()).expect("corpus exceeds u32 ids"));
+            let object = SpatioTextualObject { id, loc, doc, name };
+            next.slots.push(Slot { object, dead: false }, &mut stats);
+            next.live += 1;
             new_ids.push(id);
         }
-
-        let corpus = Corpus {
-            chunks: chunks.into(),
-            slots,
-            live,
-            space: self.space,
-        };
-        (corpus, new_ids, stats)
+        (next, new_ids, stats)
     }
-}
-
-/// Copy-on-write access to one chunk of a spine under construction: the
-/// first touch of a chunk still shared with older versions deep-copies
-/// it (and bills the copy to `stats`); later touches in the same batch
-/// see the unique copy and mutate in place.
-fn chunk_mut<'a>(chunks: &'a mut [Arc<Chunk>], ci: usize, stats: &mut CopyStats) -> &'a mut Chunk {
-    if Arc::get_mut(&mut chunks[ci]).is_none() {
-        let copy = (*chunks[ci]).clone();
-        stats.chunks_copied += 1;
-        stats.bytes_copied += copy.approx_bytes();
-        chunks[ci] = Arc::new(copy);
-    }
-    Arc::get_mut(&mut chunks[ci]).expect("chunk is unique after copy")
 }
 
 impl fmt::Debug for Corpus {
@@ -380,8 +260,7 @@ impl fmt::Debug for Corpus {
 /// Builder assembling a [`Corpus`], assigning dense ids in push order.
 #[derive(Default)]
 pub struct CorpusBuilder {
-    objects: Vec<SpatioTextualObject>,
-    dead: Vec<bool>,
+    slots: Vec<Slot>,
     space_override: Option<Space>,
 }
 
@@ -394,8 +273,7 @@ impl CorpusBuilder {
     /// Creates a builder expecting `n` objects.
     pub fn with_capacity(n: usize) -> Self {
         CorpusBuilder {
-            objects: Vec::with_capacity(n),
-            dead: Vec::with_capacity(n),
+            slots: Vec::with_capacity(n),
             space_override: None,
         }
     }
@@ -411,32 +289,28 @@ impl CorpusBuilder {
     /// Adds an object; returns its id. Non-finite locations are rejected.
     pub fn push(&mut self, loc: Point, doc: KeywordSet, name: impl Into<String>) -> ObjectId {
         assert!(loc.is_finite(), "object location must be finite: {loc:?}");
-        let id = ObjectId(u32::try_from(self.objects.len()).expect("corpus exceeds u32 ids"));
-        self.objects.push(SpatioTextualObject {
-            id,
-            loc,
-            doc,
-            name: name.into(),
-        });
-        self.dead.push(false);
+        let id = ObjectId(u32::try_from(self.slots.len()).expect("corpus exceeds u32 ids"));
+        let name = name.into();
+        let object = SpatioTextualObject { id, loc, doc, name };
+        self.slots.push(Slot { object, dead: false });
         id
     }
 
     /// Tombstones a previously pushed slot — used when reloading a corpus
     /// version that already carried deletions (e.g. from the page store).
     pub fn kill(&mut self, id: ObjectId) {
-        assert!(id.index() < self.objects.len(), "kill of unknown slot {id:?}");
-        self.dead[id.index()] = true;
+        assert!(id.index() < self.slots.len(), "kill of unknown slot {id:?}");
+        self.slots[id.index()].dead = true;
     }
 
     /// Number of objects pushed so far.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.slots.len()
     }
 
     /// True when nothing was pushed.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.slots.is_empty()
     }
 
     /// Finalizes the corpus, fitting the data space if not overridden.
@@ -445,27 +319,11 @@ impl CorpusBuilder {
         // The space fits *all* slots, dead ones included, so reloading a
         // corpus that carries tombstones reproduces the original space.
         let space = self.space_override.unwrap_or_else(|| {
-            Space::from_points(self.objects.iter().map(|o| o.loc)).unwrap_or_else(Space::unit)
+            Space::from_points(self.slots.iter().map(|s| s.object.loc)).unwrap_or_else(Space::unit)
         });
-        let slots = self.objects.len();
-        let live = self.dead.iter().filter(|&&d| !d).count();
-        let mut chunks: Vec<Arc<Chunk>> = Vec::with_capacity(slots.div_ceil(CHUNK_SIZE));
-        let mut objects = self.objects.into_iter();
-        let mut dead = self.dead.into_iter();
-        while chunks.len() * CHUNK_SIZE < slots {
-            let take = CHUNK_SIZE.min(slots - chunks.len() * CHUNK_SIZE);
-            let mut chunk = Chunk::with_capacity();
-            for _ in 0..take {
-                chunk.push(objects.next().expect("object per slot"));
-                if dead.next().expect("flag per slot") {
-                    chunk.kill(chunk.objects.len() - 1);
-                }
-            }
-            chunks.push(Arc::new(chunk));
-        }
+        let live = self.slots.iter().filter(|s| !s.dead).count();
         Corpus {
-            chunks: chunks.into(),
-            slots,
+            slots: self.slots.into_iter().collect(),
             live,
             space,
         }

@@ -24,14 +24,18 @@
 //! structural + augmentation invariants (used heavily by the proptest
 //! suite).
 
+#![forbid(unsafe_code)]
+
 pub mod aug;
 pub mod bulk;
 pub mod corpus;
+pub mod cow;
 pub mod rtree;
 pub mod stats;
 
 pub use aug::{AugCodec, Augmentation, IrAug, KcAug, NoAug, SetAug, TextStats, TextualBound};
-pub use corpus::{Corpus, CorpusBuilder, CopyStats, ObjectId, SpatioTextualObject, CHUNK_SIZE};
+pub use corpus::{Corpus, CorpusBuilder, ObjectId, SpatioTextualObject, CHUNK_SIZE};
+pub use cow::{ApproxBytes, Chunk, ChunkedCow, CopyStats};
 pub use rtree::{
     ArenaReadGuard, Node, NodeChunk, NodeId, NodeKind, NodeSource, RTree, RTreeParams, StructNode,
     TreeStructure, NODE_CHUNK_SIZE,

@@ -11,20 +11,15 @@
 //! * [`RTree::range`] / [`RTree::nearest`] — spatial queries,
 //! * [`RTree::validate`] — full structural + augmentation invariant check.
 //!
-//! **Persistent chunked arena.** Nodes live in fixed-size chunks
-//! ([`NODE_CHUNK_SIZE`] slots each) behind individual `Arc`s, with the
-//! chunk spine itself behind one more `Arc` — the same layout as the
-//! chunked [`Corpus`]. `NodeId`s are stable flat indexes (`slot >> bits`
-//! selects the chunk, `slot & mask` the offset), so splits never move
-//! nodes and the traversal code in the query and why-not crates can hold
-//! plain ids. Cloning a tree clones one `Arc`; the first mutation after a
-//! clone copies the spine (a pointer array) and each touched chunk
-//! copy-on-write, so two tree versions *structurally share* every chunk
-//! no root-to-leaf spine, split, or condensation wrote into. That makes
-//! [`RTree::with_updates`] O(spine × chunk), not O(n): deriving the next
-//! epoch's tree from a batch copies only the chunks holding the touched
-//! paths, and the work is reported as a [`CopyStats`] the executor
-//! accumulates onto `/stats`.
+//! **Persistent chunked arena.** Nodes live in a [`ChunkedCow`] of
+//! [`NODE_CHUNK_SIZE`]-node chunks — the same container as the
+//! [`Corpus`]; see [`crate::cow`] for the layout and the one copy rule.
+//! `NodeId`s are stable flat indexes, so splits never move nodes and the
+//! traversal code in the query and why-not crates can hold plain ids.
+//! Two tree versions structurally share every chunk no root-to-leaf
+//! spine, split, or condensation wrote into, which makes
+//! [`RTree::with_updates`] O(spine × chunk), not O(n), and the work is
+//! reported as a [`CopyStats`] the executor accumulates onto `/stats`.
 //!
 //! Freed slots are tracked by a free-list stack plus a bitset
 //! (`RTree::dealloc` never writes the slot itself — older versions may
@@ -39,15 +34,15 @@ use yask_geo::{Point, Rect};
 use yask_util::Scored;
 
 use crate::aug::Augmentation;
-use crate::corpus::{CopyStats, Corpus, ObjectId};
+use crate::corpus::{Corpus, ObjectId};
+use crate::cow::{ApproxBytes, Chunk, ChunkedCow, CopyStats};
 
-/// Nodes per arena chunk. A power of two so the slot → (chunk, offset)
-/// split is a shift and a mask on the hot [`RTree::node`] path. The value
-/// balances two costs: a batch's copy bill is O(spine × chunk bytes), so
-/// big chunks overpay per touched path (at default fanout 32, a whole
-/// 20k-object shard tree is ~160 nodes — a 256-node chunk would make
-/// "path copying" copy the entire tree); tiny chunks bloat the spine
-/// (one `Arc` per chunk, spine rebuilt per batch). Chunk *composition*
+/// Nodes per arena chunk. The value balances two costs: a batch's copy
+/// bill is O(spine × chunk bytes), so big chunks overpay per touched path
+/// (at default fanout 32, a whole 20k-object shard tree is ~160 nodes —
+/// a 256-node chunk would make "path copying" copy the entire tree);
+/// tiny chunks bloat the spine
+/// (one `Arc` per chunk, spine copied per batch). Chunk *composition*
 /// matters as much as size: augmented internal nodes near the root carry
 /// keyword maps orders of magnitude heavier than leaves, so bulk loads
 /// place nodes in DFS order (see `RTree::relayout_dfs`) — each
@@ -55,8 +50,6 @@ use crate::corpus::{CopyStats, Corpus, ObjectId};
 /// other internals — and 16-node chunks keep a spine chunk's bill close
 /// to its one heavy node plus a few cheap leaf neighbours.
 pub const NODE_CHUNK_SIZE: usize = 16;
-const NODE_CHUNK_BITS: u32 = NODE_CHUNK_SIZE.trailing_zeros();
-const NODE_CHUNK_MASK: usize = NODE_CHUNK_SIZE - 1;
 
 /// Identifier of a node in the tree arena.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -138,45 +131,40 @@ impl<A> Node<A> {
     }
 }
 
-/// Approximate resident bytes of one node: frame, entry vector, and the
-/// augmentation's heap payload — the unit the arena's copy-on-write
-/// accounting bills in.
-fn node_approx_bytes<A: Augmentation>(n: &Node<A>) -> usize {
-    std::mem::size_of::<Node<A>>() + 4 * n.entry_count() + n.aug.as_ref().map_or(0, |a| a.heap_bytes())
+impl<A: Augmentation> ApproxBytes for Node<A> {
+    /// Frame, entry vector, and the augmentation's heap payload.
+    fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Node<A>>() + 4 * self.entry_count() + self.aug.as_ref().map_or(0, |a| a.heap_bytes())
+    }
 }
 
-/// One fixed-capacity run of consecutive node slots. All chunks except
-/// the last hold exactly [`NODE_CHUNK_SIZE`] nodes.
-#[derive(Clone, Debug)]
-pub struct NodeChunk<A> {
-    pub(crate) nodes: Vec<Node<A>>,
-}
+/// One chunk of the node arena: [`NODE_CHUNK_SIZE`] consecutive slots
+/// (fewer in the arena's last chunk).
+pub type NodeChunk<A> = Chunk<Node<A>, NODE_CHUNK_SIZE>;
 
 impl<A> NodeChunk<A> {
-    fn with_capacity() -> Self {
-        NodeChunk {
-            nodes: Vec::with_capacity(NODE_CHUNK_SIZE),
-        }
-    }
-
     /// Rebuilds a chunk from decoded nodes (the paged-arena load path).
-    /// All chunks except the arena's last hold [`NODE_CHUNK_SIZE`] nodes.
     pub fn from_nodes(nodes: Vec<Node<A>>) -> Self {
-        assert!(nodes.len() <= NODE_CHUNK_SIZE, "oversized node chunk");
-        NodeChunk { nodes }
+        Chunk::from_items(nodes)
     }
 
     /// The nodes of this chunk, in slot order.
     pub fn nodes(&self) -> &[Node<A>] {
-        &self.nodes
+        self.items()
     }
 }
 
-impl<A: Augmentation> NodeChunk<A> {
-    /// Approximate resident bytes of the chunk's nodes.
-    pub fn approx_bytes(&self) -> usize {
-        self.nodes.iter().map(node_approx_bytes).sum()
-    }
+/// The resident node arena.
+type NodeArena<A> = ChunkedCow<Node<A>, NODE_CHUNK_SIZE>;
+
+/// Where a tree's nodes live.
+#[derive(Clone, Debug)]
+enum Arena<A> {
+    /// In memory, copy-on-write per chunk.
+    Resident(NodeArena<A>),
+    /// Out of core: reads fault chunks through the source, and any
+    /// mutation first [`RTree::materialize`]s the tree back to resident.
+    Paged(Arc<dyn NodeSource<A>>),
 }
 
 /// A fault-in provider of arena chunks — the out-of-core backing of a
@@ -240,9 +228,16 @@ pub struct RTreeParams {
 }
 
 impl RTreeParams {
+    /// The widest fan-out a tree can have (IR-tree child bitmaps are one
+    /// `u64`) — also the bound decoders hold a stored entry count to.
+    pub const MAX_FANOUT: usize = 64;
+
     /// Creates parameters, checking `2 ≤ min ≤ max/2` and `max ≤ 64`.
     pub fn new(max_entries: usize, min_entries: usize) -> Self {
-        assert!(max_entries <= 64, "fanout {max_entries} exceeds 64 (IR bitmap width)");
+        assert!(
+            max_entries <= Self::MAX_FANOUT,
+            "fanout {max_entries} exceeds 64 (IR bitmap width)"
+        );
         assert!(min_entries >= 2, "min_entries must be ≥ 2");
         assert!(
             min_entries * 2 <= max_entries,
@@ -267,14 +262,7 @@ impl Default for RTreeParams {
 #[derive(Clone, Debug)]
 pub struct RTree<A: Augmentation> {
     corpus: Corpus,
-    /// The chunk spine. Cloning a tree clones one `Arc`; mutation copies
-    /// the spine and each touched chunk copy-on-write. Empty when the
-    /// arena is paged (see `paged`).
-    chunks: Arc<Vec<Arc<NodeChunk<A>>>>,
-    /// Out-of-core backing: when set, node reads fault chunks through
-    /// this source instead of the resident spine, and any mutation first
-    /// [`RTree::materialize`]s the tree back to resident form.
-    paged: Option<Arc<dyn NodeSource<A>>>,
+    arena: Arena<A>,
     /// Total allocated slots (including freed ones) — the exclusive upper
     /// bound on valid `NodeId` indexes.
     slots: usize,
@@ -299,8 +287,7 @@ impl<A: Augmentation> RTree<A> {
     pub fn new(corpus: Corpus, params: RTreeParams) -> Self {
         RTree {
             corpus,
-            chunks: Arc::new(Vec::new()),
-            paged: None,
+            arena: Arena::Resident(std::iter::empty().collect()),
             slots: 0,
             free: Vec::new(),
             freed: Vec::new(),
@@ -367,16 +354,21 @@ impl<A: Augmentation> RTree<A> {
     /// the guard is free there).
     #[inline]
     pub fn node(&self, id: NodeId) -> &Node<A> {
-        let i = id.index();
-        match &self.paged {
-            None => &self.chunks[i >> NODE_CHUNK_BITS].nodes[i & NODE_CHUNK_MASK],
-            Some(src) => &src.chunk(i >> NODE_CHUNK_BITS).nodes[i & NODE_CHUNK_MASK],
+        match &self.arena {
+            Arena::Resident(nodes) => nodes.get(id.index()),
+            Arena::Paged(src) => {
+                let (ci, offset) = NodeArena::<A>::locate(id.index());
+                &src.chunk(ci).items()[offset]
+            }
         }
     }
 
     /// Opens a read section over the arena (see [`ArenaReadGuard`]).
     pub fn read_guard(&self) -> ArenaReadGuard<'_, A> {
-        let source = self.paged.as_deref();
+        let source = match &self.arena {
+            Arena::Resident(_) => None,
+            Arena::Paged(src) => Some(&**src),
+        };
         if let Some(s) = source {
             s.begin_read();
         }
@@ -386,7 +378,7 @@ impl<A: Augmentation> RTree<A> {
     /// True when the arena is served out-of-core through a
     /// [`NodeSource`] instead of resident chunks.
     pub fn is_paged(&self) -> bool {
-        self.paged.is_some()
+        matches!(self.arena, Arena::Paged(_))
     }
 
     /// Switches the arena to out-of-core backing: `source` must hold
@@ -395,14 +387,13 @@ impl<A: Augmentation> RTree<A> {
     /// Reads fault chunks through the source from now on; the first
     /// mutation [`RTree::materialize`]s the tree back to resident form.
     pub fn page_out(&mut self, source: Arc<dyn NodeSource<A>>) {
-        assert!(self.paged.is_none(), "tree is already paged");
+        assert!(!self.is_paged(), "tree is already paged");
         assert_eq!(
             source.chunk_count(),
-            self.chunks.len(),
+            self.arena_chunk_count(),
             "paged source shape does not match the arena spine"
         );
-        self.chunks = Arc::new(Vec::new());
-        self.paged = Some(source);
+        self.arena = Arena::Paged(source);
     }
 
     /// Rebuilds the resident chunk spine from the paged source and drops
@@ -410,17 +401,15 @@ impl<A: Augmentation> RTree<A> {
     /// resident trees. The copy is billed to [`RTree::copy_stats`] like
     /// any other arena materialization work.
     pub fn materialize(&mut self) {
-        let Some(src) = self.paged.take() else { return };
+        let Arena::Paged(src) = &self.arena else { return };
         src.begin_read();
-        let spine: Vec<Arc<NodeChunk<A>>> = (0..src.chunk_count())
-            .map(|ci| Arc::new(src.chunk(ci).clone()))
+        let nodes: NodeArena<A> = (0..src.chunk_count())
+            .flat_map(|ci| src.chunk(ci).items().iter().cloned())
             .collect();
         src.end_read();
-        for c in &spine {
-            self.copy.chunks_copied += 1;
-            self.copy.bytes_copied += c.approx_bytes();
-        }
-        self.chunks = Arc::new(spine);
+        self.copy.chunks_copied += nodes.chunk_count();
+        self.copy.bytes_copied += nodes.approx_bytes();
+        self.arena = Arena::Resident(nodes);
     }
 
     /// Number of indexed objects.
@@ -447,18 +436,28 @@ impl<A: Augmentation> RTree<A> {
 
     /// Number of chunks in the node arena's spine.
     pub fn arena_chunk_count(&self) -> usize {
-        match &self.paged {
-            None => self.chunks.len(),
-            Some(src) => src.chunk_count(),
+        match &self.arena {
+            Arena::Resident(nodes) => nodes.chunk_count(),
+            Arena::Paged(src) => src.chunk_count(),
+        }
+    }
+
+    /// The resident arena. Panics on a paged tree: its chunks live
+    /// behind the [`NodeSource`], so there is no resident spine to export
+    /// or compare — [`RTree::same_arena`] is the question that is defined
+    /// for both.
+    fn resident(&self) -> &NodeArena<A> {
+        match &self.arena {
+            Arena::Resident(nodes) => nodes,
+            Arena::Paged(_) => panic!("resident arena access on a paged tree"),
         }
     }
 
     /// Borrows the nodes of resident arena chunk `ci` — the export
     /// surface the paged-source builder encodes from. Panics on a paged
-    /// tree (its chunks live behind the [`NodeSource`] already).
+    /// tree.
     pub fn arena_chunk(&self, ci: usize) -> &[Node<A>] {
-        assert!(self.paged.is_none(), "arena_chunk on a paged tree");
-        &self.chunks[ci].nodes
+        self.resident().chunk(ci)
     }
 
     /// Total allocated node slots, including freed ones.
@@ -476,9 +475,9 @@ impl<A: Augmentation> RTree<A> {
     /// until reuse; see the module docs). Compare with
     /// [`crate::TreeStats::bytes`], which counts reachable nodes only.
     pub fn arena_bytes(&self) -> usize {
-        match &self.paged {
-            None => self.chunks.iter().map(|c| c.approx_bytes()).sum(),
-            Some(src) => src.approx_bytes(),
+        match &self.arena {
+            Arena::Resident(nodes) => nodes.approx_bytes(),
+            Arena::Paged(src) => src.approx_bytes(),
         }
     }
 
@@ -486,31 +485,26 @@ impl<A: Augmentation> RTree<A> {
     /// chunk spine, or one paged source) — the tree equivalent of
     /// [`Corpus::same_version`].
     pub fn same_arena(&self, other: &Self) -> bool {
-        match (&self.paged, &other.paged) {
-            (None, None) => Arc::ptr_eq(&self.chunks, &other.chunks),
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        match (&self.arena, &other.arena) {
+            (Arena::Resident(a), Arena::Resident(b)) => a.same_version(b),
+            (Arena::Paged(a), Arena::Paged(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
 
     /// True when chunk `i` is physically shared (one allocation) between
     /// both trees — the assertion surface of the epoch-sharing tests.
+    /// Panics when either tree is paged.
     pub fn shares_chunk(&self, other: &Self, i: usize) -> bool {
-        match (self.chunks.get(i), other.chunks.get(i)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
+        self.resident().shares_chunk(other.resident(), i)
     }
 
     /// Number of spine positions whose chunk is physically shared with
     /// `other`. For a tree derived by [`RTree::with_updates`] this equals
-    /// the common spine length minus the chunks the batch copied.
+    /// the common spine length minus the chunks the batch copied. Panics
+    /// when either tree is paged.
     pub fn shared_chunk_count(&self, other: &Self) -> usize {
-        self.chunks
-            .iter()
-            .zip(other.chunks.iter())
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
+        self.resident().shared_chunk_count(other.resident())
     }
 
     /// Copy-on-write work performed by this tree instance since it was
@@ -581,20 +575,19 @@ impl<A: Augmentation> RTree<A> {
         for (new, (old, _)) in order.iter().enumerate() {
             remap[old.index()] = u32::try_from(new).expect("node arena overflow");
         }
-        let mut packed: Vec<NodeChunk<A>> = Vec::with_capacity(order.len().div_ceil(NODE_CHUNK_SIZE));
-        for (old, _) in &order {
-            let mut node = self.node(*old).clone();
-            if let NodeKind::Internal(children) = &mut node.kind {
-                for c in children {
-                    *c = NodeId(remap[c.index()]);
+        let packed: NodeArena<A> = order
+            .iter()
+            .map(|(old, _)| {
+                let mut node = self.node(*old).clone();
+                if let NodeKind::Internal(children) = &mut node.kind {
+                    for c in children {
+                        *c = NodeId(remap[c.index()]);
+                    }
                 }
-            }
-            if packed.last().is_none_or(|c| c.nodes.len() == NODE_CHUNK_SIZE) {
-                packed.push(NodeChunk::with_capacity());
-            }
-            packed.last_mut().expect("chunk pushed above").nodes.push(node);
-        }
-        self.chunks = Arc::new(packed.into_iter().map(Arc::new).collect());
+                node
+            })
+            .collect();
+        self.arena = Arena::Resident(packed);
         self.slots = order.len();
         self.free.clear();
         self.freed.clear();
@@ -684,42 +677,39 @@ impl<A: Augmentation> RTree<A> {
 
     // -- construction internals ---------------------------------------------
 
-    /// Copy-on-write access to one arena chunk: the first touch of a
-    /// chunk still shared with other tree versions deep-copies it (and
-    /// bills the copy); later touches see the unique copy and mutate in
-    /// place. The spine itself is copied (a pointer array) on the first
-    /// mutation after a clone.
-    fn chunk_mut(&mut self, ci: usize) -> &mut NodeChunk<A> {
-        debug_assert!(self.paged.is_none(), "chunk_mut on a paged arena");
-        let spine = Arc::make_mut(&mut self.chunks);
-        if Arc::get_mut(&mut spine[ci]).is_none() {
-            let copy = (*spine[ci]).clone();
-            self.copy.chunks_copied += 1;
-            self.copy.bytes_copied += copy.approx_bytes();
-            spine[ci] = Arc::new(copy);
+    /// The resident arena and the bill its copy-on-write work goes on.
+    /// Mutators [`RTree::materialize`] first, so a paged arena here is a
+    /// bug.
+    fn resident_mut(&mut self) -> (&mut NodeArena<A>, &mut CopyStats) {
+        match &mut self.arena {
+            Arena::Resident(nodes) => (nodes, &mut self.copy),
+            Arena::Paged(_) => panic!("mutation of a paged arena"),
         }
-        Arc::get_mut(&mut spine[ci]).expect("chunk is unique after copy")
     }
 
     /// Mutable access to a node, copy-on-write at chunk granularity.
     fn node_mut(&mut self, id: NodeId) -> &mut Node<A> {
-        let i = id.index();
-        &mut self.chunk_mut(i >> NODE_CHUNK_BITS).nodes[i & NODE_CHUNK_MASK]
+        let (nodes, copy) = self.resident_mut();
+        nodes.make_mut(id.index(), copy)
     }
 
-    pub(crate) fn alloc(&mut self, node: Node<A>) -> NodeId {
+    /// Allocates a node holding `kind`, reusing a freed slot first. Its
+    /// summary starts empty — callers [`RTree::refresh`] it once the
+    /// entries are final.
+    pub(crate) fn alloc(&mut self, kind: NodeKind) -> NodeId {
+        let node = Node {
+            mbr: Rect::EMPTY,
+            aug: None,
+            kind,
+        };
         if let Some(slot) = self.free.pop() {
             self.clear_freed(slot);
             *self.node_mut(NodeId(slot)) = node;
             NodeId(slot)
         } else {
             let slot = u32::try_from(self.slots).expect("node arena overflow");
-            let ci = self.slots >> NODE_CHUNK_BITS;
-            if ci == self.chunks.len() {
-                Arc::make_mut(&mut self.chunks).push(Arc::new(NodeChunk::with_capacity()));
-                self.copy.chunks_created += 1;
-            }
-            self.chunk_mut(ci).nodes.push(node);
+            let (nodes, copy) = self.resident_mut();
+            nodes.push(node, copy);
             self.slots += 1;
             NodeId(slot)
         }
@@ -841,11 +831,7 @@ impl<A: Augmentation> RTree<A> {
         self.materialize();
         match self.root {
             None => {
-                let root = self.alloc(Node {
-                    mbr: Rect::EMPTY,
-                    aug: None,
-                    kind: NodeKind::Leaf(vec![id]),
-                });
+                let root = self.alloc(NodeKind::Leaf(vec![id]));
                 self.refresh(root);
                 self.root = Some(root);
                 self.height = 1;
@@ -853,11 +839,7 @@ impl<A: Augmentation> RTree<A> {
             Some(root) => {
                 if let Some(sibling) = self.insert_rec(root, id) {
                     // Root split: grow a new root above.
-                    let new_root = self.alloc(Node {
-                        mbr: Rect::EMPTY,
-                        aug: None,
-                        kind: NodeKind::Internal(vec![root, sibling]),
-                    });
+                    let new_root = self.alloc(NodeKind::Internal(vec![root, sibling]));
                     self.refresh(new_root);
                     self.root = Some(new_root);
                     self.height += 1;
@@ -942,11 +924,7 @@ impl<A: Augmentation> RTree<A> {
                 NodeKind::Internal(give)
             }
         };
-        self.alloc(Node {
-            mbr: Rect::EMPTY,
-            aug: None,
-            kind: sibling_kind,
-        })
+        self.alloc(sibling_kind)
     }
 
     // -- deletion -------------------------------------------------------------
@@ -1138,11 +1116,7 @@ impl<A: Augmentation> RTree<A> {
             } else {
                 NodeKind::Internal(Vec::new()) // children patched below
             };
-            ids.push(tree.alloc(Node {
-                mbr: Rect::EMPTY,
-                aug: None,
-                kind,
-            }));
+            ids.push(tree.alloc(kind));
         }
         for (i, n) in s.nodes.iter().enumerate() {
             if !n.is_leaf {

@@ -2,6 +2,7 @@
 //! in DESIGN.md) and useful when eyeballing fill factors.
 
 use crate::aug::Augmentation;
+use crate::cow::ApproxBytes;
 use crate::rtree::{NodeKind, RTree};
 
 /// Aggregate shape statistics of one R-tree.
@@ -54,15 +55,10 @@ impl<A: Augmentation> RTree<A> {
                 NodeKind::Leaf(e) => {
                     leaves += 1;
                     leaf_entries += e.len();
-                    bytes += 4 * e.len(); // ObjectId entries
                 }
-                NodeKind::Internal(c) => {
-                    internal_entries += c.len();
-                    bytes += 4 * c.len(); // NodeId entries
-                }
+                NodeKind::Internal(c) => internal_entries += c.len(),
             }
-            bytes += std::mem::size_of::<crate::rtree::Node<A>>();
-            bytes += node.aug().heap_bytes();
+            bytes += node.approx_bytes();
         }
         let max = self.params().max_entries as f64;
         let internals = nodes - leaves;

@@ -32,6 +32,8 @@
 //! corpus at every query point, and a WAL replay after a restart
 //! reproduces the same corpus epoch.
 
+#![forbid(unsafe_code)]
+
 pub mod ingestor;
 pub mod update;
 pub mod wal;

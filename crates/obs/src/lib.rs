@@ -22,6 +22,8 @@
 //! Everything here is `std`-only so the crate can sit under the query
 //! hot path without pulling dependencies into `exec` or `ingest`.
 
+#![forbid(unsafe_code)]
+
 pub mod heat;
 pub mod hist;
 pub mod prom;

@@ -25,7 +25,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use yask_index::{AugCodec, Augmentation, Node, NodeChunk, NodeKind, NodeSource, RTree};
+use yask_index::{
+    AugCodec, Augmentation, Node, NodeChunk, NodeKind, NodeSource, RTree, RTreeParams,
+};
 use yask_geo::{Point, Rect};
 use yask_index::{NodeId, ObjectId};
 
@@ -327,8 +329,8 @@ fn decode_chunk<A: Augmentation + AugCodec>(
         };
         let tag = r.read_u8()?;
         let n = r.read_u32()? as usize;
-        if n > 1 << 20 {
-            return Err(corrupt(format!("implausible entry count {n}")));
+        if n > RTreeParams::MAX_FANOUT {
+            return Err(corrupt(format!("entry count {n} exceeds the fan-out bound")));
         }
         let kind = match tag {
             KIND_LEAF => {
@@ -356,7 +358,7 @@ fn decode_chunk<A: Augmentation + AugCodec>(
 mod tests {
     use super::*;
     use yask_geo::Point;
-    use yask_index::{Corpus, CorpusBuilder, KcAug, RTreeParams, SetAug};
+    use yask_index::{Corpus, CorpusBuilder, KcAug, SetAug};
     use yask_text::KeywordSet;
 
     fn pool() -> Arc<BufferPool> {
@@ -447,6 +449,58 @@ mod tests {
             after.hits + after.misses > before.hits + before.misses,
             "chunk faults must be priced on the buffer pool: {before:?} -> {after:?}"
         );
+    }
+
+    #[test]
+    fn paged_trees_refuse_chunk_sharing_questions() {
+        // A paged tree has no resident spine; answering `false` / `0`
+        // from an empty one would be a lie. `same_arena` is the defined
+        // question.
+        let resident = tree(300);
+        let mut paged = resident.clone();
+        page_out_tree(&pool(), &mut paged, resident.arena_bytes()).unwrap();
+        assert!(paged.same_arena(&paged.clone()));
+        assert!(!paged.same_arena(&resident));
+        let refused = |f: &dyn Fn()| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+        };
+        assert!(refused(&|| {
+            paged.shares_chunk(&resident, 0);
+        }));
+        assert!(refused(&|| {
+            resident.shared_chunk_count(&paged);
+        }));
+        assert!(refused(&|| {
+            paged.arena_chunk(0);
+        }));
+    }
+
+    #[test]
+    fn decode_rejects_an_entry_count_above_the_fan_out_bound() {
+        let p = pool();
+        let ids = (0..3).map(ObjectId).collect();
+        let node = Node::<KcAug>::from_parts(Rect::EMPTY, None, NodeKind::Leaf(ids));
+        let mut w = StreamWriter::new(&p).unwrap();
+        encode_chunk(&mut w, &[node]).unwrap();
+        let (first, len) = w.finish().unwrap();
+        let mut bytes = vec![0u8; len as usize];
+        StreamReader::new(&p, first, len).unwrap().read_bytes(&mut bytes).unwrap();
+
+        let decode = |bytes: &[u8]| {
+            let mut w = StreamWriter::new(&p).unwrap();
+            w.write_bytes(bytes).unwrap();
+            let (first, len) = w.finish().unwrap();
+            decode_chunk::<KcAug>(&mut StreamReader::new(&p, first, len).unwrap())
+        };
+        assert_eq!(decode(&bytes).unwrap().nodes()[0].entries().len(), 3);
+        // node count, MBR, absent-augmentation tag, kind tag — then the
+        // entry count's low byte.
+        let count_at = 4 + 32 + 1 + 1;
+        assert_eq!(bytes[count_at], 3);
+        bytes[count_at] = RTreeParams::MAX_FANOUT as u8 + 1;
+        let err = decode(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("fan-out"), "{err}");
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! uses this same order, which is what makes the why-not modules' rank
 //! arithmetic exact.
 
+#![forbid(unsafe_code)]
+
 pub mod boolean;
 pub mod engine;
 pub mod iter;

@@ -80,12 +80,9 @@ pub struct ServiceConfig {
     /// How many slowest traces (by total latency) the slow-query log
     /// keeps with their full span trees. 0 disables the slow log.
     pub slow_log: usize,
-    /// When `GET /debug/health` reports the service as overloaded.
-    pub overload: OverloadConfig,
     /// Admission control: when to shed or degrade requests instead of
-    /// queueing them. Its depth/latency limits default to the same
-    /// numbers as `overload`, so the health verdict and the valve flip
-    /// together unless deliberately separated.
+    /// queueing them. `GET /debug/health` reports the service as
+    /// overloaded exactly when this valve is above `Normal`.
     pub admission: AdmissionConfig,
     /// Default deadline budget for query and why-not requests; a
     /// request overrides it with the `x-yask-deadline-ms` header.
@@ -110,36 +107,11 @@ impl Default for ServiceConfig {
             checkpoint: CheckpointConfig::default(),
             trace_ring: 256,
             slow_log: 16,
-            overload: OverloadConfig::default(),
             admission: AdmissionConfig::default(),
             default_deadline: Some(Duration::from_secs(5)),
             degraded_lookback: 4,
             idle_timeout: Duration::from_secs(10),
             overloaded_idle_timeout: Duration::from_secs(1),
-        }
-    }
-}
-
-/// Overload thresholds for the `/debug/health` verdict. Either trigger
-/// alone flips the verdict to overloaded; both are judged on *windowed*
-/// observations, so a verdict clears on its own as the spike ages out —
-/// no restart, no counter reset.
-#[derive(Clone, Copy, Debug)]
-pub struct OverloadConfig {
-    /// Queue-depth trigger: overloaded when the highest pool queue depth
-    /// any submit observed in the last minute exceeds this.
-    pub max_queue_depth: usize,
-    /// Latency trigger: overloaded when the top-k compute p99 over the
-    /// last 10 seconds exceeds this (needs the executor's observatory;
-    /// with `ExecConfig::observatory` off only the queue trigger fires).
-    pub max_topk_p99: Duration,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        OverloadConfig {
-            max_queue_depth: 128,
-            max_topk_p99: Duration::from_millis(500),
         }
     }
 }
@@ -165,8 +137,6 @@ pub struct YaskService {
     /// (`ServiceConfig::trace_ring` / `slow_log`), served by
     /// `GET /debug/slow`.
     traces: TraceLog,
-    /// The `/debug/health` overload thresholds.
-    overload: OverloadConfig,
     /// Admission policy + shed/degrade counters, shared by the HTTP
     /// edge (accept-boundary shedding) and the per-request check.
     admission: AdmissionController,
@@ -239,7 +209,6 @@ impl YaskService {
             vocab_path: None,
             vocab_persisted: std::sync::atomic::AtomicUsize::new(0),
             traces: TraceLog::new(config.trace_ring, config.slow_log),
-            overload: config.overload,
             admission: AdmissionController::new(config.admission),
             default_deadline: config.default_deadline,
             degraded_lookback: config.degraded_lookback,
@@ -315,7 +284,6 @@ impl YaskService {
             vocab,
             vocab_path: Some(vocab_path),
             traces: TraceLog::new(config.trace_ring, config.slow_log),
-            overload: config.overload,
             admission: AdmissionController::new(config.admission),
             default_deadline: config.default_deadline,
             degraded_lookback: config.degraded_lookback,
@@ -616,11 +584,16 @@ impl YaskService {
 
     /// `GET /debug/health` — the overload surface: windowed rates and
     /// latency quantiles per route (1 s / 10 s / 1 m), queue depth, and
-    /// the verdict against the configured [`OverloadConfig`] thresholds.
+    /// the admission valve's verdict — `overloaded` is its level being
+    /// above `Normal`, `reasons` the [`AdmissionConfig`] limits crossed.
     /// Both triggers judge *windowed* observations, so the verdict
     /// clears on its own as a spike ages out.
     fn debug_health(&self) -> ApiResult {
         let s = self.exec.stats();
+        let pressure = self.exec.pressure();
+        let level = self.admission.level(&pressure);
+        let limits = self.admission.config();
+        let limit_ms = limits.max_topk_p99.as_secs_f64() * 1e3;
         // Each reason is machine-parseable: the signal that fired, the
         // observed value, and the exact threshold it crossed — alerting
         // rules key off `signal`, humans read `message`.
@@ -633,31 +606,27 @@ impl YaskService {
             ])
         };
         let mut reasons = Vec::new();
-        if s.queue_depth_max_1m > self.overload.max_queue_depth {
+        if pressure.queue_depth_1m > limits.max_queue_depth {
             reasons.push(reason(
                 "queue_depth_1m",
-                s.queue_depth_max_1m as f64,
-                self.overload.max_queue_depth as f64,
+                pressure.queue_depth_1m as f64,
+                limits.max_queue_depth as f64,
                 format!(
                     "queue depth reached {} in the last minute (limit {})",
-                    s.queue_depth_max_1m, self.overload.max_queue_depth
+                    pressure.queue_depth_1m, limits.max_queue_depth
                 ),
             ));
         }
-        if let Some(w) = &s.workload {
-            let p99 = Duration::from_nanos(w.topk.h10.p99());
-            if p99 > self.overload.max_topk_p99 {
-                let limit_ms = self.overload.max_topk_p99.as_secs_f64() * 1e3;
-                let p99_ms = p99.as_secs_f64() * 1e3;
-                reasons.push(reason(
-                    "topk_p99_10s",
-                    p99_ms,
-                    limit_ms,
-                    format!("top-k p99 {p99_ms:.1}ms over the last 10s (limit {limit_ms:.1}ms)"),
-                ));
-            }
+        if pressure.topk_p99_ms > limit_ms {
+            let p99_ms = pressure.topk_p99_ms;
+            reasons.push(reason(
+                "topk_p99_10s",
+                p99_ms,
+                limit_ms,
+                format!("top-k p99 {p99_ms:.1}ms over the last 10s (limit {limit_ms:.1}ms)"),
+            ));
         }
-        let overloaded = !reasons.is_empty();
+        let overloaded = level != OverloadLevel::Normal;
         let mut routes: Vec<(String, Json)> = Vec::new();
         if let Some(w) = &s.workload {
             routes.push(("topk".to_owned(), render_route_windows(&w.topk)));
@@ -675,7 +644,7 @@ impl YaskService {
             // What the admission valve currently does about it.
             (
                 "admission_level",
-                Json::str(match self.admission.level(&self.exec.pressure()) {
+                Json::str(match level {
                     OverloadLevel::Normal => "normal",
                     OverloadLevel::Overloaded => "overloaded",
                     OverloadLevel::Critical => "critical",
@@ -694,11 +663,8 @@ impl YaskService {
             (
                 "limits",
                 Json::obj([
-                    ("max_queue_depth", Json::Num(self.overload.max_queue_depth as f64)),
-                    (
-                        "max_topk_p99_ms",
-                        Json::Num(self.overload.max_topk_p99.as_secs_f64() * 1e3),
-                    ),
+                    ("max_queue_depth", Json::Num(limits.max_queue_depth as f64)),
+                    ("max_topk_p99_ms", Json::Num(limit_ms)),
                 ]),
             ),
             ("routes", Json::Obj(routes)),
@@ -2677,9 +2643,10 @@ mod tests {
             corpus,
             vocab,
             ServiceConfig {
-                overload: OverloadConfig {
+                admission: AdmissionConfig {
                     max_queue_depth: usize::MAX,
                     max_topk_p99: Duration::ZERO,
+                    ..AdmissionConfig::default()
                 },
                 ..ServiceConfig::default()
             },
@@ -2719,9 +2686,10 @@ mod tests {
             corpus,
             vocab,
             ServiceConfig {
-                overload: OverloadConfig {
+                admission: AdmissionConfig {
                     max_queue_depth: 0,
                     max_topk_p99: Duration::from_secs(3600),
+                    ..AdmissionConfig::default()
                 },
                 ..ServiceConfig::default()
             },

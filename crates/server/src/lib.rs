@@ -31,6 +31,8 @@
 //!   loop (capped exponential backoff + jitter, honoring the server's
 //!   `Retry-After` on 429/503 sheds).
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod client;
 pub mod coalesce;

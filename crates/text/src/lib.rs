@@ -13,6 +13,8 @@
 //! * [`tokenizer`] — the keyword extraction used when loading raw text
 //!   (lower-casing, punctuation splitting, stopword removal, dedup).
 
+#![forbid(unsafe_code)]
+
 pub mod keyword_set;
 pub mod similarity;
 pub mod tokenizer;

@@ -23,6 +23,8 @@
 //!   panic-once), compile-time no-op in release builds, used by the
 //!   chaos test suite to certify crash and overload behaviour.
 
+#![forbid(unsafe_code)]
+
 pub mod epoch;
 pub mod failpoint;
 pub mod float;

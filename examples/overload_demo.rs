@@ -22,7 +22,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use yask::exec::AdmissionConfig;
-use yask::server::api::OverloadConfig;
 use yask::server::{
     http_get, http_get_text, http_post, http_post_retry, http_post_with_headers, HttpServer,
     Json, RetryPolicy, ServiceConfig, YaskService,
@@ -49,10 +48,6 @@ fn main() {
         corpus,
         vocab,
         ServiceConfig {
-            overload: OverloadConfig {
-                max_queue_depth: usize::MAX,
-                max_topk_p99: Duration::ZERO,
-            },
             admission: AdmissionConfig {
                 max_queue_depth: usize::MAX,
                 max_topk_p99: Duration::ZERO,

@@ -40,6 +40,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// Shared utilities (ordered floats, fast hashing, heaps, RNG, stats).
 pub use yask_util as util;
 

@@ -26,7 +26,6 @@ use yask::ingest::{checkpoint_path, CheckpointConfig};
 use yask::pager::load_checkpoint;
 use yask::prelude::*;
 use yask::query::topk_scan;
-use yask::server::api::OverloadConfig;
 use yask::server::{
     http_get, http_post, http_post_retry, http_post_with_headers, HttpServer, Json, Request,
     RetryPolicy, ServiceConfig, YaskService,
@@ -455,19 +454,14 @@ fn expired_deadlines_mid_scatter_leak_no_workers() {
 fn overload_service() -> std::sync::Arc<YaskService> {
     let (corpus, vocab) = yask::data::hk_hotels();
     // Latency trigger only (queue limit effectively infinite): any
-    // top-k p99 over 5 ms in the 10 s window flips both the health
-    // verdict and the admission valve to Overloaded — never Critical,
+    // top-k p99 over 5 ms in the 10 s window flips the admission valve
+    // (and with it the health verdict) to Overloaded — never Critical,
     // so the accept boundary stays open and the shed is per-route.
-    let trip = OverloadConfig {
-        max_queue_depth: usize::MAX,
-        max_topk_p99: Duration::from_millis(5),
-    };
     std::sync::Arc::new(YaskService::with_config(
         corpus,
         vocab,
         ServiceConfig {
             exec: exec_config(2),
-            overload: trip,
             admission: yask::exec::AdmissionConfig {
                 max_queue_depth: usize::MAX,
                 max_topk_p99: Duration::from_millis(5),
