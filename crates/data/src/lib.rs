@@ -12,13 +12,11 @@
 //!
 //! [`synth`] scales the same recipe to arbitrary sizes for the
 //! performance sweeps, and adds workload helpers (random queries, missing
-//! object selection). [`csv`] round-trips corpora through a plain TSV
-//! format. [`stats`] summarizes a dataset the way experiment E13 reports
-//! it.
+//! object selection). [`stats`] summarizes a dataset the way experiment
+//! E13 reports it.
 
 #![forbid(unsafe_code)]
 
-pub mod csv;
 pub mod hk;
 pub mod stats;
 pub mod synth;

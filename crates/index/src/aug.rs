@@ -31,6 +31,12 @@
 //! no other variant has. The IR-tree only knows the union side, so its
 //! `min_inter`/`int_len` are pessimistic zeros — the formal reason the
 //! paper replaces the IR-tree with the SetR-tree for Jaccard scoring.
+//!
+//! **What the service runs.** Only [`KcAug`] is served: every shard tree
+//! is a KcR-tree, and the preference module's candidate index is a plain
+//! [`NoAug`] R-tree. [`SetAug`] and [`IrAug`] exist for the bound-tightness
+//! comparison of experiment E5 (`experiments.rs`) and the ablation
+//! benches; no served route reaches them.
 
 use yask_text::{KeywordSet, SimilarityModel};
 

@@ -1065,13 +1065,14 @@ impl<A: Augmentation> RTree<A> {
         }
     }
 
-    // -- persistence bridge -------------------------------------------------
+    // -- topology export ----------------------------------------------------
 
     /// Exports the reachable tree structure in a topology-only form (no
     /// MBRs, no augmentations — both are derived data; freed arena slots
     /// and chunk boundaries don't appear either, so the export is
-    /// independent of the slab layout). Used by the pager crate to
-    /// serialize an index; [`RTree::from_structure`] restores it.
+    /// independent of the slab layout). Tests compare trees through it:
+    /// two trees with equal exports have the same shape, whatever their
+    /// arena history or node source.
     pub fn structure(&self) -> TreeStructure {
         let _guard = self.read_guard();
         let mut nodes = Vec::new();
@@ -1100,51 +1101,6 @@ impl<A: Augmentation> RTree<A> {
             height: self.height,
             len: self.len,
         }
-    }
-
-    /// Rebuilds a tree from an exported [`TreeStructure`]: node topology
-    /// is restored verbatim (into a fresh, densely packed arena), MBRs
-    /// and augmentations are recomputed bottom-up (they are derived
-    /// data). Panics on malformed structures; run [`RTree::validate`]
-    /// afterwards for untrusted input.
-    pub fn from_structure(corpus: Corpus, params: RTreeParams, s: &TreeStructure) -> Self {
-        let mut tree = RTree::new(corpus, params);
-        let mut ids: Vec<NodeId> = Vec::with_capacity(s.nodes.len());
-        for n in &s.nodes {
-            let kind = if n.is_leaf {
-                NodeKind::Leaf(n.entries.iter().map(|&e| ObjectId(e)).collect())
-            } else {
-                NodeKind::Internal(Vec::new()) // children patched below
-            };
-            ids.push(tree.alloc(kind));
-        }
-        for (i, n) in s.nodes.iter().enumerate() {
-            if !n.is_leaf {
-                let children: Vec<NodeId> = n.entries.iter().map(|&e| ids[e as usize]).collect();
-                if let NodeKind::Internal(c) = &mut tree.node_mut(ids[i]).kind {
-                    *c = children;
-                }
-            }
-        }
-        // Refresh bottom-up: children precede parents nowhere in general,
-        // so refresh in reverse BFS order from the root.
-        if let Some(root_idx) = s.root {
-            let root = ids[root_idx as usize];
-            let mut order = Vec::new();
-            let mut stack = vec![root];
-            while let Some(n) = stack.pop() {
-                order.push(n);
-                if let NodeKind::Internal(children) = &tree.node(n).kind {
-                    stack.extend_from_slice(children);
-                }
-            }
-            for &n in order.iter().rev() {
-                tree.refresh(n);
-            }
-            tree.set_root(Some(root), s.height, s.len);
-        }
-        tree.reset_copy_stats();
-        tree
     }
 
     // -- validation -------------------------------------------------------------
@@ -1591,34 +1547,21 @@ mod tests {
     }
 
     #[test]
-    fn structure_round_trips_exactly() {
+    fn structure_export_is_dense() {
         let corpus = random_corpus(300, 13);
-        let t: RTree<SetAug> = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let t: RTree<SetAug> = RTree::bulk_load(corpus, RTreeParams::new(8, 3));
         let s = t.structure();
         assert_eq!(s.len, 300);
-        let back: RTree<SetAug> = RTree::from_structure(corpus.clone(), t.params(), &s);
-        back.validate().unwrap();
-        assert_eq!(back.len(), t.len());
-        assert_eq!(back.height(), t.height());
-        // Identical topology ⇒ identical structure export.
-        assert_eq!(back.structure(), s);
-        // And identical query behaviour.
-        let q = Point::new(0.4, 0.6);
-        assert_eq!(back.nearest(&q, 10), t.nearest(&q, 10));
-        // Even into a different augmentation type.
-        let kc: RTree<KcAug> = RTree::from_structure(corpus, t.params(), &s);
-        kc.validate().unwrap();
-    }
-
-    #[test]
-    fn empty_structure_round_trips() {
-        let corpus = random_corpus(0, 14);
-        let t: RTree<NoAug> = RTree::bulk_load(corpus.clone(), RTreeParams::default());
-        let s = t.structure();
-        assert_eq!(s.root, None);
-        let back: RTree<NoAug> = RTree::from_structure(corpus, RTreeParams::default(), &s);
-        assert!(back.is_empty());
-        back.validate().unwrap();
+        assert_eq!(s.root, Some(0), "the root comes first in walk order");
+        let leaf_entries: usize =
+            s.nodes.iter().filter(|n| n.is_leaf).map(|n| n.entries.len()).sum();
+        assert_eq!(leaf_entries, 300);
+        for n in s.nodes.iter().filter(|n| !n.is_leaf) {
+            assert!(n.entries.iter().all(|&c| (c as usize) < s.nodes.len()));
+        }
+        let empty: RTree<NoAug> =
+            RTree::bulk_load(random_corpus(0, 14), RTreeParams::default());
+        assert_eq!(empty.structure().root, None);
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! log tail, bounding restart time by the checkpoint interval instead of
 //! the full update history.
 //!
-//! The format extends the `YASKPG02` index store (same paged corpus
-//! stream, tombstones preserved so ids stay positional) with the two
-//! things a recovery point needs that an index file does not carry:
+//! The file holds two paged streams and a header:
 //!
-//! * the **epoch** the snapshot represents (the durable batch count at
-//!   the moment of the checkpoint), and
-//! * the **vocabulary** as interned at that moment — WAL records and
+//! * the **corpus stream** — space bounds, slot count, then every slot
+//!   with a liveness flag (tombstones are kept so ids stay positional);
+//! * the **vocabulary** as interned at the checkpoint — WAL records and
 //!   object docs reference keyword *ids*, which are only meaningful
-//!   under the string → id order they were interned in.
+//!   under the string → id order they were interned in;
+//! * the **epoch** the snapshot represents (the durable batch count at
+//!   the moment of the checkpoint), in the header.
 //!
 //! No tree topology is stored: the engines rebuild their shard trees
 //! from the corpus at startup anyway, and a checkpoint that carried one
@@ -31,6 +31,10 @@
 //! | vocab_first  | 32..40 | first page of the vocab stream   |
 //! | vocab_len    | 40..48 | vocab stream byte length         |
 //!
+//! Every length read back from disk is checked against the bytes left
+//! in its stream before it sizes an allocation, so a rotted file loads
+//! as `InvalidData` rather than aborting the process.
+//!
 //! [`save_checkpoint`] is **atomic**: the snapshot is written and synced
 //! to `<path>.tmp` and renamed over `path`, so a crash mid-write leaves
 //! either the previous checkpoint or none — never a torn one. Loaders
@@ -39,16 +43,24 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use yask_index::Corpus;
+use yask_geo::{Point, Rect, Space};
+use yask_index::{Corpus, CorpusBuilder};
+use yask_text::KeywordSet;
 
 use crate::buffer_pool::{BufferPool, PoolStats};
 use crate::codec::{StreamReader, StreamWriter};
 use crate::page::{PageId, PAGE_SIZE};
-use crate::store::{read_corpus_stream, write_corpus_stream};
 
 const MAGIC: &[u8; 8] = b"YASKPG03";
 /// Guard against sizing allocations from a rotted word count.
 const MAX_WORDS: u64 = 1 << 24;
+/// Fewest bytes one corpus slot can occupy in the stream: liveness
+/// flag, two coordinates, an empty name's length, an empty doc's length.
+const MIN_SLOT_BYTES: u64 = 1 + 8 + 8 + 4 + 4;
+
+fn corrupt(why: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, why)
+}
 
 /// One recovery point: the corpus version at `epoch` plus the
 /// vocabulary words in intern (id) order.
@@ -134,7 +146,6 @@ pub fn load_checkpoint_with_stats(path: &Path) -> io::Result<Option<(Checkpoint,
     if !path.exists() {
         return Ok(None);
     }
-    let corrupt = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
     let pool = BufferPool::open(path, 64)?;
     let header = pool.read(PageId(0))?;
     if &header[..8] != MAGIC {
@@ -154,6 +165,67 @@ pub fn load_checkpoint_with_stats(path: &Path) -> io::Result<Option<(Checkpoint,
         vocab.push(r.read_str()?);
     }
     Ok(Some((Checkpoint { corpus, epoch, vocab }, pool.stats())))
+}
+
+/// Writes one corpus as a paged stream: space bounds, slot count, then
+/// every slot (tombstoned ones flagged dead — object ids are positional,
+/// so dropping dead slots would shift every id recorded elsewhere).
+fn write_corpus_stream(pool: &BufferPool, corpus: &Corpus) -> io::Result<(PageId, u64)> {
+    let mut w = StreamWriter::new(pool)?;
+    let bounds = corpus.space().bounds();
+    w.write_f64(bounds.lo.x)?;
+    w.write_f64(bounds.lo.y)?;
+    w.write_f64(bounds.hi.x)?;
+    w.write_f64(bounds.hi.y)?;
+    w.write_u64(corpus.slot_count() as u64)?;
+    for o in corpus.iter_slots() {
+        w.write_u8(u8::from(corpus.contains(o.id)))?;
+        w.write_f64(o.loc.x)?;
+        w.write_f64(o.loc.y)?;
+        w.write_str(&o.name)?;
+        w.write_u32(o.doc.len() as u32)?;
+        for kw in o.doc.raw() {
+            w.write_u32(*kw)?;
+        }
+    }
+    w.finish()
+}
+
+/// Reads back a corpus stream written by [`write_corpus_stream`].
+fn read_corpus_stream(pool: &BufferPool, first: PageId, len: u64) -> io::Result<Corpus> {
+    let mut r = StreamReader::new(pool, first, len)?;
+    let lo = Point::new(r.read_f64()?, r.read_f64()?);
+    let hi = Point::new(r.read_f64()?, r.read_f64()?);
+    let n = r.read_u64()?;
+    if n > r.remaining() / MIN_SLOT_BYTES {
+        return Err(corrupt(format!(
+            "checkpoint: {n} corpus slots cannot fit in {} bytes",
+            r.remaining()
+        )));
+    }
+    let mut b = CorpusBuilder::with_capacity(n as usize).with_space(Space::new(Rect::new(lo, hi)));
+    for _ in 0..n {
+        let live = r.read_u8()? != 0;
+        let x = r.read_f64()?;
+        let y = r.read_f64()?;
+        let name = r.read_str()?;
+        let k = u64::from(r.read_u32()?);
+        if k > r.remaining() / 4 {
+            return Err(corrupt(format!(
+                "checkpoint: {k} keywords cannot fit in {} bytes",
+                r.remaining()
+            )));
+        }
+        let mut kws = Vec::with_capacity(k as usize);
+        for _ in 0..k {
+            kws.push(r.read_u32()?);
+        }
+        let id = b.push(Point::new(x, y), KeywordSet::from_raw(kws), name);
+        if !live {
+            b.kill(id);
+        }
+    }
+    Ok(b.build())
 }
 
 #[cfg(test)]
@@ -250,17 +322,46 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Saves a small checkpoint, XORs `mask` into the little-endian word
+    /// of `width` bytes at `offset` within the corpus stream, and loads
+    /// it back. Offsets stay on the stream's first page.
+    fn load_with_stomped_corpus_word(
+        tag: &str,
+        offset: usize,
+        width: usize,
+        mask: u64,
+    ) -> io::Error {
+        let path = tmp(tag);
+        std::fs::remove_file(&path).ok();
+        let c = corpus_with_tombstones(10);
+        save_checkpoint(&path, &Checkpoint { corpus: c, epoch: 5, vocab: vec![] }).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let page = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+        let at = page * PAGE_SIZE + 8 + offset;
+        assert!(offset + width <= crate::codec::PAYLOAD, "stomp must stay on the first page");
+        for (i, b) in bytes[at..at + width].iter_mut().enumerate() {
+            *b ^= (mask >> (8 * i)) as u8;
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_checkpoint(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        err
+    }
+
     #[test]
-    fn empty_index_format_is_rejected_as_checkpoint() {
-        // A YASKPG02 index file is not a checkpoint: the magic differs.
-        let path = tmp("wrongformat.ckpt");
-        std::fs::remove_file(&path).ok();
-        let corpus = corpus_with_tombstones(20);
-        let params = yask_index::RTreeParams::new(8, 3);
-        let tree: yask_index::RTree<yask_index::SetAug> =
-            yask_index::RTree::bulk_load(corpus.clone(), params);
-        crate::store::save_index(&path, &corpus, &tree.structure(), params).unwrap();
-        assert!(load_checkpoint(&path).is_err());
-        std::fs::remove_file(&path).ok();
+    fn rotted_slot_count_is_invalid_data() {
+        // Bytes 32..40 of the corpus stream: the slot count, after the
+        // four space-bound coordinates.
+        let err = load_with_stomped_corpus_word("slots.ckpt", 32, 8, 0xFF << 56);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn rotted_keyword_count_is_invalid_data() {
+        // Slot 0: flag, x, y, then the name, then its keyword count.
+        let name_len = corpus_with_tombstones(10).get(ObjectId(0)).name.len();
+        let offset = 40 + 1 + 8 + 8 + 4 + name_len;
+        let err = load_with_stomped_corpus_word("keywords.ckpt", offset, 4, 0xFF << 24);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

@@ -10,12 +10,12 @@
 //!   hit/miss statistics ([`buffer_pool::BufferPool`]);
 //! * [`codec`] — little-endian primitive encoding helpers plus paged
 //!   byte-stream reader/writer that span records across pages;
-//! * [`store`] — persistence of a [`yask_index::Corpus`] and any R-tree's
-//!   [`yask_index::TreeStructure`] (topology only: MBRs and augmentations
-//!   are derived data, recomputed on load);
 //! * [`checkpoint`] — WAL-compaction snapshots (`YASKPG03`): a corpus
 //!   epoch plus the vocabulary, written atomically, so the ingest layer
-//!   can truncate its log and bound restart-replay time.
+//!   can truncate its log and bound restart-replay time;
+//! * [`paged`] — the out-of-core node arena: a tree's arena chunks
+//!   encoded into the page file and faulted back on demand through a
+//!   byte-budgeted chunk cache ([`PagedNodeSource`]).
 
 pub mod buffer_pool;
 pub mod checkpoint;
@@ -23,11 +23,9 @@ pub mod codec;
 pub mod file;
 pub mod page;
 pub mod paged;
-pub mod store;
 
 pub use buffer_pool::{BufferPool, PoolStats};
 pub use paged::{page_out_tree, PagedNodeSource, PagedStats};
 pub use checkpoint::{load_checkpoint, load_checkpoint_with_stats, save_checkpoint, Checkpoint};
 pub use file::PageFile;
 pub use page::{PageId, PAGE_SIZE};
-pub use store::{load_index, save_index};

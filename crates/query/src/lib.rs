@@ -19,9 +19,7 @@
 //! * [`scan`] — the exact linear-scan baseline and rank oracles,
 //! * [`iter`] — incremental best-first enumeration (objects stream out in
 //!   rank order), which the why-not engine uses to locate missing objects'
-//!   ranks without fixing `k` in advance,
-//! * [`engine`] — object-safe [`engine::SpatialKeywordEngine`] wrappers
-//!   (SetR-tree, KcR-tree, IR-tree, scan) so callers can swap engines.
+//!   ranks without fixing `k` in advance.
 //!
 //! Ranking is a *total* order: score descending, object id ascending on
 //! ties. Every algorithm in the workspace (and every test comparing them)
@@ -31,7 +29,6 @@
 #![forbid(unsafe_code)]
 
 pub mod boolean;
-pub mod engine;
 pub mod iter;
 pub mod query;
 pub mod range;
@@ -40,9 +37,6 @@ pub mod score;
 pub mod topk;
 
 pub use boolean::{boolean_topk_scan, boolean_topk_tree};
-pub use engine::{
-    EngineKind, IrTreeEngine, KcRTreeEngine, ScanEngine, SetRTreeEngine, SpatialKeywordEngine,
-};
 pub use iter::IncrementalSearch;
 pub use query::{Query, Weights};
 pub use range::{range_keyword_scan, range_keyword_tree, MatchMode};

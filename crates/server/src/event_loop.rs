@@ -784,6 +784,13 @@ mod tests {
         assert!(wheel.expire(clock.now()).is_empty());
         clock.advance(Duration::from_millis(50));
         assert_eq!(wheel.expire(clock.now()), vec![(1, 0)]);
+
+        // The loop's own wheel (512 × 20 ms) spans 10.24 s, so a 10 s
+        // idle deadline followed by one 11 s clock jump laps it.
+        let mut wheel = TimerWheel::new(512, TICK, clock.now());
+        wheel.insert(4, 1, clock.now() + Duration::from_secs(10));
+        clock.advance(Duration::from_secs(11));
+        assert_eq!(wheel.expire(clock.now()), vec![(4, 1)]);
     }
 
     #[test]
@@ -825,9 +832,9 @@ mod tests {
 
     // -- idle timeout through the event loop, injected clock ---------------
 
-    /// The satellite fix: the keep-alive idle-timeout test advances a
-    /// [`TestClock`] instead of sleeping through a real timeout. The
-    /// only real waiting is the loop's (20 ms) tick cadence.
+    /// The keep-alive idle-timeout test advances a [`TestClock`] instead
+    /// of sleeping through a real timeout. The only real waiting is the
+    /// loop's (20 ms) tick cadence.
     #[test]
     #[cfg(target_os = "linux")]
     fn idle_keep_alive_connection_is_closed_by_the_wheel_without_real_sleeps() {
@@ -844,11 +851,21 @@ mod tests {
         let mut server =
             spawn_with_clock(listener, 2, handler, policy, clock.clone()).unwrap();
 
+        let round_trip = |stream: &mut TcpStream| {
+            let mut buf = [0u8; 256];
+            stream.write_all(b"GET /x HTTP/1.1\r\n\r\n").unwrap();
+            let n = stream.read(&mut buf).unwrap();
+            assert!(std::str::from_utf8(&buf[..n]).unwrap().starts_with("HTTP/1.1 200"));
+        };
         let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.write_all(b"GET /x HTTP/1.1\r\n\r\n").unwrap();
-        let mut buf = [0u8; 256];
-        let n = stream.read(&mut buf).unwrap();
-        assert!(std::str::from_utf8(&buf[..n]).unwrap().starts_with("HTTP/1.1 200"));
+        round_trip(&mut stream);
+        // The loop re-arms the idle deadline from the clock just *after*
+        // writing the response, so the client can see the bytes before
+        // the re-arm has read the clock; a jump in that window would land
+        // inside the new idle period. One round trip on a second
+        // connection orders the jump after the re-arm: the loop is one
+        // thread and re-arms before it reads anything else.
+        round_trip(&mut TcpStream::connect(server.addr()).unwrap());
 
         // Ten virtual seconds pass in one step; no real 10 s sleep.
         clock.advance(Duration::from_secs(11));
@@ -858,7 +875,7 @@ mod tests {
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        let n = stream.read(&mut buf).unwrap();
+        let n = stream.read(&mut [0u8; 256]).unwrap();
         assert_eq!(n, 0, "idle connection must be closed silently");
         server.shutdown();
     }

@@ -58,7 +58,7 @@ pub use yask_text as text;
 /// The R-tree index family (plain / SetR / KcR / IR trees).
 pub use yask_index as index;
 
-/// Disk substrate (page file, buffer pool, index persistence).
+/// Disk substrate (page file, buffer pool, checkpoints, paged node arena).
 pub use yask_pager as pager;
 
 /// The spatial keyword top-k query engine.
@@ -91,9 +91,7 @@ pub mod prelude {
     pub use yask_index::{
         Corpus, CorpusBuilder, IrTree, KcRTree, ObjectId, PlainRTree, RTreeParams, SetRTree,
     };
-    pub use yask_query::{
-        EngineKind, Query, RankedObject, ScoreParams, SpatialKeywordEngine, Weights,
-    };
+    pub use yask_query::{Query, RankedObject, ScoreParams, Weights};
     pub use yask_text::{KeywordId, KeywordSet, SimilarityModel, Vocabulary};
 }
 

@@ -6,6 +6,7 @@ use yask::core::{refine_keywords_naive, refine_preference_naive};
 use yask::data::{gen_queries, pick_missing, SynthConfig};
 use yask::index::{KcRTree, RTreeParams};
 use yask::prelude::*;
+use yask::query::{topk_scan, topk_tree, IncrementalSearch};
 
 fn synth(n: usize, seed: u64) -> Corpus {
     SynthConfig {
@@ -24,19 +25,37 @@ fn engines_agree_on_synthetic_workload() {
     let corpus = synth(3000, 1);
     let params = ScoreParams::new(corpus.space());
     let tp = RTreeParams::new(16, 6);
-    let engines: Vec<Box<dyn SpatialKeywordEngine>> = vec![
-        EngineKind::SetRTree.build(corpus.clone(), params, tp),
-        EngineKind::KcRTree.build(corpus.clone(), params, tp),
-        EngineKind::IrTree.build(corpus.clone(), params, tp),
-        EngineKind::Scan.build(corpus.clone(), params, tp),
-    ];
+    let setr = SetRTree::bulk_load(corpus.clone(), tp);
+    let kcr = KcRTree::bulk_load(corpus.clone(), tp);
+    let ir = IrTree::bulk_load(corpus.clone(), tp);
+    let ids = |res: Vec<RankedObject>| res.iter().map(|r| r.id).collect::<Vec<ObjectId>>();
     for q in gen_queries(&corpus, 25, 3, 10, 2) {
-        let want: Vec<ObjectId> = engines[3].top_k(&q).iter().map(|r| r.id).collect();
-        for e in &engines[..3] {
-            let got: Vec<ObjectId> = e.top_k(&q).iter().map(|r| r.id).collect();
-            assert_eq!(got, want, "{} diverged on {q:?}", e.name());
+        let want = ids(topk_scan(&corpus, &params, &q));
+        for (name, got) in [
+            ("setr-tree", ids(topk_tree(&setr, &params, &q))),
+            ("kcr-tree", ids(topk_tree(&kcr, &params, &q))),
+            ("ir-tree", ids(topk_tree(&ir, &params, &q))),
+        ] {
+            assert_eq!(got, want, "{name} diverged on {q:?}");
         }
     }
+}
+
+#[test]
+fn incremental_search_on_bulk_loaded_kcr_tree() {
+    // The stream is consumed part-way (k = 50 of 300), so the KcR-tree's
+    // bounds decide what is still queued when it stops.
+    let corpus = SynthConfig::default().with_n(300).build();
+    let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+    let score = ScoreParams::new(corpus.space());
+    let q = &gen_queries(&corpus, 1, 2, 5, 23)[0];
+    let stream: Vec<ObjectId> = IncrementalSearch::new(&tree, score, q.clone())
+        .take(50)
+        .map(|r| r.id)
+        .collect();
+    let oracle: Vec<ObjectId> =
+        topk_scan(&corpus, &score, &q.with_k(50)).iter().map(|r| r.id).collect();
+    assert_eq!(stream, oracle);
 }
 
 #[test]

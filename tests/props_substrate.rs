@@ -1,10 +1,10 @@
-//! Property tests for the substrate crates: pager streams and store,
+//! Property tests for the substrate crates: pager streams and checkpoints,
 //! R-tree mutation invariants, tokenizer, and the session cache.
 
 use proptest::prelude::*;
 
-use yask::index::{KcRTree, RTreeParams, SetRTree};
-use yask::pager::{load_index, save_index, BufferPool, PageFile};
+use yask::index::{KcRTree, RTreeParams};
+use yask::pager::{load_checkpoint, save_checkpoint, BufferPool, Checkpoint, PageFile};
 use yask::prelude::*;
 
 fn tmp(tag: &str) -> std::path::PathBuf {
@@ -52,28 +52,47 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Any corpus + tree built from generated objects survives save/load
-    /// and still validates.
+    /// Any corpus — tombstones included — survives a checkpoint round
+    /// trip slot for slot, with its ids, liveness and space intact.
     #[test]
-    fn store_round_trip_validates(
+    fn checkpoint_round_trip_preserves_slots(
         objs in proptest::collection::vec(
-            (0.0f64..1.0, 0.0f64..1.0, proptest::collection::vec(0u32..25, 1..5)),
-            1..60
-        )
+            (0.0f64..1.0, 0.0f64..1.0, proptest::collection::vec(0u32..25, 0..5)),
+            0..60
+        ),
+        dead in proptest::collection::vec(any::<u32>(), 0..8),
+        epoch in any::<u64>()
     ) {
-        let path = tmp(&format!("store-{}", objs.len()));
+        let path = tmp(&format!("ckpt-{}-{epoch}", objs.len()));
         let mut b = CorpusBuilder::new();
         for (i, (x, y, kws)) in objs.iter().enumerate() {
             b.push(Point::new(*x, *y), KeywordSet::from_raw(kws.clone()), format!("n{i}"));
         }
-        let corpus = b.build();
-        let params = RTreeParams::new(4, 2);
-        let tree = SetRTree::bulk_load(corpus.clone(), params);
-        save_index(&path, &corpus, &tree.structure(), params).unwrap();
-        let (loaded, _): (SetRTree, _) = load_index(&path, 16).unwrap();
-        prop_assert!(loaded.validate().is_ok());
-        prop_assert_eq!(loaded.structure(), tree.structure());
+        let mut deletes: Vec<ObjectId> =
+            dead.iter().filter_map(|d| d.checked_rem(objs.len() as u32)).map(ObjectId).collect();
+        deletes.sort_unstable();
+        deletes.dedup();
+        let (corpus, _) = b.build().with_updates(std::iter::empty(), &deletes);
+        let vocab: Vec<String> = (0..25).map(|i| format!("w{i}")).collect();
+        let ck = Checkpoint { corpus, epoch, vocab };
+        save_checkpoint(&path, &ck).unwrap();
+        let loaded = load_checkpoint(&path).unwrap().expect("checkpoint exists");
         std::fs::remove_file(&path).ok();
+
+        let (a, b) = (&ck.corpus, &loaded.corpus);
+        prop_assert_eq!(loaded.epoch, epoch);
+        prop_assert_eq!(&loaded.vocab, &ck.vocab);
+        prop_assert_eq!(b.slot_count(), a.slot_count());
+        prop_assert_eq!(b.len(), a.len());
+        prop_assert_eq!(b.space(), a.space());
+        for i in 0..a.slot_count() {
+            let id = ObjectId(i as u32);
+            prop_assert_eq!(b.contains(id), a.contains(id));
+            let (x, y) = (a.get(id), b.get(id));
+            prop_assert_eq!(y.loc, x.loc);
+            prop_assert_eq!(&y.doc, &x.doc);
+            prop_assert_eq!(&y.name, &x.name);
+        }
     }
 }
 
