@@ -55,4 +55,4 @@ pub use pref::{
     refine_preference, refine_preference_naive, refine_preference_with_segments,
     PreferenceRefinement,
 };
-pub use session::{Session, SessionId, SessionStore};
+pub use session::{Evictions, Session, SessionId, SessionStore, MAX_SESSIONS};

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use yask_core::{Explanation, SessionId, SessionStore, WhyNotError, YaskConfig};
+use yask_core::{Explanation, Session, SessionId, SessionStore, WhyNotError, YaskConfig};
 use yask_data::DatasetStats;
 use yask_exec::{
     AdmissionConfig, AdmissionController, AdmitDecision, Deadline, EngineHandle, ExecConfig,
@@ -153,6 +153,10 @@ pub struct YaskService {
 }
 
 type ApiResult = Result<Json, (u16, String)>;
+
+/// A resolved why-not request: its session, the missing-object ids and
+/// the engine epoch the session pinned.
+type WhyNotTarget = (Arc<Session>, Vec<ObjectId>, EngineHandle);
 
 /// Handle to a background session-eviction thread; dropping it stops the
 /// sweeper and joins the thread.
@@ -365,9 +369,13 @@ impl YaskService {
     }
 
     /// Spawns a background thread sweeping expired sessions every
-    /// `period`, independent of request traffic (idle servers no longer
-    /// retain dead sessions until the next request). The sweeper stops
-    /// when the returned handle drops.
+    /// `period`, independent of request traffic. Optional hygiene: the
+    /// store already bounds itself (every session call, `/health` and
+    /// `/stats` expire the front; `create` also holds the
+    /// [`yask_core::MAX_SESSIONS`] cap); the sweeper only releases
+    /// expired sessions' epoch pins on a server that receives none of
+    /// those — e.g. one taking only writes. The sweeper stops when the
+    /// returned handle drops.
     pub fn spawn_session_sweeper(self: &Arc<Self>, period: Duration) -> SessionSweeper {
         let service = Arc::clone(self);
         let (tx, rx) = std::sync::mpsc::channel::<()>();
@@ -427,7 +435,6 @@ impl YaskService {
 
     /// Routes one request.
     pub fn handle(&self, req: &Request) -> Response {
-        self.sessions.evict_expired();
         // Admission runs before body parsing and before any trace or
         // engine work: a shed request costs the server one pressure
         // sample and one canned response.
@@ -523,7 +530,8 @@ impl YaskService {
 
     /// Everything one `/stats` or `/metrics` scrape reads, gathered once:
     /// one [`Executor::stats`] call and one pass over the session map
-    /// (live and pinned counts under a single lock).
+    /// (live and pinned counts under a single lock) — the only place the
+    /// service does work proportional to the live session count.
     pub(crate) fn observe(&self) -> Observed {
         let corpus = self.exec.corpus();
         let exec = self.exec.stats();
@@ -551,6 +559,7 @@ impl YaskService {
             coalesce_batches: self.coalescer.batches(),
             sessions_live,
             sessions_pinned,
+            sessions_evicted: self.sessions.evictions(),
             traces_recorded: self.traces.recorded(),
             uptime_seconds: self.started.elapsed().as_secs_f64(),
         }
@@ -826,7 +835,7 @@ impl YaskService {
                     self.admission.count_degraded_answer();
                 }
                 let rendered = render_results(handle.corpus(), &results);
-                let session = self.sessions.create_pinned(query, results, Arc::new(handle));
+                let session = self.sessions.create_pinned(query, Arc::new(handle));
                 return Ok(Json::obj([
                     ("session", Json::Num(session.0 as f64)),
                     ("degraded", Json::Bool(age > 0)),
@@ -848,7 +857,7 @@ impl YaskService {
         }
         let complete = out.complete;
         let rendered = render_results(handle.corpus(), &out.results);
-        let session = self.sessions.create_pinned(query, out.results, Arc::new(handle));
+        let session = self.sessions.create_pinned(query, Arc::new(handle));
         Ok(Json::obj([
             ("session", Json::Num(session.0 as f64)),
             ("degraded", Json::Bool(!complete)),
@@ -1040,7 +1049,7 @@ impl YaskService {
     }
 
     fn close(&self, body: &Json) -> ApiResult {
-        let id = SessionId(field_f64(body, "session")? as u64);
+        let id = session_id(body)?;
         Ok(Json::obj([("closed", Json::Bool(self.sessions.remove(id)))]))
     }
 
@@ -1171,8 +1180,8 @@ impl YaskService {
     fn session_and_missing(
         &self,
         body: &Json,
-    ) -> Result<(yask_core::Session, Vec<ObjectId>, EngineHandle), (u16, String)> {
-        let id = SessionId(field_f64(body, "session")? as u64);
+    ) -> Result<WhyNotTarget, (u16, String)> {
+        let id = session_id(body)?;
         let session = self
             .sessions
             .get(id)
@@ -1253,6 +1262,15 @@ fn field_f64(body: &Json, name: &str) -> Result<f64, (u16, String)> {
         .and_then(Json::as_f64)
         .filter(|v| v.is_finite())
         .ok_or_else(|| (400, format!("field '{name}' must be a finite number")))
+}
+
+/// The `session` field: a non-negative integer id, nothing else (a
+/// fractional or negative number must not alias another session).
+fn session_id(body: &Json) -> Result<SessionId, (u16, String)> {
+    body.get("session")
+        .and_then(Json::as_u64)
+        .map(SessionId)
+        .ok_or_else(|| (400, "field 'session' must be a non-negative integer".to_owned()))
 }
 
 const VOCAB_MAGIC: &[u8; 8] = b"YASKVOC1";
@@ -1812,26 +1830,94 @@ mod tests {
         assert_eq!(exec.queries, 1, "second query must come from the cache");
     }
 
+    /// Past the TTL a session is gone without any sweep: a why-not on it
+    /// is 410, and that lookup expires the other idle sessions too.
     #[test]
     fn session_ttl_is_configurable() {
+        let s = ttl_service(Duration::from_millis(40));
+        assert_eq!(s.session_ttl(), Duration::from_millis(40));
+        let (asked, _) = tst_query(&s, 2);
+        let (_, _) = tst_query(&s, 2);
+        assert_eq!(s.session_count(), 2);
+        std::thread::sleep(Duration::from_millis(80));
+        let (status, _) = post(
+            &s,
+            "/whynot/explain",
+            Json::obj([
+                ("session", Json::Num(asked as f64)),
+                ("missing", Json::Arr(vec![Json::Num(1.0)])),
+            ]),
+        );
+        assert_eq!(status, 410);
+        assert_eq!(s.session_count(), 0, "the lookup expires every idle session");
+        let (_, _) = tst_query(&s, 2);
+        assert_eq!(s.session_count(), 1, "only the new session is left");
+        let (_, stats) = get(&s, "/stats");
+        let evicted = stats.get("sessions").unwrap().get("evicted").unwrap();
+        assert_eq!(evicted.get("ttl").unwrap().as_usize(), Some(2));
+        assert_eq!(evicted.get("cap").unwrap().as_usize(), Some(0));
+    }
+
+    /// A server taking only writes past the TTL: the first scrape
+    /// expires the session, so `/stats` counts neither it nor the
+    /// superseded epoch it pinned.
+    #[test]
+    fn expired_pins_drop_without_session_traffic() {
+        let s = ttl_service(Duration::from_millis(40));
+        let (_, _) = tst_query(&s, 2);
+        let ids: Vec<u32> = s.corpus().iter().map(|o| o.id.0).take(3).collect();
+        let (status, _) = delete(&s, &format!("/objects/{}", ids[0]));
+        assert_eq!(status, 200);
+        let (_, stats) = get(&s, "/stats");
+        assert_eq!(stats.get("sessions").unwrap().get("pinned_epochs").unwrap().as_usize(), Some(1));
+        std::thread::sleep(Duration::from_millis(80));
+        for id in &ids[1..] {
+            let (status, _) = delete(&s, &format!("/objects/{id}"));
+            assert_eq!(status, 200);
+        }
+        let (_, stats) = get(&s, "/stats");
+        let sessions = stats.get("sessions").unwrap();
+        assert_eq!(sessions.get("live").unwrap().as_usize(), Some(0));
+        assert_eq!(sessions.get("pinned_epochs").unwrap().as_usize(), Some(0));
+        assert_eq!(sessions.get("evicted").unwrap().get("ttl").unwrap().as_usize(), Some(1));
+        let (_, health) = get(&s, "/health");
+        assert_eq!(health.get("sessions").unwrap().as_usize(), Some(0));
+    }
+
+    fn ttl_service(ttl: Duration) -> YaskService {
         let (corpus, vocab) = yask_data::hk_hotels();
-        let s = YaskService::with_config(
+        YaskService::with_config(
             corpus,
             vocab,
             ServiceConfig {
                 exec: ExecConfig { shards: 1, ..ExecConfig::default() },
-                session_ttl: Duration::from_millis(40),
+                session_ttl: ttl,
                 ..ServiceConfig::default()
             },
-        );
-        assert_eq!(s.session_ttl(), Duration::from_millis(40));
-        let (_, _) = tst_query(&s, 2);
-        assert_eq!(s.session_count(), 1);
-        std::thread::sleep(Duration::from_millis(80));
-        // The next request sweeps the expired session.
-        let (status, _) = get(&s, "/health");
-        assert_eq!(status, 200);
-        assert_eq!(s.session_count(), 0);
+        )
+    }
+
+    /// A session id is a non-negative integer: `1.9` must not address
+    /// `s1`, nor `-1` saturate to `s0`.
+    #[test]
+    fn session_ids_must_be_non_negative_integers() {
+        let s = service();
+        let (session, _) = tst_query(&s, 3);
+        assert_eq!(session, 1);
+        for bad in [Json::Num(1.9), Json::Num(-1.0), Json::str("1")] {
+            let (status, body) = post(
+                &s,
+                "/whynot/explain",
+                Json::obj([
+                    ("session", bad.clone()),
+                    ("missing", Json::Arr(vec![Json::Num(1.0)])),
+                ]),
+            );
+            assert_eq!(status, 400, "explain with session {bad}: {body}");
+            let (status, body) = post(&s, "/session/close", Json::obj([("session", bad.clone())]));
+            assert_eq!(status, 400, "close with session {bad}: {body}");
+        }
+        assert_eq!(s.session_count(), 1, "no malformed id closed the session");
     }
 
     #[test]

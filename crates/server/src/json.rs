@@ -63,6 +63,17 @@ impl Json {
         }
     }
 
+    /// Non-negative integer accessor for ids that outgrow `u32`: any
+    /// integral value up to 2^53, the largest an `f64` holds exactly.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= (1u64 << 53) as f64 => {
+                Some(*v as u64)
+            }
+            _ => None,
+        }
+    }
+
     /// String accessor.
     pub fn as_str(&self) -> Option<&str> {
         match self {

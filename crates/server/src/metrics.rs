@@ -18,6 +18,7 @@
 //! surfaces sample by sample and pins the one-sided samples to an
 //! explicit list, so a one-sided addition is a visible decision.
 
+use yask_core::Evictions;
 use yask_data::DatasetStats;
 use yask_exec::{AdmissionSnapshot, CacheSnapshot, ExecSnapshot, ShardSnapshot};
 use yask_index::CopyStats;
@@ -48,6 +49,7 @@ pub(crate) struct Observed {
     pub coalesce_batches: u64,
     pub sessions_live: usize,
     pub sessions_pinned: usize,
+    pub sessions_evicted: Evictions,
     pub traces_recorded: u64,
     pub uptime_seconds: f64,
 }
@@ -291,6 +293,8 @@ pub(crate) fn describe(o: &Observed) -> Samples {
     // -- sessions / traces / build
     s.gauge("sessions.live", "yask_sessions_live", "Live why-not sessions", o.sessions_live as f64);
     s.gauge("sessions.pinned_epochs", "yask_sessions_pinned_epochs", "Sessions still answering against a superseded epoch", o.sessions_pinned as f64);
+    let evicted = |reason: &str, n: u64| (format!("sessions.evicted.{reason}"), label("reason", reason), Num(n as f64));
+    s.family("yask_sessions_evicted_total", Counter, "Why-not sessions the store evicted, by reason", [evicted("ttl", o.sessions_evicted.ttl), evicted("cap", o.sessions_evicted.cap)]);
     s.counter("traces_recorded", "yask_traces_recorded_total", "Query traces recorded into the ring", o.traces_recorded);
     s.gauge("uptime_seconds", "yask_uptime_seconds", "Seconds since the service started (monotonic clock)", o.uptime_seconds);
     s.family("yask_build_info", Gauge, "Build metadata carried as labels; the value is always 1", [(String::new(), label("version", env!("CARGO_PKG_VERSION")), Num(1.0))]);
@@ -433,7 +437,8 @@ mod tests {
 
     /// Every `/stats` path with its JSON type, captured from the parent
     /// of the commit that introduced [`describe`] (a WAL-backed, paged,
-    /// observatory-on service after a query, an explain and an insert).
+    /// observatory-on service after a query, an explain and an insert),
+    /// plus the `sessions.evicted` block added since: 118 paths.
     /// Paths may be added, never removed or retyped: yaskbench and
     /// dashboards read them.
     const GOLDEN_STATS: &[(&str, &str)] = &[
@@ -550,12 +555,16 @@ mod tests {
         ("max_doc", "num"),
         ("objects", "num"),
         ("sessions", "obj"),
+        ("sessions.evicted", "obj"),
+        ("sessions.evicted.cap", "num"),
+        ("sessions.evicted.ttl", "num"),
         ("sessions.live", "num"),
         ("sessions.pinned_epochs", "num"),
     ];
 
     /// Every `/metrics` family with its type, label keys and help string,
-    /// captured from the same run. Additions allowed, changes not.
+    /// captured from the same run, plus `yask_sessions_evicted_total`:
+    /// 81 families. Additions allowed, changes not.
     const GOLDEN_FAMILIES: &[(&str, &str, &[&str], &str)] = &[
         ("yask_build_info", "gauge", &["version"], "Build metadata carried as labels; the value is always 1"),
         ("yask_cache_entries", "gauge", &["cache"], "Live answer cache entries by cache"),
@@ -608,6 +617,7 @@ mod tests {
         ("yask_route_rate", "gauge", &["route", "window"], "Windowed request rate per route (events per second)"),
         ("yask_scan_fallbacks_total", "counter", &[], "Top-k answered by the exact scan because a shard reply went missing"),
         ("yask_scatter_queries_total", "counter", &[], "Queries computed by scatter-gather across shards"),
+        ("yask_sessions_evicted_total", "counter", &["reason"], "Why-not sessions the store evicted, by reason"),
         ("yask_sessions_live", "gauge", &[], "Live why-not sessions"),
         ("yask_sessions_pinned_epochs", "gauge", &[], "Sessions still answering against a superseded epoch"),
         ("yask_shard_deletes_total", "counter", &["shard"], "Deletes routed per shard"),
@@ -874,6 +884,7 @@ mod tests {
         assert_eq!(one_sided, declared);
 
         // (c) the golden surface is a subset of what is rendered.
+        assert_eq!((GOLDEN_STATS.len(), GOLDEN_FAMILIES.len()), (118, 81));
         for (path, kind) in GOLDEN_STATS {
             let got = at(&stats, path).unwrap_or_else(|| panic!("/stats lost {path}"));
             assert_eq!(json_type(got), *kind, "/stats {path}");

@@ -179,7 +179,7 @@ proptest! {
         let mut ids = Vec::new();
         for &create in &ops {
             if create || ids.is_empty() {
-                ids.push(store.create(q.clone(), vec![]));
+                ids.push(store.create(q.clone()));
             } else {
                 let id = ids.pop().unwrap();
                 prop_assert!(store.remove(id));
