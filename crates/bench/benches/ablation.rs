@@ -16,7 +16,7 @@ use std::time::Duration;
 use yask_bench::std_corpus;
 use yask_core::keyword::{refine_keywords_with, KeywordOptions};
 use yask_data::{gen_queries, gen_selective_queries, pick_missing};
-use yask_index::{KcRTree, RTreeParams, SetRTree};
+use yask_index::{RTree, RTreeParams};
 use yask_query::{topk_tree, IncrementalSearch, ScoreParams};
 
 fn bench_fanout(c: &mut Criterion) {
@@ -27,7 +27,7 @@ fn bench_fanout(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_fanout");
     g.sample_size(15).measurement_time(Duration::from_secs(3));
     for (max, min) in [(8usize, 3usize), (16, 6), (32, 12), (64, 25)] {
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(max, min));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(max, min));
         g.bench_with_input(BenchmarkId::new("query", max), &max, |b, _| {
             b.iter(|| {
                 for q in &queries {
@@ -42,7 +42,7 @@ fn bench_fanout(c: &mut Criterion) {
 fn bench_bound_depth(c: &mut Criterion) {
     let corpus = std_corpus(8_000);
     let params = ScoreParams::new(corpus.space());
-    let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let q = &gen_queries(&corpus, 1, 3, 5, 23)[0];
     let missing = pick_missing(&corpus, &params, q, 1, 4);
 
@@ -67,7 +67,7 @@ fn bench_bound_depth(c: &mut Criterion) {
 fn bench_threshold_pruning(c: &mut Criterion) {
     let corpus = std_corpus(20_000);
     let params = ScoreParams::new(corpus.space());
-    let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let queries = gen_selective_queries(&corpus, 8, 3, 10, 29);
 
     let mut g = c.benchmark_group("ablation_threshold_pruning");

@@ -1,12 +1,12 @@
 //! Criterion bench for the index-construction side of experiment E4:
-//! bulk-load cost of each augmented tree variant.
+//! bulk-load cost of the KcR-tree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
 
 use yask_bench::std_corpus;
-use yask_index::{IrTree, KcRTree, PlainRTree, RTreeParams, SetRTree};
+use yask_index::{RTree, RTreeParams};
 
 fn bench_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("e4_index_build");
@@ -15,17 +15,8 @@ fn bench_build(c: &mut Criterion) {
         let corpus = std_corpus(n);
         g.throughput(Throughput::Elements(n as u64));
         let tp = RTreeParams::default();
-        g.bench_with_input(BenchmarkId::new("plain", n), &n, |b, _| {
-            b.iter(|| black_box(PlainRTree::bulk_load(corpus.clone(), tp)))
-        });
-        g.bench_with_input(BenchmarkId::new("setr", n), &n, |b, _| {
-            b.iter(|| black_box(SetRTree::bulk_load(corpus.clone(), tp)))
-        });
         g.bench_with_input(BenchmarkId::new("kcr", n), &n, |b, _| {
-            b.iter(|| black_box(KcRTree::bulk_load(corpus.clone(), tp)))
-        });
-        g.bench_with_input(BenchmarkId::new("ir", n), &n, |b, _| {
-            b.iter(|| black_box(IrTree::bulk_load(corpus.clone(), tp)))
+            b.iter(|| black_box(RTree::bulk_load(corpus.clone(), tp)))
         });
     }
     g.finish();

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use yask_bench::{fmt_us, print_table, std_corpus};
 use yask_geo::{Point, Rect};
-use yask_index::{KcRTree, RTreeParams};
+use yask_index::{RTree, RTreeParams};
 use yask_util::{Summary, Xoshiro256};
 
 fn scan_workload(reps: usize, seed: u64) -> Vec<(Rect, Point)> {
@@ -36,7 +36,7 @@ fn scan_workload(reps: usize, seed: u64) -> Vec<(Rect, Point)> {
         .collect()
 }
 
-fn measure(tree: &KcRTree, probes: &[(Rect, Point)]) -> (Summary, Summary) {
+fn measure(tree: &RTree, probes: &[(Rect, Point)]) -> (Summary, Summary) {
     let mut range_lat = Summary::new();
     let mut nn_lat = Summary::new();
     for (rect, p) in probes {
@@ -63,7 +63,7 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for n in sizes {
         let corpus = std_corpus(n);
-        let tree = KcRTree::bulk_load(corpus.clone(), params);
+        let tree = RTree::bulk_load(corpus.clone(), params);
         let (range_lat, nn_lat) = measure(&tree, &probes);
         rows.push(vec![
             format!("bulk/n={n}"),

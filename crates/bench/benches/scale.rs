@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use yask_bench::std_corpus;
 use yask_data::gen_selective_queries;
-use yask_index::{RTreeParams, SetRTree};
+use yask_index::{RTree, RTreeParams};
 use yask_query::{topk_tree, ScoreParams};
 
 fn bench_scale(c: &mut Criterion) {
@@ -15,7 +15,7 @@ fn bench_scale(c: &mut Criterion) {
     for n in [5_000usize, 20_000, 50_000] {
         let corpus = std_corpus(n);
         let params = ScoreParams::new(corpus.space());
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::default());
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
         let queries = gen_selective_queries(&corpus, 8, 3, 10, 13);
         g.throughput(Throughput::Elements(queries.len() as u64));
         g.bench_with_input(BenchmarkId::new("query", n), &n, |b, _| {

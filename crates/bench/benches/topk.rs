@@ -1,5 +1,6 @@
 //! Criterion benches for experiments E2 (top-k vs k), E3 (vs |q.doc|)
-//! and E5 (engine comparison). The `experiments` binary prints the
+//! and E5 (engine comparison: the one tree under its SetR-tree and
+//! IR-tree bound views). The `experiments` binary prints the
 //! corresponding paper-style tables; these benches track regressions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -8,15 +9,15 @@ use std::time::Duration;
 
 use yask_bench::std_corpus;
 use yask_data::gen_selective_queries;
-use yask_index::{IrTree, KcRTree, RTreeParams, SetRTree};
-use yask_query::{topk_scan, topk_tree, ScoreParams};
+use yask_index::{RTree, RTreeParams, TextStats};
+use yask_query::{topk_scan, topk_tree, topk_tree_with_view, ScoreParams};
 
 const N: usize = 20_000;
 
 fn bench_topk_vs_k(c: &mut Criterion) {
     let corpus = std_corpus(N);
     let params = ScoreParams::new(corpus.space());
-    let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let queries = gen_selective_queries(&corpus, 8, 3, 1, 7);
 
     let mut g = c.benchmark_group("e2_topk_vs_k");
@@ -43,7 +44,7 @@ fn bench_topk_vs_k(c: &mut Criterion) {
 fn bench_topk_vs_doc(c: &mut Criterion) {
     let corpus = std_corpus(N);
     let params = ScoreParams::new(corpus.space());
-    let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
 
     let mut g = c.benchmark_group("e3_topk_vs_doc");
     g.sample_size(20).measurement_time(Duration::from_secs(3));
@@ -63,10 +64,7 @@ fn bench_topk_vs_doc(c: &mut Criterion) {
 fn bench_engines(c: &mut Criterion) {
     let corpus = std_corpus(N);
     let params = ScoreParams::new(corpus.space());
-    let tp = RTreeParams::default();
-    let set = SetRTree::bulk_load(corpus.clone(), tp);
-    let kc = KcRTree::bulk_load(corpus.clone(), tp);
-    let ir = IrTree::bulk_load(corpus.clone(), tp);
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let queries = gen_selective_queries(&corpus, 8, 3, 10, 17);
 
     let mut g = c.benchmark_group("e5_engines");
@@ -74,21 +72,26 @@ fn bench_engines(c: &mut Criterion) {
     g.bench_function("setr", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(topk_tree(&set, &params, q));
+                black_box(topk_tree(&tree, &params, q));
             }
         })
     });
     g.bench_function("kcr", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(topk_tree(&kc, &params, q));
+                black_box(topk_tree(&tree, &params, q));
             }
         })
     });
     g.bench_function("ir", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(topk_tree(&ir, &params, q));
+                black_box(topk_tree_with_view(
+                    &tree,
+                    &params,
+                    q,
+                    TextStats::without_intersection,
+                ));
             }
         })
     });

@@ -8,13 +8,13 @@ use std::time::Duration;
 use yask_bench::std_corpus;
 use yask_core::{refine_keywords, refine_keywords_naive};
 use yask_data::{gen_queries, pick_missing};
-use yask_index::{KcRTree, RTreeParams};
+use yask_index::{RTree, RTreeParams};
 use yask_query::ScoreParams;
 
 fn bench_kw(c: &mut Criterion) {
     let corpus = std_corpus(8_000);
     let params = ScoreParams::new(corpus.space());
-    let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
 
     let mut g = c.benchmark_group("e8_keyword");
     g.sample_size(10).measurement_time(Duration::from_secs(3));

@@ -20,9 +20,9 @@ use yask_core::{
 };
 use yask_data::{gen_queries, gen_selective_queries, hk_hotels, pick_missing, DatasetStats};
 use yask_geo::Point;
-use yask_index::{IrTree, KcRTree, ObjectId, PlainRTree, RTreeParams, SetRTree};
+use yask_index::{ObjectId, RTree, RTreeParams, TextStats};
 use yask_query::{
-    topk_scan, topk_tree, topk_tree_with_stats, Query, ScoreParams, Weights,
+    topk_scan, topk_tree, topk_tree_with_stats, topk_tree_with_view, Query, ScoreParams,
 };
 use yask_server::{http_post, HttpServer, Json, YaskService};
 use yask_text::KeywordSet;
@@ -108,7 +108,7 @@ fn main() {
 fn e16_similarity_models(cfg: &Config) {
     use yask_text::SimilarityModel;
     let corpus = std_corpus(cfg.n);
-    let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let queries = gen_selective_queries(&corpus, 20, 3, 10, 47);
     let jaccard = ScoreParams::new(corpus.space());
     let jaccard_results: Vec<Vec<ObjectId>> = queries
@@ -153,7 +153,7 @@ fn e16_similarity_models(cfg: &Config) {
 fn e14_combined(cfg: &Config) {
     let corpus = std_corpus(cfg.n_naive * 2);
     let params = ScoreParams::new(corpus.space());
-    let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let queries = gen_queries(&corpus, 20, 2, 5, 37);
     let mut rows = Vec::new();
     for lambda in [0.3, 0.5, 0.7] {
@@ -209,7 +209,7 @@ fn e15_ablation(cfg: &Config) {
     let queries = gen_selective_queries(&corpus, 20, 3, 10, 41);
     let mut rows = Vec::new();
     for (max, min) in [(8usize, 3usize), (16, 6), (32, 12), (64, 25)] {
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(max, min));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(max, min));
         let mut t = time_us(cfg.reps, || {
             for q in &queries {
                 std::hint::black_box(topk_tree(&tree, &params, q));
@@ -227,14 +227,14 @@ fn e15_ablation(cfg: &Config) {
         ]);
     }
     print_table(
-        &format!("E15a — fanout ablation (SetR-tree, N = {}, k = 10)", cfg.n),
+        &format!("E15a — fanout ablation (KcR-tree, N = {}, k = 10)", cfg.n),
         &["fanout", "query", "nodes expanded", "total nodes"],
         &rows,
     );
 
     let small = std_corpus(cfg.n_naive * 4);
     let small_params = ScoreParams::new(small.space());
-    let tree = KcRTree::bulk_load(small.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(small.clone(), RTreeParams::default());
     let q = &gen_queries(&small, 1, 3, 5, 43)[0];
     let missing = pick_missing(&small, &small_params, q, 1, 4);
     let mut rows = Vec::new();
@@ -298,10 +298,10 @@ fn fig2() {
     b.push(Point::new(0.14, 0.50), ks(&[restaurant]), "o3");
     b.push(Point::new(0.80, 0.20), ks(&[spanish, restaurant]), "o4");
     b.push(Point::new(0.82, 0.40), ks(&[spanish, restaurant]), "o5");
-    let tree = KcRTree::bulk_load(b.build(), RTreeParams::new(4, 2));
+    let tree = RTree::bulk_load(b.build(), RTreeParams::new(4, 2));
 
     let mut rows = Vec::new();
-    let render = |node: &yask_index::Node<yask_index::KcAug>, name: &str, rows: &mut Vec<Vec<String>>| {
+    let render = |node: &yask_index::Node, name: &str, rows: &mut Vec<Vec<String>>| {
         let aug = node.aug();
         let mut kws: Vec<String> = aug
             .counts()
@@ -329,7 +329,7 @@ fn fig2() {
 fn e2_topk_vs_k(cfg: &Config) {
     let corpus = std_corpus(cfg.n);
     let params = ScoreParams::new(corpus.space());
-    let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let selective = gen_selective_queries(&corpus, 20, 3, 1, 7);
     let common = gen_queries(&corpus, 20, 3, 1, 7);
     let mut rows = Vec::new();
@@ -367,7 +367,7 @@ fn e2_topk_vs_k(cfg: &Config) {
 fn e3_topk_vs_doc(cfg: &Config) {
     let corpus = std_corpus(cfg.n);
     let params = ScoreParams::new(corpus.space());
-    let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let mut rows = Vec::new();
     for doc_len in 1usize..=5 {
         let queries = gen_selective_queries(&corpus, 20, doc_len, 10, 11);
@@ -388,7 +388,7 @@ fn e3_topk_vs_doc(cfg: &Config) {
     }
     print_table(
         &format!("E3 — top-k latency vs |q.doc| (N = {}, k = 10)", cfg.n),
-        &["|q.doc|", "SetR-tree", "nodes expanded"],
+        &["|q.doc|", "KcR-tree", "nodes expanded"],
         &rows,
     );
 }
@@ -405,7 +405,7 @@ fn e4_scalability(cfg: &Config) {
         let corpus = std_corpus(n);
         let params = ScoreParams::new(corpus.space());
         let t0 = std::time::Instant::now();
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::default());
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
         let build_ms = t0.elapsed().as_secs_f64() * 1e3;
         let queries = gen_selective_queries(&corpus, 20, 3, 10, 13);
         let mut t = time_us(cfg.reps, || {
@@ -423,48 +423,45 @@ fn e4_scalability(cfg: &Config) {
         ]);
     }
     print_table(
-        "E4 — scalability vs N (SetR-tree, k = 10, |q.doc| = 3)",
+        "E4 — scalability vs N (KcR-tree, k = 10, |q.doc| = 3)",
         &["N", "build", "query", "nodes", "leaf fill"],
         &rows,
     );
 }
 
-/// E5: engine comparison (bound tightness in action).
+/// E5: engine comparison (bound tightness in action). One tree serves
+/// every row: its keyword counts give the SetR-tree's bound as is (so the
+/// SetR-tree and KcR-tree rows run the same search), and the IR-tree's
+/// bound is the same stats seen without the intersection side.
 fn e5_engines(cfg: &Config) {
     let corpus = std_corpus(cfg.n);
     let params = ScoreParams::new(corpus.space());
-    let tp = RTreeParams::default();
-    let set = SetRTree::bulk_load(corpus.clone(), tp);
-    let kc = KcRTree::bulk_load(corpus.clone(), tp);
-    let ir = IrTree::bulk_load(corpus.clone(), tp);
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let queries = gen_selective_queries(&corpus, 20, 3, 10, 17);
     let per = queries.len() as f64;
 
     let mut rows = Vec::new();
-    macro_rules! engine_row {
-        ($name:literal, $run:expr, $stats:expr) => {{
-            let mut t = time_us(cfg.reps, || {
-                for q in &queries {
-                    std::hint::black_box($run(q));
-                }
-            });
-            let nodes: usize = queries.iter().map($stats).sum();
-            rows.push(vec![
-                $name.to_string(),
-                fmt_us(t.median() / per),
-                format!("{:.1}", nodes as f64 / per),
-            ]);
-        }};
+    let identity: fn(TextStats) -> TextStats = std::convert::identity;
+    for (name, view) in [
+        ("SetR-tree", identity),
+        ("KcR-tree", identity),
+        ("IR-tree", TextStats::without_intersection),
+    ] {
+        let mut t = time_us(cfg.reps, || {
+            for q in &queries {
+                std::hint::black_box(topk_tree_with_view(&tree, &params, q, view));
+            }
+        });
+        let nodes: usize = queries
+            .iter()
+            .map(|q| topk_tree_with_view(&tree, &params, q, view).1.nodes_expanded)
+            .sum();
+        rows.push(vec![
+            name.to_string(),
+            fmt_us(t.median() / per),
+            format!("{:.1}", nodes as f64 / per),
+        ]);
     }
-    engine_row!("SetR-tree", |q: &Query| topk_tree(&set, &params, q), |q: &Query| {
-        topk_tree_with_stats(&set, &params, q).1.nodes_expanded
-    });
-    engine_row!("KcR-tree", |q: &Query| topk_tree(&kc, &params, q), |q: &Query| {
-        topk_tree_with_stats(&kc, &params, q).1.nodes_expanded
-    });
-    engine_row!("IR-tree", |q: &Query| topk_tree(&ir, &params, q), |q: &Query| {
-        topk_tree_with_stats(&ir, &params, q).1.nodes_expanded
-    });
     {
         let mut t = time_us(cfg.reps, || {
             for q in &queries {
@@ -570,7 +567,7 @@ fn e7_pref_lambda() {
 fn e8_keyword_performance(cfg: &Config) {
     let corpus = std_corpus(cfg.n_naive * 4);
     let params = ScoreParams::new(corpus.space());
-    let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let mut rows = Vec::new();
     for doc_len in [2usize, 3, 4] {
         let q = &gen_queries(&corpus, 1, doc_len, 5, 23)[0];
@@ -608,7 +605,7 @@ fn e8_keyword_performance(cfg: &Config) {
 fn e9_keyword_lambda() {
     let (corpus, vocab) = hk_hotels();
     let params = ScoreParams::new(corpus.space());
-    let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let doc = KeywordSet::from_ids(
         ["clean", "comfortable"].iter().map(|w| vocab.lookup(w).unwrap()),
     );
@@ -789,11 +786,4 @@ fn e13_dataset() {
         &["dataset", "objects", "vocab", "avg |doc|", "|doc| range", "extent"],
         &[row("HK-539 (booking.com stand-in)", &hk), row("synthetic-20k", &syn)],
     );
-}
-
-// Silence the "unused" lint for engines only exercised in some configs.
-#[allow(dead_code)]
-fn _typecheck_helpers(corpus: yask_index::Corpus) {
-    let _ = PlainRTree::bulk_load(corpus, RTreeParams::default());
-    let _ = Weights::balanced();
 }

@@ -21,7 +21,7 @@
 //! reported alongside them and [`CombinedRefinement::order`] records
 //! which chaining won.
 
-use yask_index::{Corpus, KcRTree, ObjectId};
+use yask_index::{Corpus, ObjectId, RTree};
 use yask_query::{ranks_of_scan, Query, ScoreParams};
 
 use crate::common::build_context;
@@ -58,14 +58,14 @@ pub trait RefinementEngine {
 /// The single-tree [`RefinementEngine`]: both models against one KcR-tree
 /// (keyword adaptation) and its corpus (preference adjustment).
 pub struct TreeRefinementEngine<'a> {
-    tree: &'a KcRTree,
+    tree: &'a RTree,
     params: ScoreParams,
     opts: KeywordOptions,
 }
 
 impl<'a> TreeRefinementEngine<'a> {
     /// Wraps a tree with the engine's scoring and keyword-search options.
-    pub fn new(tree: &'a KcRTree, params: ScoreParams, opts: KeywordOptions) -> Self {
+    pub fn new(tree: &'a RTree, params: ScoreParams, opts: KeywordOptions) -> Self {
         TreeRefinementEngine { tree, params, opts }
     }
 }
@@ -130,7 +130,7 @@ pub struct CombinedRefinement {
 
 /// Runs both chaining orders and returns the lower-penalty combination.
 pub fn refine_combined(
-    tree: &KcRTree,
+    tree: &RTree,
     params: &ScoreParams,
     query: &Query,
     missing: &[ObjectId],
@@ -141,7 +141,7 @@ pub fn refine_combined(
 
 /// [`refine_combined`] with explicit keyword-search options.
 pub fn refine_combined_with(
-    tree: &KcRTree,
+    tree: &RTree,
     params: &ScoreParams,
     query: &Query,
     missing: &[ObjectId],
@@ -293,10 +293,10 @@ mod tests {
         b.build()
     }
 
-    fn scenario(seed: u64) -> (Corpus, ScoreParams, KcRTree, Query, Vec<ObjectId>) {
+    fn scenario(seed: u64) -> (Corpus, ScoreParams, RTree, Query, Vec<ObjectId>) {
         let corpus = random_corpus(300, seed);
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.4, 0.4), ks(&[1, 2]), 5);
         let all = topk_scan(&corpus, &params, &q.with_k(corpus.len()));
         let missing = vec![all[q.k + 4].id];

@@ -5,7 +5,7 @@
 //! (explanation generator, preference adjustment, keyword adaptation),
 //! sharing a single KcR-tree index over the corpus.
 
-use yask_index::{Corpus, KcRTree, ObjectId, RTreeParams};
+use yask_index::{Corpus, ObjectId, RTree, RTreeParams};
 use yask_query::{topk_tree, Query, RankedObject, ScoreParams};
 use yask_text::SimilarityModel;
 
@@ -89,7 +89,7 @@ impl WhyNotAnswer {
 
 /// The YASK engine.
 pub struct Yask {
-    tree: KcRTree,
+    tree: RTree,
     params: ScoreParams,
     config: YaskConfig,
 }
@@ -99,7 +99,7 @@ impl Yask {
     pub fn new(corpus: Corpus, config: YaskConfig) -> Self {
         let params = ScoreParams::new(corpus.space()).with_model(config.model);
         Yask {
-            tree: KcRTree::bulk_load(corpus, config.tree_params),
+            tree: RTree::bulk_load(corpus, config.tree_params),
             params,
             config,
         }
@@ -113,7 +113,7 @@ impl Yask {
     /// Wraps an already-built KcR-tree — the ingest path's constructor:
     /// applying a write batch clones the previous epoch's tree, mutates it
     /// incrementally, and republishes it here without a bulk load.
-    pub fn from_tree(tree: KcRTree, config: YaskConfig) -> Self {
+    pub fn from_tree(tree: RTree, config: YaskConfig) -> Self {
         let params = ScoreParams::new(tree.corpus().space()).with_model(config.model);
         Yask {
             tree,
@@ -133,7 +133,7 @@ impl Yask {
     }
 
     /// The shared KcR-tree.
-    pub fn tree(&self) -> &KcRTree {
+    pub fn tree(&self) -> &RTree {
         &self.tree
     }
 

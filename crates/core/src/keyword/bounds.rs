@@ -18,7 +18,7 @@
 //!   off at a depth limit in [`RankEvaluator::outrank_bounds`], which
 //!   returns an interval used for pruning candidates cheaply.
 
-use yask_index::{KcRTree, NodeKind, ObjectId};
+use yask_index::{NodeKind, ObjectId, RTree};
 use yask_query::{Query, ScoreParams};
 use yask_text::KeywordSet;
 
@@ -60,7 +60,7 @@ impl OutrankGate for NoGate {
 /// Shared state for rank computations against one KcR-tree.
 pub struct RankEvaluator<'a> {
     /// The tree to count ranks in (the global tree, or one shard's).
-    pub tree: &'a KcRTree,
+    pub tree: &'a RTree,
     /// The engine's scoring configuration.
     pub params: &'a ScoreParams,
 }
@@ -74,7 +74,7 @@ enum NodeVerdict {
 impl<'a> RankEvaluator<'a> {
     fn classify(
         &self,
-        node: &yask_index::Node<yask_index::KcAug>,
+        node: &yask_index::Node,
         q: &Query,
         doc: &KeywordSet,
         s_m: f64,
@@ -94,7 +94,7 @@ impl<'a> RankEvaluator<'a> {
     /// possibly outrank `s_m`, refined with the keyword-count map.
     fn uncertain_upper(
         &self,
-        node: &yask_index::Node<yask_index::KcAug>,
+        node: &yask_index::Node,
         q: &Query,
         doc: &KeywordSet,
         s_m: f64,
@@ -296,7 +296,7 @@ mod tests {
     fn exact_count_matches_scan_oracle() {
         let corpus = random_corpus(300, 20, 31);
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let ev = RankEvaluator {
             tree: &tree,
             params: &params,
@@ -324,7 +324,7 @@ mod tests {
     fn bounds_bracket_exact_at_every_depth() {
         let corpus = random_corpus(250, 15, 33);
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let ev = RankEvaluator {
             tree: &tree,
             params: &params,
@@ -353,7 +353,7 @@ mod tests {
     fn deep_bounds_converge_to_exact() {
         let corpus = random_corpus(150, 10, 34);
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let ev = RankEvaluator {
             tree: &tree,
             params: &params,
@@ -374,7 +374,7 @@ mod tests {
     fn empty_tree_counts_zero() {
         let corpus = CorpusBuilder::new().build();
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus, RTreeParams::default());
+        let tree = RTree::bulk_load(corpus, RTreeParams::default());
         let ev = RankEvaluator {
             tree: &tree,
             params: &params,

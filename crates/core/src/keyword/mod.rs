@@ -22,7 +22,7 @@
 pub mod bounds;
 pub(crate) mod candidates;
 
-use yask_index::{Corpus, KcRTree, ObjectId};
+use yask_index::{Corpus, ObjectId, RTree};
 use yask_query::{Query, ScoreParams};
 use yask_text::KeywordSet;
 
@@ -138,7 +138,7 @@ impl OutrankRequest<'_> {
 
 /// Optimized keyword adaptation over a KcR-tree (see module docs).
 pub fn refine_keywords(
-    tree: &KcRTree,
+    tree: &RTree,
     params: &ScoreParams,
     query: &Query,
     missing: &[ObjectId],
@@ -149,7 +149,7 @@ pub fn refine_keywords(
 
 /// [`refine_keywords`] with explicit options.
 pub fn refine_keywords_with(
-    tree: &KcRTree,
+    tree: &RTree,
     params: &ScoreParams,
     query: &Query,
     missing: &[ObjectId],
@@ -377,7 +377,7 @@ mod tests {
     fn refinement_revives_missing_objects() {
         let corpus = random_corpus(200, 15, 41);
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.3, 0.3), ks(&[1, 2]), 5);
         let missing = pick_missing(&corpus, &params, &q, 2);
         let r = refine_keywords(&tree, &params, &q, &missing, 0.5).unwrap();
@@ -400,7 +400,7 @@ mod tests {
         for seed in 0..6 {
             let corpus = random_corpus(120, 10, 50 + seed);
             let params = ScoreParams::new(corpus.space());
-            let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+            let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
             let q = Query::new(Point::new(0.6, 0.4), ks(&[1, 3]), 4);
             let missing = pick_missing(&corpus, &params, &q, 1);
             for lambda in [0.2, 0.5, 0.8] {
@@ -423,7 +423,7 @@ mod tests {
     fn pruning_actually_prunes() {
         let corpus = random_corpus(400, 12, 60);
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.5, 0.5), ks(&[2, 4, 6]), 5);
         let missing = pick_missing(&corpus, &params, &q, 1);
         let r = refine_keywords(&tree, &params, &q, &missing, 0.5).unwrap();
@@ -450,7 +450,7 @@ mod tests {
         b.push(Point::new(0.0, 0.0), ks(&[5]), "target"); // best spot, keyword 5
         let corpus = b.build();
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let q = Query::new(Point::new(0.0, 0.0), ks(&[1]), 2);
         let r = refine_keywords(&tree, &params, &q, &[ObjectId(2)], 0.5).unwrap();
         // Swapping keyword 1 → 5 (or adding 5) revives the target within
@@ -464,7 +464,7 @@ mod tests {
     fn budget_truncation_is_flagged() {
         let corpus = random_corpus(60, 8, 61);
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let q = Query::new(Point::new(0.5, 0.5), ks(&[1, 2]), 3);
         let missing = pick_missing(&corpus, &params, &q, 1);
         // Budget 1 evaluates exactly the Δdoc = 0 candidate and must flag
@@ -497,7 +497,7 @@ mod tests {
         // λ = 0 makes k changes free and edits costly: optimum is Δdoc = 0.
         let corpus = random_corpus(150, 10, 62);
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.2, 0.2), ks(&[1, 2]), 3);
         let missing = pick_missing(&corpus, &params, &q, 1);
         let r = refine_keywords(&tree, &params, &q, &missing, 0.0).unwrap();
@@ -511,7 +511,7 @@ mod tests {
     fn errors_propagate() {
         let corpus = random_corpus(50, 8, 63);
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let q = Query::new(Point::new(0.5, 0.5), ks(&[1]), 3);
         assert_eq!(
             refine_keywords(&tree, &params, &q, &[], 0.5).unwrap_err(),

@@ -25,7 +25,7 @@ pub mod segment;
 pub(crate) mod sweep;
 
 use yask_geo::{Point, Rect};
-use yask_index::{Corpus, CorpusBuilder, ObjectId, PlainRTree, RTreeParams};
+use yask_index::{Corpus, CorpusBuilder, ObjectId, RTree, RTreeParams};
 use yask_query::{ranks_of_scan, Query, ScoreParams, Weights};
 use yask_text::KeywordSet;
 
@@ -231,12 +231,13 @@ fn finalize(
     }
 }
 
-/// The paper's two-range-query filter: an R-tree over `(a_o, b_o)` points.
+/// The paper's two-range-query filter: an R-tree over `(a_o, b_o)` points
+/// with empty keyword sets (only its spatial range query runs).
 /// A segment crosses `m`'s segment inside `(0, 1)` iff its point lies in
 /// one of the two open quadrants "textually better & spatially worse" /
 /// "textually worse & spatially better" relative to `(a_m, b_m)`.
 struct RangeFilter {
-    tree: PlainRTree,
+    tree: RTree,
 }
 
 impl RangeFilter {
@@ -246,7 +247,7 @@ impl RangeFilter {
             b.push(Point::new(s.a, s.b), KeywordSet::empty(), "");
         }
         RangeFilter {
-            tree: PlainRTree::bulk_load(b.build(), RTreeParams::default()),
+            tree: RTree::bulk_load(b.build(), RTreeParams::default()),
         }
     }
 

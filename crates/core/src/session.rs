@@ -29,15 +29,15 @@
 //! is stale and skipped when popped; the FIFO is compacted once stale
 //! entries outnumber live sessions, so its length stays O(live).
 //!
-//! **Epoch pinning.** A session may carry an opaque *pin* — the layer
-//! above stores the engine-epoch handle its initial query ran against
-//! ([`SessionStore::create_pinned`]), so follow-up why-not questions keep
-//! answering over exactly that corpus version even after later deletes
-//! touch the cited objects. The pin is `Arc<dyn Any>` because this crate
-//! sits below the execution layer that owns the epoch type; dropping the
-//! session (give-up, TTL or cap eviction) releases the pinned epoch.
+//! **Epoch pinning.** Every session carries a *pin* of the store's type
+//! parameter `P`: the server's store is a `SessionStore<EngineHandle>`
+//! holding the engine epoch each initial query ran against, so follow-up
+//! why-not questions keep answering over exactly that corpus version even
+//! after later deletes touch the cited objects. The store is generic
+//! because this crate sits below the execution layer that owns the epoch
+//! type; dropping the session (give-up, TTL or cap eviction) drops its
+//! pin and so releases the pinned epoch.
 
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,25 +65,15 @@ impl std::fmt::Display for SessionId {
 }
 
 /// One cached initial query. Immutable once cached: the store hands out
-/// `Arc<Session>`, and keeps the last-touch time itself.
-pub struct Session {
+/// `Arc<Session<P>>`, and keeps the last-touch time itself.
+#[derive(Debug)]
+pub struct Session<P> {
     /// The session id.
     pub id: SessionId,
     /// The cached initial query.
     pub query: Query,
-    /// Opaque engine-epoch pin (see the module docs); `None` for
-    /// sessions that answer against the live engine.
-    pub pin: Option<Arc<dyn Any + Send + Sync>>,
-}
-
-impl std::fmt::Debug for Session {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Session")
-            .field("id", &self.id)
-            .field("query", &self.query)
-            .field("pinned", &self.pin.is_some())
-            .finish()
-    }
+    /// The engine epoch the query ran against (see the module docs).
+    pub pin: P,
 }
 
 /// Sessions the store dropped on its own, by reason (explicit removals
@@ -96,18 +86,18 @@ pub struct Evictions {
     pub cap: u64,
 }
 
-struct Entry {
-    session: Arc<Session>,
+struct Entry<P> {
+    session: Arc<Session<P>>,
     /// Last touch, in nanoseconds since the store's `origin`.
     touched: u64,
 }
 
-struct Inner {
+struct Inner<P> {
     /// Keyed by id. A B-tree, not a hash map: ids are handed out in
     /// increasing order and mostly leave oldest-first, so inserts land on
     /// the right edge and evictions empty whole leaves on the left, where
     /// an open-addressing table fills with tombstones and doubles.
-    map: BTreeMap<u64, Entry>,
+    map: BTreeMap<u64, Entry<P>>,
     /// `(touched, id)` in touch order; see the module docs.
     queue: VecDeque<(u64, u64)>,
     evicted: Evictions,
@@ -117,7 +107,7 @@ struct Inner {
     examined: u64,
 }
 
-impl Inner {
+impl<P> Inner<P> {
     fn pop_front(&mut self) -> Option<(u64, u64)> {
         #[cfg(test)]
         {
@@ -128,7 +118,7 @@ impl Inner {
 
     /// Removes the session a popped queue entry names, unless the entry
     /// is stale (the session was touched again, removed or evicted).
-    fn take_current(&mut self, (touched, id): (u64, u64)) -> Option<Arc<Session>> {
+    fn take_current(&mut self, (touched, id): (u64, u64)) -> Option<Arc<Session<P>>> {
         match self.map.get(&id) {
             Some(e) if e.touched == touched => self.map.remove(&id).map(|e| e.session),
             _ => None,
@@ -137,7 +127,7 @@ impl Inner {
 
     /// Pops the expired prefix of the queue into `dead`. Amortised O(1):
     /// each queue entry is popped once.
-    fn expire(&mut self, now: u64, ttl: u64, dead: &mut Vec<Arc<Session>>) {
+    fn expire(&mut self, now: u64, ttl: u64, dead: &mut Vec<Arc<Session<P>>>) {
         while self.queue.front().is_some_and(|&(touched, _)| now.saturating_sub(touched) >= ttl) {
             let entry = self.pop_front().expect("front exists");
             if let Some(session) = self.take_current(entry) {
@@ -149,7 +139,7 @@ impl Inner {
 
     /// Evicts least recently touched sessions into `dead` until one more
     /// fits under `cap`.
-    fn make_room(&mut self, cap: usize, dead: &mut Vec<Arc<Session>>) {
+    fn make_room(&mut self, cap: usize, dead: &mut Vec<Arc<Session<P>>>) {
         while self.map.len() >= cap {
             let Some(entry) = self.pop_front() else { break };
             if let Some(session) = self.take_current(entry) {
@@ -177,8 +167,8 @@ impl Inner {
 }
 
 /// Thread-safe session cache with TTL and count-cap (LRU) eviction.
-pub struct SessionStore {
-    inner: Mutex<Inner>,
+pub struct SessionStore<P> {
+    inner: Mutex<Inner<P>>,
     next_id: AtomicU64,
     /// Tick zero: times are stored as nanoseconds since this instant,
     /// half the bytes of an `Instant` in both the map and the queue.
@@ -188,7 +178,7 @@ pub struct SessionStore {
     max_sessions: usize,
 }
 
-impl SessionStore {
+impl<P> SessionStore<P> {
     /// Creates a store whose entries expire `ttl` after their last touch
     /// and which holds at most [`MAX_SESSIONS`] at a time.
     pub fn new(ttl: Duration) -> Self {
@@ -221,7 +211,7 @@ impl SessionStore {
     /// Callers declare `dead` before the guard, so evicted sessions —
     /// whose pins may hold the last reference to a whole epoch — drop
     /// after unlock.
-    fn lock_expired(&self, now: u64, dead: &mut Vec<Arc<Session>>) -> MutexGuard<'_, Inner> {
+    fn lock_expired(&self, now: u64, dead: &mut Vec<Arc<Session<P>>>) -> MutexGuard<'_, Inner<P>> {
         let mut inner = self.inner.lock();
         inner.expire(now, self.ttl, dead);
         inner
@@ -232,23 +222,13 @@ impl SessionStore {
         Duration::from_nanos(self.ttl)
     }
 
-    /// Caches an initial query; returns the session id.
-    pub fn create(&self, query: Query) -> SessionId {
-        self.create_at(query, None, Instant::now())
+    /// Caches an initial query with the engine epoch follow-up questions
+    /// answer against; returns the session id.
+    pub fn create(&self, query: Query, pin: P) -> SessionId {
+        self.create_at(query, pin, Instant::now())
     }
 
-    /// [`SessionStore::create`] pinning an opaque engine-epoch handle
-    /// that follow-up questions answer against.
-    pub fn create_pinned(&self, query: Query, pin: Arc<dyn Any + Send + Sync>) -> SessionId {
-        self.create_at(query, Some(pin), Instant::now())
-    }
-
-    fn create_at(
-        &self,
-        query: Query,
-        pin: Option<Arc<dyn Any + Send + Sync>>,
-        now: Instant,
-    ) -> SessionId {
+    fn create_at(&self, query: Query, pin: P, now: Instant) -> SessionId {
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let session = Arc::new(Session { id, query, pin });
         let now = self.tick(now);
@@ -265,7 +245,7 @@ impl SessionStore {
     /// one pass, so the two numbers of a scrape cannot disagree — e.g.
     /// "how many sessions pin an epoch older than the current one".
     /// O(live): meant for `/stats`-style scrapes, not request paths.
-    pub fn len_and_count_where(&self, pred: impl Fn(&Session) -> bool) -> (usize, usize) {
+    pub fn len_and_count_where(&self, pred: impl Fn(&Session<P>) -> bool) -> (usize, usize) {
         let mut dead = Vec::new();
         let inner = self.lock_expired(self.tick(Instant::now()), &mut dead);
         let matching = inner.map.values().filter(|e| pred(&e.session)).count();
@@ -279,11 +259,11 @@ impl SessionStore {
 
     /// Fetches (and touches) a session; `None` when it is unknown or has
     /// been idle for the TTL or longer.
-    pub fn get(&self, id: SessionId) -> Option<Arc<Session>> {
+    pub fn get(&self, id: SessionId) -> Option<Arc<Session<P>>> {
         self.get_at(id, Instant::now())
     }
 
-    fn get_at(&self, id: SessionId, now: Instant) -> Option<Arc<Session>> {
+    fn get_at(&self, id: SessionId, now: Instant) -> Option<Arc<Session<P>>> {
         let now = self.tick(now);
         let mut dead = Vec::new();
         let mut guard = self.lock_expired(now, &mut dead);
@@ -361,7 +341,7 @@ mod tests {
     #[test]
     fn create_get_remove_round_trip() {
         let store = SessionStore::new(Duration::from_secs(60));
-        let id = store.create(query());
+        let id = store.create(query(), ());
         assert_eq!(store.len(), 1);
         let s = store.get(id).unwrap();
         assert_eq!(s.id, id);
@@ -375,8 +355,8 @@ mod tests {
     #[test]
     fn ids_are_unique_and_increasing() {
         let store = SessionStore::new(Duration::from_secs(60));
-        let a = store.create(query());
-        let b = store.create(query());
+        let a = store.create(query(), ());
+        let b = store.create(query(), ());
         assert!(b > a);
     }
 
@@ -384,7 +364,7 @@ mod tests {
     fn eviction_respects_ttl() {
         let store = SessionStore::new(Duration::from_millis(10));
         let t0 = Instant::now();
-        let id = store.create_at(query(), None, t0);
+        let id = store.create_at(query(), (), t0);
         assert_eq!(store.evict_expired_at(t0 + Duration::from_millis(9)), 0);
         assert_eq!(store.evict_expired_at(t0 + Duration::from_millis(10)), 1);
         assert!(store.get_at(id, t0 + Duration::from_millis(10)).is_none());
@@ -396,7 +376,7 @@ mod tests {
         let store = SessionStore::new(Duration::from_millis(50));
         let t0 = Instant::now();
         let ms = |n| t0 + Duration::from_millis(n);
-        let id = store.create_at(query(), None, t0);
+        let id = store.create_at(query(), (), t0);
         assert!(store.get_at(id, ms(30)).is_some()); // touch resets the idle clock
         assert_eq!(store.evict_expired_at(ms(60)), 0, "recently touched session evicted");
         assert_eq!(store.evict_expired_at(ms(80)), 1);
@@ -406,7 +386,7 @@ mod tests {
     fn expired_session_is_gone_from_get_before_any_sweep() {
         let store = SessionStore::new(Duration::from_secs(5));
         let t0 = Instant::now();
-        let id = store.create_at(query(), None, t0);
+        let id = store.create_at(query(), (), t0);
         assert!(store.get_at(id, t0 + Duration::from_millis(4_999)).is_some());
         // Five seconds after that touch: expired, though nothing swept.
         assert!(store.get_at(id, t0 + Duration::from_millis(9_999)).is_none());
@@ -418,8 +398,8 @@ mod tests {
     fn create_expires_without_a_sweeper() {
         let store = SessionStore::new(Duration::from_secs(5));
         let t0 = Instant::now();
-        let old = store.create_at(query(), None, t0);
-        store.create_at(query(), None, t0 + Duration::from_secs(6));
+        let old = store.create_at(query(), (), t0);
+        store.create_at(query(), (), t0 + Duration::from_secs(6));
         assert_eq!(store.len(), 1);
         assert!(store.get(old).is_none());
         assert_eq!(store.evictions(), Evictions { ttl: 1, cap: 0 });
@@ -433,12 +413,13 @@ mod tests {
         let t0 = Instant::now();
         let s = |n| t0 + Duration::from_secs(n);
         for probe in [
-            (|store: &SessionStore, now| drop(store.get_at(SessionId(u64::MAX), now))) as fn(&SessionStore, Instant),
+            (|store: &SessionStore<Arc<u64>>, now| drop(store.get_at(SessionId(u64::MAX), now)))
+                as fn(&SessionStore<Arc<u64>>, Instant),
             |store, now| assert_eq!(store.len_at(now), 0, "expired session counted"),
         ] {
-            let pin: Arc<dyn Any + Send + Sync> = Arc::new(7u64);
+            let pin = Arc::new(7u64);
             let weak = Arc::downgrade(&pin);
-            store.create_at(query(), Some(pin), s(0));
+            store.create_at(query(), pin, s(0));
             probe(&store, s(10));
             assert!(weak.upgrade().is_none(), "expired pin still held");
             assert!(store.is_empty());
@@ -451,12 +432,12 @@ mod tests {
         let store = SessionStore::with_cap(Duration::from_secs(60), 3);
         let t0 = Instant::now();
         let ms = |n| t0 + Duration::from_millis(n);
-        let a = store.create_at(query(), None, ms(1));
-        let b = store.create_at(query(), None, ms(2));
-        let c = store.create_at(query(), None, ms(3));
+        let a = store.create_at(query(), (), ms(1));
+        let b = store.create_at(query(), (), ms(2));
+        let c = store.create_at(query(), (), ms(3));
         // Touching the oldest makes the second-oldest the LRU victim.
         assert!(store.get_at(a, ms(4)).is_some());
-        let d = store.create_at(query(), None, ms(5));
+        let d = store.create_at(query(), (), ms(5));
         assert_eq!(store.len(), 3);
         assert!(store.get_at(b, ms(6)).is_none(), "b was least recently touched");
         for id in [a, c, d] {
@@ -478,7 +459,7 @@ mod tests {
         let mut ops = 0u64;
         for i in 0..CREATES {
             let now = t0 + Duration::from_micros(i);
-            let id = store.create_at(q.clone(), None, now);
+            let id = store.create_at(q.clone(), (), now);
             ops += 1;
             // Re-touch a recent session every other create: stale queue
             // entries accumulate and must be compacted away.
@@ -501,14 +482,13 @@ mod tests {
     #[test]
     fn pinned_sessions_carry_and_release_their_pin() {
         let store = SessionStore::new(Duration::from_secs(60));
-        let pin: Arc<dyn Any + Send + Sync> = Arc::new(42u64);
+        let pin = Arc::new(42u64);
         let weak = Arc::downgrade(&pin);
-        let plain = store.create(query());
-        let pinned = store.create_pinned(query(), pin);
-        assert!(store.get(plain).unwrap().pin.is_none());
-        let got = store.get(pinned).unwrap().pin.clone().expect("pin survives");
-        assert_eq!(got.downcast_ref::<u64>(), Some(&42));
-        assert_eq!(store.len_and_count_where(|s| s.pin.is_some()), (2, 1));
+        store.create(query(), Arc::new(7u64));
+        let pinned = store.create(query(), pin);
+        let got = Arc::clone(&store.get(pinned).unwrap().pin);
+        assert_eq!(*got, 42, "the pin survives the round trip");
+        assert_eq!(store.len_and_count_where(|s| *s.pin == 42), (2, 1));
         drop(got);
         // Dropping the session releases the pinned payload.
         assert!(store.remove(pinned));
@@ -522,7 +502,7 @@ mod tests {
         for _ in 0..8 {
             let store = store.clone();
             handles.push(std::thread::spawn(move || {
-                (0..100).map(|_| store.create(query()).0).collect::<Vec<u64>>()
+                (0..100).map(|_| store.create(query(), ()).0).collect::<Vec<u64>>()
             }));
         }
         let mut all: Vec<u64> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();

@@ -31,7 +31,7 @@ use yask_core::{
     CombinedRefinement, Explanation, KeywordRefinement, PreferenceRefinement, WhyNotAnswer,
     WhyNotError, YaskConfig,
 };
-use yask_index::{Corpus, KcAug, ObjectId};
+use yask_index::{Corpus, ObjectId};
 use yask_query::{topk_scan, Query, RankedObject, ScoreParams};
 use yask_util::EpochCell;
 
@@ -120,7 +120,7 @@ impl Default for ExecConfig {
 struct Pager {
     pool: Arc<BufferPool>,
     budget: usize,
-    sources: Mutex<Vec<std::sync::Weak<PagedNodeSource<KcAug>>>>,
+    sources: Mutex<Vec<std::sync::Weak<PagedNodeSource>>>,
 }
 
 impl Pager {
@@ -145,7 +145,7 @@ impl Pager {
     }
 
     /// Pages out one resident tree, registering its chunk cache.
-    fn page_tree(&self, tree: &mut yask_index::KcRTree) {
+    fn page_tree(&self, tree: &mut yask_index::RTree) {
         if tree.is_paged() {
             return;
         }

@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use yask_index::{Augmentation, KcRTree, NodeId, NodeKind, ObjectId, RTree, TextualBound};
+use yask_index::{NodeId, NodeKind, ObjectId, RTree};
 use yask_query::{Query, RankedObject, ScoreParams, TraversalStats};
 use yask_util::Scored;
 
@@ -38,8 +38,8 @@ enum Entry {
 /// Runs the shard-local best-first top-k, pruning against `shared` and
 /// publishing this shard's own best-k certificates into it. Returns the
 /// shard's top-k (best-first) and its traversal counters.
-pub fn shard_topk<A: Augmentation + TextualBound>(
-    tree: &RTree<A>,
+pub fn shard_topk(
+    tree: &RTree,
     params: &ScoreParams,
     q: &Query,
     shared: &SharedBound,
@@ -56,8 +56,8 @@ pub fn shard_topk<A: Augmentation + TextualBound>(
 /// The third return is `true` when the search ran to completion; a
 /// `false` result is a best-effort prefix of the shard's top-k and must
 /// be flagged partial by the caller.
-pub fn shard_topk_bounded<A: Augmentation + TextualBound>(
-    tree: &RTree<A>,
+pub fn shard_topk_bounded(
+    tree: &RTree,
     params: &ScoreParams,
     q: &Query,
     shared: &SharedBound,
@@ -165,7 +165,7 @@ pub fn shard_topk_bounded<A: Augmentation + TextualBound>(
 /// one shard hit the deadline and the merged list is a best-effort
 /// partial answer.
 pub(crate) fn scatter_topk_bounded(
-    shards: &[Arc<KcRTree>],
+    shards: &[Arc<RTree>],
     pool: &WorkerPool,
     params: ScoreParams,
     query: &Query,
@@ -233,7 +233,7 @@ pub fn merge_topk(mut candidates: Vec<RankedObject>, k: usize) -> Vec<RankedObje
 mod tests {
     use super::*;
     use yask_geo::{Point, Space};
-    use yask_index::{Corpus, CorpusBuilder, KcRTree, RTreeParams};
+    use yask_index::{Corpus, CorpusBuilder, RTree, RTreeParams};
     use yask_query::{topk_tree, Weights};
     use yask_text::KeywordSet;
     use yask_util::Xoshiro256;
@@ -263,7 +263,7 @@ mod tests {
     fn single_shard_with_idle_bound_matches_topk_tree() {
         let corpus = random_corpus(400, 31);
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::default());
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
         let mut rng = Xoshiro256::seed_from_u64(1);
         for _ in 0..25 {
             let q = random_query(&mut rng);
@@ -281,7 +281,7 @@ mod tests {
     fn sharded_merge_equals_single_tree() {
         let corpus = random_corpus(600, 32);
         let params = ScoreParams::new(corpus.space());
-        let single = KcRTree::bulk_load(corpus.clone(), RTreeParams::default());
+        let single = RTree::bulk_load(corpus.clone(), RTreeParams::default());
         for shards in [2, 3, 5, 8] {
             let sharded = ShardedIndex::build(corpus.clone(), shards, RTreeParams::default());
             let mut rng = Xoshiro256::seed_from_u64(2);
@@ -338,7 +338,7 @@ mod tests {
     fn saturated_bound_skips_everything() {
         let corpus = random_corpus(100, 34);
         let params = ScoreParams::new(corpus.space());
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::default());
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
         let q = Query::new(Point::new(0.5, 0.5), KeywordSet::from_raw([1]), 5);
         let bound = SharedBound::new();
         bound.raise(2.0); // above any reachable ST score

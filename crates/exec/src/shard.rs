@@ -31,7 +31,7 @@
 use std::sync::Arc;
 
 use yask_geo::Point;
-use yask_index::{ChunkedCow, CopyStats, Corpus, KcRTree, ObjectId, RTreeParams};
+use yask_index::{ChunkedCow, CopyStats, Corpus, ObjectId, RTree, RTreeParams};
 
 /// Slots per assignment chunk (4 KiB of shard ids): inserts are appended
 /// slots, so a batch touches the tail chunk and nothing else.
@@ -39,7 +39,7 @@ const ASSIGNMENT_CHUNK_SIZE: usize = 1024;
 
 /// A corpus partitioned into K spatial shards, one KcR-tree per shard.
 pub struct ShardedIndex {
-    shards: Vec<Arc<KcRTree>>,
+    shards: Vec<Arc<RTree>>,
     /// Object index → shard index (meaningful for indexed slots only).
     assignment: ChunkedCow<u32, ASSIGNMENT_CHUNK_SIZE>,
     /// The STR cut boundaries that route new points to their owning cell.
@@ -73,7 +73,7 @@ impl ShardedIndex {
                 .iter()
                 .map(|ids| {
                     let corpus = corpus.clone();
-                    scope.spawn(move || KcRTree::bulk_load_subset(corpus, ids, params))
+                    scope.spawn(move || RTree::bulk_load_subset(corpus, ids, params))
                 })
                 .collect();
             handles
@@ -91,7 +91,7 @@ impl ShardedIndex {
     }
 
     /// The shard trees, in shard order.
-    pub fn shards(&self) -> &[Arc<KcRTree>] {
+    pub fn shards(&self) -> &[Arc<RTree>] {
         &self.shards
     }
 
@@ -99,7 +99,7 @@ impl ShardedIndex {
     /// republishing the result — the executor's out-of-core page-out
     /// hook. Already-paged trees (shared wholesale with the previous
     /// epoch) are left untouched, warm chunk caches included.
-    pub fn page_resident_trees(&mut self, mut f: impl FnMut(&mut KcRTree)) {
+    pub fn page_resident_trees(&mut self, mut f: impl FnMut(&mut RTree)) {
         for slot in &mut self.shards {
             if !slot.is_paged() {
                 let mut tree = (**slot).clone();
@@ -178,7 +178,7 @@ impl ShardedIndex {
         }
         let mut deltas = Vec::with_capacity(k);
         let mut copy = CopyStats::default();
-        let shards: Vec<Arc<KcRTree>> = (0..k)
+        let shards: Vec<Arc<RTree>> = (0..k)
             .map(|s| {
                 deltas.push((ins[s].len(), del[s].len()));
                 if ins[s].is_empty() && del[s].is_empty() {

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use yask_index::{CopyStats, KcRTree};
+use yask_index::{CopyStats, RTree};
 use yask_obs::{Histogram, HistogramSnapshot};
 
 use crate::cache::{CacheSnapshot, WhyNotKind};
@@ -33,7 +33,7 @@ pub(crate) struct ShardShape {
 }
 
 impl ShardShape {
-    pub(crate) fn of(tree: &KcRTree) -> Self {
+    pub(crate) fn of(tree: &RTree) -> Self {
         let s = tree.stats();
         ShardShape {
             objects: s.objects,

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use yask_core::YaskConfig;
 use yask_exec::{ExecConfig, Executor, ShardedIndex};
 use yask_geo::{Point, Space};
-use yask_index::{Corpus, CorpusBuilder, KcRTree, ObjectId, RTreeParams};
+use yask_index::{Corpus, CorpusBuilder, ObjectId, RTree, RTreeParams};
 use yask_query::{topk_tree, Query, ScoreParams, Weights};
 use yask_text::KeywordSet;
 
@@ -71,7 +71,7 @@ proptest! {
     /// every shard count, on ids, order, and scores.
     #[test]
     fn sharded_topk_equals_single_tree(c in corpus(10, 120), q in query()) {
-        let tree = KcRTree::bulk_load(c.corpus.clone(), RTreeParams::default());
+        let tree = RTree::bulk_load(c.corpus.clone(), RTreeParams::default());
         let params = ScoreParams::new(c.corpus.space());
         let want = topk_tree(&tree, &params, &q);
         for shards in SHARD_COUNTS {

@@ -1,16 +1,10 @@
-//! Node augmentations: what each R-tree variant stores per node.
+//! The node summary: what every R-tree node knows about the keywords of
+//! the objects below it.
 //!
-//! The generic [`crate::RTree`] delegates everything textual to an
-//! [`Augmentation`]: a summary computed from the objects below a leaf
-//! ([`Augmentation::for_leaf`]) or from child summaries
-//! ([`Augmentation::for_internal`]). Four variants:
-//!
-//! | Aug      | Tree      | Per-node payload                                  |
-//! |----------|-----------|---------------------------------------------------|
-//! | [`NoAug`]| R-tree    | nothing                                           |
-//! | [`SetAug`]| SetR-tree| intersection + union keyword sets                 |
-//! | [`KcAug`]| KcR-tree  | keyword → count map + object count `cnt` (Fig 2)  |
-//! | [`IrAug`]| IR-tree   | union keywords + inverted file (kw → child bitmap)|
+//! The tree stores one summary, the KcR-tree's [`KcAug`] (paper Fig 2):
+//! a keyword → count map plus the object count `cnt`, computed from the
+//! objects below a leaf ([`KcAug::for_leaf`]) or from the child
+//! summaries of an internal node ([`KcAug::for_internal`]).
 //!
 //! All textual score bounds funnel through [`TextStats`], which captures
 //! the only quantities the similarity bounds need. Soundness argument (for
@@ -24,57 +18,26 @@
 //!   value (verified exhaustively by property tests in this module and in
 //!   the query crate).
 //!
-//! The KcR-tree recovers the same sets implicitly: a keyword with
+//! The counts imply the SetR-tree's two sets: a keyword with
 //! `count == cnt` is in *every* object (node intersection), a keyword with
-//! `count > 0` is in *some* object (node union) — so [`KcAug`] produces
-//! exactly the same [`TextStats`] as [`SetAug`], plus counting information
-//! no other variant has. The IR-tree only knows the union side, so its
-//! `min_inter`/`int_len` are pessimistic zeros — the formal reason the
-//! paper replaces the IR-tree with the SetR-tree for Jaccard scoring.
+//! `count > 0` is in *some* object (node union). So one summary yields
+//! both bound views the paper compares:
 //!
-//! **What the service runs.** Only [`KcAug`] is served: every shard tree
-//! is a KcR-tree, and the preference module's candidate index is a plain
-//! [`NoAug`] R-tree. [`SetAug`] and [`IrAug`] exist for the bound-tightness
-//! comparison of experiment E5 (`experiments.rs`) and the ablation
-//! benches; no served route reaches them.
+//! | View | Stats | Knows |
+//! |------|-------|-------|
+//! | SetR-tree bound | [`KcAug::text_stats`] | `N.int` and `N.uni` |
+//! | IR-tree bound | [`TextStats::without_intersection`] | `N.uni` only |
+//!
+//! Every served search uses the SetR-tree view. The IR-tree view has
+//! pessimistic zeros for `min_inter`/`int_len` — the formal reason the
+//! paper replaces the IR-tree with the SetR-tree for Jaccard scoring — and
+//! survives only for the bound-tightness comparison of experiment E5.
+//! Beyond both sets, the counts bound *how many* objects of a subtree
+//! match ([`KcAug::matched_upper`]), which keyword adaptation relies on.
 
 use yask_text::{KeywordSet, SimilarityModel};
 
 use crate::corpus::SpatioTextualObject;
-
-/// Per-node summary maintained by the generic R-tree.
-pub trait Augmentation: Clone + std::fmt::Debug + PartialEq {
-    /// Summary of a leaf node from the objects it stores. `objects` is
-    /// never empty.
-    fn for_leaf(objects: &[&SpatioTextualObject]) -> Self;
-
-    /// Summary of an internal node from its children's summaries.
-    /// `children` is never empty.
-    fn for_internal(children: &[&Self]) -> Self;
-
-    /// Estimated heap bytes owned by this summary beyond its inline size
-    /// — feeds the per-shard index memory counters on `/stats`.
-    fn heap_bytes(&self) -> usize {
-        0
-    }
-}
-
-/// Textual-similarity bounds over all objects below a node.
-pub trait TextualBound {
-    /// The [`TextStats`] of this node against query keywords `q`.
-    fn text_stats(&self, q: &KeywordSet) -> TextStats;
-
-    /// Upper bound of `model.similarity(q, o.doc)` over objects `o` below
-    /// this node.
-    fn sim_upper(&self, q: &KeywordSet, model: SimilarityModel) -> f64 {
-        self.text_stats(q).upper(model)
-    }
-
-    /// Lower bound counterpart of [`TextualBound::sim_upper`].
-    fn sim_lower(&self, q: &KeywordSet, model: SimilarityModel) -> f64 {
-        self.text_stats(q).lower(model)
-    }
-}
 
 /// The five integers every set-similarity bound needs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,15 +55,13 @@ pub struct TextStats {
 }
 
 impl TextStats {
-    /// Stats representing *no information* about the node (plain R-tree):
-    /// the upper bound degenerates to 1 and the lower bound to 0.
-    pub fn unknown(q_len: usize) -> Self {
+    /// The IR-tree's view of these stats: it keeps only the union side,
+    /// so the intersection fields are pessimistic zeros.
+    pub fn without_intersection(self) -> Self {
         TextStats {
-            q_len,
-            max_inter: q_len,
             min_inter: 0,
             int_len: 0,
-            uni_len: usize::MAX / 4,
+            ..self
         }
     }
 
@@ -144,29 +105,7 @@ impl TextStats {
     }
 }
 
-// ---------------------------------------------------------------------------
-// AugCodec — byte serialization for the paged arena
-// ---------------------------------------------------------------------------
-
-/// Exact byte serialization of an augmentation, so a paged (out-of-core)
-/// arena chunk decodes to a node byte-identical to its resident
-/// original. Integers are little-endian; every collection is
-/// length-prefixed and written in its canonical (sorted) stored order,
-/// so `decode(encode(a)) == a` exactly.
-pub trait AugCodec: Sized {
-    /// Appends the encoded form to `out`.
-    fn encode_aug(&self, out: &mut Vec<u8>);
-
-    /// Decodes one augmentation off the front of `buf`, advancing it.
-    /// `None` on truncated or malformed input.
-    fn decode_aug(buf: &mut &[u8]) -> Option<Self>;
-}
-
 fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -176,194 +115,7 @@ fn take_u32(buf: &mut &[u8]) -> Option<u32> {
     Some(u32::from_le_bytes(head.try_into().ok()?))
 }
 
-fn take_u64(buf: &mut &[u8]) -> Option<u64> {
-    let (head, rest) = buf.split_at_checked(8)?;
-    *buf = rest;
-    Some(u64::from_le_bytes(head.try_into().ok()?))
-}
-
-fn put_keyword_set(out: &mut Vec<u8>, s: &KeywordSet) {
-    put_u32(out, s.len() as u32);
-    for &kw in s.raw() {
-        put_u32(out, kw);
-    }
-}
-
-fn take_keyword_set(buf: &mut &[u8]) -> Option<KeywordSet> {
-    let n = take_u32(buf)? as usize;
-    let mut kws = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        kws.push(take_u32(buf)?);
-    }
-    Some(KeywordSet::from_raw(kws))
-}
-
-impl AugCodec for NoAug {
-    fn encode_aug(&self, _out: &mut Vec<u8>) {}
-
-    fn decode_aug(_buf: &mut &[u8]) -> Option<Self> {
-        Some(NoAug)
-    }
-}
-
-impl AugCodec for SetAug {
-    fn encode_aug(&self, out: &mut Vec<u8>) {
-        put_keyword_set(out, &self.int);
-        put_keyword_set(out, &self.uni);
-    }
-
-    fn decode_aug(buf: &mut &[u8]) -> Option<Self> {
-        let int = take_keyword_set(buf)?;
-        let uni = take_keyword_set(buf)?;
-        Some(SetAug { int, uni })
-    }
-}
-
-impl AugCodec for KcAug {
-    fn encode_aug(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.cnt);
-        put_u32(out, self.counts.len() as u32);
-        for &(kw, n) in self.counts.iter() {
-            put_u32(out, kw);
-            put_u32(out, n);
-        }
-    }
-
-    fn decode_aug(buf: &mut &[u8]) -> Option<Self> {
-        let cnt = take_u32(buf)?;
-        let n = take_u32(buf)? as usize;
-        let mut pairs = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let kw = take_u32(buf)?;
-            let count = take_u32(buf)?;
-            pairs.push((kw, count));
-        }
-        // `finish` re-sorts (already sorted — encoded in stored order)
-        // and recomputes the derived `int_len`, which is a pure function
-        // of (counts, cnt), so the round trip is exact.
-        Some(KcAug::finish(pairs, cnt))
-    }
-}
-
-impl AugCodec for IrAug {
-    fn encode_aug(&self, out: &mut Vec<u8>) {
-        put_keyword_set(out, &self.uni);
-        put_u32(out, self.inv.len() as u32);
-        for &(kw, bits) in self.inv.iter() {
-            put_u32(out, kw);
-            put_u64(out, bits);
-        }
-    }
-
-    fn decode_aug(buf: &mut &[u8]) -> Option<Self> {
-        let uni = take_keyword_set(buf)?;
-        let n = take_u32(buf)? as usize;
-        let mut inv = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let kw = take_u32(buf)?;
-            let bits = take_u64(buf)?;
-            inv.push((kw, bits));
-        }
-        Some(IrAug { uni, inv: inv.into() })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// NoAug — plain R-tree
-// ---------------------------------------------------------------------------
-
-/// No textual augmentation: the plain R-tree.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoAug;
-
-impl Augmentation for NoAug {
-    fn for_leaf(_objects: &[&SpatioTextualObject]) -> Self {
-        NoAug
-    }
-
-    fn for_internal(_children: &[&Self]) -> Self {
-        NoAug
-    }
-}
-
-impl TextualBound for NoAug {
-    fn text_stats(&self, q: &KeywordSet) -> TextStats {
-        TextStats::unknown(q.len())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SetAug — SetR-tree
-// ---------------------------------------------------------------------------
-
-/// SetR-tree augmentation: "each SetR-tree node has pointers to the
-/// intersection set and the union set of the keyword sets of all objects
-/// indexed by the node" (paper §3.3).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SetAug {
-    int: KeywordSet,
-    uni: KeywordSet,
-}
-
-impl SetAug {
-    /// The intersection of all object keyword sets below the node.
-    pub fn intersection(&self) -> &KeywordSet {
-        &self.int
-    }
-
-    /// The union of all object keyword sets below the node.
-    pub fn union(&self) -> &KeywordSet {
-        &self.uni
-    }
-}
-
-impl Augmentation for SetAug {
-    fn for_leaf(objects: &[&SpatioTextualObject]) -> Self {
-        let mut it = objects.iter();
-        let first = it.next().expect("leaf augmentation over empty object set");
-        let mut int = first.doc.clone();
-        let mut uni = first.doc.clone();
-        for o in it {
-            int = int.intersection(&o.doc);
-            uni = uni.union(&o.doc);
-        }
-        SetAug { int, uni }
-    }
-
-    fn for_internal(children: &[&Self]) -> Self {
-        let mut it = children.iter();
-        let first = it.next().expect("internal augmentation over empty child set");
-        let mut int = first.int.clone();
-        let mut uni = first.uni.clone();
-        for c in it {
-            int = int.intersection(&c.int);
-            uni = uni.union(&c.uni);
-        }
-        SetAug { int, uni }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        4 * (self.int.len() + self.uni.len())
-    }
-}
-
-impl TextualBound for SetAug {
-    fn text_stats(&self, q: &KeywordSet) -> TextStats {
-        TextStats {
-            q_len: q.len(),
-            max_inter: self.uni.intersection_size(q),
-            min_inter: self.int.intersection_size(q),
-            int_len: self.int.len(),
-            uni_len: self.uni.len(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// KcAug — KcR-tree
-// ---------------------------------------------------------------------------
-
-/// KcR-tree augmentation (paper Fig 2): "each KcR-tree node is associated
+/// KcR-tree node summary (paper Fig 2): "each KcR-tree node is associated
 /// with a key-value map, where each key is a keyword in the union set of
 /// the keywords of the objects indexed by this node, and its corresponding
 /// value is the number of objects in this node that contain this keyword.
@@ -381,6 +133,38 @@ pub struct KcAug {
 }
 
 impl KcAug {
+    /// Summary of a leaf node from the objects it stores. `objects` is
+    /// never empty.
+    pub fn for_leaf(objects: &[&SpatioTextualObject]) -> Self {
+        let mut map: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
+        for o in objects {
+            for kw in o.doc.raw() {
+                *map.entry(*kw).or_insert(0) += 1;
+            }
+        }
+        KcAug::finish(map.into_iter().collect(), objects.len() as u32)
+    }
+
+    /// Summary of an internal node from its children's summaries.
+    /// `children` is never empty.
+    pub fn for_internal(children: &[&Self]) -> Self {
+        let mut map: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
+        let mut cnt = 0;
+        for c in children {
+            cnt += c.cnt;
+            for &(kw, n) in c.counts.iter() {
+                *map.entry(kw).or_insert(0) += n;
+            }
+        }
+        KcAug::finish(map.into_iter().collect(), cnt)
+    }
+
+    /// Estimated heap bytes owned by this summary beyond its inline size
+    /// — feeds the per-shard index memory counters on `/stats`.
+    pub fn heap_bytes(&self) -> usize {
+        8 * self.counts.len()
+    }
+
     /// Number of objects below the node (`cnt` in Fig 2).
     pub fn cnt(&self) -> u32 {
         self.cnt
@@ -417,47 +201,9 @@ impl KcAug {
         q.raw().iter().map(|&kw| self.count(kw)).max().unwrap_or(0)
     }
 
-    fn finish(mut pairs: Vec<(u32, u32)>, cnt: u32) -> Self {
-        pairs.sort_unstable_by_key(|e| e.0);
-        let int_len = pairs.iter().filter(|e| e.1 == cnt).count() as u32;
-        KcAug {
-            counts: pairs.into(),
-            cnt,
-            int_len,
-        }
-    }
-}
-
-impl Augmentation for KcAug {
-    fn for_leaf(objects: &[&SpatioTextualObject]) -> Self {
-        let mut map: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
-        for o in objects {
-            for kw in o.doc.raw() {
-                *map.entry(*kw).or_insert(0) += 1;
-            }
-        }
-        KcAug::finish(map.into_iter().collect(), objects.len() as u32)
-    }
-
-    fn for_internal(children: &[&Self]) -> Self {
-        let mut map: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
-        let mut cnt = 0;
-        for c in children {
-            cnt += c.cnt;
-            for &(kw, n) in c.counts.iter() {
-                *map.entry(kw).or_insert(0) += n;
-            }
-        }
-        KcAug::finish(map.into_iter().collect(), cnt)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        8 * self.counts.len()
-    }
-}
-
-impl TextualBound for KcAug {
-    fn text_stats(&self, q: &KeywordSet) -> TextStats {
+    /// The [`TextStats`] of this node against query keywords `q`, read
+    /// off the implied intersection and union sets.
+    pub fn text_stats(&self, q: &KeywordSet) -> TextStats {
         let mut max_inter = 0;
         let mut min_inter = 0;
         for &kw in q.raw() {
@@ -477,103 +223,54 @@ impl TextualBound for KcAug {
             uni_len: self.counts.len(),
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// IrAug — IR-tree
-// ---------------------------------------------------------------------------
-
-/// IR-tree augmentation in the spirit of Cong et al. \[4\]: each node stores
-/// an inverted file mapping keywords to the set of child slots whose
-/// subtree contains the keyword (here a `u64` bitmap — node fanout is
-/// capped at 64). The union keyword set is the posting dictionary.
-///
-/// Crucially there is *no intersection information*, so Jaccard bounds are
-/// strictly looser than the SetR-tree's — which is the paper's stated
-/// reason for not using the IR-tree with Jaccard similarity.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IrAug {
-    uni: KeywordSet,
-    /// `(keyword, child bitmap)` sorted by keyword. For a leaf node the
-    /// bits index objects in entry order; for an internal node, children.
-    inv: Box<[(u32, u64)]>,
-}
-
-impl IrAug {
-    /// The union of keywords below this node (the posting dictionary).
-    pub fn union(&self) -> &KeywordSet {
-        &self.uni
+    /// Upper bound of `model.similarity(q, o.doc)` over objects `o` below
+    /// this node.
+    pub fn sim_upper(&self, q: &KeywordSet, model: SimilarityModel) -> f64 {
+        self.text_stats(q).upper(model)
     }
 
-    /// The posting bitmap for a keyword (0 when absent).
-    pub fn postings(&self, kw: u32) -> u64 {
-        match self.inv.binary_search_by_key(&kw, |e| e.0) {
-            Ok(i) => self.inv[i].1,
-            Err(_) => 0,
+    /// Lower bound counterpart of [`KcAug::sim_upper`].
+    pub fn sim_lower(&self, q: &KeywordSet, model: SimilarityModel) -> f64 {
+        self.text_stats(q).lower(model)
+    }
+
+    /// Appends the exact byte form the paged arena stores: `cnt`, the
+    /// pair count, then every `(keyword, count)` pair in stored (sorted)
+    /// order, all little-endian `u32`s.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.cnt);
+        put_u32(out, self.counts.len() as u32);
+        for &(kw, n) in self.counts.iter() {
+            put_u32(out, kw);
+            put_u32(out, n);
         }
     }
 
-    /// Bitmap of child slots whose subtree contains at least one keyword
-    /// of `q` — lets a traversal compute per-child match counts without
-    /// touching the children (the I/O-saving trick of the IR-tree).
-    pub fn children_matching(&self, q: &KeywordSet) -> u64 {
-        let mut mask = 0;
-        for &kw in q.raw() {
-            mask |= self.postings(kw);
+    /// Decodes one summary off the front of `buf`, advancing it, so that
+    /// `decode(encode(a)) == a` exactly. `None` on truncated input.
+    pub fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let cnt = take_u32(buf)?;
+        let n = take_u32(buf)? as usize;
+        let mut pairs = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            let kw = take_u32(buf)?;
+            let count = take_u32(buf)?;
+            pairs.push((kw, count));
         }
-        mask
+        // `finish` re-sorts (already sorted — encoded in stored order)
+        // and recomputes the derived `int_len`, which is a pure function
+        // of (counts, cnt), so the round trip is exact.
+        Some(KcAug::finish(pairs, cnt))
     }
 
-    /// For child slot `slot`, the number of query keywords present in that
-    /// child's subtree (its `max_inter` seen from the parent).
-    pub fn child_match_count(&self, q: &KeywordSet, slot: usize) -> usize {
-        debug_assert!(slot < 64);
-        let bit = 1u64 << slot;
-        q.raw()
-            .iter()
-            .filter(|&&kw| self.postings(kw) & bit != 0)
-            .count()
-    }
-
-    fn from_keyword_sets<'a, I: Iterator<Item = &'a KeywordSet>>(sets: I) -> Self {
-        let mut map: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-        let mut uni = KeywordSet::empty();
-        for (slot, doc) in sets.enumerate() {
-            assert!(slot < 64, "IR-tree fanout exceeds 64");
-            for &kw in doc.raw() {
-                *map.entry(kw).or_insert(0) |= 1 << slot;
-            }
-            uni = uni.union(doc);
-        }
-        IrAug {
-            uni,
-            inv: map.into_iter().collect::<Vec<_>>().into(),
-        }
-    }
-}
-
-impl Augmentation for IrAug {
-    fn for_leaf(objects: &[&SpatioTextualObject]) -> Self {
-        IrAug::from_keyword_sets(objects.iter().map(|o| &o.doc))
-    }
-
-    fn for_internal(children: &[&Self]) -> Self {
-        IrAug::from_keyword_sets(children.iter().map(|c| &c.uni))
-    }
-
-    fn heap_bytes(&self) -> usize {
-        4 * self.uni.len() + 12 * self.inv.len()
-    }
-}
-
-impl TextualBound for IrAug {
-    fn text_stats(&self, q: &KeywordSet) -> TextStats {
-        TextStats {
-            q_len: q.len(),
-            max_inter: self.uni.intersection_size(q),
-            min_inter: 0,
-            int_len: 0,
-            uni_len: self.uni.len(),
+    fn finish(mut pairs: Vec<(u32, u32)>, cnt: u32) -> Self {
+        pairs.sort_unstable_by_key(|e| e.0);
+        let int_len = pairs.iter().filter(|e| e.1 == cnt).count() as u32;
+        KcAug {
+            counts: pairs.into(),
+            cnt,
+            int_len,
         }
     }
 }
@@ -596,18 +293,36 @@ mod tests {
         b.build().iter_slots().cloned().collect()
     }
 
+    /// The test oracle: the SetR-tree's stats, from the intersection and
+    /// union of the objects' keyword sets computed directly.
+    fn set_stats(objs: &[&SpatioTextualObject], q: &KeywordSet) -> TextStats {
+        let mut int = objs[0].doc.clone();
+        let mut uni = objs[0].doc.clone();
+        for o in &objs[1..] {
+            int = int.intersection(&o.doc);
+            uni = uni.union(&o.doc);
+        }
+        TextStats {
+            q_len: q.len(),
+            max_inter: uni.intersection_size(q),
+            min_inter: int.intersection_size(q),
+            int_len: int.len(),
+            uni_len: uni.len(),
+        }
+    }
+
     #[test]
-    fn set_aug_leaf_and_internal() {
+    fn implied_sets_of_leaf_and_internal() {
         let objs = objects(&[&[1, 2, 3], &[2, 3], &[2, 4]]);
         let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let a = SetAug::for_leaf(&refs);
-        assert_eq!(a.intersection(), &ks(&[2]));
-        assert_eq!(a.union(), &ks(&[1, 2, 3, 4]));
-
-        let b = SetAug::for_leaf(&refs[..1]);
-        let merged = SetAug::for_internal(&[&a, &b]);
-        assert_eq!(merged.intersection(), &ks(&[2]));
-        assert_eq!(merged.union(), &ks(&[1, 2, 3, 4]));
+        let a = KcAug::for_leaf(&refs);
+        let b = KcAug::for_leaf(&refs[..1]);
+        let merged = KcAug::for_internal(&[&a, &b]);
+        // int = {2}, uni = {1, 2, 3, 4} for the leaf and the merge alike.
+        for node in [&a, &merged] {
+            let s = node.text_stats(&ks(&[1, 2, 3, 4]));
+            assert_eq!((s.min_inter, s.int_len, s.max_inter, s.uni_len), (1, 1, 4, 4));
+        }
     }
 
     #[test]
@@ -642,10 +357,14 @@ mod tests {
     fn kc_aug_recovers_set_aug_stats() {
         let objs = objects(&[&[1, 2, 3], &[2, 3], &[2, 4, 5]]);
         let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let set = SetAug::for_leaf(&refs);
         let kc = KcAug::for_leaf(&refs);
         for q in [ks(&[2]), ks(&[1, 2]), ks(&[3, 4, 9]), ks(&[7])] {
-            assert_eq!(set.text_stats(&q), kc.text_stats(&q), "q = {q:?}");
+            let want = set_stats(&refs, &q);
+            assert_eq!(want, kc.text_stats(&q), "q = {q:?}");
+            // The IR-tree view is the union side alone.
+            let ir = kc.text_stats(&q).without_intersection();
+            assert_eq!((ir.max_inter, ir.uni_len), (want.max_inter, want.uni_len));
+            assert_eq!((ir.min_inter, ir.int_len), (0, 0), "q = {q:?}");
         }
     }
 
@@ -665,46 +384,21 @@ mod tests {
     }
 
     #[test]
-    fn ir_aug_postings_and_masks() {
-        let objs = objects(&[&[1, 2], &[2, 3], &[4]]);
-        let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let ir = IrAug::for_leaf(&refs);
-        assert_eq!(ir.postings(2), 0b011);
-        assert_eq!(ir.postings(4), 0b100);
-        assert_eq!(ir.postings(9), 0);
-        assert_eq!(ir.children_matching(&ks(&[1, 4])), 0b101);
-        assert_eq!(ir.child_match_count(&ks(&[2, 3]), 1), 2);
-        assert_eq!(ir.child_match_count(&ks(&[2, 3]), 2), 0);
-        assert_eq!(ir.union(), &ks(&[1, 2, 3, 4]));
-    }
-
-    #[test]
-    fn ir_internal_merges_child_unions() {
-        let objs = objects(&[&[1], &[2]]);
-        let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let a = IrAug::for_leaf(&refs[..1]);
-        let b = IrAug::for_leaf(&refs[1..]);
-        let p = IrAug::for_internal(&[&a, &b]);
-        assert_eq!(p.postings(1), 0b01);
-        assert_eq!(p.postings(2), 0b10);
-    }
-
-    #[test]
     fn bounds_bracket_exact_similarity_all_models() {
         // Node over three docs; check every model, several queries, and
-        // all three informative augmentations.
+        // the oracle's stats beside both views of the summary.
         let objs = objects(&[&[1, 2, 3], &[2, 3, 4], &[2, 5]]);
         let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let set = SetAug::for_leaf(&refs);
         let kc = KcAug::for_leaf(&refs);
-        let ir = IrAug::for_leaf(&refs);
         let queries = [ks(&[2]), ks(&[2, 3]), ks(&[1, 5]), ks(&[6, 7]), ks(&[1, 2, 3, 4, 5])];
         for model in SimilarityModel::ALL {
             for q in &queries {
+                let set = set_stats(&refs, q);
+                let ir = kc.text_stats(q).without_intersection();
                 for (name, lb, ub) in [
-                    ("set", set.sim_lower(q, model), set.sim_upper(q, model)),
+                    ("set", set.lower(model), set.upper(model)),
                     ("kc", kc.sim_lower(q, model), kc.sim_upper(q, model)),
-                    ("ir", ir.sim_lower(q, model), ir.sim_upper(q, model)),
+                    ("ir", ir.lower(model), ir.upper(model)),
                 ] {
                     assert!(lb <= ub + 1e-12, "{name} {model:?} {q:?}: lb>{ub}");
                     for o in &objs {
@@ -731,25 +425,13 @@ mod tests {
         // intersection info the Jaccard upper bound can only be tighter.
         let objs = objects(&[&[1, 2, 3, 4], &[1, 2, 3, 5]]);
         let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let set = SetAug::for_leaf(&refs);
-        let ir = IrAug::for_leaf(&refs);
+        let kc = KcAug::for_leaf(&refs);
         let q = ks(&[1, 9]);
-        let set_ub = set.sim_upper(&q, SimilarityModel::Jaccard);
-        let ir_ub = ir.sim_upper(&q, SimilarityModel::Jaccard);
+        let set_ub = set_stats(&refs, &q).upper(SimilarityModel::Jaccard);
+        assert_eq!(kc.sim_upper(&q, SimilarityModel::Jaccard), set_ub);
+        let ir_ub = kc.text_stats(&q).without_intersection().upper(SimilarityModel::Jaccard);
         assert!(set_ub <= ir_ub);
         assert!(set_ub < ir_ub, "expected strictly tighter: {set_ub} vs {ir_ub}");
-    }
-
-    #[test]
-    fn no_aug_is_vacuous() {
-        let objs = objects(&[&[1]]);
-        let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let a = NoAug::for_leaf(&refs);
-        let q = ks(&[1, 2]);
-        assert_eq!(a.sim_upper(&q, SimilarityModel::Jaccard), 1.0);
-        assert_eq!(a.sim_lower(&q, SimilarityModel::Jaccard), 0.0);
-        // Empty query still scores zero.
-        assert_eq!(a.sim_upper(&KeywordSet::empty(), SimilarityModel::Jaccard), 0.0);
     }
 
     #[test]
@@ -759,30 +441,40 @@ mod tests {
         assert_eq!(objs[1].id, ObjectId(1));
     }
 
-    fn roundtrip<A: AugCodec + PartialEq + std::fmt::Debug>(a: &A) {
+    fn roundtrip(a: &KcAug) {
         let mut bytes = Vec::new();
-        a.encode_aug(&mut bytes);
+        a.encode(&mut bytes);
         let mut cursor = bytes.as_slice();
-        let back = A::decode_aug(&mut cursor).expect("decodes");
+        let back = KcAug::decode(&mut cursor).expect("decodes");
         assert_eq!(&back, a);
         assert!(cursor.is_empty(), "decoder must consume exactly its bytes");
     }
 
     #[test]
-    fn codec_roundtrips_every_variant() {
+    fn codec_roundtrips_leaves_and_internals() {
         let objs = objects(&[&[1, 2, 3], &[2, 3, 9], &[3]]);
         let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        roundtrip(&NoAug::for_leaf(&refs));
-        roundtrip(&SetAug::for_leaf(&refs));
-        roundtrip(&KcAug::for_leaf(&refs));
-        roundtrip(&IrAug::for_leaf(&refs));
+        let leaf = KcAug::for_leaf(&refs);
+        roundtrip(&leaf);
+        roundtrip(&KcAug::for_internal(&[&leaf, &KcAug::for_leaf(&refs[..1])]));
 
         // Single-keyword edge.
         let one = objects(&[&[7]]);
         let one_refs: Vec<&SpatioTextualObject> = one.iter().collect();
-        roundtrip(&SetAug::for_leaf(&one_refs));
         roundtrip(&KcAug::for_leaf(&one_refs));
-        roundtrip(&IrAug::for_leaf(&one_refs));
+    }
+
+    #[test]
+    fn codec_layout_is_cnt_then_sorted_pairs() {
+        let objs = objects(&[&[9, 4], &[4]]);
+        let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
+        let mut bytes = Vec::new();
+        KcAug::for_leaf(&refs).encode(&mut bytes);
+        let words: Vec<u32> = bytes
+            .chunks(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(words, [2, 2, 4, 2, 9, 1]);
     }
 
     #[test]
@@ -794,8 +486,8 @@ mod tests {
         let a = KcAug::for_leaf(&refs);
         assert_eq!(a.int_len, 1);
         let mut bytes = Vec::new();
-        a.encode_aug(&mut bytes);
-        let back = KcAug::decode_aug(&mut bytes.as_slice()).unwrap();
+        a.encode(&mut bytes);
+        let back = KcAug::decode(&mut bytes.as_slice()).unwrap();
         assert_eq!(back.int_len, 1);
     }
 
@@ -804,10 +496,10 @@ mod tests {
         let objs = objects(&[&[1, 2, 3]]);
         let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
         let mut bytes = Vec::new();
-        SetAug::for_leaf(&refs).encode_aug(&mut bytes);
+        KcAug::for_leaf(&refs).encode(&mut bytes);
         for cut in 0..bytes.len() {
             let mut cursor = &bytes[..cut];
-            assert!(SetAug::decode_aug(&mut cursor).is_none(), "cut at {cut}");
+            assert!(KcAug::decode(&mut cursor).is_none(), "cut at {cut}");
         }
     }
 }

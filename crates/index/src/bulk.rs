@@ -9,17 +9,12 @@
 
 use yask_geo::Point;
 
-use crate::aug::Augmentation;
 use crate::corpus::{Corpus, ObjectId};
 use crate::rtree::{NodeKind, RTree, RTreeParams};
 
 /// Bulk-loads `ids` from `corpus` into a fresh tree.
-pub fn str_bulk_load<A: Augmentation>(
-    corpus: Corpus,
-    ids: &[ObjectId],
-    params: RTreeParams,
-) -> RTree<A> {
-    let mut tree: RTree<A> = RTree::new(corpus, params);
+pub fn str_bulk_load(corpus: Corpus, ids: &[ObjectId], params: RTreeParams) -> RTree {
+    let mut tree = RTree::new(corpus, params);
     if ids.is_empty() {
         return tree;
     }
@@ -59,7 +54,7 @@ pub fn str_bulk_load<A: Augmentation>(
     }
 
     tree.set_root(Some(level[0]), height, ids.len());
-    // Level-order allocation clusters the aug-heavy internal level into
+    // Level-order allocation clusters the count-heavy internal level into
     // the tail chunks — which sit on every root-to-leaf spine, so later
     // batches would re-copy the whole level each time. Repack in DFS
     // order to spread internals among their own (cheap) leaves.

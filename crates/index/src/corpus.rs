@@ -4,8 +4,8 @@
 //! `o ∈ D` is defined as a pair `(o.loc, o.doc)`." A [`Corpus`] is that
 //! database plus the normalized [`Space`] in which `SDist` is computed.
 //! Indexes and engines share one corpus through a cheap `Arc` clone, so the
-//! SetR-tree, KcR-tree and IR-tree built over the same data never duplicate
-//! object payloads.
+//! shard trees and scans over the same data never duplicate object
+//! payloads.
 //!
 //! **Liveness.** A corpus version may carry tombstones: a deleted object
 //! keeps its slot (so [`ObjectId`]s stay stable across updates and ids

@@ -1,8 +1,7 @@
-//! The generic arena-based R-tree.
+//! The arena-based KcR-tree.
 //!
-//! One structural implementation serves all four index variants; the
-//! per-node textual payload is the [`Augmentation`] type parameter.
-//! Supported operations:
+//! Every node carries an MBR and the KcR-tree's keyword-count summary
+//! ([`KcAug`], see [`crate::aug`]). Supported operations:
 //!
 //! * [`RTree::bulk_load`] — Sort-Tile-Recursive packing (see [`crate::bulk`]),
 //! * [`RTree::insert`] — Guttman insertion with quadratic splits,
@@ -33,7 +32,7 @@ use std::sync::Arc;
 use yask_geo::{Point, Rect};
 use yask_util::Scored;
 
-use crate::aug::Augmentation;
+use crate::aug::KcAug;
 use crate::corpus::{Corpus, ObjectId};
 use crate::cow::{ApproxBytes, Chunk, ChunkedCow, CopyStats};
 
@@ -43,7 +42,7 @@ use crate::cow::{ApproxBytes, Chunk, ChunkedCow, CopyStats};
 /// a 256-node chunk would make "path copying" copy the entire tree);
 /// tiny chunks bloat the spine
 /// (one `Arc` per chunk, spine copied per batch). Chunk *composition*
-/// matters as much as size: augmented internal nodes near the root carry
+/// matters as much as size: internal nodes near the root carry
 /// keyword maps orders of magnitude heavier than leaves, so bulk loads
 /// place nodes in DFS order (see `RTree::relayout_dfs`) — each
 /// internal sits beside its own children instead of clustering with the
@@ -74,16 +73,16 @@ pub enum NodeKind {
 
 /// One R-tree node: bounding rectangle, textual augmentation, entries.
 #[derive(Clone, Debug)]
-pub struct Node<A> {
+pub struct Node {
     /// Minimum bounding rectangle of everything below this node.
     pub mbr: Rect,
-    /// Textual augmentation; `None` only for an empty root leaf.
-    pub(crate) aug: Option<A>,
+    /// Keyword-count summary; `None` only for an empty root leaf.
+    pub(crate) aug: Option<KcAug>,
     /// Entries.
     pub kind: NodeKind,
 }
 
-impl<A> Node<A> {
+impl Node {
     /// True for leaf nodes.
     pub fn is_leaf(&self) -> bool {
         matches!(self.kind, NodeKind::Leaf(_))
@@ -115,56 +114,56 @@ impl<A> Node<A> {
 
     /// The augmentation. Panics on an empty node (possible only for the
     /// root of an empty tree, which traversals never visit).
-    pub fn aug(&self) -> &A {
+    pub fn aug(&self) -> &KcAug {
         self.aug.as_ref().expect("augmentation of empty node")
     }
 
     /// The augmentation as stored, `None` for an empty root leaf — the
     /// non-panicking accessor the node codec serializes through.
-    pub fn aug_opt(&self) -> Option<&A> {
+    pub fn aug_opt(&self) -> Option<&KcAug> {
         self.aug.as_ref()
     }
 
     /// Reassembles a node from codec parts (the paged-arena load path).
-    pub fn from_parts(mbr: Rect, aug: Option<A>, kind: NodeKind) -> Node<A> {
+    pub fn from_parts(mbr: Rect, aug: Option<KcAug>, kind: NodeKind) -> Node {
         Node { mbr, aug, kind }
     }
 }
 
-impl<A: Augmentation> ApproxBytes for Node<A> {
+impl ApproxBytes for Node {
     /// Frame, entry vector, and the augmentation's heap payload.
     fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Node<A>>() + 4 * self.entry_count() + self.aug.as_ref().map_or(0, |a| a.heap_bytes())
+        std::mem::size_of::<Node>() + 4 * self.entry_count() + self.aug.as_ref().map_or(0, |a| a.heap_bytes())
     }
 }
 
 /// One chunk of the node arena: [`NODE_CHUNK_SIZE`] consecutive slots
 /// (fewer in the arena's last chunk).
-pub type NodeChunk<A> = Chunk<Node<A>, NODE_CHUNK_SIZE>;
+pub type NodeChunk = Chunk<Node, NODE_CHUNK_SIZE>;
 
-impl<A> NodeChunk<A> {
+impl NodeChunk {
     /// Rebuilds a chunk from decoded nodes (the paged-arena load path).
-    pub fn from_nodes(nodes: Vec<Node<A>>) -> Self {
+    pub fn from_nodes(nodes: Vec<Node>) -> Self {
         Chunk::from_items(nodes)
     }
 
     /// The nodes of this chunk, in slot order.
-    pub fn nodes(&self) -> &[Node<A>] {
+    pub fn nodes(&self) -> &[Node] {
         self.items()
     }
 }
 
 /// The resident node arena.
-type NodeArena<A> = ChunkedCow<Node<A>, NODE_CHUNK_SIZE>;
+type NodeArena = ChunkedCow<Node, NODE_CHUNK_SIZE>;
 
 /// Where a tree's nodes live.
 #[derive(Clone, Debug)]
-enum Arena<A> {
+enum Arena {
     /// In memory, copy-on-write per chunk.
-    Resident(NodeArena<A>),
+    Resident(NodeArena),
     /// Out of core: reads fault chunks through the source, and any
     /// mutation first [`RTree::materialize`]s the tree back to resident.
-    Paged(Arc<dyn NodeSource<A>>),
+    Paged(Arc<dyn NodeSource>),
 }
 
 /// A fault-in provider of arena chunks — the out-of-core backing of a
@@ -181,7 +180,7 @@ enum Arena<A> {
 ///
 /// References returned by [`NodeSource::chunk`] must not outlive the
 /// enclosing guard.
-pub trait NodeSource<A>: Send + Sync + std::fmt::Debug {
+pub trait NodeSource: Send + Sync + std::fmt::Debug {
     /// Number of chunks in the paged arena (spine length).
     fn chunk_count(&self) -> usize;
 
@@ -198,7 +197,7 @@ pub trait NodeSource<A>: Send + Sync + std::fmt::Debug {
     /// Borrows chunk `ci`, faulting it in if necessary. Must only be
     /// called between [`NodeSource::begin_read`] and
     /// [`NodeSource::end_read`].
-    fn chunk(&self, ci: usize) -> &NodeChunk<A>;
+    fn chunk(&self, ci: usize) -> &NodeChunk;
 }
 
 /// RAII read section over a tree's arena. A no-op for resident trees;
@@ -206,11 +205,11 @@ pub trait NodeSource<A>: Send + Sync + std::fmt::Debug {
 /// graveyard) until every concurrent guard is dropped. Acquire one via
 /// [`RTree::read_guard`] before any raw [`RTree::node`] traversal loop
 /// and keep it alive while node references are held.
-pub struct ArenaReadGuard<'a, A> {
-    source: Option<&'a dyn NodeSource<A>>,
+pub struct ArenaReadGuard<'a> {
+    source: Option<&'a dyn NodeSource>,
 }
 
-impl<A> Drop for ArenaReadGuard<'_, A> {
+impl Drop for ArenaReadGuard<'_> {
     fn drop(&mut self) {
         if let Some(s) = self.source {
             s.end_read();
@@ -221,22 +220,23 @@ impl<A> Drop for ArenaReadGuard<'_, A> {
 /// Fanout parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RTreeParams {
-    /// Maximum entries per node (≤ 64 so IR-tree bitmaps fit in a `u64`).
+    /// Maximum entries per node (at most [`RTreeParams::MAX_FANOUT`]).
     pub max_entries: usize,
     /// Minimum entries per non-root node after deletion condensation.
     pub min_entries: usize,
 }
 
 impl RTreeParams {
-    /// The widest fan-out a tree can have (IR-tree child bitmaps are one
-    /// `u64`) — also the bound decoders hold a stored entry count to.
+    /// The widest fan-out a tree can have: the bound the paged arena's
+    /// chunk decoder holds a stored entry count to, so a corrupt count is
+    /// rejected instead of sizing an allocation no real node needs.
     pub const MAX_FANOUT: usize = 64;
 
     /// Creates parameters, checking `2 ≤ min ≤ max/2` and `max ≤ 64`.
     pub fn new(max_entries: usize, min_entries: usize) -> Self {
         assert!(
             max_entries <= Self::MAX_FANOUT,
-            "fanout {max_entries} exceeds 64 (IR bitmap width)"
+            "fanout {max_entries} exceeds 64 (the entry count chunk decoding accepts)"
         );
         assert!(min_entries >= 2, "min_entries must be ≥ 2");
         assert!(
@@ -257,12 +257,12 @@ impl Default for RTreeParams {
     }
 }
 
-/// The generic R-tree. See the module docs for the variant taxonomy and
-/// the persistent arena layout.
+/// The KcR-tree. See the module docs for the operations and the
+/// persistent arena layout.
 #[derive(Clone, Debug)]
-pub struct RTree<A: Augmentation> {
+pub struct RTree {
     corpus: Corpus,
-    arena: Arena<A>,
+    arena: Arena,
     /// Total allocated slots (including freed ones) — the exclusive upper
     /// bound on valid `NodeId` indexes.
     slots: usize,
@@ -282,7 +282,7 @@ pub struct RTree<A: Augmentation> {
     copy: CopyStats,
 }
 
-impl<A: Augmentation> RTree<A> {
+impl RTree {
     /// Creates an empty tree over `corpus` (no objects indexed yet).
     pub fn new(corpus: Corpus, params: RTreeParams) -> Self {
         RTree {
@@ -353,18 +353,18 @@ impl<A: Augmentation> RTree<A> {
     /// calls whose references are retained (resident trees need none,
     /// the guard is free there).
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node<A> {
+    pub fn node(&self, id: NodeId) -> &Node {
         match &self.arena {
             Arena::Resident(nodes) => nodes.get(id.index()),
             Arena::Paged(src) => {
-                let (ci, offset) = NodeArena::<A>::locate(id.index());
+                let (ci, offset) = NodeArena::locate(id.index());
                 &src.chunk(ci).items()[offset]
             }
         }
     }
 
     /// Opens a read section over the arena (see [`ArenaReadGuard`]).
-    pub fn read_guard(&self) -> ArenaReadGuard<'_, A> {
+    pub fn read_guard(&self) -> ArenaReadGuard<'_> {
         let source = match &self.arena {
             Arena::Resident(_) => None,
             Arena::Paged(src) => Some(&**src),
@@ -386,7 +386,7 @@ impl<A: Augmentation> RTree<A> {
     /// typically built by encoding a resident tree into a page file.
     /// Reads fault chunks through the source from now on; the first
     /// mutation [`RTree::materialize`]s the tree back to resident form.
-    pub fn page_out(&mut self, source: Arc<dyn NodeSource<A>>) {
+    pub fn page_out(&mut self, source: Arc<dyn NodeSource>) {
         assert!(!self.is_paged(), "tree is already paged");
         assert_eq!(
             source.chunk_count(),
@@ -403,7 +403,7 @@ impl<A: Augmentation> RTree<A> {
     pub fn materialize(&mut self) {
         let Arena::Paged(src) = &self.arena else { return };
         src.begin_read();
-        let nodes: NodeArena<A> = (0..src.chunk_count())
+        let nodes: NodeArena = (0..src.chunk_count())
             .flat_map(|ci| src.chunk(ci).items().iter().cloned())
             .collect();
         src.end_read();
@@ -446,7 +446,7 @@ impl<A: Augmentation> RTree<A> {
     /// behind the [`NodeSource`], so there is no resident spine to export
     /// or compare — [`RTree::same_arena`] is the question that is defined
     /// for both.
-    fn resident(&self) -> &NodeArena<A> {
+    fn resident(&self) -> &NodeArena {
         match &self.arena {
             Arena::Resident(nodes) => nodes,
             Arena::Paged(_) => panic!("resident arena access on a paged tree"),
@@ -456,7 +456,7 @@ impl<A: Augmentation> RTree<A> {
     /// Borrows the nodes of resident arena chunk `ci` — the export
     /// surface the paged-source builder encodes from. Panics on a paged
     /// tree.
-    pub fn arena_chunk(&self, ci: usize) -> &[Node<A>] {
+    pub fn arena_chunk(&self, ci: usize) -> &[Node] {
         self.resident().chunk(ci)
     }
 
@@ -556,7 +556,7 @@ impl<A: Augmentation> RTree<A> {
     /// spine is rebuilt fresh (nothing shared with prior versions).
     ///
     /// DFS order is what keeps the copy-on-write bill of *later* batches
-    /// small. Augmented internal nodes near the root carry keyword maps
+    /// small. Internal nodes near the root carry keyword maps
     /// orders of magnitude heavier than leaves; a level-order layout (the
     /// natural output of STR bulk loading) packs that entire internal
     /// level into the tail chunks, which sit on every root-to-leaf spine
@@ -575,7 +575,7 @@ impl<A: Augmentation> RTree<A> {
         for (new, (old, _)) in order.iter().enumerate() {
             remap[old.index()] = u32::try_from(new).expect("node arena overflow");
         }
-        let packed: NodeArena<A> = order
+        let packed: NodeArena = order
             .iter()
             .map(|(old, _)| {
                 let mut node = self.node(*old).clone();
@@ -680,7 +680,7 @@ impl<A: Augmentation> RTree<A> {
     /// The resident arena and the bill its copy-on-write work goes on.
     /// Mutators [`RTree::materialize`] first, so a paged arena here is a
     /// bug.
-    fn resident_mut(&mut self) -> (&mut NodeArena<A>, &mut CopyStats) {
+    fn resident_mut(&mut self) -> (&mut NodeArena, &mut CopyStats) {
         match &mut self.arena {
             Arena::Resident(nodes) => (nodes, &mut self.copy),
             Arena::Paged(_) => panic!("mutation of a paged arena"),
@@ -688,7 +688,7 @@ impl<A: Augmentation> RTree<A> {
     }
 
     /// Mutable access to a node, copy-on-write at chunk granularity.
-    fn node_mut(&mut self, id: NodeId) -> &mut Node<A> {
+    fn node_mut(&mut self, id: NodeId) -> &mut Node {
         let (nodes, copy) = self.resident_mut();
         nodes.make_mut(id.index(), copy)
     }
@@ -759,7 +759,7 @@ impl<A: Augmentation> RTree<A> {
         node.aug = aug;
     }
 
-    fn compute_summary(&self, n: NodeId) -> (Rect, Option<A>) {
+    fn compute_summary(&self, n: NodeId) -> (Rect, Option<KcAug>) {
         match &self.node(n).kind {
             NodeKind::Leaf(entries) => {
                 if entries.is_empty() {
@@ -772,7 +772,7 @@ impl<A: Augmentation> RTree<A> {
                     mbr.expand(&Rect::point(o.loc));
                     objs.push(o);
                 }
-                (mbr, Some(A::for_leaf(&objs)))
+                (mbr, Some(KcAug::for_leaf(&objs)))
             }
             NodeKind::Internal(children) => {
                 debug_assert!(!children.is_empty());
@@ -783,7 +783,7 @@ impl<A: Augmentation> RTree<A> {
                     mbr.expand(&child.mbr);
                     augs.push(child.aug());
                 }
-                (mbr, Some(A::for_internal(&augs)))
+                (mbr, Some(KcAug::for_internal(&augs)))
             }
         }
     }
@@ -1324,7 +1324,6 @@ fn quadratic_partition(rects: &[Rect], min_entries: usize) -> (Vec<usize>, Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aug::{KcAug, NoAug, SetAug};
     use crate::corpus::CorpusBuilder;
     use yask_text::KeywordSet;
     use yask_util::Xoshiro256;
@@ -1362,7 +1361,7 @@ mod tests {
 
     #[test]
     fn empty_tree_behaves() {
-        let t: RTree<NoAug> = RTree::new(random_corpus(0, 1), RTreeParams::default());
+        let t = RTree::new(random_corpus(0, 1), RTreeParams::default());
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
         assert_eq!(t.arena_chunk_count(), 0);
@@ -1374,7 +1373,7 @@ mod tests {
     #[test]
     fn insert_small_and_validate() {
         let corpus = random_corpus(10, 2);
-        let t: RTree<SetAug> = RTree::build_by_insertion(corpus, RTreeParams::new(4, 2));
+        let t = RTree::build_by_insertion(corpus, RTreeParams::new(4, 2));
         assert_eq!(t.len(), 10);
         t.validate().unwrap();
         let mut ids = t.object_ids();
@@ -1385,27 +1384,28 @@ mod tests {
     #[test]
     fn insertion_splits_grow_height() {
         let corpus = random_corpus(200, 3);
-        let t: RTree<NoAug> = RTree::build_by_insertion(corpus, RTreeParams::new(8, 3));
+        let t = RTree::build_by_insertion(corpus, RTreeParams::new(8, 3));
         assert!(t.height() >= 3, "height = {}", t.height());
         t.validate().unwrap();
     }
 
     #[test]
-    fn bulk_load_validates_across_sizes_and_augs() {
+    fn bulk_load_validates_across_sizes_and_fanouts() {
         for n in [0usize, 1, 2, 5, 33, 100, 1000] {
             let corpus = random_corpus(n, 42 + n as u64);
-            let t: RTree<SetAug> = RTree::bulk_load(corpus.clone(), RTreeParams::default());
+            let t = RTree::bulk_load(corpus.clone(), RTreeParams::default());
             assert_eq!(t.len(), n);
             t.validate().unwrap_or_else(|e| panic!("n={n}: {e}"));
-            let t2: RTree<KcAug> = RTree::bulk_load(corpus, RTreeParams::new(8, 3));
-            t2.validate().unwrap_or_else(|e| panic!("kc n={n}: {e}"));
+            let t2 = RTree::bulk_load(corpus, RTreeParams::new(8, 3));
+            t2.validate()
+                .unwrap_or_else(|e| panic!("fanout 8 n={n}: {e}"));
         }
     }
 
     #[test]
     fn range_matches_scan() {
         let corpus = random_corpus(300, 7);
-        let t: RTree<NoAug> = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let t = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let rect = Rect::from_coords(0.2, 0.2, 0.6, 0.7);
         let mut got = t.range(&rect);
         got.sort();
@@ -1422,7 +1422,7 @@ mod tests {
     #[test]
     fn nearest_matches_scan() {
         let corpus = random_corpus(250, 8);
-        let t: RTree<NoAug> = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let t = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let q = Point::new(0.33, 0.66);
         let got = t.nearest(&q, 10);
         let mut want: Vec<(f64, ObjectId)> =
@@ -1440,7 +1440,7 @@ mod tests {
     #[test]
     fn delete_removes_and_revalidates() {
         let corpus = random_corpus(120, 9);
-        let mut t: RTree<SetAug> = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let mut t = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let mut rng = Xoshiro256::seed_from_u64(99);
         let mut ids: Vec<ObjectId> = corpus.iter().map(|o| o.id).collect();
         rng.shuffle(&mut ids);
@@ -1458,7 +1458,7 @@ mod tests {
     #[test]
     fn mixed_insert_delete_stays_consistent() {
         let corpus = random_corpus(200, 10);
-        let mut t: RTree<KcAug> = RTree::new(corpus.clone(), RTreeParams::new(6, 2));
+        let mut t = RTree::new(corpus.clone(), RTreeParams::new(6, 2));
         let mut rng = Xoshiro256::seed_from_u64(5);
         let mut live: Vec<ObjectId> = Vec::new();
         let mut next = 0usize;
@@ -1489,7 +1489,7 @@ mod tests {
     fn corpus_version_swap_supports_incremental_updates() {
         use yask_text::KeywordSet;
         let corpus = random_corpus(60, 21);
-        let mut t: RTree<KcAug> = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let mut t = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         // Publish a new corpus version: two inserts, one delete.
         let (v1, new_ids) = corpus.with_updates(
             [
@@ -1515,7 +1515,7 @@ mod tests {
     fn corpus_version_swap_rejects_shrinking() {
         let big = random_corpus(10, 22);
         let small = random_corpus(5, 23);
-        let mut t: RTree<NoAug> = RTree::bulk_load(big, RTreeParams::default());
+        let mut t = RTree::bulk_load(big, RTreeParams::default());
         t.set_corpus(small);
     }
 
@@ -1536,7 +1536,7 @@ mod tests {
     #[test]
     fn node_accessors_panic_on_wrong_kind() {
         let corpus = random_corpus(3, 11);
-        let t: RTree<NoAug> = RTree::bulk_load(corpus, RTreeParams::default());
+        let t = RTree::bulk_load(corpus, RTreeParams::default());
         let root = t.root().unwrap();
         assert!(t.node(root).is_leaf());
         let entries = t.node(root).entries();
@@ -1549,7 +1549,7 @@ mod tests {
     #[test]
     fn structure_export_is_dense() {
         let corpus = random_corpus(300, 13);
-        let t: RTree<SetAug> = RTree::bulk_load(corpus, RTreeParams::new(8, 3));
+        let t = RTree::bulk_load(corpus, RTreeParams::new(8, 3));
         let s = t.structure();
         assert_eq!(s.len, 300);
         assert_eq!(s.root, Some(0), "the root comes first in walk order");
@@ -1559,15 +1559,14 @@ mod tests {
         for n in s.nodes.iter().filter(|n| !n.is_leaf) {
             assert!(n.entries.iter().all(|&c| (c as usize) < s.nodes.len()));
         }
-        let empty: RTree<NoAug> =
-            RTree::bulk_load(random_corpus(0, 14), RTreeParams::default());
+        let empty = RTree::bulk_load(random_corpus(0, 14), RTreeParams::default());
         assert_eq!(empty.structure().root, None);
     }
 
     #[test]
     fn walk_covers_all_nodes() {
         let corpus = random_corpus(100, 12);
-        let t: RTree<NoAug> = RTree::bulk_load(corpus, RTreeParams::new(8, 3));
+        let t = RTree::bulk_load(corpus, RTreeParams::new(8, 3));
         let walked = t.walk();
         assert!(walked.iter().any(|&(_, d)| d == 0));
         let max_d = walked.iter().map(|&(_, d)| d).max().unwrap();
@@ -1579,7 +1578,7 @@ mod tests {
     #[test]
     fn clone_shares_the_whole_arena() {
         let corpus = random_corpus(2000, 31);
-        let t: RTree<KcAug> = RTree::bulk_load(corpus, RTreeParams::new(4, 2));
+        let t = RTree::bulk_load(corpus, RTreeParams::new(4, 2));
         assert!(t.arena_chunk_count() >= 2, "fixture too small to chunk");
         let c = t.clone();
         assert!(t.same_arena(&c));
@@ -1589,7 +1588,7 @@ mod tests {
     #[test]
     fn mutation_after_clone_leaves_the_original_intact() {
         let corpus = random_corpus(500, 32);
-        let t: RTree<KcAug> = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let t = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let before = t.structure();
         let mut derived = t.clone();
         derived.reset_copy_stats();
@@ -1613,7 +1612,7 @@ mod tests {
     #[test]
     fn with_updates_shares_untouched_chunks() {
         let corpus = random_corpus(10_000, 33);
-        let t: RTree<KcAug> = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let t = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let old_chunks = t.arena_chunk_count();
         assert!(old_chunks >= 8, "fixture too small: {old_chunks} chunks");
         let (v1, new_ids) = corpus.with_updates(
@@ -1640,7 +1639,7 @@ mod tests {
     #[test]
     fn freed_slots_are_reused_before_growing_the_arena() {
         let corpus = random_corpus(150, 34);
-        let mut t: RTree<SetAug> = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let mut t = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let slots_before = t.arena_slots();
         let mut rng = Xoshiro256::seed_from_u64(3);
         // Deleting frees slots...

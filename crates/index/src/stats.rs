@@ -1,7 +1,6 @@
 //! Tree shape statistics — reported by the index-build experiments (E4/E9
 //! in DESIGN.md) and useful when eyeballing fill factors.
 
-use crate::aug::Augmentation;
 use crate::cow::ApproxBytes;
 use crate::rtree::{NodeKind, RTree};
 
@@ -21,8 +20,8 @@ pub struct TreeStats {
     /// Mean internal fill ratio.
     pub avg_internal_fill: f64,
     /// Estimated resident bytes of the reachable tree structure: node
-    /// frames, entry vectors, and augmentation heap payloads
-    /// ([`Augmentation::heap_bytes`]). Excludes the shared corpus — this
+    /// frames, entry vectors, and keyword-count heap payloads
+    /// ([`crate::KcAug::heap_bytes`]). Excludes the shared corpus — this
     /// is the *index* overhead the per-shard `/stats` counters report, the
     /// number that halves when a redundant global tree is dropped.
     pub bytes: usize,
@@ -39,7 +38,7 @@ pub struct TreeStats {
     pub arena_bytes: usize,
 }
 
-impl<A: Augmentation> RTree<A> {
+impl RTree {
     /// Computes shape statistics by walking the tree.
     pub fn stats(&self) -> TreeStats {
         let _guard = self.read_guard();
@@ -87,18 +86,21 @@ impl<A: Augmentation> RTree<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aug::NoAug;
     use crate::corpus::CorpusBuilder;
     use crate::rtree::RTreeParams;
     use yask_geo::Point;
     use yask_text::KeywordSet;
 
     fn corpus(n: usize) -> crate::corpus::Corpus {
+        corpus_with_docs(n, |i| KeywordSet::from_raw([i as u32 % 5]))
+    }
+
+    fn corpus_with_docs(n: usize, doc: impl Fn(usize) -> KeywordSet) -> crate::corpus::Corpus {
         let mut b = CorpusBuilder::new();
         for i in 0..n {
             b.push(
                 Point::new((i % 17) as f64, (i / 17) as f64),
-                KeywordSet::from_raw([i as u32 % 5]),
+                doc(i),
                 format!("o{i}"),
             );
         }
@@ -107,7 +109,7 @@ mod tests {
 
     #[test]
     fn empty_tree_stats() {
-        let t: RTree<NoAug> = RTree::new(corpus(0), RTreeParams::default());
+        let t = RTree::new(corpus(0), RTreeParams::default());
         let s = t.stats();
         assert_eq!(s.nodes, 0);
         assert_eq!(s.objects, 0);
@@ -116,7 +118,7 @@ mod tests {
 
     #[test]
     fn bulk_loaded_tree_is_well_filled() {
-        let t: RTree<NoAug> = RTree::bulk_load(corpus(500), RTreeParams::new(16, 6));
+        let t = RTree::bulk_load(corpus(500), RTreeParams::new(16, 6));
         let s = t.stats();
         assert_eq!(s.objects, 500);
         assert!(s.leaves >= 500 / 16);
@@ -124,19 +126,20 @@ mod tests {
         assert_eq!(s.height, t.height());
         assert!(s.nodes > s.leaves);
         // At minimum every entry and node frame is accounted for.
-        assert!(s.bytes >= s.nodes * std::mem::size_of::<crate::rtree::Node<NoAug>>() + 4 * 500);
+        assert!(s.bytes >= s.nodes * std::mem::size_of::<crate::rtree::Node>() + 4 * 500);
         // The arena holds every reachable node (and possibly freed slack).
         assert!(s.chunks >= 1);
         assert!(s.arena_bytes >= s.bytes, "{} < {}", s.arena_bytes, s.bytes);
     }
 
     #[test]
-    fn augmented_trees_report_more_bytes_than_plain() {
-        use crate::aug::KcAug;
-        let c = corpus(400);
-        let plain: RTree<NoAug> = RTree::bulk_load(c.clone(), RTreeParams::new(16, 6));
-        let kc: RTree<KcAug> = RTree::bulk_load(c, RTreeParams::new(16, 6));
-        // Same topology, but the KcR-tree carries keyword-count maps.
+    fn keyword_counts_report_more_bytes_than_empty_docs() {
+        let plain = RTree::bulk_load(
+            corpus_with_docs(400, |_| KeywordSet::empty()),
+            RTreeParams::new(16, 6),
+        );
+        let kc = RTree::bulk_load(corpus(400), RTreeParams::new(16, 6));
+        // Same topology, but only the second tree's nodes carry counts.
         assert_eq!(plain.stats().nodes, kc.stats().nodes);
         assert!(
             kc.stats().bytes > plain.stats().bytes,

@@ -7,7 +7,7 @@
 //! rule — what counts as a first touch, what a chunk bills — moves these.
 
 use yask_geo::Point;
-use yask_index::{CopyStats, CorpusBuilder, KcRTree, ObjectId, RTreeParams};
+use yask_index::{CopyStats, CorpusBuilder, ObjectId, RTree, RTreeParams};
 use yask_text::KeywordSet;
 use yask_util::Xoshiro256;
 
@@ -22,7 +22,7 @@ fn run() -> Vec<(CopyStats, CopyStats)> {
         b.push(Point::new(rng.next_f64(), rng.next_f64()), doc, format!("o{i}"));
     }
     let mut corpus = b.build();
-    let mut tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+    let mut tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
 
     let mut bills = Vec::with_capacity(BATCHES);
     for batch in 0..BATCHES {

@@ -5,7 +5,7 @@
 //! size — and the delete hot path must stay linear over a 10k burst.
 
 use yask_geo::{Point, Rect};
-use yask_index::{Corpus, CorpusBuilder, KcRTree, ObjectId, RTreeParams, NODE_CHUNK_SIZE};
+use yask_index::{Corpus, CorpusBuilder, ObjectId, RTree, RTreeParams, NODE_CHUNK_SIZE};
 use yask_text::KeywordSet;
 use yask_util::Xoshiro256;
 
@@ -24,10 +24,10 @@ fn random_corpus(n: usize, seed: u64) -> Corpus {
 /// One random single-insert/single-delete batch against `(corpus, tree)`.
 fn step(
     corpus: &Corpus,
-    tree: &KcRTree,
+    tree: &RTree,
     rng: &mut Xoshiro256,
     tag: usize,
-) -> (Corpus, KcRTree, yask_index::CopyStats) {
+) -> (Corpus, RTree, yask_index::CopyStats) {
     let live = corpus.live_ids();
     let victim = live[rng.below(live.len())];
     let (next_corpus, new_ids) = corpus.with_updates(
@@ -46,7 +46,7 @@ fn step(
 fn successive_epochs_share_untouched_chunks() {
     let params = RTreeParams::new(8, 3);
     let mut corpus = random_corpus(20_000, 1);
-    let mut tree = KcRTree::bulk_load(corpus.clone(), params);
+    let mut tree = RTree::bulk_load(corpus.clone(), params);
     let total_chunks = tree.arena_chunk_count();
     assert!(total_chunks >= 8, "fixture too small: {total_chunks} chunks");
     let mut rng = Xoshiro256::seed_from_u64(2);
@@ -96,8 +96,8 @@ fn spine_copy_bytes_stay_height_bounded() {
     // height-bounded number of chunks is copied.
     let params = RTreeParams::new(8, 3);
     let corpus = random_corpus(30_000, 3);
-    let tree = KcRTree::bulk_load(corpus.clone(), params);
-    let node_bytes = std::mem::size_of::<yask_index::Node<yask_index::KcAug>>();
+    let tree = RTree::bulk_load(corpus.clone(), params);
+    let node_bytes = std::mem::size_of::<yask_index::Node>();
     // Static per-chunk ceiling: full chunk of max-fanout nodes whose
     // keyword-count maps span the whole (small) test vocabulary.
     let chunk_ceiling = NODE_CHUNK_SIZE * (node_bytes + 4 * params.max_entries + 8 * VOCAB as usize);
@@ -131,7 +131,7 @@ fn old_epochs_answer_queries_unchanged() {
     // corpus version, exactly.
     let params = RTreeParams::new(8, 3);
     let mut corpus = random_corpus(5_000, 5);
-    let mut tree = KcRTree::bulk_load(corpus.clone(), params);
+    let mut tree = RTree::bulk_load(corpus.clone(), params);
     let mut epochs = vec![(corpus.clone(), tree.clone())];
     let mut rng = Xoshiro256::seed_from_u64(6);
     for round in 0..8 {
@@ -162,7 +162,7 @@ fn delete_burst_10k_stays_linear() {
     // bitset the whole burst is height-bounded work per op.
     let params = RTreeParams::new(8, 3);
     let corpus = random_corpus(12_000, 7);
-    let mut tree = KcRTree::bulk_load(corpus.clone(), params);
+    let mut tree = RTree::bulk_load(corpus.clone(), params);
     let mut rng = Xoshiro256::seed_from_u64(8);
     let mut live: Vec<ObjectId> = corpus.iter().map(|o| o.id).collect();
     rng.shuffle(&mut live);

@@ -14,8 +14,9 @@
 //! * page level ([`crate::PoolStats`]) — buffer-pool hits / misses, what
 //!   the disk actually pays.
 //!
-//! The encoding is exact: augmentations round-trip bit-identically via
-//! [`AugCodec`] and MBR coordinates via `f64` bit patterns, so a paged
+//! The encoding is exact: keyword-count summaries round-trip
+//! bit-identically via [`KcAug::encode`] / [`KcAug::decode`] and MBR
+//! coordinates via `f64` bit patterns, so a paged
 //! tree answers every query byte-identically to its resident original
 //! (property-tested by the out-of-core oracle suite).
 
@@ -25,9 +26,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use yask_index::{
-    AugCodec, Augmentation, Node, NodeChunk, NodeKind, NodeSource, RTree, RTreeParams,
-};
+use yask_index::{KcAug, Node, NodeChunk, NodeKind, NodeSource, RTree, RTreeParams};
 use yask_geo::{Point, Rect};
 use yask_index::{NodeId, ObjectId};
 
@@ -54,37 +53,37 @@ pub struct PagedStats {
     pub budget_bytes: usize,
 }
 
-struct CacheEntry<A> {
-    chunk: Arc<NodeChunk<A>>,
+struct CacheEntry {
+    chunk: Arc<NodeChunk>,
     last_used: u64,
     bytes: usize,
 }
 
-struct Cache<A> {
-    entries: HashMap<usize, CacheEntry<A>>,
+struct Cache {
+    entries: HashMap<usize, CacheEntry>,
     cached_bytes: usize,
     tick: u64,
     /// Evicted chunks that may still be referenced by an active read
     /// guard. Freed only when the reader count returns to zero.
-    graveyard: Vec<Arc<NodeChunk<A>>>,
+    graveyard: Vec<Arc<NodeChunk>>,
 }
 
 /// A [`NodeSource`] that faults arena chunks through the buffer pool on
 /// access, keeping at most `budget_bytes` of decoded chunks resident.
-pub struct PagedNodeSource<A> {
+pub struct PagedNodeSource {
     pool: Arc<BufferPool>,
     /// Per-chunk `(first page, stream length)` of the encoded chunk.
     directory: Vec<(PageId, u64)>,
     budget_bytes: usize,
     arena_bytes: usize,
-    state: Mutex<Cache<A>>,
+    state: Mutex<Cache>,
     readers: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl<A> std::fmt::Debug for PagedNodeSource<A> {
+impl std::fmt::Debug for PagedNodeSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PagedNodeSource")
             .field("chunks", &self.directory.len())
@@ -95,14 +94,14 @@ impl<A> std::fmt::Debug for PagedNodeSource<A> {
     }
 }
 
-impl<A: Augmentation + AugCodec + Send + Sync + 'static> PagedNodeSource<A> {
+impl PagedNodeSource {
     /// Encodes every chunk of a resident `tree` into `pool`'s page file
     /// and returns a source serving them with at most `budget_bytes` of
     /// decoded chunks resident. The tree itself is not modified — pass
     /// the result to [`RTree::page_out`] (or use [`page_out_tree`]).
     pub fn build(
         pool: Arc<BufferPool>,
-        tree: &RTree<A>,
+        tree: &RTree,
         budget_bytes: usize,
     ) -> io::Result<Arc<Self>> {
         assert!(!tree.is_paged(), "building a paged source from a paged tree");
@@ -149,14 +148,14 @@ impl<A: Augmentation + AugCodec + Send + Sync + 'static> PagedNodeSource<A> {
         &self.pool
     }
 
-    fn fault(&self, ci: usize) -> io::Result<Arc<NodeChunk<A>>> {
+    fn fault(&self, ci: usize) -> io::Result<Arc<NodeChunk>> {
         let (first, len) = self.directory[ci];
         let mut r = StreamReader::new(&self.pool, first, len)?;
         decode_chunk(&mut r).map(Arc::new)
     }
 }
 
-impl<A: Augmentation + AugCodec + Send + Sync + 'static> NodeSource<A> for PagedNodeSource<A> {
+impl NodeSource for PagedNodeSource {
     fn chunk_count(&self) -> usize {
         self.directory.len()
     }
@@ -185,7 +184,7 @@ impl<A: Augmentation + AugCodec + Send + Sync + 'static> NodeSource<A> for Paged
         }
     }
 
-    fn chunk(&self, ci: usize) -> &NodeChunk<A> {
+    fn chunk(&self, ci: usize) -> &NodeChunk {
         debug_assert!(
             self.readers.load(Ordering::Acquire) > 0,
             "PagedNodeSource::chunk outside a read guard"
@@ -196,7 +195,7 @@ impl<A: Augmentation + AugCodec + Send + Sync + 'static> NodeSource<A> for Paged
         if let Some(e) = st.entries.get_mut(&ci) {
             e.last_used = tick;
             self.hits.fetch_add(1, Ordering::Relaxed);
-            let ptr: *const NodeChunk<A> = Arc::as_ptr(&e.chunk);
+            let ptr: *const NodeChunk = Arc::as_ptr(&e.chunk);
             // SAFETY: the Arc stays alive in the cache, or — if evicted —
             // in the graveyard until the reader count returns to zero,
             // which by the NodeSource guard protocol outlives every
@@ -208,7 +207,7 @@ impl<A: Augmentation + AugCodec + Send + Sync + 'static> NodeSource<A> for Paged
             .fault(ci)
             .unwrap_or_else(|e| panic!("paged arena chunk {ci} unreadable: {e}"));
         let bytes = chunk.approx_bytes();
-        let ptr: *const NodeChunk<A> = Arc::as_ptr(&chunk);
+        let ptr: *const NodeChunk = Arc::as_ptr(&chunk);
         st.cached_bytes += bytes;
         st.entries.insert(ci, CacheEntry { chunk, last_used: tick, bytes });
         // Evict least-recently-used chunks down to the budget, always
@@ -234,11 +233,11 @@ impl<A: Augmentation + AugCodec + Send + Sync + 'static> NodeSource<A> for Paged
 
 /// Encodes a resident `tree`'s arena into `pool` and switches the tree
 /// to serve reads through it, returning the source for stats polling.
-pub fn page_out_tree<A: Augmentation + AugCodec + Send + Sync + 'static>(
+pub fn page_out_tree(
     pool: &Arc<BufferPool>,
-    tree: &mut RTree<A>,
+    tree: &mut RTree,
     budget_bytes: usize,
-) -> io::Result<Arc<PagedNodeSource<A>>> {
+) -> io::Result<Arc<PagedNodeSource>> {
     let source = PagedNodeSource::build(Arc::clone(pool), tree, budget_bytes)?;
     tree.page_out(source.clone());
     Ok(source)
@@ -251,10 +250,7 @@ pub fn page_out_tree<A: Augmentation + AugCodec + Send + Sync + 'static>(
 const KIND_LEAF: u8 = 0;
 const KIND_INTERNAL: u8 = 1;
 
-fn encode_chunk<A: Augmentation + AugCodec>(
-    w: &mut StreamWriter<'_>,
-    nodes: &[Node<A>],
-) -> io::Result<()> {
+fn encode_chunk(w: &mut StreamWriter<'_>, nodes: &[Node]) -> io::Result<()> {
     w.write_u32(nodes.len() as u32)?;
     let mut aug_buf = Vec::new();
     for n in nodes {
@@ -267,7 +263,7 @@ fn encode_chunk<A: Augmentation + AugCodec>(
             Some(a) => {
                 w.write_u8(1)?;
                 aug_buf.clear();
-                a.encode_aug(&mut aug_buf);
+                a.encode(&mut aug_buf);
                 w.write_u32(aug_buf.len() as u32)?;
                 w.write_bytes(&aug_buf)?;
             }
@@ -296,9 +292,7 @@ fn corrupt(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
-fn decode_chunk<A: Augmentation + AugCodec>(
-    r: &mut StreamReader<'_>,
-) -> io::Result<NodeChunk<A>> {
+fn decode_chunk(r: &mut StreamReader<'_>) -> io::Result<NodeChunk> {
     let count = r.read_u32()? as usize;
     if count > yask_index::NODE_CHUNK_SIZE {
         return Err(corrupt(format!("implausible chunk node count {count}")));
@@ -318,7 +312,7 @@ fn decode_chunk<A: Augmentation + AugCodec>(
                 let mut buf = vec![0u8; len];
                 r.read_bytes(&mut buf)?;
                 let mut cursor = buf.as_slice();
-                let a = A::decode_aug(&mut cursor)
+                let a = KcAug::decode(&mut cursor)
                     .ok_or_else(|| corrupt("augmentation failed to decode"))?;
                 if !cursor.is_empty() {
                     return Err(corrupt("augmentation decode left trailing bytes"));
@@ -358,7 +352,7 @@ fn decode_chunk<A: Augmentation + AugCodec>(
 mod tests {
     use super::*;
     use yask_geo::Point;
-    use yask_index::{Corpus, CorpusBuilder, KcAug, SetAug};
+    use yask_index::{Corpus, CorpusBuilder};
     use yask_text::KeywordSet;
 
     fn pool() -> Arc<BufferPool> {
@@ -384,7 +378,7 @@ mod tests {
         b.build()
     }
 
-    fn tree(n: usize) -> RTree<KcAug> {
+    fn tree(n: usize) -> RTree {
         RTree::bulk_load(corpus(n), RTreeParams::default())
     }
 
@@ -479,7 +473,7 @@ mod tests {
     fn decode_rejects_an_entry_count_above_the_fan_out_bound() {
         let p = pool();
         let ids = (0..3).map(ObjectId).collect();
-        let node = Node::<KcAug>::from_parts(Rect::EMPTY, None, NodeKind::Leaf(ids));
+        let node = Node::from_parts(Rect::EMPTY, None, NodeKind::Leaf(ids));
         let mut w = StreamWriter::new(&p).unwrap();
         encode_chunk(&mut w, &[node]).unwrap();
         let (first, len) = w.finish().unwrap();
@@ -490,7 +484,7 @@ mod tests {
             let mut w = StreamWriter::new(&p).unwrap();
             w.write_bytes(bytes).unwrap();
             let (first, len) = w.finish().unwrap();
-            decode_chunk::<KcAug>(&mut StreamReader::new(&p, first, len).unwrap())
+            decode_chunk(&mut StreamReader::new(&p, first, len).unwrap())
         };
         assert_eq!(decode(&bytes).unwrap().nodes()[0].entries().len(), 3);
         // node count, MBR, absent-augmentation tag, kind tag — then the
@@ -504,8 +498,8 @@ mod tests {
     }
 
     #[test]
-    fn set_augmented_tree_pages_too() {
-        let resident: RTree<SetAug> = RTree::bulk_load(corpus(150), RTreeParams::new(8, 3));
+    fn narrow_fanout_tree_pages_too() {
+        let resident = RTree::bulk_load(corpus(150), RTreeParams::new(8, 3));
         let mut paged = resident.clone();
         let p = pool();
         page_out_tree(&p, &mut paged, resident.arena_bytes() / 4).unwrap();

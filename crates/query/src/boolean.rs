@@ -7,14 +7,14 @@
 //! ranked by the same score. Both modes matter in practice ("find cafes
 //! that definitely have wifi *and* parking, nearest first").
 //!
-//! The index variants prune conjunctive queries aggressively: a subtree
-//! can contain a qualifying object only if every query keyword appears in
-//! its union keyword set (`TextStats::max_inter == |q.doc|`), which the
-//! SetR/KcR/IR augmentations all expose.
+//! The index prunes conjunctive queries aggressively: a subtree can
+//! contain a qualifying object only if every query keyword appears in its
+//! union keyword set (`TextStats::max_inter == |q.doc|`), i.e. has a
+//! non-zero count in the node's keyword-count map.
 
 use std::collections::BinaryHeap;
 
-use yask_index::{Augmentation, Corpus, NodeId, NodeKind, ObjectId, RTree, TextualBound};
+use yask_index::{Corpus, NodeId, NodeKind, ObjectId, RTree};
 use yask_util::{Scored, TopK};
 
 use crate::query::Query;
@@ -43,16 +43,12 @@ enum Entry {
     Object(ObjectId),
 }
 
-/// Boolean top-k over any augmented R-tree: subtrees missing any query
-/// keyword are pruned outright; qualifying objects stream out best-first.
+/// Boolean top-k over the tree: subtrees missing any query keyword are
+/// pruned outright; qualifying objects stream out best-first.
 ///
 /// Note the result may hold fewer than `k` objects — conjunctive
 /// semantics can be unsatisfiable.
-pub fn boolean_topk_tree<A: Augmentation + TextualBound>(
-    tree: &RTree<A>,
-    params: &ScoreParams,
-    q: &Query,
-) -> Vec<RankedObject> {
+pub fn boolean_topk_tree(tree: &RTree, params: &ScoreParams, q: &Query) -> Vec<RankedObject> {
     let mut out = Vec::new();
     let Some(root) = tree.root() else {
         return out;
@@ -112,7 +108,7 @@ mod tests {
     use super::*;
     use crate::query::Weights;
     use yask_geo::{Point, Space};
-    use yask_index::{CorpusBuilder, RTreeParams, SetRTree};
+    use yask_index::{CorpusBuilder, RTreeParams};
     use yask_text::KeywordSet;
     use yask_util::Xoshiro256;
 
@@ -132,7 +128,7 @@ mod tests {
     fn tree_matches_scan_on_random_data() {
         let corpus = random_corpus(500, 12, 61);
         let params = ScoreParams::new(corpus.space());
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let mut rng = Xoshiro256::seed_from_u64(62);
         for _ in 0..30 {
             let doc = KeywordSet::from_raw((0..1 + rng.below(3)).map(|_| rng.below(12) as u32));
@@ -154,7 +150,7 @@ mod tests {
     fn every_result_contains_all_keywords() {
         let corpus = random_corpus(300, 8, 63);
         let params = ScoreParams::new(corpus.space());
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.5, 0.5), KeywordSet::from_raw([1, 3]), 10);
         for r in boolean_topk_tree(&tree, &params, &q) {
             assert!(q.doc.is_subset_of(&corpus.get(r.id).doc));
@@ -165,7 +161,7 @@ mod tests {
     fn unsatisfiable_conjunction_returns_empty() {
         let corpus = random_corpus(100, 5, 64);
         let params = ScoreParams::new(corpus.space());
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         // Keyword 99 exists nowhere.
         let q = Query::new(Point::new(0.5, 0.5), KeywordSet::from_raw([1, 99]), 5);
         assert!(boolean_topk_tree(&tree, &params, &q).is_empty());
@@ -177,7 +173,7 @@ mod tests {
         // An empty conjunction is vacuously satisfied: pure spatial kNN.
         let corpus = random_corpus(50, 5, 65);
         let params = ScoreParams::new(corpus.space());
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.2, 0.8), KeywordSet::empty(), 5);
         let got = boolean_topk_tree(&tree, &params, &q);
         assert_eq!(got.len(), 5);
@@ -196,7 +192,7 @@ mod tests {
         b.push(Point::new(0.3, 0.3), KeywordSet::from_raw([2]), "only2");
         let corpus = b.build();
         let params = ScoreParams::new(corpus.space());
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let q = Query::new(Point::new(0.0, 0.0), KeywordSet::from_raw([1, 2]), 10);
         let got = boolean_topk_tree(&tree, &params, &q);
         assert_eq!(got.len(), 1);

@@ -9,7 +9,7 @@
 
 use std::collections::BinaryHeap;
 
-use yask_index::{ArenaReadGuard, Augmentation, NodeId, NodeKind, ObjectId, RTree, TextualBound};
+use yask_index::{ArenaReadGuard, NodeId, NodeKind, ObjectId, RTree};
 use yask_util::Scored;
 
 use crate::query::Query;
@@ -22,20 +22,20 @@ enum Entry {
 }
 
 /// A lazy, rank-ordered stream of query results.
-pub struct IncrementalSearch<'t, A: Augmentation> {
-    tree: &'t RTree<A>,
+pub struct IncrementalSearch<'t> {
+    tree: &'t RTree,
     /// Pins the arena of a paged tree for the stream's whole lifetime —
     /// node references taken in `next` must outlive each heap push.
-    _guard: ArenaReadGuard<'t, A>,
+    _guard: ArenaReadGuard<'t>,
     params: ScoreParams,
     query: Query,
     heap: BinaryHeap<Scored<Entry>>,
     yielded: usize,
 }
 
-impl<'t, A: Augmentation + TextualBound> IncrementalSearch<'t, A> {
+impl<'t> IncrementalSearch<'t> {
     /// Starts a search; `q.k` is ignored (the stream is unbounded).
-    pub fn new(tree: &'t RTree<A>, params: ScoreParams, query: Query) -> Self {
+    pub fn new(tree: &'t RTree, params: ScoreParams, query: Query) -> Self {
         let guard = tree.read_guard();
         let mut heap = BinaryHeap::new();
         if let Some(root) = tree.root() {
@@ -72,7 +72,7 @@ impl<'t, A: Augmentation + TextualBound> IncrementalSearch<'t, A> {
     }
 }
 
-impl<A: Augmentation + TextualBound> Iterator for IncrementalSearch<'_, A> {
+impl Iterator for IncrementalSearch<'_> {
     type Item = RankedObject;
 
     fn next(&mut self) -> Option<RankedObject> {
@@ -113,7 +113,7 @@ mod tests {
     use super::*;
     use crate::scan::{rank_of_scan, topk_scan};
     use yask_geo::{Point, Space};
-    use yask_index::{Corpus, CorpusBuilder, RTreeParams, SetAug};
+    use yask_index::{Corpus, CorpusBuilder, RTreeParams};
     use yask_text::KeywordSet;
     use yask_util::Xoshiro256;
 
@@ -131,7 +131,7 @@ mod tests {
     fn stream_matches_full_ranking() {
         let c = corpus(120, 1);
         let params = ScoreParams::new(c.space());
-        let tree: RTree<SetAug> = RTree::bulk_load(c.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(c.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.4, 0.6), KeywordSet::from_raw([1, 3]), 1);
         let streamed: Vec<ObjectId> =
             IncrementalSearch::new(&tree, params, q.clone()).map(|r| r.id).collect();
@@ -147,7 +147,7 @@ mod tests {
     fn rank_of_matches_scan_oracle() {
         let c = corpus(200, 2);
         let params = ScoreParams::new(c.space());
-        let tree: RTree<SetAug> = RTree::bulk_load(c.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(c.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.2, 0.8), KeywordSet::from_raw([2, 5]), 1);
         let mut rng = Xoshiro256::seed_from_u64(9);
         for _ in 0..20 {
@@ -164,7 +164,7 @@ mod tests {
         let params = ScoreParams::new(c.space());
         // Index only the first 10 objects.
         let ids: Vec<ObjectId> = (0..10).map(ObjectId).collect();
-        let tree: RTree<SetAug> =
+        let tree =
             RTree::bulk_load_subset(c.clone(), &ids, RTreeParams::new(4, 2));
         let q = Query::new(Point::new(0.5, 0.5), KeywordSet::from_raw([1]), 1);
         let mut search = IncrementalSearch::new(&tree, params, q);
@@ -176,7 +176,7 @@ mod tests {
     fn empty_tree_stream_is_empty() {
         let c = corpus(0, 4);
         let params = ScoreParams::new(c.space());
-        let tree: RTree<SetAug> = RTree::bulk_load(c, RTreeParams::default());
+        let tree = RTree::bulk_load(c, RTreeParams::default());
         let q = Query::new(Point::new(0.5, 0.5), KeywordSet::from_raw([1]), 1);
         assert_eq!(IncrementalSearch::new(&tree, params, q).count(), 0);
     }
@@ -185,7 +185,7 @@ mod tests {
     fn yielded_counts_progress() {
         let c = corpus(50, 5);
         let params = ScoreParams::new(c.space());
-        let tree: RTree<SetAug> = RTree::bulk_load(c, RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(c, RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.1, 0.1), KeywordSet::from_raw([1]), 1);
         let mut s = IncrementalSearch::new(&tree, params, q);
         assert_eq!(s.yielded(), 0);

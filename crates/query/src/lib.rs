@@ -13,9 +13,9 @@
 //! * [`Query`] / [`Weights`] — query parameters with the paper's
 //!   `ws + wt = 1` invariant,
 //! * [`ScoreParams`] — the scoring function plus node-level upper/lower
-//!   bounds for any augmented R-tree,
-//! * [`topk`] — the best-first priority-queue algorithm of §3.3, generic
-//!   over the index variant, with traversal statistics,
+//!   bounds from a KcR-tree node's keyword counts,
+//! * [`topk`] — the best-first priority-queue algorithm of §3.3, with
+//!   traversal statistics and an optional weaker bound view,
 //! * [`scan`] — the exact linear-scan baseline and rank oracles,
 //! * [`iter`] — incremental best-first enumeration (objects stream out in
 //!   rank order), which the why-not engine uses to locate missing objects'
@@ -42,4 +42,4 @@ pub use query::{Query, Weights};
 pub use range::{range_keyword_scan, range_keyword_tree, MatchMode};
 pub use scan::{rank_of_scan, ranks_of_scan, topk_scan};
 pub use score::{RankedObject, ScoreParams};
-pub use topk::{topk_tree, topk_tree_with_stats, TraversalStats};
+pub use topk::{topk_tree, topk_tree_with_stats, topk_tree_with_view, TraversalStats};

@@ -4,10 +4,10 @@
 //! workhorse query behind the demo's map panel (grey/green markers in a
 //! viewport). Objects inside a rectangle whose keyword sets match the
 //! query keywords under a [`MatchMode`], pruned by both the MBRs and the
-//! textual augmentation.
+//! nodes' keyword counts.
 
 use yask_geo::Rect;
-use yask_index::{Augmentation, Corpus, NodeKind, ObjectId, RTree, TextualBound};
+use yask_index::{Corpus, NodeKind, ObjectId, RTree};
 use yask_text::KeywordSet;
 
 /// How the query keywords must match an object.
@@ -45,8 +45,8 @@ fn matches(query: &KeywordSet, doc: &KeywordSet, mode: MatchMode) -> bool {
 /// Index-backed spatio-textual range query: descends only subtrees whose
 /// MBR intersects `rect` *and* whose keyword summary can still satisfy
 /// the match mode.
-pub fn range_keyword_tree<A: Augmentation + TextualBound>(
-    tree: &RTree<A>,
+pub fn range_keyword_tree(
+    tree: &RTree,
     rect: &Rect,
     doc: &KeywordSet,
     mode: MatchMode,
@@ -89,7 +89,7 @@ pub fn range_keyword_tree<A: Augmentation + TextualBound>(
 mod tests {
     use super::*;
     use yask_geo::{Point, Space};
-    use yask_index::{CorpusBuilder, KcRTree, RTreeParams, SetRTree};
+    use yask_index::{CorpusBuilder, RTreeParams};
     use yask_util::Xoshiro256;
 
     fn random_corpus(n: usize, vocab: u32, seed: u64) -> Corpus {
@@ -107,8 +107,7 @@ mod tests {
     #[test]
     fn tree_matches_scan_both_modes() {
         let corpus = random_corpus(400, 10, 71);
-        let set = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
-        let kc = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let mut rng = Xoshiro256::seed_from_u64(72);
         for _ in 0..20 {
             let x0 = rng.next_f64() * 0.7;
@@ -118,14 +117,9 @@ mod tests {
             for mode in [MatchMode::Any, MatchMode::All] {
                 let mut want = range_keyword_scan(&corpus, &rect, &doc, mode);
                 want.sort();
-                for (name, tree_result) in [
-                    ("set", range_keyword_tree(&set, &rect, &doc, mode)),
-                    ("kc", range_keyword_tree(&kc, &rect, &doc, mode)),
-                ] {
-                    let mut got = tree_result;
-                    got.sort();
-                    assert_eq!(got, want.clone(), "{name} {mode:?} rect {rect:?}");
-                }
+                let mut got = range_keyword_tree(&tree, &rect, &doc, mode);
+                got.sort();
+                assert_eq!(got, want, "{mode:?} rect {rect:?}");
             }
         }
     }
@@ -133,7 +127,7 @@ mod tests {
     #[test]
     fn any_mode_with_empty_doc_matches_nothing() {
         let corpus = random_corpus(50, 5, 73);
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let all = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
         assert!(range_keyword_tree(&tree, &all, &KeywordSet::empty(), MatchMode::Any).is_empty());
     }
@@ -141,7 +135,7 @@ mod tests {
     #[test]
     fn all_mode_with_empty_doc_is_pure_spatial_range() {
         let corpus = random_corpus(80, 5, 74);
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let rect = Rect::from_coords(0.25, 0.25, 0.75, 0.75);
         let mut got = range_keyword_tree(&tree, &rect, &KeywordSet::empty(), MatchMode::All);
         got.sort();
@@ -153,7 +147,7 @@ mod tests {
     #[test]
     fn disjoint_rect_is_empty() {
         let corpus = random_corpus(50, 5, 75);
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let rect = Rect::from_coords(5.0, 5.0, 6.0, 6.0);
         assert!(range_keyword_tree(&tree, &rect, &KeywordSet::from_raw([1]), MatchMode::Any)
             .is_empty());

@@ -1,7 +1,7 @@
 //! The ranking function `ST` (Eqn 1) and its node-level bounds.
 
 use yask_geo::{Rect, Space};
-use yask_index::{ObjectId, SpatioTextualObject, TextualBound};
+use yask_index::{KcAug, ObjectId, SpatioTextualObject, TextStats};
 use yask_text::{KeywordSet, SimilarityModel};
 
 use crate::query::Query;
@@ -76,42 +76,38 @@ impl ScoreParams {
     }
 
     /// Upper bound of `ST(o, q)` over all objects `o` inside a node with
-    /// rectangle `mbr` and augmentation `aug`.
+    /// rectangle `mbr` and summary `aug`.
     #[inline]
-    pub fn node_upper<A: TextualBound>(&self, mbr: &Rect, aug: &A, q: &Query) -> f64 {
+    pub fn node_upper(&self, mbr: &Rect, aug: &KcAug, q: &Query) -> f64 {
         self.node_upper_with_doc(mbr, aug, q, &q.doc)
     }
 
     /// [`ScoreParams::node_upper`] with a substituted keyword set.
     #[inline]
-    pub fn node_upper_with_doc<A: TextualBound>(
-        &self,
-        mbr: &Rect,
-        aug: &A,
-        q: &Query,
-        doc: &KeywordSet,
-    ) -> f64 {
+    pub fn node_upper_with_doc(&self, mbr: &Rect, aug: &KcAug, q: &Query, doc: &KeywordSet) -> f64 {
+        self.stats_upper(mbr, aug.text_stats(doc), q)
+    }
+
+    /// [`ScoreParams::node_upper`] from a node's [`TextStats`] as given —
+    /// the form a search that bounds through a weaker view of the
+    /// summary (e.g. [`TextStats::without_intersection`]) calls.
+    #[inline]
+    pub(crate) fn stats_upper(&self, mbr: &Rect, text: TextStats, q: &Query) -> f64 {
         let a = 1.0 - self.space.sdist_min(&q.loc, mbr);
-        let b = aug.sim_upper(doc, self.model);
+        let b = text.upper(self.model);
         q.weights.ws() * a + q.weights.wt() * b
     }
 
     /// Lower bound counterpart: every object below the node scores at
     /// least this much.
     #[inline]
-    pub fn node_lower<A: TextualBound>(&self, mbr: &Rect, aug: &A, q: &Query) -> f64 {
+    pub fn node_lower(&self, mbr: &Rect, aug: &KcAug, q: &Query) -> f64 {
         self.node_lower_with_doc(mbr, aug, q, &q.doc)
     }
 
     /// [`ScoreParams::node_lower`] with a substituted keyword set.
     #[inline]
-    pub fn node_lower_with_doc<A: TextualBound>(
-        &self,
-        mbr: &Rect,
-        aug: &A,
-        q: &Query,
-        doc: &KeywordSet,
-    ) -> f64 {
+    pub fn node_lower_with_doc(&self, mbr: &Rect, aug: &KcAug, q: &Query, doc: &KeywordSet) -> f64 {
         let a = 1.0 - self.space.sdist_max(&q.loc, mbr);
         let b = aug.sim_lower(doc, self.model);
         q.weights.ws() * a + q.weights.wt() * b
@@ -129,7 +125,7 @@ impl ScoreParams {
 mod tests {
     use super::*;
     use yask_geo::Point;
-    use yask_index::{Augmentation, CorpusBuilder, SetAug};
+    use yask_index::CorpusBuilder;
 
     fn ks(ids: &[u32]) -> KeywordSet {
         KeywordSet::from_raw(ids.iter().copied())
@@ -190,7 +186,7 @@ mod tests {
         let (corpus, params) = fixture();
         let q = Query::new(Point::new(0.2, 0.1), ks(&[1, 9]), 1);
         let objs: Vec<&yask_index::SpatioTextualObject> = corpus.iter().collect();
-        let aug = SetAug::for_leaf(&objs);
+        let aug = KcAug::for_leaf(&objs);
         let mut mbr = Rect::EMPTY;
         for o in &objs {
             mbr.expand(&Rect::point(o.loc));

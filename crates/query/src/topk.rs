@@ -8,16 +8,19 @@
 //! retrieved."
 //!
 //! Nodes are keyed by their score *upper bound* (spatial min-distance +
-//! textual bound from the augmentation), objects by their exact score;
-//! the first `k` objects popped are exactly the top-k. The algorithm is
-//! generic over the augmentation, so the same code runs the SetR-tree,
-//! KcR-tree, IR-tree and plain-R-tree engines — only the tightness of the
-//! bound (and therefore the number of node expansions) differs, which is
-//! what experiment E5 measures.
+//! textual bound from the node's keyword counts), objects by their exact
+//! score; the first `k` objects popped are exactly the top-k. The tree's
+//! one summary implies the SetR-tree's intersection and union sets, so
+//! the served search bounds exactly as the SetR-tree does. The one loop
+//! takes a *view* of each node's [`TextStats`]: the served entry points
+//! pass the identity, and [`topk_tree_with_view`] with
+//! [`TextStats::without_intersection`] runs the IR-tree's looser bound
+//! over the same nodes — only the number of node expansions differs,
+//! which is what experiment E5 measures.
 
 use std::collections::BinaryHeap;
 
-use yask_index::{Augmentation, NodeId, NodeKind, ObjectId, RTree, TextualBound};
+use yask_index::{Node, NodeId, NodeKind, ObjectId, RTree, TextStats};
 use yask_util::Scored;
 
 use crate::query::Query;
@@ -46,12 +49,8 @@ enum Entry {
     Object(ObjectId),
 }
 
-/// Runs the best-first top-k search over any augmented R-tree.
-pub fn topk_tree<A: Augmentation + TextualBound>(
-    tree: &RTree<A>,
-    params: &ScoreParams,
-    q: &Query,
-) -> Vec<RankedObject> {
+/// Runs the best-first top-k search.
+pub fn topk_tree(tree: &RTree, params: &ScoreParams, q: &Query) -> Vec<RankedObject> {
     topk_tree_with_stats(tree, params, q).0
 }
 
@@ -64,11 +63,25 @@ pub fn topk_tree<A: Augmentation + TextualBound>(
 /// below the current `k`-th score. Neither prune can discard a true
 /// result (the `k` witnesses are in the heap or the output), so the
 /// answer is unchanged — only the heap traffic shrinks.
-pub fn topk_tree_with_stats<A: Augmentation + TextualBound>(
-    tree: &RTree<A>,
+pub fn topk_tree_with_stats(
+    tree: &RTree,
     params: &ScoreParams,
     q: &Query,
 ) -> (Vec<RankedObject>, TraversalStats) {
+    topk_tree_with_view(tree, params, q, std::convert::identity)
+}
+
+/// [`topk_tree_with_stats`] bounding every node through `view` of its
+/// [`TextStats`]. Any view that only loosens the stats (such as
+/// [`TextStats::without_intersection`]) keeps the answer exact and
+/// changes only how many nodes are expanded.
+pub fn topk_tree_with_view(
+    tree: &RTree,
+    params: &ScoreParams,
+    q: &Query,
+    view: impl Fn(TextStats) -> TextStats,
+) -> (Vec<RankedObject>, TraversalStats) {
+    let upper = |node: &Node| params.stats_upper(&node.mbr, view(node.aug().text_stats(&q.doc)), q);
     let mut stats = TraversalStats::default();
     let mut out = Vec::with_capacity(q.k.min(tree.len()));
     let Some(root) = tree.root() else {
@@ -78,10 +91,7 @@ pub fn topk_tree_with_stats<A: Augmentation + TextualBound>(
     let mut heap: BinaryHeap<Scored<Entry>> = BinaryHeap::new();
     let mut seen: yask_util::TopK<ObjectId> = yask_util::TopK::new(q.k);
     let root_node = tree.node(root);
-    heap.push(Scored::new(
-        params.node_upper(&root_node.mbr, root_node.aug(), q),
-        Entry::Node(root),
-    ));
+    heap.push(Scored::new(upper(root_node), Entry::Node(root)));
     stats.heap_pushes += 1;
 
     while let Some(top) = heap.pop() {
@@ -116,8 +126,7 @@ pub fn topk_tree_with_stats<A: Augmentation + TextualBound>(
                     }
                     NodeKind::Internal(children) => {
                         for &c in children {
-                            let child = tree.node(c);
-                            let ub = params.node_upper(&child.mbr, child.aug(), q);
+                            let ub = upper(tree.node(c));
                             if seen.is_full() && ub < seen.threshold() {
                                 continue;
                             }
@@ -138,7 +147,7 @@ mod tests {
     use crate::query::Weights;
     use crate::scan::topk_scan;
     use yask_geo::{Point, Space};
-    use yask_index::{Corpus, CorpusBuilder, IrAug, KcAug, NoAug, RTreeParams, SetAug};
+    use yask_index::{Corpus, CorpusBuilder, RTreeParams};
     use yask_text::KeywordSet;
     use yask_util::Xoshiro256;
 
@@ -163,26 +172,36 @@ mod tests {
         Query::with_weights(loc, doc, k, Weights::from_ws(ws))
     }
 
-    /// The central correctness battery: every tree variant must agree with
+    /// No information about a node at all (a plain R-tree's bound): the
+    /// textual upper bound degenerates to 1.
+    fn plain(s: TextStats) -> TextStats {
+        TextStats {
+            max_inter: s.q_len,
+            min_inter: 0,
+            int_len: 0,
+            uni_len: usize::MAX / 4,
+            ..s
+        }
+    }
+
+    /// The central correctness battery: every bound view must agree with
     /// the scan baseline on score *and* order for many random queries.
     #[test]
     fn all_engines_match_scan() {
         let corpus = random_corpus(400, 25, 11);
         let params = ScoreParams::new(corpus.space());
-        let tp = RTreeParams::new(8, 3);
-        let set: RTree<SetAug> = RTree::bulk_load(corpus.clone(), tp);
-        let kc: RTree<KcAug> = RTree::bulk_load(corpus.clone(), tp);
-        let ir: RTree<IrAug> = RTree::bulk_load(corpus.clone(), tp);
-        let plain: RTree<NoAug> = RTree::bulk_load(corpus.clone(), tp);
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let mut rng = Xoshiro256::seed_from_u64(5);
         for case in 0..40 {
             let q = random_query(&mut rng, 25);
             let want = topk_scan(&corpus, &params, &q);
             for (name, got) in [
-                ("setr", topk_tree(&set, &params, &q)),
-                ("kcr", topk_tree(&kc, &params, &q)),
-                ("ir", topk_tree(&ir, &params, &q)),
-                ("plain", topk_tree(&plain, &params, &q)),
+                ("setr", topk_tree(&tree, &params, &q)),
+                (
+                    "ir",
+                    topk_tree_with_view(&tree, &params, &q, TextStats::without_intersection).0,
+                ),
+                ("plain", topk_tree_with_view(&tree, &params, &q, plain).0),
             ] {
                 assert_eq!(
                     got.iter().map(|r| r.id).collect::<Vec<_>>(),
@@ -198,23 +217,25 @@ mod tests {
 
     #[test]
     fn tighter_bounds_expand_fewer_nodes() {
-        // SetR/KcR bounds are at least as tight as IR, which is at least
-        // as tight as the plain tree — expansion counts must reflect it.
+        // The SetR view is at least as tight as the IR view, which is at
+        // least as tight as no information — expansion counts must
+        // reflect it.
         let corpus = random_corpus(2000, 40, 21);
         let params = ScoreParams::new(corpus.space());
-        let tp = RTreeParams::new(16, 6);
-        let set: RTree<SetAug> = RTree::bulk_load(corpus.clone(), tp);
-        let ir: RTree<IrAug> = RTree::bulk_load(corpus.clone(), tp);
-        let plain: RTree<NoAug> = RTree::bulk_load(corpus.clone(), tp);
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(16, 6));
         let mut rng = Xoshiro256::seed_from_u64(3);
         let mut set_total = 0usize;
         let mut ir_total = 0usize;
         let mut plain_total = 0usize;
         for _ in 0..20 {
             let q = random_query(&mut rng, 40);
-            set_total += topk_tree_with_stats(&set, &params, &q).1.nodes_expanded;
-            ir_total += topk_tree_with_stats(&ir, &params, &q).1.nodes_expanded;
-            plain_total += topk_tree_with_stats(&plain, &params, &q).1.nodes_expanded;
+            set_total += topk_tree_with_stats(&tree, &params, &q).1.nodes_expanded;
+            ir_total += topk_tree_with_view(&tree, &params, &q, TextStats::without_intersection)
+                .1
+                .nodes_expanded;
+            plain_total += topk_tree_with_view(&tree, &params, &q, plain)
+                .1
+                .nodes_expanded;
         }
         assert!(
             set_total <= ir_total,
@@ -230,7 +251,7 @@ mod tests {
     fn empty_tree_returns_empty() {
         let corpus = random_corpus(0, 5, 1);
         let params = ScoreParams::new(corpus.space());
-        let t: RTree<SetAug> = RTree::bulk_load(corpus, RTreeParams::default());
+        let t = RTree::bulk_load(corpus, RTreeParams::default());
         let q = Query::new(Point::new(0.5, 0.5), KeywordSet::from_raw([1]), 5);
         let (res, stats) = topk_tree_with_stats(&t, &params, &q);
         assert!(res.is_empty());
@@ -241,7 +262,7 @@ mod tests {
     fn k_larger_than_n_returns_all() {
         let corpus = random_corpus(10, 5, 2);
         let params = ScoreParams::new(corpus.space());
-        let t: RTree<SetAug> = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let t = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let q = Query::new(Point::new(0.5, 0.5), KeywordSet::from_raw([1]), 50);
         let res = topk_tree(&t, &params, &q);
         assert_eq!(res.len(), 10);
@@ -256,7 +277,7 @@ mod tests {
     fn empty_query_doc_ranks_by_distance_only() {
         let corpus = random_corpus(100, 10, 4);
         let params = ScoreParams::new(corpus.space());
-        let t: RTree<SetAug> = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let t = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.5, 0.5), KeywordSet::empty(), 5);
         let res = topk_tree(&t, &params, &q);
         let scan = topk_scan(&corpus, &params, &q);
@@ -273,7 +294,7 @@ mod tests {
     fn works_on_insertion_built_tree() {
         let corpus = random_corpus(150, 15, 6);
         let params = ScoreParams::new(corpus.space());
-        let t: RTree<SetAug> = RTree::build_by_insertion(corpus.clone(), RTreeParams::new(6, 2));
+        let t = RTree::build_by_insertion(corpus.clone(), RTreeParams::new(6, 2));
         t.validate().unwrap();
         let mut rng = Xoshiro256::seed_from_u64(7);
         for _ in 0..10 {

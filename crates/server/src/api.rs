@@ -121,7 +121,7 @@ pub struct YaskService {
     exec: Executor,
     ingest: Ingestor,
     coalescer: WriteCoalescer,
-    sessions: SessionStore,
+    sessions: SessionStore<EngineHandle>,
     vocab: Arc<Mutex<Vocabulary>>,
     /// Sidecar the vocabulary is snapshotted to before every durable
     /// write batch. The WAL records keyword *ids*, which are
@@ -154,9 +154,9 @@ pub struct YaskService {
 
 type ApiResult = Result<Json, (u16, String)>;
 
-/// A resolved why-not request: its session, the missing-object ids and
-/// the engine epoch the session pinned.
-type WhyNotTarget = (Arc<Session>, Vec<ObjectId>, EngineHandle);
+/// A resolved why-not request: its session (pinning the engine epoch
+/// to answer against) and the missing-object ids.
+type WhyNotTarget = (Arc<Session<EngineHandle>>, Vec<ObjectId>);
 
 /// Handle to a background session-eviction thread; dropping it stops the
 /// sweeper and joins the thread.
@@ -537,13 +537,9 @@ impl YaskService {
         let exec = self.exec.stats();
         // Pinned = still answering against an epoch older than the
         // published one.
-        let (sessions_live, sessions_pinned) = self.sessions.len_and_count_where(|session| {
-            session
-                .pin
-                .as_ref()
-                .and_then(|p| p.downcast_ref::<EngineHandle>())
-                .is_some_and(|h| h.epoch() < exec.epoch)
-        });
+        let (sessions_live, sessions_pinned) = self
+            .sessions
+            .len_and_count_where(|session| session.pin.epoch() < exec.epoch);
         Observed {
             dataset: None,
             corpus_slots: corpus.slot_count(),
@@ -835,7 +831,7 @@ impl YaskService {
                     self.admission.count_degraded_answer();
                 }
                 let rendered = render_results(handle.corpus(), &results);
-                let session = self.sessions.create_pinned(query, Arc::new(handle));
+                let session = self.sessions.create(query, handle);
                 return Ok(Json::obj([
                     ("session", Json::Num(session.0 as f64)),
                     ("degraded", Json::Bool(age > 0)),
@@ -857,7 +853,7 @@ impl YaskService {
         }
         let complete = out.complete;
         let rendered = render_results(handle.corpus(), &out.results);
-        let session = self.sessions.create_pinned(query, Arc::new(handle));
+        let session = self.sessions.create(query, handle);
         Ok(Json::obj([
             ("session", Json::Num(session.0 as f64)),
             ("degraded", Json::Bool(!complete)),
@@ -867,10 +863,11 @@ impl YaskService {
     }
 
     fn explain(&self, body: &Json, trace: Option<&Trace>, deadline: Option<Deadline>) -> ApiResult {
-        let (session, missing, handle) = self.session_and_missing(body)?;
+        let (session, missing) = self.session_and_missing(body)?;
+        let handle = &session.pin;
         let explanations = self
             .exec
-            .explain_on_traced(&handle, &session.query, &missing, trace, deadline)
+            .explain_on_traced(handle, &session.query, &missing, trace, deadline)
             .map_err(|e| self.whynot_status(e))?;
         Ok(Json::obj([(
             "explanations",
@@ -884,13 +881,14 @@ impl YaskService {
         trace: Option<&Trace>,
         deadline: Option<Deadline>,
     ) -> ApiResult {
-        let (session, missing, handle) = self.session_and_missing(body)?;
+        let (session, missing) = self.session_and_missing(body)?;
+        let handle = &session.pin;
         let lambda = optional_lambda(body, self.exec.config().yask.default_lambda)?;
         let r = self
             .exec
-            .refine_preference_on_traced(&handle, &session.query, &missing, lambda, trace, deadline)
+            .refine_preference_on_traced(handle, &session.query, &missing, lambda, trace, deadline)
             .map_err(|e| self.whynot_status(e))?;
-        let results = self.refined_topk(&handle, &r.query, trace, deadline);
+        let results = self.refined_topk(handle, &r.query, trace, deadline);
         Ok(Json::obj([
             (
                 "refined",
@@ -915,13 +913,14 @@ impl YaskService {
         trace: Option<&Trace>,
         deadline: Option<Deadline>,
     ) -> ApiResult {
-        let (session, missing, handle) = self.session_and_missing(body)?;
+        let (session, missing) = self.session_and_missing(body)?;
+        let handle = &session.pin;
         let lambda = optional_lambda(body, self.exec.config().yask.default_lambda)?;
         let r = self
             .exec
-            .refine_keywords_on_traced(&handle, &session.query, &missing, lambda, trace, deadline)
+            .refine_keywords_on_traced(handle, &session.query, &missing, lambda, trace, deadline)
             .map_err(|e| self.whynot_status(e))?;
-        let results = self.refined_topk(&handle, &r.query, trace, deadline);
+        let results = self.refined_topk(handle, &r.query, trace, deadline);
         let vocab = self.vocab.lock();
         let refined_words: Vec<Json> = r
             .query
@@ -995,13 +994,14 @@ impl YaskService {
         trace: Option<&Trace>,
         deadline: Option<Deadline>,
     ) -> ApiResult {
-        let (session, missing, handle) = self.session_and_missing(body)?;
+        let (session, missing) = self.session_and_missing(body)?;
+        let handle = &session.pin;
         let lambda = optional_lambda(body, self.exec.config().yask.default_lambda)?;
         let r = self
             .exec
-            .refine_combined_on_traced(&handle, &session.query, &missing, lambda, trace, deadline)
+            .refine_combined_on_traced(handle, &session.query, &missing, lambda, trace, deadline)
             .map_err(|e| self.whynot_status(e))?;
-        let results = self.refined_topk(&handle, &r.query, trace, deadline);
+        let results = self.refined_topk(handle, &r.query, trace, deadline);
         let vocab = self.vocab.lock();
         let refined_words: Vec<Json> = r
             .query
@@ -1173,10 +1173,10 @@ impl YaskService {
         ]))
     }
 
-    /// Resolves a why-not request body to its session, the missing-object
-    /// ids, and the engine epoch the session pinned at creation — names
-    /// and liveness resolve against the *pinned* corpus version, so a
-    /// session keeps addressing objects deleted after its initial query.
+    /// Resolves a why-not request body to its session and the
+    /// missing-object ids — names and liveness resolve against the corpus
+    /// version of the epoch the session pinned at creation, so a session
+    /// keeps addressing objects deleted after its initial query.
     fn session_and_missing(
         &self,
         body: &Json,
@@ -1186,19 +1186,11 @@ impl YaskService {
             .sessions
             .get(id)
             .ok_or_else(|| (410, format!("session {id} unknown or expired")))?;
-        let handle = session
-            .pin
-            .as_ref()
-            .and_then(|p| p.downcast_ref::<EngineHandle>())
-            .cloned()
-            // Sessions created without a pin answer against the live
-            // engine (not produced by this server, but kept total).
-            .unwrap_or_else(|| self.exec.engine());
         let raw = body
             .get("missing")
             .and_then(Json::as_array)
             .ok_or_else(|| (400, "field 'missing' must be an array".to_owned()))?;
-        let corpus = handle.corpus();
+        let corpus = session.pin.corpus();
         let mut missing = Vec::with_capacity(raw.len());
         for item in raw {
             let id = match item {
@@ -1222,7 +1214,7 @@ impl YaskService {
             };
             missing.push(id);
         }
-        Ok((session, missing, handle))
+        Ok((session, missing))
     }
 }
 

@@ -3,8 +3,8 @@
 //! A from-scratch Rust reproduction of *“YASK: A Why-Not Question
 //! Answering Engine for Spatial Keyword Query Services”* (Chen, Xu,
 //! Jensen, Li — PVLDB 9(13), VLDB 2016), including every substrate the
-//! system depends on: the R-tree index family (plain, SetR-tree,
-//! KcR-tree, IR-tree), the spatial keyword top-k engine, the two why-not
+//! system depends on: the KcR-tree index (whose keyword counts also give
+//! the SetR-tree's bounds), the spatial keyword top-k engine, the two why-not
 //! refinement models (preference adjustment and keyword adaptation), the
 //! explanation generator, a disk pager, and the browser–server web
 //! service.
@@ -55,7 +55,7 @@ pub use yask_geo as geo;
 /// Text substrate (vocabulary, keyword sets, similarity models).
 pub use yask_text as text;
 
-/// The R-tree index family (plain / SetR / KcR / IR trees).
+/// The KcR-tree index (one R-tree with keyword-count node summaries).
 pub use yask_index as index;
 
 /// Disk substrate (page file, buffer pool, checkpoints, paged node arena).
@@ -88,9 +88,7 @@ pub mod prelude {
     pub use yask_exec::{ExecConfig, ExecSnapshot, Executor, ShardedIndex};
     pub use yask_geo::{Point, Rect, Space};
     pub use yask_ingest::{IngestError, Ingestor, NewObject, Update};
-    pub use yask_index::{
-        Corpus, CorpusBuilder, IrTree, KcRTree, ObjectId, PlainRTree, RTreeParams, SetRTree,
-    };
+    pub use yask_index::{Corpus, CorpusBuilder, ObjectId, RTree, RTreeParams};
     pub use yask_query::{Query, RankedObject, ScoreParams, Weights};
     pub use yask_text::{KeywordId, KeywordSet, SimilarityModel, Vocabulary};
 }

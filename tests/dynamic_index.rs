@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use yask::index::{Corpus, CorpusBuilder, KcRTree, ObjectId, RTreeParams};
+use yask::index::{Corpus, CorpusBuilder, ObjectId, RTree, RTreeParams};
 use yask::query::{topk_tree, Query, ScoreParams, Weights};
 use yask_geo::{Point, Space};
 use yask_text::KeywordSet;
@@ -71,7 +71,7 @@ proptest! {
     fn interleaved_mutations_equal_fresh_bulk_load(w in workload()) {
         let params = RTreeParams::new(6, 2); // small fanout: deep trees, many splits/condenses
         let n = w.corpus.len();
-        let mut tree = KcRTree::new(w.corpus.clone(), params);
+        let mut tree = RTree::new(w.corpus.clone(), params);
         let mut indexed = vec![false; n];
         for &(slot, is_insert) in &w.ops {
             let slot = slot % n;
@@ -89,7 +89,7 @@ proptest! {
             .filter(|&i| indexed[i])
             .map(|i| ObjectId(i as u32))
             .collect();
-        let fresh = KcRTree::bulk_load_subset(w.corpus.clone(), &survivors, params);
+        let fresh = RTree::bulk_load_subset(w.corpus.clone(), &survivors, params);
         fresh.validate().expect("bulk tree invariants");
         prop_assert_eq!(tree.len(), fresh.len());
 
@@ -115,7 +115,7 @@ proptest! {
     fn full_round_trip_empties_the_tree(w in workload()) {
         let params = RTreeParams::new(4, 2);
         let n = w.corpus.len();
-        let mut tree = KcRTree::new(w.corpus.clone(), params);
+        let mut tree = RTree::new(w.corpus.clone(), params);
         for i in 0..n {
             tree.insert(ObjectId(i as u32));
         }

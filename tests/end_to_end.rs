@@ -4,9 +4,9 @@
 
 use yask::core::{refine_keywords_naive, refine_preference_naive};
 use yask::data::{gen_queries, pick_missing, SynthConfig};
-use yask::index::{KcRTree, RTreeParams};
+use yask::index::{RTree, RTreeParams, TextStats};
 use yask::prelude::*;
-use yask::query::{topk_scan, topk_tree, IncrementalSearch};
+use yask::query::{topk_scan, topk_tree, topk_tree_with_view, IncrementalSearch};
 
 fn synth(n: usize, seed: u64) -> Corpus {
     SynthConfig {
@@ -25,16 +25,16 @@ fn engines_agree_on_synthetic_workload() {
     let corpus = synth(3000, 1);
     let params = ScoreParams::new(corpus.space());
     let tp = RTreeParams::new(16, 6);
-    let setr = SetRTree::bulk_load(corpus.clone(), tp);
-    let kcr = KcRTree::bulk_load(corpus.clone(), tp);
-    let ir = IrTree::bulk_load(corpus.clone(), tp);
+    let tree = RTree::bulk_load(corpus.clone(), tp);
     let ids = |res: Vec<RankedObject>| res.iter().map(|r| r.id).collect::<Vec<ObjectId>>();
     for q in gen_queries(&corpus, 25, 3, 10, 2) {
         let want = ids(topk_scan(&corpus, &params, &q));
         for (name, got) in [
-            ("setr-tree", ids(topk_tree(&setr, &params, &q))),
-            ("kcr-tree", ids(topk_tree(&kcr, &params, &q))),
-            ("ir-tree", ids(topk_tree(&ir, &params, &q))),
+            ("setr view", ids(topk_tree(&tree, &params, &q))),
+            (
+                "ir view",
+                ids(topk_tree_with_view(&tree, &params, &q, TextStats::without_intersection).0),
+            ),
         ] {
             assert_eq!(got, want, "{name} diverged on {q:?}");
         }
@@ -46,7 +46,7 @@ fn incremental_search_on_bulk_loaded_kcr_tree() {
     // The stream is consumed part-way (k = 50 of 300), so the KcR-tree's
     // bounds decide what is still queued when it stops.
     let corpus = SynthConfig::default().with_n(300).build();
-    let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
     let score = ScoreParams::new(corpus.space());
     let q = &gen_queries(&corpus, 1, 2, 5, 23)[0];
     let stream: Vec<ObjectId> = IncrementalSearch::new(&tree, score, q.clone())
@@ -62,7 +62,7 @@ fn incremental_search_on_bulk_loaded_kcr_tree() {
 fn optimized_refinements_match_naive_on_many_scenarios() {
     let corpus = synth(800, 3);
     let params = ScoreParams::new(corpus.space());
-    let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
     for (i, q) in gen_queries(&corpus, 8, 2, 5, 4).into_iter().enumerate() {
         let missing = pick_missing(&corpus, &params, &q, 1 + i % 3, i);
         for lambda in [0.25, 0.5, 0.75] {
@@ -137,7 +137,7 @@ fn whynot_works_through_every_engine_combination() {
     let missing = pick_missing(&corpus, &params, q, 2, 3);
 
     let via_facade = engine.refine_keywords(q, &missing, 0.5).unwrap();
-    let own_tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::default());
+    let own_tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let direct = yask::core::refine_keywords(&own_tree, &params, q, &missing, 0.5).unwrap();
     assert_eq!(via_facade.query.doc, direct.query.doc);
     assert!((via_facade.penalty - direct.penalty).abs() < 1e-12);
@@ -149,7 +149,7 @@ fn dynamic_index_stays_correct_under_churn() {
     // after every batch — the index invariants survive mutation.
     let corpus = synth(400, 10);
     let params = ScoreParams::new(corpus.space());
-    let mut tree = KcRTree::new(corpus.clone(), RTreeParams::new(8, 3));
+    let mut tree = RTree::new(corpus.clone(), RTreeParams::new(8, 3));
     let ids: Vec<ObjectId> = corpus.iter().map(|o| o.id).collect();
 
     // Grow in batches of 80.

@@ -2,7 +2,7 @@
 //! KcR-tree example, the two motivating examples (§1), and the formal
 //! properties of the definitions in §2.
 
-use yask::index::{KcRTree, RTreeParams};
+use yask::index::{RTree, RTreeParams};
 use yask::prelude::*;
 
 /// Paper Fig 2: five objects in two leaves under one root, with the
@@ -33,7 +33,7 @@ fn fig2_kcr_tree_example() {
 
     // Fanout 4 / min 2: STR slices the five objects by x into the paper's
     // two leaves ({o1,o2,o3} left, {o4,o5} right).
-    let tree = KcRTree::bulk_load(corpus, RTreeParams::new(4, 2));
+    let tree = RTree::bulk_load(corpus, RTreeParams::new(4, 2));
     tree.validate().unwrap();
     assert_eq!(tree.height(), 2, "one root over two leaves");
 

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use yask::index::{Augmentation, KcAug, KcRTree, RTreeParams, SetAug, SetRTree, TextualBound};
+use yask::index::{KcAug, RTree, RTreeParams, TextStats};
 use yask::prelude::*;
 use yask::query::{rank_of_scan, topk_scan, topk_tree};
 use yask::server::Json;
@@ -113,7 +113,7 @@ proptest! {
     #[test]
     fn topk_matches_scan_on_arbitrary_corpora(c in corpus(1, 120), q in query()) {
         let params = ScoreParams::new(c.corpus.space());
-        let tree = SetRTree::bulk_load(c.corpus.clone(), RTreeParams::new(4, 2));
+        let tree = RTree::bulk_load(c.corpus.clone(), RTreeParams::new(4, 2));
         tree.validate().unwrap();
         let got: Vec<ObjectId> =
             topk_tree(&tree, &params, &q).iter().map(|r| r.id).collect();
@@ -135,12 +135,28 @@ proptest! {
         }
         let corpus = b.build();
         let objs: Vec<&yask::index::SpatioTextualObject> = corpus.iter().collect();
-        let set = SetAug::for_leaf(&objs);
+        // The oracle: the node's intersection and union keyword sets,
+        // computed straight from the objects.
+        let (mut int, mut uni) = (objs[0].doc.clone(), objs[0].doc.clone());
+        for o in &objs[1..] {
+            int = int.intersection(&o.doc);
+            uni = uni.union(&o.doc);
+        }
+        let set = TextStats {
+            q_len: q.len(),
+            max_inter: uni.intersection_size(&q),
+            min_inter: int.intersection_size(&q),
+            int_len: int.len(),
+            uni_len: uni.len(),
+        };
         let kc = KcAug::for_leaf(&objs);
+        prop_assert_eq!(kc.text_stats(&q), set);
+        let ir = kc.text_stats(&q).without_intersection();
         for model in SimilarityModel::ALL {
             for (aug_name, lb, ub) in [
-                ("set", set.sim_lower(&q, model), set.sim_upper(&q, model)),
+                ("set", set.lower(model), set.upper(model)),
                 ("kc", kc.sim_lower(&q, model), kc.sim_upper(&q, model)),
+                ("ir", ir.lower(model), ir.upper(model)),
             ] {
                 prop_assert!(lb <= ub + 1e-12, "{} {:?}", aug_name, model);
                 for o in &objs {
@@ -154,8 +170,8 @@ proptest! {
 
     #[test]
     fn insertion_and_bulk_load_index_the_same_set(c in corpus(1, 80)) {
-        let bulk = SetRTree::bulk_load(c.corpus.clone(), RTreeParams::new(4, 2));
-        let dynamic = SetRTree::build_by_insertion(c.corpus.clone(), RTreeParams::new(4, 2));
+        let bulk = RTree::bulk_load(c.corpus.clone(), RTreeParams::new(4, 2));
+        let dynamic = RTree::build_by_insertion(c.corpus.clone(), RTreeParams::new(4, 2));
         bulk.validate().unwrap();
         dynamic.validate().unwrap();
         let mut a = bulk.object_ids();
@@ -212,7 +228,7 @@ proptest! {
         let params = ScoreParams::new(corpus.space());
         prop_assume!(corpus.len() > q.k + offset + 1);
         let missing = yask::data::pick_missing(corpus, &params, &q, 1, offset);
-        let tree = KcRTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
+        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
 
         let fast = yask::core::refine_keywords(&tree, &params, &q, &missing, lambda);
         let slow = yask::core::refine_keywords_naive(corpus, &params, &q, &missing, lambda);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use yask::index::{KcRTree, RTreeParams};
+use yask::index::{RTree, RTreeParams};
 use yask::pager::{load_checkpoint, save_checkpoint, BufferPool, Checkpoint, PageFile};
 use yask::prelude::*;
 
@@ -118,7 +118,7 @@ proptest! {
             b.push(Point::new(*x, *y), KeywordSet::from_raw(kws.clone()), format!("c{i}"));
         }
         let corpus = b.build();
-        let mut tree = KcRTree::new(corpus.clone(), RTreeParams::new(4, 2));
+        let mut tree = RTree::new(corpus.clone(), RTreeParams::new(4, 2));
         let mut live: Vec<ObjectId> = Vec::new();
         let mut next = 0usize;
         for &insert in &ops {
@@ -179,7 +179,7 @@ proptest! {
         let mut ids = Vec::new();
         for &create in &ops {
             if create || ids.is_empty() {
-                ids.push(store.create(q.clone()));
+                ids.push(store.create(q.clone(), ()));
             } else {
                 let id = ids.pop().unwrap();
                 prop_assert!(store.remove(id));
