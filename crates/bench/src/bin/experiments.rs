@@ -313,9 +313,9 @@ fn fig2() {
     };
     let root_id = tree.root().unwrap();
     let root = tree.node(root_id);
-    render(root, "R3 (root)", &mut rows);
+    render(&root, "R3 (root)", &mut rows);
     for (i, &c) in root.children().iter().enumerate() {
-        render(tree.node(c), &format!("R{}", i + 1), &mut rows);
+        render(&tree.node(c), &format!("R{}", i + 1), &mut rows);
     }
     print_table(
         "Fig 2 — KcR-tree keyword-count maps (paper example)",

@@ -141,12 +141,11 @@ impl<'a> RankEvaluator<'a> {
         let Some(root) = self.tree.root() else {
             return Some(0);
         };
-        let _guard = self.tree.read_guard();
         let mut count = 0usize;
         let mut stack = vec![root];
         while let Some(nid) = stack.pop() {
             let node = self.tree.node(nid);
-            match self.classify(node, q, doc, s_m) {
+            match self.classify(&node, q, doc, s_m) {
                 NodeVerdict::AllOutrank => {
                     stats.nodes_resolved += 1;
                     count += node.aug().cnt() as usize;
@@ -202,13 +201,12 @@ impl<'a> RankEvaluator<'a> {
         let Some(root) = self.tree.root() else {
             return (0, 0);
         };
-        let _guard = self.tree.read_guard();
         let mut lb = 0usize;
         let mut ub = 0usize;
         let mut stack = vec![(root, 0usize)];
         while let Some((nid, depth)) = stack.pop() {
             let node = self.tree.node(nid);
-            match self.classify(node, q, doc, s_m) {
+            match self.classify(&node, q, doc, s_m) {
                 NodeVerdict::AllOutrank => {
                     stats.nodes_resolved += 1;
                     lb += node.aug().cnt() as usize;
@@ -240,7 +238,7 @@ impl<'a> RankEvaluator<'a> {
                         } else {
                             // Cut off: the node stays uncertain.
                             stats.nodes_resolved += 1;
-                            ub += self.uncertain_upper(node, q, doc, s_m);
+                            ub += self.uncertain_upper(&node, q, doc, s_m);
                         }
                     }
                 },

@@ -72,7 +72,6 @@ pub fn shard_topk_bounded(
     let Some(root) = tree.root() else {
         return (out, stats, true);
     };
-    let _guard = tree.read_guard();
     let mut heap: BinaryHeap<Scored<Entry>> = BinaryHeap::new();
     let mut seen: yask_util::TopK<ObjectId> = yask_util::TopK::new(q.k);
     let root_node = tree.node(root);

@@ -11,14 +11,18 @@
 //! runs: paging is a memory-placement decision, never an
 //! answer-changing one.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use yask_core::{Yask, YaskConfig};
 use yask_exec::{ExecConfig, Executor};
 use yask_geo::{Point, Space};
-use yask_index::{Corpus, CorpusBuilder, ObjectId};
-use yask_query::{Query, Weights};
+use yask_index::{Corpus, CorpusBuilder, ObjectId, RTree, RTreeParams};
+use yask_pager::{page_out_tree, BufferPool};
+use yask_query::{topk_tree, Query, ScoreParams, Weights};
 use yask_text::KeywordSet;
+use yask_util::Xoshiro256;
 
 /// One byte (worst case: nothing stays decoded), one small chunk's
 /// worth, and effectively unbounded (everything decodes once and stays).
@@ -137,4 +141,55 @@ proptest! {
             prop_assert!(p.chunk_misses > 0, "one-byte budget must fault: {:?}", p);
         }
     }
+}
+
+/// Four threads search one paged tree at a one-byte budget: every chunk
+/// access faults, each fault evicts a chunk another thread may be midway
+/// through, and every answer must still equal the resident tree's. A
+/// reader's node reference alone keeps its chunk alive.
+#[test]
+fn concurrent_readers_of_one_paged_tree_see_resident_answers() {
+    let mut rng = Xoshiro256::seed_from_u64(28);
+    let mut b = CorpusBuilder::new().with_space(Space::unit());
+    for i in 0..3000 {
+        let doc = KeywordSet::from_raw((0..1 + rng.below(4)).map(|_| rng.below(40) as u32));
+        b.push(
+            Point::new(rng.next_f64(), rng.next_f64()),
+            doc,
+            format!("o{i}"),
+        );
+    }
+    let corpus = b.build();
+    let params = ScoreParams::new(corpus.space());
+    let resident = RTree::bulk_load(corpus, RTreeParams::default());
+    let mut paged = resident.clone();
+    let path = std::env::temp_dir().join(format!("yask-paged-oracle-{}.pages", std::process::id()));
+    let pool = Arc::new(BufferPool::create(&path, 16).unwrap());
+    let _ = std::fs::remove_file(&path);
+    let src = page_out_tree(&pool, &mut paged, 1).unwrap();
+
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (paged, resident, start) = (&paged, &resident, &start);
+            s.spawn(move || {
+                let mut rng = Xoshiro256::seed_from_u64(t);
+                start.wait();
+                for _ in 0..40 {
+                    let doc = KeywordSet::from_raw((0..2).map(|_| rng.below(40) as u32));
+                    let q = Query::new(Point::new(rng.next_f64(), rng.next_f64()), doc, 10);
+                    assert_eq!(
+                        topk_tree(paged, &params, &q),
+                        topk_tree(resident, &params, &q)
+                    );
+                }
+            });
+        }
+    });
+    let stats = src.stats();
+    assert!(
+        stats.evictions > 0,
+        "a one-byte budget must evict: {stats:?}"
+    );
+    assert_eq!(stats.resident_chunks, 1, "{stats:?}");
 }

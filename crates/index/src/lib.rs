@@ -30,7 +30,7 @@ pub use aug::{KcAug, TextStats};
 pub use corpus::{Corpus, CorpusBuilder, ObjectId, SpatioTextualObject, CHUNK_SIZE};
 pub use cow::{ApproxBytes, Chunk, ChunkedCow, CopyStats};
 pub use rtree::{
-    ArenaReadGuard, Node, NodeChunk, NodeId, NodeKind, NodeSource, RTree, RTreeParams, StructNode,
+    Node, NodeChunk, NodeId, NodeKind, NodeRef, NodeSource, RTree, RTreeParams, StructNode,
     TreeStructure, NODE_CHUNK_SIZE,
 };
 pub use stats::TreeStats;

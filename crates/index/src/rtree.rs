@@ -24,9 +24,19 @@
 //! (`RTree::dealloc` never writes the slot itself — older versions may
 //! still share the chunk, so tombstoning in place would force a pointless
 //! chunk copy; the slot is rewritten only when `RTree::alloc` reuses it).
+//!
+//! **Out of core.** A tree can instead serve its chunks from a
+//! [`NodeSource`] ([`RTree::page_out`]), which faults them in on demand
+//! and may evict them again. [`RTree::node`] returns a [`NodeRef`]: a
+//! plain borrow of the spine on a resident tree, and on a paged tree the
+//! chunk's `Arc` plus an offset. The refcount is the pin — an evicted
+//! chunk stays alive exactly as long as some `NodeRef` still holds it —
+//! so traversals need no read section and the source's budget bounds
+//! its cache, not its readers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use yask_geo::{Point, Rect};
@@ -168,18 +178,11 @@ enum Arena {
 
 /// A fault-in provider of arena chunks — the out-of-core backing of a
 /// paged tree. Implementations (e.g. `yask_pager`'s buffer-pool-backed
-/// source) cache decoded chunks under a resident budget and may *evict*
-/// them again, so reads follow a guard protocol:
-///
-/// 1. [`NodeSource::begin_read`] before the first [`NodeSource::chunk`]
-///    call (done by [`RTree::read_guard`]);
-/// 2. borrow chunks freely — an eviction must keep any chunk handed out
-///    since the oldest active `begin_read` alive (graveyard);
-/// 3. [`NodeSource::end_read`] when the last reference is dropped (the
-///    guard's `Drop`), after which evicted chunks may be freed.
-///
-/// References returned by [`NodeSource::chunk`] must not outlive the
-/// enclosing guard.
+/// source) cache decoded chunks under a resident budget and may evict
+/// them again. A chunk is handed out as a clone of the `Arc` the cache
+/// holds, so eviction only drops the cache's reference: a reader keeps
+/// its chunk alive for as long as it holds it, and the chunk is freed
+/// when the last holder lets go.
 pub trait NodeSource: Send + Sync + std::fmt::Debug {
     /// Number of chunks in the paged arena (spine length).
     fn chunk_count(&self) -> usize;
@@ -188,31 +191,29 @@ pub trait NodeSource: Send + Sync + std::fmt::Debug {
     /// equivalent of [`RTree::arena_bytes`]).
     fn approx_bytes(&self) -> usize;
 
-    /// Marks the start of a read section (see the guard protocol above).
-    fn begin_read(&self);
-
-    /// Marks the end of a read section.
-    fn end_read(&self);
-
-    /// Borrows chunk `ci`, faulting it in if necessary. Must only be
-    /// called between [`NodeSource::begin_read`] and
-    /// [`NodeSource::end_read`].
-    fn chunk(&self, ci: usize) -> &NodeChunk;
+    /// Chunk `ci`, faulted in if it is not cached.
+    fn chunk(&self, ci: usize) -> Arc<NodeChunk>;
 }
 
-/// RAII read section over a tree's arena. A no-op for resident trees;
-/// for paged trees it pins faulted chunks (evictions are deferred to a
-/// graveyard) until every concurrent guard is dropped. Acquire one via
-/// [`RTree::read_guard`] before any raw [`RTree::node`] traversal loop
-/// and keep it alive while node references are held.
-pub struct ArenaReadGuard<'a> {
-    source: Option<&'a dyn NodeSource>,
+/// A node of the arena, as [`RTree::node`] hands it out; derefs to
+/// [`Node`]. Resident nodes are borrowed from the chunk spine (no
+/// refcount traffic); a paged node holds its chunk's `Arc`, which keeps
+/// the chunk alive across any eviction while the reference lives.
+pub struct NodeRef<'a>(Backing<'a>);
+
+enum Backing<'a> {
+    Resident(&'a Node),
+    Paged(Arc<NodeChunk>, usize),
 }
 
-impl Drop for ArenaReadGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(s) = self.source {
-            s.end_read();
+impl Deref for NodeRef<'_> {
+    type Target = Node;
+
+    #[inline]
+    fn deref(&self) -> &Node {
+        match &self.0 {
+            Backing::Resident(node) => node,
+            Backing::Paged(chunk, offset) => &chunk.items()[*offset],
         }
     }
 }
@@ -348,31 +349,17 @@ impl RTree {
         self.root
     }
 
-    /// Borrow a node. On a paged tree this may fault the chunk in from
-    /// disk; hold an [`RTree::read_guard`] across any loop of `node`
-    /// calls whose references are retained (resident trees need none,
-    /// the guard is free there).
+    /// A node. On a paged tree this may fault the chunk in from disk, and
+    /// the returned [`NodeRef`] keeps that chunk alive while it lives.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        match &self.arena {
-            Arena::Resident(nodes) => nodes.get(id.index()),
+    pub fn node(&self, id: NodeId) -> NodeRef<'_> {
+        NodeRef(match &self.arena {
+            Arena::Resident(nodes) => Backing::Resident(nodes.get(id.index())),
             Arena::Paged(src) => {
                 let (ci, offset) = NodeArena::locate(id.index());
-                &src.chunk(ci).items()[offset]
+                Backing::Paged(src.chunk(ci), offset)
             }
-        }
-    }
-
-    /// Opens a read section over the arena (see [`ArenaReadGuard`]).
-    pub fn read_guard(&self) -> ArenaReadGuard<'_> {
-        let source = match &self.arena {
-            Arena::Resident(_) => None,
-            Arena::Paged(src) => Some(&**src),
-        };
-        if let Some(s) = source {
-            s.begin_read();
-        }
-        ArenaReadGuard { source }
+        })
     }
 
     /// True when the arena is served out-of-core through a
@@ -402,11 +389,9 @@ impl RTree {
     /// any other arena materialization work.
     pub fn materialize(&mut self) {
         let Arena::Paged(src) = &self.arena else { return };
-        src.begin_read();
         let nodes: NodeArena = (0..src.chunk_count())
-            .flat_map(|ci| src.chunk(ci).items().iter().cloned())
+            .flat_map(|ci| src.chunk(ci).items().to_vec())
             .collect();
-        src.end_read();
         self.copy.chunks_copied += nodes.chunk_count();
         self.copy.bytes_copied += nodes.approx_bytes();
         self.arena = Arena::Resident(nodes);
@@ -522,7 +507,6 @@ impl RTree {
     /// All indexed object ids (DFS order).
     pub fn object_ids(&self) -> Vec<ObjectId> {
         let mut out = Vec::with_capacity(self.len);
-        let _guard = self.read_guard();
         if let Some(root) = self.root {
             let mut stack = vec![root];
             while let Some(n) = stack.pop() {
@@ -538,7 +522,6 @@ impl RTree {
     /// Iterates every live (reachable) node id with its depth (root = 0).
     pub fn walk(&self) -> Vec<(NodeId, usize)> {
         let mut out = Vec::new();
-        let _guard = self.read_guard();
         if let Some(root) = self.root {
             let mut stack = vec![(root, 0usize)];
             while let Some((n, d)) = stack.pop() {
@@ -578,7 +561,7 @@ impl RTree {
         let packed: NodeArena = order
             .iter()
             .map(|(old, _)| {
-                let mut node = self.node(*old).clone();
+                let mut node = Node::clone(&self.node(*old));
                 if let NodeKind::Internal(children) = &mut node.kind {
                     for c in children {
                         *c = NodeId(remap[c.index()]);
@@ -602,7 +585,6 @@ impl RTree {
         let Some(root) = self.root else {
             return out;
         };
-        let _guard = self.read_guard();
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
             let node = self.node(n);
@@ -638,7 +620,6 @@ impl RTree {
         if k == 0 {
             return out;
         }
-        let _guard = self.read_guard();
         // Min-heap on distance; on equal distance `Reverse(Scored)` pops
         // the *larger* Entry first, and Object > Node in derive order, so
         // objects surface before equally-distant nodes — required for
@@ -776,13 +757,12 @@ impl RTree {
             }
             NodeKind::Internal(children) => {
                 debug_assert!(!children.is_empty());
+                let children: Vec<NodeRef<'_>> = children.iter().map(|&c| self.node(c)).collect();
                 let mut mbr = Rect::EMPTY;
-                let mut augs = Vec::with_capacity(children.len());
-                for &c in children {
-                    let child = self.node(c);
+                for child in &children {
                     mbr.expand(&child.mbr);
-                    augs.push(child.aug());
                 }
+                let augs: Vec<&KcAug> = children.iter().map(|c| c.aug()).collect();
                 (mbr, Some(KcAug::for_internal(&augs)))
             }
         }
@@ -878,7 +858,8 @@ impl RTree {
     /// Guttman's ChooseLeaf heuristic: least MBR enlargement, ties by
     /// least area, then first-listed.
     fn choose_subtree(&self, n: NodeId, p: &Point) -> NodeId {
-        let children = self.node(n).children();
+        let node = self.node(n);
+        let children = node.children();
         let target = Rect::point(*p);
         let mut best = children[0];
         let mut best_enl = f64::INFINITY;
@@ -1074,7 +1055,6 @@ impl RTree {
     /// two trees with equal exports have the same shape, whatever their
     /// arena history or node source.
     pub fn structure(&self) -> TreeStructure {
-        let _guard = self.read_guard();
         let mut nodes = Vec::new();
         let mut remap: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
         // First pass: assign dense ids in walk order.
@@ -1113,7 +1093,6 @@ impl RTree {
     /// once; `len` consistent; free list disjoint from reachable nodes
     /// and consistent with the freed bitset.
     pub fn validate(&self) -> Result<(), String> {
-        let _guard = self.read_guard();
         // Free list / bitset consistency holds even for an empty tree.
         let mut free_sorted = self.free.clone();
         free_sorted.sort_unstable();
@@ -1538,11 +1517,10 @@ mod tests {
         let corpus = random_corpus(3, 11);
         let t = RTree::bulk_load(corpus, RTreeParams::default());
         let root = t.root().unwrap();
-        assert!(t.node(root).is_leaf());
-        let entries = t.node(root).entries();
-        assert_eq!(entries.len(), 3);
-        let r =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.node(root).children()));
+        let node = t.node(root);
+        assert!(node.is_leaf());
+        assert_eq!(node.entries().len(), 3);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| node.children().len()));
         assert!(r.is_err());
     }
 

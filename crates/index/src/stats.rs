@@ -41,7 +41,6 @@ pub struct TreeStats {
 impl RTree {
     /// Computes shape statistics by walking the tree.
     pub fn stats(&self) -> TreeStats {
-        let _guard = self.read_guard();
         let mut nodes = 0usize;
         let mut leaves = 0usize;
         let mut leaf_entries = 0usize;

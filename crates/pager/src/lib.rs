@@ -17,6 +17,8 @@
 //!   encoded into the page file and faulted back on demand through a
 //!   byte-budgeted chunk cache ([`PagedNodeSource`]).
 
+#![forbid(unsafe_code)]
+
 pub mod buffer_pool;
 pub mod checkpoint;
 pub mod codec;

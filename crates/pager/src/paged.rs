@@ -6,8 +6,12 @@
 //! handing the tree the resulting source ([`page_out_tree`]). From then
 //! on `RTree::node` faults whole chunks — 16 nodes at a time — through a
 //! small decoded-chunk cache bounded by a byte budget, which in turn
-//! reads 4 KiB pages through the buffer pool. Two cache levels, two sets
-//! of counters:
+//! reads 4 KiB pages through the buffer pool. The cache hands out clones
+//! of the `Arc` it holds: a reader's `NodeRef` pins its chunk, eviction
+//! drops only the cache's reference, and an evicted chunk is freed when
+//! its last reader lets go. Decoded bytes alive at any moment are the
+//! cache's (bounded by the budget) plus at most one evicted chunk per
+//! live node reference. Two cache levels, two sets of counters:
 //!
 //! * chunk level ([`PagedStats`]) — decoded-chunk hits / faults /
 //!   evictions, what a query actually pays;
@@ -22,7 +26,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -63,9 +67,6 @@ struct Cache {
     entries: HashMap<usize, CacheEntry>,
     cached_bytes: usize,
     tick: u64,
-    /// Evicted chunks that may still be referenced by an active read
-    /// guard. Freed only when the reader count returns to zero.
-    graveyard: Vec<Arc<NodeChunk>>,
 }
 
 /// A [`NodeSource`] that faults arena chunks through the buffer pool on
@@ -77,7 +78,6 @@ pub struct PagedNodeSource {
     budget_bytes: usize,
     arena_bytes: usize,
     state: Mutex<Cache>,
-    readers: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -89,7 +89,6 @@ impl std::fmt::Debug for PagedNodeSource {
             .field("chunks", &self.directory.len())
             .field("budget_bytes", &self.budget_bytes)
             .field("arena_bytes", &self.arena_bytes)
-            .field("readers", &self.readers.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -121,9 +120,7 @@ impl PagedNodeSource {
                 entries: HashMap::new(),
                 cached_bytes: 0,
                 tick: 0,
-                graveyard: Vec::new(),
             }),
-            readers: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -164,54 +161,25 @@ impl NodeSource for PagedNodeSource {
         self.arena_bytes
     }
 
-    fn begin_read(&self) {
-        self.readers.fetch_add(1, Ordering::AcqRel);
-    }
-
-    fn end_read(&self) {
-        let prev = self.readers.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "end_read without begin_read");
-        if prev == 1 {
-            // Last reader out: anything in the graveyard was evicted
-            // while some now-finished guard could still reference it.
-            // A guard that begins after this point can only reach chunks
-            // via the cache, never the graveyard, so freeing is safe
-            // even if the count has already gone back up.
-            let mut st = self.state.lock();
-            if self.readers.load(Ordering::Acquire) == 0 {
-                st.graveyard.clear();
-            }
-        }
-    }
-
-    fn chunk(&self, ci: usize) -> &NodeChunk {
-        debug_assert!(
-            self.readers.load(Ordering::Acquire) > 0,
-            "PagedNodeSource::chunk outside a read guard"
-        );
+    fn chunk(&self, ci: usize) -> Arc<NodeChunk> {
         let mut st = self.state.lock();
         st.tick += 1;
         let tick = st.tick;
         if let Some(e) = st.entries.get_mut(&ci) {
             e.last_used = tick;
             self.hits.fetch_add(1, Ordering::Relaxed);
-            let ptr: *const NodeChunk = Arc::as_ptr(&e.chunk);
-            // SAFETY: the Arc stays alive in the cache, or — if evicted —
-            // in the graveyard until the reader count returns to zero,
-            // which by the NodeSource guard protocol outlives every
-            // reference handed out here.
-            return unsafe { &*ptr };
+            return Arc::clone(&e.chunk);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let chunk = self
             .fault(ci)
             .unwrap_or_else(|e| panic!("paged arena chunk {ci} unreadable: {e}"));
         let bytes = chunk.approx_bytes();
-        let ptr: *const NodeChunk = Arc::as_ptr(&chunk);
         st.cached_bytes += bytes;
-        st.entries.insert(ci, CacheEntry { chunk, last_used: tick, bytes });
+        st.entries.insert(ci, CacheEntry { chunk: Arc::clone(&chunk), last_used: tick, bytes });
         // Evict least-recently-used chunks down to the budget, always
-        // keeping the chunk just faulted in.
+        // keeping the chunk just faulted in. A victim a reader still
+        // holds lives on in that reader's `Arc` only.
         while st.cached_bytes > self.budget_bytes && st.entries.len() > 1 {
             let lru = st
                 .entries
@@ -222,12 +190,9 @@ impl NodeSource for PagedNodeSource {
                 .expect("len > 1 so a victim exists");
             let victim = st.entries.remove(&lru).expect("victim present");
             st.cached_bytes -= victim.bytes;
-            st.graveyard.push(victim.chunk);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        // SAFETY: as above — the cache or graveyard keeps the Arc alive
-        // for the lifetime of every outstanding read guard.
-        unsafe { &*ptr }
+        chunk
     }
 }
 
@@ -401,6 +366,31 @@ mod tests {
         assert!(s.misses > 0, "reads must fault chunks: {s:?}");
         assert!(s.evictions > 0, "a 25% budget must evict: {s:?}");
         assert!(s.resident_chunks < s.chunk_count);
+    }
+
+    #[test]
+    fn a_held_chunk_pins_only_itself() {
+        let resident = RTree::bulk_load(corpus(500), RTreeParams::new(4, 2));
+        let mut paged = resident.clone();
+        let src = page_out_tree(&pool(), &mut paged, 1).unwrap();
+        // A long-running reader holds chunk 0 while every other chunk
+        // faults through a one-byte budget.
+        let held = src.chunk(0);
+        let count = src.stats().chunk_count;
+        assert!(count >= 3, "fixture too small: {count} chunks");
+        let faulted: Vec<std::sync::Weak<NodeChunk>> = (1..count)
+            .map(|ci| Arc::downgrade(&src.chunk(ci)))
+            .collect();
+        assert_eq!(src.stats().resident_chunks, 1);
+        let (evicted, cached) = faulted.split_at(count - 2);
+        assert!(
+            evicted.iter().all(|w| w.upgrade().is_none()),
+            "an evicted chunk outlived its readers"
+        );
+        assert!(cached[0].upgrade().is_some(), "the last fault stays cached");
+        // The reader's chunk was evicted too, and lives on in its Arc only.
+        assert_eq!(Arc::strong_count(&held), 1);
+        assert_eq!(held.nodes().len(), resident.arena_chunk(0).len());
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub fn boolean_topk_tree(tree: &RTree, params: &ScoreParams, q: &Query) -> Vec<R
     let Some(root) = tree.root() else {
         return out;
     };
-    let _guard = tree.read_guard();
     let q_len = q.doc.len();
     let mut heap: BinaryHeap<Scored<Entry>> = BinaryHeap::new();
     let root_node = tree.node(root);

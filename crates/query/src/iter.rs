@@ -9,7 +9,7 @@
 
 use std::collections::BinaryHeap;
 
-use yask_index::{ArenaReadGuard, NodeId, NodeKind, ObjectId, RTree};
+use yask_index::{NodeId, NodeKind, ObjectId, RTree};
 use yask_util::Scored;
 
 use crate::query::Query;
@@ -24,9 +24,6 @@ enum Entry {
 /// A lazy, rank-ordered stream of query results.
 pub struct IncrementalSearch<'t> {
     tree: &'t RTree,
-    /// Pins the arena of a paged tree for the stream's whole lifetime —
-    /// node references taken in `next` must outlive each heap push.
-    _guard: ArenaReadGuard<'t>,
     params: ScoreParams,
     query: Query,
     heap: BinaryHeap<Scored<Entry>>,
@@ -36,7 +33,6 @@ pub struct IncrementalSearch<'t> {
 impl<'t> IncrementalSearch<'t> {
     /// Starts a search; `q.k` is ignored (the stream is unbounded).
     pub fn new(tree: &'t RTree, params: ScoreParams, query: Query) -> Self {
-        let guard = tree.read_guard();
         let mut heap = BinaryHeap::new();
         if let Some(root) = tree.root() {
             let node = tree.node(root);
@@ -47,7 +43,6 @@ impl<'t> IncrementalSearch<'t> {
         }
         IncrementalSearch {
             tree,
-            _guard: guard,
             params,
             query,
             heap,

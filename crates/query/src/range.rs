@@ -55,7 +55,6 @@ pub fn range_keyword_tree(
     let Some(root) = tree.root() else {
         return out;
     };
-    let _guard = tree.read_guard();
     let mut stack = vec![root];
     while let Some(nid) = stack.pop() {
         let node = tree.node(nid);

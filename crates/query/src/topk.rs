@@ -87,11 +87,10 @@ pub fn topk_tree_with_view(
     let Some(root) = tree.root() else {
         return (out, stats);
     };
-    let _guard = tree.read_guard();
     let mut heap: BinaryHeap<Scored<Entry>> = BinaryHeap::new();
     let mut seen: yask_util::TopK<ObjectId> = yask_util::TopK::new(q.k);
     let root_node = tree.node(root);
-    heap.push(Scored::new(upper(root_node), Entry::Node(root)));
+    heap.push(Scored::new(upper(&root_node), Entry::Node(root)));
     stats.heap_pushes += 1;
 
     while let Some(top) = heap.pop() {
@@ -126,7 +125,7 @@ pub fn topk_tree_with_view(
                     }
                     NodeKind::Internal(children) => {
                         for &c in children {
-                            let ub = upper(tree.node(c));
+                            let ub = upper(&tree.node(c));
                             if seen.is_full() && ub < seen.threshold() {
                                 continue;
                             }

@@ -402,6 +402,51 @@ fn shard_panic_leaves_the_pool_alive() {
     }
 }
 
+/// A chunk fault that cannot read its page unwinds the shard job that
+/// hit it; the gather comes up short and the caller answers from the
+/// exact scan. The pool and the paged trees keep serving afterwards.
+#[test]
+fn chunk_fault_io_error_reaches_the_scan_fallback() {
+    let Some(_g) = chaos() else { return };
+    // Large enough that the shard trees outgrow the buffer pool, so a
+    // chunk fault reaches the page file rather than a cached page.
+    let corpus = small_corpus(20_000);
+    let params = ScoreParams::new(corpus.space());
+    let q = Query::new(Point::new(0.3, 0.7), KeywordSet::from_raw([1, 4]), 10);
+    let want: Vec<ObjectId> = topk_scan(&corpus, &params, &q)
+        .iter()
+        .map(|r| r.id)
+        .collect();
+    for shards in CHAOS_SHARD_COUNTS {
+        let exec = Executor::new(
+            corpus.clone(),
+            ExecConfig {
+                resident_budget: Some(1),
+                ..exec_config(shards)
+            },
+        );
+
+        let hits = failpoint::hits("pager.read");
+        failpoint::cfg_times("pager.read", failpoint::Action::Error, 1);
+        let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
+        assert!(
+            failpoint::hits("pager.read") > hits,
+            "K={shards}: no chunk fault reached the page file"
+        );
+        assert_eq!(
+            got, want,
+            "K={shards}: fallback answer diverged from the scan oracle"
+        );
+        assert_eq!(exec.stats().scan_fallbacks, 1, "K={shards}");
+
+        // Unarmed, the shards answer again: the pool is alive.
+        let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
+        assert_eq!(got, want, "K={shards}");
+        let s = exec.stats();
+        assert_eq!((s.scatter_queries, s.scan_fallbacks), (1, 1), "K={shards}");
+    }
+}
+
 #[test]
 fn expired_deadlines_mid_scatter_leak_no_workers() {
     let Some(_g) = chaos() else { return };
