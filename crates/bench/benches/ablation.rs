@@ -4,10 +4,7 @@
 //!   (smaller nodes ⇒ tighter keyword summaries ⇒ fewer expansions, but
 //!   more nodes to touch);
 //! * **keyword-adaptation bound depth** — how deep the cheap bound pass
-//!   descends before declaring a candidate uncertain;
-//! * **top-k threshold pruning** — best-first search with vs without the
-//!   running-top-k pruning (the `IncrementalSearch` path is the
-//!   unpruned algorithm).
+//!   descends before declaring a candidate uncertain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -17,7 +14,7 @@ use yask_bench::std_corpus;
 use yask_core::keyword::{refine_keywords_with, KeywordOptions};
 use yask_data::{gen_queries, gen_selective_queries, pick_missing};
 use yask_index::{RTree, RTreeParams};
-use yask_query::{topk_tree, IncrementalSearch, ScoreParams};
+use yask_query::{topk_tree, ScoreParams};
 
 fn bench_fanout(c: &mut Criterion) {
     let corpus = std_corpus(20_000);
@@ -64,34 +61,5 @@ fn bench_bound_depth(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_threshold_pruning(c: &mut Criterion) {
-    let corpus = std_corpus(20_000);
-    let params = ScoreParams::new(corpus.space());
-    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
-    let queries = gen_selective_queries(&corpus, 8, 3, 10, 29);
-
-    let mut g = c.benchmark_group("ablation_threshold_pruning");
-    g.sample_size(15).measurement_time(Duration::from_secs(3));
-    g.bench_function("pruned_topk", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(topk_tree(&tree, &params, q));
-            }
-        })
-    });
-    g.bench_function("unpruned_stream", |b| {
-        b.iter(|| {
-            for q in &queries {
-                let take = q.k;
-                let got: Vec<_> = IncrementalSearch::new(&tree, params, q.clone())
-                    .take(take)
-                    .collect();
-                black_box(got);
-            }
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_fanout, bench_bound_depth, bench_threshold_pruning);
+criterion_group!(benches, bench_fanout, bench_bound_depth);
 criterion_main!(benches);

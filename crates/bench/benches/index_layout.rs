@@ -4,7 +4,9 @@
 //! by level at bulk-load time, so a cold root-to-leaf walk touches a
 //! handful of dense allocations instead of pointer-chased heap nodes.
 //! This microbench puts a number on the layout: cold range scans and
-//! nearest-neighbour searches over (a) a freshly bulk-loaded tree —
+//! served top-10 searches with an empty keyword set (pure distance
+//! ranking, through the one best-first loop) over (a) a freshly
+//! bulk-loaded tree —
 //! densely packed chunks — and (b) the same tree after a heavy
 //! insert/delete churn — fragmented arena with freed slack and
 //! path-copied chunks. The spread between the two rows is the layout's
@@ -19,6 +21,8 @@ use std::time::Instant;
 use yask_bench::{fmt_us, print_table, std_corpus};
 use yask_geo::{Point, Rect};
 use yask_index::{RTree, RTreeParams};
+use yask_query::{topk_tree, Query, ScoreParams};
+use yask_text::KeywordSet;
 use yask_util::{Summary, Xoshiro256};
 
 fn scan_workload(reps: usize, seed: u64) -> Vec<(Rect, Point)> {
@@ -37,17 +41,19 @@ fn scan_workload(reps: usize, seed: u64) -> Vec<(Rect, Point)> {
 }
 
 fn measure(tree: &RTree, probes: &[(Rect, Point)]) -> (Summary, Summary) {
+    let params = ScoreParams::new(tree.corpus().space());
     let mut range_lat = Summary::new();
-    let mut nn_lat = Summary::new();
+    let mut topk_lat = Summary::new();
     for (rect, p) in probes {
         let t0 = Instant::now();
         std::hint::black_box(tree.range(rect));
         range_lat.record_duration(t0.elapsed());
+        let q = Query::new(*p, KeywordSet::empty(), 10);
         let t0 = Instant::now();
-        std::hint::black_box(tree.nearest(p, 10));
-        nn_lat.record_duration(t0.elapsed());
+        std::hint::black_box(topk_tree(tree, &params, &q));
+        topk_lat.record_duration(t0.elapsed());
     }
-    (range_lat, nn_lat)
+    (range_lat, topk_lat)
 }
 
 fn main() {
@@ -64,11 +70,11 @@ fn main() {
     for n in sizes {
         let corpus = std_corpus(n);
         let tree = RTree::bulk_load(corpus.clone(), params);
-        let (range_lat, nn_lat) = measure(&tree, &probes);
+        let (range_lat, topk_lat) = measure(&tree, &probes);
         rows.push(vec![
             format!("bulk/n={n}"),
             fmt_us(range_lat.mean()),
-            fmt_us(nn_lat.mean()),
+            fmt_us(topk_lat.mean()),
             format!("{}", tree.arena_chunk_count()),
             format!("{}", tree.free_slots()),
         ]);
@@ -91,11 +97,11 @@ fn main() {
             let (nt, _) = t.with_updates(nc.clone(), &new_ids, &[victim]);
             (c, t) = (nc, nt);
         }
-        let (range_lat, nn_lat) = measure(&t, &probes);
+        let (range_lat, topk_lat) = measure(&t, &probes);
         rows.push(vec![
             format!("churned/n={n}"),
             fmt_us(range_lat.mean()),
-            fmt_us(nn_lat.mean()),
+            fmt_us(topk_lat.mean()),
             format!("{}", t.arena_chunk_count()),
             format!("{}", t.free_slots()),
         ]);
@@ -103,9 +109,9 @@ fn main() {
 
     print_table(
         &format!(
-            "index node-layout microbench (range + 10-NN cold scans, {probes_n} probes, churn = {churn} epochs)"
+            "index node-layout microbench (range + spatial top-10 cold scans, {probes_n} probes, churn = {churn} epochs)"
         ),
-        &["bench", "range", "10-NN", "chunks", "free slots"],
+        &["bench", "range", "top-10 spatial", "chunks", "free slots"],
         &rows,
     );
 }

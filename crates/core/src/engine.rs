@@ -147,12 +147,6 @@ impl Yask {
         topk_tree(&self.tree, &self.params, query)
     }
 
-    /// Boolean (conjunctive) top-k: only objects containing *all* query
-    /// keywords qualify; may return fewer than `k` results.
-    pub fn boolean_top_k(&self, query: &Query) -> Vec<RankedObject> {
-        yask_query::boolean_topk_tree(&self.tree, &self.params, query)
-    }
-
     /// Viewport query (the demo's Panel-1 grey markers): all objects in
     /// `rect`, optionally filtered by keywords under `mode`.
     pub fn viewport(
@@ -299,13 +293,9 @@ mod tests {
     }
 
     #[test]
-    fn boolean_and_viewport_queries_work_through_facade() {
+    fn viewport_queries_work_through_facade() {
         let corpus = random_corpus(150, 95);
         let yask = Yask::with_defaults(corpus.clone());
-        let q = Query::new(Point::new(0.5, 0.5), ks(&[1, 2]), 5);
-        for r in yask.boolean_top_k(&q) {
-            assert!(q.doc.is_subset_of(&corpus.get(r.id).doc));
-        }
         let rect = yask_geo::Rect::from_coords(0.2, 0.2, 0.8, 0.8);
         let ids = yask.viewport(&rect, &ks(&[1]), yask_query::MatchMode::Any);
         for id in &ids {

@@ -1,87 +1,15 @@
-//! Lock-free bounds shared across shard searches.
+//! The lock-free cross-shard outrank count of the why-not keyword
+//! adaptation.
 //!
-//! Two primitives live here:
-//!
-//! * [`SharedBound`] — the rising best-k *score* certificate of the
-//!   scatter-gather top-k (see below);
-//! * [`SharedOutrank`] — the rising cross-shard *outrank count* of the
-//!   why-not keyword adaptation: shard descents counting how many objects
-//!   outrank a missing object publish their partial counts here, and once
-//!   the global total already proves the candidate's penalty cannot beat
-//!   the best refinement found so far, every late shard aborts its count
-//!   mid-descent. It plugs into the core crate's rank evaluator through
-//!   the [`yask_core::OutrankGate`] trait.
-//!
-//! During a scatter-gather top-k, each shard worker maintains its local
-//! best-k collector. Once a worker has seen `k` objects, its local k-th
-//! best score is a *global* certificate: k real objects score at least
-//! that much, so no object scoring strictly below it can be in the global
-//! top-k. Workers publish their certificates here with a `fetch_max`, and
-//! every worker prunes nodes and objects against the highest certificate
-//! published so far — late shards start pruning against the early shards'
-//! results instead of rediscovering them.
-//!
-//! Scores are `f64`; the atomic stores them under the standard
-//! order-preserving bit transform (flip the sign bit of positives, all
-//! bits of negatives), so `fetch_max` on the `u64` is `max` on the `f64`.
+//! Shard descents counting how many objects outrank a missing object
+//! publish their partial counts into a [`SharedOutrank`], and once the
+//! global total already proves the candidate's penalty cannot beat the
+//! best refinement found so far, every late shard aborts its count
+//! mid-descent. It plugs into the core crate's rank evaluator through the
+//! [`yask_core::OutrankGate`] trait. (The top-k's shared *score* bound is
+//! [`yask_query::SharedBound`].)
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Maps `f64` to `u64` such that `a < b ⇔ key(a) < key(b)` (total order,
-/// no NaN expected in scores).
-#[inline]
-fn order_key(f: f64) -> u64 {
-    let bits = f.to_bits();
-    if bits >> 63 == 0 {
-        bits | (1 << 63)
-    } else {
-        !bits
-    }
-}
-
-/// Inverse of [`order_key`].
-#[inline]
-fn from_order_key(key: u64) -> f64 {
-    if key >> 63 == 1 {
-        f64::from_bits(key & !(1 << 63))
-    } else {
-        f64::from_bits(!key)
-    }
-}
-
-/// The shared best-k score bound: rises monotonically, starts at `-inf`.
-pub struct SharedBound {
-    key: AtomicU64,
-}
-
-impl SharedBound {
-    /// A bound that prunes nothing yet.
-    pub fn new() -> Self {
-        SharedBound {
-            key: AtomicU64::new(order_key(f64::NEG_INFINITY)),
-        }
-    }
-
-    /// Publishes a certificate: k objects are known to score ≥ `score`.
-    /// Never lowers the bound.
-    #[inline]
-    pub fn raise(&self, score: f64) {
-        self.key.fetch_max(order_key(score), Ordering::Relaxed);
-    }
-
-    /// The current bound. Anything scoring *strictly* below this cannot
-    /// be in the global top-k (ties survive: the merge breaks them by id).
-    #[inline]
-    pub fn get(&self) -> f64 {
-        from_order_key(self.key.load(Ordering::Relaxed))
-    }
-}
-
-impl Default for SharedBound {
-    fn default() -> Self {
-        SharedBound::new()
-    }
-}
 
 /// The shared cross-shard outrank accumulator of one candidate × missing
 /// object evaluation.
@@ -130,46 +58,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn order_key_is_monotone() {
-        let samples = [
-            f64::NEG_INFINITY,
-            -1e30,
-            -1.0,
-            -1e-300,
-            -0.0,
-            0.0,
-            1e-300,
-            0.5,
-            1.0,
-            1e30,
-            f64::INFINITY,
-        ];
-        for w in samples.windows(2) {
-            assert!(
-                order_key(w[0]) <= order_key(w[1]),
-                "{} !<= {}",
-                w[0],
-                w[1]
-            );
-        }
-        for &s in &samples {
-            assert_eq!(from_order_key(order_key(s)).to_bits(), s.to_bits());
-        }
-    }
-
-    #[test]
-    fn bound_rises_monotonically() {
-        let b = SharedBound::new();
-        assert_eq!(b.get(), f64::NEG_INFINITY);
-        b.raise(0.3);
-        assert_eq!(b.get(), 0.3);
-        b.raise(0.1); // lower certificate: ignored
-        assert_eq!(b.get(), 0.3);
-        b.raise(0.9);
-        assert_eq!(b.get(), 0.9);
-    }
-
-    #[test]
     fn shared_outrank_aborts_at_the_limit() {
         use yask_core::OutrankGate;
         let o = SharedOutrank::new(10);
@@ -202,23 +90,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(o.total(), 4000);
-    }
-
-    #[test]
-    fn bound_is_shared_across_threads() {
-        let b = std::sync::Arc::new(SharedBound::new());
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let b = b.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1000 {
-                    b.raise((t * 1000 + i) as f64 / 4000.0);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(b.get(), 3999.0 / 4000.0);
     }
 }

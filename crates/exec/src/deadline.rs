@@ -15,12 +15,6 @@
 
 use std::time::{Duration, Instant};
 
-/// How often the best-first search loops consult the deadline, in node
-/// expansions. Checking `Instant::now()` per expansion would double the
-/// cost of cheap expansions; every 32nd keeps the overshoot below a
-/// few microseconds of tree work.
-pub const DEADLINE_STRIDE: usize = 32;
-
 /// A fixed point in monotonic time after which a request should stop
 /// doing new work and return what it has.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -42,7 +42,6 @@ use crate::cache::{AnswerKey, CachedAnswer, LruCache, QueryKey, WhyNotKind};
 use crate::deadline::Deadline;
 use crate::observe::Workload;
 use crate::pool::WorkerPool;
-use crate::search::merge_topk;
 use crate::shard::ShardedIndex;
 use crate::stats::{ExecCounters, ExecSnapshot, PagerSnapshot, ShardShape};
 use crate::whynot::ShardFanout;
@@ -627,17 +626,6 @@ impl Executor {
                 }
             },
         )
-    }
-
-    /// Boolean (conjunctive) top-k: per-shard boolean searches merged
-    /// under the workspace total order.
-    pub fn boolean_top_k(&self, query: &Query) -> Vec<RankedObject> {
-        let state = self.state.load();
-        let mut all = Vec::new();
-        for tree in state.index.shards() {
-            all.extend(yask_query::boolean_topk_tree(tree, &state.params, query));
-        }
-        merge_topk(all, query.k)
     }
 
     /// Viewport query: all objects in `rect` passing the keyword filter,

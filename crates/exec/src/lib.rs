@@ -14,17 +14,19 @@
 //!   scores;
 //! * [`pool`] — a fixed crossbeam-channel worker pool with queue-depth
 //!   accounting;
-//! * [`bound`] + [`search`] — scatter-gather top-k: per-shard best-first
-//!   searches that publish best-k certificates into a shared, lock-free
-//!   score bound, pruning late shards against early shards' results; the
-//!   gather merge is exactly the single-tree answer (property-tested for
+//! * [`search`] — scatter-gather top-k: per-shard runs of the one
+//!   best-first loop, [`yask_query::topk_tree_bounded`], that publish
+//!   best-k certificates into a shared, lock-free score bound, pruning
+//!   late shards against early shards' results; the gather merge is
+//!   exactly the single-tree answer (property-tested for
 //!   K ∈ {1, 2, 3, 5, 8});
 //! * `whynot` — the per-shard why-not fan-out: explanations, keyword
 //!   adaptation and preference adjustment computed from the shard trees
 //!   alone (per-shard exact rank counts summed, per-shard segment sets
 //!   merged, a shared cross-shard outrank bound aborting hopeless
-//!   candidates), so the executor needs **no global KcR-tree** —
-//!   property-tested equal to `yask_core::Yask` for K ∈ {1, 2, 4, 8};
+//!   candidates through [`bound::SharedOutrank`]), so the executor
+//!   needs **no global KcR-tree** — property-tested equal to
+//!   `yask_core::Yask` for K ∈ {1, 2, 4, 8};
 //! * [`cache`] — bounded LRU caches for top-k results and why-not
 //!   answers, keyed by canonicalized `(query, k, λ, desired-set)` bits,
 //!   with hit/miss/eviction counters;
@@ -58,7 +60,7 @@
 //!   before shedding it, hot cells at a reduced budget) with shed /
 //!   degraded / deadline counters for `/stats` and `/metrics`;
 //! * [`deadline`] — a monotonic request budget threaded from the HTTP
-//!   layer through scatter-gather ([`search::shard_topk_bounded`]
+//!   layer through scatter-gather ([`yask_query::topk_tree_bounded`]
 //!   saturates the shared bound on expiry so late shards drain through
 //!   the existing prune path) and the why-not fan-out, with partial
 //!   results always explicitly flagged and kept out of the caches.
@@ -81,12 +83,12 @@ pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionSnapshot, AdmitDecision, OverloadLevel,
     Pressure, Route, ShedCount, ShedReason,
 };
-pub use bound::{SharedBound, SharedOutrank};
+pub use bound::SharedOutrank;
 pub use cache::{AnswerKey, CacheSnapshot, CachedAnswer, LruCache, QueryKey, WhyNotKind};
 pub use deadline::Deadline;
 pub use executor::{EngineHandle, ExecConfig, Executor, TopKOutcome, UpdateOutcome};
 pub use observe::{RouteWindows, WorkloadSnapshot, WINDOW_HORIZONS_SECS};
 pub use pool::WorkerPool;
-pub use search::{merge_topk, shard_topk};
+pub use search::merge_topk;
 pub use shard::{ShardDeltas, ShardedIndex};
 pub use stats::{ExecSnapshot, PagerSnapshot, ShardSnapshot, WhyNotHistSnapshots};

@@ -14,7 +14,7 @@ use yask_core::YaskConfig;
 use yask_exec::{ExecConfig, Executor, ShardedIndex};
 use yask_geo::{Point, Space};
 use yask_index::{Corpus, CorpusBuilder, ObjectId, RTree, RTreeParams};
-use yask_query::{topk_tree, Query, ScoreParams, Weights};
+use yask_query::{topk_scan, topk_tree, Query, ScoreParams, Weights};
 use yask_text::KeywordSet;
 
 const SHARD_COUNTS: [usize; 5] = [1, 2, 3, 5, 8];
@@ -92,11 +92,11 @@ proptest! {
         }
     }
 
-    /// Boolean top-k and the viewport query have no scatter of their own
-    /// (per-shard tree searches merged on the caller): both must equal
-    /// `yask_core::Yask` over the same corpus for every shard count.
+    /// The viewport query has no scatter of its own (per-shard tree
+    /// searches merged on the caller): it must equal `yask_core::Yask`
+    /// over the same corpus for every shard count.
     #[test]
-    fn boolean_and_viewport_equal_the_engine(
+    fn viewport_equals_the_engine(
         c in corpus(10, 120),
         q in query(),
         (x0, y0, w, h) in (0.0f64..0.8, 0.0f64..0.8, 0.05f64..0.6, 0.05f64..0.6),
@@ -108,7 +108,6 @@ proptest! {
                 c.corpus.clone(),
                 ExecConfig { shards, workers: shards.min(4), ..ExecConfig::default() },
             );
-            prop_assert_eq!(exec.boolean_top_k(&q), engine.boolean_top_k(&q), "shards = {}", shards);
             for mode in [yask_query::MatchMode::Any, yask_query::MatchMode::All] {
                 let mut want = engine.viewport(&rect, &q.doc, mode);
                 want.sort_unstable();
@@ -185,6 +184,78 @@ proptest! {
                 a.is_err() == b.is_err(),
                 "executor and engine disagree on error"
             ),
+        }
+    }
+}
+
+/// Ties across shards: blocks of identical-doc objects at dyadic offsets
+/// symmetric about the query point score bit-equal, the blocks land in
+/// different shards, and `k` cuts inside the tied run. The merged answer
+/// must still be the scan's: ties ranked id-ascending, none dropped by
+/// the shared bound's "strictly below" prune.
+#[test]
+fn ties_across_shards_rank_by_id() {
+    const TIED: usize = 24;
+    let centre = Point::new(0.5, 0.5);
+    let offsets = [(0.25, 0.5), (0.75, 0.5), (0.5, 0.25), (0.5, 0.75)];
+    let mut rng = yask_util::Xoshiro256::seed_from_u64(41);
+    let mut b = CorpusBuilder::new().with_space(Space::unit());
+    let mut tied = Vec::new();
+    for i in 0..300 {
+        if i % 10 == 0 && tied.len() < TIED {
+            // Interleaved ids: consecutive tied ids sit at different offsets.
+            let (x, y) = offsets[tied.len() % offsets.len()];
+            tied.push(ObjectId(b.len() as u32));
+            b.push(
+                Point::new(x, y),
+                KeywordSet::from_raw([1, 2]),
+                format!("t{i}"),
+            );
+        }
+        let doc = KeywordSet::from_raw((0..1 + rng.below(3)).map(|_| rng.below(6) as u32));
+        b.push(
+            Point::new(rng.next_f64(), rng.next_f64()),
+            doc,
+            format!("o{i}"),
+        );
+    }
+    let corpus = b.build();
+    let params = ScoreParams::new(corpus.space());
+    let base = Query::new(centre, KeywordSet::from_raw([1, 2, 3]), 1);
+
+    // The tie exists: every tied object scores bit-equal.
+    let full = topk_scan(&corpus, &params, &base.with_k(corpus.len()));
+    let score_of = |id: ObjectId| full.iter().find(|r| r.id == id).unwrap().score;
+    assert!(tied
+        .iter()
+        .all(|&id| score_of(id).to_bits() == score_of(tied[0]).to_bits()));
+    // Cut inside the tied run.
+    let first = full.iter().position(|r| tied.contains(&r.id)).unwrap();
+    let q = base.with_k(first + TIED / 2);
+    let want = topk_scan(&corpus, &params, &q);
+    let kept = want.iter().filter(|r| tied.contains(&r.id)).count();
+    assert!(0 < kept && kept < TIED, "cut misses the tied run: {kept}");
+
+    for shards in [2, 3, 5] {
+        let partition =
+            ShardedIndex::build(corpus.clone(), shards, YaskConfig::default().tree_params);
+        let mut spanned: Vec<usize> = tied.iter().map(|&id| partition.shard_of(id)).collect();
+        spanned.sort_unstable();
+        spanned.dedup();
+        assert!(spanned.len() >= 2, "shards = {shards}: ties in one shard");
+
+        let exec = Executor::new(
+            corpus.clone(),
+            ExecConfig {
+                shards,
+                workers: shards.min(4),
+                ..ExecConfig::default()
+            },
+        );
+        let got = exec.top_k(&q);
+        assert_eq!(ids(&got), ids(&want), "shards = {shards}");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.score.to_bits(), w.score.to_bits(), "shards = {shards}");
         }
     }
 }

@@ -7,7 +7,7 @@
 //! * [`RTree::insert`] — Guttman insertion with quadratic splits,
 //! * [`RTree::delete`] — with subtree condensation and reinsertion,
 //! * [`RTree::with_updates`] — persistent path-copying batch derivation,
-//! * [`RTree::range`] / [`RTree::nearest`] — spatial queries,
+//! * [`RTree::range`] — the spatial range query,
 //! * [`RTree::validate`] — full structural + augmentation invariant check.
 //!
 //! **Persistent chunked arena.** Nodes live in a [`ChunkedCow`] of
@@ -34,13 +34,10 @@
 //! so traversals need no read section and the source's budget bounds
 //! its cache, not its readers.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Deref;
 use std::sync::Arc;
 
 use yask_geo::{Point, Rect};
-use yask_util::Scored;
 
 use crate::aug::KcAug;
 use crate::corpus::{Corpus, ObjectId};
@@ -600,57 +597,6 @@ impl RTree {
                     }
                 }
                 NodeKind::Internal(children) => stack.extend_from_slice(children),
-            }
-        }
-        out
-    }
-
-    /// The `k` objects nearest to `p` by raw Euclidean distance
-    /// (best-first search; ties broken towards smaller ids).
-    pub fn nearest(&self, p: &Point, k: usize) -> Vec<(f64, ObjectId)> {
-        #[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy, Debug)]
-        enum Entry {
-            Node(NodeId),
-            Object(ObjectId),
-        }
-        let mut out = Vec::with_capacity(k);
-        let Some(root) = self.root else {
-            return out;
-        };
-        if k == 0 {
-            return out;
-        }
-        // Min-heap on distance; on equal distance `Reverse(Scored)` pops
-        // the *larger* Entry first, and Object > Node in derive order, so
-        // objects surface before equally-distant nodes — required for
-        // correct early termination.
-        let mut heap: BinaryHeap<Reverse<Scored<Entry>>> = BinaryHeap::new();
-        heap.push(Reverse(Scored::new(
-            self.node(root).mbr.min_dist2(p),
-            Entry::Node(root),
-        )));
-        while let Some(Reverse(top)) = heap.pop() {
-            match top.item {
-                Entry::Object(id) => {
-                    out.push((top.score.get().sqrt(), id));
-                    if out.len() == k {
-                        break;
-                    }
-                }
-                Entry::Node(n) => match &self.node(n).kind {
-                    NodeKind::Leaf(entries) => {
-                        for &id in entries {
-                            let d2 = self.corpus.get(id).loc.dist2(p);
-                            heap.push(Reverse(Scored::new(d2, Entry::Object(id))));
-                        }
-                    }
-                    NodeKind::Internal(children) => {
-                        for &c in children {
-                            let d2 = self.node(c).mbr.min_dist2(p);
-                            heap.push(Reverse(Scored::new(d2, Entry::Node(c))));
-                        }
-                    }
-                },
             }
         }
         out
@@ -1345,7 +1291,6 @@ mod tests {
         assert_eq!(t.height(), 0);
         assert_eq!(t.arena_chunk_count(), 0);
         assert!(t.range(&Rect::from_coords(0.0, 0.0, 1.0, 1.0)).is_empty());
-        assert!(t.nearest(&Point::new(0.5, 0.5), 3).is_empty());
         t.validate().unwrap();
     }
 
@@ -1396,24 +1341,6 @@ mod tests {
         want.sort();
         assert_eq!(got, want);
         assert!(!got.is_empty(), "degenerate fixture");
-    }
-
-    #[test]
-    fn nearest_matches_scan() {
-        let corpus = random_corpus(250, 8);
-        let t = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
-        let q = Point::new(0.33, 0.66);
-        let got = t.nearest(&q, 10);
-        let mut want: Vec<(f64, ObjectId)> =
-            corpus.iter().map(|o| (o.loc.dist(&q), o.id)).collect();
-        want.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        want.truncate(10);
-        let got_ids: Vec<ObjectId> = got.iter().map(|e| e.1).collect();
-        let want_ids: Vec<ObjectId> = want.iter().map(|e| e.1).collect();
-        assert_eq!(got_ids, want_ids);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g.0 - w.0).abs() < 1e-12);
-        }
     }
 
     #[test]

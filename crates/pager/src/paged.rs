@@ -357,8 +357,6 @@ mod tests {
 
         let probe = Rect::new(Point { x: 10.0, y: 10.0 }, Point { x: 60.0, y: 70.0 });
         assert_eq!(resident.range(&probe), paged.range(&probe));
-        let q = Point { x: 42.0, y: 17.0 };
-        assert_eq!(resident.nearest(&q, 25), paged.nearest(&q, 25));
         assert_eq!(resident.object_ids(), paged.object_ids());
         paged.validate().unwrap();
 

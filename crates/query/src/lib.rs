@@ -15,11 +15,13 @@
 //! * [`ScoreParams`] — the scoring function plus node-level upper/lower
 //!   bounds from a KcR-tree node's keyword counts,
 //! * [`topk`] — the best-first priority-queue algorithm of §3.3, with
-//!   traversal statistics and an optional weaker bound view,
-//! * [`scan`] — the exact linear-scan baseline and rank oracles,
-//! * [`iter`] — incremental best-first enumeration (objects stream out in
-//!   rank order), which the why-not engine uses to locate missing objects'
-//!   ranks without fixing `k` in advance.
+//!   traversal statistics and an optional weaker bound view; the same
+//!   loop serves the sharded executor under a [`SharedBound`] and a
+//!   deadline,
+//! * [`bound`] — the [`SharedBound`] score certificate searches prune
+//!   against,
+//! * [`range`] — the viewport (range + keyword filter) query,
+//! * [`scan`] — the exact linear-scan baseline and rank oracles.
 //!
 //! Ranking is a *total* order: score descending, object id ascending on
 //! ties. Every algorithm in the workspace (and every test comparing them)
@@ -28,18 +30,18 @@
 
 #![forbid(unsafe_code)]
 
-pub mod boolean;
-pub mod iter;
+pub mod bound;
 pub mod query;
 pub mod range;
 pub mod scan;
 pub mod score;
 pub mod topk;
 
-pub use boolean::{boolean_topk_scan, boolean_topk_tree};
-pub use iter::IncrementalSearch;
+pub use bound::SharedBound;
 pub use query::{Query, Weights};
 pub use range::{range_keyword_scan, range_keyword_tree, MatchMode};
 pub use scan::{rank_of_scan, ranks_of_scan, topk_scan};
 pub use score::{RankedObject, ScoreParams};
-pub use topk::{topk_tree, topk_tree_with_stats, topk_tree_with_view, TraversalStats};
+pub use topk::{
+    topk_tree, topk_tree_bounded, topk_tree_with_stats, topk_tree_with_view, TraversalStats,
+};

@@ -76,21 +76,16 @@ impl ScoreParams {
     }
 
     /// Upper bound of `ST(o, q)` over all objects `o` inside a node with
-    /// rectangle `mbr` and summary `aug`.
-    #[inline]
-    pub fn node_upper(&self, mbr: &Rect, aug: &KcAug, q: &Query) -> f64 {
-        self.node_upper_with_doc(mbr, aug, q, &q.doc)
-    }
-
-    /// [`ScoreParams::node_upper`] with a substituted keyword set.
+    /// rectangle `mbr` and summary `aug`, with `doc` in place of the
+    /// query's keywords.
     #[inline]
     pub fn node_upper_with_doc(&self, mbr: &Rect, aug: &KcAug, q: &Query, doc: &KeywordSet) -> f64 {
         self.stats_upper(mbr, aug.text_stats(doc), q)
     }
 
-    /// [`ScoreParams::node_upper`] from a node's [`TextStats`] as given —
-    /// the form a search that bounds through a weaker view of the
-    /// summary (e.g. [`TextStats::without_intersection`]) calls.
+    /// [`ScoreParams::node_upper_with_doc`] from a node's [`TextStats`]
+    /// as given — the form a search that bounds through a weaker view of
+    /// the summary (e.g. [`TextStats::without_intersection`]) calls.
     #[inline]
     pub(crate) fn stats_upper(&self, mbr: &Rect, text: TextStats, q: &Query) -> f64 {
         let a = 1.0 - self.space.sdist_min(&q.loc, mbr);
@@ -191,7 +186,7 @@ mod tests {
         for o in &objs {
             mbr.expand(&Rect::point(o.loc));
         }
-        let ub = params.node_upper(&mbr, &aug, &q);
+        let ub = params.node_upper_with_doc(&mbr, &aug, &q, &q.doc);
         let lb = params.node_lower(&mbr, &aug, &q);
         assert!(lb <= ub);
         for o in &objs {

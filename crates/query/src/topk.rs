@@ -1,4 +1,5 @@
-//! The best-first top-k algorithm of paper §3.3.
+//! The best-first top-k algorithm of paper §3.3 — the workspace's only
+//! copy of it.
 //!
 //! "To process a spatial keyword top-k query, we maintain a priority queue
 //! `Q` that is initialized with the SetR-tree root node. In each iteration
@@ -11,20 +12,34 @@
 //! textual bound from the node's keyword counts), objects by their exact
 //! score; the first `k` objects popped are exactly the top-k. The tree's
 //! one summary implies the SetR-tree's intersection and union sets, so
-//! the served search bounds exactly as the SetR-tree does. The one loop
-//! takes a *view* of each node's [`TextStats`]: the served entry points
-//! pass the identity, and [`topk_tree_with_view`] with
-//! [`TextStats::without_intersection`] runs the IR-tree's looser bound
-//! over the same nodes — only the number of node expansions differs,
-//! which is what experiment E5 measures.
+//! the served search bounds exactly as the SetR-tree does.
+//!
+//! [`topk_tree_bounded`] is the loop. Two inputs make it serve every
+//! caller:
+//!
+//! * a *view* of each node's [`TextStats`]: the served entry points pass
+//!   the identity, and [`topk_tree_with_view`] with
+//!   [`TextStats::without_intersection`] runs the IR-tree's looser bound
+//!   over the same nodes — only the number of node expansions differs,
+//!   which is what experiment E5 measures;
+//! * a [`SharedBound`] and an `expired` check: the sharded executor runs
+//!   one search per shard under one bound, so late shards prune against
+//!   early shards' results, and stops on a request deadline. The
+//!   single-tree entry points pass a private bound and `|| false`.
 
 use std::collections::BinaryHeap;
 
 use yask_index::{Node, NodeId, NodeKind, ObjectId, RTree, TextStats};
-use yask_util::Scored;
+use yask_util::{Scored, TopK};
 
+use crate::bound::SharedBound;
 use crate::query::Query;
 use crate::score::{RankedObject, ScoreParams};
+
+/// How often the search consults `expired`, in node expansions. Checking
+/// a clock per expansion would double the cost of cheap expansions; every
+/// 32nd keeps the overshoot below a few microseconds of tree work.
+pub const DEADLINE_STRIDE: usize = 32;
 
 /// Traversal counters for bound-quality experiments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -55,14 +70,6 @@ pub fn topk_tree(tree: &RTree, params: &ScoreParams, q: &Query) -> Vec<RankedObj
 }
 
 /// [`topk_tree`] with traversal statistics.
-///
-/// On top of the paper's pop-and-unfold loop, the search maintains the
-/// best `k` object scores seen so far ([`yask_util::TopK`]) and skips any
-/// push that provably cannot enter the final result: an object already
-/// beaten by `k` seen objects, or a node whose upper bound falls strictly
-/// below the current `k`-th score. Neither prune can discard a true
-/// result (the `k` witnesses are in the heap or the output), so the
-/// answer is unchanged — only the heap traffic shrinks.
 pub fn topk_tree_with_stats(
     tree: &RTree,
     params: &ScoreParams,
@@ -81,19 +88,62 @@ pub fn topk_tree_with_view(
     q: &Query,
     view: impl Fn(TextStats) -> TextStats,
 ) -> (Vec<RankedObject>, TraversalStats) {
+    let (out, stats, _) = topk_tree_bounded(tree, params, q, view, &SharedBound::new(), || false);
+    (out, stats)
+}
+
+/// The best-first search, pruning against `shared` and publishing its own
+/// best-k certificates into it.
+///
+/// On top of the paper's pop-and-unfold loop, the search keeps the best
+/// `k` object scores seen so far ([`TopK`]); once it holds `k`, their
+/// k-th score is raised into `shared`. Any node or object scoring
+/// *strictly* below `shared` is skipped: `k` real objects — this
+/// search's, or another shard's under the same bound — already score at
+/// least that much, so the skipped entry cannot enter the top-k under the
+/// workspace order (score descending, id ascending). Ties survive, and
+/// so does the answer; only the heap traffic shrinks. A private bound
+/// holds only this search's own k-th score, so it prunes exactly what a
+/// local threshold would.
+///
+/// `expired` is consulted before the root and then every
+/// [`DEADLINE_STRIDE`] node expansions. Once it returns `true` the search
+/// *saturates* `shared` (raises it to `+inf`), so every sibling search
+/// under the same bound drains through the prunes above, and returns
+/// `false` as its third value: the list is a best-effort prefix of the
+/// top-k and the caller must flag it partial.
+pub fn topk_tree_bounded(
+    tree: &RTree,
+    params: &ScoreParams,
+    q: &Query,
+    view: impl Fn(TextStats) -> TextStats,
+    shared: &SharedBound,
+    expired: impl Fn() -> bool,
+) -> (Vec<RankedObject>, TraversalStats, bool) {
     let upper = |node: &Node| params.stats_upper(&node.mbr, view(node.aug().text_stats(&q.doc)), q);
     let mut stats = TraversalStats::default();
     let mut out = Vec::with_capacity(q.k.min(tree.len()));
+    if expired() {
+        shared.raise(f64::INFINITY);
+        return (out, stats, false);
+    }
     let Some(root) = tree.root() else {
-        return (out, stats);
+        return (out, stats, true);
     };
+    let root_ub = upper(&tree.node(root));
+    if root_ub < shared.get() {
+        return (out, stats, true);
+    }
     let mut heap: BinaryHeap<Scored<Entry>> = BinaryHeap::new();
-    let mut seen: yask_util::TopK<ObjectId> = yask_util::TopK::new(q.k);
-    let root_node = tree.node(root);
-    heap.push(Scored::new(upper(&root_node), Entry::Node(root)));
+    let mut seen: TopK<ObjectId> = TopK::new(q.k);
+    heap.push(Scored::new(root_ub, Entry::Node(root)));
     stats.heap_pushes += 1;
 
     while let Some(top) = heap.pop() {
+        if stats.nodes_expanded % DEADLINE_STRIDE == 0 && expired() {
+            shared.raise(f64::INFINITY);
+            return (out, stats, false);
+        }
         match top.item {
             Entry::Object(id) => {
                 out.push(RankedObject {
@@ -105,8 +155,9 @@ pub fn topk_tree_with_view(
                 }
             }
             Entry::Node(n) => {
-                // The bound may have gone stale while queued; re-check.
-                if seen.is_full() && top.score.get() < seen.threshold() {
+                // The bound may have risen while the entry was queued;
+                // re-check before paying for the expansion.
+                if top.score.get() < shared.get() {
                     continue;
                 }
                 stats.nodes_expanded += 1;
@@ -115,18 +166,24 @@ pub fn topk_tree_with_view(
                         for &id in entries {
                             let s = params.score(tree.corpus().get(id), q);
                             stats.objects_scored += 1;
-                            // Not retained ⇒ k better objects already seen
-                            // ⇒ cannot be in the answer.
-                            if seen.push(s, id) {
-                                stats.heap_pushes += 1;
-                                heap.push(Scored::new(s, Entry::Object(id)));
+                            // Below the bound, or not retained ⇒ k better
+                            // objects already seen (here or in a sibling
+                            // search) ⇒ cannot be in the answer.
+                            if s < shared.get() || !seen.push(s, id) {
+                                continue;
+                            }
+                            stats.heap_pushes += 1;
+                            heap.push(Scored::new(s, Entry::Object(id)));
+                            if seen.is_full() {
+                                shared.raise(seen.threshold());
                             }
                         }
                     }
                     NodeKind::Internal(children) => {
+                        let bound = shared.get();
                         for &c in children {
                             let ub = upper(&tree.node(c));
-                            if seen.is_full() && ub < seen.threshold() {
+                            if ub < bound {
                                 continue;
                             }
                             stats.heap_pushes += 1;
@@ -137,7 +194,7 @@ pub fn topk_tree_with_view(
             }
         }
     }
-    (out, stats)
+    (out, stats, true)
 }
 
 #[cfg(test)]
@@ -284,9 +341,33 @@ mod tests {
             res.iter().map(|r| r.id).collect::<Vec<_>>(),
             scan.iter().map(|r| r.id).collect::<Vec<_>>()
         );
-        // Nearest by distance must come first.
-        let nearest = t.nearest(&q.loc, 1)[0].1;
+        // Nearest by distance must come first (ties to the smaller id).
+        let nearest = corpus
+            .iter()
+            .min_by(|a, b| {
+                a.loc
+                    .dist2(&q.loc)
+                    .total_cmp(&b.loc.dist2(&q.loc))
+                    .then(a.id.cmp(&b.id))
+            })
+            .unwrap()
+            .id;
         assert_eq!(res[0].id, nearest);
+    }
+
+    #[test]
+    fn saturated_bound_skips_everything() {
+        let corpus = random_corpus(100, 10, 34);
+        let params = ScoreParams::new(corpus.space());
+        let tree = RTree::bulk_load(corpus, RTreeParams::default());
+        let q = Query::new(Point::new(0.5, 0.5), KeywordSet::from_raw([1]), 5);
+        let bound = SharedBound::new();
+        bound.raise(2.0); // above any reachable ST score
+        let (res, stats, complete) =
+            topk_tree_bounded(&tree, &params, &q, std::convert::identity, &bound, || false);
+        assert!(res.is_empty());
+        assert!(complete);
+        assert_eq!(stats.nodes_expanded, 0);
     }
 
     #[test]

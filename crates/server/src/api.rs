@@ -1511,6 +1511,15 @@ mod tests {
     }
 
     #[test]
+    fn largest_accepted_k_returns_every_object() {
+        // The collector must not reserve k slots up front: a client's k
+        // would otherwise size a 64 GiB allocation per shard search.
+        let s = service();
+        let (_, names) = tst_query(&s, u32::MAX as usize);
+        assert_eq!(names.len(), 539);
+    }
+
+    #[test]
     fn full_why_not_flow_over_the_api() {
         let s = service();
         let (session, top_names) = tst_query(&s, 3);

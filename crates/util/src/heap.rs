@@ -92,11 +92,12 @@ pub struct TopK<T: Ord> {
 
 impl<T: Ord> TopK<T> {
     /// Creates a collector retaining the best `k` items. `k == 0` retains
-    /// nothing.
+    /// nothing. Nothing is reserved up front: `k` may come straight from
+    /// a client, and the heap grows only with the items actually pushed.
     pub fn new(k: usize) -> Self {
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -232,6 +233,12 @@ mod tests {
         assert!(t.is_empty());
         assert!(t.is_full());
         assert!(t.into_sorted_vec().is_empty());
+    }
+
+    #[test]
+    fn topk_reserves_nothing_for_a_huge_k() {
+        let t: TopK<u64> = TopK::new(u32::MAX as usize);
+        assert!(t.heap.capacity() < 1024, "reserved {}", t.heap.capacity());
     }
 
     #[test]

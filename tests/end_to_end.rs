@@ -6,7 +6,7 @@ use yask::core::{refine_keywords_naive, refine_preference_naive};
 use yask::data::{gen_queries, pick_missing, SynthConfig};
 use yask::index::{RTree, RTreeParams, TextStats};
 use yask::prelude::*;
-use yask::query::{topk_scan, topk_tree, topk_tree_with_view, IncrementalSearch};
+use yask::query::{topk_scan, topk_tree, topk_tree_with_view};
 
 fn synth(n: usize, seed: u64) -> Corpus {
     SynthConfig {
@@ -39,23 +39,6 @@ fn engines_agree_on_synthetic_workload() {
             assert_eq!(got, want, "{name} diverged on {q:?}");
         }
     }
-}
-
-#[test]
-fn incremental_search_on_bulk_loaded_kcr_tree() {
-    // The stream is consumed part-way (k = 50 of 300), so the KcR-tree's
-    // bounds decide what is still queued when it stops.
-    let corpus = SynthConfig::default().with_n(300).build();
-    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
-    let score = ScoreParams::new(corpus.space());
-    let q = &gen_queries(&corpus, 1, 2, 5, 23)[0];
-    let stream: Vec<ObjectId> = IncrementalSearch::new(&tree, score, q.clone())
-        .take(50)
-        .map(|r| r.id)
-        .collect();
-    let oracle: Vec<ObjectId> =
-        topk_scan(&corpus, &score, &q.with_k(50)).iter().map(|r| r.id).collect();
-    assert_eq!(stream, oracle);
 }
 
 #[test]
