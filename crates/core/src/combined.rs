@@ -20,20 +20,33 @@
 //! is *not* directly comparable to the single-model penalties — it is
 //! reported alongside them and [`CombinedRefinement::order`] records
 //! which chaining won.
+//!
+//! Every rank the chains ask for — both stages' initial ranks and the
+//! final exact rank of each chained query — is read off a weight-plane
+//! [`SegmentSet`]. A refinement never moves the location, and a table
+//! answers any weights, so one request needs at most three tables, one
+//! per keyword set it meets: `q.doc`, the keywords-first chain's doc and
+//! the weights-first chain's final doc. They are built on first use and
+//! dropped with the request.
 
+use yask_geo::Point;
 use yask_index::{Corpus, ObjectId, RTree};
-use yask_query::{ranks_of_scan, Query, ScoreParams};
+use yask_query::{Query, ScoreParams};
 
-use crate::common::build_context;
+use crate::common::{build_context, request_table};
 use crate::error::WhyNotError;
-use crate::keyword::{refine_keywords_with, KeywordOptions, KeywordRefinement};
+use crate::keyword::{refine_keywords_on, KeywordOptions, KeywordRefinement};
 use crate::penalty::PenaltyContext;
-use crate::pref::{refine_preference, PreferenceRefinement};
+use crate::pref::segment::SegmentSet;
+use crate::pref::{refine_preference_with_segments, PreferenceRefinement};
 
 /// The two single-model refinements behind one interface, so the chaining
 /// logic of the combined model is written once and runs over any
 /// implementation — the single KcR-tree here, or the sharded fan-out in
 /// `yask_exec` (which answers the same questions from per-shard trees).
+///
+/// Both take the request's [`SegmentSet`] for the stage's query (built
+/// under its location and keywords) and read the initial ranks off it.
 pub trait RefinementEngine {
     /// The corpus version the engine answers against.
     fn corpus(&self) -> &Corpus;
@@ -45,6 +58,7 @@ pub trait RefinementEngine {
         query: &Query,
         missing: &[ObjectId],
         lambda: f64,
+        table: &SegmentSet,
     ) -> Result<PreferenceRefinement, WhyNotError>;
     /// Keyword-adapted refinement (Definition 3).
     fn keywords(
@@ -52,6 +66,7 @@ pub trait RefinementEngine {
         query: &Query,
         missing: &[ObjectId],
         lambda: f64,
+        table: &SegmentSet,
     ) -> Result<KeywordRefinement, WhyNotError>;
 }
 
@@ -84,8 +99,9 @@ impl RefinementEngine for TreeRefinementEngine<'_> {
         query: &Query,
         missing: &[ObjectId],
         lambda: f64,
+        table: &SegmentSet,
     ) -> Result<PreferenceRefinement, WhyNotError> {
-        refine_preference(self.tree.corpus(), &self.params, query, missing, lambda)
+        refine_preference_with_segments(self.tree.corpus(), query, missing, lambda, table)
     }
 
     fn keywords(
@@ -93,8 +109,17 @@ impl RefinementEngine for TreeRefinementEngine<'_> {
         query: &Query,
         missing: &[ObjectId],
         lambda: f64,
+        table: &SegmentSet,
     ) -> Result<KeywordRefinement, WhyNotError> {
-        refine_keywords_with(self.tree, &self.params, query, missing, lambda, self.opts)
+        refine_keywords_on(
+            self.tree,
+            &self.params,
+            query,
+            missing,
+            lambda,
+            self.opts,
+            table,
+        )
     }
 }
 
@@ -160,6 +185,10 @@ pub fn refine_combined_with(
 /// lower-penalty combination — the sharded execution layer calls this with
 /// its fan-out engine and gets the exact same chaining, exact-rank
 /// assembly and penalty arithmetic as the single-tree path.
+///
+/// A stage error other than stage 2's `NotMissing` (e.g. an expired
+/// deadline) fails the whole request: half of the search is not an
+/// answer.
 pub fn refine_combined_on<E: RefinementEngine>(
     engine: &E,
     query: &Query,
@@ -168,7 +197,13 @@ pub fn refine_combined_on<E: RefinementEngine>(
 ) -> Result<CombinedRefinement, WhyNotError> {
     let params = engine.score_params();
     let corpus = engine.corpus();
-    let (ctx, _) = build_context(corpus, &params, query, missing, lambda)?;
+    let mut tables = Tables {
+        corpus,
+        params,
+        loc: query.loc,
+        built: vec![request_table(corpus, &params, query, missing, lambda)?],
+    };
+    let (ctx, _) = build_context(corpus, tables.get(query), query, missing, lambda)?;
 
     // Δdoc normalizer is fixed by the *initial* query (Eqn 4).
     let m_doc = missing
@@ -178,39 +213,56 @@ pub fn refine_combined_on<E: RefinementEngine>(
         });
     let doc_norm = query.doc.union(&m_doc).len().max(1);
 
-    let kw_first = chain_keywords_then_weights(engine, query, missing, lambda);
-    let w_first = chain_weights_then_keywords(engine, query, missing, lambda);
-
-    let mut best: Option<CombinedRefinement> = None;
-    for (order, staged) in [
+    let kw_first = chain_keywords_then_weights(engine, &mut tables, query, missing, lambda)?;
+    let w_first = chain_weights_then_keywords(engine, &mut tables, query, missing, lambda)?;
+    let [a, b] = [
         (CombineOrder::KeywordsThenWeights, kw_first),
         (CombineOrder::WeightsThenKeywords, w_first),
-    ] {
-        let Ok(refined_query) = staged else { continue };
-        let candidate =
-            assemble(corpus, &params, query, missing, &ctx, refined_query, doc_norm, order);
-        match &best {
-            Some(b) if b.penalty <= candidate.penalty => {}
-            _ => best = Some(candidate),
+    ]
+    .map(|(order, refined)| assemble(&mut tables, query, missing, &ctx, refined, doc_norm, order));
+    // Keywords-first wins ties.
+    Ok(if a.penalty <= b.penalty { a } else { b })
+}
+
+/// The weight-plane tables of one combined request, one per keyword set,
+/// built on first use. The location is fixed for the request.
+struct Tables<'a> {
+    corpus: &'a Corpus,
+    params: ScoreParams,
+    loc: Point,
+    built: Vec<SegmentSet>,
+}
+
+impl Tables<'_> {
+    /// The table serving `query`'s location and keywords.
+    fn get(&mut self, query: &Query) -> &SegmentSet {
+        assert_eq!(query.loc, self.loc, "a refinement never moves the query");
+        match self.built.iter().position(|t| t.serves(query)) {
+            Some(i) => &self.built[i],
+            None => {
+                self.built
+                    .push(SegmentSet::build_live(self.corpus, &self.params, query));
+                self.built.last().expect("just pushed")
+            }
         }
     }
-    best.ok_or(WhyNotError::EmptyMissingSet) // unreachable: stage 1 alone succeeds
 }
 
 /// Stage 1 keywords, stage 2 weights.
 fn chain_keywords_then_weights<E: RefinementEngine>(
     engine: &E,
+    tables: &mut Tables<'_>,
     query: &Query,
     missing: &[ObjectId],
     lambda: f64,
 ) -> Result<Query, WhyNotError> {
-    let kw = engine.keywords(query, missing, lambda)?;
+    let kw = engine.keywords(query, missing, lambda, tables.get(query))?;
     // Stage 2 refines the weights of the keyword-adapted query at the
     // *original* k — if the adapted query already revives everything
     // within q.k, preference adjustment would reject the request (nothing
     // is missing any more), so keep the stage-1 result in that case.
     let stage2_base = kw.query.with_k(query.k);
-    match engine.preference(&stage2_base, missing, lambda) {
+    match engine.preference(&stage2_base, missing, lambda, tables.get(&stage2_base)) {
         Ok(pref) => Ok(pref.query),
         Err(WhyNotError::NotMissing(_, _)) => Ok(stage2_base),
         Err(e) => Err(e),
@@ -220,13 +272,14 @@ fn chain_keywords_then_weights<E: RefinementEngine>(
 /// Stage 1 weights, stage 2 keywords.
 fn chain_weights_then_keywords<E: RefinementEngine>(
     engine: &E,
+    tables: &mut Tables<'_>,
     query: &Query,
     missing: &[ObjectId],
     lambda: f64,
 ) -> Result<Query, WhyNotError> {
-    let pref = engine.preference(query, missing, lambda)?;
+    let pref = engine.preference(query, missing, lambda, tables.get(query))?;
     let stage2_base = pref.query.with_k(query.k);
-    match engine.keywords(&stage2_base, missing, lambda) {
+    match engine.keywords(&stage2_base, missing, lambda, tables.get(&stage2_base)) {
         Ok(kw) => Ok(kw.query),
         Err(WhyNotError::NotMissing(_, _)) => Ok(stage2_base),
         Err(e) => Err(e),
@@ -234,10 +287,8 @@ fn chain_weights_then_keywords<E: RefinementEngine>(
 }
 
 /// Finalizes a chained query: exact rank, minimal k″, combined penalty.
-#[allow(clippy::too_many_arguments)]
 fn assemble(
-    corpus: &Corpus,
-    params: &ScoreParams,
+    tables: &mut Tables<'_>,
     initial: &Query,
     missing: &[ObjectId],
     ctx: &PenaltyContext,
@@ -246,7 +297,9 @@ fn assemble(
     order: CombineOrder,
 ) -> CombinedRefinement {
     let probe = refined.with_k(initial.k);
-    let rank = *ranks_of_scan(corpus, params, &probe, missing)
+    let rank = *tables
+        .get(&probe)
+        .ranks(probe.weights, missing)
         .iter()
         .max()
         .expect("missing non-empty");
@@ -273,7 +326,9 @@ fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yask_geo::{Point, Space};
+    use crate::keyword::refine_keywords_with;
+    use crate::pref::refine_preference;
+    use yask_geo::Space;
     use yask_index::{CorpusBuilder, RTreeParams};
     use yask_query::topk_scan;
     use yask_text::KeywordSet;
@@ -376,6 +431,66 @@ mod tests {
         // Deltas agree with the returned query.
         assert_eq!(r.delta_doc, q.doc.edit_distance(&r.query.doc));
         assert!((r.delta_w - q.weights.l2_distance(&r.query.weights)).abs() < 1e-12);
+    }
+
+    /// A tree engine whose preference model fails with an expired
+    /// deadline once `ok_calls` calls have succeeded.
+    struct ExpiringEngine<'a> {
+        inner: TreeRefinementEngine<'a>,
+        ok_calls: std::cell::Cell<usize>,
+    }
+
+    impl RefinementEngine for ExpiringEngine<'_> {
+        fn corpus(&self) -> &Corpus {
+            self.inner.corpus()
+        }
+        fn score_params(&self) -> ScoreParams {
+            self.inner.score_params()
+        }
+        fn preference(
+            &self,
+            query: &Query,
+            missing: &[ObjectId],
+            lambda: f64,
+            table: &SegmentSet,
+        ) -> Result<PreferenceRefinement, WhyNotError> {
+            match self.ok_calls.get() {
+                0 => Err(WhyNotError::DeadlineExceeded),
+                n => {
+                    self.ok_calls.set(n - 1);
+                    self.inner.preference(query, missing, lambda, table)
+                }
+            }
+        }
+        fn keywords(
+            &self,
+            query: &Query,
+            missing: &[ObjectId],
+            lambda: f64,
+            table: &SegmentSet,
+        ) -> Result<KeywordRefinement, WhyNotError> {
+            self.inner.keywords(query, missing, lambda, table)
+        }
+    }
+
+    #[test]
+    fn a_failed_chain_fails_the_request() {
+        // One success lets the keywords-first chain finish; the deadline
+        // then expires inside the weights-first chain. With no success
+        // both chains fail. Either way the error reaches the caller: a
+        // half-searched answer must not be returned (or cached) as Ok.
+        let (_, params, tree, q, missing) = scenario(8);
+        for ok_calls in [1, 0] {
+            let engine = ExpiringEngine {
+                inner: TreeRefinementEngine::new(&tree, params, KeywordOptions::default()),
+                ok_calls: std::cell::Cell::new(ok_calls),
+            };
+            assert_eq!(
+                refine_combined_on(&engine, &q, &missing, 0.5).unwrap_err(),
+                WhyNotError::DeadlineExceeded,
+                "{ok_calls} successful preference call(s)"
+            );
+        }
     }
 
     #[test]

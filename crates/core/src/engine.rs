@@ -9,6 +9,8 @@ use yask_index::{Corpus, ObjectId, RTree, RTreeParams};
 use yask_query::{topk_tree, Query, RankedObject, ScoreParams};
 use yask_text::SimilarityModel;
 
+use crate::combined::{RefinementEngine, TreeRefinementEngine};
+use crate::common::request_table;
 use crate::error::WhyNotError;
 use crate::explain::{explain, Explanation};
 use crate::keyword::{refine_keywords_with, KeywordOptions, KeywordRefinement};
@@ -226,8 +228,13 @@ impl Yask {
         lambda: f64,
     ) -> Result<WhyNotAnswer, WhyNotError> {
         let explanations = self.explain(query, missing)?;
-        let preference = self.refine_preference(query, missing, lambda)?;
-        let keyword = self.refine_keywords(query, missing, lambda)?;
+        // One weight-plane table serves both refinements' initial ranks
+        // and preference's sweep.
+        let table = request_table(self.corpus(), &self.params, query, missing, lambda)?;
+        let engine =
+            TreeRefinementEngine::new(&self.tree, self.params, self.config.keyword_options);
+        let preference = engine.preference(query, missing, lambda, &table)?;
+        let keyword = engine.keywords(query, missing, lambda, &table)?;
         Ok(WhyNotAnswer::assemble(explanations, preference, keyword))
     }
 }

@@ -26,9 +26,10 @@ use yask_index::{Corpus, ObjectId, RTree};
 use yask_query::{Query, ScoreParams};
 use yask_text::KeywordSet;
 
-use crate::common::build_context;
+use crate::common::{build_context, request_table};
 use crate::error::WhyNotError;
 use crate::penalty::{keyword_penalty, PenaltyContext};
+use crate::pref::segment::SegmentSet;
 use bounds::{BoundStats, RankEvaluator};
 use candidates::CandidateGen;
 
@@ -156,6 +157,22 @@ pub fn refine_keywords_with(
     lambda: f64,
     opts: KeywordOptions,
 ) -> Result<KeywordRefinement, WhyNotError> {
+    let table = request_table(tree.corpus(), params, query, missing, lambda)?;
+    refine_keywords_on(tree, params, query, missing, lambda, opts, &table)
+}
+
+/// [`refine_keywords_with`] reading the initial ranks off the request's
+/// [`SegmentSet`] (built under `query`'s location and keywords) instead
+/// of building it — for callers that share one table between modules.
+pub(crate) fn refine_keywords_on(
+    tree: &RTree,
+    params: &ScoreParams,
+    query: &Query,
+    missing: &[ObjectId],
+    lambda: f64,
+    opts: KeywordOptions,
+    table: &SegmentSet,
+) -> Result<KeywordRefinement, WhyNotError> {
     let evaluator = RankEvaluator { tree, params };
     refine_keywords_eval(
         tree.corpus(),
@@ -164,6 +181,7 @@ pub fn refine_keywords_with(
         missing,
         lambda,
         opts,
+        table,
         |req, stats| {
             // Cheap bound pass first.
             let mut bs = BoundStats::default();
@@ -210,6 +228,7 @@ pub fn refine_keywords_naive_with(
     lambda: f64,
     opts: KeywordOptions,
 ) -> Result<KeywordRefinement, WhyNotError> {
+    let table = request_table(corpus, params, query, missing, lambda)?;
     refine_keywords_eval(
         corpus,
         params,
@@ -217,6 +236,7 @@ pub fn refine_keywords_naive_with(
         missing,
         lambda,
         opts,
+        &table,
         |req, stats| {
             let mut outrank = 0usize;
             for o in corpus.iter() {
@@ -247,6 +267,11 @@ pub fn refine_keywords_naive_with(
 /// candidates whose true penalty is at least the best — therefore yields
 /// the *same* refinement as the single-tree path, which is what the
 /// sharded-equals-single-tree property suite pins down.
+///
+/// The initial ranks `R(M, q)` come from `table`, the request's
+/// [`SegmentSet`] built under `query`'s location and keywords; candidate
+/// evaluation never reads it.
+#[allow(clippy::too_many_arguments)]
 pub fn refine_keywords_eval<F>(
     corpus: &Corpus,
     params: &ScoreParams,
@@ -254,12 +279,13 @@ pub fn refine_keywords_eval<F>(
     missing: &[ObjectId],
     lambda: f64,
     opts: KeywordOptions,
+    table: &SegmentSet,
     mut eval_outrank: F,
 ) -> Result<KeywordRefinement, WhyNotError>
 where
     F: FnMut(&OutrankRequest<'_>, &mut KeywordStats) -> Option<usize>,
 {
-    let (ctx, _) = build_context(corpus, params, query, missing, lambda)?;
+    let (ctx, _) = build_context(corpus, table, query, missing, lambda)?;
     let ctx = &ctx;
     // Universe U = q.doc ∪ M.doc.
     let m_doc = missing

@@ -41,6 +41,7 @@ pub use combined::{
     refine_combined, refine_combined_on, refine_combined_with, CombineOrder, CombinedRefinement,
     RefinementEngine, TreeRefinementEngine,
 };
+pub use common::request_table;
 pub use engine::{RecommendedModel, WhyNotAnswer, Yask, YaskConfig};
 pub use error::WhyNotError;
 pub use explain::{explain, explain_given, validate_desired, Explanation, MissingReason};

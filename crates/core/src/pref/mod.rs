@@ -5,7 +5,9 @@
 //! result contains all of `M`:
 //!
 //! 1. transform every object into a [`segment::Segment`] in the weight
-//!    plane (score is linear in `ws` because `ws + wt = 1`);
+//!    plane (score is linear in `ws` because `ws + wt = 1`) — one scoring
+//!    pass, the request's [`SegmentSet`], which is also where the initial
+//!    ranks `R(M, q)` are read;
 //! 2. the optimal `~w′` points at an intersection between a missing
 //!    object's segment and another segment (or stays at `~w`), so the
 //!    intersection abscissae are the candidate weights;
@@ -14,7 +16,8 @@
 //!    [`refine_preference_filtered`] variant, first narrow the crossing
 //!    partners with the paper's *two range queries* over an R-tree built
 //!    on the `(a_o, b_o)` score parts;
-//! 4. re-rank the winning weights with the engine's exact scorer and
+//! 4. re-rank the winning weights exactly — read off the same table with
+//!    the engine's score expression, bit-identical to a corpus scan — and
 //!    return the refined query with its exact penalty.
 //!
 //! [`refine_preference_naive`] re-ranks every candidate from scratch and
@@ -26,10 +29,10 @@ pub(crate) mod sweep;
 
 use yask_geo::{Point, Rect};
 use yask_index::{Corpus, CorpusBuilder, ObjectId, RTree, RTreeParams};
-use yask_query::{ranks_of_scan, Query, ScoreParams, Weights};
+use yask_query::{Query, ScoreParams, Weights};
 use yask_text::KeywordSet;
 
-use crate::common::build_context;
+use crate::common::{build_context, request_table};
 use crate::error::WhyNotError;
 use crate::penalty::{preference_penalty, PenaltyContext};
 use segment::{Segment, SegmentSet};
@@ -101,22 +104,20 @@ pub fn refine_preference_naive(
     refine(corpus, params, query, missing, lambda, Strategy::Naive)
 }
 
-/// Preference adjustment over a pre-built [`SegmentSet`] — the gather
-/// half of the sharded fan-out: `yask_exec` runs [`SegmentSet::build`]
-/// per shard in parallel, merges the partial sets, and hands the global
-/// set here for the candidate sweep. With a set covering exactly the
-/// live corpus this is bit-identical to [`refine_preference`] (the
-/// single-scan path builds the same id-ascending set itself).
+/// Preference adjustment over the request's [`SegmentSet`] (built under
+/// `query`'s location and keywords, e.g. by [`request_table`]) — the
+/// entry point of callers that share one table between several modules:
+/// the full answer, the combined refinement's chains and the sharded
+/// executor. Bit-identical to [`refine_preference`], which builds the
+/// same table itself.
 pub fn refine_preference_with_segments(
     corpus: &Corpus,
-    params: &ScoreParams,
     query: &Query,
     missing: &[ObjectId],
     lambda: f64,
     segments: &SegmentSet,
 ) -> Result<PreferenceRefinement, WhyNotError> {
-    let (ctx, _initial_ranks) = build_context(corpus, params, query, missing, lambda)?;
-    refine_on_segments(corpus, params, query, missing, &ctx, segments, Strategy::Sweep)
+    refine_on_segments(corpus, query, missing, lambda, segments, Strategy::Sweep)
 }
 
 fn refine(
@@ -127,23 +128,19 @@ fn refine(
     lambda: f64,
     strategy: Strategy,
 ) -> Result<PreferenceRefinement, WhyNotError> {
-    let (ctx, _initial_ranks) = build_context(corpus, params, query, missing, lambda)?;
-    // Weight-plane transform: one scan computing (a_o, b_o) per live
-    // object, id-ascending.
-    let segments = SegmentSet::build_live(corpus, params, query);
-    refine_on_segments(corpus, params, query, missing, &ctx, &segments, strategy)
+    let segments = request_table(corpus, params, query, missing, lambda)?;
+    refine_on_segments(corpus, query, missing, lambda, &segments, strategy)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn refine_on_segments(
     corpus: &Corpus,
-    params: &ScoreParams,
     query: &Query,
     missing: &[ObjectId],
-    ctx: &PenaltyContext,
+    lambda: f64,
     set: &SegmentSet,
     strategy: Strategy,
 ) -> Result<PreferenceRefinement, WhyNotError> {
+    let (ctx, _initial_ranks) = build_context(corpus, set, query, missing, lambda)?;
     // Segment positions are *live-scan* positions, not id slots — with
     // tombstones in the corpus the two differ, so the missing objects are
     // located by searching the (id-ascending) set order.
@@ -182,7 +179,7 @@ fn refine_on_segments(
     let mut best_i = 0usize;
     let mut best_penalty = f64::INFINITY;
     for (i, (&w, &r)) in candidates.iter().zip(&worst_ranks).enumerate() {
-        let p = preference_penalty(ctx, &w_init, &Weights::from_ws(w), r);
+        let p = preference_penalty(&ctx, &w_init, &Weights::from_ws(w), r);
         if p < best_penalty {
             best_penalty = p;
             best_i = i;
@@ -190,38 +187,36 @@ fn refine_on_segments(
     }
 
     Ok(finalize(
-        corpus,
-        params,
+        set,
         query,
         missing,
-        ctx,
+        &ctx,
         Weights::from_ws(candidates[best_i]),
         candidates.len(),
     ))
 }
 
-/// Re-ranks the winning weights with the engine's exact scorer and
+/// Re-ranks the winning weights with the engine's score expression and
 /// assembles the refinement. This removes any dependence on the segment
-/// evaluation order: the returned `k′` provably revives all of `M` under
-/// the engine's own ranking.
+/// evaluation order (`Segment::eval` rounds differently): the returned
+/// `k′` provably revives all of `M` under the engine's own ranking.
 fn finalize(
-    corpus: &Corpus,
-    params: &ScoreParams,
+    set: &SegmentSet,
     query: &Query,
     missing: &[ObjectId],
     ctx: &PenaltyContext,
     w_new: Weights,
     candidates: usize,
 ) -> PreferenceRefinement {
-    let refined_probe = query.reweighted(w_new);
-    let rank = *ranks_of_scan(corpus, params, &refined_probe, missing)
+    let rank = *set
+        .ranks(w_new, missing)
         .iter()
         .max()
         .expect("missing set non-empty");
     let k_new = ctx.refined_k(rank);
     let penalty = preference_penalty(ctx, &query.weights, &w_new, rank);
     PreferenceRefinement {
-        query: refined_probe.with_k(k_new),
+        query: query.reweighted(w_new).with_k(k_new),
         penalty,
         rank,
         initial_rank: ctx.r_m_q,

@@ -13,9 +13,17 @@
 //! where their segments intersect, so the optimal refined weight vector
 //! must point at an intersection of a missing object's segment with
 //! another segment (or stay at the initial weights).
+//!
+//! The same `(a_o, b_o)` table is also the why-not modules' rank oracle:
+//! `ST(o, q′) = ws′·a_o + wt′·b_o` for *any* weights `~w′` as long as
+//! `q′` keeps the location and keywords the table was built under, so
+//! `SegmentSet::ranks` answers every `R(M, q′)` a request asks for
+//! without re-scoring the corpus.
 
+use yask_geo::Point;
 use yask_index::{Corpus, ObjectId};
-use yask_query::{Query, ScoreParams};
+use yask_query::{Query, ScoreParams, Weights};
+use yask_text::KeywordSet;
 
 /// An object's segment in the weight plane: endpoints `(0, b)` and
 /// `(1, a)`.
@@ -75,46 +83,24 @@ impl Segment {
     }
 }
 
-/// An id-tagged collection of weight-plane segments — the merge-friendly
-/// intermediate of the sharded preference fan-out.
+/// The weight-plane table of one request: every live object's segment
+/// under one `(q.loc, q.doc)`, in id-ascending order.
 ///
-/// The weight-plane transform is a pure per-object map, so it can run on
-/// any disjoint partition of the live corpus (one [`SegmentSet`] per
-/// shard) and the partial sets merged back into the exact global set.
-/// The invariant every constructor and [`SegmentSet::merge`] maintain is
-/// *id-ascending order*: segment index order equals [`ObjectId`] order,
-/// which makes the sweep's index tie-break identical to the engine's
+/// Id order makes the sweep's index tie-break identical to the engine's
 /// id tie-break — the property the rank-update theorem's exactness rests
-/// on. A set built from per-shard pieces is therefore bit-identical to
-/// one built from a single scan of the live corpus.
-#[derive(Clone, Debug, Default)]
+/// on. A table lives for one why-not request and is dropped with it (it
+/// costs 20 B per live object).
+#[derive(Clone, Debug)]
 pub struct SegmentSet {
+    loc: Point,
+    doc: KeywordSet,
     ids: Vec<ObjectId>,
     segments: Vec<Segment>,
 }
 
 impl SegmentSet {
-    /// Transforms the given objects (ids into `corpus`, any order) into
-    /// segments under `query`, sorted by id.
-    pub fn build(
-        corpus: &Corpus,
-        params: &ScoreParams,
-        query: &Query,
-        ids: impl IntoIterator<Item = ObjectId>,
-    ) -> Self {
-        let mut ids: Vec<ObjectId> = ids.into_iter().collect();
-        ids.sort_unstable();
-        let segments = ids
-            .iter()
-            .map(|&id| {
-                let (a, b) = params.parts(corpus.get(id), query);
-                Segment::new(a, b)
-            })
-            .collect();
-        SegmentSet { ids, segments }
-    }
-
-    /// Transforms every live object of the corpus (the single-scan path).
+    /// Transforms every live object of the corpus under `query`'s
+    /// location and keywords: one scoring pass, id-ascending.
     pub fn build_live(corpus: &Corpus, params: &ScoreParams, query: &Query) -> Self {
         // Corpus iteration is id-ascending already; skip the sort.
         let mut ids = Vec::with_capacity(corpus.len());
@@ -124,19 +110,47 @@ impl SegmentSet {
             ids.push(o.id);
             segments.push(Segment::new(a, b));
         }
-        SegmentSet { ids, segments }
+        SegmentSet {
+            loc: query.loc,
+            doc: query.doc.clone(),
+            ids,
+            segments,
+        }
     }
 
-    /// Merges disjoint partial sets (e.g. one per shard) into the global
-    /// set, restoring id-ascending order.
-    pub fn merge(sets: impl IntoIterator<Item = SegmentSet>) -> Self {
-        let mut pairs: Vec<(ObjectId, Segment)> = sets
-            .into_iter()
-            .flat_map(|s| s.ids.into_iter().zip(s.segments))
+    /// True when the table was built under `query`'s location and
+    /// keywords — the queries whose ranks [`SegmentSet::ranks`] answers.
+    pub(crate) fn serves(&self, query: &Query) -> bool {
+        self.loc == query.loc && self.doc == query.doc
+    }
+
+    /// Exact ranks of `targets` (each in the table) under the table's
+    /// location and keywords and the weights `w`, aligned with `targets`.
+    ///
+    /// Each score is `ScoreParams::score`'s expression `ws·a + wt·b` over
+    /// the stored parts and ties go through [`ScoreParams::ranks_before`],
+    /// so the ranks are bit-identical to a corpus scan of any query the
+    /// table [`serves`](SegmentSet::serves).
+    pub(crate) fn ranks(&self, w: Weights, targets: &[ObjectId]) -> Vec<usize> {
+        let (ws, wt) = (w.ws(), w.wt());
+        let score = |s: &Segment| ws * s.a + wt * s.b;
+        let scored: Vec<(f64, ObjectId)> = targets
+            .iter()
+            .map(|&t| {
+                let i = self.index_of(t).expect("rank target is a live object");
+                (score(&self.segments[i]), t)
+            })
             .collect();
-        pairs.sort_unstable_by_key(|&(id, _)| id);
-        let (ids, segments) = pairs.into_iter().unzip();
-        SegmentSet { ids, segments }
+        let mut better = vec![0usize; targets.len()];
+        for (&id, seg) in self.ids.iter().zip(&self.segments) {
+            let s = score(seg);
+            for (n, &(ts, t)) in better.iter_mut().zip(&scored) {
+                if id != t && ScoreParams::ranks_before(s, id, ts, t) {
+                    *n += 1;
+                }
+            }
+        }
+        better.into_iter().map(|n| n + 1).collect()
     }
 
     /// The segments, in id-ascending order.
@@ -144,24 +158,9 @@ impl SegmentSet {
         &self.segments
     }
 
-    /// The object ids, ascending, aligned with [`SegmentSet::segments`].
-    pub fn ids(&self) -> &[ObjectId] {
-        &self.ids
-    }
-
     /// The segment index of an object id.
     pub fn index_of(&self, id: ObjectId) -> Option<usize> {
         self.ids.binary_search(&id).ok()
-    }
-
-    /// Number of segments.
-    pub fn len(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// True when no segments are held.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
     }
 }
 
@@ -218,42 +217,48 @@ mod tests {
     }
 
     #[test]
-    fn merged_shard_sets_equal_the_live_scan() {
-        use yask_geo::{Point, Space};
+    fn table_ranks_equal_the_scan_under_any_weights() {
+        use yask_geo::Space;
         use yask_index::CorpusBuilder;
-        use yask_text::KeywordSet;
+        use yask_query::ranks_of_scan;
         use yask_util::Xoshiro256;
 
         let mut rng = Xoshiro256::seed_from_u64(9);
         let mut b = CorpusBuilder::new().with_space(Space::unit());
         for i in 0..120 {
+            // Keywords from a vocabulary of 4 and a coarse location grid,
+            // so exact score ties (and the id tie-break) are common.
             b.push(
-                Point::new(rng.next_f64(), rng.next_f64()),
-                KeywordSet::from_raw([rng.below(10) as u32]),
+                Point::new(rng.below(5) as f64 / 4.0, rng.below(5) as f64 / 4.0),
+                KeywordSet::from_raw([rng.below(4) as u32]),
                 format!("o{i}"),
             );
         }
-        let corpus = b.build();
+        let (corpus, _) = b
+            .build()
+            .with_updates(std::iter::empty(), &[ObjectId(7), ObjectId(60)]);
         let params = ScoreParams::new(corpus.space());
-        let q = Query::new(Point::new(0.3, 0.7), KeywordSet::from_raw([1u32, 4]), 3);
+        let q = Query::new(Point::new(0.25, 0.75), KeywordSet::from_raw([1u32, 3]), 3);
 
-        let whole = SegmentSet::build_live(&corpus, &params, &q);
-        // Partition ids round-robin into 3 "shards" (worst case for order).
-        let mut parts: Vec<Vec<ObjectId>> = vec![Vec::new(); 3];
-        for (i, o) in corpus.iter().enumerate() {
-            parts[i % 3].push(o.id);
-        }
-        let merged = SegmentSet::merge(
-            parts
-                .into_iter()
-                .map(|ids| SegmentSet::build(&corpus, &params, &q, ids)),
+        let table = SegmentSet::build_live(&corpus, &params, &q);
+        assert!(table.serves(&q));
+        assert!(!table.serves(&q.with_doc(KeywordSet::from_raw([1u32]))));
+        assert_eq!(
+            table.index_of(ObjectId(8)),
+            Some(7),
+            "positions skip tombstones"
         );
-        assert_eq!(merged.ids(), whole.ids());
-        assert_eq!(merged.segments(), whole.segments());
-        assert_eq!(merged.index_of(ObjectId(5)), Some(5));
-        assert_eq!(merged.index_of(ObjectId(999)), None);
-        assert_eq!(merged.len(), 120);
-        assert!(!merged.is_empty());
+        assert_eq!(table.index_of(ObjectId(7)), None);
+        assert_eq!(table.segments().len(), 118);
+        let targets = [ObjectId(0), ObjectId(5), ObjectId(61), ObjectId(119)];
+        for ws in [0.0, 0.1, 0.25, 0.5, 1.0 / 3.0, 0.8, 1.0] {
+            let probe = q.reweighted(Weights::from_ws(ws));
+            assert_eq!(
+                table.ranks(probe.weights, &targets),
+                ranks_of_scan(&corpus, &params, &probe, &targets),
+                "ws = {ws}"
+            );
+        }
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //!   add). Classification and rendering are delegated back to
 //!   [`yask_core::explain_given`], so the output is byte-identical to the
 //!   scan path.
-//! * **preference adjustment** — the weight-plane transform is a pure
-//!   per-object map, so segment construction runs per shard on the worker
-//!   pool and the partial [`SegmentSet`]s merge (id-ascending) into
-//!   exactly the set a single scan would build; the candidate sweep then
-//!   runs unchanged in `yask_core`.
+//! * **preference adjustment** — does not fan out: the request's
+//!   weight-plane table ([`SegmentSet`]) is one id-ordered pass over the
+//!   live corpus, cheaper than per-shard pieces plus the sort that merged
+//!   them, and the candidate sweep runs on it unchanged in `yask_core`.
+//!   The same table supplies the initial ranks of both refinements (the
+//!   full answer builds it once for both halves).
 //! * **keyword adaptation** — the candidate enumeration, Δdoc
 //!   termination and best-tracking run unchanged in
 //!   [`yask_core::refine_keywords_eval`]; only the rank evaluation is
@@ -43,7 +44,7 @@ use std::sync::Arc;
 use crossbeam::channel::unbounded;
 use yask_core::{
     explain_given, refine_combined_on, refine_keywords_eval, refine_preference_with_segments,
-    validate_desired, BoundStats, CombinedRefinement, Explanation, KeywordOptions,
+    request_table, validate_desired, BoundStats, CombinedRefinement, Explanation, KeywordOptions,
     KeywordRefinement, OutrankRequest, PreferenceRefinement, RankEvaluator, RefinementEngine,
     SegmentSet, WhyNotAnswer, WhyNotError,
 };
@@ -216,8 +217,9 @@ impl<'a> ShardFanout<'a> {
         ))
     }
 
-    /// Sharded preference adjustment (Definition 2): per-shard segment
-    /// construction, merged before the global sweep.
+    /// Preference adjustment (Definition 2): validate, build the
+    /// request's weight-plane table in one pass over the live corpus,
+    /// then sweep it.
     pub(crate) fn refine_preference(
         &self,
         query: &Query,
@@ -225,33 +227,70 @@ impl<'a> ShardFanout<'a> {
         lambda: f64,
     ) -> Result<PreferenceRefinement, WhyNotError> {
         self.check_deadline()?;
-        let corpus = self.corpus();
-        let expected = self.sharded.shard_count();
-        let (tx, rx) = unbounded();
-        for tree in self.sharded.shards() {
-            let tree = Arc::clone(tree);
-            let corpus = corpus.clone();
-            let q = query.clone();
-            let params = self.params;
-            let tx = tx.clone();
-            self.pool.submit(move || {
-                let set = SegmentSet::build(&corpus, &params, &q, tree.object_ids());
-                let _ = tx.send(set);
-            });
-        }
-        drop(tx);
-        let mut sets = Vec::with_capacity(expected);
-        while let Ok(set) = rx.recv() {
-            sets.push(set);
-        }
-        let segments = if sets.len() == expected {
-            SegmentSet::merge(sets)
-        } else {
-            // A shard's segments went missing: one exact scan instead.
-            SegmentSet::build_live(corpus, &self.params, query)
-        };
+        let table = request_table(self.corpus(), &self.params, query, missing, lambda)?;
+        self.preference(query, missing, lambda, &table)
+    }
+
+    /// Sharded keyword adaptation (Definition 3) over a table built for
+    /// this request alone (see [`RefinementEngine::keywords`]).
+    pub(crate) fn refine_keywords(
+        &self,
+        query: &Query,
+        missing: &[ObjectId],
+        lambda: f64,
+    ) -> Result<KeywordRefinement, WhyNotError> {
         self.check_deadline()?;
-        refine_preference_with_segments(corpus, &self.params, query, missing, lambda, &segments)
+        let table = request_table(self.corpus(), &self.params, query, missing, lambda)?;
+        self.keywords(query, missing, lambda, &table)
+    }
+
+    /// Sharded combined refinement: the chaining logic runs in
+    /// `yask_core` over this fan-out as its [`RefinementEngine`].
+    pub(crate) fn refine_combined(
+        &self,
+        query: &Query,
+        missing: &[ObjectId],
+        lambda: f64,
+    ) -> Result<CombinedRefinement, WhyNotError> {
+        refine_combined_on(self, query, missing, lambda)
+    }
+
+    /// The full why-not answer (explanations + both refinements + the
+    /// recommendation), mirroring `Yask::answer_with_lambda`.
+    pub(crate) fn answer(
+        &self,
+        query: &Query,
+        missing: &[ObjectId],
+        lambda: f64,
+    ) -> Result<WhyNotAnswer, WhyNotError> {
+        let explanations = self.explain(query, missing)?;
+        self.check_deadline()?;
+        let table = request_table(self.corpus(), &self.params, query, missing, lambda)?;
+        let preference = self.preference(query, missing, lambda, &table)?;
+        let keyword = self.keywords(query, missing, lambda, &table)?;
+        Ok(WhyNotAnswer::assemble(explanations, preference, keyword))
+    }
+}
+
+impl RefinementEngine for ShardFanout<'_> {
+    fn corpus(&self) -> &Corpus {
+        self.sharded.corpus()
+    }
+
+    fn score_params(&self) -> ScoreParams {
+        self.params
+    }
+
+    /// Sweeps the request's table; nothing fans out.
+    fn preference(
+        &self,
+        query: &Query,
+        missing: &[ObjectId],
+        lambda: f64,
+        table: &SegmentSet,
+    ) -> Result<PreferenceRefinement, WhyNotError> {
+        self.check_deadline()?;
+        refine_preference_with_segments(self.corpus(), query, missing, lambda, table)
     }
 
     /// Sharded keyword adaptation (Definition 3): the shared candidate
@@ -261,11 +300,12 @@ impl<'a> ShardFanout<'a> {
     /// evaluation is then one channel round-trip per shard rather than a
     /// fresh pool job — the submit overhead no longer scales with the
     /// candidate count.
-    pub(crate) fn refine_keywords(
+    fn keywords(
         &self,
         query: &Query,
         missing: &[ObjectId],
         lambda: f64,
+        table: &SegmentSet,
     ) -> Result<KeywordRefinement, WhyNotError> {
         self.check_deadline()?;
         let corpus = self.corpus();
@@ -338,6 +378,7 @@ impl<'a> ShardFanout<'a> {
             missing,
             lambda,
             self.opts,
+            table,
             |req, stats| {
                 if deadline_hit.get() || self.deadline.is_some_and(|d| d.expired()) {
                     deadline_hit.set(true);
@@ -426,59 +467,6 @@ impl<'a> ShardFanout<'a> {
             return Err(WhyNotError::DeadlineExceeded);
         }
         result
-    }
-
-    /// Sharded combined refinement: the chaining logic runs in
-    /// `yask_core` over this fan-out as its [`RefinementEngine`].
-    pub(crate) fn refine_combined(
-        &self,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<CombinedRefinement, WhyNotError> {
-        refine_combined_on(self, query, missing, lambda)
-    }
-
-    /// The full why-not answer (explanations + both refinements + the
-    /// recommendation), mirroring `Yask::answer_with_lambda`.
-    pub(crate) fn answer(
-        &self,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<WhyNotAnswer, WhyNotError> {
-        let explanations = self.explain(query, missing)?;
-        let preference = self.refine_preference(query, missing, lambda)?;
-        let keyword = self.refine_keywords(query, missing, lambda)?;
-        Ok(WhyNotAnswer::assemble(explanations, preference, keyword))
-    }
-}
-
-impl RefinementEngine for ShardFanout<'_> {
-    fn corpus(&self) -> &Corpus {
-        self.sharded.corpus()
-    }
-
-    fn score_params(&self) -> ScoreParams {
-        self.params
-    }
-
-    fn preference(
-        &self,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<PreferenceRefinement, WhyNotError> {
-        self.refine_preference(query, missing, lambda)
-    }
-
-    fn keywords(
-        &self,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<KeywordRefinement, WhyNotError> {
-        self.refine_keywords(query, missing, lambda)
     }
 }
 

@@ -1,11 +1,11 @@
 //! Property tests: the per-shard why-not fan-out is *exactly*
 //! [`yask_core::Yask`], the paper's single-tree engine.
 //!
-//! The executor no longer holds a global KcR-tree — explanations, keyword
-//! adaptation and preference adjustment are all computed from the shard
-//! trees (per-shard exact rank counts summed at the gather, per-shard
-//! segment sets merged before the sweep, the shared candidate skeleton
-//! with a cross-shard abort bound). These tests pin the tentpole claim:
+//! The executor no longer holds a global KcR-tree — explanations and
+//! keyword adaptation are computed from the shard trees (per-shard exact
+//! rank counts summed at the gather, the shared candidate skeleton with a
+//! cross-shard abort bound) and preference adjustment from one
+//! weight-plane table of the live corpus. These tests pin the claim:
 //! for K ∈ {1, 2, 4, 8}, on random corpora — with and without tombstones,
 //! before and after live write batches — every why-not answer equals a
 //! fresh `Yask` over the same corpus version, down to penalties, refined
@@ -140,8 +140,8 @@ proptest! {
         }
     }
 
-    /// Tentpole equivalence, preference adjustment: per-shard segment
-    /// construction merged before the sweep equals the single scan.
+    /// Tentpole equivalence, preference adjustment: the executor's sweep
+    /// over its request table equals the single-tree engine's.
     #[test]
     fn sharded_pref_refinement_matches_single_tree(c in corpus(30, 90), q in query()) {
         let single = oracle(&c.corpus);

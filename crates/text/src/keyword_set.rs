@@ -79,18 +79,15 @@ impl KeywordSet {
                 .filter(|v| large.binary_search(v).is_ok())
                 .count();
         }
+        // Branch-free merge: every step advances the side(s) holding the
+        // smaller id and counts a match, with no data-dependent jump.
         let (mut i, mut j, mut n) = (0, 0, 0);
         let (a, b) = (small, large);
         while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
+            let (x, y) = (a[i], b[j]);
+            n += usize::from(x == y);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
         }
         n
     }

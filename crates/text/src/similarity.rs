@@ -58,12 +58,11 @@ impl SimilarityModel {
         if a.is_empty() || b.is_empty() {
             return 0.0;
         }
-        let inter = a.intersection_size(b) as f64;
+        // One intersection; the union follows as |a| + |b| − |a ∩ b|.
+        let n = a.intersection_size(b);
+        let inter = n as f64;
         match self {
-            SimilarityModel::Jaccard => {
-                let union = a.union_size(b) as f64;
-                inter / union
-            }
+            SimilarityModel::Jaccard => inter / (a.len() + b.len() - n) as f64,
             SimilarityModel::Dice => 2.0 * inter / (a.len() + b.len()) as f64,
             SimilarityModel::Overlap => inter / a.len().min(b.len()) as f64,
             SimilarityModel::Cosine => inter / ((a.len() * b.len()) as f64).sqrt(),
@@ -258,6 +257,40 @@ mod tests {
                     let s = m.similarity(q, d);
                     assert!(s <= ub + 1e-12, "{m:?} q={q:?} d={d:?}: {s} > ub {ub}");
                     assert!(s + 1e-12 >= lb, "{m:?} q={q:?} d={d:?}: {s} < lb {lb}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_intersection_kernel_is_bit_equal_to_the_two_pass_formula() {
+        // Every pair of subsets of {0..6}: the single-intersection kernel
+        // must give the same integers and the same f64 bits as the old
+        // formula, which intersected twice (once for the union).
+        let subset = |mask: u32| KeywordSet::from_raw((0..7).filter(|i| mask & (1 << i) != 0));
+        for ma in 0..128u32 {
+            let a = subset(ma);
+            for mb in 0..128u32 {
+                let b = subset(mb);
+                let naive = (ma & mb).count_ones() as usize;
+                assert_eq!(a.intersection_size(&b), naive, "{a:?} ∩ {b:?}");
+                for m in SimilarityModel::ALL {
+                    let old = if a.is_empty() || b.is_empty() {
+                        0.0
+                    } else {
+                        let inter = a.intersection_size(&b) as f64;
+                        match m {
+                            SimilarityModel::Jaccard => inter / a.union_size(&b) as f64,
+                            SimilarityModel::Dice => 2.0 * inter / (a.len() + b.len()) as f64,
+                            SimilarityModel::Overlap => inter / a.len().min(b.len()) as f64,
+                            SimilarityModel::Cosine => inter / ((a.len() * b.len()) as f64).sqrt(),
+                        }
+                    };
+                    assert_eq!(
+                        m.similarity(&a, &b).to_bits(),
+                        old.to_bits(),
+                        "{m:?} {a:?} {b:?}"
+                    );
                 }
             }
         }
