@@ -2,12 +2,12 @@
 //! across shard counts, cold and warm.
 //!
 //! Measures the executor's two refinement models at 1/2/4/8 shards over
-//! the standard clustered corpus. Every row exercises the per-shard
-//! fan-out (per-shard segment sets for preference, the shared candidate
-//! skeleton with cross-shard abort for keywords); `shards = 1` is the
-//! same code over a one-cell partition. Cold disables the answer cache;
-//! warm pre-populates it with the whole workload. Results land in
-//! `BENCH_whynot.json` so CI archives the perf trajectory.
+//! the standard clustered corpus. Preference sweeps one weight-plane
+//! table of the live corpus at every K; keywords count exact ranks over
+//! the shard trees, one after another on the calling thread; `shards =
+//! 1` is the same code over a one-cell partition. Cold disables the
+//! answer cache; warm pre-populates it with the whole workload. Results
+//! land in `BENCH_whynot.json` so CI archives the perf trajectory.
 //!
 //! **Single-core caveat** (same as BENCH_exec.json / BENCH_ingest.json):
 //! on a one-core bench host the fan-out can only add scatter overhead —

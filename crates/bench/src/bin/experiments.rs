@@ -581,6 +581,7 @@ fn e8_keyword_performance(cfg: &Config) {
             );
         });
         let r = refine_keywords(&tree, &params, q, &missing, 0.5).unwrap();
+        let n = refine_keywords_naive(&corpus, &params, q, &missing, 0.5).unwrap();
         rows.push(vec![
             doc_len.to_string(),
             fmt_us(fast.median()),
@@ -589,6 +590,10 @@ fn e8_keyword_performance(cfg: &Config) {
             r.stats.enumerated.to_string(),
             r.stats.bound_pruned.to_string(),
             r.stats.exact_evaluated.to_string(),
+            r.stats.objects_scored.to_string(),
+            n.stats.enumerated.to_string(),
+            n.stats.exact_evaluated.to_string(),
+            n.stats.objects_scored.to_string(),
         ]);
     }
     print_table(
@@ -596,7 +601,10 @@ fn e8_keyword_performance(cfg: &Config) {
             "E8 — keyword adaptation vs |q.doc| (N = {}, bound-and-prune vs naive)",
             cfg.n_naive * 4
         ),
-        &["|q.doc|", "KcR prune", "naive", "speedup", "cands", "pruned", "exact"],
+        &[
+            "|q.doc|", "KcR prune", "naive", "speedup", "cands", "pruned", "exact", "scored",
+            "naive cands", "naive exact", "naive scored",
+        ],
         &rows,
     );
 }

@@ -41,9 +41,9 @@ use crate::pref::segment::SegmentSet;
 use crate::pref::{refine_preference_with_segments, PreferenceRefinement};
 
 /// The two single-model refinements behind one interface, so the chaining
-/// logic of the combined model is written once and runs over any
-/// implementation — the single KcR-tree here, or the sharded fan-out in
-/// `yask_exec` (which answers the same questions from per-shard trees).
+/// logic of the combined model is written once. [`TreeRefinementEngine`]
+/// is its one implementation; the interface is the seam a test uses to
+/// substitute a failing engine.
 ///
 /// Both take the request's [`SegmentSet`] for the stage's query (built
 /// under its location and keywords) and read the initial ranks off it.
@@ -70,24 +70,42 @@ pub trait RefinementEngine {
     ) -> Result<KeywordRefinement, WhyNotError>;
 }
 
-/// The single-tree [`RefinementEngine`]: both models against one KcR-tree
-/// (keyword adaptation) and its corpus (preference adjustment).
-pub struct TreeRefinementEngine<'a> {
-    tree: &'a RTree,
+/// Both models over KcR-trees that disjointly cover one corpus — `Yask`'s
+/// one tree, or the executor's shard trees: preference adjustment sweeps
+/// the request's table, keyword adaptation counts ranks tree after tree.
+/// Once `expired` returns true, both fail with
+/// [`WhyNotError::DeadlineExceeded`].
+pub struct TreeRefinementEngine<'a, X> {
+    corpus: &'a Corpus,
+    trees: &'a [&'a RTree],
     params: ScoreParams,
     opts: KeywordOptions,
+    expired: X,
 }
 
-impl<'a> TreeRefinementEngine<'a> {
-    /// Wraps a tree with the engine's scoring and keyword-search options.
-    pub fn new(tree: &'a RTree, params: ScoreParams, opts: KeywordOptions) -> Self {
-        TreeRefinementEngine { tree, params, opts }
+impl<'a, X: Fn() -> bool> TreeRefinementEngine<'a, X> {
+    /// Wraps the trees with the engine's scoring and keyword-search
+    /// options and its deadline check.
+    pub fn new(
+        corpus: &'a Corpus,
+        trees: &'a [&'a RTree],
+        params: ScoreParams,
+        opts: KeywordOptions,
+        expired: X,
+    ) -> Self {
+        TreeRefinementEngine {
+            corpus,
+            trees,
+            params,
+            opts,
+            expired,
+        }
     }
 }
 
-impl RefinementEngine for TreeRefinementEngine<'_> {
+impl<X: Fn() -> bool> RefinementEngine for TreeRefinementEngine<'_, X> {
     fn corpus(&self) -> &Corpus {
-        self.tree.corpus()
+        self.corpus
     }
 
     fn score_params(&self) -> ScoreParams {
@@ -101,7 +119,10 @@ impl RefinementEngine for TreeRefinementEngine<'_> {
         lambda: f64,
         table: &SegmentSet,
     ) -> Result<PreferenceRefinement, WhyNotError> {
-        refine_preference_with_segments(self.tree.corpus(), query, missing, lambda, table)
+        if (self.expired)() {
+            return Err(WhyNotError::DeadlineExceeded);
+        }
+        refine_preference_with_segments(self.corpus, query, missing, lambda, table)
     }
 
     fn keywords(
@@ -112,12 +133,14 @@ impl RefinementEngine for TreeRefinementEngine<'_> {
         table: &SegmentSet,
     ) -> Result<KeywordRefinement, WhyNotError> {
         refine_keywords_on(
-            self.tree,
+            self.corpus,
+            self.trees,
             &self.params,
+            self.opts,
+            &self.expired,
             query,
             missing,
             lambda,
-            self.opts,
             table,
         )
     }
@@ -173,18 +196,13 @@ pub fn refine_combined_with(
     lambda: f64,
     opts: KeywordOptions,
 ) -> Result<CombinedRefinement, WhyNotError> {
-    refine_combined_on(
-        &TreeRefinementEngine::new(tree, *params, opts),
-        query,
-        missing,
-        lambda,
-    )
+    let trees = [tree];
+    let engine = TreeRefinementEngine::new(tree.corpus(), &trees, *params, opts, || false);
+    refine_combined_on(&engine, query, missing, lambda)
 }
 
-/// Runs both chaining orders on any [`RefinementEngine`] and returns the
-/// lower-penalty combination — the sharded execution layer calls this with
-/// its fan-out engine and gets the exact same chaining, exact-rank
-/// assembly and penalty arithmetic as the single-tree path.
+/// Runs both chaining orders on a [`RefinementEngine`] and returns the
+/// lower-penalty combination.
 ///
 /// A stage error other than stage 2's `NotMissing` (e.g. an expired
 /// deadline) fails the whole request: half of the search is not an
@@ -436,7 +454,7 @@ mod tests {
     /// A tree engine whose preference model fails with an expired
     /// deadline once `ok_calls` calls have succeeded.
     struct ExpiringEngine<'a> {
-        inner: TreeRefinementEngine<'a>,
+        inner: TreeRefinementEngine<'a, fn() -> bool>,
         ok_calls: std::cell::Cell<usize>,
     }
 
@@ -479,10 +497,17 @@ mod tests {
         // then expires inside the weights-first chain. With no success
         // both chains fail. Either way the error reaches the caller: a
         // half-searched answer must not be returned (or cached) as Ok.
-        let (_, params, tree, q, missing) = scenario(8);
+        let (corpus, params, tree, q, missing) = scenario(8);
+        let trees = [&tree];
         for ok_calls in [1, 0] {
             let engine = ExpiringEngine {
-                inner: TreeRefinementEngine::new(&tree, params, KeywordOptions::default()),
+                inner: TreeRefinementEngine::new(
+                    &corpus,
+                    &trees,
+                    params,
+                    KeywordOptions::default(),
+                    || false,
+                ),
                 ok_calls: std::cell::Cell::new(ok_calls),
             };
             assert_eq!(

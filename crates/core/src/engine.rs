@@ -231,8 +231,14 @@ impl Yask {
         // One weight-plane table serves both refinements' initial ranks
         // and preference's sweep.
         let table = request_table(self.corpus(), &self.params, query, missing, lambda)?;
-        let engine =
-            TreeRefinementEngine::new(&self.tree, self.params, self.config.keyword_options);
+        let trees = [&self.tree];
+        let engine = TreeRefinementEngine::new(
+            self.corpus(),
+            &trees,
+            self.params,
+            self.config.keyword_options,
+            || false,
+        );
         let preference = engine.preference(query, missing, lambda, &table)?;
         let keyword = engine.keywords(query, missing, lambda, &table)?;
         Ok(WhyNotAnswer::assemble(explanations, preference, keyword))

@@ -118,10 +118,10 @@ pub fn validate_desired(corpus: &Corpus, desired: &[ObjectId]) -> Result<(), Why
 /// Assembles explanations from an already-computed top-k result and
 /// already-computed exact ranks (aligned with `desired`).
 ///
-/// This is the gather half of the sharded explain fan-out: the execution
-/// layer produces `top` by scatter-gather and each rank as a sum of
-/// per-shard exact outrank counts, then delegates the classification and
-/// rendering here so the output is byte-identical to the scan path.
+/// This is the gather half of the sharded explain: the execution layer
+/// produces `top` by scatter-gather and each rank by the scan, then
+/// delegates the classification and rendering here so the output is
+/// byte-identical to [`explain`].
 /// Callers must have validated the request ([`validate_desired`]) first.
 pub fn explain_given(
     corpus: &Corpus,

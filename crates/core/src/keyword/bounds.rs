@@ -33,30 +33,6 @@ pub struct BoundStats {
     pub objects_scored: usize,
 }
 
-/// An admission gate consulted while an exact outrank descent counts
-/// outranking objects.
-///
-/// The single-tree path uses [`NoGate`]; the sharded path (in
-/// `yask_exec`) hands every shard's descent the same shared accumulator,
-/// so the *cross-shard* running total — not just the local one — decides
-/// when the candidate is already hopeless and late shards stop counting.
-pub trait OutrankGate {
-    /// Accounts `n` newly found outranking objects. Returns `false` when
-    /// the accumulated total is already hopeless: the descent aborts and
-    /// the candidate is pruned without finishing the count.
-    fn add(&self, n: usize) -> bool;
-}
-
-/// The gate that never aborts: plain exact evaluation.
-pub struct NoGate;
-
-impl OutrankGate for NoGate {
-    #[inline]
-    fn add(&self, _n: usize) -> bool {
-        true
-    }
-}
-
 /// Shared state for rank computations against one KcR-tree.
 pub struct RankEvaluator<'a> {
     /// The tree to count ranks in (the global tree, or one shard's).
@@ -112,46 +88,26 @@ impl<'a> RankEvaluator<'a> {
 
     /// Exact outrank count for missing object `m` with score `s_m` under
     /// candidate keywords `doc` (the query contributes location, weights
-    /// and tie-break identity; its own doc is ignored).
+    /// and tie-break identity; its own doc is ignored), or `None` once the
+    /// count reaches `limit` — the descent stops there, since the caller
+    /// has no use for a count that large ([`usize::MAX`] never stops).
     pub fn outrank_exact(
         &self,
         q: &Query,
         doc: &KeywordSet,
         m: ObjectId,
         s_m: f64,
-        stats: &mut BoundStats,
-    ) -> usize {
-        self.outrank_exact_gated(q, doc, m, s_m, &NoGate, stats)
-            .expect("NoGate never aborts")
-    }
-
-    /// [`RankEvaluator::outrank_exact`] consulting an [`OutrankGate`]
-    /// after every counted increment. Returns `None` when the gate
-    /// aborted the descent (the candidate is hopeless); the partial count
-    /// accumulated so far lives in the gate, not the return value.
-    pub fn outrank_exact_gated(
-        &self,
-        q: &Query,
-        doc: &KeywordSet,
-        m: ObjectId,
-        s_m: f64,
-        gate: &impl OutrankGate,
+        limit: usize,
         stats: &mut BoundStats,
     ) -> Option<usize> {
-        let Some(root) = self.tree.root() else {
-            return Some(0);
-        };
         let mut count = 0usize;
-        let mut stack = vec![root];
+        let mut stack: Vec<_> = self.tree.root().into_iter().collect();
         while let Some(nid) = stack.pop() {
             let node = self.tree.node(nid);
             match self.classify(&node, q, doc, s_m) {
                 NodeVerdict::AllOutrank => {
                     stats.nodes_resolved += 1;
                     count += node.aug().cnt() as usize;
-                    if !gate.add(node.aug().cnt() as usize) {
-                        return None;
-                    }
                 }
                 NodeVerdict::NoneOutrank => {
                     stats.nodes_resolved += 1;
@@ -160,7 +116,6 @@ impl<'a> RankEvaluator<'a> {
                     stats.nodes_descended += 1;
                     match &node.kind {
                         NodeKind::Leaf(entries) => {
-                            let mut found = 0usize;
                             for &id in entries {
                                 if id == m {
                                     continue;
@@ -170,20 +125,19 @@ impl<'a> RankEvaluator<'a> {
                                     .params
                                     .score_with_doc(self.tree.corpus().get(id), q, doc);
                                 if ScoreParams::ranks_before(s, id, s_m, m) {
-                                    found += 1;
+                                    count += 1;
                                 }
-                            }
-                            count += found;
-                            if !gate.add(found) {
-                                return None;
                             }
                         }
                         NodeKind::Internal(children) => stack.extend_from_slice(children),
                     }
                 }
             }
+            if count >= limit {
+                return None;
+            }
         }
-        Some(count)
+        (count < limit).then_some(count)
     }
 
     /// Depth-limited `(lower, upper)` bounds on the outrank count; cheap
@@ -311,10 +265,17 @@ mod tests {
             let m = ObjectId(rng.below(300) as u32);
             let s_m = params.score_with_doc(corpus.get(m), &q, &doc);
             let mut stats = BoundStats::default();
-            let got = ev.outrank_exact(&q, &doc, m, s_m, &mut stats);
-            assert_eq!(got, outrank_scan(&corpus, &params, &q, &doc, m));
+            let want = outrank_scan(&corpus, &params, &q, &doc, m);
+            let got = ev.outrank_exact(&q, &doc, m, s_m, usize::MAX, &mut stats);
+            assert_eq!(got, Some(want));
             // The tree must have skipped something on typical queries.
             assert!(stats.objects_scored <= 300);
+            // A finite limit stops the count exactly when it is reached.
+            for limit in [1, want / 2 + 1, want, want + 1, 300] {
+                let got = ev.outrank_exact(&q, &doc, m, s_m, limit, &mut stats);
+                let expect = (want < limit).then_some(want);
+                assert_eq!(got, expect, "limit {limit}, scan count {want}");
+            }
         }
     }
 
@@ -333,7 +294,7 @@ mod tests {
             let m = ObjectId(m_raw);
             let s_m = params.score_with_doc(corpus.get(m), &q, &doc);
             let mut st = BoundStats::default();
-            let exact = ev.outrank_exact(&q, &doc, m, s_m, &mut st);
+            let exact = ev.outrank_exact(&q, &doc, m, s_m, usize::MAX, &mut st).unwrap();
             let mut prev_width = usize::MAX;
             for depth in 1..=5 {
                 let mut st = BoundStats::default();
@@ -361,7 +322,7 @@ mod tests {
         let m = ObjectId(42);
         let s_m = params.score_with_doc(corpus.get(m), &q, &doc);
         let mut st = BoundStats::default();
-        let exact = ev.outrank_exact(&q, &doc, m, s_m, &mut st);
+        let exact = ev.outrank_exact(&q, &doc, m, s_m, usize::MAX, &mut st).unwrap();
         let mut st2 = BoundStats::default();
         let (lb, ub) = ev.outrank_bounds(&q, &doc, m, s_m, 64, &mut st2);
         assert_eq!(lb, exact);
@@ -380,8 +341,8 @@ mod tests {
         let q = Query::new(Point::new(0.0, 0.0), KeywordSet::from_raw([1]), 1);
         let mut st = BoundStats::default();
         assert_eq!(
-            ev.outrank_exact(&q, &KeywordSet::from_raw([1]), ObjectId(0), 0.5, &mut st),
-            0
+            ev.outrank_exact(&q, &KeywordSet::from_raw([1]), ObjectId(0), 0.5, 1, &mut st),
+            Some(0)
         );
     }
 }

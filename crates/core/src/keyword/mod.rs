@@ -11,7 +11,8 @@
 //!    KcR-tree descent ([`bounds`](self)); prune the candidate when the penalty
 //!    lower bound already meets the best complete penalty;
 //! 3. resolve surviving candidates to exact ranks (full bound-guided
-//!    descent) and update the best;
+//!    descent, abandoned once the count proves the candidate hopeless)
+//!    and update the best;
 //! 4. stop pulling candidates once the `Δdoc` term alone reaches the best
 //!    penalty (or a perfect penalty of 0 is found).
 //!
@@ -54,9 +55,8 @@ pub struct KeywordStats {
 }
 
 impl KeywordStats {
-    /// Folds one tree descent's counters in (public for the sharded
-    /// evaluator, which sums descents over several shard trees).
-    pub fn absorb(&mut self, b: &BoundStats) {
+    /// Folds tree descents' counters in.
+    fn absorb(&mut self, b: &BoundStats) {
         self.nodes_resolved += b.nodes_resolved;
         self.nodes_descended += b.nodes_descended;
         self.objects_scored += b.objects_scored;
@@ -104,9 +104,9 @@ impl Default for KeywordOptions {
 }
 
 /// One candidate × missing-object outrank evaluation request, handed to
-/// the pluggable evaluator of [`refine_keywords_eval`].
+/// the evaluator of the candidate search.
 #[derive(Clone, Copy, Debug)]
-pub struct OutrankRequest<'a> {
+pub(crate) struct OutrankRequest<'a> {
     /// The why-not penalty context (for `k_term` when bounding).
     pub ctx: &'a PenaltyContext,
     /// The initial query (location, weights, tie-break identity).
@@ -135,6 +135,28 @@ impl OutrankRequest<'_> {
     pub fn penalty_if(&self, count: usize) -> f64 {
         self.lambda * self.ctx.k_term(count + 1) + self.doc_term
     }
+
+    /// The smallest outrank count at which the candidate's penalty
+    /// already meets the best complete penalty. Counts only grow and
+    /// [`OutrankRequest::penalty_if`] is monotone in the count, so an
+    /// exact count can stop once its running total reaches this limit:
+    /// the candidate cannot win. [`usize::MAX`] when even the largest
+    /// possible count (`live − 1`) keeps the candidate viable.
+    pub fn hopeless_limit(&self, live: usize) -> usize {
+        if !self.best_penalty.is_finite() || self.penalty_if(live) < self.best_penalty {
+            return usize::MAX;
+        }
+        let (mut lo, mut hi) = (0usize, live);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.penalty_if(mid) >= self.best_penalty {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
 }
 
 /// Optimized keyword adaptation over a KcR-tree (see module docs).
@@ -157,25 +179,44 @@ pub fn refine_keywords_with(
     lambda: f64,
     opts: KeywordOptions,
 ) -> Result<KeywordRefinement, WhyNotError> {
-    let table = request_table(tree.corpus(), params, query, missing, lambda)?;
-    refine_keywords_on(tree, params, query, missing, lambda, opts, &table)
+    let corpus = tree.corpus();
+    let table = request_table(corpus, params, query, missing, lambda)?;
+    refine_keywords_on(corpus, &[tree], params, opts, &|| false, query, missing, lambda, &table)
 }
 
-/// [`refine_keywords_with`] reading the initial ranks off the request's
-/// [`SegmentSet`] (built under `query`'s location and keywords) instead
-/// of building it — for callers that share one table between modules.
+/// The one exact evaluator of keyword adaptation, over KcR-trees that
+/// disjointly cover `corpus` (the engine's one tree, or the executor's
+/// shard trees), reading the initial ranks off the request's
+/// [`SegmentSet`] (built under `query`'s location and keywords).
+///
+/// Each candidate × missing-object rank is resolved in two phases on the
+/// calling thread: the depth-limited bounds are summed over the trees,
+/// and a candidate whose penalty lower bound already meets the best is
+/// pruned; otherwise the exact counts are taken tree after tree under one
+/// running total, and the descent stops — pruning the candidate — as
+/// soon as that total reaches [`OutrankRequest::hopeless_limit`]. The
+/// counts of disjoint trees add, and a candidate is pruned exactly when
+/// its exact penalty is at least the best so far, so the answer and the
+/// enumerated / pruned / exact-evaluated counts do not depend on how the
+/// corpus is split into trees. `expired` is consulted before every
+/// evaluation; once it holds, the search ends with
+/// [`WhyNotError::DeadlineExceeded`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_keywords_on(
-    tree: &RTree,
+    corpus: &Corpus,
+    trees: &[&RTree],
     params: &ScoreParams,
+    opts: KeywordOptions,
+    expired: &dyn Fn() -> bool,
     query: &Query,
     missing: &[ObjectId],
     lambda: f64,
-    opts: KeywordOptions,
     table: &SegmentSet,
 ) -> Result<KeywordRefinement, WhyNotError> {
-    let evaluator = RankEvaluator { tree, params };
+    let live = corpus.len();
+    let evaluators: Vec<_> = trees.iter().map(|&tree| RankEvaluator { tree, params }).collect();
     refine_keywords_eval(
-        tree.corpus(),
+        corpus,
         params,
         query,
         missing,
@@ -183,25 +224,26 @@ pub(crate) fn refine_keywords_on(
         opts,
         table,
         |req, stats| {
-            // Cheap bound pass first.
-            let mut bs = BoundStats::default();
-            let (lb, _ub) = evaluator.outrank_bounds(
-                req.query,
-                req.doc,
-                req.missing,
-                req.score,
-                opts.bound_depth,
-                &mut bs,
-            );
-            stats.absorb(&bs);
-            if req.penalty_if(lb) >= req.best_penalty {
-                return None; // prunable: cannot beat the best
+            if expired() {
+                return Err(WhyNotError::DeadlineExceeded);
             }
+            let (q, doc, m, s_m) = (req.query, req.doc, req.missing, req.score);
             let mut bs = BoundStats::default();
-            let exact =
-                evaluator.outrank_exact(req.query, req.doc, req.missing, req.score, &mut bs);
+            let lb: usize = evaluators
+                .iter()
+                .map(|ev| ev.outrank_bounds(q, doc, m, s_m, opts.bound_depth, &mut bs).0)
+                .sum();
+            let outrank = if req.penalty_if(lb) >= req.best_penalty {
+                None // prunable: cannot beat the best
+            } else {
+                let limit = req.hopeless_limit(live);
+                evaluators.iter().try_fold(0, |total, ev| {
+                    ev.outrank_exact(q, doc, m, s_m, limit - total, &mut bs)
+                        .map(|c| total + c)
+                })
+            };
             stats.absorb(&bs);
-            Some(exact)
+            Ok(outrank)
         },
     )
 }
@@ -249,30 +291,26 @@ pub fn refine_keywords_naive_with(
                     outrank += 1;
                 }
             }
-            Some(outrank)
+            Ok(Some(outrank))
         },
     )
 }
 
-/// The shared candidate-search skeleton, public so the execution layer
-/// can drive it with a *sharded* rank evaluator (`yask_exec` fans each
-/// exact evaluation over the shard trees and sums the per-shard counts).
+/// The candidate-search skeleton shared by the tree evaluator and the
+/// naive scan.
 ///
 /// Enumeration order, Δdoc termination, budget handling and best-tracking
-/// live here and are identical for every evaluator; the evaluator only
-/// answers "what is the exact outrank count of this missing object under
-/// this candidate" (`Some(count)`) or "this candidate is provably unable
-/// to beat [`OutrankRequest::best_penalty`]" (`None`). Any evaluator that
-/// returns exact counts under the workspace total order — and prunes only
-/// candidates whose true penalty is at least the best — therefore yields
-/// the *same* refinement as the single-tree path, which is what the
-/// sharded-equals-single-tree property suite pins down.
+/// live here and are identical for both; the evaluator only answers "what
+/// is the exact outrank count of this missing object under this
+/// candidate" (`Some(count)`) or "this candidate is provably unable to
+/// beat [`OutrankRequest::best_penalty`]" (`None`), and an evaluator
+/// error ends the search.
 ///
 /// The initial ranks `R(M, q)` come from `table`, the request's
 /// [`SegmentSet`] built under `query`'s location and keywords; candidate
 /// evaluation never reads it.
 #[allow(clippy::too_many_arguments)]
-pub fn refine_keywords_eval<F>(
+fn refine_keywords_eval<F>(
     corpus: &Corpus,
     params: &ScoreParams,
     query: &Query,
@@ -283,7 +321,7 @@ pub fn refine_keywords_eval<F>(
     mut eval_outrank: F,
 ) -> Result<KeywordRefinement, WhyNotError>
 where
-    F: FnMut(&OutrankRequest<'_>, &mut KeywordStats) -> Option<usize>,
+    F: FnMut(&OutrankRequest<'_>, &mut KeywordStats) -> Result<Option<usize>, WhyNotError>,
 {
     let (ctx, _) = build_context(corpus, table, query, missing, lambda)?;
     let ctx = &ctx;
@@ -332,7 +370,7 @@ where
                     best_penalty,
                     doc_term,
                 };
-                match eval_outrank(&req, &mut stats) {
+                match eval_outrank(&req, &mut stats)? {
                     Some(outrank) => worst = worst.max(outrank + 1),
                     None => {
                         pruned = true;
@@ -531,6 +569,31 @@ mod tests {
         assert_eq!(r.query.doc, q.doc);
         assert_eq!(r.penalty, 0.0);
         assert_eq!(r.query.k, r.initial_rank.max(q.k));
+    }
+
+    #[test]
+    fn hopeless_limit_matches_linear_search() {
+        let ctx = PenaltyContext::new(3, 13, 0.5);
+        let doc = ks(&[1]);
+        let q = Query::new(Point::new(0.0, 0.0), doc.clone(), 3);
+        for best in [0.2, 0.5, 0.75, 1.0, f64::INFINITY] {
+            for doc_term in [0.0, 0.1, 0.4] {
+                let req = OutrankRequest {
+                    ctx: &ctx,
+                    query: &q,
+                    doc: &doc,
+                    missing: ObjectId(0),
+                    score: 0.5,
+                    lambda: 0.5,
+                    best_penalty: best,
+                    doc_term,
+                };
+                let want = (0..=40)
+                    .find(|&c| req.penalty_if(c) >= best)
+                    .unwrap_or(usize::MAX);
+                assert_eq!(req.hopeless_limit(40), want, "best={best} doc_term={doc_term}");
+            }
+        }
     }
 
     #[test]

@@ -45,10 +45,10 @@ pub use common::request_table;
 pub use engine::{RecommendedModel, WhyNotAnswer, Yask, YaskConfig};
 pub use error::WhyNotError;
 pub use explain::{explain, explain_given, validate_desired, Explanation, MissingReason};
-pub use keyword::bounds::{BoundStats, NoGate, OutrankGate, RankEvaluator};
+pub use keyword::bounds::{BoundStats, RankEvaluator};
 pub use keyword::{
-    refine_keywords, refine_keywords_eval, refine_keywords_naive, refine_keywords_with,
-    KeywordOptions, KeywordRefinement, KeywordStats, OutrankRequest,
+    refine_keywords, refine_keywords_naive, refine_keywords_with, KeywordOptions,
+    KeywordRefinement, KeywordStats,
 };
 pub use penalty::{keyword_penalty, preference_penalty, PenaltyContext};
 pub use pref::segment::SegmentSet;

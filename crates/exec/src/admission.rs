@@ -16,9 +16,9 @@
 //!   the long tail.
 //! * **Shed** — refuse with `429`/`503` + `Retry-After` before the
 //!   request touches the pool. Expensive why-not refinements shed
-//!   first (they fan out resident workers), writes next, plain top-k
-//!   last, and at the *critical* level the server sheds at the
-//!   connection-accept boundary with a canned response.
+//!   first (each holds a server thread for many rank counts), writes
+//!   next, plain top-k last, and at the *critical* level the server
+//!   sheds at the connection-accept boundary with a canned response.
 //!
 //! The controller is policy + counters only — it owns no queues and
 //! takes no locks; one decision is a handful of atomic loads. The

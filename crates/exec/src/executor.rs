@@ -1512,11 +1512,8 @@ mod tests {
     #[test]
     fn concurrent_keyword_refinements_do_not_wedge_the_pool() {
         // Two keyword refinements race on a pool with exactly one thread
-        // per shard. Each parks resident evaluation workers on pool
-        // threads; without the resident-section guard, interleaved
-        // submits leave each refinement waiting on workers stranded
-        // behind the other's — a permanent pool deadlock (this test
-        // would hang). With the guard, both complete and agree with the
+        // per shard: both count ranks on their own threads, scatter only
+        // their top-k searches, complete, and agree with the
         // `yask_core::Yask` oracle.
         let corpus = random_corpus(300, 77);
         let exec = std::sync::Arc::new(Executor::new(

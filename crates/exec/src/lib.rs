@@ -20,13 +20,12 @@
 //!   late shards against early shards' results; the gather merge is
 //!   exactly the single-tree answer (property-tested for
 //!   K ∈ {1, 2, 3, 5, 8});
-//! * `whynot` — the per-shard why-not fan-out: explanations, keyword
-//!   adaptation and preference adjustment computed from the shard trees
-//!   alone (per-shard exact rank counts summed, per-shard segment sets
-//!   merged, a shared cross-shard outrank bound aborting hopeless
-//!   candidates through [`bound::SharedOutrank`]), so the executor
-//!   needs **no global KcR-tree** — property-tested equal to
-//!   `yask_core::Yask` for K ∈ {1, 2, 4, 8};
+//! * `whynot` — the why-not modules over the shard trees: the
+//!   explanation's top-k is a scatter-gather and its ranks a scan, and
+//!   the refinements run `yask_core`'s engine over the shard trees
+//!   (keyword adaptation counts exact ranks shard after shard under one
+//!   running total), so the executor needs **no global KcR-tree** —
+//!   property-tested equal to `yask_core::Yask` for K ∈ {1, 2, 4, 8};
 //! * [`cache`] — bounded LRU caches for top-k results and why-not
 //!   answers, keyed by canonicalized `(query, k, λ, desired-set)` bits,
 //!   with hit/miss/eviction counters;
@@ -68,7 +67,6 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod bound;
 pub mod cache;
 pub mod deadline;
 pub mod executor;
@@ -83,7 +81,6 @@ pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionSnapshot, AdmitDecision, OverloadLevel,
     Pressure, Route, ShedCount, ShedReason,
 };
-pub use bound::SharedOutrank;
 pub use cache::{AnswerKey, CacheSnapshot, CachedAnswer, LruCache, QueryKey, WhyNotKind};
 pub use deadline::Deadline;
 pub use executor::{EngineHandle, ExecConfig, Executor, TopKOutcome, UpdateOutcome};

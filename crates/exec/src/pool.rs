@@ -10,7 +10,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Mutex, MutexGuard};
 use yask_obs::WindowedMax;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -29,10 +28,6 @@ pub struct WorkerPool {
     /// `depth_max`, feeding the health surface's "max depth over the
     /// last minute" without a process restart to clear old spikes.
     depth_window: WindowedMax,
-    /// Serializes *resident* job groups — jobs that park a worker thread
-    /// for an extended section (the keyword fan-out's per-shard
-    /// evaluation workers). See [`WorkerPool::resident_guard`].
-    resident: Mutex<()>,
     /// Queue-depth bound for [`WorkerPool::submit_or_run`]. `usize::MAX`
     /// = unbounded (the default).
     capacity: usize,
@@ -78,22 +73,9 @@ impl WorkerPool {
             pending,
             depth_max: AtomicUsize::new(0),
             depth_window: WindowedMax::standard(),
-            resident: Mutex::new(()),
             capacity,
             saturated: AtomicUsize::new(0),
         }
-    }
-
-    /// Claims the pool's single *resident section*. A caller that parks
-    /// long-lived (blocking-on-recv) jobs on pool threads MUST hold this
-    /// guard for as long as those jobs live and MUST park at most
-    /// [`WorkerPool::workers`] of them: two interleaved resident groups
-    /// could each hold threads the other's stranded jobs need, blocking
-    /// both gathers forever. With the guard, at most one resident group
-    /// exists, every other queued job terminates on its own, and FIFO
-    /// dispatch guarantees the group's jobs all eventually start.
-    pub fn resident_guard(&self) -> MutexGuard<'_, ()> {
-        self.resident.lock()
     }
 
     /// Enqueues a job. Panics if the pool is shut down (it only shuts

@@ -2,8 +2,8 @@
 //! of 3 000 objects and 24 fixed questions × λ ∈ {0.2, 0.5, 0.9} — over
 //! the bulk-loaded epoch and over a second epoch with tombstones — every
 //! module's answers (explain, preference, keywords, combined, full) fold
-//! into one digest per module and engine, pinned below for `Yask` and for
-//! the sharded `Executor` at K ∈ {1, 2}.
+//! into one digest per module, pinned below and shared by `Yask` and the
+//! sharded `Executor` at K ∈ {1, 2}.
 //!
 //! A digest covers the f64 bits of every penalty, `Δ~w` and `ws′`; `k′`,
 //! the ranks, `Δk`, `Δdoc`, the refined keyword ids and the combine
@@ -273,14 +273,14 @@ fn yask_answers_match_the_golden_digests() {
     let (c0, c1) = (cases(&base, 35), cases(&next, 36));
     let e0 = Yask::new(base, YaskConfig::default());
     let e1 = Yask::new(next, YaskConfig::default());
-    check("Yask", run([&e0, &e1], [&c0, &c1]), YASK);
+    check("Yask", run([&e0, &e1], [&c0, &c1]), DIGESTS);
 }
 
 #[test]
 fn sharded_answers_match_the_golden_digests() {
     let (base, next, deleted) = epochs();
     let (c0, c1) = (cases(&base, 35), cases(&next, 36));
-    for (shards, digests) in [(1, SHARDS_1), (2, SHARDS_2)] {
+    for shards in [1, 2] {
         let config = ExecConfig {
             shards,
             workers: 2,
@@ -289,28 +289,18 @@ fn sharded_answers_match_the_golden_digests() {
         let e0 = Executor::new(base.clone(), config);
         let e1 = Executor::new(base.clone(), config);
         e1.apply_batch(next.clone(), &[], &deleted);
-        check(&format!("K={shards}"), run([&e0, &e1], [&c0, &c1]), digests);
+        check(&format!("K={shards}"), run([&e0, &e1], [&c0, &c1]), DIGESTS);
     }
 }
 
-// Keyword-search counts differ between the engines (the sharded bound
-// pass sums per-shard bounds, and late shards abort hopeless counts), so
-// the keywords and full digests are per engine; the answers are not.
-const YASK: [u64; 5] = [
-    0x83d971ccc2cd39d7,
-    0x6effbe2c738c8cde,
-    0xb6ed8ce3c5aa2836,
-    0x6701a6601a44918e,
-    0x81d9cb2d802247c5,
-];
-const SHARDS_1: [u64; 5] = [
+/// One digest per module, the same for every engine.
+const DIGESTS: [u64; 5] = [
     0x83d971ccc2cd39d7,
     0x6effbe2c738c8cde,
     0x50411cdf30e44496,
     0x6701a6601a44918e,
     0xcdfc2292869c5f95,
 ];
-const SHARDS_2: [u64; 5] = SHARDS_1;
 
 /// The first three cases (one question at λ = 0.2, 0.5, 0.9), five lines
 /// each in module order — the same for every engine.

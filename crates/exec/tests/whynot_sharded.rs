@@ -1,11 +1,10 @@
 //! Property tests: the per-shard why-not fan-out is *exactly*
 //! [`yask_core::Yask`], the paper's single-tree engine.
 //!
-//! The executor no longer holds a global KcR-tree — explanations and
-//! keyword adaptation are computed from the shard trees (per-shard exact
-//! rank counts summed at the gather, the shared candidate skeleton with a
-//! cross-shard abort bound) and preference adjustment from one
-//! weight-plane table of the live corpus. These tests pin the claim:
+//! The executor holds no global KcR-tree — keyword adaptation counts
+//! exact ranks over the shard trees (shard after shard under one running
+//! total), explanations scatter their top-k over them, and preference
+//! adjustment reads one weight-plane table of the live corpus. These tests pin the claim:
 //! for K ∈ {1, 2, 4, 8}, on random corpora — with and without tombstones,
 //! before and after live write batches — every why-not answer equals a
 //! fresh `Yask` over the same corpus version, down to penalties, refined
@@ -18,7 +17,7 @@ use proptest::prelude::*;
 use yask_core::{Explanation, Yask, YaskConfig};
 use yask_exec::{ExecConfig, Executor};
 use yask_geo::{Point, Space};
-use yask_index::{Corpus, CorpusBuilder, ObjectId};
+use yask_index::{Corpus, CorpusBuilder, ObjectId, RTreeParams};
 use yask_query::{topk_scan, Query, Weights};
 use yask_text::KeywordSet;
 use yask_util::Xoshiro256;
@@ -67,11 +66,16 @@ fn query() -> impl Strategy<Value = Query> {
 }
 
 fn exec_with(corpus: &Corpus, shards: usize) -> Executor {
+    exec_with_config(corpus, shards, YaskConfig::default())
+}
+
+fn exec_with_config(corpus: &Corpus, shards: usize, yask: YaskConfig) -> Executor {
     Executor::new(
         corpus.clone(),
         ExecConfig {
             shards,
             workers: shards.min(4),
+            yask,
             ..ExecConfig::default()
         },
     )
@@ -115,14 +119,21 @@ proptest! {
 
     /// Tentpole equivalence, keyword adaptation: the sharded fan-out's
     /// refinement equals the single-tree engine's — same refined doc,
-    /// same k′, bit-identical penalty — for every shard count.
+    /// same k′, bit-identical penalty, same enumerated / pruned /
+    /// exact-evaluated counts — for every shard count. Fanout 4 makes the
+    /// trees deeper than the bound pass's two levels, so exact counts do
+    /// get abandoned.
     #[test]
     fn sharded_keyword_refinement_matches_single_tree(c in corpus(30, 90), q in query()) {
-        let single = oracle(&c.corpus);
+        let config = YaskConfig {
+            tree_params: RTreeParams::new(4, 2),
+            ..YaskConfig::default()
+        };
+        let single = Yask::new(c.corpus.clone(), config);
         let Some(missing) = pick_missing(&single, &q, 1) else { return; };
         let want = single.refine_keywords(&q, &missing, 0.5);
         for shards in SHARD_COUNTS {
-            let exec = exec_with(&c.corpus, shards);
+            let exec = exec_with_config(&c.corpus, shards, config);
             let got = exec.refine_keywords(&q, &missing, 0.5);
             match (&got, &want) {
                 (Ok(g), Ok(w)) => {
@@ -133,6 +144,13 @@ proptest! {
                     prop_assert_eq!(g.rank, w.rank, "rank at K={}", shards);
                     prop_assert_eq!(g.delta_doc, w.delta_doc, "delta_doc at K={}", shards);
                     prop_assert_eq!(g.delta_k, w.delta_k, "delta_k at K={}", shards);
+                    // A candidate is pruned exactly when its exact penalty
+                    // is at least the best so far, whichever trees count.
+                    prop_assert_eq!(
+                        (g.stats.enumerated, g.stats.bound_pruned, g.stats.exact_evaluated),
+                        (w.stats.enumerated, w.stats.bound_pruned, w.stats.exact_evaluated),
+                        "search counts at K={}", shards
+                    );
                 }
                 (Err(a), Err(b)) => prop_assert_eq!(a, b, "error at K={}", shards),
                 _ => prop_assert!(false, "K={}: one path errored: {:?} vs {:?}", shards, got, want),

@@ -36,6 +36,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -326,7 +327,11 @@ pub(crate) fn spawn_with_clock(
             let poller = poller.clone();
             std::thread::spawn(move || {
                 while let Ok(job) = job_rx.recv() {
-                    let bytes = handler(&job.req).to_bytes(job.keep);
+                    // A panicking handler answers 500: the worker lives on
+                    // and the connection is not left waiting for a reply.
+                    let response = catch_unwind(AssertUnwindSafe(|| handler(&job.req)))
+                        .unwrap_or_else(|_| Response::error(500, "internal error"));
+                    let bytes = response.to_bytes(job.keep);
                     let _ = done_tx.send(Done {
                         token: job.token,
                         seq: job.seq,
@@ -920,6 +925,38 @@ mod tests {
         let text = String::from_utf8_lossy(&buf);
         assert!(text.starts_with("HTTP/1.1 200"), "got: {text}");
         assert!(text.contains("late"));
+        server.shutdown();
+    }
+
+    /// A panicking handler answers 500 and leaves its worker alive: with
+    /// one worker, the next request on the same connection answers 200.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn panicking_handler_answers_500_and_the_worker_survives() {
+        use crate::http::ConnControl;
+        use std::io::Read;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handler: Handler = Arc::new(|req| {
+            assert_ne!(req.path, "/boom", "handler panic");
+            Response::text("text/plain", "ok")
+        });
+        let policy: ConnPolicy = Arc::new(|| ConnControl {
+            idle_timeout: Duration::from_secs(10),
+            shed: None,
+        });
+        let mut server = spawn(listener, 1, handler, policy).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        for (path, status) in [("/boom", "500"), ("/fine", "200")] {
+            write!(stream, "GET {path} HTTP/1.1\r\n\r\n").unwrap();
+            let mut buf = [0u8; 512];
+            let n = stream.read(&mut buf).expect("a reply, not a hang");
+            let text = String::from_utf8_lossy(&buf[..n]);
+            assert!(text.starts_with(&format!("HTTP/1.1 {status}")), "{path}: {text}");
+        }
         server.shutdown();
     }
 

@@ -447,6 +447,76 @@ fn chunk_fault_io_error_reaches_the_scan_fallback() {
     }
 }
 
+/// Keyword adaptation counts ranks on the HTTP worker that serves the
+/// request, not in a pool job. A chunk fault there unwinds the handler:
+/// the server answers 5xx instead of leaving the connection without a
+/// reply (a fault inside the refined top-k's scatter instead falls back
+/// to the exact scan), and it keeps serving afterwards.
+#[test]
+fn chunk_fault_in_a_keyword_refinement_answers_and_keeps_serving() {
+    let Some(_g) = chaos() else { return };
+    // Large enough that the shard trees outgrow the buffer pool.
+    let corpus = small_corpus(20_000);
+    let vocab = Vocabulary::from_words((0..7).map(|i| format!("w{i}")));
+    let params = ScoreParams::new(corpus.space());
+    let q = Query::new(Point::new(0.3, 0.7), KeywordSet::from_raw([1, 4]), 10);
+    let missing = topk_scan(&corpus, &params, &q.with_k(16))[15].id;
+    let service = std::sync::Arc::new(YaskService::with_config(
+        corpus,
+        vocab,
+        ServiceConfig {
+            exec: ExecConfig {
+                resident_budget: Some(1),
+                ..exec_config(2)
+            },
+            default_deadline: None,
+            ..ServiceConfig::default()
+        },
+    ));
+    let server = HttpServer::spawn_with_policy(
+        0,
+        2,
+        service.clone().into_handler(),
+        service.conn_policy(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let query = Json::obj([
+        ("x", Json::Num(0.3)),
+        ("y", Json::Num(0.7)),
+        ("keywords", Json::Arr(vec![Json::str("w1"), Json::str("w4")])),
+        ("k", Json::Num(10.0)),
+    ]);
+    let (status, reply) = http_post(addr, "/query", &query).unwrap();
+    assert_eq!(status, 200);
+    let whynot = Json::obj([
+        ("session", reply.get("session").unwrap().clone()),
+        ("missing", Json::Arr(vec![Json::Num(missing.0 as f64)])),
+    ]);
+
+    let hits = failpoint::hits("pager.read");
+    failpoint::cfg_times("pager.read", failpoint::Action::Error, 1);
+    // The client's read timeout turns a reply that never comes into an
+    // error here rather than a hung test.
+    let (faulted, body) =
+        http_post(addr, "/whynot/keywords", &whynot).expect("a reply, not a dropped request");
+    assert!(
+        failpoint::hits("pager.read") > hits,
+        "no chunk fault reached the page file"
+    );
+
+    // Unarmed, the same question gets the exact answer...
+    let (status, exact) = http_post(addr, "/whynot/keywords", &whynot).unwrap();
+    assert_eq!(status, 200, "{exact:?}");
+    assert!(
+        (500..600).contains(&faulted) || (faulted == 200 && body.to_string() == exact.to_string()),
+        "a faulted refinement must fail or be exact: {faulted} {body:?}"
+    );
+    // ...and plain queries are still served.
+    let (status, _) = http_post(addr, "/query", &query).unwrap();
+    assert_eq!(status, 200);
+}
+
 #[test]
 fn expired_deadlines_mid_scatter_leak_no_workers() {
     let Some(_g) = chaos() else { return };
