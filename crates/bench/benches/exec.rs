@@ -163,17 +163,18 @@ fn main() {
     // Rebuild both executors so the measured histograms exclude warmup.
     let base_exec = Executor::new(corpus.clone(), overhead_config);
     let traced_exec = Executor::new(corpus.clone(), overhead_config);
+    let (base_handle, traced_handle) = (base_exec.engine(), traced_exec.engine());
     let mut base = Summary::new();
     let mut traced = Summary::new();
     let run_base = |q: &Query, base: &mut Summary| {
         let t0 = Instant::now();
-        std::hint::black_box(base_exec.compute_top_k(q));
+        std::hint::black_box(base_exec.top_k_on(&base_handle, q));
         base.record_duration(t0.elapsed());
     };
     let run_traced = |q: &Query, traced: &mut Summary| {
         let t0 = Instant::now();
         let t = Trace::new("bench/topk");
-        std::hint::black_box(traced_exec.compute_top_k_with_trace(q, &t));
+        std::hint::black_box(traced_exec.top_k_deadline_on_traced(&traced_handle, q, Some(&t), None));
         log.record(t.finish());
         traced.record_duration(t0.elapsed());
     };

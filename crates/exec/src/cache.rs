@@ -11,7 +11,7 @@
 //! `-0.0` folded into `0.0` (NaN is rejected at the API boundary);
 //! keyword sets are already sorted and deduplicated; desired-object sets
 //! are sorted for the set-semantic refinement kinds (and kept literal for
-//! explanation-bearing kinds — see [`AnswerKey::of`]). Two sessions
+//! explanations — see [`AnswerKey::of`]). Two sessions
 //! asking the same why-not question therefore share one cache entry —
 //! the `(session, desired-set)` key space collapses into
 //! `(canonical query, desired-set, λ)`.
@@ -19,7 +19,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
-use yask_core::{CombinedRefinement, Explanation, KeywordRefinement, PreferenceRefinement, WhyNotAnswer};
+use yask_core::{CombinedRefinement, Explanation, KeywordRefinement, PreferenceRefinement};
 use yask_index::ObjectId;
 use yask_query::Query;
 
@@ -67,19 +67,16 @@ pub enum WhyNotKind {
     Keyword,
     /// Both models chained.
     Combined,
-    /// The full bundled answer.
-    Full,
 }
 
 impl WhyNotKind {
     /// Every kind, in discriminant order: `ALL[kind as usize] == kind`,
     /// so per-kind arrays index by `kind as usize`.
-    pub const ALL: [WhyNotKind; 5] = [
+    pub const ALL: [WhyNotKind; 4] = [
         WhyNotKind::Explain,
         WhyNotKind::Preference,
         WhyNotKind::Keyword,
         WhyNotKind::Combined,
-        WhyNotKind::Full,
     ];
 
     /// The module's name wherever it is exported: the `module` label of
@@ -90,7 +87,6 @@ impl WhyNotKind {
             WhyNotKind::Preference => "preference",
             WhyNotKind::Keyword => "keyword",
             WhyNotKind::Combined => "combined",
-            WhyNotKind::Full => "full",
         }
     }
 }
@@ -107,16 +103,12 @@ pub struct AnswerKey {
 impl AnswerKey {
     /// Canonicalizes a why-not question. The refinement models are
     /// set-semantic in the desired objects, so their keys sort + dedup
-    /// the list; explanations (alone or inside the full answer) are one
-    /// *per input entry in input order*, so those kinds key by the
-    /// literal list — a permuted or duplicated input must not share a
+    /// the list; explanations are one *per input entry in input order*,
+    /// so that kind keys by the literal list — a permuted or duplicated input must not share a
     /// cache entry whose payload would then diverge from the engine's.
     pub fn of(q: &Query, missing: &[ObjectId], lambda: f64, kind: WhyNotKind) -> Self {
         let mut ids: Vec<u32> = missing.iter().map(|m| m.0).collect();
-        if matches!(
-            kind,
-            WhyNotKind::Preference | WhyNotKind::Keyword | WhyNotKind::Combined
-        ) {
+        if kind != WhyNotKind::Explain {
             ids.sort_unstable();
             ids.dedup();
         }
@@ -140,8 +132,6 @@ pub enum CachedAnswer {
     Keyword(KeywordRefinement),
     /// Both models chained.
     Combined(CombinedRefinement),
-    /// The full bundled answer.
-    Full(WhyNotAnswer),
 }
 
 /// Counter snapshot of one cache.
@@ -393,13 +383,12 @@ mod tests {
         // Explanations are one per input entry in input order: permuted
         // or duplicated inputs have different answers, so different keys.
         let q = Query::new(Point::new(0.1, 0.2), KeywordSet::from_raw([1]), 2);
-        for kind in [WhyNotKind::Explain, WhyNotKind::Full] {
-            let ab = AnswerKey::of(&q, &[ObjectId(2), ObjectId(5)], 0.5, kind);
-            let ba = AnswerKey::of(&q, &[ObjectId(5), ObjectId(2)], 0.5, kind);
-            let aa = AnswerKey::of(&q, &[ObjectId(2), ObjectId(2)], 0.5, kind);
-            assert_ne!(ab, ba, "{kind:?}");
-            assert_ne!(ab, aa, "{kind:?}");
-            assert_eq!(ab, AnswerKey::of(&q, &[ObjectId(2), ObjectId(5)], 0.5, kind));
-        }
+        let kind = WhyNotKind::Explain;
+        let ab = AnswerKey::of(&q, &[ObjectId(2), ObjectId(5)], 0.5, kind);
+        let ba = AnswerKey::of(&q, &[ObjectId(5), ObjectId(2)], 0.5, kind);
+        let aa = AnswerKey::of(&q, &[ObjectId(2), ObjectId(2)], 0.5, kind);
+        assert_ne!(ab, ba);
+        assert_ne!(ab, aa);
+        assert_eq!(ab, AnswerKey::of(&q, &[ObjectId(2), ObjectId(5)], 0.5, kind));
     }
 }

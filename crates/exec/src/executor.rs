@@ -4,13 +4,17 @@
 //! An [`Executor`] owns the current *engine epoch* — one [`ShardedIndex`]
 //! of `shards ≥ 1` KcR-trees — published through an arc-swap-style
 //! [`EpochCell`]. *Everything* is answered from the shard trees, by the
-//! same code at every shard count: top-k by scatter-gather, and the
-//! why-not modules (explain, preference adjustment, keyword adaptation,
-//! combined) by the per-shard fan-out in `crate::whynot` — there is no
-//! global KcR-tree, so index memory and per-batch copy-on-write work
-//! cover the shard trees only. Readers pin an epoch for the duration of
-//! a query, so a concurrent write batch never tears the corpus or the
-//! trees out from under an in-flight computation;
+//! same code at every shard count: top-k by scatter-gather
+//! ([`Executor::top_k_deadline_on_traced`]), and the why-not modules
+//! (explain, preference adjustment, keyword adaptation, combined) by the
+//! per-shard fan-out in `crate::whynot`, behind one cached, traced call,
+//! [`Executor::whynot_on`]; the per-module methods (`explain_on`,
+//! `refine_*_on`, and the current-epoch mirrors of `yask_core::Yask`)
+//! are thin calls into it. There is no global KcR-tree, so index memory
+//! and per-batch copy-on-write work cover the shard trees only. Readers
+//! pin an epoch for the duration of a query, so a concurrent write batch
+//! never tears the corpus or the trees out from under an in-flight
+//! computation;
 //! [`Executor::apply_batch`] derives the next epoch copy-on-write (only
 //! *touched* shard trees cloned) and publishes it atomically. The two
 //! LRU answer caches key by `(epoch, canonical request)`, so entries
@@ -46,6 +50,16 @@ use crate::shard::ShardedIndex;
 use crate::stats::{ExecCounters, ExecSnapshot, PagerSnapshot, ShardShape};
 use crate::whynot::ShardFanout;
 
+/// Pending-job bound for the scatter pool's backpressure path
+/// ([`WorkerPool::submit_or_run`]): once this many jobs are queued,
+/// scatter callers run their shard searches inline instead of deepening
+/// the queue.
+const QUEUE_CAP: usize = 1024;
+
+/// Half-life of the observatory's per-cell heat decay: a query's
+/// contribution to its cell's heat halves every `HEAT_HALF_LIFE`.
+const HEAT_HALF_LIFE: Duration = Duration::from_secs(60);
+
 /// Executor configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecConfig {
@@ -55,11 +69,6 @@ pub struct ExecConfig {
     /// Worker threads for the scatter pool; 0 (the [`Default`]) resolves
     /// to the shard count.
     pub workers: usize,
-    /// Pending-job bound for the scatter pool's backpressure path
-    /// ([`WorkerPool::submit_or_run`]): once this many jobs are queued,
-    /// scatter callers run their shard searches inline instead of
-    /// deepening the queue. 0 disables the bound (unbounded queue).
-    pub queue_cap: usize,
     /// Top-k result cache capacity; 0 disables the cache.
     pub topk_cache: usize,
     /// Why-not answer cache capacity; 0 disables the cache.
@@ -76,9 +85,6 @@ pub struct ExecConfig {
     /// per-cell heat, keyword sketch). On by default; the bench harness
     /// turns it off to price the recording overhead.
     pub observatory: bool,
-    /// Half-life of the per-cell heat decay: a query's contribution to
-    /// its cell's heat halves every `heat_half_life`.
-    pub heat_half_life: Duration,
     /// Out-of-core serving: when set, every published shard tree's node
     /// arena is encoded into a shared buffer-pool page file and served
     /// by faulting chunks on access, keeping at most this many bytes of
@@ -96,13 +102,11 @@ impl Default for ExecConfig {
         ExecConfig {
             shards: 4,
             workers: 0, // resolves to the shard count
-            queue_cap: 1024,
             topk_cache: 1024,
             answer_cache: 256,
             rebalance_skew: 2.0,
             rebalance_min: 128,
             observatory: true,
-            heat_half_life: Duration::from_secs(60),
             resident_budget: None,
             yask: YaskConfig::default(),
         }
@@ -260,6 +264,18 @@ pub struct TopKOutcome {
 /// invalidation mechanism.
 type EpochCache<K, V> = Option<Mutex<LruCache<(u64, K), Arc<V>>>>;
 
+/// One module through [`Executor::whynot_on`] with no trace or deadline,
+/// unwrapped to its own answer type: `$kind` names both the
+/// [`WhyNotKind`] and the [`CachedAnswer`] variant it tags.
+macro_rules! module_on {
+    ($exec:expr, $handle:expr, $kind:ident, $query:expr, $missing:expr, $lambda:expr) => {
+        match &*$exec.whynot_on($handle, WhyNotKind::$kind, $query, $missing, $lambda, None, None)? {
+            CachedAnswer::$kind(answer) => Ok(answer.clone()),
+            _ => unreachable!("kind-tagged cache entry"),
+        }
+    };
+}
+
 /// The sharded, concurrent, caching, *writable* query executor.
 pub struct Executor {
     state: EpochCell<EngineState>,
@@ -305,19 +321,12 @@ impl Executor {
         if let Some(p) = &pager {
             p.page_index(&mut index);
         }
-        let pool = WorkerPool::with_capacity(
-            config.workers,
-            if config.queue_cap == 0 {
-                usize::MAX
-            } else {
-                config.queue_cap
-            },
-        );
+        let pool = WorkerPool::with_capacity(config.workers, QUEUE_CAP);
         Executor {
             counters: ExecCounters::new(config.shards),
             workload: config
                 .observatory
-                .then(|| Workload::new(config.shards, config.heat_half_life)),
+                .then(|| Workload::new(config.shards, HEAT_HALF_LIFE)),
             topk_cache: (config.topk_cache > 0).then(|| Mutex::new(LruCache::new(config.topk_cache))),
             answer_cache: (config.answer_cache > 0)
                 .then(|| Mutex::new(LruCache::new(config.answer_cache))),
@@ -454,28 +463,18 @@ impl Executor {
     /// current one (per-epoch sessions). The cache still works: keys
     /// carry the pinned epoch, so entries never leak across versions.
     pub fn top_k_on(&self, handle: &EngineHandle, query: &Query) -> Vec<RankedObject> {
-        self.top_k_on_traced(handle, query, None)
-    }
-
-    /// [`Executor::top_k_on`] with an optional [`Trace`] collecting spans
-    /// for the cache lookup, the scatter and each shard's search. The
-    /// latency histograms record either way; tracing only adds span
-    /// bookkeeping for requests that opted in (or are sampled into the
-    /// server's trace ring).
-    pub fn top_k_on_traced(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        trace: Option<&Trace>,
-    ) -> Vec<RankedObject> {
-        self.top_k_deadline_on_traced(handle, query, trace, None)
+        self.top_k_deadline_on_traced(handle, query, None, None)
             .results
     }
 
-    /// [`Executor::top_k_on_traced`] under an optional [`Deadline`]: the
-    /// shard searches stop expanding once the budget is spent and the
-    /// outcome is flagged partial. Partial results are *not* cached —
-    /// the cache stores exact answers only.
+    /// [`Executor::top_k_on`] with an optional [`Trace`] collecting spans
+    /// for the cache lookup, the scatter and each shard's search, under
+    /// an optional [`Deadline`]: the shard searches stop expanding once
+    /// the budget is spent and the outcome is flagged partial. Partial
+    /// results are *not* cached — the cache stores exact answers only.
+    /// The latency histograms record either way; tracing only adds span
+    /// bookkeeping for requests that opted in (or are sampled into the
+    /// server's trace ring).
     pub fn top_k_deadline_on_traced(
         &self,
         handle: &EngineHandle,
@@ -510,7 +509,7 @@ impl Executor {
                 };
             }
         }
-        let (result, complete) = self.compute_top_k_traced(state, query, trace, deadline);
+        let (result, complete) = self.top_k_uncached(state, query, trace, deadline);
         if complete {
             if let (Some(cache), Some(key)) = (&self.topk_cache, key) {
                 let value = Arc::new(result.clone());
@@ -547,19 +546,9 @@ impl Executor {
         None
     }
 
-    /// The uncached top-k computation (the benches' cold path).
-    pub fn compute_top_k(&self, query: &Query) -> Vec<RankedObject> {
-        self.compute_top_k_traced(&self.state.load(), query, None, None).0
-    }
-
-    /// [`Executor::compute_top_k`] with an optional trace (bench harness
-    /// overhead row; the server goes through [`Executor::top_k_on_traced`]).
-    pub fn compute_top_k_with_trace(&self, query: &Query, trace: &Trace) -> Vec<RankedObject> {
-        self.compute_top_k_traced(&self.state.load(), query, Some(trace), None)
-            .0
-    }
-
-    fn compute_top_k_traced(
+    /// The uncached top-k computation: scatter-gather, or the scan
+    /// oracle when a shard reply went missing.
+    fn top_k_uncached(
         &self,
         state: &EngineState,
         query: &Query,
@@ -651,248 +640,26 @@ impl Executor {
 
     // -- why-not (cached) ---------------------------------------------------
 
-    /// The per-shard why-not fan-out over a pinned epoch.
-    fn fanout<'s>(&'s self, state: &'s EngineState, deadline: Option<Deadline>) -> ShardFanout<'s> {
-        ShardFanout::new(
-            &state.index,
-            &self.pool,
-            state.params,
-            self.config.yask.keyword_options,
-        )
-        .with_deadline(deadline)
-    }
-
-    /// Cached why-not explanations.
-    pub fn explain(
-        &self,
-        query: &Query,
-        desired: &[ObjectId],
-    ) -> Result<Vec<Explanation>, WhyNotError> {
-        self.explain_on(&self.engine(), query, desired)
-    }
-
-    /// [`Executor::explain`] against a pinned epoch.
-    pub fn explain_on(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        desired: &[ObjectId],
-    ) -> Result<Vec<Explanation>, WhyNotError> {
-        self.explain_on_traced(handle, query, desired, None, None)
-    }
-
-    /// [`Executor::explain_on`] with an optional trace and deadline.
-    pub fn explain_on_traced(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        desired: &[ObjectId],
-        trace: Option<&Trace>,
-        deadline: Option<Deadline>,
-    ) -> Result<Vec<Explanation>, WhyNotError> {
-        self.cached_whynot(handle, query, desired, 0.0, WhyNotKind::Explain, trace, deadline, |state| {
-            self.fanout(state, deadline)
-                .explain(query, desired)
-                .map(CachedAnswer::Explain)
-        })
-        .map(|c| match &*c {
-            CachedAnswer::Explain(v) => v.clone(),
-            _ => unreachable!("kind-tagged cache entry"),
-        })
-    }
-
-    /// Cached preference-adjusted refinement (Definition 2).
-    pub fn refine_preference(
-        &self,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<PreferenceRefinement, WhyNotError> {
-        self.refine_preference_on(&self.engine(), query, missing, lambda)
-    }
-
-    /// [`Executor::refine_preference`] against a pinned epoch.
-    pub fn refine_preference_on(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<PreferenceRefinement, WhyNotError> {
-        self.refine_preference_on_traced(handle, query, missing, lambda, None, None)
-    }
-
-    /// [`Executor::refine_preference_on`] with an optional trace and deadline.
-    pub fn refine_preference_on_traced(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-        trace: Option<&Trace>,
-        deadline: Option<Deadline>,
-    ) -> Result<PreferenceRefinement, WhyNotError> {
-        self.cached_whynot(handle, query, missing, lambda, WhyNotKind::Preference, trace, deadline, |state| {
-            self.fanout(state, deadline)
-                .refine_preference(query, missing, lambda)
-                .map(CachedAnswer::Preference)
-        })
-        .map(|c| match &*c {
-            CachedAnswer::Preference(v) => v.clone(),
-            _ => unreachable!("kind-tagged cache entry"),
-        })
-    }
-
-    /// Cached keyword-adapted refinement (Definition 3).
-    pub fn refine_keywords(
-        &self,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<KeywordRefinement, WhyNotError> {
-        self.refine_keywords_on(&self.engine(), query, missing, lambda)
-    }
-
-    /// [`Executor::refine_keywords`] against a pinned epoch.
-    pub fn refine_keywords_on(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<KeywordRefinement, WhyNotError> {
-        self.refine_keywords_on_traced(handle, query, missing, lambda, None, None)
-    }
-
-    /// [`Executor::refine_keywords_on`] with an optional trace and deadline.
-    pub fn refine_keywords_on_traced(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-        trace: Option<&Trace>,
-        deadline: Option<Deadline>,
-    ) -> Result<KeywordRefinement, WhyNotError> {
-        self.cached_whynot(handle, query, missing, lambda, WhyNotKind::Keyword, trace, deadline, |state| {
-            self.fanout(state, deadline)
-                .refine_keywords(query, missing, lambda)
-                .map(CachedAnswer::Keyword)
-        })
-        .map(|c| match &*c {
-            CachedAnswer::Keyword(v) => v.clone(),
-            _ => unreachable!("kind-tagged cache entry"),
-        })
-    }
-
-    /// Cached combined refinement.
-    pub fn refine_combined(
-        &self,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<CombinedRefinement, WhyNotError> {
-        self.refine_combined_on(&self.engine(), query, missing, lambda)
-    }
-
-    /// [`Executor::refine_combined`] against a pinned epoch.
-    pub fn refine_combined_on(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<CombinedRefinement, WhyNotError> {
-        self.refine_combined_on_traced(handle, query, missing, lambda, None, None)
-    }
-
-    /// [`Executor::refine_combined_on`] with an optional trace and deadline.
-    pub fn refine_combined_on_traced(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-        trace: Option<&Trace>,
-        deadline: Option<Deadline>,
-    ) -> Result<CombinedRefinement, WhyNotError> {
-        self.cached_whynot(handle, query, missing, lambda, WhyNotKind::Combined, trace, deadline, |state| {
-            self.fanout(state, deadline)
-                .refine_combined(query, missing, lambda)
-                .map(CachedAnswer::Combined)
-        })
-        .map(|c| match &*c {
-            CachedAnswer::Combined(v) => v.clone(),
-            _ => unreachable!("kind-tagged cache entry"),
-        })
-    }
-
-    /// Cached full why-not answer with the engine's default λ.
-    pub fn answer(&self, query: &Query, missing: &[ObjectId]) -> Result<WhyNotAnswer, WhyNotError> {
-        self.answer_with_lambda(query, missing, self.config.yask.default_lambda)
-    }
-
-    /// Cached full why-not answer with an explicit λ.
-    pub fn answer_with_lambda(
-        &self,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<WhyNotAnswer, WhyNotError> {
-        self.answer_with_lambda_on(&self.engine(), query, missing, lambda)
-    }
-
-    /// [`Executor::answer_with_lambda`] against a pinned epoch.
-    pub fn answer_with_lambda_on(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<WhyNotAnswer, WhyNotError> {
-        self.answer_with_lambda_on_traced(handle, query, missing, lambda, None, None)
-    }
-
-    /// [`Executor::answer_with_lambda_on`] with an optional trace and deadline.
-    pub fn answer_with_lambda_on_traced(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-        trace: Option<&Trace>,
-        deadline: Option<Deadline>,
-    ) -> Result<WhyNotAnswer, WhyNotError> {
-        self.cached_whynot(handle, query, missing, lambda, WhyNotKind::Full, trace, deadline, |state| {
-            self.fanout(state, deadline)
-                .answer(query, missing, lambda)
-                .map(CachedAnswer::Full)
-        })
-        .map(|c| match &*c {
-            CachedAnswer::Full(v) => v.clone(),
-            _ => unreachable!("kind-tagged cache entry"),
-        })
-    }
-
-    /// Cache-through wrapper: the computation runs against the pinned
-    /// epoch `handle` carries, the cache key carries that epoch, and
-    /// errors are returned but never cached. The per-module latency
-    /// histogram samples every computed (non-cache-hit) run, errors
-    /// included — a failing module still spent the time. A deadline that
-    /// expired before the compute starts (time burned queueing) returns
+    /// The one why-not path: answers module `kind` about `missing`
+    /// against the epoch `handle` pins, through the answer cache. The
+    /// cache key carries that epoch, and errors are returned but never
+    /// cached. The per-module latency histogram samples every computed
+    /// (non-cache-hit) run, errors included — a failing module still
+    /// spent the time. A deadline that expired before the compute
+    /// starts (time burned queueing) returns
     /// [`WhyNotError::DeadlineExceeded`] — but a cache hit is served
-    /// regardless, since it costs nothing.
+    /// regardless, since it costs nothing. The returned variant is the
+    /// one `kind` names.
     #[allow(clippy::too_many_arguments)]
-    fn cached_whynot(
+    pub fn whynot_on(
         &self,
         handle: &EngineHandle,
+        kind: WhyNotKind,
         query: &Query,
         missing: &[ObjectId],
         lambda: f64,
-        kind: WhyNotKind,
         trace: Option<&Trace>,
         deadline: Option<Deadline>,
-        compute: impl FnOnce(&EngineState) -> Result<CachedAnswer, WhyNotError>,
     ) -> Result<Arc<CachedAnswer>, WhyNotError> {
         let state = &handle.0;
         if let Some(wl) = &self.workload {
@@ -917,7 +684,25 @@ impl Executor {
         let computed = {
             let _span = trace.map(|t| t.span(format!("whynot_{}", kind.label())));
             let t0 = Instant::now();
-            let computed = compute(state);
+            let fanout = ShardFanout::new(
+                &state.index,
+                &self.pool,
+                state.params,
+                self.config.yask.keyword_options,
+                deadline,
+            );
+            let computed = match kind {
+                WhyNotKind::Explain => fanout.explain(query, missing).map(CachedAnswer::Explain),
+                WhyNotKind::Preference => fanout
+                    .refine_preference(query, missing, lambda)
+                    .map(CachedAnswer::Preference),
+                WhyNotKind::Keyword => fanout
+                    .refine_keywords(query, missing, lambda)
+                    .map(CachedAnswer::Keyword),
+                WhyNotKind::Combined => fanout
+                    .refine_combined(query, missing, lambda)
+                    .map(CachedAnswer::Combined),
+            };
             self.counters.whynot[kind as usize].record(t0.elapsed());
             if let Some(wl) = &self.workload {
                 wl.record_whynot(kind, t0.elapsed());
@@ -926,10 +711,114 @@ impl Executor {
         };
         let value = Arc::new(computed?);
         if let (Some(cache), Some(key)) = (&self.answer_cache, key) {
-            let clone = Arc::clone(&value);
-            cache.lock().insert(key, clone);
+            cache.lock().insert(key, Arc::clone(&value));
         }
         Ok(value)
+    }
+
+    /// Cached why-not explanations.
+    pub fn explain(
+        &self,
+        query: &Query,
+        desired: &[ObjectId],
+    ) -> Result<Vec<Explanation>, WhyNotError> {
+        self.explain_on(&self.engine(), query, desired)
+    }
+
+    /// [`Executor::explain`] against a pinned epoch. Explanations never
+    /// read λ, so they key by 0.
+    pub fn explain_on(
+        &self,
+        handle: &EngineHandle,
+        query: &Query,
+        desired: &[ObjectId],
+    ) -> Result<Vec<Explanation>, WhyNotError> {
+        module_on!(self, handle, Explain, query, desired, 0.0)
+    }
+
+    /// Cached preference-adjusted refinement (Definition 2).
+    pub fn refine_preference(
+        &self,
+        query: &Query,
+        missing: &[ObjectId],
+        lambda: f64,
+    ) -> Result<PreferenceRefinement, WhyNotError> {
+        self.refine_preference_on(&self.engine(), query, missing, lambda)
+    }
+
+    /// [`Executor::refine_preference`] against a pinned epoch.
+    pub fn refine_preference_on(
+        &self,
+        handle: &EngineHandle,
+        query: &Query,
+        missing: &[ObjectId],
+        lambda: f64,
+    ) -> Result<PreferenceRefinement, WhyNotError> {
+        module_on!(self, handle, Preference, query, missing, lambda)
+    }
+
+    /// Cached keyword-adapted refinement (Definition 3).
+    pub fn refine_keywords(
+        &self,
+        query: &Query,
+        missing: &[ObjectId],
+        lambda: f64,
+    ) -> Result<KeywordRefinement, WhyNotError> {
+        self.refine_keywords_on(&self.engine(), query, missing, lambda)
+    }
+
+    /// [`Executor::refine_keywords`] against a pinned epoch.
+    pub fn refine_keywords_on(
+        &self,
+        handle: &EngineHandle,
+        query: &Query,
+        missing: &[ObjectId],
+        lambda: f64,
+    ) -> Result<KeywordRefinement, WhyNotError> {
+        module_on!(self, handle, Keyword, query, missing, lambda)
+    }
+
+    /// Cached combined refinement.
+    pub fn refine_combined(
+        &self,
+        query: &Query,
+        missing: &[ObjectId],
+        lambda: f64,
+    ) -> Result<CombinedRefinement, WhyNotError> {
+        self.refine_combined_on(&self.engine(), query, missing, lambda)
+    }
+
+    /// [`Executor::refine_combined`] against a pinned epoch.
+    pub fn refine_combined_on(
+        &self,
+        handle: &EngineHandle,
+        query: &Query,
+        missing: &[ObjectId],
+        lambda: f64,
+    ) -> Result<CombinedRefinement, WhyNotError> {
+        module_on!(self, handle, Combined, query, missing, lambda)
+    }
+
+    /// The full why-not answer with the engine's default λ.
+    pub fn answer(&self, query: &Query, missing: &[ObjectId]) -> Result<WhyNotAnswer, WhyNotError> {
+        self.answer_with_lambda(query, missing, self.config.yask.default_lambda)
+    }
+
+    /// The full why-not answer with an explicit λ: explanations and both
+    /// refinements, each a cached module call on one pinned epoch, plus
+    /// the recommendation.
+    pub fn answer_with_lambda(
+        &self,
+        query: &Query,
+        missing: &[ObjectId],
+        lambda: f64,
+    ) -> Result<WhyNotAnswer, WhyNotError> {
+        let handle = self.engine();
+        Ok(WhyNotAnswer::assemble(
+            self.explain_on(&handle, query, missing)?,
+            self.refine_preference_on(&handle, query, missing, lambda)?,
+            self.refine_keywords_on(&handle, query, missing, lambda)?,
+        ))
     }
 
     // -- admission inputs ---------------------------------------------------
@@ -1130,7 +1019,11 @@ mod tests {
         assert_eq!(s.topk_hist.count, 1, "one cold compute");
         assert_eq!(s.topk_hit_hist.count, 1, "one cache hit");
         assert!(s.topk_hist.sum_ns > 0);
-        assert_eq!(s.whynot_hists.of(WhyNotKind::Full).count, 1);
+        // The full answer is three module runs; combined never ran.
+        for kind in [WhyNotKind::Explain, WhyNotKind::Preference, WhyNotKind::Keyword] {
+            assert_eq!(s.whynot_hists.of(kind).count, 1, "{kind:?}");
+        }
+        assert_eq!(s.whynot_hists.of(WhyNotKind::Combined).count, 0);
         // Scatter ran once over 4 shards: each shard histogram sampled once.
         assert!(s.shard_search_hists.iter().all(|h| h.count == 1));
     }
@@ -1143,7 +1036,7 @@ mod tests {
         let handle = exec.engine();
 
         let trace = Trace::new("topk");
-        exec.top_k_on_traced(&handle, &q, Some(&trace));
+        exec.top_k_deadline_on_traced(&handle, &q, Some(&trace), None);
         let f = trace.finish();
         let names: Vec<&str> = f.spans.iter().map(|s| s.name.as_str()).collect();
         assert!(names.contains(&"cache_lookup"), "{names:?}");
@@ -1159,23 +1052,26 @@ mod tests {
 
         // The cache-hit path records the lookup span only.
         let trace2 = Trace::new("topk-hit");
-        exec.top_k_on_traced(&handle, &q, Some(&trace2));
+        exec.top_k_deadline_on_traced(&handle, &q, Some(&trace2), None);
         let f2 = trace2.finish();
         assert_eq!(f2.spans.len(), 1);
         assert_eq!(f2.spans[0].name, "cache_lookup");
 
-        // A traced why-not run records its module span.
+        // A traced why-not run records its module span, one per module.
         let all = topk_scan(&corpus, &exec.engine().score_params(), &q.with_k(corpus.len()));
         let missing = vec![all[q.k + 1].id];
         let trace3 = Trace::new("whynot");
-        exec.answer_with_lambda_on_traced(&handle, &q, &missing, 0.5, Some(&trace3), None)
-            .unwrap();
+        let kinds = [WhyNotKind::Explain, WhyNotKind::Preference, WhyNotKind::Keyword];
+        for kind in kinds {
+            exec.whynot_on(&handle, kind, &q, &missing, 0.5, Some(&trace3), None)
+                .unwrap();
+        }
         let f3 = trace3.finish();
-        assert!(
-            f3.spans.iter().any(|s| s.name == "whynot_full"),
-            "{:?}",
-            f3.spans.iter().map(|s| &s.name).collect::<Vec<_>>()
-        );
+        let names: Vec<&str> = f3.spans.iter().map(|s| s.name.as_str()).collect();
+        for kind in kinds {
+            let span = format!("whynot_{}", kind.label());
+            assert!(names.contains(&span.as_str()), "{span} missing: {names:?}");
+        }
     }
 
     #[test]
@@ -1189,9 +1085,10 @@ mod tests {
         let b = exec.answer(&q, &missing).unwrap();
         assert_eq!(a.preference.penalty, b.preference.penalty);
         assert_eq!(a.keyword.penalty, b.keyword.penalty);
+        // One answer is three module entries: the repeat hits all three.
         let s = exec.stats();
-        assert_eq!(s.answer_cache.hits, 1);
-        assert_eq!(s.answer_cache.misses, 1);
+        assert_eq!(s.answer_cache.hits, 3);
+        assert_eq!(s.answer_cache.misses, 3);
     }
 
     #[test]
@@ -1586,10 +1483,11 @@ mod tests {
         );
         exec.apply_batch(v1, &ids, &[ObjectId(7)]);
         let wl = exec.stats().workload.unwrap();
-        // The full why-not module ran once; its window and the demand
-        // heat both saw it.
-        assert_eq!(wl.whynot_named()[4].1.h60.count, 1);
-        assert_eq!(wl.query_touches.iter().sum::<u64>(), 1);
+        // The full answer ran explain and both refinements once each;
+        // their windows and the demand heat (one touch per module) saw it.
+        let named = wl.whynot_named();
+        assert_eq!(named.map(|(_, w)| w.h60.count), [1, 1, 1, 0]);
+        assert_eq!(wl.query_touches.iter().sum::<u64>(), 3);
         // One batch with 2 ops: write window sampled once, write heat
         // counted both ops across the routed cells.
         assert_eq!(wl.writes.h60.count, 1);

@@ -43,10 +43,11 @@
 //!   rates, epoch and rebalance counters, plus lock-free latency
 //!   histograms from `yask_obs` for top-k, cache hits, per-shard search
 //!   and each why-not module) the server exports via `/stats` and
-//!   `/metrics`. The `*_traced` executor entry points additionally
-//!   thread a `yask_obs::Trace` through cache lookup → scatter →
-//!   per-shard search → gather → why-not phases for per-query span
-//!   trees;
+//!   `/metrics`. The two traced entry points,
+//!   [`Executor::top_k_deadline_on_traced`] and [`Executor::whynot_on`],
+//!   additionally thread a `yask_obs::Trace` through cache lookup →
+//!   scatter → per-shard search → gather → why-not module for per-query
+//!   span trees;
 //! * [`observe`] — the workload observatory: sliding-window rates and
 //!   p50/p99 per route (1 s / 10 s / 1 m), exponentially-decayed
 //!   query/write heat per STR cell with a skew ratio, and a keyword

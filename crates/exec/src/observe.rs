@@ -36,7 +36,7 @@ pub(crate) struct Workload {
     /// Top-k cache-hit latency.
     topk_hit: SlidingWindow,
     /// Per-module why-not compute latency, indexed by `WhyNotKind as usize`.
-    whynot: [SlidingWindow; 5],
+    whynot: [SlidingWindow; 4],
     /// Whole write-batch publish latency.
     writes: SlidingWindow,
     /// Query touches per STR cell (top-k and why-not demand, cache hits
@@ -165,7 +165,7 @@ pub struct WorkloadSnapshot {
     pub topk_hit: RouteWindows,
     /// Per-module why-not latency windows (see
     /// [`WorkloadSnapshot::whynot_named`] for the label order).
-    pub whynot: [RouteWindows; 5],
+    pub whynot: [RouteWindows; 4],
     /// Write-batch publish latency windows.
     pub writes: RouteWindows,
     /// Decayed query touches per STR cell ("demand now").
@@ -192,7 +192,7 @@ pub struct WorkloadSnapshot {
 impl WorkloadSnapshot {
     /// The why-not modules with their exported label values, in
     /// [`WhyNotKind::ALL`] order.
-    pub fn whynot_named(&self) -> [(&'static str, &RouteWindows); 5] {
+    pub fn whynot_named(&self) -> [(&'static str, &RouteWindows); 4] {
         WhyNotKind::ALL.map(|kind| (kind.label(), &self.whynot[kind as usize]))
     }
 }

@@ -75,10 +75,10 @@ impl ShardCounters {
     }
 }
 
-/// Snapshots of the per-module why-not latency histograms (plus the
-/// bundled answer), indexed by `WhyNotKind as usize`.
+/// Snapshots of the per-module why-not latency histograms, indexed by
+/// `WhyNotKind as usize`.
 #[derive(Clone, Debug, Default)]
-pub struct WhyNotHistSnapshots(pub [HistogramSnapshot; 5]);
+pub struct WhyNotHistSnapshots(pub [HistogramSnapshot; 4]);
 
 impl WhyNotHistSnapshots {
     /// One module's latency distribution.
@@ -88,7 +88,7 @@ impl WhyNotHistSnapshots {
 
     /// The modules with their exported label values, in
     /// [`WhyNotKind::ALL`] order.
-    pub fn iter_named(&self) -> [(&'static str, &HistogramSnapshot); 5] {
+    pub fn iter_named(&self) -> [(&'static str, &HistogramSnapshot); 4] {
         WhyNotKind::ALL.map(|kind| (kind.label(), self.of(kind)))
     }
 }
@@ -102,7 +102,7 @@ pub(crate) struct ExecCounters {
     /// Top-k cache *hit* latency — so hit/miss cost compares honestly.
     pub(crate) topk_hit: Histogram,
     /// Per-module why-not latencies, indexed by `WhyNotKind as usize`.
-    pub(crate) whynot: [Histogram; 5],
+    pub(crate) whynot: [Histogram; 4],
     queries: AtomicU64,
     scatter_queries: AtomicU64,
     scan_fallbacks: AtomicU64,
@@ -436,7 +436,7 @@ mod tests {
         assert_eq!(s.of(WhyNotKind::Keyword).count, 2);
         assert_eq!(s.of(WhyNotKind::Preference).count, 0);
         let named: Vec<&str> = s.iter_named().iter().map(|(n, _)| *n).collect();
-        assert_eq!(named, ["explain", "preference", "keyword", "combined", "full"]);
+        assert_eq!(named, ["explain", "preference", "keyword", "combined"]);
         for (i, kind) in WhyNotKind::ALL.into_iter().enumerate() {
             assert_eq!(kind as usize, i, "per-kind arrays index by discriminant");
         }

@@ -14,8 +14,8 @@
 //! * **preference adjustment** — the request's weight-plane table
 //!   ([`SegmentSet`](yask_core::SegmentSet)) is one id-ordered pass over
 //!   the live corpus, and the candidate sweep runs on it unchanged in
-//!   `yask_core`. The same table supplies the initial ranks of both
-//!   refinements (the full answer builds it once for both halves).
+//!   `yask_core`. Each refinement builds its own table, which also
+//!   supplies its initial ranks.
 //! * **keyword adaptation** — `yask_core`'s one evaluator, run by a
 //!   [`TreeRefinementEngine`] over the shard trees on the calling thread:
 //!   the cheap bounds are summed over the shards, and the exact counts
@@ -32,7 +32,7 @@
 use yask_core::{
     explain_given, refine_combined_on, request_table, validate_desired, CombinedRefinement,
     Explanation, KeywordOptions, KeywordRefinement, PreferenceRefinement, RefinementEngine,
-    TreeRefinementEngine, WhyNotAnswer, WhyNotError,
+    TreeRefinementEngine, WhyNotError,
 };
 use yask_index::{Corpus, ObjectId, RTree};
 use yask_query::{ranks_of_scan, topk_scan, Query, RankedObject, ScoreParams};
@@ -64,6 +64,7 @@ impl<'a> ShardFanout<'a> {
         pool: &'a WorkerPool,
         params: ScoreParams,
         opts: KeywordOptions,
+        deadline: Option<Deadline>,
     ) -> Self {
         ShardFanout {
             sharded,
@@ -71,13 +72,8 @@ impl<'a> ShardFanout<'a> {
             pool,
             params,
             opts,
-            deadline: None,
+            deadline,
         }
-    }
-
-    pub(crate) fn with_deadline(mut self, deadline: Option<Deadline>) -> Self {
-        self.deadline = deadline;
-        self
     }
 
     fn corpus(&self) -> &Corpus {
@@ -191,22 +187,5 @@ impl<'a> ShardFanout<'a> {
         lambda: f64,
     ) -> Result<CombinedRefinement, WhyNotError> {
         refine_combined_on(&self.engine(), query, missing, lambda)
-    }
-
-    /// The full why-not answer (explanations + both refinements + the
-    /// recommendation), mirroring `Yask::answer_with_lambda`.
-    pub(crate) fn answer(
-        &self,
-        query: &Query,
-        missing: &[ObjectId],
-        lambda: f64,
-    ) -> Result<WhyNotAnswer, WhyNotError> {
-        let explanations = self.explain(query, missing)?;
-        self.check_deadline()?;
-        let table = request_table(self.corpus(), &self.params, query, missing, lambda)?;
-        let engine = self.engine();
-        let preference = engine.preference(query, missing, lambda, &table)?;
-        let keyword = engine.keywords(query, missing, lambda, &table)?;
-        Ok(WhyNotAnswer::assemble(explanations, preference, keyword))
     }
 }

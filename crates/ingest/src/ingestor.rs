@@ -195,6 +195,26 @@ struct WriterState {
 }
 
 impl WriterState {
+    /// The one constructor: a writer at `epoch` over `corpus` with no log
+    /// and checkpointing disabled; a durable ingestor overrides the log
+    /// fields.
+    fn volatile(corpus: Corpus, epoch: u64) -> Self {
+        WriterState {
+            corpus,
+            epoch,
+            wal: None,
+            ckpt_path: None,
+            ckpt_config: CheckpointConfig::disabled(),
+            ckpt_stats: CheckpointStats::default(),
+            vocab_source: None,
+            recovered_vocab: None,
+            copy: CopyStats::default(),
+            checkpoint_hist: Histogram::new(),
+            apply_hist: Histogram::new(),
+            apply_window: SlidingWindow::standard(),
+        }
+    }
+
     /// Runs one checkpoint: durable snapshot first, then the log
     /// truncation. Requires a log and a checkpoint path (a volatile
     /// ingestor has nothing to attempt, so its error is not counted).
@@ -270,20 +290,7 @@ impl Ingestor {
     /// but do not survive a restart.
     pub fn new(corpus: Corpus) -> Self {
         Ingestor {
-            inner: Mutex::new(WriterState {
-                corpus,
-                epoch: 0,
-                wal: None,
-                ckpt_path: None,
-                ckpt_config: CheckpointConfig::disabled(),
-                ckpt_stats: CheckpointStats::default(),
-                vocab_source: None,
-                recovered_vocab: None,
-                copy: CopyStats::default(),
-                checkpoint_hist: Histogram::new(),
-                apply_hist: Histogram::new(),
-                apply_window: SlidingWindow::standard(),
-            }),
+            inner: Mutex::new(WriterState::volatile(corpus, 0)),
         }
     }
 
@@ -397,8 +404,6 @@ impl Ingestor {
         debug_assert_eq!(epoch, wal.base_epoch() + wal.batches());
         Ok(Ingestor {
             inner: Mutex::new(WriterState {
-                corpus,
-                epoch,
                 wal: Some(wal),
                 ckpt_path: Some(ckpt_path),
                 ckpt_config: config,
@@ -406,12 +411,8 @@ impl Ingestor {
                     pool: load_pool,
                     ..CheckpointStats::default()
                 },
-                vocab_source: None,
                 recovered_vocab,
-                copy: CopyStats::default(),
-                checkpoint_hist: Histogram::new(),
-                apply_hist: Histogram::new(),
-                apply_window: SlidingWindow::standard(),
+                ..WriterState::volatile(corpus, epoch)
             }),
         })
     }

@@ -15,6 +15,8 @@
 //! | POST   | `/whynot/explain`    | explanations for desired objects          |
 //! | POST   | `/whynot/preference` | preference-adjusted refined query         |
 //! | POST   | `/whynot/keywords`   | keyword-adapted refined query             |
+//! | POST   | `/whynot/combined`   | both models chained                       |
+//! | POST   | `/viewport`          | objects in a rectangle (map panel)        |
 //! | POST   | `/session/close`     | the user gave up asking why-not questions |
 //! | POST   | `/objects`           | insert one object (live corpus update)    |
 //! | DELETE | `/objects/{id}`      | delete one object                         |
@@ -32,7 +34,11 @@
 //! mirroring the paper's "server caches users' initial spatial keyword
 //! queries", now stable under concurrent deletes (a session citing a
 //! later-deleted object is no longer invalidated; it answers against its
-//! epoch until it is closed or expires). The write endpoints run the
+//! epoch until it is closed or expires). The four `/whynot/*` routes are
+//! one handler: `whynot_kind` maps the path to the module, the
+//! executor answers it through one cached call
+//! ([`Executor::whynot_on`]), and the answer's variant picks the
+//! rendering. The write endpoints run the
 //! `yask_ingest` protocol — validate → write-ahead log (when configured)
 //! → publish a new engine epoch — funnelled through the
 //! [`WriteCoalescer`], so concurrent small writes share one group-commit
@@ -45,8 +51,8 @@ use parking_lot::Mutex;
 use yask_core::{Explanation, Session, SessionId, SessionStore, WhyNotError, YaskConfig};
 use yask_data::DatasetStats;
 use yask_exec::{
-    AdmissionConfig, AdmissionController, AdmitDecision, Deadline, EngineHandle, ExecConfig,
-    Executor, OverloadLevel, Route, RouteWindows,
+    AdmissionConfig, AdmissionController, AdmitDecision, CachedAnswer, Deadline, EngineHandle,
+    ExecConfig, Executor, OverloadLevel, Route, RouteWindows, WhyNotKind,
 };
 use yask_geo::Point;
 use yask_index::{Corpus, ObjectId};
@@ -88,9 +94,6 @@ pub struct ServiceConfig {
     /// request overrides it with the `x-yask-deadline-ms` header.
     /// `None` = run to completion.
     pub default_deadline: Option<Duration>,
-    /// How many epochs back a *degraded* top-k admission may serve a
-    /// stale cached answer from (flagged `degraded: true`).
-    pub degraded_lookback: u64,
     /// Keep-alive idle timeout under normal load.
     pub idle_timeout: Duration,
     /// Keep-alive idle timeout while overloaded: parked connections
@@ -109,7 +112,6 @@ impl Default for ServiceConfig {
             slow_log: 16,
             admission: AdmissionConfig::default(),
             default_deadline: Some(Duration::from_secs(5)),
-            degraded_lookback: 4,
             idle_timeout: Duration::from_secs(10),
             overloaded_idle_timeout: Duration::from_secs(1),
         }
@@ -142,8 +144,6 @@ pub struct YaskService {
     admission: AdmissionController,
     /// Default deadline budget for read requests (header-overridable).
     default_deadline: Option<Duration>,
-    /// Stale-cache lookback (epochs) for degraded top-k admissions.
-    degraded_lookback: u64,
     /// Keep-alive idle timeouts: normal and overloaded.
     idle_timeout: Duration,
     overloaded_idle_timeout: Duration,
@@ -153,6 +153,10 @@ pub struct YaskService {
 }
 
 type ApiResult = Result<Json, (u16, String)>;
+
+/// How many epochs back a *degraded* top-k admission may serve a stale
+/// cached answer from (flagged `degraded: true`).
+const DEGRADED_LOOKBACK: u64 = 4;
 
 /// A resolved why-not request: its session (pinning the engine epoch
 /// to answer against) and the missing-object ids.
@@ -204,22 +208,13 @@ impl YaskService {
             window: Duration::ZERO,
             ..config.coalesce
         };
-        YaskService {
-            exec: Executor::new(corpus.clone(), config.exec),
-            ingest: Ingestor::new(corpus),
-            coalescer: WriteCoalescer::new(coalesce),
-            sessions: SessionStore::new(config.session_ttl),
-            vocab: Arc::new(Mutex::new(vocab)),
-            vocab_path: None,
-            vocab_persisted: std::sync::atomic::AtomicUsize::new(0),
-            traces: TraceLog::new(config.trace_ring, config.slow_log),
-            admission: AdmissionController::new(config.admission),
-            default_deadline: config.default_deadline,
-            degraded_lookback: config.degraded_lookback,
-            idle_timeout: config.idle_timeout,
-            overloaded_idle_timeout: config.overloaded_idle_timeout,
-            started: Instant::now(),
-        }
+        YaskService::assemble(
+            Executor::new(corpus.clone(), config.exec),
+            Ingestor::new(corpus),
+            Arc::new(Mutex::new(vocab)),
+            None,
+            ServiceConfig { coalesce, ..config },
+        )
     }
 
     /// Builds the service with a durable write path: the write-ahead log
@@ -278,23 +273,38 @@ impl YaskService {
                 .map(|(_, word)| word.to_owned())
                 .collect()
         });
+        Ok(YaskService::assemble(exec, ingest, vocab, Some(vocab_path), config))
+    }
+
+    /// The one constructor behind [`YaskService::with_config`] and
+    /// [`YaskService::with_wal`]: the engine, the write path and the
+    /// vocabulary come built, everything else from `config`. The
+    /// vocabulary as passed in counts as persisted: a durable service
+    /// resumes from it, and a volatile one (no `vocab_path`) never reads
+    /// the count.
+    fn assemble(
+        exec: Executor,
+        ingest: Ingestor,
+        vocab: Arc<Mutex<Vocabulary>>,
+        vocab_path: Option<std::path::PathBuf>,
+        config: ServiceConfig,
+    ) -> Self {
         let vocab_persisted = std::sync::atomic::AtomicUsize::new(vocab.lock().len());
-        Ok(YaskService {
+        YaskService {
             exec,
             ingest,
             coalescer: WriteCoalescer::new(config.coalesce),
             sessions: SessionStore::new(config.session_ttl),
-            vocab_persisted,
             vocab,
-            vocab_path: Some(vocab_path),
+            vocab_path,
+            vocab_persisted,
             traces: TraceLog::new(config.trace_ring, config.slow_log),
             admission: AdmissionController::new(config.admission),
             default_deadline: config.default_deadline,
-            degraded_lookback: config.degraded_lookback,
             idle_timeout: config.idle_timeout,
             overloaded_idle_timeout: config.overloaded_idle_timeout,
             started: Instant::now(),
-        })
+        }
     }
 
     /// The demo deployment: the 539-hotel Hong Kong stand-in dataset on
@@ -408,11 +418,7 @@ impl YaskService {
     fn admission_route(req: &Request) -> Option<Route> {
         match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/query") => Some(Route::TopK),
-            (
-                "POST",
-                "/whynot/explain" | "/whynot/preference" | "/whynot/keywords"
-                | "/whynot/combined",
-            ) => Some(Route::WhyNot),
+            ("POST", path) if whynot_kind(path).is_some() => Some(Route::WhyNot),
             ("POST", "/objects" | "/ingest") => Some(Route::Write),
             ("DELETE", p) if p.starts_with("/objects/") => Some(Route::Write),
             _ => None,
@@ -475,42 +481,34 @@ impl YaskService {
         // The read paths carry a per-query trace when ambient tracing is
         // on (`trace_ring`/`slow_log` > 0) or the request opted in with
         // `?trace=1`; other routes never pay for one.
-        let traced_route = matches!(
-            (req.method.as_str(), req.path.as_str()),
-            (
-                "POST",
-                "/query" | "/whynot/explain" | "/whynot/preference" | "/whynot/keywords"
-                    | "/whynot/combined"
-            )
-        );
+        let whynot = whynot_kind(&req.path).filter(|_| req.method == "POST");
+        let traced_route = whynot.is_some() || (req.method == "POST" && req.path == "/query");
         let inline = req.query_flag("trace");
         let trace = (traced_route && (self.tracing_enabled() || inline))
             .then(|| Trace::new(req.path.clone()));
         let t = trace.as_ref();
-        let result = match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/") => return Response::html(LANDING_PAGE),
-            ("GET", "/metrics") => return self.metrics(),
-            ("GET", "/health") => self.health(),
-            ("GET", "/stats") => self.stats(),
-            ("GET", "/debug/slow") => self.debug_slow(),
-            ("GET", "/debug/health") => self.debug_health(),
-            ("GET", "/debug/heatmap") => self.debug_heatmap(),
-            ("POST", "/query") => self.with_body(req, |s, b| s.query(b, t, deadline, degraded)),
-            ("POST", "/whynot/explain") => self.with_body(req, |s, b| s.explain(b, t, deadline)),
-            ("POST", "/whynot/preference") => {
-                self.with_body(req, |s, b| s.preference(b, t, deadline))
+        let result = if let Some(kind) = whynot {
+            self.with_body(req, |s, b| s.whynot(kind, b, t, deadline))
+        } else {
+            match (req.method.as_str(), req.path.as_str()) {
+                ("GET", "/") => return Response::html(LANDING_PAGE),
+                ("GET", "/metrics") => return self.metrics(),
+                ("GET", "/health") => self.health(),
+                ("GET", "/stats") => self.stats(),
+                ("GET", "/debug/slow") => self.debug_slow(),
+                ("GET", "/debug/health") => self.debug_health(),
+                ("GET", "/debug/heatmap") => self.debug_heatmap(),
+                ("POST", "/query") => self.with_body(req, |s, b| s.query(b, t, deadline, degraded)),
+                ("POST", "/viewport") => self.with_body(req, |s, b| s.viewport(b)),
+                ("POST", "/session/close") => self.with_body(req, |s, b| s.close(b)),
+                ("POST", "/objects") => self.with_body(req, |s, b| s.insert_object(b)),
+                ("POST", "/ingest") => self.with_body(req, |s, b| s.bulk_ingest(b)),
+                ("DELETE", path) if path.starts_with("/objects/") => {
+                    self.delete_object(&path["/objects/".len()..])
+                }
+                ("GET", _) | ("POST", _) => Err((404, format!("no route {} {}", req.method, req.path))),
+                _ => Err((405, format!("method {} not allowed", req.method))),
             }
-            ("POST", "/whynot/keywords") => self.with_body(req, |s, b| s.keywords(b, t, deadline)),
-            ("POST", "/whynot/combined") => self.with_body(req, |s, b| s.combined(b, t, deadline)),
-            ("POST", "/viewport") => self.with_body(req, |s, b| s.viewport(b)),
-            ("POST", "/session/close") => self.with_body(req, |s, b| s.close(b)),
-            ("POST", "/objects") => self.with_body(req, |s, b| s.insert_object(b)),
-            ("POST", "/ingest") => self.with_body(req, |s, b| s.bulk_ingest(b)),
-            ("DELETE", path) if path.starts_with("/objects/") => {
-                self.delete_object(&path["/objects/".len()..])
-            }
-            ("GET", _) | ("POST", _) => Err((404, format!("no route {} {}", req.method, req.path))),
-            _ => Err((405, format!("method {} not allowed", req.method))),
         };
         // Record after the handler so the trace covers the whole request
         // (body parse included in total, spans cover the engine work).
@@ -825,7 +823,7 @@ impl YaskService {
         // age in epochs, so the client knows what it got.
         if degraded {
             if let Some((results, age)) =
-                self.exec.cached_topk_stale(&handle, &query, self.degraded_lookback)
+                self.exec.cached_topk_stale(&handle, &query, DEGRADED_LOOKBACK)
             {
                 if age > 0 {
                     self.admission.count_degraded_answer();
@@ -862,88 +860,100 @@ impl YaskService {
         ]))
     }
 
-    fn explain(&self, body: &Json, trace: Option<&Trace>, deadline: Option<Deadline>) -> ApiResult {
-        let (session, missing) = self.session_and_missing(body)?;
-        let handle = &session.pin;
-        let explanations = self
-            .exec
-            .explain_on_traced(handle, &session.query, &missing, trace, deadline)
-            .map_err(|e| self.whynot_status(e))?;
-        Ok(Json::obj([(
-            "explanations",
-            Json::Arr(explanations.iter().map(render_explanation).collect()),
-        )]))
-    }
-
-    fn preference(
+    /// `POST /whynot/{explain,preference,keywords,combined}`: one module
+    /// of the why-not engine, answered over the session's pinned epoch.
+    /// Explanations never read λ, so explain neither parses one nor keys
+    /// the cache by it (it passes 0); the three refinements also preview
+    /// their refined query's top-k.
+    fn whynot(
         &self,
+        kind: WhyNotKind,
         body: &Json,
         trace: Option<&Trace>,
         deadline: Option<Deadline>,
     ) -> ApiResult {
         let (session, missing) = self.session_and_missing(body)?;
         let handle = &session.pin;
-        let lambda = optional_lambda(body, self.exec.config().yask.default_lambda)?;
-        let r = self
+        let lambda = match kind {
+            WhyNotKind::Explain => 0.0,
+            _ => optional_lambda(body, self.exec.config().yask.default_lambda)?,
+        };
+        let answer = self
             .exec
-            .refine_preference_on_traced(handle, &session.query, &missing, lambda, trace, deadline)
+            .whynot_on(handle, kind, &session.query, &missing, lambda, trace, deadline)
             .map_err(|e| self.whynot_status(e))?;
-        let results = self.refined_topk(handle, &r.query, trace, deadline);
-        Ok(Json::obj([
-            (
-                "refined",
-                Json::obj([
-                    ("k", Json::Num(r.query.k as f64)),
-                    ("ws", Json::Num(r.query.weights.ws())),
-                    ("wt", Json::Num(r.query.weights.wt())),
-                ]),
+        let (refined, mut fields) = match &*answer {
+            CachedAnswer::Explain(explanations) => {
+                return Ok(Json::obj([(
+                    "explanations",
+                    Json::Arr(explanations.iter().map(render_explanation).collect()),
+                )]))
+            }
+            CachedAnswer::Preference(r) => (
+                &r.query,
+                vec![
+                    (
+                        "refined",
+                        Json::obj([
+                            ("k", Json::Num(r.query.k as f64)),
+                            ("ws", Json::Num(r.query.weights.ws())),
+                            ("wt", Json::Num(r.query.weights.wt())),
+                        ]),
+                    ),
+                    ("penalty", Json::Num(r.penalty)),
+                    ("rank", Json::Num(r.rank as f64)),
+                    ("initial_rank", Json::Num(r.initial_rank as f64)),
+                    ("delta_k", Json::Num(r.delta_k as f64)),
+                    ("delta_w", Json::Num(r.delta_w)),
+                ],
             ),
-            ("penalty", Json::Num(r.penalty)),
-            ("rank", Json::Num(r.rank as f64)),
-            ("initial_rank", Json::Num(r.initial_rank as f64)),
-            ("delta_k", Json::Num(r.delta_k as f64)),
-            ("delta_w", Json::Num(r.delta_w)),
-            ("results", render_results(handle.corpus(), &results)),
-        ]))
+            CachedAnswer::Keyword(r) => (
+                &r.query,
+                vec![
+                    (
+                        "refined",
+                        Json::obj([
+                            ("k", Json::Num(r.query.k as f64)),
+                            ("keywords", self.words(&r.query.doc)),
+                        ]),
+                    ),
+                    ("penalty", Json::Num(r.penalty)),
+                    ("rank", Json::Num(r.rank as f64)),
+                    ("initial_rank", Json::Num(r.initial_rank as f64)),
+                    ("delta_k", Json::Num(r.delta_k as f64)),
+                    ("delta_doc", Json::Num(r.delta_doc as f64)),
+                ],
+            ),
+            CachedAnswer::Combined(r) => (
+                &r.query,
+                vec![
+                    (
+                        "refined",
+                        Json::obj([
+                            ("k", Json::Num(r.query.k as f64)),
+                            ("ws", Json::Num(r.query.weights.ws())),
+                            ("wt", Json::Num(r.query.weights.wt())),
+                            ("keywords", self.words(&r.query.doc)),
+                        ]),
+                    ),
+                    ("penalty", Json::Num(r.penalty)),
+                    ("rank", Json::Num(r.rank as f64)),
+                    ("delta_k", Json::Num(r.delta_k as f64)),
+                    ("delta_w", Json::Num(r.delta_w)),
+                    ("delta_doc", Json::Num(r.delta_doc as f64)),
+                    ("order", Json::str(format!("{:?}", r.order))),
+                ],
+            ),
+        };
+        let results = self.refined_topk(handle, refined, trace, deadline);
+        fields.push(("results", render_results(handle.corpus(), &results)));
+        Ok(Json::obj(fields))
     }
 
-    fn keywords(
-        &self,
-        body: &Json,
-        trace: Option<&Trace>,
-        deadline: Option<Deadline>,
-    ) -> ApiResult {
-        let (session, missing) = self.session_and_missing(body)?;
-        let handle = &session.pin;
-        let lambda = optional_lambda(body, self.exec.config().yask.default_lambda)?;
-        let r = self
-            .exec
-            .refine_keywords_on_traced(handle, &session.query, &missing, lambda, trace, deadline)
-            .map_err(|e| self.whynot_status(e))?;
-        let results = self.refined_topk(handle, &r.query, trace, deadline);
+    /// Resolves a refined keyword set back to its words.
+    fn words(&self, doc: &KeywordSet) -> Json {
         let vocab = self.vocab.lock();
-        let refined_words: Vec<Json> = r
-            .query
-            .doc
-            .iter()
-            .map(|id| Json::str(vocab.resolve(id)))
-            .collect();
-        drop(vocab);
-        Ok(Json::obj([
-            (
-                "refined",
-                Json::obj([
-                    ("k", Json::Num(r.query.k as f64)),
-                    ("keywords", Json::Arr(refined_words)),
-                ]),
-            ),
-            ("penalty", Json::Num(r.penalty)),
-            ("rank", Json::Num(r.rank as f64)),
-            ("initial_rank", Json::Num(r.initial_rank as f64)),
-            ("delta_k", Json::Num(r.delta_k as f64)),
-            ("delta_doc", Json::Num(r.delta_doc as f64)),
-            ("results", render_results(handle.corpus(), &results)),
-        ]))
+        Json::Arr(doc.iter().map(|id| Json::str(vocab.resolve(id))).collect())
     }
 
     /// The map panel's object listing: all objects in a rectangle,
@@ -986,48 +996,6 @@ impl YaskService {
                     .collect(),
             ),
         )]))
-    }
-
-    fn combined(
-        &self,
-        body: &Json,
-        trace: Option<&Trace>,
-        deadline: Option<Deadline>,
-    ) -> ApiResult {
-        let (session, missing) = self.session_and_missing(body)?;
-        let handle = &session.pin;
-        let lambda = optional_lambda(body, self.exec.config().yask.default_lambda)?;
-        let r = self
-            .exec
-            .refine_combined_on_traced(handle, &session.query, &missing, lambda, trace, deadline)
-            .map_err(|e| self.whynot_status(e))?;
-        let results = self.refined_topk(handle, &r.query, trace, deadline);
-        let vocab = self.vocab.lock();
-        let refined_words: Vec<Json> = r
-            .query
-            .doc
-            .iter()
-            .map(|id| Json::str(vocab.resolve(id)))
-            .collect();
-        drop(vocab);
-        Ok(Json::obj([
-            (
-                "refined",
-                Json::obj([
-                    ("k", Json::Num(r.query.k as f64)),
-                    ("ws", Json::Num(r.query.weights.ws())),
-                    ("wt", Json::Num(r.query.weights.wt())),
-                    ("keywords", Json::Arr(refined_words)),
-                ]),
-            ),
-            ("penalty", Json::Num(r.penalty)),
-            ("rank", Json::Num(r.rank as f64)),
-            ("delta_k", Json::Num(r.delta_k as f64)),
-            ("delta_w", Json::Num(r.delta_w)),
-            ("delta_doc", Json::Num(r.delta_doc as f64)),
-            ("order", Json::str(format!("{:?}", r.order))),
-            ("results", render_results(handle.corpus(), &results)),
-        ]))
     }
 
     /// The refined query's result preview for a why-not answer, run
@@ -1215,6 +1183,17 @@ impl YaskService {
             missing.push(id);
         }
         Ok((session, missing))
+    }
+}
+
+/// The `/whynot/*` routes: the module each path asks for.
+fn whynot_kind(path: &str) -> Option<WhyNotKind> {
+    match path {
+        "/whynot/explain" => Some(WhyNotKind::Explain),
+        "/whynot/preference" => Some(WhyNotKind::Preference),
+        "/whynot/keywords" => Some(WhyNotKind::Keyword),
+        "/whynot/combined" => Some(WhyNotKind::Combined),
+        _ => None,
     }
 }
 
@@ -1577,6 +1556,36 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(body.get("closed").unwrap().as_bool(), Some(true));
         assert_eq!(s.session_count(), 0);
+    }
+
+    #[test]
+    fn explain_never_reads_lambda() {
+        // λ weighs the refinements' penalties only: explain neither parses
+        // nor validates it, while a refinement still rejects λ ∉ [0, 1].
+        let s = service();
+        let (session, top_names) = tst_query(&s, 3);
+        let missing = s
+            .corpus()
+            .iter()
+            .map(|o| o.name.clone())
+            .find(|n| !top_names.contains(n))
+            .unwrap();
+        let ask = |path: &str, lambda: Option<f64>| {
+            let mut fields = vec![
+                ("session", Json::Num(session as f64)),
+                ("missing", Json::Arr(vec![Json::str(missing.clone())])),
+            ];
+            fields.extend(lambda.map(|l| ("lambda", Json::Num(l))));
+            post(&s, path, Json::obj(fields))
+        };
+        let (status, plain) = ask("/whynot/explain", None);
+        assert_eq!(status, 200, "{plain}");
+        let (status, with_lambda) = ask("/whynot/explain", Some(7.0));
+        assert_eq!(status, 200, "{with_lambda}");
+        assert!(plain.get("explanations").is_some());
+        assert_eq!(with_lambda.get("explanations"), plain.get("explanations"));
+        let (status, body) = ask("/whynot/preference", Some(7.0));
+        assert_eq!(status, 400, "{body}");
     }
 
     #[test]

@@ -975,7 +975,7 @@ mod tests {
         // Every route appears at every horizon.
         for route in [
             "topk", "topk_hit", "whynot_explain", "whynot_preference", "whynot_keyword",
-            "whynot_combined", "whynot_full", "writes",
+            "whynot_combined", "writes",
         ] {
             for window in ["1s", "10s", "1m"] {
                 let needle = format!(r#"yask_route_rate{{route="{route}",window="{window}"}}"#);
