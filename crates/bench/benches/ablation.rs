@@ -1,18 +1,14 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//!
-//! * **R-tree fanout** — the bound-tightness / traversal-cost trade-off
-//!   (smaller nodes ⇒ tighter keyword summaries ⇒ fewer expansions, but
-//!   more nodes to touch);
-//! * **keyword-adaptation bound depth** — how deep the cheap bound pass
-//!   descends before declaring a candidate uncertain.
+//! Ablation bench for the design choice DESIGN.md calls out: the R-tree
+//! fanout — the bound-tightness / traversal-cost trade-off (smaller nodes
+//! ⇒ tighter keyword summaries ⇒ fewer expansions, but more nodes to
+//! touch).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
 use yask_bench::std_corpus;
-use yask_core::keyword::{refine_keywords_with, KeywordOptions};
-use yask_data::{gen_queries, gen_selective_queries, pick_missing};
+use yask_data::gen_selective_queries;
 use yask_index::{RTree, RTreeParams};
 use yask_query::{topk_tree, ScoreParams};
 
@@ -36,30 +32,5 @@ fn bench_fanout(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_bound_depth(c: &mut Criterion) {
-    let corpus = std_corpus(8_000);
-    let params = ScoreParams::new(corpus.space());
-    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
-    let q = &gen_queries(&corpus, 1, 3, 5, 23)[0];
-    let missing = pick_missing(&corpus, &params, q, 1, 4);
-
-    let mut g = c.benchmark_group("ablation_bound_depth");
-    g.sample_size(10).measurement_time(Duration::from_secs(3));
-    for depth in [1usize, 2, 4, 8] {
-        let opts = KeywordOptions {
-            bound_depth: depth,
-            ..KeywordOptions::default()
-        };
-        g.bench_with_input(BenchmarkId::new("refine", depth), &depth, |b, _| {
-            b.iter(|| {
-                black_box(
-                    refine_keywords_with(&tree, &params, q, &missing, 0.5, opts).unwrap(),
-                )
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_fanout, bench_bound_depth);
+criterion_group!(benches, bench_fanout);
 criterion_main!(benches);

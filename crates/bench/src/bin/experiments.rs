@@ -153,7 +153,6 @@ fn e16_similarity_models(cfg: &Config) {
 fn e14_combined(cfg: &Config) {
     let corpus = std_corpus(cfg.n_naive * 2);
     let params = ScoreParams::new(corpus.space());
-    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let queries = gen_queries(&corpus, 20, 2, 5, 37);
     let mut rows = Vec::new();
     for lambda in [0.3, 0.5, 0.7] {
@@ -165,9 +164,8 @@ fn e14_combined(cfg: &Config) {
             let Ok(pref) = refine_preference(&corpus, &params, q, &missing, lambda) else {
                 continue;
             };
-            let kw = refine_keywords(&tree, &params, q, &missing, lambda).unwrap();
-            let comb =
-                yask_core::refine_combined(&tree, &params, q, &missing, lambda).unwrap();
+            let kw = refine_keywords(&corpus, &params, q, &missing, lambda).unwrap();
+            let comb = yask_core::refine_combined(&corpus, &params, q, &missing, lambda).unwrap();
             total += 1;
             pref_sum += pref.penalty;
             kw_sum += kw.penalty;
@@ -202,7 +200,7 @@ fn e14_combined(cfg: &Config) {
     );
 }
 
-/// E15: design-choice ablations — fanout and keyword bound depth.
+/// E15: design-choice ablation — the R-tree fanout.
 fn e15_ablation(cfg: &Config) {
     let corpus = std_corpus(cfg.n);
     let params = ScoreParams::new(corpus.space());
@@ -229,55 +227,6 @@ fn e15_ablation(cfg: &Config) {
     print_table(
         &format!("E15a — fanout ablation (KcR-tree, N = {}, k = 10)", cfg.n),
         &["fanout", "query", "nodes expanded", "total nodes"],
-        &rows,
-    );
-
-    let small = std_corpus(cfg.n_naive * 4);
-    let small_params = ScoreParams::new(small.space());
-    let tree = RTree::bulk_load(small.clone(), RTreeParams::default());
-    let q = &gen_queries(&small, 1, 3, 5, 43)[0];
-    let missing = pick_missing(&small, &small_params, q, 1, 4);
-    let mut rows = Vec::new();
-    for depth in [1usize, 2, 4, 8] {
-        let opts = yask_core::keyword::KeywordOptions {
-            bound_depth: depth,
-            ..Default::default()
-        };
-        let mut t = time_us(cfg.reps, || {
-            std::hint::black_box(
-                yask_core::keyword::refine_keywords_with(
-                    &tree,
-                    &small_params,
-                    q,
-                    &missing,
-                    0.5,
-                    opts,
-                )
-                .unwrap(),
-            );
-        });
-        let r = yask_core::keyword::refine_keywords_with(
-            &tree,
-            &small_params,
-            q,
-            &missing,
-            0.5,
-            opts,
-        )
-        .unwrap();
-        rows.push(vec![
-            depth.to_string(),
-            fmt_us(t.median()),
-            r.stats.bound_pruned.to_string(),
-            r.stats.objects_scored.to_string(),
-        ]);
-    }
-    print_table(
-        &format!(
-            "E15b — keyword-adaptation bound-depth ablation (N = {})",
-            cfg.n_naive * 4
-        ),
-        &["bound depth", "time", "cands pruned", "objects scored"],
         &rows,
     );
 }
@@ -563,24 +512,24 @@ fn e7_pref_lambda() {
     );
 }
 
-/// E8: keyword-adaptation performance and pruning.
+/// E8: keyword-adaptation performance and pruning — the request table
+/// against the naive scan.
 fn e8_keyword_performance(cfg: &Config) {
     let corpus = std_corpus(cfg.n_naive * 4);
     let params = ScoreParams::new(corpus.space());
-    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let mut rows = Vec::new();
     for doc_len in [2usize, 3, 4] {
         let q = &gen_queries(&corpus, 1, doc_len, 5, 23)[0];
         let missing = pick_missing(&corpus, &params, q, 1, 4);
         let mut fast = time_us(cfg.reps, || {
-            std::hint::black_box(refine_keywords(&tree, &params, q, &missing, 0.5).unwrap());
+            std::hint::black_box(refine_keywords(&corpus, &params, q, &missing, 0.5).unwrap());
         });
         let mut naive = time_us(cfg.reps, || {
             std::hint::black_box(
                 refine_keywords_naive(&corpus, &params, q, &missing, 0.5).unwrap(),
             );
         });
-        let r = refine_keywords(&tree, &params, q, &missing, 0.5).unwrap();
+        let r = refine_keywords(&corpus, &params, q, &missing, 0.5).unwrap();
         let n = refine_keywords_naive(&corpus, &params, q, &missing, 0.5).unwrap();
         rows.push(vec![
             doc_len.to_string(),
@@ -598,11 +547,11 @@ fn e8_keyword_performance(cfg: &Config) {
     }
     print_table(
         &format!(
-            "E8 — keyword adaptation vs |q.doc| (N = {}, bound-and-prune vs naive)",
+            "E8 — keyword adaptation vs |q.doc| (N = {}, request table vs naive scan)",
             cfg.n_naive * 4
         ),
         &[
-            "|q.doc|", "KcR prune", "naive", "speedup", "cands", "pruned", "exact", "scored",
+            "|q.doc|", "table", "naive", "speedup", "cands", "pruned", "exact", "scored",
             "naive cands", "naive exact", "naive scored",
         ],
         &rows,
@@ -613,7 +562,6 @@ fn e8_keyword_performance(cfg: &Config) {
 fn e9_keyword_lambda() {
     let (corpus, vocab) = hk_hotels();
     let params = ScoreParams::new(corpus.space());
-    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
     let doc = KeywordSet::from_ids(
         ["clean", "comfortable"].iter().map(|w| vocab.lookup(w).unwrap()),
     );
@@ -621,7 +569,7 @@ fn e9_keyword_lambda() {
     let missing = pick_missing(&corpus, &params, &q, 1, 5);
     let mut rows = Vec::new();
     for lambda in [0.1, 0.3, 0.5, 0.7, 0.9] {
-        let r = refine_keywords(&tree, &params, &q, &missing, lambda).unwrap();
+        let r = refine_keywords(&corpus, &params, &q, &missing, lambda).unwrap();
         let words: Vec<&str> = r.query.doc.iter().map(|id| vocab.resolve(id)).collect();
         rows.push(vec![
             format!("{lambda:.1}"),

@@ -2,6 +2,7 @@
 
 use yask_index::{Corpus, ObjectId};
 use yask_query::{Query, ScoreParams};
+use yask_text::KeywordSet;
 
 use crate::error::WhyNotError;
 use crate::penalty::PenaltyContext;
@@ -31,8 +32,8 @@ fn validate(corpus: &Corpus, missing: &[ObjectId], lambda: f64) -> Result<(), Wh
 }
 
 /// Validates a why-not request, then pays its one scoring pass: the
-/// weight-plane table of the initial query, which answers every rank the
-/// modules ask for under `query`'s location and keywords.
+/// request table under `query`'s location and the keyword universe
+/// `U = q.doc ∪ M.doc`, which answers every rank the modules ask for.
 pub fn request_table(
     corpus: &Corpus,
     params: &ScoreParams,
@@ -41,12 +42,21 @@ pub fn request_table(
     lambda: f64,
 ) -> Result<SegmentSet, WhyNotError> {
     validate(corpus, missing, lambda)?;
-    Ok(SegmentSet::build_live(corpus, params, query))
+    let universe = universe(corpus, query, missing);
+    Ok(SegmentSet::build(corpus, params, query.loc, universe))
+}
+
+/// The keyword universe `U = q.doc ∪ M.doc` every candidate keyword set
+/// is drawn from.
+pub(crate) fn universe(corpus: &Corpus, query: &Query, missing: &[ObjectId]) -> KeywordSet {
+    missing
+        .iter()
+        .fold(query.doc.clone(), |acc, &m| acc.union(&corpus.get(m).doc))
 }
 
 /// Validates a why-not request and builds the [`PenaltyContext`], reading
-/// the initial ranks off `table` (built under `query`'s location and
-/// keywords, e.g. by [`request_table`]).
+/// the initial ranks off `table` (built under `query`'s location and a
+/// universe holding its keywords, e.g. by [`request_table`]).
 ///
 /// Runs the checks of [`request_table`], then rejects any missing object
 /// that actually ranks within `q.k` (otherwise it is not missing and the
@@ -62,8 +72,7 @@ pub(crate) fn build_context(
     lambda: f64,
 ) -> Result<(PenaltyContext, Vec<usize>), WhyNotError> {
     validate(corpus, missing, lambda)?;
-    assert!(table.serves(query), "rank table built for another query");
-    let ranks = table.ranks(query.weights, missing);
+    let ranks = table.ranks(query, missing);
     for (&m, &r) in missing.iter().zip(&ranks) {
         if r <= query.k {
             return Err(WhyNotError::NotMissing(m, r));
@@ -78,7 +87,6 @@ mod tests {
     use super::*;
     use yask_geo::{Point, Space};
     use yask_index::CorpusBuilder;
-    use yask_text::KeywordSet;
 
     fn ks(ids: &[u32]) -> KeywordSet {
         KeywordSet::from_raw(ids.iter().copied())

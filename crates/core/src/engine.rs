@@ -1,20 +1,21 @@
 //! The [`Yask`] facade: top-k querying plus the full why-not engine.
 //!
 //! Mirrors the server-side query processor of Fig 1: one spatial keyword
-//! top-k query engine and one why-not engine with its three modules
-//! (explanation generator, preference adjustment, keyword adaptation),
-//! sharing a single KcR-tree index over the corpus.
+//! top-k query engine over a KcR-tree, and one why-not engine with its
+//! three modules (explanation generator, preference adjustment, keyword
+//! adaptation), which read the corpus — a refinement's ranks come from
+//! the request table, never from the tree.
 
 use yask_index::{Corpus, ObjectId, RTree, RTreeParams};
 use yask_query::{topk_tree, Query, RankedObject, ScoreParams};
 use yask_text::SimilarityModel;
 
-use crate::combined::{RefinementEngine, TreeRefinementEngine};
+use crate::combined::{refine_combined, CombinedRefinement};
 use crate::common::request_table;
 use crate::error::WhyNotError;
 use crate::explain::{explain, Explanation};
-use crate::keyword::{refine_keywords_with, KeywordOptions, KeywordRefinement};
-use crate::pref::{refine_preference, PreferenceRefinement};
+use crate::keyword::{refine_keywords, refine_keywords_on, KeywordRefinement};
+use crate::pref::{refine_preference, refine_preference_with_segments, PreferenceRefinement};
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -25,8 +26,6 @@ pub struct YaskConfig {
     pub model: SimilarityModel,
     /// Default λ when the caller does not specify one.
     pub default_lambda: f64,
-    /// Keyword-adaptation tuning.
-    pub keyword_options: KeywordOptions,
 }
 
 impl Default for YaskConfig {
@@ -35,7 +34,6 @@ impl Default for YaskConfig {
             tree_params: RTreeParams::default(),
             model: SimilarityModel::Jaccard,
             default_lambda: 0.5,
-            keyword_options: KeywordOptions::default(),
         }
     }
 }
@@ -186,14 +184,7 @@ impl Yask {
         missing: &[ObjectId],
         lambda: f64,
     ) -> Result<KeywordRefinement, WhyNotError> {
-        refine_keywords_with(
-            &self.tree,
-            &self.params,
-            query,
-            missing,
-            lambda,
-            self.config.keyword_options,
-        )
+        refine_keywords(self.corpus(), &self.params, query, missing, lambda)
     }
 
     /// Combined refinement: both models chained, as the demo's "apply the
@@ -203,15 +194,8 @@ impl Yask {
         query: &Query,
         missing: &[ObjectId],
         lambda: f64,
-    ) -> Result<crate::combined::CombinedRefinement, WhyNotError> {
-        crate::combined::refine_combined_with(
-            &self.tree,
-            &self.params,
-            query,
-            missing,
-            lambda,
-            self.config.keyword_options,
-        )
+    ) -> Result<CombinedRefinement, WhyNotError> {
+        refine_combined(self.corpus(), &self.params, query, missing, lambda)
     }
 
     /// Full why-not answer: explanations + both refinements + the
@@ -228,19 +212,11 @@ impl Yask {
         lambda: f64,
     ) -> Result<WhyNotAnswer, WhyNotError> {
         let explanations = self.explain(query, missing)?;
-        // One weight-plane table serves both refinements' initial ranks
-        // and preference's sweep.
+        // One request table serves both refinements.
         let table = request_table(self.corpus(), &self.params, query, missing, lambda)?;
-        let trees = [&self.tree];
-        let engine = TreeRefinementEngine::new(
-            self.corpus(),
-            &trees,
-            self.params,
-            self.config.keyword_options,
-            || false,
-        );
-        let preference = engine.preference(query, missing, lambda, &table)?;
-        let keyword = engine.keywords(query, missing, lambda, &table)?;
+        let preference =
+            refine_preference_with_segments(self.corpus(), query, missing, lambda, &table)?;
+        let keyword = refine_keywords_on(self.corpus(), &|| false, query, missing, lambda, &table)?;
         Ok(WhyNotAnswer::assemble(explanations, preference, keyword))
     }
 }

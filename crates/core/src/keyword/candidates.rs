@@ -11,7 +11,7 @@
 //! `(1 − λ)·Δdoc/|U|` is monotone in `Δdoc` and the rank term is
 //! non-negative, the caller can stop pulling batches as soon as that term
 //! alone reaches the best complete penalty found — the termination rule of
-//! the bound-and-prune algorithm.
+//! the candidate search.
 
 use yask_text::KeywordSet;
 

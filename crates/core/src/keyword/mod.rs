@@ -2,65 +2,56 @@
 //!
 //! Given the initial query `q` and missing set `M`, find the refined
 //! query `q′ = (loc, doc′, k′, ~w)` minimizing the Eqn (4) penalty whose
-//! result contains all of `M`. The optimized bound-and-prune algorithm of
-//! reference \[6\]:
+//! result contains all of `M`, after reference \[6\]'s candidate search:
 //!
-//! 1. enumerate candidate keyword sets from `q.doc ∪ M.doc` in
+//! 1. enumerate candidate keyword sets from `U = q.doc ∪ M.doc` in
 //!    non-decreasing edit distance (`Δdoc`) order ([`candidates`](self));
-//! 2. for each candidate, bound the missing objects' ranks by a shallow
-//!    KcR-tree descent ([`bounds`](self)); prune the candidate when the penalty
-//!    lower bound already meets the best complete penalty;
-//! 3. resolve surviving candidates to exact ranks (full bound-guided
-//!    descent, abandoned once the count proves the candidate hopeless)
-//!    and update the best;
+//! 2. count each missing object's outranking objects under the candidate
+//!    — read off the request table ([`SegmentSet`]), whose signatures fix
+//!    every object's similarity to any keyword set inside `U`, so no
+//!    object is re-scored and no tree is read;
+//! 3. prune the candidate as soon as one count makes its penalty at least
+//!    the best complete penalty; otherwise update the best;
 //! 4. stop pulling candidates once the `Δdoc` term alone reaches the best
 //!    penalty (or a perfect penalty of 0 is found).
 //!
-//! [`refine_keywords_naive`] evaluates every enumerated candidate by a
-//! full database scan — the baseline of experiment E8 and the
+//! [`refine_keywords_naive`] counts every candidate's ranks by a full
+//! database scan — the baseline of experiment E8 and the
 //! differential-testing oracle.
 
-pub mod bounds;
 pub(crate) mod candidates;
 
-use yask_index::{Corpus, ObjectId, RTree};
+use yask_index::{Corpus, ObjectId};
 use yask_query::{Query, ScoreParams};
 use yask_text::KeywordSet;
 
-use crate::common::{build_context, request_table};
+use crate::common::{build_context, request_table, universe};
 use crate::error::WhyNotError;
-use crate::penalty::{keyword_penalty, PenaltyContext};
+use crate::penalty::keyword_penalty;
 use crate::pref::segment::SegmentSet;
-use bounds::{BoundStats, RankEvaluator};
 use candidates::CandidateGen;
+
+/// Hard cap on enumerated candidates: a safety valve for λ = 1, where the
+/// Δdoc term cannot terminate enumeration.
+pub const CANDIDATE_BUDGET: usize = 200_000;
 
 /// Work counters for the keyword-adaptation experiments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KeywordStats {
     /// Candidates produced by the generator.
     pub enumerated: usize,
-    /// Candidates discarded by the cheap bound pass alone.
+    /// Candidates discarded because one missing object's exact count
+    /// already made their penalty at least the best so far.
     pub bound_pruned: usize,
-    /// Candidates fully evaluated to exact ranks.
+    /// Candidates evaluated to exact ranks for every missing object.
     pub exact_evaluated: usize,
-    /// KcR-tree nodes resolved purely by their bounds.
-    pub nodes_resolved: usize,
-    /// KcR-tree nodes descended into.
-    pub nodes_descended: usize,
-    /// Objects scored exactly at leaves.
+    /// Objects whose textual part depends on the candidate: those sharing
+    /// a keyword with `U`, scored once per request by the request table
+    /// (the naive scan counts every object it scores).
     pub objects_scored: usize,
     /// True when the candidate budget truncated the search (the returned
     /// refinement is then best-effort rather than provably optimal).
     pub truncated: bool,
-}
-
-impl KeywordStats {
-    /// Folds tree descents' counters in.
-    fn absorb(&mut self, b: &BoundStats) {
-        self.nodes_resolved += b.nodes_resolved;
-        self.nodes_descended += b.nodes_descended;
-        self.objects_scored += b.objects_scored;
-    }
 }
 
 /// A keyword-adapted refined query with its cost breakdown.
@@ -84,173 +75,55 @@ pub struct KeywordRefinement {
     pub stats: KeywordStats,
 }
 
-/// Tuning knobs; the defaults match the experiments in DESIGN.md.
-#[derive(Clone, Copy, Debug)]
-pub struct KeywordOptions {
-    /// Hard cap on enumerated candidates (a safety valve for λ = 1, where
-    /// the Δdoc term cannot terminate enumeration).
-    pub candidate_budget: usize,
-    /// Depth of the cheap bound pass (levels of the KcR-tree).
-    pub bound_depth: usize,
-}
-
-impl Default for KeywordOptions {
-    fn default() -> Self {
-        KeywordOptions {
-            candidate_budget: 200_000,
-            bound_depth: 2,
-        }
-    }
-}
-
-/// One candidate × missing-object outrank evaluation request, handed to
-/// the evaluator of the candidate search.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct OutrankRequest<'a> {
-    /// The why-not penalty context (for `k_term` when bounding).
-    pub ctx: &'a PenaltyContext,
-    /// The initial query (location, weights, tie-break identity).
-    pub query: &'a Query,
-    /// The candidate keyword set `doc′`.
-    pub doc: &'a KeywordSet,
-    /// The missing object whose outrank count is requested.
-    pub missing: ObjectId,
-    /// `ST(m, q′)` — the missing object's score under `doc′`.
-    pub score: f64,
-    /// λ of the request.
-    pub lambda: f64,
-    /// Best complete penalty found so far (∞ before the first).
-    pub best_penalty: f64,
-    /// The candidate's fixed `(1 − λ)·Δdoc/norm` penalty term.
-    pub doc_term: f64,
-}
-
-impl OutrankRequest<'_> {
-    /// The Eqn (4) penalty this candidate would have if the missing
-    /// object's outrank count were `count` — used by evaluators to decide
-    /// whether a partial count already proves the candidate hopeless
-    /// (`penalty_if(count) >= best_penalty`; counts only grow and the
-    /// penalty is monotone in the count, so the test is sound midway).
-    #[inline]
-    pub fn penalty_if(&self, count: usize) -> f64 {
-        self.lambda * self.ctx.k_term(count + 1) + self.doc_term
-    }
-
-    /// The smallest outrank count at which the candidate's penalty
-    /// already meets the best complete penalty. Counts only grow and
-    /// [`OutrankRequest::penalty_if`] is monotone in the count, so an
-    /// exact count can stop once its running total reaches this limit:
-    /// the candidate cannot win. [`usize::MAX`] when even the largest
-    /// possible count (`live − 1`) keeps the candidate viable.
-    pub fn hopeless_limit(&self, live: usize) -> usize {
-        if !self.best_penalty.is_finite() || self.penalty_if(live) < self.best_penalty {
-            return usize::MAX;
-        }
-        let (mut lo, mut hi) = (0usize, live);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.penalty_if(mid) >= self.best_penalty {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
-    }
-}
-
-/// Optimized keyword adaptation over a KcR-tree (see module docs).
+/// Keyword adaptation over the request table (see module docs).
 pub fn refine_keywords(
-    tree: &RTree,
-    params: &ScoreParams,
-    query: &Query,
-    missing: &[ObjectId],
-    lambda: f64,
-) -> Result<KeywordRefinement, WhyNotError> {
-    refine_keywords_with(tree, params, query, missing, lambda, KeywordOptions::default())
-}
-
-/// [`refine_keywords`] with explicit options.
-pub fn refine_keywords_with(
-    tree: &RTree,
-    params: &ScoreParams,
-    query: &Query,
-    missing: &[ObjectId],
-    lambda: f64,
-    opts: KeywordOptions,
-) -> Result<KeywordRefinement, WhyNotError> {
-    let corpus = tree.corpus();
-    let table = request_table(corpus, params, query, missing, lambda)?;
-    refine_keywords_on(corpus, &[tree], params, opts, &|| false, query, missing, lambda, &table)
-}
-
-/// The one exact evaluator of keyword adaptation, over KcR-trees that
-/// disjointly cover `corpus` (the engine's one tree, or the executor's
-/// shard trees), reading the initial ranks off the request's
-/// [`SegmentSet`] (built under `query`'s location and keywords).
-///
-/// Each candidate × missing-object rank is resolved in two phases on the
-/// calling thread: the depth-limited bounds are summed over the trees,
-/// and a candidate whose penalty lower bound already meets the best is
-/// pruned; otherwise the exact counts are taken tree after tree under one
-/// running total, and the descent stops — pruning the candidate — as
-/// soon as that total reaches [`OutrankRequest::hopeless_limit`]. The
-/// counts of disjoint trees add, and a candidate is pruned exactly when
-/// its exact penalty is at least the best so far, so the answer and the
-/// enumerated / pruned / exact-evaluated counts do not depend on how the
-/// corpus is split into trees. `expired` is consulted before every
-/// evaluation; once it holds, the search ends with
-/// [`WhyNotError::DeadlineExceeded`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_keywords_on(
     corpus: &Corpus,
-    trees: &[&RTree],
     params: &ScoreParams,
-    opts: KeywordOptions,
+    query: &Query,
+    missing: &[ObjectId],
+    lambda: f64,
+) -> Result<KeywordRefinement, WhyNotError> {
+    let table = request_table(corpus, params, query, missing, lambda)?;
+    refine_keywords_on(corpus, &|| false, query, missing, lambda, &table)
+}
+
+/// Keyword adaptation over the request's [`SegmentSet`] (built under
+/// `query`'s location and a universe holding `q.doc ∪ M.doc`, e.g. by
+/// [`request_table`]) — the entry point of callers that share one table
+/// between several modules. Every initial and candidate rank is read off
+/// the table, so the answer and the enumerated / pruned / exact-evaluated
+/// counts equal a corpus scan's. `expired` is consulted before every
+/// count; once it holds, the search ends with
+/// [`WhyNotError::DeadlineExceeded`].
+pub fn refine_keywords_on(
+    corpus: &Corpus,
     expired: &dyn Fn() -> bool,
     query: &Query,
     missing: &[ObjectId],
     lambda: f64,
     table: &SegmentSet,
 ) -> Result<KeywordRefinement, WhyNotError> {
-    let live = corpus.len();
-    let evaluators: Vec<_> = trees.iter().map(|&tree| RankEvaluator { tree, params }).collect();
-    refine_keywords_eval(
+    let mut r = search(
         corpus,
-        params,
         query,
         missing,
         lambda,
-        opts,
         table,
-        |req, stats| {
+        CANDIDATE_BUDGET,
+        |doc, m, _| {
             if expired() {
                 return Err(WhyNotError::DeadlineExceeded);
             }
-            let (q, doc, m, s_m) = (req.query, req.doc, req.missing, req.score);
-            let mut bs = BoundStats::default();
-            let lb: usize = evaluators
-                .iter()
-                .map(|ev| ev.outrank_bounds(q, doc, m, s_m, opts.bound_depth, &mut bs).0)
-                .sum();
-            let outrank = if req.penalty_if(lb) >= req.best_penalty {
-                None // prunable: cannot beat the best
-            } else {
-                let limit = req.hopeless_limit(live);
-                evaluators.iter().try_fold(0, |total, ev| {
-                    ev.outrank_exact(q, doc, m, s_m, limit - total, &mut bs)
-                        .map(|c| total + c)
-                })
-            };
-            stats.absorb(&bs);
-            Ok(outrank)
+            Ok(table.outranking(doc, query.weights, m))
         },
-    )
+    )?;
+    r.stats.objects_scored = table.touching();
+    Ok(r)
 }
 
 /// Naive baseline: every candidate's ranks are computed by scanning the
-/// whole database (no tree, no bounds, no candidate pruning beyond the
-/// shared Δdoc termination rule).
+/// whole database and re-scoring every object (no request table; the same
+/// candidate search and Δdoc termination rule).
 pub fn refine_keywords_naive(
     corpus: &Corpus,
     params: &ScoreParams,
@@ -258,78 +131,57 @@ pub fn refine_keywords_naive(
     missing: &[ObjectId],
     lambda: f64,
 ) -> Result<KeywordRefinement, WhyNotError> {
-    refine_keywords_naive_with(corpus, params, query, missing, lambda, KeywordOptions::default())
-}
-
-/// [`refine_keywords_naive`] with explicit options.
-pub fn refine_keywords_naive_with(
-    corpus: &Corpus,
-    params: &ScoreParams,
-    query: &Query,
-    missing: &[ObjectId],
-    lambda: f64,
-    opts: KeywordOptions,
-) -> Result<KeywordRefinement, WhyNotError> {
     let table = request_table(corpus, params, query, missing, lambda)?;
-    refine_keywords_eval(
+    search(
         corpus,
-        params,
         query,
         missing,
         lambda,
-        opts,
         &table,
-        |req, stats| {
+        CANDIDATE_BUDGET,
+        |doc, m, stats| {
+            let s_m = params.score_with_doc(corpus.get(m), query, doc);
             let mut outrank = 0usize;
             for o in corpus.iter() {
-                if o.id == req.missing {
+                if o.id == m {
                     continue;
                 }
                 stats.objects_scored += 1;
-                let s = params.score_with_doc(o, req.query, req.doc);
-                if ScoreParams::ranks_before(s, o.id, req.score, req.missing) {
+                let s = params.score_with_doc(o, query, doc);
+                if ScoreParams::ranks_before(s, o.id, s_m, m) {
                     outrank += 1;
                 }
             }
-            Ok(Some(outrank))
+            Ok(outrank)
         },
     )
 }
 
-/// The candidate-search skeleton shared by the tree evaluator and the
-/// naive scan.
+/// The candidate search shared by the request table and the naive scan.
 ///
-/// Enumeration order, Δdoc termination, budget handling and best-tracking
-/// live here and are identical for both; the evaluator only answers "what
-/// is the exact outrank count of this missing object under this
-/// candidate" (`Some(count)`) or "this candidate is provably unable to
-/// beat [`OutrankRequest::best_penalty`]" (`None`), and an evaluator
-/// error ends the search.
+/// Enumeration order, Δdoc termination, pruning, the budget and
+/// best-tracking live here and are identical for both; the evaluator only
+/// answers "how many objects outrank missing object `m` under candidate
+/// `doc`", and an evaluator error ends the search.
+/// A candidate is pruned as soon as one missing object's count makes its
+/// penalty at least the best complete penalty — the penalty is monotone
+/// in the count, so the candidate cannot win.
 ///
-/// The initial ranks `R(M, q)` come from `table`, the request's
-/// [`SegmentSet`] built under `query`'s location and keywords; candidate
-/// evaluation never reads it.
-#[allow(clippy::too_many_arguments)]
-fn refine_keywords_eval<F>(
+/// The initial ranks `R(M, q)` come from `table`.
+fn search<F>(
     corpus: &Corpus,
-    params: &ScoreParams,
     query: &Query,
     missing: &[ObjectId],
     lambda: f64,
-    opts: KeywordOptions,
     table: &SegmentSet,
-    mut eval_outrank: F,
+    budget: usize,
+    mut count: F,
 ) -> Result<KeywordRefinement, WhyNotError>
 where
-    F: FnMut(&OutrankRequest<'_>, &mut KeywordStats) -> Result<Option<usize>, WhyNotError>,
+    F: FnMut(&KeywordSet, ObjectId, &mut KeywordStats) -> Result<usize, WhyNotError>,
 {
     let (ctx, _) = build_context(corpus, table, query, missing, lambda)?;
-    let ctx = &ctx;
-    // Universe U = q.doc ∪ M.doc.
-    let m_doc = missing
-        .iter()
-        .fold(KeywordSet::empty(), |acc, &m| acc.union(&corpus.get(m).doc));
-    let universe = query.doc.union(&m_doc);
+    let universe = universe(corpus, query, missing);
     let doc_norm = universe.len().max(1);
 
     let mut gen = CandidateGen::new(&query.doc, &universe);
@@ -345,45 +197,32 @@ where
             }
         }
         for doc in batch {
-            if stats.enumerated >= opts.candidate_budget {
+            if stats.enumerated >= budget {
                 if best.is_some() {
                     stats.truncated = true;
                     break 'batches;
                 }
-                return Err(WhyNotError::CandidateBudgetExhausted(opts.candidate_budget));
+                return Err(WhyNotError::CandidateBudgetExhausted(budget));
             }
             stats.enumerated += 1;
             let best_penalty = best.as_ref().map_or(f64::INFINITY, |b| b.3);
-
-            // Evaluate the worst missing rank, allowing per-object pruning.
+            // The worst missing rank, pruning on the first hopeless count.
             let mut worst = 0usize;
             let mut pruned = false;
             for &m in missing {
-                let s_m = params.score_with_doc(corpus.get(m), query, &doc);
-                let req = OutrankRequest {
-                    ctx,
-                    query,
-                    doc: &doc,
-                    missing: m,
-                    score: s_m,
-                    lambda,
-                    best_penalty,
-                    doc_term,
-                };
-                match eval_outrank(&req, &mut stats)? {
-                    Some(outrank) => worst = worst.max(outrank + 1),
-                    None => {
-                        pruned = true;
-                        break;
-                    }
+                let outrank = count(&doc, m, &mut stats)?;
+                if lambda * ctx.k_term(outrank + 1) + doc_term >= best_penalty {
+                    pruned = true;
+                    break;
                 }
+                worst = worst.max(outrank + 1);
             }
             if pruned {
                 stats.bound_pruned += 1;
                 continue;
             }
             stats.exact_evaluated += 1;
-            let penalty = keyword_penalty(ctx, d, doc_norm, worst);
+            let penalty = keyword_penalty(&ctx, d, doc_norm, worst);
             if penalty < best_penalty {
                 let stop = penalty == 0.0;
                 best = Some((doc, d, worst, penalty));
@@ -412,7 +251,7 @@ where
 mod tests {
     use super::*;
     use yask_geo::{Point, Space};
-    use yask_index::{CorpusBuilder, RTreeParams};
+    use yask_index::CorpusBuilder;
     use yask_query::topk_scan;
     use yask_util::Xoshiro256;
 
@@ -441,10 +280,9 @@ mod tests {
     fn refinement_revives_missing_objects() {
         let corpus = random_corpus(200, 15, 41);
         let params = ScoreParams::new(corpus.space());
-        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.3, 0.3), ks(&[1, 2]), 5);
         let missing = pick_missing(&corpus, &params, &q, 2);
-        let r = refine_keywords(&tree, &params, &q, &missing, 0.5).unwrap();
+        let r = refine_keywords(&corpus, &params, &q, &missing, 0.5).unwrap();
         let result = topk_scan(&corpus, &params, &r.query);
         for m in &missing {
             assert!(
@@ -464,11 +302,10 @@ mod tests {
         for seed in 0..6 {
             let corpus = random_corpus(120, 10, 50 + seed);
             let params = ScoreParams::new(corpus.space());
-            let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
             let q = Query::new(Point::new(0.6, 0.4), ks(&[1, 3]), 4);
             let missing = pick_missing(&corpus, &params, &q, 1);
             for lambda in [0.2, 0.5, 0.8] {
-                let a = refine_keywords(&tree, &params, &q, &missing, lambda).unwrap();
+                let a = refine_keywords(&corpus, &params, &q, &missing, lambda).unwrap();
                 let b =
                     refine_keywords_naive(&corpus, &params, &q, &missing, lambda).unwrap();
                 assert!(
@@ -487,17 +324,17 @@ mod tests {
     fn pruning_actually_prunes() {
         let corpus = random_corpus(400, 12, 60);
         let params = ScoreParams::new(corpus.space());
-        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.5, 0.5), ks(&[2, 4, 6]), 5);
         let missing = pick_missing(&corpus, &params, &q, 1);
-        let r = refine_keywords(&tree, &params, &q, &missing, 0.5).unwrap();
+        let r = refine_keywords(&corpus, &params, &q, &missing, 0.5).unwrap();
         let naive = refine_keywords_naive(&corpus, &params, &q, &missing, 0.5).unwrap();
-        // Same enumeration, but the optimized path must touch far fewer
-        // objects thanks to node bounds + candidate pruning.
+        // Same enumeration, but the request table scores each object
+        // sharing a keyword with U once, where the scan re-scores the
+        // corpus for every count.
         assert_eq!(r.stats.enumerated, naive.stats.enumerated);
         assert!(
             r.stats.objects_scored < naive.stats.objects_scored / 2,
-            "bounds saved too little: {} vs {}",
+            "the table saved too little: {} vs {}",
             r.stats.objects_scored,
             naive.stats.objects_scored
         );
@@ -514,9 +351,8 @@ mod tests {
         b.push(Point::new(0.0, 0.0), ks(&[5]), "target"); // best spot, keyword 5
         let corpus = b.build();
         let params = ScoreParams::new(corpus.space());
-        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let q = Query::new(Point::new(0.0, 0.0), ks(&[1]), 2);
-        let r = refine_keywords(&tree, &params, &q, &[ObjectId(2)], 0.5).unwrap();
+        let r = refine_keywords(&corpus, &params, &q, &[ObjectId(2)], 0.5).unwrap();
         // Swapping keyword 1 → 5 (or adding 5) revives the target within
         // k = 2, so Δk = 0.
         assert_eq!(r.delta_k, 0);
@@ -528,31 +364,21 @@ mod tests {
     fn budget_truncation_is_flagged() {
         let corpus = random_corpus(60, 8, 61);
         let params = ScoreParams::new(corpus.space());
-        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let q = Query::new(Point::new(0.5, 0.5), ks(&[1, 2]), 3);
         let missing = pick_missing(&corpus, &params, &q, 1);
+        let table = request_table(&corpus, &params, &q, &missing, 1.0).unwrap();
+        let with_budget = |budget| {
+            search(&corpus, &q, &missing, 1.0, &table, budget, |doc, m, _| {
+                Ok(table.outranking(doc, q.weights, m))
+            })
+        };
         // Budget 1 evaluates exactly the Δdoc = 0 candidate and must flag
         // truncation when the second candidate is requested.
-        let opts = KeywordOptions {
-            candidate_budget: 1,
-            bound_depth: 2,
-        };
-        let r = refine_keywords_with(&tree, &params, &q, &missing, 1.0, opts).unwrap();
+        let r = with_budget(1).unwrap();
         assert!(r.stats.truncated);
         assert_eq!(r.delta_doc, 0);
         // Budget 0 cannot even evaluate Δdoc = 0 → error.
-        let err = refine_keywords_with(
-            &tree,
-            &params,
-            &q,
-            &missing,
-            1.0,
-            KeywordOptions {
-                candidate_budget: 0,
-                bound_depth: 2,
-            },
-        )
-        .unwrap_err();
+        let err = with_budget(0).unwrap_err();
         assert_eq!(err, WhyNotError::CandidateBudgetExhausted(0));
     }
 
@@ -561,10 +387,9 @@ mod tests {
         // λ = 0 makes k changes free and edits costly: optimum is Δdoc = 0.
         let corpus = random_corpus(150, 10, 62);
         let params = ScoreParams::new(corpus.space());
-        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
         let q = Query::new(Point::new(0.2, 0.2), ks(&[1, 2]), 3);
         let missing = pick_missing(&corpus, &params, &q, 1);
-        let r = refine_keywords(&tree, &params, &q, &missing, 0.0).unwrap();
+        let r = refine_keywords(&corpus, &params, &q, &missing, 0.0).unwrap();
         assert_eq!(r.delta_doc, 0);
         assert_eq!(r.query.doc, q.doc);
         assert_eq!(r.penalty, 0.0);
@@ -572,46 +397,20 @@ mod tests {
     }
 
     #[test]
-    fn hopeless_limit_matches_linear_search() {
-        let ctx = PenaltyContext::new(3, 13, 0.5);
-        let doc = ks(&[1]);
-        let q = Query::new(Point::new(0.0, 0.0), doc.clone(), 3);
-        for best in [0.2, 0.5, 0.75, 1.0, f64::INFINITY] {
-            for doc_term in [0.0, 0.1, 0.4] {
-                let req = OutrankRequest {
-                    ctx: &ctx,
-                    query: &q,
-                    doc: &doc,
-                    missing: ObjectId(0),
-                    score: 0.5,
-                    lambda: 0.5,
-                    best_penalty: best,
-                    doc_term,
-                };
-                let want = (0..=40)
-                    .find(|&c| req.penalty_if(c) >= best)
-                    .unwrap_or(usize::MAX);
-                assert_eq!(req.hopeless_limit(40), want, "best={best} doc_term={doc_term}");
-            }
-        }
-    }
-
-    #[test]
     fn errors_propagate() {
         let corpus = random_corpus(50, 8, 63);
         let params = ScoreParams::new(corpus.space());
-        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
         let q = Query::new(Point::new(0.5, 0.5), ks(&[1]), 3);
         assert_eq!(
-            refine_keywords(&tree, &params, &q, &[], 0.5).unwrap_err(),
+            refine_keywords(&corpus, &params, &q, &[], 0.5).unwrap_err(),
             WhyNotError::EmptyMissingSet
         );
         assert_eq!(
-            refine_keywords(&tree, &params, &q, &[ObjectId(999)], 0.5).unwrap_err(),
+            refine_keywords(&corpus, &params, &q, &[ObjectId(999)], 0.5).unwrap_err(),
             WhyNotError::ForeignObject(ObjectId(999))
         );
         assert_eq!(
-            refine_keywords(&tree, &params, &q, &[ObjectId(1)], 2.0).unwrap_err(),
+            refine_keywords(&corpus, &params, &q, &[ObjectId(1)], 2.0).unwrap_err(),
             WhyNotError::InvalidLambda(2.0)
         );
     }

@@ -14,8 +14,15 @@
 //!   rank-update argument (after reference \[5\]);
 //! * [`keyword`] — the **keyword-adapted** refined query (Definition 3):
 //!   the `(doc′, k′)` minimizing the penalty of Eqn (4), found by
-//!   enumerating candidate keyword sets in edit-distance order and
-//!   pruning with rank bounds from the KcR-tree (after reference \[6\]).
+//!   enumerating candidate keyword sets in edit-distance order (after
+//!   reference \[6\]).
+//!
+//! Both refinements — and [`combined`], which chains them — read every
+//! rank off one request table ([`SegmentSet`]): one pass over the corpus
+//! under `q.loc` and the keyword universe `U = q.doc ∪ M.doc` records each
+//! object's spatial part and keyword signature, which fixes its score
+//! under any keywords inside `U` and any weights. No why-not module reads
+//! an index tree; the KcR-tree serves top-k alone.
 //!
 //! [`engine::Yask`] packages all three behind one facade together with the
 //! top-k engine, and [`session`] provides the query cache the demo server
@@ -37,18 +44,13 @@ pub mod penalty;
 pub mod pref;
 pub mod session;
 
-pub use combined::{
-    refine_combined, refine_combined_on, refine_combined_with, CombineOrder, CombinedRefinement,
-    RefinementEngine, TreeRefinementEngine,
-};
+pub use combined::{refine_combined, refine_combined_on, CombineOrder, CombinedRefinement};
 pub use common::request_table;
 pub use engine::{RecommendedModel, WhyNotAnswer, Yask, YaskConfig};
 pub use error::WhyNotError;
 pub use explain::{explain, explain_given, validate_desired, Explanation, MissingReason};
-pub use keyword::bounds::{BoundStats, RankEvaluator};
 pub use keyword::{
-    refine_keywords, refine_keywords_naive, refine_keywords_with, KeywordOptions,
-    KeywordRefinement, KeywordStats,
+    refine_keywords, refine_keywords_naive, refine_keywords_on, KeywordRefinement, KeywordStats,
 };
 pub use penalty::{keyword_penalty, preference_penalty, PenaltyContext};
 pub use pref::segment::SegmentSet;

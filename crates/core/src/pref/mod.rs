@@ -5,9 +5,9 @@
 //! result contains all of `M`:
 //!
 //! 1. transform every object into a [`segment::Segment`] in the weight
-//!    plane (score is linear in `ws` because `ws + wt = 1`) — one scoring
-//!    pass, the request's [`SegmentSet`], which is also where the initial
-//!    ranks `R(M, q)` are read;
+//!    plane (score is linear in `ws` because `ws + wt = 1`) — a view of
+//!    the request's one scoring pass, the [`SegmentSet`], which is also
+//!    where the initial ranks `R(M, q)` are read;
 //! 2. the optimal `~w′` points at an intersection between a missing
 //!    object's segment and another segment (or stays at `~w`), so the
 //!    intersection abscissae are the candidate weights;
@@ -24,18 +24,18 @@
 //! is the baseline of experiment E6 as well as the differential-testing
 //! oracle.
 
+mod filter;
 pub mod segment;
 pub(crate) mod sweep;
 
-use yask_geo::{Point, Rect};
-use yask_index::{Corpus, CorpusBuilder, ObjectId, RTree, RTreeParams};
+use yask_index::{Corpus, ObjectId};
 use yask_query::{Query, ScoreParams, Weights};
-use yask_text::KeywordSet;
 
 use crate::common::{build_context, request_table};
 use crate::error::WhyNotError;
 use crate::penalty::{preference_penalty, PenaltyContext};
-use segment::{Segment, SegmentSet};
+use filter::RangeFilter;
+use segment::SegmentSet;
 use sweep::{candidate_weights, collect_events, naive_ranks, sweep_ranks, Event};
 
 /// A preference-adjusted refined query with its cost breakdown.
@@ -105,10 +105,10 @@ pub fn refine_preference_naive(
 }
 
 /// Preference adjustment over the request's [`SegmentSet`] (built under
-/// `query`'s location and keywords, e.g. by [`request_table`]) — the
-/// entry point of callers that share one table between several modules:
-/// the full answer, the combined refinement's chains and the sharded
-/// executor. Bit-identical to [`refine_preference`], which builds the
+/// `query`'s location and a universe holding its keywords, e.g. by
+/// [`request_table`]) — the entry point of callers that share one table
+/// between several modules: the full answer, the combined refinement's
+/// chains and the sharded executor. Bit-identical to [`refine_preference`], which builds the
 /// same table itself.
 pub fn refine_preference_with_segments(
     corpus: &Corpus,
@@ -144,7 +144,8 @@ fn refine_on_segments(
     // Segment positions are *live-scan* positions, not id slots — with
     // tombstones in the corpus the two differ, so the missing objects are
     // located by searching the (id-ascending) set order.
-    let segments: &[Segment] = set.segments();
+    let segments = set.segments(&query.doc);
+    let segments = segments.as_slice();
     let missing_idx: Vec<usize> = missing
         .iter()
         .map(|&m| set.index_of(m).expect("missing object validated live"))
@@ -209,7 +210,7 @@ fn finalize(
     candidates: usize,
 ) -> PreferenceRefinement {
     let rank = *set
-        .ranks(w_new, missing)
+        .ranks(&query.reweighted(w_new), missing)
         .iter()
         .max()
         .expect("missing set non-empty");
@@ -226,50 +227,12 @@ fn finalize(
     }
 }
 
-/// The paper's two-range-query filter: an R-tree over `(a_o, b_o)` points
-/// with empty keyword sets (only its spatial range query runs).
-/// A segment crosses `m`'s segment inside `(0, 1)` iff its point lies in
-/// one of the two open quadrants "textually better & spatially worse" /
-/// "textually worse & spatially better" relative to `(a_m, b_m)`.
-struct RangeFilter {
-    tree: RTree,
-}
-
-impl RangeFilter {
-    fn build(segments: &[Segment]) -> Self {
-        let mut b = CorpusBuilder::with_capacity(segments.len());
-        for s in segments {
-            b.push(Point::new(s.a, s.b), KeywordSet::empty(), "");
-        }
-        RangeFilter {
-            tree: RTree::bulk_load(b.build(), RTreeParams::default()),
-        }
-    }
-
-    fn crossing_partners(&self, segments: &[Segment], m_idx: usize) -> Vec<usize> {
-        let m = segments[m_idx];
-        // Closed query rectangles; boundary hits (equal a or b) produce no
-        // interior crossing and are discarded by `Segment::crossing`.
-        let q1 = Rect::from_coords(-1.0, m.b, m.a, 2.0); // a ≤ a_m, b ≥ b_m
-        let q2 = Rect::from_coords(m.a, -1.0, 2.0, m.b); // a ≥ a_m, b ≤ b_m
-        let mut ids: Vec<usize> = self
-            .tree
-            .range(&q1)
-            .into_iter()
-            .chain(self.tree.range(&q2))
-            .map(|o| o.index())
-            .filter(|&i| i != m_idx && m.crosses(&segments[i]))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yask_geo::Space;
+    use yask_geo::{Point, Space};
+    use yask_index::CorpusBuilder;
+    use yask_text::KeywordSet;
     use yask_query::topk_scan;
     use yask_util::Xoshiro256;
 
@@ -382,29 +345,6 @@ mod tests {
             refine_preference(&corpus, &params, &q, &[top], 0.5).unwrap_err(),
             WhyNotError::NotMissing(_, _)
         ));
-    }
-
-    #[test]
-    fn range_filter_finds_exactly_the_crossing_partners() {
-        let corpus = random_corpus(120, 10, 10);
-        let params = ScoreParams::new(corpus.space());
-        let q = Query::new(Point::new(0.4, 0.1), ks(&[1, 3]), 3);
-        let segments: Vec<Segment> = corpus
-            .iter()
-            .map(|o| {
-                let (a, b) = params.parts(o, &q);
-                Segment::new(a, b)
-            })
-            .collect();
-        let filter = RangeFilter::build(&segments);
-        for m in [5usize, 50, 100] {
-            let mut got = filter.crossing_partners(&segments, m);
-            got.sort_unstable();
-            let want: Vec<usize> = (0..segments.len())
-                .filter(|&i| i != m && segments[m].crossing(&segments[i]).is_some())
-                .collect();
-            assert_eq!(got, want, "m = {m}");
-        }
     }
 
     #[test]

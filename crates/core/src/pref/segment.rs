@@ -14,16 +14,23 @@
 //! must point at an intersection of a missing object's segment with
 //! another segment (or stay at the initial weights).
 //!
-//! The same `(a_o, b_o)` table is also the why-not modules' rank oracle:
-//! `ST(o, q′) = ws′·a_o + wt′·b_o` for *any* weights `~w′` as long as
-//! `q′` keeps the location and keywords the table was built under, so
-//! `SegmentSet::ranks` answers every `R(M, q′)` a request asks for
-//! without re-scoring the corpus.
+//! The request table is also the why-not modules' rank oracle. Every
+//! keyword set a request meets — `q.doc`, and every candidate `doc′` of
+//! keyword adaptation — is a subset of the universe `U = q.doc ∪ M.doc`,
+//! and a set similarity reads only `|doc′ ∩ o.doc|`, `|doc′|` and
+//! `|o.doc|`. So one pass under `(q.loc, U)` that records each object's
+//! spatial part `a_o` and its *signature* `(o.doc ∩ U, |o.doc|)` fixes
+//! `b_o = TSim(o, doc′)` for every `doc′ ⊆ U` at once: objects with one
+//! signature share one `b`, read off a representative document.
+//! [`SegmentSet`] thereby answers `R(M, q′)` for any keywords inside `U`
+//! and any weights, and hands the preference sweep the segments of any
+//! such keyword set, all bit-identical to a corpus scan.
 
 use yask_geo::Point;
 use yask_index::{Corpus, ObjectId};
 use yask_query::{Query, ScoreParams, Weights};
-use yask_text::KeywordSet;
+use yask_text::{KeywordSet, SimilarityModel};
+use yask_util::FxHashMap;
 
 /// An object's segment in the weight plane: endpoints `(0, b)` and
 /// `(1, a)`.
@@ -83,85 +90,222 @@ impl Segment {
     }
 }
 
-/// The weight-plane table of one request: every live object's segment
-/// under one `(q.loc, q.doc)`, in id-ascending order.
+/// The objects sharing one signature: a representative document and the
+/// members' spatial parts and table positions, in id order.
+#[derive(Clone, Debug)]
+struct Group {
+    doc: KeywordSet,
+    a: Vec<f64>,
+    pos: Vec<u32>,
+}
+
+impl Group {
+    fn new(doc: KeywordSet) -> Self {
+        Group {
+            doc,
+            a: Vec::new(),
+            pos: Vec::new(),
+        }
+    }
+}
+
+/// The request table of one why-not request: every live object's spatial
+/// part and signature under one `(q.loc, U)` (see the module docs), in
+/// id-ascending order.
 ///
-/// Id order makes the sweep's index tie-break identical to the engine's
-/// id tie-break — the property the rank-update theorem's exactness rests
-/// on. A table lives for one why-not request and is dropped with it (it
-/// costs 20 B per live object).
+/// Id order makes the table's position tie-break identical to the
+/// engine's id tie-break — the property the rank-update theorem's
+/// exactness rests on. Group 0 holds the objects sharing no keyword with
+/// `U`, whose similarity to any `doc′ ⊆ U` is 0. A table lives for one
+/// why-not request and is dropped with it (20 B per live object).
 #[derive(Clone, Debug)]
 pub struct SegmentSet {
     loc: Point,
-    doc: KeywordSet,
+    universe: KeywordSet,
+    model: SimilarityModel,
     ids: Vec<ObjectId>,
-    segments: Vec<Segment>,
+    sig: Vec<u32>,
+    groups: Vec<Group>,
 }
 
 impl SegmentSet {
-    /// Transforms every live object of the corpus under `query`'s
-    /// location and keywords: one scoring pass, id-ascending.
-    pub fn build_live(corpus: &Corpus, params: &ScoreParams, query: &Query) -> Self {
-        // Corpus iteration is id-ascending already; skip the sort.
+    /// One pass over the live objects of the corpus under location `loc`
+    /// and keyword universe `universe`: each object's spatial part, and
+    /// its signature found by an allocation-free merge of its document
+    /// against `universe` (a new signature allocates its key once).
+    pub fn build(corpus: &Corpus, params: &ScoreParams, loc: Point, universe: KeywordSet) -> Self {
+        let u = universe.raw();
+        // One bit per keyword of U, then |o.doc|: exact for any |U|.
+        let words = u.len().div_ceil(64);
+        let mut key = vec![0u64; words + 1];
+        let mut index: FxHashMap<Box<[u64]>, u32> = FxHashMap::default();
+        let mut groups = vec![Group::new(KeywordSet::empty())];
+        // A 512-bit filter of U's keywords (by id mod 512) rules most
+        // objects out before the merge.
+        let mut filter = [0u64; 8];
+        for &k in u {
+            filter[(k as usize >> 6) & 7] |= 1 << (k & 63);
+        }
+        let may_touch = |doc: &[u32]| {
+            doc.iter()
+                .fold(0, |acc, &k| acc | filter[(k as usize >> 6) & 7] >> (k & 63))
+                & 1
+                != 0
+        };
         let mut ids = Vec::with_capacity(corpus.len());
-        let mut segments = Vec::with_capacity(corpus.len());
-        for o in corpus.iter() {
-            let (a, b) = params.parts(o, query);
+        let mut sig = Vec::with_capacity(corpus.len());
+        // Corpus iteration is id-ascending already; skip the sort.
+        for (p, o) in corpus.iter().enumerate() {
+            let g = if may_touch(o.doc.raw()) && mark(&mut key[..words], o.doc.raw(), u) {
+                key[words] = o.doc.len() as u64;
+                match index.get(&key[..]) {
+                    Some(&g) => g,
+                    None => {
+                        let g = groups.len() as u32;
+                        index.insert(key.clone().into(), g);
+                        groups.push(Group::new(o.doc.clone()));
+                        g
+                    }
+                }
+            } else {
+                0
+            };
+            let group = &mut groups[g as usize];
+            group.a.push(1.0 - params.space.sdist(&loc, &o.loc));
+            group.pos.push(p as u32);
             ids.push(o.id);
-            segments.push(Segment::new(a, b));
+            sig.push(g);
         }
         SegmentSet {
-            loc: query.loc,
-            doc: query.doc.clone(),
+            loc,
+            universe,
+            model: params.model,
             ids,
-            segments,
+            sig,
+            groups,
         }
     }
 
-    /// True when the table was built under `query`'s location and
-    /// keywords — the queries whose ranks [`SegmentSet::ranks`] answers.
+    /// True when the table was built under `query`'s location and a
+    /// universe holding its keywords — the queries whose ranks
+    /// [`SegmentSet::ranks`] answers.
     pub(crate) fn serves(&self, query: &Query) -> bool {
-        self.loc == query.loc && self.doc == query.doc
+        self.loc == query.loc && query.doc.is_subset_of(&self.universe)
     }
 
-    /// Exact ranks of `targets` (each in the table) under the table's
-    /// location and keywords and the weights `w`, aligned with `targets`.
-    ///
-    /// Each score is `ScoreParams::score`'s expression `ws·a + wt·b` over
-    /// the stored parts and ties go through [`ScoreParams::ranks_before`],
-    /// so the ranks are bit-identical to a corpus scan of any query the
-    /// table [`serves`](SegmentSet::serves).
-    pub(crate) fn ranks(&self, w: Weights, targets: &[ObjectId]) -> Vec<usize> {
-        let (ws, wt) = (w.ws(), w.wt());
-        let score = |s: &Segment| ws * s.a + wt * s.b;
-        let scored: Vec<(f64, ObjectId)> = targets
+    /// The keyword universe `U` the table was built under.
+    pub(crate) fn universe(&self) -> &KeywordSet {
+        &self.universe
+    }
+
+    /// Number of live objects sharing a keyword with `U` — the objects
+    /// whose textual part depends on the candidate keywords.
+    pub(crate) fn touching(&self) -> usize {
+        self.ids.len() - self.groups[0].pos.len()
+    }
+
+    /// Each group's textual part `TSim(o, doc)`, read off its
+    /// representative — exact for any `doc ⊆ U`.
+    fn sims(&self, doc: &KeywordSet) -> Vec<f64> {
+        assert!(
+            doc.is_subset_of(&self.universe),
+            "keywords outside the table's universe"
+        );
+        self.groups
             .iter()
-            .map(|&t| {
-                let i = self.index_of(t).expect("rank target is a live object");
-                (score(&self.segments[i]), t)
+            .map(|g| self.model.similarity(doc, &g.doc))
+            .collect()
+    }
+
+    /// The number of objects ranking before the object at position `p`,
+    /// whose score is `s`, under the textual parts `sims` and weights `w`.
+    /// A score tie goes to the smaller position, which is the smaller id
+    /// ([`ScoreParams::ranks_before`]).
+    fn count_before(&self, sims: &[f64], w: Weights, s: f64, p: usize) -> usize {
+        let ws = w.ws();
+        let p = p as u32;
+        self.groups
+            .iter()
+            .zip(sims)
+            .map(|(g, &b)| {
+                let tb = w.wt() * b;
+                g.a.iter()
+                    .zip(&g.pos)
+                    .map(|(&a, &q)| {
+                        let x = ws * a + tb;
+                        usize::from((x > s) | ((x == s) & (q < p)))
+                    })
+                    .sum::<usize>()
             })
-            .collect();
-        let mut better = vec![0usize; targets.len()];
-        for (&id, seg) in self.ids.iter().zip(&self.segments) {
-            let s = score(seg);
-            for (n, &(ts, t)) in better.iter_mut().zip(&scored) {
-                if id != t && ScoreParams::ranks_before(s, id, ts, t) {
-                    *n += 1;
-                }
+            .sum()
+    }
+
+    /// Exact ranks of `targets` (each in the table) under `query`'s
+    /// location, keywords and weights, aligned with `targets` —
+    /// bit-identical to a corpus scan of `query` when the table
+    /// [`serves`](SegmentSet::serves) it.
+    pub(crate) fn ranks(&self, query: &Query, targets: &[ObjectId]) -> Vec<usize> {
+        assert!(self.serves(query), "rank table built for another query");
+        targets
+            .iter()
+            .map(|&t| self.outranking(&query.doc, query.weights, t) + 1)
+            .collect()
+    }
+
+    /// The number of objects outranking `m` under the table's location,
+    /// keywords `doc ⊆ U` and weights `w`. `m`'s score is
+    /// `ScoreParams::score`'s expression `ws·a + wt·b` over its stored
+    /// parts.
+    pub(crate) fn outranking(&self, doc: &KeywordSet, w: Weights, m: ObjectId) -> usize {
+        let p = self.index_of(m).expect("rank target is a live object");
+        let sims = self.sims(doc);
+        let g = self.sig[p] as usize;
+        let group = &self.groups[g];
+        let k = group
+            .pos
+            .binary_search(&(p as u32))
+            .expect("member of its group");
+        let s = w.ws() * group.a[k] + w.wt() * sims[g];
+        self.count_before(&sims, w, s, p)
+    }
+
+    /// The segments of every object under keywords `doc ⊆ U`, in
+    /// id-ascending order: `(a_o, TSim(o, doc))`, equal to
+    /// `ScoreParams::parts` of `query.with_doc(doc)`.
+    pub fn segments(&self, doc: &KeywordSet) -> Vec<Segment> {
+        let mut out = vec![Segment::new(0.0, 0.0); self.ids.len()];
+        for (g, b) in self.groups.iter().zip(self.sims(doc)) {
+            for (&a, &p) in g.a.iter().zip(&g.pos) {
+                out[p as usize] = Segment::new(a, b);
             }
         }
-        better.into_iter().map(|n| n + 1).collect()
+        out
     }
 
-    /// The segments, in id-ascending order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
-    /// The segment index of an object id.
+    /// The table position of an object id.
     pub fn index_of(&self, id: ObjectId) -> Option<usize> {
         self.ids.binary_search(&id).ok()
     }
+}
+
+/// Sets in `key` the bit of every position of `universe` whose keyword
+/// `doc` holds (both sorted), one word per 64 keywords of `universe`;
+/// true when there is any. The merge is branch-free, like
+/// `KeywordSet::intersection_size`.
+fn mark(key: &mut [u64], doc: &[u32], universe: &[u32]) -> bool {
+    let (mut i, mut any) = (0, 0u64);
+    for (word, chunk) in key.iter_mut().zip(universe.chunks(64)) {
+        let (mut j, mut bits) = (0, 0u64);
+        while i < doc.len() && j < chunk.len() {
+            let (x, y) = (doc[i], chunk[j]);
+            bits |= u64::from(x == y) << j;
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+        }
+        *word = bits;
+        any |= bits;
+    }
+    any != 0
 }
 
 #[cfg(test)]
@@ -216,49 +360,136 @@ mod tests {
         assert!(!s.crosses(&dom));
     }
 
+    use yask_geo::Space;
+    use yask_index::CorpusBuilder;
+    use yask_query::ranks_of_scan;
+    use yask_util::Xoshiro256;
+
+    /// A corpus built for ties: locations on a coarse grid (duplicate
+    /// locations, and spatial parts that round to one score under many
+    /// weights), documents from a small vocabulary (duplicate documents,
+    /// duplicate signatures), plus a few tombstones.
+    fn tie_corpus(rng: &mut Xoshiro256, n: usize, vocab: usize) -> Corpus {
+        let mut b = CorpusBuilder::new().with_space(Space::unit());
+        for i in 0..n {
+            let loc = Point::new(rng.below(5) as f64 / 4.0, rng.below(5) as f64 / 4.0);
+            let doc: Vec<u32> = (0..rng.below(4)).map(|_| rng.below(vocab) as u32).collect();
+            b.push(loc, KeywordSet::from_raw(doc), format!("o{i}"));
+        }
+        let dead: Vec<ObjectId> = (0..3).map(|_| ObjectId(rng.below(n) as u32)).collect();
+        b.build().with_updates(std::iter::empty(), &dead).0
+    }
+
+    /// Every `doc′` over the first eight keywords of `U` (all of `U` when
+    /// it is that small) under every model and the
+    /// given weights: the table's ranks equal the scan's, and its segments
+    /// equal `ScoreParams::parts` of `q.with_doc(doc′)`.
+    fn assert_table_equals_scan(corpus: &Corpus, q: &Query, universe: &KeywordSet, ws: &[f64]) {
+        let u = &universe.raw()[..universe.len().min(8)];
+        let targets: Vec<ObjectId> = corpus.live_ids().into_iter().step_by(7).collect();
+        for model in SimilarityModel::ALL {
+            let params = ScoreParams::new(corpus.space()).with_model(model);
+            let table = SegmentSet::build(corpus, &params, q.loc, universe.clone());
+            for mask in 0..1u32 << u.len() {
+                let doc = KeywordSet::from_raw(
+                    (0..u.len()).filter(|i| mask & (1 << i) != 0).map(|i| u[i]),
+                );
+                let probe = q.with_doc(doc.clone());
+                assert!(table.serves(&probe));
+                let want: Vec<Segment> = corpus
+                    .iter()
+                    .map(|o| {
+                        let (a, b) = params.parts(o, &probe);
+                        Segment::new(a, b)
+                    })
+                    .collect();
+                assert_eq!(table.segments(&doc), want, "{model:?} {doc:?}");
+                for &w in ws {
+                    let probe = probe.reweighted(Weights::from_ws(w));
+                    assert_eq!(
+                        table.ranks(&probe, &targets),
+                        ranks_of_scan(corpus, &params, &probe, &targets),
+                        "{model:?} {doc:?} ws = {w}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn table_ranks_equal_the_scan_under_any_weights() {
-        use yask_geo::Space;
-        use yask_index::CorpusBuilder;
-        use yask_query::ranks_of_scan;
-        use yask_util::Xoshiro256;
-
         let mut rng = Xoshiro256::seed_from_u64(9);
+        for _ in 0..6 {
+            let corpus = tie_corpus(&mut rng, 90, 6);
+            let q = Query::new(
+                Point::new(rng.below(5) as f64 / 4.0, rng.next_f64()),
+                KeywordSet::from_raw([rng.below(6) as u32]),
+                3,
+            );
+            let live = corpus.live_ids();
+            let missing = corpus.get(live[rng.below(live.len())]);
+            let universe = q
+                .doc
+                .union(&missing.doc)
+                .union(&KeywordSet::from_raw([7u32]));
+            let mut ws = vec![0.0, 1.0, 0.5, 1.0 / 3.0];
+            ws.extend((0..3).map(|_| rng.next_f64()));
+            assert_table_equals_scan(&corpus, &q, &universe, &ws);
+        }
+    }
+
+    #[test]
+    fn table_is_exact_past_sixty_four_universe_keywords() {
+        let mut rng = Xoshiro256::seed_from_u64(10);
+        // Documents reach keyword ids past 64 positions of U, so the
+        // signature spans two key words.
+        let corpus = tie_corpus(&mut rng, 120, 90);
+        let universe = KeywordSet::from_raw(0..80u32);
+        let q = Query::new(Point::new(0.5, 0.25), KeywordSet::from_raw([3u32, 70]), 3);
+        let table = SegmentSet::build(
+            &corpus,
+            &ScoreParams::new(corpus.space()),
+            q.loc,
+            universe.clone(),
+        );
+        assert!(table.touching() > 0);
+        assert!(!table.serves(&q.with_doc(KeywordSet::from_raw([85u32]))));
+        assert_table_equals_scan(&corpus, &q, &universe, &[0.0, 0.3, 1.0]);
+        // Docs over the upper keyword word alone.
+        let high = KeywordSet::from_raw(64..80u32);
+        let params = ScoreParams::new(corpus.space());
+        for doc in [KeywordSet::from_raw([3u32, 66, 79]), high] {
+            let probe = q.with_doc(doc);
+            let targets = corpus.live_ids();
+            assert_eq!(
+                table.ranks(&probe, &targets),
+                ranks_of_scan(&corpus, &params, &probe, &targets)
+            );
+        }
+    }
+
+    #[test]
+    fn positions_skip_tombstones() {
         let mut b = CorpusBuilder::new().with_space(Space::unit());
-        for i in 0..120 {
-            // Keywords from a vocabulary of 4 and a coarse location grid,
-            // so exact score ties (and the id tie-break) are common.
+        for i in 0..10 {
             b.push(
-                Point::new(rng.below(5) as f64 / 4.0, rng.below(5) as f64 / 4.0),
-                KeywordSet::from_raw([rng.below(4) as u32]),
+                Point::new(0.5, 0.5),
+                KeywordSet::from_raw([i % 2]),
                 format!("o{i}"),
             );
         }
-        let (corpus, _) = b
-            .build()
-            .with_updates(std::iter::empty(), &[ObjectId(7), ObjectId(60)]);
+        let (corpus, _) = b.build().with_updates(std::iter::empty(), &[ObjectId(3)]);
         let params = ScoreParams::new(corpus.space());
-        let q = Query::new(Point::new(0.25, 0.75), KeywordSet::from_raw([1u32, 3]), 3);
-
-        let table = SegmentSet::build_live(&corpus, &params, &q);
-        assert!(table.serves(&q));
-        assert!(!table.serves(&q.with_doc(KeywordSet::from_raw([1u32]))));
-        assert_eq!(
-            table.index_of(ObjectId(8)),
-            Some(7),
-            "positions skip tombstones"
+        let table = SegmentSet::build(
+            &corpus,
+            &params,
+            Point::new(0.0, 0.0),
+            KeywordSet::from_raw([1u32]),
         );
-        assert_eq!(table.index_of(ObjectId(7)), None);
-        assert_eq!(table.segments().len(), 118);
-        let targets = [ObjectId(0), ObjectId(5), ObjectId(61), ObjectId(119)];
-        for ws in [0.0, 0.1, 0.25, 0.5, 1.0 / 3.0, 0.8, 1.0] {
-            let probe = q.reweighted(Weights::from_ws(ws));
-            assert_eq!(
-                table.ranks(probe.weights, &targets),
-                ranks_of_scan(&corpus, &params, &probe, &targets),
-                "ws = {ws}"
-            );
-        }
+        assert_eq!(table.index_of(ObjectId(4)), Some(3));
+        assert_eq!(table.index_of(ObjectId(3)), None);
+        assert_eq!(table.touching(), 4, "the odd ids but the tombstone");
+        assert_eq!(table.segments(&KeywordSet::from_raw([1u32])).len(), 9);
     }
 
     #[test]

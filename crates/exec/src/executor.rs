@@ -684,13 +684,7 @@ impl Executor {
         let computed = {
             let _span = trace.map(|t| t.span(format!("whynot_{}", kind.label())));
             let t0 = Instant::now();
-            let fanout = ShardFanout::new(
-                &state.index,
-                &self.pool,
-                state.params,
-                self.config.yask.keyword_options,
-                deadline,
-            );
+            let fanout = ShardFanout::new(&state.index, &self.pool, state.params, deadline);
             let computed = match kind {
                 WhyNotKind::Explain => fanout.explain(query, missing).map(CachedAnswer::Explain),
                 WhyNotKind::Preference => fanout

@@ -1,40 +1,26 @@
-//! Why-not answers from the shard trees alone — no global KcR-tree
-//! anywhere.
-//!
-//! The seed engine answered why-not questions on a single tree over the
-//! whole corpus; the sharded executor used to keep that tree *next to*
-//! the shard trees, doubling index memory and write amplification. This
-//! module derives every module's answer from the shard trees, exactly:
+//! Why-not answers over the sharded index — no global KcR-tree anywhere,
+//! and no tree read by any refinement.
 //!
 //! * **explain** — the top-k comes from the usual scatter-gather; each
 //!   desired object's exact rank comes from one scan of the corpus, as
 //!   in [`yask_core::explain`]. Classification and rendering are delegated
 //!   back to [`yask_core::explain_given`], so the output is
 //!   byte-identical to the single-tree path.
-//! * **preference adjustment** — the request's weight-plane table
-//!   ([`SegmentSet`](yask_core::SegmentSet)) is one id-ordered pass over
-//!   the live corpus, and the candidate sweep runs on it unchanged in
-//!   `yask_core`. Each refinement builds its own table, which also
-//!   supplies its initial ranks.
-//! * **keyword adaptation** — `yask_core`'s one evaluator, run by a
-//!   [`TreeRefinementEngine`] over the shard trees on the calling thread:
-//!   the cheap bounds are summed over the shards, and the exact counts
-//!   are taken shard after shard under one running total that abandons a
-//!   candidate once it is provably hopeless.
-//!
-//! Exactness rests on two facts, pinned by the property suite in
-//! `tests/whynot_sharded.rs`: per-shard outrank counts sum to the global
-//! count (disjoint cover, shared total order), and the pruning only ever
-//! discards candidates whose true penalty is at least the best — so the
-//! search picks the same winner, after the same number of evaluations,
-//! as on one global tree.
+//! * **preference, keyword and combined refinement** — each request
+//!   builds its request table ([`SegmentSet`](yask_core::SegmentSet)),
+//!   one id-ordered pass over the live corpus under the query location
+//!   and the keyword universe `q.doc ∪ M.doc`, and runs `yask_core`'s
+//!   module on it unchanged, on the calling thread. The table answers
+//!   every rank the module asks for, bit-identical to a corpus scan, so
+//!   the answers and work counts do not depend on the shard count —
+//!   pinned by the property suite in `tests/whynot_sharded.rs`.
 
 use yask_core::{
-    explain_given, refine_combined_on, request_table, validate_desired, CombinedRefinement,
-    Explanation, KeywordOptions, KeywordRefinement, PreferenceRefinement, RefinementEngine,
-    TreeRefinementEngine, WhyNotError,
+    explain_given, refine_combined_on, refine_keywords_on, refine_preference_with_segments,
+    request_table, validate_desired, CombinedRefinement, Explanation, KeywordRefinement,
+    PreferenceRefinement, WhyNotError,
 };
-use yask_index::{Corpus, ObjectId, RTree};
+use yask_index::{Corpus, ObjectId};
 use yask_query::{ranks_of_scan, topk_scan, Query, RankedObject, ScoreParams};
 
 use crate::deadline::Deadline;
@@ -42,14 +28,13 @@ use crate::pool::WorkerPool;
 use crate::search::scatter_topk_bounded;
 use crate::shard::ShardedIndex;
 
-/// One why-not computation's view of the sharded index: the shard trees,
-/// the worker pool to scatter the top-k on, and the engine configuration.
+/// One why-not computation's view of the sharded index: the corpus and
+/// shard trees, the worker pool to scatter the top-k on, and the scoring
+/// configuration.
 pub(crate) struct ShardFanout<'a> {
     sharded: &'a ShardedIndex,
-    trees: Vec<&'a RTree>,
     pool: &'a WorkerPool,
     params: ScoreParams,
-    opts: KeywordOptions,
     /// Why-not answers are all-or-nothing (a partial refinement is not a
     /// refinement), so the deadline *cancels* instead of truncating:
     /// each phase boundary and candidate evaluation checks it, and on
@@ -63,15 +48,12 @@ impl<'a> ShardFanout<'a> {
         sharded: &'a ShardedIndex,
         pool: &'a WorkerPool,
         params: ScoreParams,
-        opts: KeywordOptions,
         deadline: Option<Deadline>,
     ) -> Self {
         ShardFanout {
             sharded,
-            trees: sharded.shards().iter().map(|t| &**t).collect(),
             pool,
             params,
-            opts,
             deadline,
         }
     }
@@ -80,23 +62,15 @@ impl<'a> ShardFanout<'a> {
         self.sharded.corpus()
     }
 
-    fn check_deadline(&self) -> Result<(), WhyNotError> {
-        match self.deadline {
-            Some(d) if d.expired() => Err(WhyNotError::DeadlineExceeded),
-            _ => Ok(()),
-        }
+    fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| d.expired())
     }
 
-    /// Both refinement models over the shard trees, under the deadline.
-    fn engine(&self) -> TreeRefinementEngine<'_, impl Fn() -> bool> {
-        let deadline = self.deadline;
-        TreeRefinementEngine::new(
-            self.corpus(),
-            &self.trees,
-            self.params,
-            self.opts,
-            move || deadline.is_some_and(|d| d.expired()),
-        )
+    fn check_deadline(&self) -> Result<(), WhyNotError> {
+        if self.expired() {
+            return Err(WhyNotError::DeadlineExceeded);
+        }
+        Ok(())
     }
 
     /// Scatter-gather top-k without touching the executor's query
@@ -152,8 +126,7 @@ impl<'a> ShardFanout<'a> {
     }
 
     /// Preference adjustment (Definition 2): validate, build the
-    /// request's weight-plane table in one pass over the live corpus,
-    /// then sweep it.
+    /// request table in one pass over the live corpus, then sweep it.
     pub(crate) fn refine_preference(
         &self,
         query: &Query,
@@ -162,7 +135,7 @@ impl<'a> ShardFanout<'a> {
     ) -> Result<PreferenceRefinement, WhyNotError> {
         self.check_deadline()?;
         let table = request_table(self.corpus(), &self.params, query, missing, lambda)?;
-        self.engine().preference(query, missing, lambda, &table)
+        refine_preference_with_segments(self.corpus(), query, missing, lambda, &table)
     }
 
     /// Keyword adaptation (Definition 3) over a table built for this
@@ -175,17 +148,31 @@ impl<'a> ShardFanout<'a> {
     ) -> Result<KeywordRefinement, WhyNotError> {
         self.check_deadline()?;
         let table = request_table(self.corpus(), &self.params, query, missing, lambda)?;
-        self.engine().keywords(query, missing, lambda, &table)
+        refine_keywords_on(
+            self.corpus(),
+            &|| self.expired(),
+            query,
+            missing,
+            lambda,
+            &table,
+        )
     }
 
     /// Combined refinement: the chaining logic runs in `yask_core` over
-    /// the shard trees' [`TreeRefinementEngine`].
+    /// one request table.
     pub(crate) fn refine_combined(
         &self,
         query: &Query,
         missing: &[ObjectId],
         lambda: f64,
     ) -> Result<CombinedRefinement, WhyNotError> {
-        refine_combined_on(&self.engine(), query, missing, lambda)
+        refine_combined_on(
+            self.corpus(),
+            &self.params,
+            &|| self.expired(),
+            query,
+            missing,
+            lambda,
+        )
     }
 }

@@ -32,8 +32,9 @@
 //! pessimistic zeros for `min_inter`/`int_len` — the formal reason the
 //! paper replaces the IR-tree with the SetR-tree for Jaccard scoring — and
 //! survives only for the bound-tightness comparison of experiment E5.
-//! Beyond both sets, the counts bound *how many* objects of a subtree
-//! match ([`KcAug::matched_upper`]), which keyword adaptation relies on.
+//! Only top-k reads these bounds, and only their upper side: no why-not
+//! module reads a tree (keyword adaptation counts ranks off its request
+//! table).
 
 use yask_text::{KeywordSet, SimilarityModel};
 
@@ -85,23 +86,6 @@ impl TextStats {
             SimilarityModel::Cosine => m / (min_len * q).sqrt(),
         };
         v.min(1.0)
-    }
-
-    /// Lower bound of the model similarity consistent with these stats.
-    pub fn lower(&self, model: SimilarityModel) -> f64 {
-        if self.q_len == 0 || self.min_inter == 0 {
-            return 0.0;
-        }
-        let g = self.min_inter as f64;
-        let q = self.q_len as f64;
-        let max_len = self.uni_len.max(1) as f64;
-        let v = match model {
-            SimilarityModel::Jaccard => g / (max_len + q - g).max(1.0),
-            SimilarityModel::Dice => 2.0 * g / (max_len + q),
-            SimilarityModel::Overlap => g / max_len.min(q).max(1.0),
-            SimilarityModel::Cosine => g / (max_len * q).sqrt(),
-        };
-        v.clamp(0.0, 1.0)
     }
 }
 
@@ -183,24 +167,6 @@ impl KcAug {
         }
     }
 
-    /// Σ over query keywords of `count(kw)`, clamped at `cnt`: an upper
-    /// bound on the number of objects below the node containing *at least
-    /// one* query keyword (i.e. with non-zero set similarity).
-    pub fn matched_upper(&self, q: &KeywordSet) -> u32 {
-        let mut sum: u64 = 0;
-        for kw in q.raw() {
-            sum += self.count(*kw) as u64;
-        }
-        sum.min(self.cnt as u64) as u32
-    }
-
-    /// A lower bound on the number of objects below the node containing at
-    /// least one query keyword: by inclusion–exclusion it is at least the
-    /// maximum single-keyword count.
-    pub fn matched_lower(&self, q: &KeywordSet) -> u32 {
-        q.raw().iter().map(|&kw| self.count(kw)).max().unwrap_or(0)
-    }
-
     /// The [`TextStats`] of this node against query keywords `q`, read
     /// off the implied intersection and union sets.
     pub fn text_stats(&self, q: &KeywordSet) -> TextStats {
@@ -228,11 +194,6 @@ impl KcAug {
     /// this node.
     pub fn sim_upper(&self, q: &KeywordSet, model: SimilarityModel) -> f64 {
         self.text_stats(q).upper(model)
-    }
-
-    /// Lower bound counterpart of [`KcAug::sim_upper`].
-    pub fn sim_lower(&self, q: &KeywordSet, model: SimilarityModel) -> f64 {
-        self.text_stats(q).lower(model)
     }
 
     /// Appends the exact byte form the paged arena stores: `cnt`, the
@@ -369,21 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn kc_matched_bounds() {
-        let objs = objects(&[&[1, 2], &[2], &[3]]);
-        let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let kc = KcAug::for_leaf(&refs);
-        let q = ks(&[1, 2]);
-        // Objects with ≥1 query keyword: o0, o1 → 2. Bounds must bracket.
-        assert!(kc.matched_lower(&q) <= 2);
-        assert!(kc.matched_upper(&q) >= 2);
-        assert_eq!(kc.matched_upper(&ks(&[9])), 0);
-        assert_eq!(kc.matched_lower(&ks(&[9])), 0);
-        // Sum clamps at cnt.
-        assert!(kc.matched_upper(&ks(&[1, 2, 3])) <= 3);
-    }
-
-    #[test]
     fn bounds_bracket_exact_similarity_all_models() {
         // Node over three docs; check every model, several queries, and
         // the oracle's stats beside both views of the summary.
@@ -395,22 +341,16 @@ mod tests {
             for q in &queries {
                 let set = set_stats(&refs, q);
                 let ir = kc.text_stats(q).without_intersection();
-                for (name, lb, ub) in [
-                    ("set", set.lower(model), set.upper(model)),
-                    ("kc", kc.sim_lower(q, model), kc.sim_upper(q, model)),
-                    ("ir", ir.lower(model), ir.upper(model)),
+                for (name, ub) in [
+                    ("set", set.upper(model)),
+                    ("kc", kc.sim_upper(q, model)),
+                    ("ir", ir.upper(model)),
                 ] {
-                    assert!(lb <= ub + 1e-12, "{name} {model:?} {q:?}: lb>{ub}");
                     for o in &objs {
                         let s = model.similarity(q, &o.doc);
                         assert!(
                             s <= ub + 1e-12,
                             "{name} {model:?} q={q:?} o={:?}: {s} > ub {ub}",
-                            o.id
-                        );
-                        assert!(
-                            s + 1e-12 >= lb,
-                            "{name} {model:?} q={q:?} o={:?}: {s} < lb {lb}",
                             o.id
                         );
                     }

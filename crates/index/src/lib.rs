@@ -5,9 +5,9 @@
 //! KcR-tree summary ([`KcAug`], paper Fig 2): a keyword → count map plus
 //! an object count `cnt`. The counts imply the SetR-tree's per-node
 //! intersection and union keyword sets, so the one summary gives the
-//! tight Jaccard bounds of the top-k engine (paper §3.3) *and* bounds on
-//! *how many* objects in a subtree outrank a given score — the engine of
-//! the keyword-adaptation why-not module. The IR-tree of Cong et al. \[4\]
+//! tight Jaccard bounds of the top-k engine (paper §3.3). The why-not
+//! modules read no tree: they rank off a per-request table over the
+//! corpus. The IR-tree of Cong et al. \[4\]
 //! survives only as a weaker bound view,
 //! [`TextStats::without_intersection`] (see [`aug`]).
 //!

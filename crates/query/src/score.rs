@@ -1,7 +1,7 @@
 //! The ranking function `ST` (Eqn 1) and its node-level bounds.
 
 use yask_geo::{Rect, Space};
-use yask_index::{KcAug, ObjectId, SpatioTextualObject, TextStats};
+use yask_index::{ObjectId, SpatioTextualObject, TextStats};
 use yask_text::{KeywordSet, SimilarityModel};
 
 use crate::query::Query;
@@ -76,35 +76,13 @@ impl ScoreParams {
     }
 
     /// Upper bound of `ST(o, q)` over all objects `o` inside a node with
-    /// rectangle `mbr` and summary `aug`, with `doc` in place of the
-    /// query's keywords.
-    #[inline]
-    pub fn node_upper_with_doc(&self, mbr: &Rect, aug: &KcAug, q: &Query, doc: &KeywordSet) -> f64 {
-        self.stats_upper(mbr, aug.text_stats(doc), q)
-    }
-
-    /// [`ScoreParams::node_upper_with_doc`] from a node's [`TextStats`]
-    /// as given — the form a search that bounds through a weaker view of
-    /// the summary (e.g. [`TextStats::without_intersection`]) calls.
+    /// rectangle `mbr` whose keywords have [`TextStats`] `text` against
+    /// the query's — the form a search that bounds through a weaker view
+    /// of the summary (e.g. [`TextStats::without_intersection`]) calls.
     #[inline]
     pub(crate) fn stats_upper(&self, mbr: &Rect, text: TextStats, q: &Query) -> f64 {
         let a = 1.0 - self.space.sdist_min(&q.loc, mbr);
         let b = text.upper(self.model);
-        q.weights.ws() * a + q.weights.wt() * b
-    }
-
-    /// Lower bound counterpart: every object below the node scores at
-    /// least this much.
-    #[inline]
-    pub fn node_lower(&self, mbr: &Rect, aug: &KcAug, q: &Query) -> f64 {
-        self.node_lower_with_doc(mbr, aug, q, &q.doc)
-    }
-
-    /// [`ScoreParams::node_lower`] with a substituted keyword set.
-    #[inline]
-    pub fn node_lower_with_doc(&self, mbr: &Rect, aug: &KcAug, q: &Query, doc: &KeywordSet) -> f64 {
-        let a = 1.0 - self.space.sdist_max(&q.loc, mbr);
-        let b = aug.sim_lower(doc, self.model);
         q.weights.ws() * a + q.weights.wt() * b
     }
 
@@ -120,7 +98,7 @@ impl ScoreParams {
 mod tests {
     use super::*;
     use yask_geo::Point;
-    use yask_index::CorpusBuilder;
+    use yask_index::{CorpusBuilder, KcAug};
 
     fn ks(ids: &[u32]) -> KeywordSet {
         KeywordSet::from_raw(ids.iter().copied())
@@ -186,13 +164,10 @@ mod tests {
         for o in &objs {
             mbr.expand(&Rect::point(o.loc));
         }
-        let ub = params.node_upper_with_doc(&mbr, &aug, &q, &q.doc);
-        let lb = params.node_lower(&mbr, &aug, &q);
-        assert!(lb <= ub);
+        let ub = params.stats_upper(&mbr, aug.text_stats(&q.doc), &q);
         for o in &objs {
             let s = params.score(o, &q);
             assert!(s <= ub + 1e-12, "{s} > {ub}");
-            assert!(s + 1e-12 >= lb, "{s} < {lb}");
         }
     }
 

@@ -21,6 +21,6 @@ pub mod tokenizer;
 pub mod vocab;
 
 pub use keyword_set::KeywordSet;
-pub use similarity::{SetSimilarity, SimilarityModel};
+pub use similarity::SimilarityModel;
 pub use tokenizer::tokenize;
 pub use vocab::{KeywordId, Vocabulary};

@@ -70,111 +70,6 @@ impl SimilarityModel {
     }
 }
 
-/// Object-safe view of a similarity model plus its node-level bounds.
-///
-/// Indexes need not only the exact similarity but also *bounds* over all
-/// objects within a subtree, given the subtree's intersection and union
-/// keyword sets (SetR-tree node augmentation): for every object `o` in node
-/// `N`, `N.int ⊆ o.doc ⊆ N.uni` holds, so for monotone set similarities the
-/// bounds below are sound (tested exhaustively in the proptest suite).
-pub trait SetSimilarity {
-    /// Exact similarity.
-    fn score(&self, query: &KeywordSet, doc: &KeywordSet) -> f64;
-
-    /// Upper bound of the similarity between `query` and any `doc` with
-    /// `node_int ⊆ doc ⊆ node_uni`.
-    fn upper_bound(&self, query: &KeywordSet, node_int: &KeywordSet, node_uni: &KeywordSet)
-        -> f64;
-
-    /// Lower bound counterpart of [`SetSimilarity::upper_bound`].
-    fn lower_bound(&self, query: &KeywordSet, node_int: &KeywordSet, node_uni: &KeywordSet)
-        -> f64;
-}
-
-impl SetSimilarity for SimilarityModel {
-    fn score(&self, query: &KeywordSet, doc: &KeywordSet) -> f64 {
-        self.similarity(query, doc)
-    }
-
-    /// For Jaccard: the best object maximizes `|o ∩ q|` (≤ `|uni ∩ q|`) and
-    /// minimizes `|o ∪ q|` (≥ `|int ∪ q|`, since `o ⊇ int` and always
-    /// `o ∪ q ⊇ q`). The numerator max and denominator min need not be
-    /// simultaneously achievable, which only loosens the bound. Analogous
-    /// monotonicity arguments give the other models' bounds.
-    fn upper_bound(
-        &self,
-        query: &KeywordSet,
-        node_int: &KeywordSet,
-        node_uni: &KeywordSet,
-    ) -> f64 {
-        if query.is_empty() || node_uni.is_empty() {
-            return 0.0;
-        }
-        let max_inter = node_uni.intersection_size(query) as f64;
-        if max_inter == 0.0 {
-            return 0.0;
-        }
-        match self {
-            SimilarityModel::Jaccard => {
-                let min_union = node_int.union_size(query).max(1) as f64;
-                (max_inter / min_union).min(1.0)
-            }
-            SimilarityModel::Dice => {
-                // |o| ≥ max(|int|, |o ∩ q|); use |int| (and ≥1 since o
-                // non-empty whenever the intersection is non-zero).
-                let min_len = node_int.len().max(1) as f64;
-                (2.0 * max_inter / (query.len() as f64 + min_len)).min(1.0)
-            }
-            SimilarityModel::Overlap => {
-                // min(|o|, |q|) ≥ min(max(|int|,1), |q|) — but the overlap
-                // coefficient is ≤ 1 always, and any o ⊆ uni containing the
-                // matched keywords achieves 1 when it is exactly that match.
-                1.0_f64.min(max_inter / 1.0_f64.max(node_int.len().min(query.len()) as f64))
-            }
-            SimilarityModel::Cosine => {
-                let min_len = node_int.len().max(1) as f64;
-                (max_inter / (min_len * query.len() as f64).sqrt()).min(1.0)
-            }
-        }
-    }
-
-    fn lower_bound(
-        &self,
-        query: &KeywordSet,
-        node_int: &KeywordSet,
-        node_uni: &KeywordSet,
-    ) -> f64 {
-        if query.is_empty() || node_uni.is_empty() {
-            return 0.0;
-        }
-        // Every object contains at least the node intersection, so the
-        // guaranteed common keywords are |int ∩ q|; the worst-case object is
-        // as large as the node union.
-        let min_inter = node_int.intersection_size(query) as f64;
-        if min_inter == 0.0 {
-            return 0.0;
-        }
-        match self {
-            SimilarityModel::Jaccard => {
-                let max_union = node_uni.union_size(query).max(1) as f64;
-                min_inter / max_union
-            }
-            SimilarityModel::Dice => {
-                let max_len = node_uni.len().max(1) as f64;
-                2.0 * min_inter / (query.len() as f64 + max_len)
-            }
-            SimilarityModel::Overlap => {
-                let denom = node_uni.len().min(query.len()).max(1) as f64;
-                min_inter / denom
-            }
-            SimilarityModel::Cosine => {
-                let max_len = node_uni.len().max(1) as f64;
-                min_inter / (max_len * query.len() as f64).sqrt()
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,27 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn bounds_bracket_exact_scores() {
-        // Node with int = {2}, uni = {1,2,3}; enumerate all docs between.
-        let node_int = ks(&[2]);
-        let node_uni = ks(&[1, 2, 3]);
-        let docs = [ks(&[2]), ks(&[1, 2]), ks(&[2, 3]), ks(&[1, 2, 3])];
-        let queries = [ks(&[2]), ks(&[1, 3]), ks(&[1, 2, 4]), ks(&[9])];
-        for m in SimilarityModel::ALL {
-            for q in &queries {
-                let ub = m.upper_bound(q, &node_int, &node_uni);
-                let lb = m.lower_bound(q, &node_int, &node_uni);
-                assert!(lb <= ub + 1e-12, "{m:?}: lb {lb} > ub {ub}");
-                for d in &docs {
-                    let s = m.similarity(q, d);
-                    assert!(s <= ub + 1e-12, "{m:?} q={q:?} d={d:?}: {s} > ub {ub}");
-                    assert!(s + 1e-12 >= lb, "{m:?} q={q:?} d={d:?}: {s} < lb {lb}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn one_intersection_kernel_is_bit_equal_to_the_two_pass_formula() {
         // Every pair of subsets of {0..6}: the single-intersection kernel
         // must give the same integers and the same f64 bits as the old
@@ -293,14 +167,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn upper_bound_zero_when_no_keyword_matches() {
-        let q = ks(&[10, 11]);
-        for m in SimilarityModel::ALL {
-            assert_eq!(m.upper_bound(&q, &ks(&[1]), &ks(&[1, 2, 3])), 0.0);
         }
     }
 }

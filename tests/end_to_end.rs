@@ -45,7 +45,6 @@ fn engines_agree_on_synthetic_workload() {
 fn optimized_refinements_match_naive_on_many_scenarios() {
     let corpus = synth(800, 3);
     let params = ScoreParams::new(corpus.space());
-    let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
     for (i, q) in gen_queries(&corpus, 8, 2, 5, 4).into_iter().enumerate() {
         let missing = pick_missing(&corpus, &params, &q, 1 + i % 3, i);
         for lambda in [0.25, 0.5, 0.75] {
@@ -58,7 +57,7 @@ fn optimized_refinements_match_naive_on_many_scenarios() {
                 pf.penalty,
                 pn.penalty
             );
-            let kf = yask::core::refine_keywords(&tree, &params, &q, &missing, lambda).unwrap();
+            let kf = yask::core::refine_keywords(&corpus, &params, &q, &missing, lambda).unwrap();
             let kn = refine_keywords_naive(&corpus, &params, &q, &missing, lambda).unwrap();
             assert!(
                 (kf.penalty - kn.penalty).abs() < 1e-12,
@@ -110,9 +109,8 @@ fn multi_object_whynot_covers_all_objects() {
 
 #[test]
 fn whynot_works_through_every_engine_combination() {
-    // The Yask facade uses a KcR-tree; verify the preference module (pure
-    // scan based) and the keyword module (tree based) agree with a
-    // stand-alone reconstruction.
+    // The Yask facade owns a KcR-tree; verify its keyword module agrees
+    // with a stand-alone call over the corpus.
     let corpus = synth(500, 8);
     let engine = Yask::with_defaults(corpus.clone());
     let params = engine.score_params();
@@ -120,8 +118,7 @@ fn whynot_works_through_every_engine_combination() {
     let missing = pick_missing(&corpus, &params, q, 2, 3);
 
     let via_facade = engine.refine_keywords(q, &missing, 0.5).unwrap();
-    let own_tree = RTree::bulk_load(corpus.clone(), RTreeParams::default());
-    let direct = yask::core::refine_keywords(&own_tree, &params, q, &missing, 0.5).unwrap();
+    let direct = yask::core::refine_keywords(&corpus, &params, q, &missing, 0.5).unwrap();
     assert_eq!(via_facade.query.doc, direct.query.doc);
     assert!((via_facade.penalty - direct.penalty).abs() < 1e-12);
 }

@@ -153,16 +153,14 @@ proptest! {
         prop_assert_eq!(kc.text_stats(&q), set);
         let ir = kc.text_stats(&q).without_intersection();
         for model in SimilarityModel::ALL {
-            for (aug_name, lb, ub) in [
-                ("set", set.lower(model), set.upper(model)),
-                ("kc", kc.sim_lower(&q, model), kc.sim_upper(&q, model)),
-                ("ir", ir.lower(model), ir.upper(model)),
+            for (aug_name, ub) in [
+                ("set", set.upper(model)),
+                ("kc", kc.sim_upper(&q, model)),
+                ("ir", ir.upper(model)),
             ] {
-                prop_assert!(lb <= ub + 1e-12, "{} {:?}", aug_name, model);
                 for o in &objs {
                     let s = model.similarity(&q, &o.doc);
                     prop_assert!(s <= ub + 1e-12, "{} {:?}: {} > {}", aug_name, model, s, ub);
-                    prop_assert!(s + 1e-12 >= lb, "{} {:?}: {} < {}", aug_name, model, s, lb);
                 }
             }
         }
@@ -228,9 +226,8 @@ proptest! {
         let params = ScoreParams::new(corpus.space());
         prop_assume!(corpus.len() > q.k + offset + 1);
         let missing = yask::data::pick_missing(corpus, &params, &q, 1, offset);
-        let tree = RTree::bulk_load(corpus.clone(), RTreeParams::new(4, 2));
 
-        let fast = yask::core::refine_keywords(&tree, &params, &q, &missing, lambda);
+        let fast = yask::core::refine_keywords(corpus, &params, &q, &missing, lambda);
         let slow = yask::core::refine_keywords_naive(corpus, &params, &q, &missing, lambda);
         match (fast, slow) {
             (Ok(f), Ok(s)) => {
