@@ -31,7 +31,7 @@
 use yask_index::{Corpus, ObjectId};
 use yask_query::{Query, ScoreParams};
 
-use crate::common::{build_context, request_table};
+use crate::common::{build_context, request_table, universe};
 use crate::error::WhyNotError;
 use crate::keyword::refine_keywords_on;
 use crate::penalty::PenaltyContext;
@@ -76,30 +76,33 @@ pub fn refine_combined(
     missing: &[ObjectId],
     lambda: f64,
 ) -> Result<CombinedRefinement, WhyNotError> {
-    refine_combined_on(corpus, params, &|| false, query, missing, lambda)
+    let table = request_table(corpus, params, query, missing, lambda)?;
+    refine_combined_on(corpus, &|| false, query, missing, lambda, &table)
 }
 
-/// [`refine_combined`] under a deadline check: once `expired` returns
-/// true, a stage fails with [`WhyNotError::DeadlineExceeded`].
+/// Combined refinement over the request's [`SegmentSet`] (built under
+/// `query`'s location and a universe holding `q.doc ∪ M.doc`, e.g. by
+/// [`request_table`]), like the preference and keyword forms, under a
+/// deadline check: once `expired` returns true, a stage fails with
+/// [`WhyNotError::DeadlineExceeded`].
 ///
 /// A stage error other than stage 2's `NotMissing` (e.g. an expired
 /// deadline) fails the whole request: half of the search is not an
 /// answer.
 pub fn refine_combined_on(
     corpus: &Corpus,
-    params: &ScoreParams,
     expired: &dyn Fn() -> bool,
     query: &Query,
     missing: &[ObjectId],
     lambda: f64,
+    table: &SegmentSet,
 ) -> Result<CombinedRefinement, WhyNotError> {
-    let table = request_table(corpus, params, query, missing, lambda)?;
-    let (ctx, _) = build_context(corpus, &table, query, missing, lambda)?;
+    let (ctx, _) = build_context(corpus, table, query, missing, lambda)?;
     // Δdoc normalizer is fixed by the *initial* query (Eqn 4).
-    let doc_norm = table.universe().len().max(1);
+    let doc_norm = universe(corpus, query, missing).len().max(1);
     let stages = Stages {
         corpus,
-        table: &table,
+        table,
         expired,
         missing,
         lambda,
@@ -111,7 +114,7 @@ pub fn refine_combined_on(
         (CombineOrder::KeywordsThenWeights, kw_first),
         (CombineOrder::WeightsThenKeywords, w_first),
     ]
-    .map(|(order, refined)| assemble(&table, query, missing, &ctx, refined, doc_norm, order));
+    .map(|(order, refined)| assemble(table, query, missing, &ctx, refined, doc_norm, order));
     // Keywords-first wins ties.
     Ok(if a.penalty <= b.penalty { a } else { b })
 }
@@ -317,12 +320,13 @@ mod tests {
         // the first has finished. Either way the error reaches the caller:
         // a half-searched answer must not be returned (or cached) as Ok.
         let (corpus, params, q, missing) = scenario(8);
+        let table = request_table(&corpus, &params, &q, &missing, 0.5).unwrap();
         let checks = std::cell::Cell::new(0usize);
         let counting = || {
             checks.set(checks.get() + 1);
             false
         };
-        let want = refine_combined_on(&corpus, &params, &counting, &q, &missing, 0.5).unwrap();
+        let want = refine_combined_on(&corpus, &counting, &q, &missing, 0.5, &table).unwrap();
         let total = checks.get();
         assert!(total > 2, "both chains consult the deadline");
         for ok_checks in 0..total {
@@ -335,7 +339,7 @@ mod tests {
                 }
             };
             assert_eq!(
-                refine_combined_on(&corpus, &params, &expiring, &q, &missing, 0.5).unwrap_err(),
+                refine_combined_on(&corpus, &expiring, &q, &missing, 0.5, &table).unwrap_err(),
                 WhyNotError::DeadlineExceeded,
                 "{ok_checks} passed deadline check(s)"
             );

@@ -10,8 +10,12 @@ use crate::pref::segment::SegmentSet;
 
 /// Checks a why-not request before any scoring pass is paid, in order:
 /// non-empty database; non-empty missing set; λ in range; every missing
-/// id live.
-fn validate(corpus: &Corpus, missing: &[ObjectId], lambda: f64) -> Result<(), WhyNotError> {
+/// id live. Explanations never read λ and pass 0.
+pub(crate) fn validate(
+    corpus: &Corpus,
+    missing: &[ObjectId],
+    lambda: f64,
+) -> Result<(), WhyNotError> {
     if corpus.is_empty() {
         return Err(WhyNotError::EmptyDatabase);
     }

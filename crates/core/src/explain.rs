@@ -14,6 +14,7 @@
 use yask_index::{Corpus, ObjectId};
 use yask_query::{rank_of_scan, topk_scan, Query, RankedObject, ScoreParams};
 
+use crate::common::validate;
 use crate::error::WhyNotError;
 
 /// Why an object is (or is not) missing from the result.
@@ -76,18 +77,20 @@ pub struct Explanation {
     pub message: String,
 }
 
-/// Explains each object in `desired` with respect to query `q`.
+/// Explains each object in `desired` with respect to query `q`, by
+/// scanning the corpus — the reference the table-backed executor is
+/// held to.
 ///
-/// Unlike the refinement modules, objects already in the result are
-/// accepted (reason [`MissingReason::InResult`]) — the demo lets users
-/// click any marker.
+/// The request is validated like a refinement's (with λ = 0), but
+/// objects already in the result are accepted (reason
+/// [`MissingReason::InResult`]) — the demo lets users click any marker.
 pub fn explain(
     corpus: &Corpus,
     params: &ScoreParams,
     query: &Query,
     desired: &[ObjectId],
 ) -> Result<Vec<Explanation>, WhyNotError> {
-    validate_desired(corpus, desired)?;
+    validate(corpus, desired, 0.0)?;
     let top = topk_scan(corpus, params, query);
     let ranks: Vec<usize> = desired
         .iter()
@@ -96,33 +99,14 @@ pub fn explain(
     Ok(explain_given(corpus, params, query, desired, &top, &ranks))
 }
 
-/// The request validation shared by [`explain`] and the sharded fan-out:
-/// non-empty database, non-empty desired set, every id live (out-of-range
-/// and tombstoned ids are both foreign — a deleted object has no rank
-/// under the current corpus version).
-pub fn validate_desired(corpus: &Corpus, desired: &[ObjectId]) -> Result<(), WhyNotError> {
-    if corpus.is_empty() {
-        return Err(WhyNotError::EmptyDatabase);
-    }
-    if desired.is_empty() {
-        return Err(WhyNotError::EmptyMissingSet);
-    }
-    for &m in desired {
-        if !corpus.contains(m) {
-            return Err(WhyNotError::ForeignObject(m));
-        }
-    }
-    Ok(())
-}
-
 /// Assembles explanations from an already-computed top-k result and
 /// already-computed exact ranks (aligned with `desired`).
 ///
-/// This is the gather half of the sharded explain: the execution layer
-/// produces `top` by scatter-gather and each rank by the scan, then
-/// delegates the classification and rendering here so the output is
-/// byte-identical to [`explain`].
-/// Callers must have validated the request ([`validate_desired`]) first.
+/// The executor reads `top` and each rank off its request table
+/// ([`SegmentSet`](crate::SegmentSet)) and delegates the classification
+/// and rendering here, so the output is byte-identical to [`explain`].
+/// Callers must have validated the request first (e.g. by building the
+/// table with [`request_table`](crate::request_table)).
 pub fn explain_given(
     corpus: &Corpus,
     params: &ScoreParams,

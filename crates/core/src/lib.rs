@@ -48,7 +48,7 @@ pub use combined::{refine_combined, refine_combined_on, CombineOrder, CombinedRe
 pub use common::request_table;
 pub use engine::{RecommendedModel, WhyNotAnswer, Yask, YaskConfig};
 pub use error::WhyNotError;
-pub use explain::{explain, explain_given, validate_desired, Explanation, MissingReason};
+pub use explain::{explain, explain_given, Explanation, MissingReason};
 pub use keyword::{
     refine_keywords, refine_keywords_naive, refine_keywords_on, KeywordRefinement, KeywordStats,
 };

@@ -22,15 +22,16 @@
 //! spatial part `a_o` and its *signature* `(o.doc ∩ U, |o.doc|)` fixes
 //! `b_o = TSim(o, doc′)` for every `doc′ ⊆ U` at once: objects with one
 //! signature share one `b`, read off a representative document.
-//! [`SegmentSet`] thereby answers `R(M, q′)` for any keywords inside `U`
-//! and any weights, and hands the preference sweep the segments of any
-//! such keyword set, all bit-identical to a corpus scan.
+//! [`SegmentSet`] thereby answers `R(M, q′)` and the top-k for any
+//! keywords inside `U` and any weights, and hands the preference sweep
+//! the segments of any such keyword set, all bit-identical to a corpus
+//! scan.
 
 use yask_geo::Point;
 use yask_index::{Corpus, ObjectId};
-use yask_query::{Query, ScoreParams, Weights};
+use yask_query::{Query, RankedObject, ScoreParams, Weights};
 use yask_text::{KeywordSet, SimilarityModel};
-use yask_util::FxHashMap;
+use yask_util::{FxHashMap, TopK};
 
 /// An object's segment in the weight plane: endpoints `(0, b)` and
 /// `(1, a)`.
@@ -113,11 +114,15 @@ impl Group {
 /// part and signature under one `(q.loc, U)` (see the module docs), in
 /// id-ascending order.
 ///
-/// Id order makes the table's position tie-break identical to the
-/// engine's id tie-break — the property the rank-update theorem's
-/// exactness rests on. Group 0 holds the objects sharing no keyword with
-/// `U`, whose similarity to any `doc′ ⊆ U` is 0. A table lives for one
-/// why-not request and is dropped with it (20 B per live object).
+/// It is everything a why-not request reads of the corpus: the ranks
+/// every module asks for ([`SegmentSet::ranks`]), the top-k of the
+/// initial query and of each refined query ([`SegmentSet::top_k`]), and
+/// the preference sweep's segments — no index tree. Id order makes the
+/// table's position tie-break identical to the engine's id tie-break —
+/// the property the rank-update theorem's exactness rests on. Group 0
+/// holds the objects sharing no keyword with `U`, whose similarity to
+/// any `doc′ ⊆ U` is 0. A table lives for one why-not request and is
+/// dropped with it (20 B per live object).
 #[derive(Clone, Debug)]
 pub struct SegmentSet {
     loc: Point,
@@ -188,14 +193,9 @@ impl SegmentSet {
 
     /// True when the table was built under `query`'s location and a
     /// universe holding its keywords — the queries whose ranks
-    /// [`SegmentSet::ranks`] answers.
-    pub(crate) fn serves(&self, query: &Query) -> bool {
+    /// [`SegmentSet::ranks`] and top-k [`SegmentSet::top_k`] answer.
+    pub fn serves(&self, query: &Query) -> bool {
         self.loc == query.loc && query.doc.is_subset_of(&self.universe)
-    }
-
-    /// The keyword universe `U` the table was built under.
-    pub(crate) fn universe(&self) -> &KeywordSet {
-        &self.universe
     }
 
     /// Number of live objects sharing a keyword with `U` — the objects
@@ -244,11 +244,35 @@ impl SegmentSet {
     /// location, keywords and weights, aligned with `targets` —
     /// bit-identical to a corpus scan of `query` when the table
     /// [`serves`](SegmentSet::serves) it.
-    pub(crate) fn ranks(&self, query: &Query, targets: &[ObjectId]) -> Vec<usize> {
+    pub fn ranks(&self, query: &Query, targets: &[ObjectId]) -> Vec<usize> {
         assert!(self.serves(query), "rank table built for another query");
         targets
             .iter()
             .map(|&t| self.outranking(&query.doc, query.weights, t) + 1)
+            .collect()
+    }
+
+    /// The top-`query.k` objects under `query`'s keywords and weights,
+    /// best first: one [`TopK`] pass over the groups, scoring each object
+    /// with `ScoreParams::score`'s expression `ws·a + wt·b` over its
+    /// stored parts — bit-identical to `topk_scan` of `query` when the
+    /// table [`serves`](SegmentSet::serves) it.
+    pub fn top_k(&self, query: &Query) -> Vec<RankedObject> {
+        assert!(self.serves(query), "top-k table built for another query");
+        let (ws, wt) = (query.weights.ws(), query.weights.wt());
+        let mut heap = TopK::new(query.k);
+        for (g, b) in self.groups.iter().zip(self.sims(&query.doc)) {
+            let tb = wt * b;
+            for (&a, &p) in g.a.iter().zip(&g.pos) {
+                heap.push(ws * a + tb, self.ids[p as usize]);
+            }
+        }
+        heap.into_sorted_vec()
+            .into_iter()
+            .map(|s| RankedObject {
+                id: s.item,
+                score: s.score.get(),
+            })
             .collect()
     }
 
@@ -362,7 +386,7 @@ mod tests {
 
     use yask_geo::Space;
     use yask_index::CorpusBuilder;
-    use yask_query::ranks_of_scan;
+    use yask_query::{ranks_of_scan, topk_scan};
     use yask_util::Xoshiro256;
 
     /// A corpus built for ties: locations on a coarse grid (duplicate
@@ -382,8 +406,9 @@ mod tests {
 
     /// Every `doc′` over the first eight keywords of `U` (all of `U` when
     /// it is that small) under every model and the
-    /// given weights: the table's ranks equal the scan's, and its segments
-    /// equal `ScoreParams::parts` of `q.with_doc(doc′)`.
+    /// given weights: the table's ranks and top-k (k ∈ {1, 3, n, n + 3})
+    /// equal the scan's, ids and score bits, and its segments equal
+    /// `ScoreParams::parts` of `q.with_doc(doc′)`.
     fn assert_table_equals_scan(corpus: &Corpus, q: &Query, universe: &KeywordSet, ws: &[f64]) {
         let u = &universe.raw()[..universe.len().min(8)];
         let targets: Vec<ObjectId> = corpus.live_ids().into_iter().step_by(7).collect();
@@ -411,6 +436,18 @@ mod tests {
                         ranks_of_scan(corpus, &params, &probe, &targets),
                         "{model:?} {doc:?} ws = {w}"
                     );
+                    let n = corpus.len();
+                    for k in [1, 3, n, n + 3] {
+                        let probe = probe.with_k(k);
+                        let bits = |r: Vec<RankedObject>| -> Vec<(ObjectId, u64)> {
+                            r.iter().map(|r| (r.id, r.score.to_bits())).collect()
+                        };
+                        assert_eq!(
+                            bits(table.top_k(&probe)),
+                            bits(topk_scan(corpus, &params, &probe)),
+                            "{model:?} {doc:?} ws = {w} k = {k}"
+                        );
+                    }
                 }
             }
         }

@@ -285,7 +285,9 @@ impl AdmissionController {
     }
 
     /// Counts one degraded answer actually served (stale cache hit or
-    /// deadline-truncated search flagged `degraded: true`).
+    /// deadline-truncated top-k flagged `degraded: true`). Why-not
+    /// answers, result previews included, are exact or a 504 and never
+    /// count.
     pub fn count_degraded_answer(&self) {
         self.degraded_answers.fetch_add(1, Ordering::Relaxed);
     }

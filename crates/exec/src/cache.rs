@@ -1,8 +1,8 @@
 //! The bounded LRU answer cache and its canonical keys.
 //!
 //! Two cacheable computations dominate the service's hot path: top-k
-//! results (the `/query` endpoint plus every refined-query re-run) and
-//! why-not answers (explanations and refinements, which cost orders of
+//! results (the `/query` endpoint) and why-not answers (explanations and
+//! refinements with their result previews, which cost orders of
 //! magnitude more than a top-k). Both are pure functions of the
 //! *canonicalized* request — the corpus is immutable — so an LRU keyed by
 //! canonical bits is exact, never stale.
@@ -21,7 +21,7 @@ use std::hash::Hash;
 
 use yask_core::{CombinedRefinement, Explanation, KeywordRefinement, PreferenceRefinement};
 use yask_index::ObjectId;
-use yask_query::Query;
+use yask_query::{Query, RankedObject};
 
 /// `f64` → canonical key bits (`-0.0` and `0.0` collapse).
 #[inline]
@@ -121,17 +121,19 @@ impl AnswerKey {
     }
 }
 
-/// A cached why-not result (variant matches [`WhyNotKind`]).
+/// A cached why-not result (variant matches [`WhyNotKind`]). Each
+/// refinement carries beside it its refined query's top-k — the result
+/// preview the server renders — read off the same request table.
 #[derive(Clone, Debug)]
 pub enum CachedAnswer {
     /// Explanations only.
     Explain(Vec<Explanation>),
-    /// Preference-adjusted refinement.
-    Preference(PreferenceRefinement),
-    /// Keyword-adapted refinement.
-    Keyword(KeywordRefinement),
-    /// Both models chained.
-    Combined(CombinedRefinement),
+    /// Preference-adjusted refinement and its preview.
+    Preference(PreferenceRefinement, Vec<RankedObject>),
+    /// Keyword-adapted refinement and its preview.
+    Keyword(KeywordRefinement, Vec<RankedObject>),
+    /// Both models chained, and the preview.
+    Combined(CombinedRefinement, Vec<RankedObject>),
 }
 
 /// Counter snapshot of one cache.

@@ -3,12 +3,15 @@
 //!
 //! An [`Executor`] owns the current *engine epoch* — one [`ShardedIndex`]
 //! of `shards ≥ 1` KcR-trees — published through an arc-swap-style
-//! [`EpochCell`]. *Everything* is answered from the shard trees, by the
-//! same code at every shard count: top-k by scatter-gather
-//! ([`Executor::top_k_deadline_on_traced`]), and the why-not modules
-//! (explain, preference adjustment, keyword adaptation, combined) by the
-//! per-shard fan-out in `crate::whynot`, behind one cached, traced call,
-//! [`Executor::whynot_on`]; the per-module methods (`explain_on`,
+//! [`EpochCell`]. Top-k is answered from the shard trees by
+//! scatter-gather ([`Executor::top_k_deadline_on_traced`]), by the same
+//! code at every shard count. The why-not modules (explain, preference
+//! adjustment, keyword adaptation, combined) read no tree: behind one
+//! cached, traced call, [`Executor::whynot_on`], each request builds its
+//! request table ([`yask_core::SegmentSet`]) in one pass over the pinned
+//! corpus version and runs `yask_core`'s table form of the module on the
+//! calling thread — explain's top-k and ranks and every refinement's
+//! result preview included. The per-module methods (`explain_on`,
 //! `refine_*_on`, and the current-epoch mirrors of `yask_core::Yask`)
 //! are thin calls into it. There is no global KcR-tree, so index memory
 //! and per-batch copy-on-write work cover the shard trees only. Readers
@@ -32,8 +35,9 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use yask_obs::Trace;
 use yask_core::{
-    CombinedRefinement, Explanation, KeywordRefinement, PreferenceRefinement, WhyNotAnswer,
-    WhyNotError, YaskConfig,
+    explain_given, refine_combined_on, refine_keywords_on, refine_preference_with_segments,
+    request_table, CombinedRefinement, Explanation, KeywordRefinement, PreferenceRefinement,
+    WhyNotAnswer, WhyNotError, YaskConfig,
 };
 use yask_index::{Corpus, ObjectId};
 use yask_query::{topk_scan, Query, RankedObject, ScoreParams};
@@ -48,7 +52,6 @@ use crate::observe::Workload;
 use crate::pool::WorkerPool;
 use crate::shard::ShardedIndex;
 use crate::stats::{ExecCounters, ExecSnapshot, PagerSnapshot, ShardShape};
-use crate::whynot::ShardFanout;
 
 /// Pending-job bound for the scatter pool's backpressure path
 /// ([`WorkerPool::submit_or_run`]): once this many jobs are queued,
@@ -270,10 +273,63 @@ type EpochCache<K, V> = Option<Mutex<LruCache<(u64, K), Arc<V>>>>;
 macro_rules! module_on {
     ($exec:expr, $handle:expr, $kind:ident, $query:expr, $missing:expr, $lambda:expr) => {
         match &*$exec.whynot_on($handle, WhyNotKind::$kind, $query, $missing, $lambda, None, None)? {
-            CachedAnswer::$kind(answer) => Ok(answer.clone()),
+            CachedAnswer::$kind(answer, ..) => Ok(answer.clone()),
             _ => unreachable!("kind-tagged cache entry"),
         }
     };
+}
+
+/// Computes one why-not module against a pinned epoch: one pass over
+/// its corpus version into the request table (which validates the
+/// request), then `yask_core`'s table form of the module on the calling
+/// thread — no tree is read and no pool thread is parked. Explanations
+/// take the top-k and each desired object's rank off the table; each
+/// refinement's result preview is its refined query's top-k off the same
+/// table. Why-not answers are all-or-nothing (a partial refinement is not
+/// a refinement), so the deadline *cancels*: it is checked after the
+/// table pass and before every candidate count, and on expiry the
+/// computation unwinds to [`WhyNotError::DeadlineExceeded`].
+fn compute_whynot(
+    state: &EngineState,
+    kind: WhyNotKind,
+    query: &Query,
+    missing: &[ObjectId],
+    lambda: f64,
+    deadline: Option<Deadline>,
+) -> Result<CachedAnswer, WhyNotError> {
+    let corpus = state.index.corpus();
+    let expired = || deadline.is_some_and(|d| d.expired());
+    // Explanations never read λ: they validate under 0.
+    let table_lambda = if kind == WhyNotKind::Explain { 0.0 } else { lambda };
+    let table = request_table(corpus, &state.params, query, missing, table_lambda)?;
+    if expired() {
+        return Err(WhyNotError::DeadlineExceeded);
+    }
+    Ok(match kind {
+        WhyNotKind::Explain => CachedAnswer::Explain(explain_given(
+            corpus,
+            &state.params,
+            query,
+            missing,
+            &table.top_k(query),
+            &table.ranks(query, missing),
+        )),
+        WhyNotKind::Preference => {
+            let r = refine_preference_with_segments(corpus, query, missing, lambda, &table)?;
+            let preview = table.top_k(&r.query);
+            CachedAnswer::Preference(r, preview)
+        }
+        WhyNotKind::Keyword => {
+            let r = refine_keywords_on(corpus, &expired, query, missing, lambda, &table)?;
+            let preview = table.top_k(&r.query);
+            CachedAnswer::Keyword(r, preview)
+        }
+        WhyNotKind::Combined => {
+            let r = refine_combined_on(corpus, &expired, query, missing, lambda, &table)?;
+            let preview = table.top_k(&r.query);
+            CachedAnswer::Combined(r, preview)
+        }
+    })
 }
 
 /// The sharded, concurrent, caching, *writable* query executor.
@@ -649,7 +705,8 @@ impl Executor {
     /// starts (time burned queueing) returns
     /// [`WhyNotError::DeadlineExceeded`] — but a cache hit is served
     /// regardless, since it costs nothing. The returned variant is the
-    /// one `kind` names.
+    /// one `kind` names; a refinement's carries its refined query's
+    /// top-k, the result preview, read off the same request table.
     #[allow(clippy::too_many_arguments)]
     pub fn whynot_on(
         &self,
@@ -684,19 +741,7 @@ impl Executor {
         let computed = {
             let _span = trace.map(|t| t.span(format!("whynot_{}", kind.label())));
             let t0 = Instant::now();
-            let fanout = ShardFanout::new(&state.index, &self.pool, state.params, deadline);
-            let computed = match kind {
-                WhyNotKind::Explain => fanout.explain(query, missing).map(CachedAnswer::Explain),
-                WhyNotKind::Preference => fanout
-                    .refine_preference(query, missing, lambda)
-                    .map(CachedAnswer::Preference),
-                WhyNotKind::Keyword => fanout
-                    .refine_keywords(query, missing, lambda)
-                    .map(CachedAnswer::Keyword),
-                WhyNotKind::Combined => fanout
-                    .refine_combined(query, missing, lambda)
-                    .map(CachedAnswer::Combined),
-            };
+            let computed = compute_whynot(state, kind, query, missing, lambda, deadline);
             self.counters.whynot[kind as usize].record(t0.elapsed());
             if let Some(wl) = &self.workload {
                 wl.record_whynot(kind, t0.elapsed());
@@ -936,6 +981,49 @@ mod tests {
         assert!(p.pool_hits + p.pool_misses > 0, "faults must hit the pool: {p:?}");
         assert_eq!(p.paged_trees, 4);
         assert!(resident.stats().pager.is_none());
+    }
+
+    /// Every why-not module reads its request table and no shard tree: on
+    /// a paged executor whose one-byte budget faults on any tree read,
+    /// one question per module touches no chunk. Each refinement's
+    /// preview is its refined query's exact top-k.
+    #[test]
+    fn whynot_reads_no_tree() {
+        let corpus = random_corpus(400, 92);
+        let paged = Executor::new(
+            corpus.clone(),
+            ExecConfig {
+                resident_budget: Some(1),
+                topk_cache: 0,
+                answer_cache: 0,
+                ..ExecConfig::default()
+            },
+        );
+        let handle = paged.engine();
+        let params = handle.score_params();
+        let q = Query::new(Point::new(0.3, 0.6), ks(&[1, 5]), 4);
+        let all = topk_scan(&corpus, &params, &q.with_k(corpus.len()));
+        let missing = vec![all[q.k + 3].id];
+        let chunks = || {
+            let p = paged.stats().pager.expect("paged executor exposes pager stats");
+            p.chunk_hits + p.chunk_misses
+        };
+        // The first snapshot walks each tree once for its shape.
+        chunks();
+        for kind in WhyNotKind::ALL {
+            let before = chunks();
+            let answer = paged
+                .whynot_on(&handle, kind, &q, &missing, 0.5, None, None)
+                .unwrap();
+            assert_eq!(chunks(), before, "{kind:?} read a tree");
+            let (refined, preview) = match &*answer {
+                CachedAnswer::Explain(_) => continue,
+                CachedAnswer::Preference(r, p) => (&r.query, p),
+                CachedAnswer::Keyword(r, p) => (&r.query, p),
+                CachedAnswer::Combined(r, p) => (&r.query, p),
+            };
+            assert_eq!(preview, &topk_scan(&corpus, &params, refined), "{kind:?}");
+        }
     }
 
     #[test]

@@ -20,12 +20,13 @@
 //!   late shards against early shards' results; the gather merge is
 //!   exactly the single-tree answer (property-tested for
 //!   K ∈ {1, 2, 3, 5, 8});
-//! * `whynot` — the why-not modules over the shard trees: the
-//!   explanation's top-k is a scatter-gather and its ranks a scan, and
-//!   the refinements run `yask_core`'s engine over the shard trees
-//!   (keyword adaptation counts exact ranks shard after shard under one
-//!   running total), so the executor needs **no global KcR-tree** —
-//!   property-tested equal to `yask_core::Yask` for K ∈ {1, 2, 4, 8};
+//! * why-not — [`Executor::whynot_on`] builds each request's table
+//!   ([`yask_core::SegmentSet`], one pass over the pinned corpus version)
+//!   and runs `yask_core`'s table form of the module on it: explain's
+//!   top-k and ranks, every refinement rank and each refinement's result
+//!   preview come off that table, so the why-not path reads no shard tree
+//!   and the executor needs **no global KcR-tree** — property-tested
+//!   equal to `yask_core::Yask` for K ∈ {1, 2, 4, 8};
 //! * [`cache`] — bounded LRU caches for top-k results and why-not
 //!   answers, keyed by canonicalized `(query, k, λ, desired-set)` bits,
 //!   with hit/miss/eviction counters;
@@ -43,11 +44,12 @@
 //!   rates, epoch and rebalance counters, plus lock-free latency
 //!   histograms from `yask_obs` for top-k, cache hits, per-shard search
 //!   and each why-not module) the server exports via `/stats` and
-//!   `/metrics`. The two traced entry points,
+//!   `/metrics`; a why-not answer's result preview is part of its module
+//!   and counts as no top-k query. The two traced entry points,
 //!   [`Executor::top_k_deadline_on_traced`] and [`Executor::whynot_on`],
 //!   additionally thread a `yask_obs::Trace` through cache lookup →
-//!   scatter → per-shard search → gather → why-not module for per-query
-//!   span trees;
+//!   scatter → per-shard search → gather, and cache lookup → why-not
+//!   module, for per-query span trees;
 //! * [`observe`] — the workload observatory: sliding-window rates and
 //!   p50/p99 per route (1 s / 10 s / 1 m), exponentially-decayed
 //!   query/write heat per STR cell with a skew ratio, and a keyword
@@ -62,8 +64,9 @@
 //! * [`deadline`] — a monotonic request budget threaded from the HTTP
 //!   layer through scatter-gather ([`yask_query::topk_tree_bounded`]
 //!   saturates the shared bound on expiry so late shards drain through
-//!   the existing prune path) and the why-not fan-out, with partial
-//!   results always explicitly flagged and kept out of the caches.
+//!   the existing prune path) and the why-not modules (which cancel
+//!   instead), with partial results always explicitly flagged and kept
+//!   out of the caches.
 
 #![forbid(unsafe_code)]
 
@@ -76,7 +79,6 @@ pub mod pool;
 pub mod search;
 pub mod shard;
 pub mod stats;
-mod whynot;
 
 pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionSnapshot, AdmitDecision, OverloadLevel,

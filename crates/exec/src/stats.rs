@@ -214,7 +214,9 @@ pub struct ExecSnapshot {
     /// on the caller instead — nonzero means the pool is saturated and
     /// backpressure is reaching submitters.
     pub queue_saturated: usize,
-    /// Top-k queries computed (cache hits are counted by the caches).
+    /// Top-k queries computed (cache hits are counted by the caches). A
+    /// why-not answer's result preview comes off its request table and
+    /// is not one.
     pub queries: u64,
     /// Queries computed by scatter-gather.
     pub scatter_queries: u64,

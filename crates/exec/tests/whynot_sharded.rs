@@ -1,16 +1,19 @@
-//! Property tests: the per-shard why-not fan-out is *exactly*
+//! Property tests: the executor's why-not answers are *exactly*
 //! [`yask_core::Yask`], the paper's single-tree engine.
 //!
-//! The executor holds no global KcR-tree — keyword adaptation counts
-//! exact ranks over the shard trees (shard after shard under one running
-//! total), explanations scatter their top-k over them, and preference
-//! adjustment reads one weight-plane table of the live corpus. These tests pin the claim:
+//! The executor holds no global KcR-tree and its why-not path reads no
+//! shard tree: each request builds one request table of the pinned
+//! corpus version, and explanations (top-k and ranks), keyword
+//! adaptation's candidate counts, preference adjustment and combined
+//! refinement all read it. `Yask` explains by scanning the corpus. These
+//! tests pin the claim:
 //! for K ∈ {1, 2, 4, 8}, on random corpora — with and without tombstones,
 //! before and after live write batches — every why-not answer equals a
 //! fresh `Yask` over the same corpus version, down to penalties, refined
 //! queries, ranks and rendered messages. The executor never constructs a
-//! `Yask`, so the oracle is an independent implementation; `K = 1` is in
-//! the sweep because a one-cell partition runs the same fan-out code.
+//! `Yask`, so the oracle is an independent implementation; the shard
+//! count must not matter, and `K = 1` is in the sweep because a one-cell
+//! partition runs the same code.
 
 use proptest::prelude::*;
 
@@ -117,12 +120,12 @@ fn assert_explanations_equal(a: &[Explanation], b: &[Explanation], label: &str) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Tentpole equivalence, keyword adaptation: the sharded fan-out's
-    /// refinement equals the single-tree engine's — same refined doc,
-    /// same k′, bit-identical penalty, same enumerated / pruned /
-    /// exact-evaluated counts — for every shard count. Fanout 4 makes the
-    /// trees deeper than the bound pass's two levels, so exact counts do
-    /// get abandoned.
+    /// Tentpole equivalence, keyword adaptation: the executor's
+    /// refinement over its request table equals the single-tree engine's
+    /// — same refined doc, same k′, bit-identical penalty, same
+    /// enumerated / pruned / exact-evaluated counts — for every shard
+    /// count. Neither side counts ranks on a tree, so the fanout-4 trees
+    /// only vary the shard layout the answer must not depend on.
     #[test]
     fn sharded_keyword_refinement_matches_single_tree(c in corpus(30, 90), q in query()) {
         let config = YaskConfig {
@@ -183,9 +186,9 @@ proptest! {
         }
     }
 
-    /// Tentpole equivalence, explanations: per-shard exact rank counts
-    /// summed at the gather yield the same ranks, classifications and
-    /// rendered messages as the scan path.
+    /// Tentpole equivalence, explanations: the top-k and exact ranks
+    /// read off the request table yield the same ranks, classifications
+    /// and rendered messages as the scan path.
     #[test]
     fn sharded_explain_matches_single_tree(c in corpus(30, 90), q in query()) {
         let single = oracle(&c.corpus);

@@ -37,7 +37,9 @@
 //! epoch until it is closed or expires). The four `/whynot/*` routes are
 //! one handler: `whynot_kind` maps the path to the module, the
 //! executor answers it through one cached call
-//! ([`Executor::whynot_on`]), and the answer's variant picks the
+//! ([`Executor::whynot_on`]) — a refinement together with its refined
+//! query's result preview, both off one request table, so a why-not
+//! request reads no shard tree — and the answer's variant picks the
 //! rendering. The write endpoints run the
 //! `yask_ingest` protocol — validate → write-ahead log (when configured)
 //! → publish a new engine epoch — funnelled through the
@@ -861,10 +863,12 @@ impl YaskService {
     }
 
     /// `POST /whynot/{explain,preference,keywords,combined}`: one module
-    /// of the why-not engine, answered over the session's pinned epoch.
-    /// Explanations never read λ, so explain neither parses one nor keys
-    /// the cache by it (it passes 0); the three refinements also preview
-    /// their refined query's top-k.
+    /// of the why-not engine, answered over the session's pinned epoch by
+    /// one executor call. Explanations never read λ, so explain neither
+    /// parses one nor keys the cache by it (it passes 0); the three
+    /// refinements also render their refined query's top-k, which the
+    /// executor read off the same request table and cached beside the
+    /// refinement — the handler only renders.
     fn whynot(
         &self,
         kind: WhyNotKind,
@@ -882,15 +886,15 @@ impl YaskService {
             .exec
             .whynot_on(handle, kind, &session.query, &missing, lambda, trace, deadline)
             .map_err(|e| self.whynot_status(e))?;
-        let (refined, mut fields) = match &*answer {
+        let (results, mut fields) = match &*answer {
             CachedAnswer::Explain(explanations) => {
                 return Ok(Json::obj([(
                     "explanations",
                     Json::Arr(explanations.iter().map(render_explanation).collect()),
                 )]))
             }
-            CachedAnswer::Preference(r) => (
-                &r.query,
+            CachedAnswer::Preference(r, results) => (
+                results,
                 vec![
                     (
                         "refined",
@@ -907,8 +911,8 @@ impl YaskService {
                     ("delta_w", Json::Num(r.delta_w)),
                 ],
             ),
-            CachedAnswer::Keyword(r) => (
-                &r.query,
+            CachedAnswer::Keyword(r, results) => (
+                results,
                 vec![
                     (
                         "refined",
@@ -924,8 +928,8 @@ impl YaskService {
                     ("delta_doc", Json::Num(r.delta_doc as f64)),
                 ],
             ),
-            CachedAnswer::Combined(r) => (
-                &r.query,
+            CachedAnswer::Combined(r, results) => (
+                results,
                 vec![
                     (
                         "refined",
@@ -945,8 +949,7 @@ impl YaskService {
                 ],
             ),
         };
-        let results = self.refined_topk(handle, refined, trace, deadline);
-        fields.push(("results", render_results(handle.corpus(), &results)));
+        fields.push(("results", render_results(handle.corpus(), results)));
         Ok(Json::obj(fields))
     }
 
@@ -996,24 +999,6 @@ impl YaskService {
                     .collect(),
             ),
         )]))
-    }
-
-    /// The refined query's result preview for a why-not answer, run
-    /// under the same deadline. The refinement itself is exact (or the
-    /// request already failed with 504); only this preview may be
-    /// truncated, which counts as a degraded answer served.
-    fn refined_topk(
-        &self,
-        handle: &EngineHandle,
-        query: &Query,
-        trace: Option<&Trace>,
-        deadline: Option<Deadline>,
-    ) -> Vec<RankedObject> {
-        let out = self.exec.top_k_deadline_on_traced(handle, query, trace, deadline);
-        if !out.complete {
-            self.admission.count_degraded_answer();
-        }
-        out.results
     }
 
     fn close(&self, body: &Json) -> ApiResult {
@@ -1523,6 +1508,8 @@ mod tests {
         let ex = &body.get("explanations").unwrap().as_array().unwrap()[0];
         assert_eq!(ex.get("name").unwrap().as_str(), Some(missing_name.as_str()));
         assert!(ex.get("rank").unwrap().as_usize().unwrap() > 3);
+        let initial = s.sessions.get(SessionId(session)).unwrap().query.clone();
+        let params = s.exec.engine().score_params();
 
         for path in ["/whynot/preference", "/whynot/keywords", "/whynot/combined"] {
             let (status, body) = post(
@@ -1546,6 +1533,35 @@ mod tests {
                 .iter()
                 .any(|r| r.get("name").unwrap().as_str() == Some(missing_name.as_str()));
             assert!(revived, "{path} did not revive {missing_name}");
+            // The results are the exact top-k of the refined query the
+            // response returns: ids and scores.
+            let refined = body.get("refined").unwrap();
+            let mut q = initial.with_k(refined.get("k").unwrap().as_usize().unwrap());
+            if let Some(ws) = refined.get("ws") {
+                q = q.reweighted(yask_query::Weights::from_ws(ws.as_f64().unwrap()));
+            }
+            if let Some(words) = refined.get("keywords") {
+                let vocab = s.vocab.lock();
+                q = q.with_doc(KeywordSet::from_raw(words.as_array().unwrap().iter().map(
+                    |w| vocab.lookup(w.as_str().unwrap()).unwrap().0,
+                )));
+            }
+            let want: Vec<(f64, f64)> = yask_query::topk_scan(&corpus, &params, &q)
+                .iter()
+                .map(|r| (r.id.0 as f64, r.score))
+                .collect();
+            let got: Vec<(f64, f64)> = body
+                .get("results")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|r| {
+                    let num = |key| r.get(key).unwrap().as_f64().unwrap();
+                    (num("id"), num("score"))
+                })
+                .collect();
+            assert_eq!(got, want, "{path}");
         }
 
         let (status, body) = post(

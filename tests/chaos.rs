@@ -447,15 +447,17 @@ fn chunk_fault_io_error_reaches_the_scan_fallback() {
     }
 }
 
-/// Keyword adaptation reads no tree — it counts ranks off its request
-/// table — so the only chunk reads of a `/whynot/keywords` request are
-/// the refined top-k's pool scatter. A fault armed there falls back to
-/// the exact scan: the request answers 200 with the exact body, and the
-/// server keeps serving afterwards.
+/// A why-not request reads no tree: explanations, refinements and the
+/// refined query's result preview all come off its request table. With a
+/// chunk fault armed, `/whynot/explain` and `/whynot/keywords` answer 200
+/// with the unarmed bodies and never reach the page file; disarmed, the
+/// server keeps serving. (A fault in a top-k's scatter is
+/// `chunk_fault_io_error_reaches_the_scan_fallback`.)
 #[test]
-fn chunk_fault_in_a_keyword_refinement_answers_and_keeps_serving() {
+fn an_armed_chunk_fault_never_reaches_a_whynot_request() {
     let Some(_g) = chaos() else { return };
-    // Large enough that the shard trees outgrow the buffer pool.
+    // Large enough that the shard trees outgrow the buffer pool, so any
+    // tree read would reach the page file.
     let corpus = small_corpus(20_000);
     let vocab = Vocabulary::from_words((0..7).map(|i| format!("w{i}")));
     let params = ScoreParams::new(corpus.space());
@@ -493,28 +495,35 @@ fn chunk_fault_in_a_keyword_refinement_answers_and_keeps_serving() {
         ("session", reply.get("session").unwrap().clone()),
         ("missing", Json::Arr(vec![Json::Num(missing.0 as f64)])),
     ]);
+    let paths = ["/whynot/explain", "/whynot/keywords"];
+    // The answer cache is off, so every request below computes afresh.
+    let unarmed: Vec<String> = paths
+        .iter()
+        .map(|path| {
+            let (status, body) = http_post(addr, path, &whynot).unwrap();
+            assert_eq!(status, 200, "{path}: {body:?}");
+            body.to_string()
+        })
+        .collect();
 
     let hits = failpoint::hits("pager.read");
     failpoint::cfg_times("pager.read", failpoint::Action::Error, 1);
-    // The client's read timeout turns a reply that never comes into an
-    // error here rather than a hung test.
-    let (faulted, body) =
-        http_post(addr, "/whynot/keywords", &whynot).expect("a reply, not a dropped request");
-    assert!(
-        failpoint::hits("pager.read") > hits,
-        "no chunk fault reached the page file"
-    );
-
-    // Unarmed, the same question gets the exact answer...
-    let (status, exact) = http_post(addr, "/whynot/keywords", &whynot).unwrap();
-    assert_eq!(status, 200, "{exact:?}");
-    assert_eq!(faulted, 200, "{body:?}");
+    for (path, want) in paths.iter().zip(&unarmed) {
+        // The client's read timeout turns a reply that never comes into
+        // an error here rather than a hung test.
+        let (status, body) =
+            http_post(addr, path, &whynot).expect("a reply, not a dropped request");
+        assert_eq!(status, 200, "{path}: {body:?}");
+        assert_eq!(&body.to_string(), want, "{path}: armed answer differs");
+    }
     assert_eq!(
-        body.to_string(),
-        exact.to_string(),
-        "a faulted refinement must be exact"
+        failpoint::hits("pager.read"),
+        hits,
+        "a why-not request reached the page file"
     );
-    // ...and plain queries are still served.
+    failpoint::clear("pager.read");
+
+    // Disarmed, plain queries are still served.
     let (status, _) = http_post(addr, "/query", &query).unwrap();
     assert_eq!(status, 200);
 }
