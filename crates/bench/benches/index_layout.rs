@@ -10,8 +10,8 @@
 //! densely packed chunks — and (b) the same tree after a heavy
 //! insert/delete churn — fragmented arena with freed slack and
 //! path-copied chunks. The spread between the two rows is the layout's
-//! cost of fragmentation; both are trend lines, same single-core caveat
-//! as every BENCH artifact.
+//! cost of fragmentation; both are single-threaded trend lines, to be
+//! compared only between runs on the same host.
 //!
 //! Run with: `cargo bench --bench index_layout` (append `-- --smoke`
 //! for CI short-iteration mode).

@@ -1,5 +1,5 @@
 //! Benchmark harness support: standard workloads, wall-clock timing and
-//! paper-style table printing shared by the Criterion benches and the
+//! paper-style table printing shared by the paper-figure benches and the
 //! `experiments` binary (see DESIGN.md §2 for the experiment index).
 
 #![forbid(unsafe_code)]
@@ -8,21 +8,7 @@ use std::time::Instant;
 
 use yask_data::{SpatialDistribution, SynthConfig};
 use yask_index::Corpus;
-use yask_server::Json;
 use yask_util::Summary;
-
-/// Host facts stamped into every `BENCH_*.json` header so archived
-/// numbers stay attributable to the machine that produced them: the
-/// logical CPU budget the process actually sees (cgroup/affinity-aware
-/// via `std::thread::available_parallelism`), OS and architecture.
-pub fn host_info() -> Json {
-    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-    Json::obj([
-        ("available_parallelism", Json::Num(cpus as f64)),
-        ("os", Json::str(std::env::consts::OS)),
-        ("arch", Json::str(std::env::consts::ARCH)),
-    ])
-}
 
 /// The standard clustered synthetic corpus used by the performance
 /// experiments (vocabulary 5 000, Zipf 0.8, 12 clusters) at size `n` —

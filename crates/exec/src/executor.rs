@@ -84,10 +84,6 @@ pub struct ExecConfig {
     /// Rebalancing is suppressed below this live-object count (tiny
     /// corpora are always "skewed" by integer effects).
     pub rebalance_min: usize,
-    /// Whether the workload observatory records (sliding-window rates,
-    /// per-cell heat, keyword sketch). On by default; the bench harness
-    /// turns it off to price the recording overhead.
-    pub observatory: bool,
     /// Out-of-core serving: when set, every published shard tree's node
     /// arena is encoded into a shared buffer-pool page file and served
     /// by faulting chunks on access, keeping at most this many bytes of
@@ -109,7 +105,6 @@ impl Default for ExecConfig {
             answer_cache: 256,
             rebalance_skew: 2.0,
             rebalance_min: 128,
-            observatory: true,
             resident_budget: None,
             yask: YaskConfig::default(),
         }
@@ -198,8 +193,9 @@ impl Pager {
 struct EngineState {
     epoch: u64,
     params: ScoreParams,
-    /// The shard trees disjointly covering the corpus; every query class
-    /// (top-k *and* why-not) is computed from these alone.
+    /// The shard trees disjointly covering the corpus: top-k is computed
+    /// from these. Why-not reads only their corpus, through the request
+    /// table (`compute_whynot`), and touches no tree.
     index: ShardedIndex,
     /// Index shape (per-shard node/byte counters), computed lazily on
     /// the first `/stats` call against this epoch and cached — the trees
@@ -346,8 +342,8 @@ pub struct Executor {
     topk_cache: EpochCache<QueryKey, Vec<RankedObject>>,
     answer_cache: EpochCache<AnswerKey, CachedAnswer>,
     counters: ExecCounters,
-    /// The workload observatory (None when `config.observatory` is off).
-    workload: Option<Workload>,
+    /// The workload observatory.
+    workload: Workload,
     /// Out-of-core substrate (None when `config.resident_budget` is
     /// unset — the fully resident default).
     pager: Option<Pager>,
@@ -380,9 +376,7 @@ impl Executor {
         let pool = WorkerPool::with_capacity(config.workers, QUEUE_CAP);
         Executor {
             counters: ExecCounters::new(config.shards),
-            workload: config
-                .observatory
-                .then(|| Workload::new(config.shards, HEAT_HALF_LIFE)),
+            workload: Workload::new(config.shards, HEAT_HALF_LIFE),
             topk_cache: (config.topk_cache > 0).then(|| Mutex::new(LruCache::new(config.topk_cache))),
             answer_cache: (config.answer_cache > 0)
                 .then(|| Mutex::new(LruCache::new(config.answer_cache))),
@@ -465,9 +459,7 @@ impl Executor {
         let (mut index, deltas, copy) = cur.index.apply(corpus.clone(), inserted, deleted);
         for (i, &(ins, del)) in deltas.iter().enumerate() {
             self.counters.shards[i].record_writes(ins, del);
-            if let Some(wl) = &self.workload {
-                wl.record_write_cell(i, ins + del);
-            }
+            self.workload.record_write_cell(i, ins + del);
         }
         self.counters.record_index_copy(&copy);
         let rebalanced = self.skew_exceeded(&index);
@@ -492,9 +484,7 @@ impl Executor {
             index,
             shapes: std::sync::OnceLock::new(),
         }));
-        if let Some(wl) = &self.workload {
-            wl.record_write(t0.elapsed());
-        }
+        self.workload.record_write(t0.elapsed());
         UpdateOutcome { epoch, rebalanced }
     }
 
@@ -542,9 +532,7 @@ impl Executor {
         let t0 = Instant::now();
         // Heat tracks *demand* (cache hits included): where queries land,
         // not where compute happens.
-        if let Some(wl) = &self.workload {
-            wl.record_query(state.index.route(query.loc), query.doc.raw());
-        }
+        self.workload.record_query(state.index.route(query.loc), query.doc.raw());
         let key = self
             .topk_cache
             .as_ref()
@@ -556,9 +544,7 @@ impl Executor {
             };
             if let Some(hit) = hit {
                 self.counters.topk_hit.record(t0.elapsed());
-                if let Some(wl) = &self.workload {
-                    wl.record_topk_hit(t0.elapsed());
-                }
+                self.workload.record_topk_hit(t0.elapsed());
                 return TopKOutcome {
                     results: (*hit).clone(),
                     complete: true,
@@ -625,9 +611,7 @@ impl Executor {
             None => (topk_scan(state.index.corpus(), &state.params, query), true),
         };
         self.counters.topk.record(t0.elapsed());
-        if let Some(wl) = &self.workload {
-            wl.record_topk(t0.elapsed());
-        }
+        self.workload.record_topk(t0.elapsed());
         (result, complete)
     }
 
@@ -719,9 +703,7 @@ impl Executor {
         deadline: Option<Deadline>,
     ) -> Result<Arc<CachedAnswer>, WhyNotError> {
         let state = &handle.0;
-        if let Some(wl) = &self.workload {
-            wl.record_query(state.index.route(query.loc), query.doc.raw());
-        }
+        self.workload.record_query(state.index.route(query.loc), query.doc.raw());
         let key = self
             .answer_cache
             .as_ref()
@@ -743,9 +725,7 @@ impl Executor {
             let t0 = Instant::now();
             let computed = compute_whynot(state, kind, query, missing, lambda, deadline);
             self.counters.whynot[kind as usize].record(t0.elapsed());
-            if let Some(wl) = &self.workload {
-                wl.record_whynot(kind, t0.elapsed());
-            }
+            self.workload.record_whynot(kind, t0.elapsed());
             computed
         };
         let value = Arc::new(computed?);
@@ -864,15 +844,11 @@ impl Executor {
 
     /// The cheap point sample the admission check reads per request: a
     /// few relaxed atomic loads plus one window fold, no snapshot
-    /// allocation. With the observatory off the latency and heat terms
-    /// read as idle, so admission degrades to queue-depth-only.
+    /// allocation.
     pub fn pressure(&self) -> Pressure {
         Pressure {
             queue_depth_1m: self.pool.queue_depth_max_windowed(60),
-            topk_p99_ms: self
-                .workload
-                .as_ref()
-                .map_or(0.0, |w| w.topk_p99_10s_ns() as f64 / 1e6),
+            topk_p99_ms: self.workload.topk_p99_10s_ns() as f64 / 1e6,
             hot_cell_ratio: 1.0,
         }
     }
@@ -880,11 +856,10 @@ impl Executor {
     /// [`Executor::pressure`] plus the hot-cell term for the STR cell
     /// this query routes to.
     pub fn pressure_for(&self, handle: &EngineHandle, query: &Query) -> Pressure {
-        let mut p = self.pressure();
-        if let Some(wl) = &self.workload {
-            p.hot_cell_ratio = wl.cell_heat_ratio(handle.0.index.route(query.loc));
+        Pressure {
+            hot_cell_ratio: self.workload.cell_heat_ratio(handle.0.index.route(query.loc)),
+            ..self.pressure()
         }
-        p
     }
 
     // -- metrics ------------------------------------------------------------
@@ -912,7 +887,7 @@ impl Executor {
                 .as_ref()
                 .map(|c| c.lock().snapshot())
                 .unwrap_or_default(),
-            workload: self.workload.as_ref().map(|w| w.snapshot()),
+            workload: self.workload.snapshot(),
             pager: self.pager.as_ref().map(|p| p.snapshot()),
             ..self.counters.snapshot(state.shard_shapes())
         }
@@ -1536,7 +1511,7 @@ mod tests {
         for _ in 0..10 {
             exec.top_k(&q);
         }
-        let wl = exec.stats().workload.expect("observatory on by default");
+        let wl = exec.stats().workload;
         assert_eq!(wl.query_touches[cell], 10);
         assert_eq!(wl.query_touches.iter().sum::<u64>(), 10);
         assert!(wl.query_heat[cell] > 9.9, "all heat in the routed cell");
@@ -1564,7 +1539,7 @@ mod tests {
             &[ObjectId(7)],
         );
         exec.apply_batch(v1, &ids, &[ObjectId(7)]);
-        let wl = exec.stats().workload.unwrap();
+        let wl = exec.stats().workload;
         // The full answer ran explain and both refinements once each;
         // their windows and the demand heat (one touch per module) saw it.
         let named = wl.whynot_named();
@@ -1575,23 +1550,6 @@ mod tests {
         assert_eq!(wl.writes.h60.count, 1);
         assert_eq!(wl.write_touches.iter().sum::<u64>(), 2);
         assert!(wl.writes.h60.sum_ns > 0);
-    }
-
-    #[test]
-    fn observatory_can_be_disabled() {
-        let corpus = random_corpus(150, 82);
-        let exec = Executor::new(
-            corpus,
-            ExecConfig {
-                observatory: false,
-                ..ExecConfig::default()
-            },
-        );
-        let q = Query::new(Point::new(0.4, 0.4), ks(&[2]), 3);
-        exec.top_k(&q);
-        let s = exec.stats();
-        assert!(s.workload.is_none());
-        assert_eq!(s.queries, 1, "queries still served and counted");
     }
 
     #[test]

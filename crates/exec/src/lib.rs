@@ -50,7 +50,7 @@
 //!   additionally thread a `yask_obs::Trace` through cache lookup →
 //!   scatter → per-shard search → gather, and cache lookup → why-not
 //!   module, for per-query span trees;
-//! * [`observe`] — the workload observatory: sliding-window rates and
+//! * [`observe`] — the workload observatory. Sliding-window rates and
 //!   p50/p99 per route (1 s / 10 s / 1 m), exponentially-decayed
 //!   query/write heat per STR cell with a skew ratio, and a keyword
 //!   top-N sketch, all recorded inline on the hot paths and snapshotted

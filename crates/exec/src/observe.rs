@@ -1,4 +1,4 @@
-//! The executor's workload observatory: *recent* behaviour per route,
+//! The executor's workload observatory — *recent* behaviour per route,
 //! and *where* the demand lands.
 //!
 //! PR 7's counters and histograms are all since-boot; this module adds
@@ -156,7 +156,7 @@ impl RouteWindows {
 }
 
 /// Point-in-time view of the observatory, carried on
-/// [`crate::ExecSnapshot`] when the observatory is enabled.
+/// [`crate::ExecSnapshot`].
 #[derive(Clone, Debug, Default)]
 pub struct WorkloadSnapshot {
     /// Uncached top-k compute latency windows.

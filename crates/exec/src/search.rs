@@ -25,12 +25,10 @@ use yask_query::{
 use crate::deadline::Deadline;
 use crate::pool::WorkerPool;
 
-/// The one scatter-gather loop both top-k entry points share (the
-/// user-facing `Executor` path and the why-not fan-out's internal
-/// result-set computation): fan `query` out to every shard tree on the
-/// pool, gather the per-shard lists, merge. `observe` fires once per
-/// gathered shard with its index, traversal counters and wall-clock (the
-/// executor records them; the why-not path passes a no-op). Returns
+/// The one scatter-gather loop of the executor's top-k: fan `query` out
+/// to every shard tree on the pool, gather the per-shard lists, merge.
+/// `observe` fires once per gathered shard with its index, traversal
+/// counters and wall-clock, which the executor records. Returns
 /// `None` when any shard's result went missing (a worker died
 /// mid-query) — callers fall back to an exact scan.
 ///

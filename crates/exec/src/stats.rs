@@ -268,9 +268,8 @@ pub struct ExecSnapshot {
     /// (kept out of [`ShardSnapshot`] so that stays `Copy`).
     pub shard_search_hists: Vec<HistogramSnapshot>,
     /// The workload observatory's view: windowed rates/quantiles per
-    /// route, per-cell heat, keyword sketch. `None` when the observatory
-    /// is disabled in [`crate::ExecConfig`].
-    pub workload: Option<WorkloadSnapshot>,
+    /// route, per-cell heat, keyword sketch.
+    pub workload: WorkloadSnapshot,
     /// Out-of-core pager counters; `None` when
     /// [`crate::ExecConfig::resident_budget`] is unset (fully resident).
     pub pager: Option<PagerSnapshot>,

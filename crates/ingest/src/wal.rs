@@ -10,8 +10,8 @@
 //! (`fsync`-on-commit durability). [`Wal::append`] is the group of one.
 //!
 //! **Group commit.** The two syncs dominate small-batch write latency
-//! (they are the bulk of `write_mean_us` in `BENCH_ingest.json`), so
-//! coalescing N batches under one sync pair amortizes the expensive part
+//! (yaskbench's `write_mix` reports their p50 as `ingest.wal_fsync_us`),
+//! so coalescing N batches under one sync pair amortizes the expensive part
 //! N-fold while leaving the record format — and therefore replay —
 //! completely unchanged: each batch keeps its own record and its own
 //! epoch. [`GroupCommitConfig`] bounds how many batches/bytes one commit

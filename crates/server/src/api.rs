@@ -632,15 +632,15 @@ impl YaskService {
             ));
         }
         let overloaded = level != OverloadLevel::Normal;
-        let mut routes: Vec<(String, Json)> = Vec::new();
-        if let Some(w) = &s.workload {
-            routes.push(("topk".to_owned(), render_route_windows(&w.topk)));
-            routes.push(("topk_hit".to_owned(), render_route_windows(&w.topk_hit)));
-            for (module, rw) in w.whynot_named() {
-                routes.push((format!("whynot_{module}"), render_route_windows(rw)));
-            }
-            routes.push(("writes".to_owned(), render_route_windows(&w.writes)));
+        let w = &s.workload;
+        let mut routes = vec![
+            ("topk".to_owned(), render_route_windows(&w.topk)),
+            ("topk_hit".to_owned(), render_route_windows(&w.topk_hit)),
+        ];
+        for (module, rw) in w.whynot_named() {
+            routes.push((format!("whynot_{module}"), render_route_windows(rw)));
         }
+        routes.push(("writes".to_owned(), render_route_windows(&w.writes)));
         let write_apply = self.ingest.write_apply_windows();
         Ok(Json::obj([
             ("status", Json::str(if overloaded { "overloaded" } else { "ok" })),
@@ -656,7 +656,6 @@ impl YaskService {
                 }),
             ),
             ("uptime_seconds", Json::Num(self.started.elapsed().as_secs_f64())),
-            ("observatory", Json::Bool(s.workload.is_some())),
             (
                 "queue",
                 Json::obj([
@@ -689,12 +688,10 @@ impl YaskService {
     /// `GET /debug/heatmap` — where the demand lands: per-STR-cell query
     /// and write heat (exponentially decayed), raw touch counts, the
     /// shard skew ratios, and the hottest query keywords resolved back
-    /// to words. Empty shell when the observatory is disabled.
+    /// to words.
     fn debug_heatmap(&self) -> ApiResult {
         let s = self.exec.stats();
-        let Some(w) = &s.workload else {
-            return Ok(Json::obj([("enabled", Json::Bool(false))]));
-        };
+        let w = &s.workload;
         let vocab = self.vocab.lock();
         let hot: Vec<Json> = w
             .hot_keywords
@@ -719,7 +716,6 @@ impl YaskService {
             })
             .collect();
         Ok(Json::obj([
-            ("enabled", Json::Bool(true)),
             ("cells", Json::Arr(cells)),
             // Skew = hottest cell / mean cell: 0 cold, 1 balanced,
             // `cells` fully concentrated.
@@ -2693,7 +2689,7 @@ mod tests {
         }
         let (status, body) = get(&s, "/debug/heatmap");
         assert_eq!(status, 200, "{body}");
-        assert_eq!(body.get("enabled").unwrap().as_bool(), Some(true));
+        assert!(body.get("enabled").is_none(), "{body}");
         let cells = body.get("cells").unwrap().as_array().unwrap();
         assert_eq!(cells.len(), 4, "one heat cell per shard");
         let touches: Vec<usize> = cells
@@ -2768,7 +2764,7 @@ mod tests {
         assert_eq!(body.get("status").unwrap().as_str(), Some("ok"));
         assert_eq!(body.get("overloaded").unwrap().as_bool(), Some(false));
         assert!(body.get("reasons").unwrap().as_array().unwrap().is_empty());
-        assert_eq!(body.get("observatory").unwrap().as_bool(), Some(true));
+        assert!(body.get("observatory").is_none(), "{body}");
         let (_, _) = tst_query(&s, 3);
         let (_, body) = get(&s, "/debug/health");
         assert_eq!(body.get("status").unwrap().as_str(), Some("overloaded"), "{body}");
@@ -2818,42 +2814,6 @@ mod tests {
             "{reasons:?}"
         );
         assert!(body.get("queue").unwrap().get("max_1m").unwrap().as_usize().unwrap() >= 1);
-    }
-
-    /// Satellite: with the observatory disabled the debug surfaces stay
-    /// total — the heatmap reports itself off, health judges queue depth
-    /// only.
-    #[test]
-    fn heatmap_reports_disabled_without_observatory() {
-        let (corpus, vocab) = yask_data::hk_hotels();
-        let s = YaskService::with_config(
-            corpus,
-            vocab,
-            ServiceConfig {
-                exec: ExecConfig {
-                    observatory: false,
-                    ..ExecConfig::default()
-                },
-                ..ServiceConfig::default()
-            },
-        );
-        let (_, _) = tst_query(&s, 3);
-        let (status, body) = get(&s, "/debug/heatmap");
-        assert_eq!(status, 200);
-        assert_eq!(body.get("enabled").unwrap().as_bool(), Some(false));
-        let (status, body) = get(&s, "/debug/health");
-        assert_eq!(status, 200, "{body}");
-        assert_eq!(body.get("observatory").unwrap().as_bool(), Some(false));
-        assert_eq!(body.get("status").unwrap().as_str(), Some("ok"));
-        // /stats renders the observatory as null, /metrics stays valid
-        // with header-only observatory families.
-        let (_, stats) = get(&s, "/stats");
-        assert_eq!(stats.get("exec").unwrap().get("workload").unwrap(), &Json::Null);
-        let resp = get_raw(&s, "/metrics");
-        let text = String::from_utf8(resp.body).unwrap();
-        let summary = yask_obs::validate_exposition(&text).expect("must validate");
-        assert!(summary.has_family("yask_route_rate"));
-        assert!(!text.contains(r#"yask_route_rate{route="topk""#), "no samples expected");
     }
 
     /// Satellite: `/stats` carries the pool high-water mark and per-shard

@@ -91,7 +91,7 @@ pub(crate) struct Sample {
 }
 
 /// The declared metrics of one scrape. A family is listed even when it
-/// has no series this scrape (zero shards, observatory off), so it
+/// has no series this scrape (zero shards, nothing shed yet), so it
 /// renders header-only instead of flapping out of existence.
 #[derive(Default)]
 pub(crate) struct Samples {
@@ -220,36 +220,27 @@ pub(crate) fn describe(o: &Observed) -> Samples {
     s.family("yask_pager_misses_total", Counter, "Buffer-pool page reads that went to disk, by pool", pool("misses", |p| p.misses));
     s.family("yask_pager_evictions_total", Counter, "Buffer-pool frames evicted to make room, by pool", pool("evictions", |p| p.evictions));
 
-    // -- workload observatory: heat and skew per STR cell (`exec.workload`
-    // is `null` and the cell families header-only when it is disabled);
-    // the full surface lives at /debug/heatmap and /debug/health.
-    let w = e.workload.as_ref();
-    let workload = |key: &str| if w.is_some() { format!("exec.workload.{key}") } else { String::new() };
-    if w.is_none() {
-        s.stats_only([("exec.workload".into(), vec![], Text(None))]);
-    }
-    s.gauge(&workload("query_skew"), "yask_query_heat_skew", "Query heat skew: hottest cell over mean cell (0 when cold)", w.map_or(0.0, |w| w.query_skew));
-    s.gauge(&workload("write_skew"), "yask_write_heat_skew", "Write heat skew: hottest cell over mean cell (0 when cold)", w.map_or(0.0, |w| w.write_skew));
-    let cells = |key: &str, values: Option<Vec<f64>>| -> Vec<Series> {
-        values.unwrap_or_default().into_iter().enumerate()
-            .map(|(i, v)| (workload(&format!("{key}.{i}")), label("cell", i), Num(v))).collect()
+    // -- workload observatory (heat and skew per STR cell); the full
+    // surface lives at /debug/heatmap and /debug/health.
+    let w = &e.workload;
+    let workload = |key: &str| format!("exec.workload.{key}");
+    s.gauge(&workload("query_skew"), "yask_query_heat_skew", "Query heat skew: hottest cell over mean cell (0 when cold)", w.query_skew);
+    s.gauge(&workload("write_skew"), "yask_write_heat_skew", "Write heat skew: hottest cell over mean cell (0 when cold)", w.write_skew);
+    let cells = |key: &str, values: &[f64]| -> Vec<Series> {
+        values.iter().enumerate()
+            .map(|(i, &v)| (workload(&format!("{key}.{i}")), label("cell", i), Num(v))).collect()
     };
-    let as_f64 = |touches: &Vec<u64>| touches.iter().map(|&t| t as f64).collect();
-    s.family("yask_cell_query_heat", Gauge, "Exponentially decayed query touches per STR cell", cells("query_heat", w.map(|w| w.query_heat.clone())));
-    s.family("yask_cell_write_heat", Gauge, "Exponentially decayed write ops per STR cell", cells("write_heat", w.map(|w| w.write_heat.clone())));
-    s.family("yask_cell_query_touches_total", Counter, "Query touches routed per STR cell since startup", cells("query_touches", w.map(|w| as_f64(&w.query_touches))));
-    s.family("yask_cell_write_touches_total", Counter, "Write ops routed per STR cell since startup", cells("write_touches", w.map(|w| as_f64(&w.write_touches))));
-    if let Some(w) = w {
-        s.stats_only([stat("exec.workload.topk_rate_1m", w.topk.h60.rate_per_sec()), stat("exec.workload.topk_p99_us_10s", w.topk.h10.p99() as f64 / 1e3)]);
-    }
+    let as_f64 = |touches: &[u64]| touches.iter().map(|&t| t as f64).collect::<Vec<_>>();
+    s.family("yask_cell_query_heat", Gauge, "Exponentially decayed query touches per STR cell", cells("query_heat", &w.query_heat));
+    s.family("yask_cell_write_heat", Gauge, "Exponentially decayed write ops per STR cell", cells("write_heat", &w.write_heat));
+    s.family("yask_cell_query_touches_total", Counter, "Query touches routed per STR cell since startup", cells("query_touches", &as_f64(&w.query_touches)));
+    s.family("yask_cell_write_touches_total", Counter, "Write ops routed per STR cell since startup", cells("write_touches", &as_f64(&w.write_touches)));
+    s.stats_only([stat("exec.workload.topk_rate_1m", w.topk.h60.rate_per_sec()), stat("exec.workload.topk_p99_us_10s", w.topk.h10.p99() as f64 / 1e3)]);
     // Windowed rate and quantiles per route at the 1 s / 10 s / 1 m
     // horizons; `/debug/health` is their JSON surface.
-    let mut routes = Vec::new();
-    if let Some(w) = w {
-        routes.extend([("topk".to_owned(), &w.topk), ("topk_hit".to_owned(), &w.topk_hit)]);
-        routes.extend(w.whynot_named().map(|(module, rw)| (format!("whynot_{module}"), rw)));
-        routes.push(("writes".to_owned(), &w.writes));
-    }
+    let mut routes = vec![("topk".to_owned(), &w.topk), ("topk_hit".to_owned(), &w.topk_hit)];
+    routes.extend(w.whynot_named().map(|(module, rw)| (format!("whynot_{module}"), rw)));
+    routes.push(("writes".to_owned(), &w.writes));
     let windows = |f: fn(&yask_obs::WindowSnapshot) -> f64| -> Vec<Series> {
         routes.iter().flat_map(|(route, rw)| rw.iter_named().map(|(window, snap)| {
             (String::new(), vec![("route", route.clone()), ("window", window.to_owned())], Num(f(snap)))
@@ -890,11 +881,11 @@ mod tests {
             assert_eq!(json_type(got), *kind, "/stats {path}");
         }
         assert_golden_families(&exposition);
-        // Absent blocks are `null`, not missing (a resident, observatory-
-        // off executor), and the durable flag stays a bool.
+        // Absent blocks are `null`, not missing (a resident executor),
+        // and the durable flag stays a bool.
         let bare = render_stats(&describe(&Observed::default()));
         assert_eq!(at(&bare, "exec.pager"), Some(&Json::Null));
-        assert_eq!(at(&bare, "exec.workload"), Some(&Json::Null));
+        assert_eq!(at(&bare, "exec.workload.query_skew"), Some(&Json::Num(0.0)));
         assert_eq!(at(&bare, "ingest.durable"), Some(&Json::Bool(false)));
         assert_eq!(at(&bare, "ingest.checkpoint_last_error"), Some(&Json::Null));
 
@@ -904,8 +895,7 @@ mod tests {
         }
     }
 
-    /// (d): the fully-empty observation — zero shards, observatory off,
-    /// nothing recorded — still declares every family. Zero-sample
+    /// (d): the fully-empty observation — zero shards, nothing recorded — still declares every family. Zero-sample
     /// families render header-only rather than vanishing, so a scraper
     /// never sees one appear out of nowhere.
     #[test]
@@ -954,7 +944,7 @@ mod tests {
         use yask_exec::WorkloadSnapshot;
         let observed = Observed {
             exec: ExecSnapshot {
-                workload: Some(WorkloadSnapshot {
+                workload: WorkloadSnapshot {
                     query_heat: vec![8.0, 0.0],
                     write_heat: vec![0.0, 2.0],
                     query_touches: vec![8, 0],
@@ -962,7 +952,7 @@ mod tests {
                     query_skew: 2.0,
                     write_skew: 2.0,
                     ..Default::default()
-                }),
+                },
                 queue_depth_max_1m: 7,
                 ..Default::default()
             },
