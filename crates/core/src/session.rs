@@ -30,13 +30,16 @@
 //! entries outnumber live sessions, so its length stays O(live).
 //!
 //! **Epoch pinning.** Every session carries a *pin* of the store's type
-//! parameter `P`: the server's store is a `SessionStore<EngineHandle>`
-//! holding the engine epoch each initial query ran against, so follow-up
-//! why-not questions keep answering over exactly that corpus version even
-//! after later deletes touch the cited objects. The store is generic
-//! because this crate sits below the execution layer that owns the epoch
-//! type; dropping the session (give-up, TTL or cap eviction) drops its
-//! pin and so releases the pinned epoch.
+//! parameter `P`: the server's store is a `SessionStore<CorpusPin>`
+//! holding the epoch number and corpus version each initial query ran
+//! against — no index tree — so follow-up why-not questions keep
+//! answering over exactly that corpus version even after later deletes
+//! touch the cited objects. A pin outliving its epoch keeps alive only
+//! the corpus chunks unique to its version (chunks it shares with the
+//! current version cost nothing extra). The store is generic because
+//! this crate sits below the execution layer that owns the pin type;
+//! dropping the session (give-up, TTL or cap eviction) drops its pin and
+//! so releases those chunks.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +51,10 @@ use yask_query::Query;
 
 /// Most sessions a store holds at once; beyond it, `create` evicts the
 /// least recently touched one. A session costs about 200 bytes with its
-/// map and queue entries, so this bounds the store to ~6.5 MB. Sized to
+/// map and queue entries, so this bounds the store itself to ~6.5 MB;
+/// on top of that, the pins of sessions on superseded versions keep
+/// alive the corpus chunks unique to those versions (see the module
+/// docs), which this count does not bound. Sized to
 /// the memory budget, not to a caller: at ~18k queries/s and a 5 s TTL
 /// about 90k sessions would be live, which measured 61–62 MB process
 /// peak against a ~55 MB budget on the cached-hit benchmark.
@@ -72,7 +78,8 @@ pub struct Session<P> {
     pub id: SessionId,
     /// The cached initial query.
     pub query: Query,
-    /// The engine epoch the query ran against (see the module docs).
+    /// The corpus version the query ran against (see the module docs):
+    /// it keeps alive only the corpus chunks unique to its version.
     pub pin: P,
 }
 

@@ -11,13 +11,16 @@
 //! request table ([`yask_core::SegmentSet`]) in one pass over the pinned
 //! corpus version and runs `yask_core`'s table form of the module on the
 //! calling thread — explain's top-k and ranks and every refinement's
-//! result preview included. The per-module methods (`explain_on`,
-//! `refine_*_on`, and the current-epoch mirrors of `yask_core::Yask`)
-//! are thin calls into it. There is no global KcR-tree, so index memory
-//! and per-batch copy-on-write work cover the shard trees only. Readers
-//! pin an epoch for the duration of a query, so a concurrent write batch
-//! never tears the corpus or the trees out from under an in-flight
-//! computation;
+//! result preview included. It takes a [`CorpusPin`] — an epoch number
+//! and its corpus, no tree — so a why-not session that outlives its epoch
+//! keeps alive only the corpus chunks unique to its version, never a
+//! superseded epoch's shard trees or their paged sources. The per-module
+//! methods (`explain_on`, `refine_*_on`, and the current-epoch mirrors of
+//! `yask_core::Yask`) are thin calls into it. There is no global
+//! KcR-tree, so index memory and per-batch copy-on-write work cover the
+//! shard trees only. Readers pin an epoch for the duration of a query, so
+//! a concurrent write batch never tears the corpus or the trees out from
+//! under an in-flight computation;
 //! [`Executor::apply_batch`] derives the next epoch copy-on-write (only
 //! *touched* shard trees cloned) and publishes it atomically. The two
 //! LRU answer caches key by `(epoch, canonical request)`, so entries
@@ -191,11 +194,12 @@ impl Pager {
 /// One published engine epoch: a consistent corpus version with the
 /// shard trees built over exactly its live objects.
 struct EngineState {
-    epoch: u64,
+    /// The epoch number and its corpus: all a why-not session pins.
+    version: CorpusPin,
     params: ScoreParams,
     /// The shard trees disjointly covering the corpus: top-k is computed
-    /// from these. Why-not reads only their corpus, through the request
-    /// table (`compute_whynot`), and touches no tree.
+    /// from these. Why-not reads only the pinned corpus, through the
+    /// request table (`compute_whynot`), and touches no tree.
     index: ShardedIndex,
     /// Index shape (per-shard node/byte counters), computed lazily on
     /// the first `/stats` call against this epoch and cached — the trees
@@ -205,26 +209,41 @@ struct EngineState {
 }
 
 impl EngineState {
+    fn new(epoch: u64, params: ScoreParams, index: ShardedIndex) -> Self {
+        EngineState {
+            version: CorpusPin(Arc::new((epoch, index.corpus().clone()))),
+            params,
+            index,
+            shapes: std::sync::OnceLock::new(),
+        }
+    }
+
     fn shard_shapes(&self) -> &[ShardShape] {
         self.shapes
             .get_or_init(|| self.index.shards().iter().map(|t| ShardShape::of(t)).collect())
     }
 }
 
-/// A pinned engine epoch: a consistent corpus version plus scoring
-/// configuration that stays valid however many write batches are
+/// A pinned engine epoch: a consistent corpus version, its shard trees
+/// and its scoring configuration, valid however many write batches are
 /// published while the pin is held. Cloning shares the pin (one
 /// refcount); the `*_on` executor methods answer queries against a
-/// pinned epoch instead of the current one — the substrate of per-epoch
-/// why-not sessions, whose follow-up questions keep referencing the
-/// corpus version their initial query ran on even after later deletes.
+/// pinned epoch instead of the current one. It keeps the epoch's trees
+/// (and, out of core, their paged sources) alive, so it is held for one
+/// request; a why-not session keeps only [`EngineHandle::version`].
 #[derive(Clone)]
 pub struct EngineHandle(Arc<EngineState>);
 
 impl EngineHandle {
     /// The pinned epoch number.
     pub fn epoch(&self) -> u64 {
-        self.0.epoch
+        self.0.version.epoch()
+    }
+
+    /// The pinned corpus version without the trees: what a why-not
+    /// session keeps and [`Executor::whynot_on`] answers over.
+    pub fn version(&self) -> CorpusPin {
+        self.0.version.clone()
     }
 
     /// The pinned corpus version.
@@ -235,6 +254,28 @@ impl EngineHandle {
     /// The scoring configuration of the pinned epoch.
     pub fn score_params(&self) -> ScoreParams {
         self.0.params
+    }
+}
+
+/// A pinned corpus version — an epoch number and its corpus — and
+/// nothing else: no shard tree, index or pager source. The substrate of
+/// per-epoch why-not sessions (paper §3.3 caches the initial query),
+/// whose follow-up questions keep answering over the corpus version their
+/// initial query ran on even after later deletes. Every pin of one epoch
+/// shares one allocation, and a pin outliving its epoch keeps alive only
+/// the corpus chunks unique to its version.
+#[derive(Clone)]
+pub struct CorpusPin(Arc<(u64, Corpus)>);
+
+impl CorpusPin {
+    /// The pinned epoch number.
+    pub fn epoch(&self) -> u64 {
+        self.0 .0
+    }
+
+    /// The pinned corpus version.
+    pub fn corpus(&self) -> &Corpus {
+        &self.0 .1
     }
 }
 
@@ -268,17 +309,19 @@ type EpochCache<K, V> = Option<Mutex<LruCache<(u64, K), Arc<V>>>>;
 /// [`WhyNotKind`] and the [`CachedAnswer`] variant it tags.
 macro_rules! module_on {
     ($exec:expr, $handle:expr, $kind:ident, $query:expr, $missing:expr, $lambda:expr) => {
-        match &*$exec.whynot_on($handle, WhyNotKind::$kind, $query, $missing, $lambda, None, None)? {
+        match &*$exec.whynot_on(
+            &$handle.version(), WhyNotKind::$kind, $query, $missing, $lambda, None, None,
+        )? {
             CachedAnswer::$kind(answer, ..) => Ok(answer.clone()),
             _ => unreachable!("kind-tagged cache entry"),
         }
     };
 }
 
-/// Computes one why-not module against a pinned epoch: one pass over
-/// its corpus version into the request table (which validates the
-/// request), then `yask_core`'s table form of the module on the calling
-/// thread — no tree is read and no pool thread is parked. Explanations
+/// Computes one why-not module over a pinned corpus version: one pass
+/// over it into the request table (which validates the request), then
+/// `yask_core`'s table form of the module on the calling thread — no
+/// tree is read and no pool thread is parked. Explanations
 /// take the top-k and each desired object's rank off the table; each
 /// refinement's result preview is its refined query's top-k off the same
 /// table. Why-not answers are all-or-nothing (a partial refinement is not
@@ -286,25 +329,25 @@ macro_rules! module_on {
 /// table pass and before every candidate count, and on expiry the
 /// computation unwinds to [`WhyNotError::DeadlineExceeded`].
 fn compute_whynot(
-    state: &EngineState,
+    corpus: &Corpus,
+    params: &ScoreParams,
     kind: WhyNotKind,
     query: &Query,
     missing: &[ObjectId],
     lambda: f64,
     deadline: Option<Deadline>,
 ) -> Result<CachedAnswer, WhyNotError> {
-    let corpus = state.index.corpus();
     let expired = || deadline.is_some_and(|d| d.expired());
     // Explanations never read λ: they validate under 0.
     let table_lambda = if kind == WhyNotKind::Explain { 0.0 } else { lambda };
-    let table = request_table(corpus, &state.params, query, missing, table_lambda)?;
+    let table = request_table(corpus, params, query, missing, table_lambda)?;
     if expired() {
         return Err(WhyNotError::DeadlineExceeded);
     }
     Ok(match kind {
         WhyNotKind::Explain => CachedAnswer::Explain(explain_given(
             corpus,
-            &state.params,
+            params,
             query,
             missing,
             &table.top_k(query),
@@ -380,12 +423,7 @@ impl Executor {
             topk_cache: (config.topk_cache > 0).then(|| Mutex::new(LruCache::new(config.topk_cache))),
             answer_cache: (config.answer_cache > 0)
                 .then(|| Mutex::new(LruCache::new(config.answer_cache))),
-            state: EpochCell::from(EngineState {
-                epoch,
-                params,
-                index,
-                shapes: std::sync::OnceLock::new(),
-            }),
+            state: EpochCell::from(EngineState::new(epoch, params, index)),
             config,
             pool,
             writer: Mutex::new(()),
@@ -410,7 +448,7 @@ impl Executor {
 
     /// The current epoch number.
     pub fn epoch(&self) -> u64 {
-        self.state.load().epoch
+        self.state.load().version.epoch()
     }
 
     /// The executor configuration.
@@ -475,15 +513,10 @@ impl Executor {
             p.page_index(&mut index);
         }
 
-        let epoch = cur.epoch + 1;
+        let epoch = cur.version.epoch() + 1;
         self.counters
             .record_batch(inserted.len(), deleted.len(), rebalanced);
-        self.state.store(Arc::new(EngineState {
-            epoch,
-            params: cur.params,
-            index,
-            shapes: std::sync::OnceLock::new(),
-        }));
+        self.state.store(Arc::new(EngineState::new(epoch, cur.params, index)));
         self.workload.record_write(t0.elapsed());
         UpdateOutcome { epoch, rebalanced }
     }
@@ -536,7 +569,7 @@ impl Executor {
         let key = self
             .topk_cache
             .as_ref()
-            .map(|_| (state.epoch, QueryKey::of(query)));
+            .map(|_| (state.version.epoch(), QueryKey::of(query)));
         if let (Some(cache), Some(key)) = (&self.topk_cache, &key) {
             let hit = {
                 let _span = trace.map(|t| t.span("cache_lookup"));
@@ -577,7 +610,7 @@ impl Executor {
         lookback: u64,
     ) -> Option<(Vec<RankedObject>, u64)> {
         let cache = self.topk_cache.as_ref()?;
-        let epoch = handle.0.epoch;
+        let epoch = handle.epoch();
         let key = QueryKey::of(query);
         let mut cache = cache.lock();
         for age in 0..=lookback.min(epoch) {
@@ -680,21 +713,23 @@ impl Executor {
 
     // -- why-not (cached) ---------------------------------------------------
 
-    /// The one why-not path: answers module `kind` about `missing`
-    /// against the epoch `handle` pins, through the answer cache. The
-    /// cache key carries that epoch, and errors are returned but never
-    /// cached. The per-module latency histogram samples every computed
-    /// (non-cache-hit) run, errors included — a failing module still
-    /// spent the time. A deadline that expired before the compute
-    /// starts (time burned queueing) returns
-    /// [`WhyNotError::DeadlineExceeded`] — but a cache hit is served
-    /// regardless, since it costs nothing. The returned variant is the
-    /// one `kind` names; a refinement's carries its refined query's
-    /// top-k, the result preview, read off the same request table.
+    /// The one why-not path: answers module `kind` about `missing` over
+    /// the corpus version `pin` holds, through the answer cache. The pin
+    /// carries no tree, so this path cannot read one; the STR cell the
+    /// demand heat is charged to and the [`ScoreParams`] (the same in
+    /// every epoch) come from the current epoch. The cache key carries
+    /// the pinned epoch, and errors are returned but never cached. The
+    /// per-module latency histogram samples every computed (non-cache-hit)
+    /// run, errors included — a failing module still spent the time. A
+    /// deadline that expired before the compute starts (time burned
+    /// queueing) returns [`WhyNotError::DeadlineExceeded`] — but a cache
+    /// hit is served regardless, since it costs nothing. The returned
+    /// variant is the one `kind` names; a refinement's carries its refined
+    /// query's top-k, the result preview, read off the same request table.
     #[allow(clippy::too_many_arguments)]
     pub fn whynot_on(
         &self,
-        handle: &EngineHandle,
+        pin: &CorpusPin,
         kind: WhyNotKind,
         query: &Query,
         missing: &[ObjectId],
@@ -702,12 +737,12 @@ impl Executor {
         trace: Option<&Trace>,
         deadline: Option<Deadline>,
     ) -> Result<Arc<CachedAnswer>, WhyNotError> {
-        let state = &handle.0;
-        self.workload.record_query(state.index.route(query.loc), query.doc.raw());
+        let cur = self.state.load();
+        self.workload.record_query(cur.index.route(query.loc), query.doc.raw());
         let key = self
             .answer_cache
             .as_ref()
-            .map(|_| (state.epoch, AnswerKey::of(query, missing, lambda, kind)));
+            .map(|_| (pin.epoch(), AnswerKey::of(query, missing, lambda, kind)));
         if let (Some(cache), Some(key)) = (&self.answer_cache, &key) {
             let hit = {
                 let _span = trace.map(|t| t.span("cache_lookup"));
@@ -723,7 +758,8 @@ impl Executor {
         let computed = {
             let _span = trace.map(|t| t.span(format!("whynot_{}", kind.label())));
             let t0 = Instant::now();
-            let computed = compute_whynot(state, kind, query, missing, lambda, deadline);
+            let computed =
+                compute_whynot(pin.corpus(), &cur.params, kind, query, missing, lambda, deadline);
             self.counters.whynot[kind as usize].record(t0.elapsed());
             self.workload.record_whynot(kind, t0.elapsed());
             computed
@@ -874,7 +910,7 @@ impl Executor {
             queue_depth_max: self.pool.queue_depth_max(),
             queue_depth_max_1m: self.pool.queue_depth_max_windowed(60),
             queue_saturated: self.pool.saturated_submits(),
-            epoch: state.epoch,
+            epoch: state.version.epoch(),
             live_objects: corpus.len(),
             tombstones: corpus.tombstones(),
             topk_cache: self
@@ -988,7 +1024,7 @@ mod tests {
         for kind in WhyNotKind::ALL {
             let before = chunks();
             let answer = paged
-                .whynot_on(&handle, kind, &q, &missing, 0.5, None, None)
+                .whynot_on(&handle.version(), kind, &q, &missing, 0.5, None, None)
                 .unwrap();
             assert_eq!(chunks(), before, "{kind:?} read a tree");
             let (refined, preview) = match &*answer {
@@ -1120,7 +1156,7 @@ mod tests {
         let trace3 = Trace::new("whynot");
         let kinds = [WhyNotKind::Explain, WhyNotKind::Preference, WhyNotKind::Keyword];
         for kind in kinds {
-            exec.whynot_on(&handle, kind, &q, &missing, 0.5, Some(&trace3), None)
+            exec.whynot_on(&handle.version(), kind, &q, &missing, 0.5, Some(&trace3), None)
                 .unwrap();
         }
         let f3 = trace3.finish();

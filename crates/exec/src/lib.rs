@@ -20,13 +20,15 @@
 //!   late shards against early shards' results; the gather merge is
 //!   exactly the single-tree answer (property-tested for
 //!   K ∈ {1, 2, 3, 5, 8});
-//! * why-not — [`Executor::whynot_on`] builds each request's table
+//! * why-not — [`Executor::whynot_on`] takes a [`CorpusPin`] (an epoch
+//!   number and its corpus, no tree), builds each request's table
 //!   ([`yask_core::SegmentSet`], one pass over the pinned corpus version)
 //!   and runs `yask_core`'s table form of the module on it: explain's
 //!   top-k and ranks, every refinement rank and each refinement's result
 //!   preview come off that table, so the why-not path reads no shard tree
-//!   and the executor needs **no global KcR-tree** — property-tested
-//!   equal to `yask_core::Yask` for K ∈ {1, 2, 4, 8};
+//!   (its argument type holds none) and the executor needs **no global
+//!   KcR-tree** — property-tested equal to `yask_core::Yask` for
+//!   K ∈ {1, 2, 4, 8};
 //! * [`cache`] — bounded LRU caches for top-k results and why-not
 //!   answers, keyed by canonicalized `(query, k, λ, desired-set)` bits,
 //!   with hit/miss/eviction counters;
@@ -86,7 +88,7 @@ pub use admission::{
 };
 pub use cache::{AnswerKey, CacheSnapshot, CachedAnswer, LruCache, QueryKey, WhyNotKind};
 pub use deadline::Deadline;
-pub use executor::{EngineHandle, ExecConfig, Executor, TopKOutcome, UpdateOutcome};
+pub use executor::{CorpusPin, EngineHandle, ExecConfig, Executor, TopKOutcome, UpdateOutcome};
 pub use observe::{RouteWindows, WorkloadSnapshot, WINDOW_HORIZONS_SECS};
 pub use pool::WorkerPool;
 pub use search::merge_topk;

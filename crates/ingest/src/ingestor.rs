@@ -2,17 +2,20 @@
 //!
 //! One [`Ingestor`] owns the authoritative (writer-side) corpus version
 //! and the optional write-ahead log; the read path lives in the
-//! [`Executor`]'s epoch cell. [`Ingestor::apply`] runs the full write
-//! protocol for one batch:
+//! [`Executor`]'s epoch cell. [`Ingestor::apply_group`] runs the full
+//! write protocol for a group of batches, and [`Ingestor::apply`] is its
+//! one-batch case:
 //!
-//! 1. **validate** against the current version (bad batches never reach
-//!    the log, so the log always replays),
-//! 2. **log + fsync** the batch ([`crate::wal`]'s two-phase commit),
-//! 3. **derive** the next corpus version (tombstones + appended slots),
-//! 4. **publish** via [`Executor::apply_batch`] — incremental tree
-//!    maintenance, shard routing, epoch swap, cache invalidation.
+//! 1. **validate** each batch against the version its predecessors leave
+//!    (bad batches never reach the log, so the log always replays) and
+//!    **derive** the next corpus version (tombstones + appended slots),
+//!    staged but not yet adopted,
+//! 2. **log + fsync** the batches ([`crate::wal`]'s two-phase commit),
+//! 3. **publish** each staged version via [`Executor::apply_batch`] —
+//!    incremental tree maintenance, shard routing, epoch swap, cache
+//!    invalidation.
 //!
-//! A crash after step 2 but before step 4 is safe: replay at startup
+//! A crash after step 2 but before step 3 is safe: replay at startup
 //! reapplies the batch deterministically, so the durable epoch and the
 //! in-memory epoch reconverge.
 //!
@@ -488,36 +491,13 @@ impl Ingestor {
     }
 
     /// Applies one batch through the full write protocol (see the module
-    /// docs) and publishes the resulting epoch on `exec`. Batches from
-    /// concurrent callers serialize on the writer lock; readers are never
-    /// blocked.
+    /// docs) and publishes the resulting epoch on `exec`: the one-batch
+    /// case of [`Ingestor::apply_group`]. Batches from concurrent callers
+    /// serialize on the writer lock; readers are never blocked.
     pub fn apply(&self, exec: &Executor, batch: &[Update]) -> Result<ApplyOutcome, IngestError> {
-        let mut inner = self.inner.lock();
-        validate_batch(&inner.corpus, batch)?;
-        if let Some(wal) = &mut inner.wal {
-            wal.append(batch)?;
-        }
-        let (corpus, inserted, deleted, copy) = apply_batch_counted(&inner.corpus, batch);
-        inner.copy.absorb(&copy);
-        inner.corpus = corpus.clone();
-        inner.epoch += 1;
-        let t0 = Instant::now();
-        let outcome = exec.apply_batch(corpus, &inserted, &deleted);
-        let dt = t0.elapsed();
-        inner.apply_hist.record(dt);
-        inner.apply_window.record(dt);
-        debug_assert_eq!(
-            outcome.epoch, inner.epoch,
-            "executor epoch diverged from the durable epoch"
-        );
-        let result = ApplyOutcome {
-            epoch: inner.epoch,
-            inserted,
-            deleted,
-            rebalanced: outcome.rebalanced,
-        };
-        inner.maybe_checkpoint();
-        Ok(result)
+        self.commit(exec, &[batch], GroupCommitConfig::default())
+            .map(|mut outcomes| outcomes.remove(0))
+            .map_err(|e| e.error)
     }
 
     /// Applies several batches with *group commit*: the batches are
@@ -546,11 +526,24 @@ impl Ingestor {
         batches: &[Vec<Update>],
         config: GroupCommitConfig,
     ) -> Result<Vec<ApplyOutcome>, GroupError> {
+        let batches: Vec<&[Update]> = batches.iter().map(Vec::as_slice).collect();
+        self.commit(exec, &batches, config)
+    }
+
+    /// The one write protocol behind [`Ingestor::apply`] and
+    /// [`Ingestor::apply_group`]: validate and derive → log → publish
+    /// (see the module docs).
+    fn commit(
+        &self,
+        exec: &Executor,
+        batches: &[&[Update]],
+        config: GroupCommitConfig,
+    ) -> Result<Vec<ApplyOutcome>, GroupError> {
         let mut inner = self.inner.lock();
         // Validate the whole group up front against the evolving corpus.
         let mut staged = Vec::with_capacity(batches.len());
         let mut probe = inner.corpus.clone();
-        for batch in batches {
+        for &batch in batches {
             if let Err(error) = validate_batch(&probe, batch) {
                 return Err(GroupError {
                     applied: Vec::new(),
@@ -571,7 +564,7 @@ impl Ingestor {
             let mut end = start;
             let mut bytes = 0usize;
             while end < batches.len() && end - start < max_batches {
-                let len = encoded_len(&batches[end]);
+                let len = encoded_len(batches[end]);
                 if end > start && bytes + len > config.max_bytes {
                     break;
                 }
@@ -579,9 +572,7 @@ impl Ingestor {
                 end += 1;
             }
             if let Some(wal) = &mut inner.wal {
-                let chunk: Vec<&[Update]> =
-                    batches[start..end].iter().map(Vec::as_slice).collect();
-                if let Err(e) = wal.append_group(&chunk) {
+                if let Err(e) = wal.append_group(&batches[start..end]) {
                     // Earlier chunks are durable and published; hand the
                     // caller their outcomes so only the suffix retries.
                     return Err(GroupError {
@@ -590,7 +581,7 @@ impl Ingestor {
                     });
                 }
             }
-            for (corpus, inserted, deleted, copy) in staged[start..end].iter().cloned() {
+            for (corpus, inserted, deleted, copy) in staged.drain(..end - start) {
                 // Copy work is billed only once the batch is durable and
                 // published — a failed suffix must not inflate /stats.
                 inner.copy.absorb(&copy);

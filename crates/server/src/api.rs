@@ -53,8 +53,8 @@ use parking_lot::Mutex;
 use yask_core::{Explanation, Session, SessionId, SessionStore, WhyNotError, YaskConfig};
 use yask_data::DatasetStats;
 use yask_exec::{
-    AdmissionConfig, AdmissionController, AdmitDecision, CachedAnswer, Deadline, EngineHandle,
-    ExecConfig, Executor, OverloadLevel, Route, RouteWindows, WhyNotKind,
+    AdmissionConfig, AdmissionController, AdmitDecision, CachedAnswer, CorpusPin, Deadline,
+    EngineHandle, ExecConfig, Executor, OverloadLevel, Route, RouteWindows, WhyNotKind,
 };
 use yask_geo::Point;
 use yask_index::{Corpus, ObjectId};
@@ -125,7 +125,7 @@ pub struct YaskService {
     exec: Executor,
     ingest: Ingestor,
     coalescer: WriteCoalescer,
-    sessions: SessionStore<EngineHandle>,
+    sessions: SessionStore<CorpusPin>,
     vocab: Arc<Mutex<Vocabulary>>,
     /// Sidecar the vocabulary is snapshotted to before every durable
     /// write batch. The WAL records keyword *ids*, which are
@@ -160,9 +160,9 @@ type ApiResult = Result<Json, (u16, String)>;
 /// cached answer from (flagged `degraded: true`).
 const DEGRADED_LOOKBACK: u64 = 4;
 
-/// A resolved why-not request: its session (pinning the engine epoch
-/// to answer against) and the missing-object ids.
-type WhyNotTarget = (Arc<Session<EngineHandle>>, Vec<ObjectId>);
+/// A resolved why-not request: its session (pinning the corpus version
+/// to answer over) and the missing-object ids.
+type WhyNotTarget = (Arc<Session<CorpusPin>>, Vec<ObjectId>);
 
 /// Handle to a background session-eviction thread; dropping it stops the
 /// sweeper and joins the thread.
@@ -385,9 +385,10 @@ impl YaskService {
     /// store already bounds itself (every session call, `/health` and
     /// `/stats` expire the front; `create` also holds the
     /// [`yask_core::MAX_SESSIONS`] cap); the sweeper only releases
-    /// expired sessions' epoch pins on a server that receives none of
-    /// those — e.g. one taking only writes. The sweeper stops when the
-    /// returned handle drops.
+    /// expired sessions' corpus pins on a server that receives none of
+    /// those — e.g. one taking only writes, where each pin keeps alive
+    /// the corpus chunks unique to its version (no tree). The sweeper
+    /// stops when the returned handle drops.
     pub fn spawn_session_sweeper(self: &Arc<Self>, period: Duration) -> SessionSweeper {
         let service = Arc::clone(self);
         let (tx, rx) = std::sync::mpsc::channel::<()>();
@@ -789,9 +790,10 @@ impl YaskService {
         let doc = self.intern_keywords(words)?;
 
         let query = Query::new(Point::new(x, y), doc, k);
-        // Pin the engine epoch the query runs against: follow-up why-not
-        // questions on this session keep answering over exactly this
-        // corpus version, however many writes land in the meantime.
+        // Pin the engine epoch the query runs against. The session keeps
+        // only its corpus version (no tree): follow-up why-not questions
+        // keep answering over exactly that version, however many writes
+        // land in the meantime.
         let handle = self.exec.engine();
         // Hot-cell-aware priority: re-judge now that the query's target
         // cell is known (`Pressure::hot_cell_ratio`) — the flash-crowd
@@ -827,7 +829,7 @@ impl YaskService {
                     self.admission.count_degraded_answer();
                 }
                 let rendered = render_results(handle.corpus(), &results);
-                let session = self.sessions.create(query, handle);
+                let session = self.sessions.create(query, handle.version());
                 return Ok(Json::obj([
                     ("session", Json::Num(session.0 as f64)),
                     ("degraded", Json::Bool(age > 0)),
@@ -849,7 +851,7 @@ impl YaskService {
         }
         let complete = out.complete;
         let rendered = render_results(handle.corpus(), &out.results);
-        let session = self.sessions.create(query, handle);
+        let session = self.sessions.create(query, handle.version());
         Ok(Json::obj([
             ("session", Json::Num(session.0 as f64)),
             ("degraded", Json::Bool(!complete)),
@@ -859,12 +861,12 @@ impl YaskService {
     }
 
     /// `POST /whynot/{explain,preference,keywords,combined}`: one module
-    /// of the why-not engine, answered over the session's pinned epoch by
-    /// one executor call. Explanations never read λ, so explain neither
-    /// parses one nor keys the cache by it (it passes 0); the three
-    /// refinements also render their refined query's top-k, which the
-    /// executor read off the same request table and cached beside the
-    /// refinement — the handler only renders.
+    /// of the why-not engine, answered over the session's pinned corpus
+    /// version by one executor call. Explanations never read λ, so
+    /// explain neither parses one nor keys the cache by it (it passes 0);
+    /// the three refinements also render their refined query's top-k,
+    /// which the executor read off the same request table and cached
+    /// beside the refinement — the handler only renders.
     fn whynot(
         &self,
         kind: WhyNotKind,
@@ -873,14 +875,14 @@ impl YaskService {
         deadline: Option<Deadline>,
     ) -> ApiResult {
         let (session, missing) = self.session_and_missing(body)?;
-        let handle = &session.pin;
+        let pin = &session.pin;
         let lambda = match kind {
             WhyNotKind::Explain => 0.0,
             _ => optional_lambda(body, self.exec.config().yask.default_lambda)?,
         };
         let answer = self
             .exec
-            .whynot_on(handle, kind, &session.query, &missing, lambda, trace, deadline)
+            .whynot_on(pin, kind, &session.query, &missing, lambda, trace, deadline)
             .map_err(|e| self.whynot_status(e))?;
         let (results, mut fields) = match &*answer {
             CachedAnswer::Explain(explanations) => {
@@ -945,7 +947,7 @@ impl YaskService {
                 ],
             ),
         };
-        fields.push(("results", render_results(handle.corpus(), results)));
+        fields.push(("results", render_results(pin.corpus(), results)));
         Ok(Json::obj(fields))
     }
 
@@ -2103,6 +2105,70 @@ mod tests {
         assert_eq!(status, 404);
         let (status, _) = delete(&s, "/objects/abc");
         assert_eq!(status, 400);
+    }
+
+    /// A session pins its corpus version, not the engine: on a paged
+    /// two-shard service, writes landing after a session's query leave
+    /// only the current epoch's trees paged while the session lives, and
+    /// the session still answers about an object deleted since.
+    #[test]
+    fn a_live_session_keeps_no_superseded_tree() {
+        let (corpus, vocab) = yask_data::hk_hotels();
+        let s = YaskService::with_config(
+            corpus,
+            vocab,
+            ServiceConfig {
+                exec: ExecConfig {
+                    shards: 2,
+                    resident_budget: Some(1 << 20),
+                    ..ExecConfig::default()
+                },
+                ..ServiceConfig::default()
+            },
+        );
+        let (session, names) = tst_query(&s, 3);
+        let corpus = s.corpus();
+        let gone: Vec<ObjectId> = corpus
+            .iter()
+            .filter(|o| !names.contains(&o.name))
+            .map(|o| o.id)
+            .take(4)
+            .collect();
+        drop(corpus);
+        for i in 0..4 {
+            let hotel = Json::obj([
+                ("x", Json::Num(114.17 + 0.01 * i as f64)),
+                ("y", Json::Num(22.30)),
+                ("name", Json::str(format!("Late Hotel {i}"))),
+                ("keywords", Json::Arr(vec![Json::str("clean")])),
+            ]);
+            let (status, body) = post(&s, "/objects", hotel);
+            assert_eq!(status, 200, "{body}");
+        }
+        for id in &gone {
+            let (status, body) = delete(&s, &format!("/objects/{}", id.0));
+            assert_eq!(status, 200, "{body}");
+        }
+        let (_, stats) = get(&s, "/stats");
+        let sessions = stats.get("sessions").unwrap();
+        assert_eq!(sessions.get("pinned_epochs").unwrap().as_usize(), Some(1));
+        let pager = stats.get("exec").and_then(|e| e.get("pager")).expect("exec.pager");
+        assert_eq!(
+            pager.get("paged_trees").and_then(Json::as_usize),
+            Some(2),
+            "a live session must not keep a superseded epoch's trees paged: {pager}"
+        );
+        let (status, body) = post(
+            &s,
+            "/whynot/explain",
+            Json::obj([
+                ("session", Json::Num(session as f64)),
+                ("missing", Json::Arr(vec![Json::Num(gone[0].0 as f64)])),
+            ]),
+        );
+        assert_eq!(status, 200, "{body}");
+        let ex = &body.get("explanations").unwrap().as_array().unwrap()[0];
+        assert!(ex.get("rank").unwrap().as_usize().unwrap() > 3);
     }
 
     #[test]
