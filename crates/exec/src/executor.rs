@@ -46,7 +46,7 @@ use yask_index::{Corpus, ObjectId};
 use yask_query::{topk_scan, Query, RankedObject, ScoreParams};
 use yask_util::EpochCell;
 
-use yask_pager::{page_out_tree, BufferPool, PagedNodeSource};
+use yask_pager::{page_out_tree, PagedNodeSource};
 
 use crate::admission::Pressure;
 use crate::cache::{AnswerKey, CachedAnswer, LruCache, QueryKey, WhyNotKind};
@@ -88,11 +88,12 @@ pub struct ExecConfig {
     /// corpora are always "skewed" by integer effects).
     pub rebalance_min: usize,
     /// Out-of-core serving: when set, every published shard tree's node
-    /// arena is encoded into a shared buffer-pool page file and served
-    /// by faulting chunks on access, keeping at most this many bytes of
-    /// decoded chunks resident *per tree*. Answers stay byte-identical
-    /// to fully resident serving; only the memory/latency trade moves.
-    /// `None` (the default) keeps every arena resident.
+    /// arena is written to an unlinked temp file of that tree's own (one
+    /// run per arena chunk) and served by faulting chunks on access, one
+    /// read per fault, keeping at most this many bytes of decoded chunks
+    /// resident *per tree*. The file is freed with the tree. Answers stay
+    /// byte-identical to fully resident serving; only the memory/latency
+    /// trade moves. `None` (the default) keeps every arena resident.
     pub resident_budget: Option<usize>,
     /// Engine configuration: scoring model, tree parameters, keyword
     /// options and default λ.
@@ -114,46 +115,22 @@ impl Default for ExecConfig {
     }
 }
 
-/// The executor's out-of-core substrate: one buffer pool shared by every
-/// epoch's paged trees (so page-level hit/miss/eviction counters are
-/// monotonic across epochs) plus a registry of the live decoded-chunk
-/// caches for stats aggregation. The backing page file lives in the
-/// temp directory and is unlinked immediately after creation — the open
-/// handle keeps it alive, the filesystem entry never outlives the
-/// executor.
+/// The executor's out-of-core substrate: the per-tree decoded-chunk
+/// budget plus a registry of the live paged trees' sources for stats
+/// aggregation. Each paged tree owns its run file (see
+/// [`PagedNodeSource`]), so a superseded tree's disk is freed with it.
 struct Pager {
-    pool: Arc<BufferPool>,
     budget: usize,
     sources: Mutex<Vec<std::sync::Weak<PagedNodeSource>>>,
 }
 
 impl Pager {
-    fn new(budget: usize) -> Pager {
-        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "yask-exec-pager-{}-{}.pages",
-            std::process::id(),
-            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        ));
-        // Page-cache capacity scales with the chunk budget: enough pages
-        // to back one tree's decoded window, floored so tiny budgets
-        // still make progress.
-        let capacity = (budget / yask_pager::PAGE_SIZE).max(16);
-        let pool = BufferPool::create(&path, capacity).expect("create pager backing file");
-        let _ = std::fs::remove_file(&path);
-        Pager {
-            pool: Arc::new(pool),
-            budget,
-            sources: Mutex::new(Vec::new()),
-        }
-    }
-
     /// Pages out one resident tree, registering its chunk cache.
     fn page_tree(&self, tree: &mut yask_index::RTree) {
         if tree.is_paged() {
             return;
         }
-        let src = page_out_tree(&self.pool, tree, self.budget).expect("page out shard tree");
+        let src = page_out_tree(tree, self.budget).expect("page out shard tree");
         self.sources.lock().push(Arc::downgrade(&src));
     }
 
@@ -167,14 +144,8 @@ impl Pager {
     fn snapshot(&self) -> PagerSnapshot {
         let mut snap = PagerSnapshot {
             budget_bytes: self.budget,
-            pool_capacity: self.pool.capacity(),
-            pool_pages: self.pool.page_count(),
             ..PagerSnapshot::default()
         };
-        let ps = self.pool.stats();
-        snap.pool_hits = ps.hits;
-        snap.pool_misses = ps.misses;
-        snap.pool_evictions = ps.evictions;
         let mut sources = self.sources.lock();
         sources.retain(|w| {
             let Some(s) = w.upgrade() else { return false };
@@ -184,6 +155,7 @@ impl Pager {
             snap.chunk_evictions += st.evictions;
             snap.resident_chunks += st.resident_chunks;
             snap.chunk_count += st.chunk_count;
+            snap.disk_bytes += st.disk_bytes;
             snap.paged_trees += 1;
             true
         });
@@ -411,7 +383,7 @@ impl Executor {
             config.workers
         };
         let params = ScoreParams::new(corpus.space()).with_model(config.yask.model);
-        let pager = config.resident_budget.map(Pager::new);
+        let pager = config.resident_budget.map(|budget| Pager { budget, sources: Mutex::default() });
         let mut index = ShardedIndex::build(corpus, config.shards, config.yask.tree_params);
         if let Some(p) = &pager {
             p.page_index(&mut index);
@@ -958,7 +930,7 @@ mod tests {
         let corpus = random_corpus(400, 90);
         let resident = Executor::with_defaults(corpus.clone());
         // Budget of one byte per tree: worst case, every chunk access
-        // faults through the buffer pool.
+        // faults a run from the tree's file.
         let paged = Executor::new(
             corpus.clone(),
             ExecConfig {
@@ -989,7 +961,7 @@ mod tests {
         let s = paged.stats();
         let p = s.pager.expect("paged executor exposes pager stats");
         assert!(p.chunk_misses > 0, "one-byte budget must fault: {p:?}");
-        assert!(p.pool_hits + p.pool_misses > 0, "faults must hit the pool: {p:?}");
+        assert!(p.disk_bytes > 0, "paged trees hold their runs on disk: {p:?}");
         assert_eq!(p.paged_trees, 4);
         assert!(resident.stats().pager.is_none());
     }
@@ -1063,6 +1035,43 @@ mod tests {
             let got: Vec<ObjectId> = exec.top_k(&q).iter().map(|r| r.id).collect();
             let want: Vec<ObjectId> = topk_scan(&v1, &params, &q).iter().map(|r| r.id).collect();
             assert_eq!(got, want);
+        }
+    }
+
+    /// Each paged tree owns its run file, so the disk a write batch's
+    /// re-paged trees take is given back when the trees they replace are
+    /// dropped: twenty one-object batches leave the run bytes where the
+    /// build put them.
+    #[test]
+    fn paged_writes_give_their_disk_back() {
+        let mut corpus = random_corpus(2000, 93);
+        let exec = Executor::new(
+            corpus.clone(),
+            ExecConfig {
+                shards: 2,
+                resident_budget: Some(4096),
+                ..ExecConfig::default()
+            },
+        );
+        let pager = || exec.stats().pager.expect("paged executor exposes pager stats");
+        let built = pager();
+        assert_eq!(built.paged_trees, 2);
+        assert!(built.disk_bytes > 0, "{built:?}");
+        for i in 0..20u32 {
+            let (next, new_ids) = corpus.with_updates(
+                [(Point::new(0.5, 0.5), ks(&[i % 12]), format!("w{i}"))],
+                &[ObjectId(i)],
+            );
+            exec.apply_batch(next.clone(), &new_ids, &[ObjectId(i)]);
+            corpus = next;
+            let p = pager();
+            assert_eq!(p.paged_trees, 2, "batch {i}: {p:?}");
+            assert!(
+                p.disk_bytes * 2 <= built.disk_bytes * 3,
+                "batch {i}: run bytes grew from {} to {}",
+                built.disk_bytes,
+                p.disk_bytes
+            );
         }
     }
 

@@ -275,26 +275,15 @@ pub struct ExecSnapshot {
     pub pager: Option<PagerSnapshot>,
 }
 
-/// Out-of-core serving counters: the shared page-level buffer pool plus
-/// the aggregated decoded-chunk caches of the live paged shard trees.
-/// Pool counters are monotonic for the executor's lifetime; chunk
-/// counters aggregate over trees still alive (superseded epochs drop
-/// out once their last reader unpins).
+/// Out-of-core serving counters: the aggregated decoded-chunk caches and
+/// run files of the live paged shard trees. They aggregate over trees
+/// still alive (superseded epochs drop out once their last reader
+/// unpins, and their run files are freed with them).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PagerSnapshot {
-    /// Buffer-pool page reads served from cache.
-    pub pool_hits: u64,
-    /// Buffer-pool page reads that went to disk.
-    pub pool_misses: u64,
-    /// Buffer-pool pages evicted.
-    pub pool_evictions: u64,
-    /// Buffer-pool cache capacity in pages.
-    pub pool_capacity: usize,
-    /// Pages allocated in the backing file.
-    pub pool_pages: u64,
     /// Decoded-chunk cache hits across live paged trees.
     pub chunk_hits: u64,
-    /// Chunk faults (decode-from-pages) across live paged trees.
+    /// Chunk faults (one run read plus its decode) across live paged trees.
     pub chunk_misses: u64,
     /// Decoded chunks evicted across live paged trees.
     pub chunk_evictions: u64,
@@ -306,6 +295,8 @@ pub struct PagerSnapshot {
     pub budget_bytes: usize,
     /// Paged trees currently alive (includes pinned past epochs).
     pub paged_trees: usize,
+    /// Run bytes held in the live paged trees' files.
+    pub disk_bytes: u64,
 }
 
 impl ExecCounters {

@@ -2,7 +2,7 @@
 //! engine.
 //!
 //! For randomized corpora and queries, an executor whose shard trees are
-//! served through the buffer pool ([`ExecConfig::resident_budget`]) must
+//! served out of core ([`ExecConfig::resident_budget`]) must
 //! answer top-k and every why-not module byte-identically to a fully
 //! resident executor *and* to [`yask_core::Yask`] (one resident tree,
 //! an implementation the executor shares no serving code with) — at
@@ -11,15 +11,13 @@
 //! runs: paging is a memory-placement decision, never an
 //! answer-changing one.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
 use yask_core::{Yask, YaskConfig};
 use yask_exec::{ExecConfig, Executor};
 use yask_geo::{Point, Space};
 use yask_index::{Corpus, CorpusBuilder, ObjectId, RTree, RTreeParams};
-use yask_pager::{page_out_tree, BufferPool};
+use yask_pager::page_out_tree;
 use yask_query::{topk_tree, Query, ScoreParams, Weights};
 use yask_text::KeywordSet;
 use yask_util::Xoshiro256;
@@ -170,10 +168,7 @@ fn concurrent_readers_of_one_paged_tree_see_resident_answers() {
     let params = ScoreParams::new(corpus.space());
     let resident = RTree::bulk_load(corpus, RTreeParams::default());
     let mut paged = resident.clone();
-    let path = std::env::temp_dir().join(format!("yask-paged-oracle-{}.pages", std::process::id()));
-    let pool = Arc::new(BufferPool::create(&path, 16).unwrap());
-    let _ = std::fs::remove_file(&path);
-    let src = page_out_tree(&pool, &mut paged, 1).unwrap();
+    let src = page_out_tree(&mut paged, 1).unwrap();
 
     let start = std::sync::Barrier::new(4);
     std::thread::scope(|s| {

@@ -213,7 +213,8 @@ impl KcAug {
     pub fn decode(buf: &mut &[u8]) -> Option<Self> {
         let cnt = take_u32(buf)?;
         let n = take_u32(buf)? as usize;
-        let mut pairs = Vec::with_capacity(n.min(1 << 16));
+        // Reserve no more pairs than the bytes left can hold.
+        let mut pairs = Vec::with_capacity(n.min(buf.len() / 8));
         for _ in 0..n {
             let kw = take_u32(buf)?;
             let count = take_u32(buf)?;

@@ -66,7 +66,7 @@ pub struct Chunk<T, const N: usize> {
 
 impl<T, const N: usize> Chunk<T, N> {
     /// Wraps already-assembled elements (at most `N`) as a chunk — the
-    /// load path of chunks decoded from a page file.
+    /// load path of chunks decoded from a run file.
     pub fn from_items(items: Vec<T>) -> Self {
         assert!(items.len() <= N, "oversized chunk: {} > {N}", items.len());
         Chunk { items }

@@ -174,7 +174,7 @@ enum Arena {
 }
 
 /// A fault-in provider of arena chunks — the out-of-core backing of a
-/// paged tree. Implementations (e.g. `yask_pager`'s buffer-pool-backed
+/// paged tree. Implementations (e.g. `yask_pager`'s run-file-backed
 /// source) cache decoded chunks under a resident budget and may evict
 /// them again. A chunk is handed out as a clone of the `Arc` the cache
 /// holds, so eviction only drops the cache's reference: a reader keeps
@@ -367,7 +367,7 @@ impl RTree {
 
     /// Switches the arena to out-of-core backing: `source` must hold
     /// exactly this tree's chunks (same count, same slot layout),
-    /// typically built by encoding a resident tree into a page file.
+    /// typically built by encoding a resident tree into a run file.
     /// Reads fault chunks through the source from now on; the first
     /// mutation [`RTree::materialize`]s the tree back to resident form.
     pub fn page_out(&mut self, source: Arc<dyn NodeSource>) {

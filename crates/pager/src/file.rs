@@ -50,11 +50,12 @@ impl PageFile {
         self.pages
     }
 
-    /// Allocates a fresh zeroed page at the end of the file.
+    /// Allocates a fresh zeroed page at the end of the file. The file is
+    /// extended, not written: the new page reads as zeros, and the page's
+    /// one write is the caller's.
     pub fn allocate(&mut self) -> io::Result<PageId> {
         let id = PageId(self.pages);
-        self.file.seek(SeekFrom::Start(id.offset()))?;
-        self.file.write_all(&[0u8; PAGE_SIZE])?;
+        self.file.set_len((id.0 + 1) * PAGE_SIZE as u64)?;
         self.pages += 1;
         Ok(id)
     }

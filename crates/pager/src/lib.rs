@@ -13,9 +13,11 @@
 //! * [`checkpoint`] — WAL-compaction snapshots (`YASKPG03`): a corpus
 //!   epoch plus the vocabulary, written atomically, so the ingest layer
 //!   can truncate its log and bound restart-replay time;
-//! * [`paged`] — the out-of-core node arena: a tree's arena chunks
-//!   encoded into the page file and faulted back on demand through a
-//!   byte-budgeted chunk cache ([`PagedNodeSource`]).
+//! * [`paged`] — the out-of-core node arena: each tree's arena chunks
+//!   encoded as one run per chunk in an unlinked file of the tree's own,
+//!   faulted back on demand — one read per fault — through one
+//!   byte-budgeted decoded-chunk cache ([`PagedNodeSource`]). It uses no
+//!   page, pool or stream above: those serve the WAL and checkpoints.
 
 #![forbid(unsafe_code)]
 

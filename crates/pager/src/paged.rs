@@ -1,31 +1,33 @@
 //! Out-of-core R-tree arenas: [`PagedNodeSource`] serves a tree's node
-//! chunks through the [`BufferPool`] instead of resident memory.
+//! chunks from a run file of its own instead of resident memory.
 //!
-//! A resident tree is *paged out* by encoding every arena chunk into its
-//! own byte stream in the page file ([`PagedNodeSource::build`]) and
-//! handing the tree the resulting source ([`page_out_tree`]). From then
-//! on `RTree::node` faults whole chunks — 16 nodes at a time — through a
-//! small decoded-chunk cache bounded by a byte budget, which in turn
-//! reads 4 KiB pages through the buffer pool. The cache hands out clones
-//! of the `Arc` it holds: a reader's `NodeRef` pins its chunk, eviction
-//! drops only the cache's reference, and an evicted chunk is freed when
-//! its last reader lets go. Decoded bytes alive at any moment are the
-//! cache's (bounded by the budget) plus at most one evicted chunk per
-//! live node reference. Two cache levels, two sets of counters:
-//!
-//! * chunk level ([`PagedStats`]) — decoded-chunk hits / faults /
-//!   evictions, what a query actually pays;
-//! * page level ([`crate::PoolStats`]) — buffer-pool hits / misses, what
-//!   the disk actually pays.
+//! A resident tree is *paged out* by encoding every arena chunk into one
+//! contiguous run of a temp file that belongs to that tree alone
+//! ([`PagedNodeSource::build`]) and handing the tree the resulting source
+//! ([`page_out_tree`]). The file is unlinked as soon as it is created:
+//! its open handle keeps it alive, and dropping the last holder of the
+//! tree closes it, which frees every run. From then on `RTree::node`
+//! faults whole chunks — 16 nodes at a time — through a decoded-chunk
+//! cache bounded by a byte budget; a fault is one read of the chunk's
+//! run plus its decode, under the cache's lock. The cache hands out
+//! clones of the `Arc` it holds: a reader's `NodeRef` pins its chunk,
+//! eviction drops only the cache's reference, and an evicted chunk is
+//! freed when its last reader lets go. Decoded bytes alive at any moment
+//! are the cache's (bounded by the budget) plus at most one evicted
+//! chunk per live node reference. There is one cache level, and
+//! [`PagedStats`] counts it: decoded-chunk hits, faults and evictions,
+//! what a query actually pays, plus the run bytes the file holds.
 //!
 //! The encoding is exact: keyword-count summaries round-trip
 //! bit-identically via [`KcAug::encode`] / [`KcAug::decode`] and MBR
 //! coordinates via `f64` bit patterns, so a paged
 //! tree answers every query byte-identically to its resident original
-//! (property-tested by the out-of-core oracle suite).
+//! (property-tested by the out-of-core oracle suite). The run file is
+//! private to one process, so its format carries no version.
 
 use std::collections::HashMap;
-use std::io;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -34,18 +36,14 @@ use yask_index::{KcAug, Node, NodeChunk, NodeKind, NodeSource, RTree, RTreeParam
 use yask_geo::{Point, Rect};
 use yask_index::{NodeId, ObjectId};
 
-use crate::buffer_pool::BufferPool;
-use crate::codec::{StreamReader, StreamWriter};
-use crate::page::PageId;
-
 /// Chunk-cache counters for one paged arena. `misses` is the number of
-/// chunk faults (each one decodes a full chunk through the buffer pool);
-/// `evictions` counts decoded chunks dropped to stay inside the budget.
+/// chunk faults (each one reads and decodes a chunk's run); `evictions`
+/// counts decoded chunks dropped to stay inside the budget.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PagedStats {
     /// Chunk lookups answered from the decoded-chunk cache.
     pub hits: u64,
-    /// Chunk faults: lookups that had to decode the chunk from pages.
+    /// Chunk faults: lookups that had to read and decode the chunk's run.
     pub misses: u64,
     /// Decoded chunks evicted to stay inside the byte budget.
     pub evictions: u64,
@@ -55,6 +53,8 @@ pub struct PagedStats {
     pub chunk_count: usize,
     /// The resident byte budget the cache is bounded by.
     pub budget_bytes: usize,
+    /// Bytes of encoded runs in the tree's file.
+    pub disk_bytes: u64,
 }
 
 struct CacheEntry {
@@ -64,19 +64,21 @@ struct CacheEntry {
 }
 
 struct Cache {
+    /// The tree's run file; faults read it under the cache's lock.
+    file: File,
     entries: HashMap<usize, CacheEntry>,
     cached_bytes: usize,
     tick: u64,
 }
 
-/// A [`NodeSource`] that faults arena chunks through the buffer pool on
+/// A [`NodeSource`] that faults arena chunks from the tree's run file on
 /// access, keeping at most `budget_bytes` of decoded chunks resident.
 pub struct PagedNodeSource {
-    pool: Arc<BufferPool>,
-    /// Per-chunk `(first page, stream length)` of the encoded chunk.
-    directory: Vec<(PageId, u64)>,
+    /// Per-chunk `(offset, length)` of the chunk's run in the file.
+    directory: Vec<(u64, usize)>,
     budget_bytes: usize,
     arena_bytes: usize,
+    disk_bytes: u64,
     state: Mutex<Cache>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -94,29 +96,31 @@ impl std::fmt::Debug for PagedNodeSource {
 }
 
 impl PagedNodeSource {
-    /// Encodes every chunk of a resident `tree` into `pool`'s page file
-    /// and returns a source serving them with at most `budget_bytes` of
-    /// decoded chunks resident. The tree itself is not modified — pass
-    /// the result to [`RTree::page_out`] (or use [`page_out_tree`]).
-    pub fn build(
-        pool: Arc<BufferPool>,
-        tree: &RTree,
-        budget_bytes: usize,
-    ) -> io::Result<Arc<Self>> {
+    /// Encodes every chunk of a resident `tree` as one run of a fresh,
+    /// unlinked temp file and returns a source serving them with at most
+    /// `budget_bytes` of decoded chunks resident. The tree itself is not
+    /// modified — pass the result to [`RTree::page_out`] (or use
+    /// [`page_out_tree`]).
+    pub fn build(tree: &RTree, budget_bytes: usize) -> io::Result<Arc<Self>> {
         assert!(!tree.is_paged(), "building a paged source from a paged tree");
-        let arena_bytes = tree.arena_bytes();
+        let file = run_file()?;
+        let mut run = Vec::new();
         let mut directory = Vec::with_capacity(tree.arena_chunk_count());
+        let mut disk_bytes = 0;
         for ci in 0..tree.arena_chunk_count() {
-            let mut w = StreamWriter::new(&pool)?;
-            encode_chunk(&mut w, tree.arena_chunk(ci))?;
-            directory.push(w.finish()?);
+            run.clear();
+            encode_chunk(tree.arena_chunk(ci), &mut run);
+            (&file).write_all(&run)?;
+            directory.push((disk_bytes, run.len()));
+            disk_bytes += run.len() as u64;
         }
         Ok(Arc::new(PagedNodeSource {
-            pool,
             directory,
             budget_bytes,
-            arena_bytes,
+            arena_bytes: tree.arena_bytes(),
+            disk_bytes,
             state: Mutex::new(Cache {
+                file,
                 entries: HashMap::new(),
                 cached_bytes: 0,
                 tick: 0,
@@ -137,19 +141,32 @@ impl PagedNodeSource {
             resident_chunks: st.entries.len(),
             chunk_count: self.directory.len(),
             budget_bytes: self.budget_bytes,
+            disk_bytes: self.disk_bytes,
         }
     }
+}
 
-    /// The buffer pool the encoded chunks live in.
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
+/// Creates a tree's run file in the temp directory and unlinks it at
+/// once: the handle keeps the file alive, and closing it frees the runs.
+fn run_file() -> io::Result<File> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "yask-runs-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed),
+    ));
+    let file = OpenOptions::new().read(true).write(true).create_new(true).open(&path)?;
+    std::fs::remove_file(&path)?;
+    Ok(file)
+}
 
-    fn fault(&self, ci: usize) -> io::Result<Arc<NodeChunk>> {
-        let (first, len) = self.directory[ci];
-        let mut r = StreamReader::new(&self.pool, first, len)?;
-        decode_chunk(&mut r).map(Arc::new)
-    }
+/// One chunk fault: a single read of the chunk's run, then its decode.
+fn fault(file: &mut File, (offset, len): (u64, usize)) -> io::Result<NodeChunk> {
+    yask_util::failpoint::fire("pager.read")?;
+    let mut run = vec![0u8; len];
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(&mut run)?;
+    decode_chunk(&run)
 }
 
 impl NodeSource for PagedNodeSource {
@@ -171,8 +188,8 @@ impl NodeSource for PagedNodeSource {
             return Arc::clone(&e.chunk);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let chunk = self
-            .fault(ci)
+        let chunk = fault(&mut st.file, self.directory[ci])
+            .map(Arc::new)
             .unwrap_or_else(|e| panic!("paged arena chunk {ci} unreadable: {e}"));
         let bytes = chunk.approx_bytes();
         st.cached_bytes += bytes;
@@ -196,119 +213,134 @@ impl NodeSource for PagedNodeSource {
     }
 }
 
-/// Encodes a resident `tree`'s arena into `pool` and switches the tree
-/// to serve reads through it, returning the source for stats polling.
-pub fn page_out_tree(
-    pool: &Arc<BufferPool>,
-    tree: &mut RTree,
-    budget_bytes: usize,
-) -> io::Result<Arc<PagedNodeSource>> {
-    let source = PagedNodeSource::build(Arc::clone(pool), tree, budget_bytes)?;
+/// Writes a resident `tree`'s arena to a run file of its own and switches
+/// the tree to serve reads through it, returning the source for stats
+/// polling.
+pub fn page_out_tree(tree: &mut RTree, budget_bytes: usize) -> io::Result<Arc<PagedNodeSource>> {
+    let source = PagedNodeSource::build(tree, budget_bytes)?;
     tree.page_out(source.clone());
     Ok(source)
 }
 
 // ---------------------------------------------------------------------------
-// Chunk codec
+// Chunk codec: one chunk is one run of little-endian fields
 // ---------------------------------------------------------------------------
 
 const KIND_LEAF: u8 = 0;
 const KIND_INTERNAL: u8 = 1;
 
-fn encode_chunk(w: &mut StreamWriter<'_>, nodes: &[Node]) -> io::Result<()> {
-    w.write_u32(nodes.len() as u32)?;
-    let mut aug_buf = Vec::new();
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn encode_chunk(nodes: &[Node], out: &mut Vec<u8>) {
+    put_u32(out, nodes.len() as u32);
     for n in nodes {
-        w.write_f64(n.mbr.lo.x)?;
-        w.write_f64(n.mbr.lo.y)?;
-        w.write_f64(n.mbr.hi.x)?;
-        w.write_f64(n.mbr.hi.y)?;
+        for v in [n.mbr.lo.x, n.mbr.lo.y, n.mbr.hi.x, n.mbr.hi.y] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
         match n.aug_opt() {
-            None => w.write_u8(0)?,
+            None => out.push(0),
             Some(a) => {
-                w.write_u8(1)?;
-                aug_buf.clear();
-                a.encode(&mut aug_buf);
-                w.write_u32(aug_buf.len() as u32)?;
-                w.write_bytes(&aug_buf)?;
+                out.push(1);
+                // The augmentation's length prefix, patched once encoded.
+                let at = out.len();
+                put_u32(out, 0);
+                a.encode(out);
+                let len = (out.len() - at - 4) as u32;
+                out[at..at + 4].copy_from_slice(&len.to_le_bytes());
             }
         }
         match &n.kind {
             NodeKind::Leaf(entries) => {
-                w.write_u8(KIND_LEAF)?;
-                w.write_u32(entries.len() as u32)?;
-                for id in entries {
-                    w.write_u32(id.0)?;
-                }
+                out.push(KIND_LEAF);
+                put_u32(out, entries.len() as u32);
+                entries.iter().for_each(|id| put_u32(out, id.0));
             }
             NodeKind::Internal(children) => {
-                w.write_u8(KIND_INTERNAL)?;
-                w.write_u32(children.len() as u32)?;
-                for id in children {
-                    w.write_u32(id.0)?;
-                }
+                out.push(KIND_INTERNAL);
+                put_u32(out, children.len() as u32);
+                children.iter().for_each(|id| put_u32(out, id.0));
             }
         }
     }
-    Ok(())
 }
 
 fn corrupt(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
-fn decode_chunk(r: &mut StreamReader<'_>) -> io::Result<NodeChunk> {
-    let count = r.read_u32()? as usize;
+/// Takes `N` bytes off the front of `buf`, advancing it.
+fn take<const N: usize>(buf: &mut &[u8]) -> io::Result<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>().ok_or_else(|| corrupt("run ends mid-chunk"))?;
+    *buf = rest;
+    Ok(*head)
+}
+
+fn take_u32(buf: &mut &[u8]) -> io::Result<u32> {
+    take(buf).map(u32::from_le_bytes)
+}
+
+fn take_f64(buf: &mut &[u8]) -> io::Result<f64> {
+    take(buf).map(f64::from_le_bytes)
+}
+
+/// Takes `n` ids, `n` already checked against the fan-out bound.
+fn take_ids<T>(buf: &mut &[u8], n: usize, id: fn(u32) -> T) -> io::Result<Vec<T>> {
+    let mut ids = Vec::with_capacity(n);
+    for _ in 0..n {
+        ids.push(id(take_u32(buf)?));
+    }
+    Ok(ids)
+}
+
+/// Decodes one chunk's run. Every length is checked against its bound
+/// before anything is reserved for it, so a corrupt run is an `Err`,
+/// never a panic or an outsized allocation.
+fn decode_chunk(mut buf: &[u8]) -> io::Result<NodeChunk> {
+    let buf = &mut buf;
+    let count = take_u32(buf)? as usize;
     if count > yask_index::NODE_CHUNK_SIZE {
         return Err(corrupt(format!("implausible chunk node count {count}")));
     }
     let mut nodes = Vec::with_capacity(count);
     for _ in 0..count {
-        let lo = Point { x: r.read_f64()?, y: r.read_f64()? };
-        let hi = Point { x: r.read_f64()?, y: r.read_f64()? };
+        let lo = Point { x: take_f64(buf)?, y: take_f64(buf)? };
+        let hi = Point { x: take_f64(buf)?, y: take_f64(buf)? };
         let mbr = Rect { lo, hi };
-        let aug = match r.read_u8()? {
+        let aug = match take::<1>(buf)?[0] {
             0 => None,
             1 => {
-                let len = r.read_u32()? as usize;
+                let len = take_u32(buf)? as usize;
                 if len > 1 << 24 {
                     return Err(corrupt(format!("implausible augmentation length {len}")));
                 }
-                let mut buf = vec![0u8; len];
-                r.read_bytes(&mut buf)?;
-                let mut cursor = buf.as_slice();
-                let a = KcAug::decode(&mut cursor)
+                let (mut aug, rest) =
+                    buf.split_at_checked(len).ok_or_else(|| corrupt("run ends mid-augmentation"))?;
+                *buf = rest;
+                let a = KcAug::decode(&mut aug)
                     .ok_or_else(|| corrupt("augmentation failed to decode"))?;
-                if !cursor.is_empty() {
+                if !aug.is_empty() {
                     return Err(corrupt("augmentation decode left trailing bytes"));
                 }
                 Some(a)
             }
             t => return Err(corrupt(format!("bad augmentation presence tag {t}"))),
         };
-        let tag = r.read_u8()?;
-        let n = r.read_u32()? as usize;
+        let tag = take::<1>(buf)?[0];
+        let n = take_u32(buf)? as usize;
         if n > RTreeParams::MAX_FANOUT {
             return Err(corrupt(format!("entry count {n} exceeds the fan-out bound")));
         }
         let kind = match tag {
-            KIND_LEAF => {
-                let mut e = Vec::with_capacity(n);
-                for _ in 0..n {
-                    e.push(ObjectId(r.read_u32()?));
-                }
-                NodeKind::Leaf(e)
-            }
-            KIND_INTERNAL => {
-                let mut c = Vec::with_capacity(n);
-                for _ in 0..n {
-                    c.push(NodeId(r.read_u32()?));
-                }
-                NodeKind::Internal(c)
-            }
+            KIND_LEAF => NodeKind::Leaf(take_ids(buf, n, ObjectId)?),
+            KIND_INTERNAL => NodeKind::Internal(take_ids(buf, n, NodeId)?),
             t => return Err(corrupt(format!("bad node kind tag {t}"))),
         };
         nodes.push(Node::from_parts(mbr, aug, kind));
+    }
+    if !buf.is_empty() {
+        return Err(corrupt("trailing bytes after the chunk"));
     }
     Ok(NodeChunk::from_nodes(nodes))
 }
@@ -316,21 +348,10 @@ fn decode_chunk(r: &mut StreamReader<'_>) -> io::Result<NodeChunk> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use yask_geo::Point;
     use yask_index::{Corpus, CorpusBuilder};
     use yask_text::KeywordSet;
-
-    fn pool() -> Arc<BufferPool> {
-        let dir = std::env::temp_dir().join(format!(
-            "yask-paged-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pages.yask");
-        let _ = std::fs::remove_file(&path);
-        Arc::new(BufferPool::create(&path, 64).unwrap())
-    }
 
     fn corpus(n: usize) -> Corpus {
         let mut b = CorpusBuilder::new();
@@ -351,8 +372,7 @@ mod tests {
     fn paged_tree_answers_reads_identically() {
         let resident = tree(500);
         let mut paged = resident.clone();
-        let p = pool();
-        let src = page_out_tree(&p, &mut paged, resident.arena_bytes() / 4).unwrap();
+        let src = page_out_tree(&mut paged, resident.arena_bytes() / 4).unwrap();
         assert!(paged.is_paged());
 
         let probe = Rect::new(Point { x: 10.0, y: 10.0 }, Point { x: 60.0, y: 70.0 });
@@ -364,13 +384,14 @@ mod tests {
         assert!(s.misses > 0, "reads must fault chunks: {s:?}");
         assert!(s.evictions > 0, "a 25% budget must evict: {s:?}");
         assert!(s.resident_chunks < s.chunk_count);
+        assert!(s.disk_bytes > 0, "the runs live in the tree's file: {s:?}");
     }
 
     #[test]
     fn a_held_chunk_pins_only_itself() {
         let resident = RTree::bulk_load(corpus(500), RTreeParams::new(4, 2));
         let mut paged = resident.clone();
-        let src = page_out_tree(&pool(), &mut paged, 1).unwrap();
+        let src = page_out_tree(&mut paged, 1).unwrap();
         // A long-running reader holds chunk 0 while every other chunk
         // faults through a one-byte budget.
         let held = src.chunk(0);
@@ -395,8 +416,7 @@ mod tests {
     fn structure_survives_the_round_trip_exactly() {
         let resident = tree(300);
         let mut paged = resident.clone();
-        let p = pool();
-        page_out_tree(&p, &mut paged, 1).unwrap();
+        page_out_tree(&mut paged, 1).unwrap();
         // Budget of one byte: every chunk access is a fault, the cache
         // holds exactly one chunk at a time.
         assert_eq!(resident.structure(), paged.structure());
@@ -406,8 +426,7 @@ mod tests {
     fn mutation_materializes_the_tree_back_to_resident() {
         let resident = tree(200);
         let mut paged = resident.clone();
-        let p = pool();
-        page_out_tree(&p, &mut paged, resident.arena_bytes() / 2).unwrap();
+        page_out_tree(&mut paged, resident.arena_bytes() / 2).unwrap();
         assert!(paged.is_paged());
 
         let c2 = corpus(201);
@@ -419,28 +438,13 @@ mod tests {
     }
 
     #[test]
-    fn pool_counters_price_the_faults() {
-        let resident = tree(400);
-        let mut paged = resident.clone();
-        let p = pool();
-        page_out_tree(&p, &mut paged, 1).unwrap();
-        let before = p.stats();
-        let _ = paged.object_ids();
-        let after = p.stats();
-        assert!(
-            after.hits + after.misses > before.hits + before.misses,
-            "chunk faults must be priced on the buffer pool: {before:?} -> {after:?}"
-        );
-    }
-
-    #[test]
     fn paged_trees_refuse_chunk_sharing_questions() {
         // A paged tree has no resident spine; answering `false` / `0`
         // from an empty one would be a lie. `same_arena` is the defined
         // question.
         let resident = tree(300);
         let mut paged = resident.clone();
-        page_out_tree(&pool(), &mut paged, resident.arena_bytes()).unwrap();
+        page_out_tree(&mut paged, resident.arena_bytes()).unwrap();
         assert!(paged.same_arena(&paged.clone()));
         assert!(!paged.same_arena(&resident));
         let refused = |f: &dyn Fn()| {
@@ -459,38 +463,63 @@ mod tests {
 
     #[test]
     fn decode_rejects_an_entry_count_above_the_fan_out_bound() {
-        let p = pool();
         let ids = (0..3).map(ObjectId).collect();
         let node = Node::from_parts(Rect::EMPTY, None, NodeKind::Leaf(ids));
-        let mut w = StreamWriter::new(&p).unwrap();
-        encode_chunk(&mut w, &[node]).unwrap();
-        let (first, len) = w.finish().unwrap();
-        let mut bytes = vec![0u8; len as usize];
-        StreamReader::new(&p, first, len).unwrap().read_bytes(&mut bytes).unwrap();
-
-        let decode = |bytes: &[u8]| {
-            let mut w = StreamWriter::new(&p).unwrap();
-            w.write_bytes(bytes).unwrap();
-            let (first, len) = w.finish().unwrap();
-            decode_chunk(&mut StreamReader::new(&p, first, len).unwrap())
-        };
-        assert_eq!(decode(&bytes).unwrap().nodes()[0].entries().len(), 3);
+        let mut bytes = Vec::new();
+        encode_chunk(&[node], &mut bytes);
+        assert_eq!(decode_chunk(&bytes).unwrap().nodes()[0].entries().len(), 3);
         // node count, MBR, absent-augmentation tag, kind tag — then the
         // entry count's low byte.
         let count_at = 4 + 32 + 1 + 1;
         assert_eq!(bytes[count_at], 3);
         bytes[count_at] = RTreeParams::MAX_FANOUT as u8 + 1;
-        let err = decode(&bytes).unwrap_err();
+        let err = decode_chunk(&bytes).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("fan-out"), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every strict prefix of a valid run, the run with a byte
+        /// appended, and random bytes decode to `Err` without panicking;
+        /// the full run decodes to a chunk that encodes back to the same
+        /// bytes.
+        #[test]
+        fn the_run_decoder_rejects_truncations_and_noise(
+            n in 1usize..120,
+            fanout in 4usize..12,
+            noise in proptest::collection::vec(any::<u8>(), 0..600),
+        ) {
+            let tree = RTree::bulk_load(corpus(n), RTreeParams::new(fanout, 2));
+            for ci in 0..tree.arena_chunk_count().min(3) {
+                let mut run = Vec::new();
+                encode_chunk(tree.arena_chunk(ci), &mut run);
+                let mut again = Vec::new();
+                encode_chunk(decode_chunk(&run).unwrap().nodes(), &mut again);
+                prop_assert_eq!(&again, &run);
+                for cut in 0..run.len() {
+                    prop_assert!(decode_chunk(&run[..cut]).is_err(), "prefix of {} bytes decoded", cut);
+                }
+                let mut long = run.clone();
+                long.push(0);
+                prop_assert!(decode_chunk(&long).is_err());
+                // A flipped byte anywhere decodes or errs, never panics.
+                for flip in noise.chunks_exact(2) {
+                    let mut bent = run.clone();
+                    bent[flip[0] as usize * run.len() / 256] = flip[1];
+                    let _ = decode_chunk(&bent);
+                }
+            }
+            prop_assert!(decode_chunk(&noise).is_err());
+        }
     }
 
     #[test]
     fn narrow_fanout_tree_pages_too() {
         let resident = RTree::bulk_load(corpus(150), RTreeParams::new(8, 3));
         let mut paged = resident.clone();
-        let p = pool();
-        page_out_tree(&p, &mut paged, resident.arena_bytes() / 4).unwrap();
+        page_out_tree(&mut paged, resident.arena_bytes() / 4).unwrap();
         assert_eq!(resident.structure(), paged.structure());
         paged.validate().unwrap();
     }

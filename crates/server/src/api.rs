@@ -2542,9 +2542,9 @@ mod tests {
         assert!(text.contains(r#"yask_route_p99_seconds{route="whynot_explain",window="10s"}"#));
         assert!(text.contains(r#"yask_cell_query_heat{cell="0"}"#));
         assert!(text.contains(r#"yask_cell_write_touches_total{cell="0"}"#));
-        // Buffer-pool families declare all three pools even on a fully
-        // resident, volatile service (all-zero series, never absent).
-        for pool in ["shard", "wal", "checkpoint"] {
+        // Buffer-pool families declare both pools even on a volatile
+        // service (all-zero series, never absent).
+        for pool in ["wal", "checkpoint"] {
             assert!(
                 text.contains(&format!(r#"yask_pager_misses_total{{pool="{pool}"}}"#)),
                 "pool={pool} series missing"
@@ -2554,9 +2554,9 @@ mod tests {
 
     /// Out-of-core serving end to end: a service whose executor runs
     /// under a one-byte resident budget answers queries identically to
-    /// the demo corpus' resident service, and the pager's faults are
-    /// priced on `/stats` (`exec.pager`) and `/metrics`
-    /// (`yask_pager_*_total{pool="shard"}`).
+    /// the demo corpus' resident service, and the pager's faults and run
+    /// bytes are priced on `/stats` (`exec.pager`) and `/metrics`
+    /// (`yask_paged_*`).
     #[test]
     fn out_of_core_service_answers_and_prices_faults() {
         let resident = service();
@@ -2595,7 +2595,7 @@ mod tests {
         let num = |k: &str| pager.get(k).and_then(Json::as_f64).unwrap_or(-1.0);
         assert!(num("paged_trees") >= 1.0, "pager: {pager}");
         assert!(num("chunk_misses") > 0.0, "one-byte budget must fault: {pager}");
-        assert!(num("pool_misses") + num("pool_hits") > 0.0, "pager: {pager}");
+        assert!(num("disk_bytes") > 0.0, "paged trees hold their runs on disk: {pager}");
         // Resident service: pager is null, families still render.
         let (_, rstats) = get(&resident, "/stats");
         assert!(
@@ -2606,18 +2606,16 @@ mod tests {
         let resp = get_raw(&paged, "/metrics");
         let text = String::from_utf8(resp.body).unwrap();
         yask_obs::validate_exposition(&text).expect("exposition must validate");
-        let series = |name: &str| {
+        let gauge = |name: &str| {
             text.lines()
-                .find_map(|l| l.strip_prefix(&format!(r#"{name}{{pool="shard"}} "#)))
+                .find_map(|l| l.strip_prefix(&format!("{name} ")))
                 .and_then(|v| v.trim().parse::<f64>().ok())
-                .unwrap_or_else(|| panic!("{name} shard series missing"))
+                .unwrap_or_else(|| panic!("{name} missing"))
         };
-        // Chunk faults go through the pool; whether a given page read
-        // hits or misses depends on the pool capacity, so price the sum.
-        assert!(
-            series("yask_pager_hits_total") + series("yask_pager_misses_total") > 0.0,
-            "shard pool saw no traffic"
-        );
+        // The faults and the run bytes behind them, on the second surface.
+        assert!(gauge("yask_paged_chunk_misses") > 0.0, "no chunk faults exported");
+        assert!(gauge("yask_paged_disk_bytes") > 0.0, "no run bytes exported");
+        assert!(!text.contains(r#"pool="shard""#), "the shard pool series is back");
         assert!(text.contains("yask_paged_trees "), "paged tree gauge missing");
     }
 

@@ -199,21 +199,18 @@ pub(crate) fn describe(o: &Observed) -> Samples {
     }
     s.gauge(&pager("paged_trees"), "yask_paged_trees", "Shard trees currently served out-of-core", pg.paged_trees as f64);
     s.gauge(&pager("budget_bytes"), "yask_paged_budget_bytes", "Decoded-chunk resident budget per paged tree", pg.budget_bytes as f64);
-    s.gauge(&pager("pool_capacity"), "yask_paged_pool_capacity_pages", "Shard buffer-pool cache capacity in pages", pg.pool_capacity as f64);
-    s.gauge(&pager("pool_pages"), "yask_paged_pool_pages", "Pages allocated in the shard pager's backing file", pg.pool_pages as f64);
     s.gauge(&pager("chunk_hits"), "yask_paged_chunk_hits", "Node-chunk reads served from the decoded cache (live paged trees)", pg.chunk_hits as f64);
     s.gauge(&pager("chunk_misses"), "yask_paged_chunk_misses", "Node-chunk faults decoded through the pager (live paged trees)", pg.chunk_misses as f64);
     s.gauge(&pager("chunk_evictions"), "yask_paged_chunk_evictions", "Decoded node chunks evicted under the resident budget (live paged trees)", pg.chunk_evictions as f64);
     s.gauge(&pager("resident_chunks"), "yask_paged_chunks_resident", "Node chunks currently decoded in memory across paged trees", pg.resident_chunks as f64);
     s.gauge(&pager("chunk_count"), "yask_paged_chunks", "Node chunks across all paged trees", pg.chunk_count as f64);
+    s.gauge(&pager("disk_bytes"), "yask_paged_disk_bytes", "Run bytes held in the live paged trees' files", pg.disk_bytes as f64);
 
-    // -- buffer pools, one series per pool: the shard pager's, the WAL's
-    // live pool, and the cumulative counters of every checkpoint file
-    // written or recovered from. Monotonic for the life of the process.
-    let shard_pool = PoolStats { hits: pg.pool_hits, misses: pg.pool_misses, evictions: pg.pool_evictions };
+    // -- buffer pools, one series per pool: the WAL's live pool and the
+    // cumulative counters of every checkpoint file written or recovered
+    // from. Monotonic for the life of the process.
     let pool = |key: &str, f: fn(&PoolStats) -> u64| -> Vec<Series> {
-        vec![(pager(&format!("pool_{key}")), label("pool", "shard"), Num(f(&shard_pool) as f64)),
-             (format!("ingest.wal_pool_{key}"), label("pool", "wal"), Num(f(&wal.pool) as f64)),
+        vec![(format!("ingest.wal_pool_{key}"), label("pool", "wal"), Num(f(&wal.pool) as f64)),
              (format!("ingest.checkpoint_pool_{key}"), label("pool", "checkpoint"), Num(f(&o.ckpt.pool) as f64))]
     };
     s.family("yask_pager_hits_total", Counter, "Buffer-pool page reads served from cache, by pool", pool("hits", |p| p.hits));
@@ -429,9 +426,11 @@ mod tests {
     /// Every `/stats` path with its JSON type, captured from the parent
     /// of the commit that introduced [`describe`] (a WAL-backed, paged,
     /// observatory-on service after a query, an explain and an insert),
-    /// plus the `sessions.evicted` block added since: 118 paths.
-    /// Paths may be added, never removed or retyped: yaskbench and
-    /// dashboards read them.
+    /// plus the `sessions.evicted` block added since, less the shard
+    /// pager's five `exec.pager.pool_*` paths (its buffer pool is gone)
+    /// and plus `exec.pager.disk_bytes`: 114 paths. Paths may be added,
+    /// not removed or retyped, except with the mechanism they measured:
+    /// yaskbench and dashboards read them.
     const GOLDEN_STATS: &[(&str, &str)] = &[
         ("admission", "obj"),
         ("admission.deadline_exceeded", "num"),
@@ -470,12 +469,8 @@ mod tests {
         ("exec.pager.chunk_evictions", "num"),
         ("exec.pager.chunk_hits", "num"),
         ("exec.pager.chunk_misses", "num"),
+        ("exec.pager.disk_bytes", "num"),
         ("exec.pager.paged_trees", "num"),
-        ("exec.pager.pool_capacity", "num"),
-        ("exec.pager.pool_evictions", "num"),
-        ("exec.pager.pool_hits", "num"),
-        ("exec.pager.pool_misses", "num"),
-        ("exec.pager.pool_pages", "num"),
         ("exec.pager.resident_chunks", "num"),
         ("exec.per_shard", "arr"),
         ("exec.per_shard.0", "obj"),
@@ -554,8 +549,9 @@ mod tests {
     ];
 
     /// Every `/metrics` family with its type, label keys and help string,
-    /// captured from the same run, plus `yask_sessions_evicted_total`:
-    /// 81 families. Additions allowed, changes not.
+    /// captured from the same run, plus `yask_sessions_evicted_total` and
+    /// `yask_paged_disk_bytes`: 82 families. Additions allowed, changes
+    /// not.
     const GOLDEN_FAMILIES: &[(&str, &str, &[&str], &str)] = &[
         ("yask_build_info", "gauge", &["version"], "Build metadata carried as labels; the value is always 1"),
         ("yask_cache_entries", "gauge", &["cache"], "Live answer cache entries by cache"),
@@ -592,6 +588,7 @@ mod tests {
         ("yask_paged_chunk_misses", "gauge", &[], "Node-chunk faults decoded through the pager (live paged trees)"),
         ("yask_paged_chunks", "gauge", &[], "Node chunks across all paged trees"),
         ("yask_paged_chunks_resident", "gauge", &[], "Node chunks currently decoded in memory across paged trees"),
+        ("yask_paged_disk_bytes", "gauge", &[], "Run bytes held in the live paged trees' files"),
         ("yask_paged_trees", "gauge", &[], "Shard trees currently served out-of-core"),
         ("yask_pager_evictions_total", "counter", &["pool"], "Buffer-pool frames evicted to make room, by pool"),
         ("yask_pager_hits_total", "counter", &["pool"], "Buffer-pool page reads served from cache, by pool"),
@@ -875,7 +872,7 @@ mod tests {
         assert_eq!(one_sided, declared);
 
         // (c) the golden surface is a subset of what is rendered.
-        assert_eq!((GOLDEN_STATS.len(), GOLDEN_FAMILIES.len()), (118, 81));
+        assert_eq!((GOLDEN_STATS.len(), GOLDEN_FAMILIES.len()), (114, 82));
         for (path, kind) in GOLDEN_STATS {
             let got = at(&stats, path).unwrap_or_else(|| panic!("/stats lost {path}"));
             assert_eq!(json_type(got), *kind, "/stats {path}");

@@ -402,14 +402,14 @@ fn shard_panic_leaves_the_pool_alive() {
     }
 }
 
-/// A chunk fault that cannot read its page unwinds the shard job that
+/// A chunk fault that cannot read its run unwinds the shard job that
 /// hit it; the gather comes up short and the caller answers from the
 /// exact scan. The pool and the paged trees keep serving afterwards.
 #[test]
 fn chunk_fault_io_error_reaches_the_scan_fallback() {
     let Some(_g) = chaos() else { return };
-    // Large enough that the shard trees outgrow the buffer pool, so a
-    // chunk fault reaches the page file rather than a cached page.
+    // Under a one-byte budget every chunk fault reads its run from the
+    // tree's file, where the `pager.read` failpoint fires.
     let corpus = small_corpus(20_000);
     let params = ScoreParams::new(corpus.space());
     let q = Query::new(Point::new(0.3, 0.7), KeywordSet::from_raw([1, 4]), 10);
@@ -450,14 +450,14 @@ fn chunk_fault_io_error_reaches_the_scan_fallback() {
 /// A why-not request reads no tree: explanations, refinements and the
 /// refined query's result preview all come off its request table. With a
 /// chunk fault armed, `/whynot/explain` and `/whynot/keywords` answer 200
-/// with the unarmed bodies and never reach the page file; disarmed, the
+/// with the unarmed bodies and never reach a run file; disarmed, the
 /// server keeps serving. (A fault in a top-k's scatter is
 /// `chunk_fault_io_error_reaches_the_scan_fallback`.)
 #[test]
 fn an_armed_chunk_fault_never_reaches_a_whynot_request() {
     let Some(_g) = chaos() else { return };
-    // Large enough that the shard trees outgrow the buffer pool, so any
-    // tree read would reach the page file.
+    // Under a one-byte budget any tree read would fault a run from the
+    // tree's file, where the `pager.read` failpoint fires.
     let corpus = small_corpus(20_000);
     let vocab = Vocabulary::from_words((0..7).map(|i| format!("w{i}")));
     let params = ScoreParams::new(corpus.space());
