@@ -1,7 +1,8 @@
 //! The [`Yask`] facade: top-k querying plus the full why-not engine.
 //!
 //! Mirrors the server-side query processor of Fig 1: one spatial keyword
-//! top-k query engine over a KcR-tree, and one why-not engine with its
+//! top-k query engine over an R-tree and the corpus's posting lists, and
+//! one why-not engine with its
 //! three modules (explanation generator, preference adjustment, keyword
 //! adaptation), which read the corpus — a refinement's ranks come from
 //! the request table, never from the tree.
@@ -95,7 +96,7 @@ pub struct Yask {
 }
 
 impl Yask {
-    /// Builds the engine over a corpus (bulk-loads the KcR-tree).
+    /// Builds the engine over a corpus (bulk-loads the R-tree).
     pub fn new(corpus: Corpus, config: YaskConfig) -> Self {
         let params = ScoreParams::new(corpus.space()).with_model(config.model);
         Yask {
@@ -110,7 +111,7 @@ impl Yask {
         Yask::new(corpus, YaskConfig::default())
     }
 
-    /// Wraps an already-built KcR-tree — the ingest path's constructor:
+    /// Wraps an already-built R-tree — the ingest path's constructor:
     /// applying a write batch clones the previous epoch's tree, mutates it
     /// incrementally, and republishes it here without a bulk load.
     pub fn from_tree(tree: RTree, config: YaskConfig) -> Self {
@@ -132,7 +133,7 @@ impl Yask {
         self.params
     }
 
-    /// The shared KcR-tree.
+    /// The shared R-tree.
     pub fn tree(&self) -> &RTree {
         &self.tree
     }

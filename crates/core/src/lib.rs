@@ -22,7 +22,7 @@
 //! under `q.loc` and the keyword universe `U = q.doc ∪ M.doc` records each
 //! object's spatial part and keyword signature, which fixes its score
 //! under any keywords inside `U` and any weights. No why-not module reads
-//! an index tree; the KcR-tree serves top-k alone.
+//! an index tree; the R-tree serves top-k alone.
 //!
 //! [`engine::Yask`] packages all three behind one facade together with the
 //! top-k engine, and [`session`] provides the query cache the demo server

@@ -2,11 +2,14 @@
 //! engine and the server.
 //!
 //! An [`Executor`] owns the current *engine epoch* — one [`ShardedIndex`]
-//! of `shards ≥ 1` KcR-trees — published through an arc-swap-style
-//! [`EpochCell`]. Top-k is answered from the shard trees by
-//! scatter-gather ([`Executor::top_k_deadline_on_traced`]), by the same
-//! code at every shard count. The why-not modules (explain, preference
-//! adjustment, keyword adaptation, combined) read no tree: behind one
+//! of `shards ≥ 1` R-trees — published through an arc-swap-style
+//! [`EpochCell`]. Top-k ([`Executor::top_k_deadline_on_traced`]) scores
+//! the objects on the query keywords' posting lists on the calling
+//! thread, over the corpus version the shard trees index, then scatters
+//! a keyword-free k-NN to the shard trees under the bound that pass
+//! seeds, by the same code at every shard count. The why-not modules
+//! (explain, preference adjustment, keyword adaptation, combined) read
+//! no tree: behind one
 //! cached, traced call, [`Executor::whynot_on`], each request builds its
 //! request table ([`yask_core::SegmentSet`]) in one pass over the pinned
 //! corpus version and runs `yask_core`'s table form of the module on the
@@ -17,7 +20,7 @@
 //! superseded epoch's shard trees or their paged sources. The per-module
 //! methods (`explain_on`, `refine_*_on`, and the current-epoch mirrors of
 //! `yask_core::Yask`) are thin calls into it. There is no global
-//! KcR-tree, so index memory and per-batch copy-on-write work cover the
+//! tree, so index memory and per-batch copy-on-write work cover the
 //! shard trees only. Readers pin an epoch for the duration of a query, so
 //! a concurrent write batch never tears the corpus or the trees out from
 //! under an in-flight computation;
@@ -43,7 +46,7 @@ use yask_core::{
     WhyNotAnswer, WhyNotError, YaskConfig,
 };
 use yask_index::{Corpus, ObjectId};
-use yask_query::{topk_scan, Query, RankedObject, ScoreParams};
+use yask_query::{topk_postings, topk_scan, Query, RankedObject, ScoreParams};
 use yask_util::EpochCell;
 
 use yask_pager::{page_out_tree, PagedNodeSource};
@@ -125,13 +128,17 @@ struct Pager {
 }
 
 impl Pager {
-    /// Pages out one resident tree, registering its chunk cache.
+    /// Pages out one resident tree, registering its chunk cache. The
+    /// registry first drops the entries of trees no epoch holds any
+    /// more, so it stays bounded by the live trees without a snapshot.
     fn page_tree(&self, tree: &mut yask_index::RTree) {
         if tree.is_paged() {
             return;
         }
         let src = page_out_tree(tree, self.budget).expect("page out shard tree");
-        self.sources.lock().push(Arc::downgrade(&src));
+        let mut sources = self.sources.lock();
+        sources.retain(|w| w.strong_count() > 0);
+        sources.push(Arc::downgrade(&src));
     }
 
     /// Pages out every resident tree of an index about to be published.
@@ -593,8 +600,8 @@ impl Executor {
         None
     }
 
-    /// The uncached top-k computation: scatter-gather, or the scan
-    /// oracle when a shard reply went missing.
+    /// The uncached top-k computation: the hybrid, or the scan oracle
+    /// when a shard reply went missing.
     fn top_k_uncached(
         &self,
         state: &EngineState,
@@ -620,12 +627,14 @@ impl Executor {
         (result, complete)
     }
 
-    /// Fans the query out to every shard, gathers per-shard top-k lists
-    /// and merges them, recording per-shard work counters (and, when a
-    /// trace rides along, one span per shard under a `scatter` span plus
-    /// a `gather` span for the merge). Returns `None` if any shard
-    /// result went missing; the bool is false when a deadline cut a
-    /// shard's search short.
+    /// The hybrid top-k: the posting-list half on the calling thread,
+    /// then the k-NN half fanned out to every shard and merged with it,
+    /// recording the work counters (and, when a trace rides along, a
+    /// `postings` span counting the objects it scored, then a `scatter`
+    /// span counting the k-NN nodes expanded, with one span per shard
+    /// plus a `gather` span for the merge under it). Returns `None` if
+    /// any shard result went missing; the bool is false when a deadline
+    /// cut a shard's search short.
     fn scatter_gather(
         &self,
         state: &EngineState,
@@ -633,15 +642,29 @@ impl Executor {
         trace: Option<&Trace>,
         deadline: Option<Deadline>,
     ) -> Option<(Vec<RankedObject>, bool)> {
-        let scatter = trace.map(|t| t.span("scatter"));
-        crate::search::scatter_topk_bounded(
+        let corpus = state.index.corpus();
+        let found = {
+            let mut span = trace.map(|t| t.span("postings"));
+            let (found, scored) = topk_postings(corpus, &state.params, query);
+            self.counters.record_postings(scored);
+            if let Some(span) = &mut span {
+                span.set_count(scored as u64);
+            }
+            found
+        };
+        let mut scatter = trace.map(|t| t.span("scatter"));
+        let mut knn_nodes = 0u64;
+        let gathered = crate::search::hybrid_topk(
             state.index.shards(),
+            corpus,
             &self.pool,
             state.params,
             query,
+            found,
             deadline,
             |i, stats, elapsed| {
                 self.counters.shards[i].record(elapsed, stats.nodes_expanded, stats.objects_scored);
+                knn_nodes += stats.nodes_expanded as u64;
                 if let (Some(t), Some(sc)) = (trace, &scatter) {
                     t.add_span_elapsed(
                         sc.id(),
@@ -659,7 +682,12 @@ impl Executor {
                     );
                 }
             },
-        )
+        );
+        self.counters.record_knn_nodes(knn_nodes);
+        if let Some(span) = &mut scatter {
+            span.set_count(knn_nodes);
+        }
+        gathered
     }
 
     /// Viewport query: all objects in `rect` passing the keyword filter,
@@ -1038,6 +1066,34 @@ mod tests {
         }
     }
 
+    /// The paged-source registry drops a superseded tree's entry before
+    /// it registers the next one, so with no `/stats` poll (no snapshot)
+    /// a hundred one-object batches leave it bounded by the live trees.
+    #[test]
+    fn the_paged_source_registry_stays_bounded_without_snapshots() {
+        let mut corpus = random_corpus(500, 95);
+        let exec = Executor::new(
+            corpus.clone(),
+            ExecConfig {
+                shards: 2,
+                resident_budget: Some(4096),
+                ..ExecConfig::default()
+            },
+        );
+        for i in 0..100u32 {
+            let (next, new_ids) = corpus.with_updates(
+                [(Point::new(0.5, 0.5), ks(&[i % 12]), format!("w{i}"))],
+                &[],
+            );
+            exec.apply_batch(next.clone(), &new_ids, &[]);
+            corpus = next;
+        }
+        let sources = exec.pager.as_ref().unwrap().sources.lock();
+        let live = sources.iter().filter(|w| w.strong_count() > 0).count();
+        assert_eq!(live, 2);
+        assert!(sources.len() <= 2 * live, "{} entries for {live} live trees", sources.len());
+    }
+
     /// Each paged tree owns its run file, so the disk a write batch's
     /// re-paged trees take is given back when the trees they replace are
     /// dropped: twenty one-object batches leave the run bytes where the
@@ -1302,7 +1358,10 @@ mod tests {
         assert_eq!(s.per_shard.len(), 4);
         assert_eq!(s.per_shard.iter().map(|p| p.objects).sum::<usize>(), 400);
         assert_eq!(s.per_shard.iter().map(|p| p.queries).sum::<u64>(), 4);
-        assert!(s.per_shard.iter().any(|p| p.nodes_expanded > 0));
+        // The keyword half scored on the calling thread; the shards' k-NN
+        // half may have pruned at their roots under its bound.
+        assert!(s.postings_scored > 0);
+        assert_eq!(s.knn_nodes_expanded, s.per_shard.iter().map(|p| p.nodes_expanded).sum::<u64>());
     }
 
     #[test]

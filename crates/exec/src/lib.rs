@@ -1,7 +1,7 @@
 //! `yask_exec` — sharded, concurrent query execution for YASK.
 //!
 //! The seed system funnels every request through one [`yask_core::Yask`]
-//! facade wrapping a single KcR-tree. This crate is the execution layer
+//! facade wrapping a single tree. This crate is the execution layer
 //! a production deployment needs between the paper's algorithms and the
 //! server (after the distributable sub-index designs of QDR-Tree and the
 //! retrieval/answering split of SemaSK — see PAPERS.md). It never
@@ -9,17 +9,18 @@
 //! property suites compare every answer against.
 //!
 //! * [`shard`] — STR-style spatial partitioning of the corpus into K
-//!   shards, one KcR-tree per shard, built in parallel over the *shared*
+//!   shards, one R-tree per shard, built in parallel over the *shared*
 //!   corpus so shards keep global object ids and globally comparable
 //!   scores;
 //! * [`pool`] — a fixed crossbeam-channel worker pool with queue-depth
 //!   accounting;
-//! * [`search`] — scatter-gather top-k: per-shard runs of the one
-//!   best-first loop, [`yask_query::topk_tree_bounded`], that publish
-//!   best-k certificates into a shared, lock-free score bound, pruning
-//!   late shards against early shards' results; the gather merge is
-//!   exactly the single-tree answer (property-tested for
-//!   K ∈ {1, 2, 3, 5, 8});
+//! * [`search`] — the served top-k: the objects on the query keywords'
+//!   posting lists scored once on the calling thread, then a keyword-free
+//!   k-NN per shard ([`yask_query::knn_bounded`], the one best-first
+//!   loop) scattered to the pool under one shared, lock-free score bound
+//!   that the posting list's k-th score seeds and every shard's best-k
+//!   certificates raise; the gather's merge is exactly the scan's answer
+//!   (property-tested for K ∈ {1, 2, 3} and paged trees);
 //! * why-not — [`Executor::whynot_on`] takes a [`CorpusPin`] (an epoch
 //!   number and its corpus, no tree), builds each request's table
 //!   ([`yask_core::SegmentSet`], one pass over the pinned corpus version)
@@ -27,7 +28,7 @@
 //!   top-k and ranks, every refinement rank and each refinement's result
 //!   preview come off that table, so the why-not path reads no shard tree
 //!   (its argument type holds none) and the executor needs **no global
-//!   KcR-tree** — property-tested equal to `yask_core::Yask` for
+//!   tree** — property-tested equal to `yask_core::Yask` for
 //!   K ∈ {1, 2, 4, 8};
 //! * [`cache`] — bounded LRU caches for top-k results and why-not
 //!   answers, keyed by canonicalized `(query, k, λ, desired-set)` bits,
@@ -91,6 +92,5 @@ pub use deadline::Deadline;
 pub use executor::{CorpusPin, EngineHandle, ExecConfig, Executor, TopKOutcome, UpdateOutcome};
 pub use observe::{RouteWindows, WorkloadSnapshot, WINDOW_HORIZONS_SECS};
 pub use pool::WorkerPool;
-pub use search::merge_topk;
 pub use shard::{ShardDeltas, ShardedIndex};
 pub use stats::{ExecSnapshot, PagerSnapshot, ShardSnapshot, WhyNotHistSnapshots};

@@ -1,51 +1,64 @@
-//! Scatter-gather top-k with cross-shard pruning.
+//! The served top-k: the posting-list half on the calling thread, the
+//! k-NN half scattered to the shards, and the gather's merge.
 //!
-//! `scatter_topk_bounded` fans a query out to every shard tree, each
-//! searched by the one best-first loop, [`yask_query::topk_tree_bounded`],
-//! under one [`SharedBound`]. The bound carries certificates published by
-//! *other* shards' searches, so a shard whose best upper bound already
-//! trails the global k-th best score returns after touching only its
-//! root. A deadline that passes mid-search saturates the bound, so the
-//! sibling shards drain through the same prunes.
+//! The executor runs the keyword half of [`yask_query::topk`]'s exact
+//! hybrid once, over the corpus version the shard trees index
+//! ([`yask_query::topk_postings`]). `hybrid_topk` seeds one
+//! [`yask_query::SharedBound`] with its k-th score and fans the k-NN
+//! half out to every shard tree on the pool: each shard runs the one
+//! best-first loop ([`yask_query::knn_bounded`]) under that bound, so a
+//! shard whose nearest node already trails the posting list's k-th score
+//! returns after touching only its root, and late shards prune against
+//! early shards' results. A deadline that passes mid-search saturates
+//! the bound, so the sibling shards drain through the same prunes.
 //!
-//! Exactness: the bound only ever prunes entries scoring *strictly* below
-//! k known real object scores, so nothing the prune discards can belong
-//! to the global top-k under the workspace total order (score descending,
-//! id ascending) — equal-scored candidates are kept and [`merge_topk`]
-//! breaks their ties by id, exactly as a single tree would.
+//! Exactness: the bound only ever prunes entries scoring *strictly*
+//! below k known real object scores, so nothing the prune discards can
+//! belong to the top-k under the workspace total order (score
+//! descending, id ascending); [`yask_query::merge_hybrid`] merges the
+//! halves by id and breaks ties by id, exactly as the single-tree hybrid
+//! does.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use yask_index::RTree;
+use yask_index::{Corpus, RTree};
 use yask_query::{
-    topk_tree_bounded, Query, RankedObject, ScoreParams, SharedBound, TraversalStats,
+    knn_bounded, merge_hybrid, merge_topk, postings_bound, Query, RankedObject, ScoreParams,
+    TraversalStats,
 };
 
 use crate::deadline::Deadline;
 use crate::pool::WorkerPool;
 
-/// The one scatter-gather loop of the executor's top-k: fan `query` out
-/// to every shard tree on the pool, gather the per-shard lists, merge.
+/// The one served top-k at every shard count: given (i)'s list `found`
+/// (the best `query.k` objects on the query keywords' posting lists),
+/// fan the k-NN half out to every shard tree on the pool under the bound
+/// `found` seeds, gather the per-shard lists and merge them with `found`.
 /// `observe` fires once per gathered shard with its index, traversal
-/// counters and wall-clock, which the executor records. Returns
-/// `None` when any shard's result went missing (a worker died
-/// mid-query) — callers fall back to an exact scan.
+/// counters and wall-clock, which the executor records. Returns `None`
+/// when any shard's result went missing (a worker died mid-query) —
+/// callers fall back to an exact scan.
 ///
 /// Under a deadline (`Some`), the second return is `true` only when
-/// every shard ran its search to completion: a `false` means at least
-/// one shard hit the deadline and the merged list is a best-effort
-/// partial answer.
-pub(crate) fn scatter_topk_bounded(
+/// every shard ran its search to completion. A `false` means at least
+/// one shard hit the deadline, and the answer is then a best-effort
+/// partial: the objects the k-NN searches reached, ranked under their
+/// true scores, with `found` left out — so when no shard got anywhere,
+/// the partial is empty and the server answers 504.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn hybrid_topk(
     shards: &[Arc<RTree>],
+    corpus: &Corpus,
     pool: &WorkerPool,
     params: ScoreParams,
     query: &Query,
+    found: Vec<RankedObject>,
     deadline: Option<Deadline>,
     mut observe: impl FnMut(usize, &TraversalStats, Duration),
     on_gather: impl FnOnce(Duration),
 ) -> Option<(Vec<RankedObject>, bool)> {
-    let bound = Arc::new(SharedBound::new());
+    let bound = Arc::new(postings_bound(&found, query.k));
     let expected = shards.len();
     let (tx, rx) = crossbeam::channel::unbounded();
     for (i, tree) in shards.iter().enumerate() {
@@ -65,10 +78,9 @@ pub(crate) fn scatter_topk_bounded(
                 return;
             }
             let t0 = Instant::now();
-            let (result, stats, complete) =
-                topk_tree_bounded(&tree, &params, &q, std::convert::identity, &bound, || {
-                    deadline.is_some_and(|d| d.expired())
-                });
+            let (result, stats, complete) = knn_bounded(&tree, &params, &q, &bound, || {
+                deadline.is_some_and(|d| d.expired())
+            });
             let _ = tx.send((i, result, stats, t0.elapsed(), complete));
         });
     }
@@ -86,30 +98,26 @@ pub(crate) fn scatter_topk_bounded(
     // The gather proper: the merge once every shard reported (waiting on
     // the slowest shard is charged to the scatter, not here).
     let t_gather = Instant::now();
-    let merged = (gathered == expected).then(|| merge_topk(candidates, query.k));
+    let merged = (gathered == expected).then(|| {
+        if complete {
+            merge_hybrid(found, candidates, query.k)
+        } else {
+            for r in &mut candidates {
+                r.score = params.score(corpus.get(r.id), query);
+            }
+            merge_topk(candidates, query.k)
+        }
+    });
     on_gather(t_gather.elapsed());
     merged.map(|m| (m, complete))
-}
-
-/// Merges per-shard top-k lists into the exact global top-k: the workspace
-/// total order (score descending, id ascending) over the union, truncated
-/// to `k`. Shards are disjoint, so ids never collide.
-pub fn merge_topk(mut candidates: Vec<RankedObject>, k: usize) -> Vec<RankedObject> {
-    candidates.sort_unstable_by(|a, b| {
-        yask_util::OrderedF64(b.score)
-            .cmp(&yask_util::OrderedF64(a.score))
-            .then_with(|| a.id.cmp(&b.id))
-    });
-    candidates.truncate(k);
-    candidates
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use yask_geo::{Point, Space};
-    use yask_index::{Corpus, CorpusBuilder, ObjectId, RTreeParams};
-    use yask_query::{topk_tree, Weights};
+    use yask_index::{CorpusBuilder, RTreeParams};
+    use yask_query::{topk_postings, topk_scan, SharedBound, Weights};
     use yask_text::KeywordSet;
     use yask_util::Xoshiro256;
 
@@ -134,43 +142,29 @@ mod tests {
         )
     }
 
-    /// One shard's search under `bound`, run to completion.
-    fn search(
-        tree: &RTree,
-        params: &ScoreParams,
-        q: &Query,
-        bound: &SharedBound,
-    ) -> (Vec<RankedObject>, TraversalStats) {
-        let (out, stats, _) =
-            topk_tree_bounded(tree, params, q, std::convert::identity, bound, || false);
+    /// One shard's k-NN under `bound`, run to completion.
+    fn knn(tree: &RTree, params: &ScoreParams, q: &Query, bound: &SharedBound) -> (Vec<RankedObject>, TraversalStats) {
+        let (out, stats, _) = knn_bounded(tree, params, q, bound, || false);
         (out, stats)
     }
 
     #[test]
-    fn sharded_merge_equals_single_tree() {
+    fn sharded_hybrid_equals_the_scan() {
         let corpus = random_corpus(600, 32);
         let params = ScoreParams::new(corpus.space());
-        let single = RTree::bulk_load(corpus.clone(), RTreeParams::default());
         for shards in [2, 3, 5, 8] {
             let sharded = ShardedIndex::build(corpus.clone(), shards, RTreeParams::default());
             let mut rng = Xoshiro256::seed_from_u64(2);
             for case in 0..25 {
                 let q = random_query(&mut rng);
-                let bound = SharedBound::new();
+                let (found, _) = topk_postings(&corpus, &params, &q);
+                let bound = postings_bound(&found, q.k);
                 let mut all = Vec::new();
                 for tree in sharded.shards() {
-                    all.extend(search(tree, &params, &q, &bound).0);
+                    all.extend(knn(tree, &params, &q, &bound).0);
                 }
-                let got = merge_topk(all, q.k);
-                let want = topk_tree(&single, &params, &q);
-                assert_eq!(
-                    got.iter().map(|r| r.id).collect::<Vec<_>>(),
-                    want.iter().map(|r| r.id).collect::<Vec<_>>(),
-                    "shards = {shards}, case = {case}, q = {q:?}"
-                );
-                for (g, w) in got.iter().zip(&want) {
-                    assert!((g.score - w.score).abs() < 1e-12);
-                }
+                let got = merge_hybrid(found, all, q.k);
+                assert_eq!(got, topk_scan(&corpus, &params, &q), "shards = {shards}, case = {case}, q = {q:?}");
             }
         }
     }
@@ -190,28 +184,15 @@ mod tests {
             let q = random_query(&mut rng);
             let bound = SharedBound::new();
             for tree in sharded.shards() {
-                with_bound += search(tree, &params, &q, &bound).1.nodes_expanded;
+                with_bound += knn(tree, &params, &q, &bound).1.nodes_expanded;
             }
             for tree in sharded.shards() {
-                let idle = SharedBound::new();
-                without += search(tree, &params, &q, &idle).1.nodes_expanded;
+                without += knn(tree, &params, &q, &SharedBound::new()).1.nodes_expanded;
             }
         }
         assert!(
             with_bound < without,
             "shared bound never pruned: {with_bound} vs {without}"
         );
-    }
-
-    #[test]
-    fn merge_breaks_ties_by_id() {
-        let c = vec![
-            RankedObject { id: ObjectId(7), score: 0.5 },
-            RankedObject { id: ObjectId(3), score: 0.5 },
-            RankedObject { id: ObjectId(1), score: 0.2 },
-        ];
-        let m = merge_topk(c, 2);
-        assert_eq!(m[0].id, ObjectId(3));
-        assert_eq!(m[1].id, ObjectId(7));
     }
 }

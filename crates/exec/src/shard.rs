@@ -1,12 +1,12 @@
-//! Spatial sharding: partition the corpus into K shards, one KcR-tree each.
+//! Spatial sharding: partition the corpus into K shards, one R-tree each.
 //!
 //! The partitioner is STR-style (Sort-Tile-Recursive, the same discipline
 //! the bulk loader uses *inside* one tree): objects are sorted by
 //! longitude and cut into vertical slices, and each slice is sorted by
 //! latitude and cut into cells — giving K spatially compact, equally
-//! sized shards. Compactness matters because the scatter-gather executor
-//! prunes a shard by its nodes' score upper bounds: the tighter a shard's
-//! rectangles, the earlier a late shard drops out of a top-k search.
+//! sized shards. Compactness matters because the top-k's k-NN half
+//! prunes a shard by its nodes' distance bounds: the tighter a shard's
+//! rectangles, the earlier a shard drops out of a top-k search.
 //!
 //! Every shard tree is built with [`yask_index::RTree::bulk_load_subset`]
 //! over the *shared* corpus, so shards keep global [`ObjectId`]s and score
@@ -37,7 +37,7 @@ use yask_index::{ChunkedCow, CopyStats, Corpus, ObjectId, RTree, RTreeParams};
 /// slots, so a batch touches the tail chunk and nothing else.
 const ASSIGNMENT_CHUNK_SIZE: usize = 1024;
 
-/// A corpus partitioned into K spatial shards, one KcR-tree per shard.
+/// A corpus partitioned into K spatial shards, one R-tree per shard.
 pub struct ShardedIndex {
     shards: Vec<Arc<RTree>>,
     /// Object index → shard index (meaningful for indexed slots only).
@@ -52,7 +52,7 @@ pub type ShardDeltas = Vec<(usize, usize)>;
 
 impl ShardedIndex {
     /// Partitions `corpus` into `shards` STR cells and bulk-loads one
-    /// KcR-tree per cell, building the trees on parallel threads.
+    /// R-tree per cell, building the trees on parallel threads.
     /// `shards` is clamped to at least 1; shards may be empty when the
     /// corpus has fewer live objects than shards.
     pub fn build(corpus: Corpus, shards: usize, params: RTreeParams) -> Self {

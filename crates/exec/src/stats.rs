@@ -17,8 +17,8 @@ use crate::cache::{CacheSnapshot, WhyNotKind};
 use crate::observe::WorkloadSnapshot;
 
 /// The shape of one shard tree in the pinned epoch: live objects, node
-/// count and estimated resident bytes (node frames + entry vectors +
-/// keyword-count maps, excluding the shared corpus). Summed across shards
+/// count and estimated resident bytes (node frames + entry vectors,
+/// excluding the shared corpus and its posting lists). Summed across shards
 /// this is the executor's whole index footprint — with the global tree
 /// gone there is nothing else. `arena_chunks`/`arena_bytes` describe the
 /// persistent node slab behind the tree (freed slack included; chunks may
@@ -106,6 +106,8 @@ pub(crate) struct ExecCounters {
     queries: AtomicU64,
     scatter_queries: AtomicU64,
     scan_fallbacks: AtomicU64,
+    postings_scored: AtomicU64,
+    knn_nodes_expanded: AtomicU64,
     batches: AtomicU64,
     inserts: AtomicU64,
     deletes: AtomicU64,
@@ -132,6 +134,16 @@ impl ExecCounters {
         } else {
             self.scan_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Counts the objects one top-k scored off its posting lists.
+    pub(crate) fn record_postings(&self, scored: usize) {
+        self.postings_scored.fetch_add(scored as u64, Ordering::Relaxed);
+    }
+
+    /// Counts the nodes one top-k's k-NN half expanded, over all shards.
+    pub(crate) fn record_knn_nodes(&self, nodes: u64) {
+        self.knn_nodes_expanded.fetch_add(nodes, Ordering::Relaxed);
     }
 
     pub(crate) fn record_batch(&self, inserts: usize, deletes: usize, rebalanced: bool) {
@@ -162,10 +174,10 @@ impl ExecCounters {
 pub struct ShardSnapshot {
     /// Objects indexed by the shard.
     pub objects: usize,
-    /// Reachable KcR-tree nodes in the shard.
+    /// Reachable R-tree nodes in the shard.
     pub nodes: usize,
-    /// Estimated resident bytes of the shard tree (nodes + entries +
-    /// keyword-count maps; the shared corpus is excluded).
+    /// Estimated resident bytes of the shard tree (nodes + entries; the
+    /// shared corpus is excluded).
     pub index_bytes: usize,
     /// Searches the shard has run.
     pub queries: u64,
@@ -224,6 +236,13 @@ pub struct ExecSnapshot {
     /// missing (a shard job panicked or was dropped). 0 on a healthy
     /// executor at any shard count.
     pub scan_fallbacks: u64,
+    /// Objects the computed top-k queries scored off the query keywords'
+    /// posting lists — the keyword half of the hybrid, on the calling
+    /// thread.
+    pub postings_scored: u64,
+    /// Tree nodes the computed top-k queries' k-NN half expanded, summed
+    /// over shards — the spatial half, on the pool.
+    pub knn_nodes_expanded: u64,
     /// The published corpus epoch (0 until the first write batch).
     pub epoch: u64,
     /// Live objects in the current epoch.
@@ -343,6 +362,8 @@ impl ExecCounters {
             queries: load(&self.queries),
             scatter_queries: load(&self.scatter_queries),
             scan_fallbacks: load(&self.scan_fallbacks),
+            postings_scored: load(&self.postings_scored),
+            knn_nodes_expanded: load(&self.knn_nodes_expanded),
             batches: load(&self.batches),
             inserts: load(&self.inserts),
             deletes: load(&self.deletes),
@@ -371,6 +392,8 @@ mod tests {
         let c = ExecCounters::new(2);
         c.record_query(true);
         c.record_query(false);
+        c.record_postings(40);
+        c.record_knn_nodes(9);
         c.shards[0].record(Duration::from_micros(100), 5, 20);
         c.shards[0].record(Duration::from_micros(300), 7, 30);
         c.shards[1].record(Duration::from_micros(50), 1, 2);
@@ -390,6 +413,7 @@ mod tests {
         assert_eq!(s.queries, 2);
         assert_eq!(s.scatter_queries, 1);
         assert_eq!(s.scan_fallbacks, 1);
+        assert_eq!((s.postings_scored, s.knn_nodes_expanded), (40, 9));
         assert_eq!(s.per_shard.len(), 2);
         assert_eq!(s.per_shard[0].queries, 2);
         assert!((s.per_shard[0].mean_us - 200.0).abs() < 1e-9);

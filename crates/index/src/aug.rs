@@ -1,10 +1,13 @@
-//! The node summary: what every R-tree node knows about the keywords of
-//! the objects below it.
+//! The KcR-tree's keyword summary of a node, kept off the tree.
 //!
-//! The tree stores one summary, the KcR-tree's [`KcAug`] (paper Fig 2):
-//! a keyword → count map plus the object count `cnt`, computed from the
-//! objects below a leaf ([`KcAug::for_leaf`]) or from the child
-//! summaries of an internal node ([`KcAug::for_internal`]).
+//! The paper's KcR-tree (Fig 2) stores at every node a keyword → count
+//! map plus the object count `cnt` ([`KcAug`]). The served tree stores
+//! neither: the served top-k scores the keyword half of its answer off
+//! the corpus's posting lists and bounds the tree on distance alone, so
+//! no served search reads a keyword bound. The summaries survive for the
+//! experiments and tests that compare bounds — E5's SetR-tree vs IR-tree
+//! view, the paper's Fig 2 — as an on-demand side table,
+//! [`KcAug::side_table`], built from the leaves up in one walk.
 //!
 //! All textual score bounds funnel through [`TextStats`], which captures
 //! the only quantities the similarity bounds need. Soundness argument (for
@@ -28,17 +31,14 @@
 //! | SetR-tree bound | [`KcAug::text_stats`] | `N.int` and `N.uni` |
 //! | IR-tree bound | [`TextStats::without_intersection`] | `N.uni` only |
 //!
-//! Every served search uses the SetR-tree view. The IR-tree view has
-//! pessimistic zeros for `min_inter`/`int_len` — the formal reason the
-//! paper replaces the IR-tree with the SetR-tree for Jaccard scoring — and
-//! survives only for the bound-tightness comparison of experiment E5.
-//! Only top-k reads these bounds, and only their upper side: no why-not
-//! module reads a tree (keyword adaptation counts ranks off its request
-//! table).
+//! The IR-tree view has pessimistic zeros for `min_inter`/`int_len` — the
+//! formal reason the paper replaces the IR-tree with the SetR-tree for
+//! Jaccard scoring.
 
 use yask_text::{KeywordSet, SimilarityModel};
 
 use crate::corpus::SpatioTextualObject;
+use crate::rtree::{NodeKind, RTree};
 
 /// The five integers every set-similarity bound needs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,23 +89,16 @@ impl TextStats {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn take_u32(buf: &mut &[u8]) -> Option<u32> {
-    let (head, rest) = buf.split_at_checked(4)?;
-    *buf = rest;
-    Some(u32::from_le_bytes(head.try_into().ok()?))
-}
-
 /// KcR-tree node summary (paper Fig 2): "each KcR-tree node is associated
 /// with a key-value map, where each key is a keyword in the union set of
 /// the keywords of the objects indexed by this node, and its corresponding
 /// value is the number of objects in this node that contain this keyword.
 /// In addition, each KcR-tree node has a `cnt` value that stores the number
 /// of objects that are indexed by this node."
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The default is the summary of no objects: the side table's entry for
+/// a slot no reachable node occupies.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KcAug {
     /// `(keyword, object count)` sorted by keyword.
     counts: Box<[(u32, u32)]>,
@@ -143,10 +136,27 @@ impl KcAug {
         KcAug::finish(map.into_iter().collect(), cnt)
     }
 
-    /// Estimated heap bytes owned by this summary beyond its inline size
-    /// — feeds the per-shard index memory counters on `/stats`.
-    pub fn heap_bytes(&self) -> usize {
-        8 * self.counts.len()
+    /// The summary of every reachable node of `tree`, indexed by
+    /// `NodeId::index()`: leaves from their objects, internal nodes from
+    /// their children's summaries. Freed slots hold the default. On a
+    /// paged tree the walk faults every chunk.
+    pub fn side_table(tree: &RTree) -> Vec<KcAug> {
+        let mut table = vec![KcAug::default(); tree.arena_slots()];
+        // `walk` lists a node before its children, so the reverse walk
+        // reaches every child's summary before its parent's.
+        for (id, _) in tree.walk().into_iter().rev() {
+            let aug = match &tree.node(id).kind {
+                NodeKind::Leaf(entries) => {
+                    let objects: Vec<_> = entries.iter().map(|&e| tree.corpus().get(e)).collect();
+                    KcAug::for_leaf(&objects)
+                }
+                NodeKind::Internal(children) => {
+                    KcAug::for_internal(&children.iter().map(|c| &table[c.index()]).collect::<Vec<_>>())
+                }
+            };
+            table[id.index()] = aug;
+        }
+        table
     }
 
     /// Number of objects below the node (`cnt` in Fig 2).
@@ -194,36 +204,6 @@ impl KcAug {
     /// this node.
     pub fn sim_upper(&self, q: &KeywordSet, model: SimilarityModel) -> f64 {
         self.text_stats(q).upper(model)
-    }
-
-    /// Appends the exact byte form the paged arena stores: `cnt`, the
-    /// pair count, then every `(keyword, count)` pair in stored (sorted)
-    /// order, all little-endian `u32`s.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.cnt);
-        put_u32(out, self.counts.len() as u32);
-        for &(kw, n) in self.counts.iter() {
-            put_u32(out, kw);
-            put_u32(out, n);
-        }
-    }
-
-    /// Decodes one summary off the front of `buf`, advancing it, so that
-    /// `decode(encode(a)) == a` exactly. `None` on truncated input.
-    pub fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let cnt = take_u32(buf)?;
-        let n = take_u32(buf)? as usize;
-        // Reserve no more pairs than the bytes left can hold.
-        let mut pairs = Vec::with_capacity(n.min(buf.len() / 8));
-        for _ in 0..n {
-            let kw = take_u32(buf)?;
-            let count = take_u32(buf)?;
-            pairs.push((kw, count));
-        }
-        // `finish` re-sorts (already sorted — encoded in stored order)
-        // and recomputes the derived `int_len`, which is a pure function
-        // of (counts, cnt), so the round trip is exact.
-        Some(KcAug::finish(pairs, cnt))
     }
 
     fn finish(mut pairs: Vec<(u32, u32)>, cnt: u32) -> Self {
@@ -382,65 +362,28 @@ mod tests {
         assert_eq!(objs[1].id, ObjectId(1));
     }
 
-    fn roundtrip(a: &KcAug) {
-        let mut bytes = Vec::new();
-        a.encode(&mut bytes);
-        let mut cursor = bytes.as_slice();
-        let back = KcAug::decode(&mut cursor).expect("decodes");
-        assert_eq!(&back, a);
-        assert!(cursor.is_empty(), "decoder must consume exactly its bytes");
-    }
-
     #[test]
-    fn codec_roundtrips_leaves_and_internals() {
-        let objs = objects(&[&[1, 2, 3], &[2, 3, 9], &[3]]);
-        let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let leaf = KcAug::for_leaf(&refs);
-        roundtrip(&leaf);
-        roundtrip(&KcAug::for_internal(&[&leaf, &KcAug::for_leaf(&refs[..1])]));
-
-        // Single-keyword edge.
-        let one = objects(&[&[7]]);
-        let one_refs: Vec<&SpatioTextualObject> = one.iter().collect();
-        roundtrip(&KcAug::for_leaf(&one_refs));
-    }
-
-    #[test]
-    fn codec_layout_is_cnt_then_sorted_pairs() {
-        let objs = objects(&[&[9, 4], &[4]]);
-        let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let mut bytes = Vec::new();
-        KcAug::for_leaf(&refs).encode(&mut bytes);
-        let words: Vec<u32> = bytes
-            .chunks(4)
-            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
-            .collect();
-        assert_eq!(words, [2, 2, 4, 2, 9, 1]);
-    }
-
-    #[test]
-    fn kc_codec_restores_the_derived_intersection_length() {
-        // Both objects share keyword 3, so int_len must survive the trip
-        // (it is recomputed, not serialized).
-        let objs = objects(&[&[3, 4], &[3, 5]]);
-        let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let a = KcAug::for_leaf(&refs);
-        assert_eq!(a.int_len, 1);
-        let mut bytes = Vec::new();
-        a.encode(&mut bytes);
-        let back = KcAug::decode(&mut bytes.as_slice()).unwrap();
-        assert_eq!(back.int_len, 1);
-    }
-
-    #[test]
-    fn codec_rejects_truncated_input() {
-        let objs = objects(&[&[1, 2, 3]]);
-        let refs: Vec<&SpatioTextualObject> = objs.iter().collect();
-        let mut bytes = Vec::new();
-        KcAug::for_leaf(&refs).encode(&mut bytes);
-        for cut in 0..bytes.len() {
-            let mut cursor = &bytes[..cut];
-            assert!(KcAug::decode(&mut cursor).is_none(), "cut at {cut}");
+    fn side_table_summarizes_every_subtree_from_its_objects() {
+        use crate::rtree::RTreeParams;
+        let docs: Vec<Vec<u32>> = (0..300u32).map(|i| vec![i % 7, 7 + i % 5, 12 + i % 3]).collect();
+        let mut b = CorpusBuilder::new();
+        for (i, d) in docs.iter().enumerate() {
+            b.push(Point::new((i % 17) as f64, (i / 17) as f64), ks(d), format!("o{i}"));
         }
+        let tree = RTree::bulk_load(b.build(), RTreeParams::new(4, 2));
+        let table = KcAug::side_table(&tree);
+        assert_eq!(table.len(), tree.arena_slots());
+        for (id, _) in tree.walk() {
+            let mut below = Vec::new();
+            let mut stack = vec![id];
+            while let Some(n) = stack.pop() {
+                match &tree.node(n).kind {
+                    NodeKind::Leaf(e) => below.extend(e.iter().map(|&o| tree.corpus().get(o))),
+                    NodeKind::Internal(c) => stack.extend_from_slice(c),
+                }
+            }
+            assert_eq!(table[id.index()], KcAug::for_leaf(&below), "node {id:?}");
+        }
+        assert_eq!(table[tree.root().unwrap().index()].cnt(), 300);
     }
 }

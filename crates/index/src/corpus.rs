@@ -17,16 +17,23 @@
 //! tombstoned slots (index maintenance needs the payload to unindex it);
 //! use [`Corpus::contains`] to test liveness.
 //!
-//! **Chunked persistence.** Slots are stored in a [`ChunkedCow`] of
+//! **Chunked persistence.** Objects are stored in a [`ChunkedCow`] of
 //! [`CHUNK_SIZE`]-object chunks — see [`crate::cow`] for the layout and
-//! the one copy rule. A slot's tombstone flag lives *in* the slot, so a
-//! delete is a copy-on-write touch of that slot and an insert a push:
-//! [`Corpus::with_updates`] costs O(batch + touched chunks), not O(n), and
+//! the one copy rule. Tombstones are a bitset beside them, in a second
+//! container whose 512-byte chunks cover 4 096 slots each, so a delete
+//! copies one bitset chunk rather than the objects around its slot,
+//! and an insert is a push: [`Corpus::with_updates`] costs O(batch + touched
+//! chunks), not O(n), and
 //! [`Corpus::with_updates_counted`] reports the [`CopyStats`] bill, which
 //! the ingest layer accumulates and `/stats` surfaces. The R-tree node
 //! arena ([`crate::rtree`]) is the same container, so one epoch
 //! derivation reports corpus-side and index-side write amplification in
 //! one vocabulary.
+//!
+//! **Posting lists.** Every version also carries the inverted index of
+//! its objects' keywords ([`Corpus::posting`]; layout, copy bill and
+//! liveness in [`crate::postings`]), which the exact top-k scores its
+//! keyword half from and the viewport filters through.
 
 use std::fmt;
 
@@ -34,12 +41,17 @@ use yask_geo::{Point, Space};
 use yask_text::KeywordSet;
 
 use crate::cow::{ApproxBytes, ChunkedCow, CopyStats};
+use crate::postings::{PostingList, Postings};
 
-/// Objects per chunk: 256 keeps the deep-copy cost of one touched chunk
-/// small (a single-object write batch copies at most two chunks) while a
-/// 50 000-object corpus still has a ~200-pointer spine, cheap to copy
-/// per batch.
-pub const CHUNK_SIZE: usize = 256;
+/// Objects per chunk. Deletes touch only the tombstone bitset, so this
+/// prices inserts: a batch deep-copies the partial tail chunk it appends
+/// to (names and documents included) and copies the spine, and every
+/// corpus version a reader still pins keeps both. At 50 000 objects, 64
+/// balances the two (≈ 4.6 KB of tail objects and a 6 KB spine per
+/// insert, against ≈ 18 KB and 1.6 KB at 256), which matters when many
+/// versions are pinned at once: yaskbench's `write_mix` holds about a
+/// thousand.
+pub const CHUNK_SIZE: usize = 64;
 
 /// Identifier of an object in a [`Corpus`]: its position in the object
 /// array. Dense ids keep rank tie-breaking deterministic and make
@@ -75,31 +87,31 @@ pub struct SpatioTextualObject {
     pub name: String,
 }
 
-/// One id slot: the object plus its tombstone flag.
-#[derive(Clone)]
-struct Slot {
-    object: SpatioTextualObject,
-    dead: bool,
-}
-
-impl ApproxBytes for Slot {
+impl ApproxBytes for SpatioTextualObject {
     /// Object struct, name and keyword ids.
     #[inline]
     fn approx_bytes(&self) -> usize {
-        let o = &self.object;
-        std::mem::size_of::<SpatioTextualObject>() + o.name.len() + 4 * o.doc.len()
+        std::mem::size_of::<SpatioTextualObject>() + self.name.len() + 4 * self.doc.len()
     }
 }
+
+/// Tombstone words per bitset chunk: 4 096 slots, 512 bytes.
+const DEAD_CHUNK: usize = 64;
 
 /// An immutable, shareable database of spatial objects.
 #[derive(Clone)]
 pub struct Corpus {
-    /// Every id slot, tombstoned ones included. Cloning a corpus clones
-    /// one `Arc`; deriving a version shares every untouched chunk.
-    slots: ChunkedCow<Slot, CHUNK_SIZE>,
+    /// Every id slot's object, tombstoned ones included. Cloning a corpus
+    /// clones one `Arc`; deriving a version shares every untouched chunk.
+    slots: ChunkedCow<SpatioTextualObject, CHUNK_SIZE>,
+    /// Tombstones: bit `i % 64` of word `i / 64` is set when slot `i` is
+    /// deleted.
+    dead: ChunkedCow<u64, DEAD_CHUNK>,
     /// Cached live-object count (`slot_count()` minus tombstones).
     live: usize,
     space: Space,
+    /// For each keyword, the ids of the objects holding it.
+    postings: Postings,
 }
 
 impl Corpus {
@@ -146,7 +158,7 @@ impl Corpus {
     #[inline]
     pub fn contains(&self, id: ObjectId) -> bool {
         let i = id.index();
-        i < self.slots.len() && !self.slots.get(i).dead
+        i < self.slots.len() && (self.dead.get(i / 64) >> (i % 64)) & 1 == 0
     }
 
     /// The normalized data space (bounding box of all object locations
@@ -163,23 +175,41 @@ impl Corpus {
     pub fn get(&self, id: ObjectId) -> &SpatioTextualObject {
         let i = id.index();
         assert!(i < self.slots.len(), "object id {id} out of range");
-        &self.slots.get(i).object
+        self.slots.get(i)
     }
 
     /// All slots in id order, *including* tombstoned ones — callers that
     /// must skip deleted objects use [`Corpus::iter`].
     pub fn iter_slots(&self) -> impl Iterator<Item = &SpatioTextualObject> {
-        self.slots.iter().map(|s| &s.object)
+        self.slots.iter()
     }
 
     /// Iterates the live objects.
     pub fn iter(&self) -> impl Iterator<Item = &SpatioTextualObject> {
-        self.slots.iter().filter(|s| !s.dead).map(|s| &s.object)
+        (0..self.slots.chunk_count()).flat_map(move |ci| {
+            // The chunk's tombstone words, read once per chunk.
+            let first = ci * CHUNK_SIZE / 64;
+            let dead: [u64; CHUNK_SIZE / 64] =
+                std::array::from_fn(|w| if first + w < self.dead.len() { *self.dead.get(first + w) } else { 0 });
+            self.slots
+                .chunk(ci)
+                .iter()
+                .enumerate()
+                .filter_map(move |(j, o)| ((dead[j / 64] >> (j % 64)) & 1 == 0).then_some(o))
+        })
     }
 
     /// Ids of the live objects, ascending.
     pub fn live_ids(&self) -> Vec<ObjectId> {
         self.iter().map(|o| o.id).collect()
+    }
+
+    /// Keyword `kw`'s posting list: the ascending ids of the objects
+    /// holding it, tombstoned ones included (a reader skips them with
+    /// [`Corpus::contains`]). A keyword no object carries — any id
+    /// beyond the lists — has an empty list.
+    pub fn posting(&self, kw: u32) -> PostingList<'_> {
+        self.postings.list(kw)
     }
 
     /// The union of all live object keyword sets — `D.doc`, used to
@@ -215,7 +245,9 @@ impl Corpus {
 
     /// [`Corpus::with_updates`] reporting the copy-on-write work the
     /// derivation performed: only the chunks the batch touched are
-    /// deep-copied, everything else is shared by `Arc` with `self`.
+    /// deep-copied, everything else is shared by `Arc` with `self`. The
+    /// bill covers the object chunks inserts append to, the tombstone
+    /// chunks deletes touch and the posting-list tails inserts append to.
     pub fn with_updates_counted(
         &self,
         inserts: impl IntoIterator<Item = (Point, KeywordSet, String)>,
@@ -229,7 +261,8 @@ impl Corpus {
             // `self`: a batch that deletes the same slot twice must trip
             // this assert on the second occurrence.
             assert!(next.contains(id), "delete of unknown or dead object {id:?}");
-            next.slots.make_mut(id.index(), &mut stats).dead = true;
+            let i = id.index();
+            *next.dead.make_mut(i / 64, &mut stats) |= 1 << (i % 64);
             next.live -= 1;
         }
 
@@ -237,8 +270,12 @@ impl Corpus {
         for (loc, doc, name) in inserts {
             assert!(loc.is_finite(), "object location must be finite: {loc:?}");
             let id = ObjectId(u32::try_from(next.slots.len()).expect("corpus exceeds u32 ids"));
+            next.postings.append(id, doc.raw(), &mut stats);
             let object = SpatioTextualObject { id, loc, doc, name };
-            next.slots.push(Slot { object, dead: false }, &mut stats);
+            if id.index() % 64 == 0 {
+                next.dead.push(0, &mut stats);
+            }
+            next.slots.push(object, &mut stats);
             next.live += 1;
             new_ids.push(id);
         }
@@ -260,7 +297,8 @@ impl fmt::Debug for Corpus {
 /// Builder assembling a [`Corpus`], assigning dense ids in push order.
 #[derive(Default)]
 pub struct CorpusBuilder {
-    slots: Vec<Slot>,
+    slots: Vec<SpatioTextualObject>,
+    dead: Vec<u64>,
     space_override: Option<Space>,
 }
 
@@ -274,6 +312,7 @@ impl CorpusBuilder {
     pub fn with_capacity(n: usize) -> Self {
         CorpusBuilder {
             slots: Vec::with_capacity(n),
+            dead: Vec::with_capacity(n.div_ceil(64)),
             space_override: None,
         }
     }
@@ -292,7 +331,10 @@ impl CorpusBuilder {
         let id = ObjectId(u32::try_from(self.slots.len()).expect("corpus exceeds u32 ids"));
         let name = name.into();
         let object = SpatioTextualObject { id, loc, doc, name };
-        self.slots.push(Slot { object, dead: false });
+        if id.index() % 64 == 0 {
+            self.dead.push(0);
+        }
+        self.slots.push(object);
         id
     }
 
@@ -300,7 +342,7 @@ impl CorpusBuilder {
     /// version that already carried deletions (e.g. from the page store).
     pub fn kill(&mut self, id: ObjectId) {
         assert!(id.index() < self.slots.len(), "kill of unknown slot {id:?}");
-        self.slots[id.index()].dead = true;
+        self.dead[id.index() / 64] |= 1 << (id.index() % 64);
     }
 
     /// Number of objects pushed so far.
@@ -313,19 +355,29 @@ impl CorpusBuilder {
         self.slots.is_empty()
     }
 
-    /// Finalizes the corpus, fitting the data space if not overridden.
-    /// An empty corpus gets the unit space.
+    /// Finalizes the corpus, fitting the data space if not overridden,
+    /// and builds the posting lists of the live objects. An empty corpus
+    /// gets the unit space.
     pub fn build(self) -> Corpus {
         // The space fits *all* slots, dead ones included, so reloading a
         // corpus that carries tombstones reproduces the original space.
         let space = self.space_override.unwrap_or_else(|| {
-            Space::from_points(self.slots.iter().map(|s| s.object.loc)).unwrap_or_else(Space::unit)
+            Space::from_points(self.slots.iter().map(|o| o.loc)).unwrap_or_else(Space::unit)
         });
-        let live = self.slots.iter().filter(|s| !s.dead).count();
+        let dead = &self.dead;
+        let live_docs = self
+            .slots
+            .iter()
+            .filter(|o| (dead[o.id.index() / 64] >> (o.id.index() % 64)) & 1 == 0)
+            .map(|o| (o.id.0, o.doc.raw()));
+        let postings = Postings::build(live_docs.clone());
+        let live = live_docs.count();
         Corpus {
             slots: self.slots.into_iter().collect(),
+            dead: self.dead.into_iter().collect(),
             live,
             space,
+            postings,
         }
     }
 }
@@ -514,15 +566,16 @@ mod tests {
         let n = 8 * CHUNK_SIZE;
         let v0 = big_corpus(n);
         // One delete in chunk 2, one insert extending the (full) tail:
-        // the insert opens a fresh chunk, so exactly one pre-existing
-        // chunk is deep-copied.
+        // the insert opens a fresh slot chunk, the first chunk of the
+        // posting-tail directory and keyword 1's first tail block, so
+        // exactly one pre-existing chunk is deep-copied.
         let (v1, ids, stats) = v0.with_updates_counted(
             [(Point::new(0.5, 0.5), ks(&[1]), "new".to_owned())],
             &[ObjectId((2 * CHUNK_SIZE + 3) as u32)],
         );
         assert_eq!(ids, vec![ObjectId(n as u32)]);
         assert_eq!(stats.chunks_copied, 1);
-        assert_eq!(stats.chunks_created, 1);
+        assert_eq!(stats.chunks_created, 3);
         assert!(stats.bytes_copied > 0);
         assert!(
             stats.bytes_copied < 3 * CHUNK_SIZE * 64,
@@ -530,21 +583,23 @@ mod tests {
             stats.bytes_copied
         );
         // A second single-object batch on the new version touches the
-        // (now partial) tail chunk only.
+        // (now partial) tail slot chunk and the one posting-tail
+        // directory chunk, and opens keyword 2's first tail block.
         let (_, _, stats2) = v1.with_updates_counted(
             [(Point::new(0.6, 0.6), ks(&[2]), "new2".to_owned())],
             &[],
         );
-        assert_eq!(stats2.chunks_copied, 1);
-        assert_eq!(stats2.chunks_created, 0);
+        assert_eq!(stats2.chunks_copied, 2);
+        assert_eq!(stats2.chunks_created, 1);
     }
 
     #[test]
     fn copy_work_is_flat_in_corpus_size() {
         // The acceptance bar: at a fixed batch size, bytes copied per
-        // batch must not grow with n.
-        let small = big_corpus(4 * CHUNK_SIZE);
-        let large = big_corpus(16 * CHUNK_SIZE);
+        // batch must not grow with n — once n fills the 4 096-slot
+        // tombstone chunk the delete touches.
+        let small = big_corpus(4_096);
+        let large = big_corpus(16_384);
         let batch = [(Point::new(0.5, 0.5), ks(&[1]), "x".to_owned())];
         let (_, _, s_small) =
             small.with_updates_counted(batch.clone(), &[ObjectId(7)]);
@@ -593,7 +648,8 @@ mod tests {
     #[test]
     fn iter_slots_includes_tombstones() {
         let v0 = big_corpus(CHUNK_SIZE + 5);
-        let (v1, _) = v0.with_updates(std::iter::empty(), &[ObjectId(3), ObjectId(260)]);
+        let (v1, _) =
+            v0.with_updates(std::iter::empty(), &[ObjectId(3), ObjectId(CHUNK_SIZE as u32 + 4)]);
         assert_eq!(v1.iter_slots().count(), CHUNK_SIZE + 5);
         assert_eq!(v1.iter().count(), CHUNK_SIZE + 3);
         // iter_slots stays in id order.

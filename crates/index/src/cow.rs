@@ -1,6 +1,7 @@
 //! The one chunked copy-on-write container behind every per-slot table
-//! that is versioned per epoch: the corpus's object slots, the R-tree's
-//! node arena, and the executor's shard-assignment table.
+//! that is versioned per epoch: the corpus's object slots, tombstone
+//! bitset and posting-list tails, the R-tree's node arena, and the
+//! executor's shard-assignment table.
 //!
 //! **Layout.** Elements live in fixed-size chunks (`N` each, a power of
 //! two) behind individual `Arc`s, with the chunk spine itself behind one
@@ -17,8 +18,9 @@
 //! chunk mutate in place, unbilled. Two versions therefore *structurally
 //! share* every chunk neither wrote into, a derived version costs
 //! O(touched chunks) rather than O(len), and older versions never change.
-//! [`ChunkedCow::make_mut`] and [`ChunkedCow::push`] are the only ways to
-//! write, so the rule cannot be bypassed per user.
+//! [`ChunkedCow::make_mut`], [`ChunkedCow::push`] and
+//! [`ChunkedCow::extend`] are the only ways to write, so the rule cannot
+//! be bypassed per user.
 
 use std::sync::Arc;
 
@@ -55,6 +57,12 @@ pub trait ApproxBytes {
 impl ApproxBytes for u32 {
     fn approx_bytes(&self) -> usize {
         std::mem::size_of::<u32>()
+    }
+}
+
+impl ApproxBytes for u64 {
+    fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<u64>()
     }
 }
 
@@ -195,16 +203,31 @@ impl<T: Clone + ApproxBytes, const N: usize> ChunkedCow<T, N> {
     /// Appends `value`. A full tail opens a fresh chunk (billed as
     /// created); extending a shared partial tail copies it first.
     pub fn push(&mut self, value: T, stats: &mut CopyStats) {
-        let (ci, _) = Self::locate(self.len);
-        if ci == self.spine.len() {
-            let fresh = Arc::new(Chunk {
-                items: Vec::with_capacity(N),
-            });
-            self.spine = self.spine.iter().cloned().chain([fresh]).collect();
-            stats.chunks_created += 1;
+        self.extend([value], stats);
+    }
+
+    /// Appends every element of `values` under [`ChunkedCow::push`]'s
+    /// rule, rebuilding the spine once for all the chunks it opens rather
+    /// than once per chunk.
+    pub fn extend(&mut self, values: impl IntoIterator<Item = T>, stats: &mut CopyStats) {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_none() {
+            return;
         }
-        self.chunk_mut(ci, stats).items.push(value);
-        self.len += 1;
+        let room = self.spine.len() * N - self.len;
+        if room > 0 {
+            let last = self.spine.len() - 1;
+            let items = &mut self.chunk_mut(last, stats).items;
+            let before = items.len();
+            items.extend(values.by_ref().take(room));
+            self.len += items.len() - before;
+        }
+        if values.peek().is_some() {
+            let fresh: ChunkedCow<T, N> = values.collect();
+            stats.chunks_created += fresh.chunk_count();
+            self.len += fresh.len;
+            self.spine = self.spine.iter().chain(fresh.spine.iter()).cloned().collect();
+        }
     }
 }
 
@@ -357,6 +380,28 @@ mod tests {
             }
             assert!(stats.chunks_copied > 0 && stats.chunks_created > 0);
         }
+    }
+
+    #[test]
+    fn extend_fills_the_tail_then_opens_its_chunks() {
+        let v0: ChunkedCow<u32, N> = (0..6).collect();
+        let mut v1 = v0.clone();
+        let mut stats = CopyStats::default();
+        v1.extend(std::iter::empty(), &mut stats);
+        assert!(v1.same_version(&v0));
+        v1.extend(6..15, &mut stats);
+        assert!(v1.iter().copied().eq(0..15));
+        assert_eq!(v1.chunk_count(), 4);
+        assert_eq!(
+            stats,
+            CopyStats {
+                chunks_copied: 1,
+                chunks_created: 2,
+                bytes_copied: 8,
+            }
+        );
+        assert!(v1.shares_chunk(&v0, 0));
+        assert!(v0.iter().copied().eq(0..6));
     }
 
     #[test]

@@ -1,21 +1,30 @@
-//! The KcR-tree index of YASK.
+//! The spatial index of YASK.
 //!
 //! The demo paper's server (Fig 1) is built on "R-tree based index"
-//! structures. Here that is one arena-based R-tree whose nodes carry the
-//! KcR-tree summary ([`KcAug`], paper Fig 2): a keyword → count map plus
-//! an object count `cnt`. The counts imply the SetR-tree's per-node
-//! intersection and union keyword sets, so the one summary gives the
-//! tight Jaccard bounds of the top-k engine (paper §3.3). The why-not
-//! modules read no tree: they rank off a per-request table over the
-//! corpus. The IR-tree of Cong et al. \[4\]
-//! survives only as a weaker bound view,
-//! [`TextStats::without_intersection`] (see [`aug`]).
+//! structures. Here that is two pieces over one shared [`Corpus`]:
+//!
+//! * the corpus's posting lists ([`Corpus::posting`], see [`postings`]):
+//!   for each keyword, the ascending ids of the objects holding it, in
+//!   one counting-sorted CSR array plus copy-on-write tails for later
+//!   inserts;
+//! * an arena-based R-tree ([`RTree`]) whose nodes carry an MBR and their
+//!   entries only.
+//!
+//! The served top-k scores every object on a query keyword's posting
+//! list and adds a keyword-free k-NN descent of the tree; the viewport
+//! descends the tree by MBR and filters through the lists. No served
+//! search reads a keyword bound, so no node carries one. The KcR-tree's
+//! keyword → count summary (paper Fig 2, [`KcAug`]) is computed on
+//! demand as a side table ([`KcAug::side_table`]) for the experiments
+//! that compare the SetR-tree and IR-tree bounds ([`TextStats`], see
+//! [`aug`]). The why-not modules read no tree: they rank off a
+//! per-request table over the corpus.
 //!
 //! Construction is either STR bulk loading ([`RTree::bulk_load`]) or
 //! dynamic insertion with quadratic splits ([`RTree::insert`]); deletion
-//! with subtree reinsertion is supported. The tree maintains its
-//! summaries incrementally and can [`RTree::validate`] the full set of
-//! structural + summary invariants (used heavily by the proptest suite).
+//! with subtree reinsertion is supported. The tree maintains its MBRs
+//! incrementally and can [`RTree::validate`] its structural invariants
+//! (used heavily by the proptest suite).
 
 #![forbid(unsafe_code)]
 
@@ -23,12 +32,14 @@ pub mod aug;
 pub mod bulk;
 pub mod corpus;
 pub mod cow;
+pub mod postings;
 pub mod rtree;
 pub mod stats;
 
 pub use aug::{KcAug, TextStats};
 pub use corpus::{Corpus, CorpusBuilder, ObjectId, SpatioTextualObject, CHUNK_SIZE};
 pub use cow::{ApproxBytes, Chunk, ChunkedCow, CopyStats};
+pub use postings::{PostingList, MAX_KEYWORD};
 pub use rtree::{
     Node, NodeChunk, NodeId, NodeKind, NodeRef, NodeSource, RTree, RTreeParams, StructNode,
     TreeStructure, NODE_CHUNK_SIZE,

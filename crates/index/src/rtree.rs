@@ -1,14 +1,19 @@
-//! The arena-based KcR-tree.
+//! The arena-based R-tree the shards serve from.
 //!
-//! Every node carries an MBR and the KcR-tree's keyword-count summary
-//! ([`KcAug`], see [`crate::aug`]). Supported operations:
+//! A node carries its MBR and its entries and nothing else: no keyword
+//! summary. The served top-k scores its keyword half off the corpus's
+//! posting lists and descends the tree on distance alone, so nothing
+//! served reads a keyword bound; the KcR-tree's keyword counts (paper
+//! Fig 2) are computed on demand from the leaves for the experiments
+//! that compare bounds ([`crate::KcAug::side_table`]). Supported
+//! operations:
 //!
 //! * [`RTree::bulk_load`] — Sort-Tile-Recursive packing (see [`crate::bulk`]),
 //! * [`RTree::insert`] — Guttman insertion with quadratic splits,
 //! * [`RTree::delete`] — with subtree condensation and reinsertion,
 //! * [`RTree::with_updates`] — persistent path-copying batch derivation,
 //! * [`RTree::range`] — the spatial range query,
-//! * [`RTree::validate`] — full structural + augmentation invariant check.
+//! * [`RTree::validate`] — full structural invariant check.
 //!
 //! **Persistent chunked arena.** Nodes live in a [`ChunkedCow`] of
 //! [`NODE_CHUNK_SIZE`]-node chunks — the same container as the
@@ -39,7 +44,6 @@ use std::sync::Arc;
 
 use yask_geo::{Point, Rect};
 
-use crate::aug::KcAug;
 use crate::corpus::{Corpus, ObjectId};
 use crate::cow::{ApproxBytes, Chunk, ChunkedCow, CopyStats};
 
@@ -48,13 +52,10 @@ use crate::cow::{ApproxBytes, Chunk, ChunkedCow, CopyStats};
 /// (at default fanout 32, a whole 20k-object shard tree is ~160 nodes —
 /// a 256-node chunk would make "path copying" copy the entire tree);
 /// tiny chunks bloat the spine
-/// (one `Arc` per chunk, spine copied per batch). Chunk *composition*
-/// matters as much as size: internal nodes near the root carry
-/// keyword maps orders of magnitude heavier than leaves, so bulk loads
-/// place nodes in DFS order (see `RTree::relayout_dfs`) — each
-/// internal sits beside its own children instead of clustering with the
-/// other internals — and 16-node chunks keep a spine chunk's bill close
-/// to its one heavy node plus a few cheap leaf neighbours.
+/// (one `Arc` per chunk, spine copied per batch). Bulk loads place nodes
+/// in DFS order (see `RTree::relayout_dfs`), so a root-to-leaf spine
+/// touches one chunk per level rather than the one tail chunk every
+/// internal node would share in level order.
 pub const NODE_CHUNK_SIZE: usize = 16;
 
 /// Identifier of a node in the tree arena.
@@ -78,13 +79,11 @@ pub enum NodeKind {
     Internal(Vec<NodeId>),
 }
 
-/// One R-tree node: bounding rectangle, textual augmentation, entries.
+/// One R-tree node: bounding rectangle and entries.
 #[derive(Clone, Debug)]
 pub struct Node {
     /// Minimum bounding rectangle of everything below this node.
     pub mbr: Rect,
-    /// Keyword-count summary; `None` only for an empty root leaf.
-    pub(crate) aug: Option<KcAug>,
     /// Entries.
     pub kind: NodeKind,
 }
@@ -118,29 +117,12 @@ impl Node {
             NodeKind::Internal(c) => c.len(),
         }
     }
-
-    /// The augmentation. Panics on an empty node (possible only for the
-    /// root of an empty tree, which traversals never visit).
-    pub fn aug(&self) -> &KcAug {
-        self.aug.as_ref().expect("augmentation of empty node")
-    }
-
-    /// The augmentation as stored, `None` for an empty root leaf — the
-    /// non-panicking accessor the node codec serializes through.
-    pub fn aug_opt(&self) -> Option<&KcAug> {
-        self.aug.as_ref()
-    }
-
-    /// Reassembles a node from codec parts (the paged-arena load path).
-    pub fn from_parts(mbr: Rect, aug: Option<KcAug>, kind: NodeKind) -> Node {
-        Node { mbr, aug, kind }
-    }
 }
 
 impl ApproxBytes for Node {
-    /// Frame, entry vector, and the augmentation's heap payload.
+    /// Frame and entry vector.
     fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Node>() + 4 * self.entry_count() + self.aug.as_ref().map_or(0, |a| a.heap_bytes())
+        std::mem::size_of::<Node>() + 4 * self.entry_count()
     }
 }
 
@@ -255,7 +237,7 @@ impl Default for RTreeParams {
     }
 }
 
-/// The KcR-tree. See the module docs for the operations and the
+/// The R-tree. See the module docs for the operations and the
 /// persistent arena layout.
 #[derive(Clone, Debug)]
 pub struct RTree {
@@ -275,6 +257,11 @@ pub struct RTree {
     height: usize,
     /// Number of indexed objects.
     len: usize,
+    /// True when the tree is known to index exactly its corpus's live
+    /// objects: set by [`RTree::bulk_load`] and
+    /// [`RTree::build_by_insertion`], kept by [`RTree::with_updates`],
+    /// cleared by any other change to the tree or its corpus.
+    whole: bool,
     params: RTreeParams,
     /// Copy-on-write work since the last [`RTree::reset_copy_stats`].
     copy: CopyStats,
@@ -292,6 +279,7 @@ impl RTree {
             root: None,
             height: 0,
             len: 0,
+            whole: false,
             params,
             copy: CopyStats::default(),
         }
@@ -300,7 +288,9 @@ impl RTree {
     /// Bulk-loads every object of the corpus (STR packing).
     pub fn bulk_load(corpus: Corpus, params: RTreeParams) -> Self {
         let ids: Vec<ObjectId> = corpus.iter().map(|o| o.id).collect();
-        Self::bulk_load_subset(corpus, &ids, params)
+        let mut t = Self::bulk_load_subset(corpus, &ids, params);
+        t.whole = true;
+        t
     }
 
     /// Bulk-loads a subset of the corpus (STR packing).
@@ -316,6 +306,7 @@ impl RTree {
         for id in ids {
             t.insert(id);
         }
+        t.whole = true;
         t
     }
 
@@ -339,6 +330,7 @@ impl RTree {
             self.corpus.slot_count()
         );
         self.corpus = corpus;
+        self.whole = false;
     }
 
     /// Root node id, `None` for an empty tree.
@@ -397,6 +389,15 @@ impl RTree {
     /// Number of indexed objects.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// True when the tree is known to index exactly the live objects of
+    /// its corpus — a whole-corpus build, and the versions
+    /// [`RTree::with_updates`] derives from one. A shard, a subset load,
+    /// or a tree changed through [`RTree::insert`], [`RTree::delete`] or
+    /// [`RTree::set_corpus`] is not.
+    pub fn is_whole(&self) -> bool {
+        self.whole
     }
 
     /// True when no objects are indexed.
@@ -536,14 +537,11 @@ impl RTree {
     /// spine is rebuilt fresh (nothing shared with prior versions).
     ///
     /// DFS order is what keeps the copy-on-write bill of *later* batches
-    /// small. Internal nodes near the root carry keyword maps
-    /// orders of magnitude heavier than leaves; a level-order layout (the
-    /// natural output of STR bulk loading) packs that entire internal
-    /// level into the tail chunks, which sit on every root-to-leaf spine
-    /// — so every batch re-copies the whole internal level. In DFS order
-    /// each internal lands beside its own subtree, spreading the heavy
-    /// nodes roughly one per chunk, and a copied spine chunk bills one
-    /// heavy node plus cheap leaf neighbours.
+    /// small. A level-order layout (the natural output of STR bulk
+    /// loading) packs the whole internal level into the tail chunks,
+    /// which sit on every root-to-leaf spine, so every batch would
+    /// re-copy them all. In DFS order each internal lands beside its own
+    /// subtree, and a batch copies the few chunks its spine crosses.
     ///
     /// Called at the end of bulk loading; incremental updates do not pay
     /// the full-rewrite cost (their allocations interleave naturally).
@@ -621,12 +619,11 @@ impl RTree {
     }
 
     /// Allocates a node holding `kind`, reusing a freed slot first. Its
-    /// summary starts empty — callers [`RTree::refresh`] it once the
-    /// entries are final.
+    /// MBR starts empty — callers [`RTree::refresh`] it once the entries
+    /// are final.
     pub(crate) fn alloc(&mut self, kind: NodeKind) -> NodeId {
         let node = Node {
             mbr: Rect::EMPTY,
-            aug: None,
             kind,
         };
         if let Some(slot) = self.free.pop() {
@@ -678,40 +675,27 @@ impl RTree {
         self.len = len;
     }
 
-    /// Recomputes `mbr` and `aug` of a node from its entries.
+    /// Recomputes the MBR of a node from its entries.
     pub(crate) fn refresh(&mut self, n: NodeId) {
-        let (mbr, aug) = self.compute_summary(n);
-        let node = self.node_mut(n);
-        node.mbr = mbr;
-        node.aug = aug;
+        let mbr = self.compute_mbr(n);
+        self.node_mut(n).mbr = mbr;
     }
 
-    fn compute_summary(&self, n: NodeId) -> (Rect, Option<KcAug>) {
+    fn compute_mbr(&self, n: NodeId) -> Rect {
+        let mut mbr = Rect::EMPTY;
         match &self.node(n).kind {
             NodeKind::Leaf(entries) => {
-                if entries.is_empty() {
-                    return (Rect::EMPTY, None);
-                }
-                let mut mbr = Rect::EMPTY;
-                let mut objs = Vec::with_capacity(entries.len());
                 for &id in entries {
-                    let o = self.corpus.get(id);
-                    mbr.expand(&Rect::point(o.loc));
-                    objs.push(o);
+                    mbr.expand(&Rect::point(self.corpus.get(id).loc));
                 }
-                (mbr, Some(KcAug::for_leaf(&objs)))
             }
             NodeKind::Internal(children) => {
-                debug_assert!(!children.is_empty());
-                let children: Vec<NodeRef<'_>> = children.iter().map(|&c| self.node(c)).collect();
-                let mut mbr = Rect::EMPTY;
-                for child in &children {
-                    mbr.expand(&child.mbr);
+                for &c in children {
+                    mbr.expand(&self.node(c).mbr);
                 }
-                let augs: Vec<&KcAug> = children.iter().map(|c| c.aug()).collect();
-                (mbr, Some(KcAug::for_internal(&augs)))
             }
         }
+        mbr
     }
 
     // -- batch derivation ----------------------------------------------------
@@ -726,7 +710,8 @@ impl RTree {
     /// freshly appended slots and `deleted` the newly tombstoned ones
     /// (which must all be indexed here). The returned [`CopyStats`] is
     /// the batch's actual copy bill — O(height × chunk) per routed op,
-    /// independent of tree size.
+    /// independent of tree size. A whole tree ([`RTree::is_whole`]) is
+    /// given every insert and delete of the batch, and stays whole.
     pub fn with_updates(
         &self,
         corpus: Corpus,
@@ -743,6 +728,7 @@ impl RTree {
         for &id in inserted {
             next.insert(id);
         }
+        next.whole = self.whole;
         let stats = next.copy_stats();
         (next, stats)
     }
@@ -773,6 +759,7 @@ impl RTree {
             }
         }
         self.len += 1;
+        self.whole = false;
     }
 
     /// Recursive insert; returns a newly created sibling when `n` split.
@@ -877,6 +864,7 @@ impl RTree {
             entries.retain(|&e| e != id);
         }
         self.len -= 1;
+        self.whole = false;
 
         // Condense bottom-up, collecting orphaned objects.
         let mut orphans: Vec<ObjectId> = Vec::new();
@@ -995,7 +983,7 @@ impl RTree {
     // -- topology export ----------------------------------------------------
 
     /// Exports the reachable tree structure in a topology-only form (no
-    /// MBRs, no augmentations — both are derived data; freed arena slots
+    /// MBRs — derived data; freed arena slots
     /// and chunk boundaries don't appear either, so the export is
     /// independent of the slab layout). Tests compare trees through it:
     /// two trees with equal exports have the same shape, whatever their
@@ -1031,11 +1019,11 @@ impl RTree {
 
     // -- validation -------------------------------------------------------------
 
-    /// Checks every structural and augmentation invariant; returns a
-    /// description of the first violation.
+    /// Checks every structural invariant; returns a description of the
+    /// first violation.
     ///
     /// Checked: reachable-node entry counts (≥1, ≤ max); uniform leaf
-    /// depth; exact MBRs; exact augmentations; each object indexed exactly
+    /// depth; exact MBRs; each object indexed exactly
     /// once; `len` consistent; free list disjoint from reachable nodes
     /// and consistent with the freed bitset.
     pub fn validate(&self) -> Result<(), String> {
@@ -1086,13 +1074,9 @@ impl RTree {
             if count > self.params.max_entries {
                 return Err(format!("node {n:?} overflows: {count}"));
             }
-            let (mbr, aug) = self.compute_summary(n);
+            let mbr = self.compute_mbr(n);
             if mbr != node.mbr {
                 return Err(format!("node {n:?} stale mbr: {:?} != {:?}", node.mbr, mbr));
-            }
-            match (&aug, &node.aug) {
-                (Some(a), Some(b)) if a == b => {}
-                _ => return Err(format!("node {n:?} stale augmentation")),
             }
             match &node.kind {
                 NodeKind::Leaf(entries) => {

@@ -1,10 +1,16 @@
 //! Golden copy-on-write bills: for one fixed seeded corpus and batch
 //! sequence, the [`CopyStats`] of `Corpus::with_updates_counted` and of
-//! `RTree::with_updates` must equal the numbers the two hand-written
-//! containers produced before they were merged into
-//! [`yask_index::ChunkedCow`] (dumped from commit 4a0b21b on a 64-bit
-//! target; the byte bills include `size_of` terms). A change to the copy
-//! rule — what counts as a first touch, what a chunk bills — moves these.
+//! `RTree::with_updates` must equal the numbers below (dumped on a 64-bit
+//! target; the byte bills include `size_of` terms). They were re-dumped
+//! when the corpus gained posting lists, its tombstones moved out of the
+//! object chunks into a bitset, its object chunks shrank from 256 to 64,
+//! and the tree nodes lost their keyword-count maps: the corpus bill now
+//! includes the posting-tail directory chunks and tail blocks an insert
+//! appends to (a copied directory chunk bills its tail handles), a delete bills
+//! one bitset chunk instead of the objects around its slot, an insert's
+//! tail chunk holds at most 64 objects, and a copied tree chunk bills its
+//! MBRs and entries only. A change to the copy rule — what counts as a first
+//! touch, what a chunk bills — moves these.
 
 use yask_geo::Point;
 use yask_index::{CopyStats, CorpusBuilder, ObjectId, RTree, RTreeParams};
@@ -64,15 +70,15 @@ fn copy_bills_match_the_pre_merge_containers() {
         corpus_total.absorb(c);
         tree_total.absorb(t);
     }
-    assert_eq!(corpus_total, stats(76, 1, 987_951));
-    assert_eq!(tree_total, stats(404, 9, 1_660_040));
+    assert_eq!(corpus_total, stats(305, 44, 144_476));
+    assert_eq!(tree_total, stats(404, 9, 553_000));
     assert_eq!(
         &bills[..4],
         &[
-            (stats(1, 0, 18_520), stats(6, 0, 24_072)),
-            (stats(2, 0, 38_740), stats(9, 0, 37_648)),
-            (stats(3, 0, 58_548), stats(9, 1, 39_264)),
-            (stats(1, 0, 18_976), stats(9, 0, 36_888)),
+            (stats(1, 5, 3_488), stats(6, 0, 8_136)),
+            (stats(5, 4, 5_012), stats(9, 0, 12_936)),
+            (stats(7, 4, 5_172), stats(9, 1, 13_296)),
+            (stats(4, 8, 4_904), stats(9, 0, 12_312)),
         ]
     );
 }

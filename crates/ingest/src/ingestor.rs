@@ -669,6 +669,22 @@ mod tests {
     }
 
     #[test]
+    fn a_keyword_beyond_the_index_is_rejected_not_applied() {
+        let corpus = random_corpus(20, 3);
+        let exec = Executor::new(corpus.clone(), ExecConfig::default());
+        let ingest = Ingestor::new(corpus);
+        for kw in [yask_index::MAX_KEYWORD + 1, u32::MAX] {
+            let obj = NewObject::new(Point::new(0.5, 0.5), KeywordSet::from_raw([1, kw]), "far");
+            assert!(matches!(
+                ingest.apply(&exec, &[Update::Insert(obj)]),
+                Err(IngestError::KeywordOutOfRange(got)) if got == kw
+            ));
+        }
+        assert_eq!((ingest.epoch(), exec.epoch()), (0, 0));
+        assert_eq!(exec.corpus().slot_count(), 20);
+    }
+
+    #[test]
     fn wal_replay_reconverges_corpus_and_epoch() {
         let path = tmp("replay.wal");
         std::fs::remove_file(&path).ok();

@@ -51,6 +51,9 @@ pub enum IngestError {
     DuplicateDelete(ObjectId),
     /// An insert carries a non-finite location.
     NonFiniteLocation,
+    /// An insert carries a keyword id beyond
+    /// [`yask_index::MAX_KEYWORD`], the largest a corpus indexes.
+    KeywordOutOfRange(u32),
     /// The write-ahead log on disk does not belong to this base corpus
     /// (its recorded base slot count differs).
     WalBaseMismatch {
@@ -75,6 +78,11 @@ impl std::fmt::Display for IngestError {
                 write!(f, "batch deletes object {id} more than once")
             }
             IngestError::NonFiniteLocation => write!(f, "insert location must be finite"),
+            IngestError::KeywordOutOfRange(kw) => write!(
+                f,
+                "insert keyword id {kw} is beyond the largest a corpus indexes ({})",
+                yask_index::MAX_KEYWORD
+            ),
             IngestError::WalBaseMismatch { wal, corpus } => write!(
                 f,
                 "write-ahead log belongs to a corpus with {wal} base slots, not {corpus}"
@@ -95,7 +103,8 @@ impl From<std::io::Error> for IngestError {
 
 /// Validates `batch` against a corpus version: every delete must target a
 /// live slot (duplicates within the batch count as dead), every insert a
-/// finite location. Inserts appended by the same batch are not yet
+/// finite location and keyword ids no larger than
+/// [`yask_index::MAX_KEYWORD`]. Inserts appended by the same batch are not yet
 /// addressable — a batch cannot delete an object it inserts.
 pub fn validate_batch(corpus: &Corpus, batch: &[Update]) -> Result<(), IngestError> {
     if batch.is_empty() {
@@ -109,6 +118,9 @@ pub fn validate_batch(corpus: &Corpus, batch: &[Update]) -> Result<(), IngestErr
             Update::Insert(o) => {
                 if !o.loc.is_finite() {
                     return Err(IngestError::NonFiniteLocation);
+                }
+                if let Some(&kw) = o.doc.raw().iter().find(|&&kw| kw > yask_index::MAX_KEYWORD) {
+                    return Err(IngestError::KeywordOutOfRange(kw));
                 }
             }
             Update::Delete(id) => {

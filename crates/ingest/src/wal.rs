@@ -516,7 +516,11 @@ fn decode_batch(c: &mut Cursor<'_>) -> Result<Vec<Update>, IngestError> {
                 }
                 let mut ids = Vec::with_capacity(kws as usize);
                 for _ in 0..kws {
-                    ids.push(c.u32()?);
+                    let kw = c.u32()?;
+                    if kw > yask_index::MAX_KEYWORD {
+                        return Err(IngestError::WalCorrupt(format!("implausible keyword id {kw}")));
+                    }
+                    ids.push(kw);
                 }
                 batch.push(Update::Insert(NewObject {
                     loc: Point::new(x, y),
@@ -657,6 +661,17 @@ mod tests {
         ];
         for b in &batches {
             assert_eq!(encoded_len(b), encode_batch(b).len(), "{b:?}");
+        }
+    }
+
+    #[test]
+    fn an_implausible_keyword_id_is_corrupt_not_an_allocation() {
+        let mut bytes = encode_batch(&[insert(0.1, "x", &[3])]);
+        let at = bytes.len() - 4;
+        bytes[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        match decode_batch(&mut Cursor { bytes: &bytes, pos: 0 }) {
+            Err(IngestError::WalCorrupt(why)) => assert!(why.contains("keyword id"), "{why}"),
+            other => panic!("rotted keyword id accepted: {other:?}"),
         }
     }
 

@@ -31,6 +31,10 @@ pub struct SpanRecord {
     /// Offset from the trace start, nanoseconds.
     pub start_ns: u64,
     pub dur_ns: u64,
+    /// The work count the span's layer reported, if it reports one (the
+    /// top-k's `postings` span: objects scored; its `scatter` span: k-NN
+    /// nodes expanded).
+    pub count: Option<u64>,
 }
 
 struct TraceInner {
@@ -75,6 +79,7 @@ impl Trace {
             parent,
             name: name.into(),
             start_ns: self.now_ns(),
+            count: None,
         }
     }
 
@@ -89,6 +94,7 @@ impl Trace {
             name: name.into(),
             start_ns: end.saturating_sub(dur_ns),
             dur_ns,
+            count: None,
         });
         id
     }
@@ -124,9 +130,15 @@ pub struct SpanGuard {
     parent: u32,
     name: String,
     start_ns: u64,
+    count: Option<u64>,
 }
 
 impl SpanGuard {
+    /// Attaches the layer's work count to the span.
+    pub fn set_count(&mut self, count: u64) {
+        self.count = Some(count);
+    }
+
     /// The id of this span, usable as a parent for externally-timed spans.
     pub fn id(&self) -> u32 {
         self.id
@@ -147,6 +159,7 @@ impl Drop for SpanGuard {
             name: std::mem::take(&mut self.name),
             start_ns: self.start_ns,
             dur_ns: end.saturating_sub(self.start_ns),
+            count: self.count,
         });
     }
 }

@@ -218,7 +218,11 @@ fn read_corpus_stream(pool: &BufferPool, first: PageId, len: u64) -> io::Result<
         }
         let mut kws = Vec::with_capacity(k as usize);
         for _ in 0..k {
-            kws.push(r.read_u32()?);
+            let kw = r.read_u32()?;
+            if kw > yask_index::MAX_KEYWORD {
+                return Err(corrupt(format!("checkpoint: implausible keyword id {kw}")));
+            }
+            kws.push(kw);
         }
         let id = b.push(Point::new(x, y), KeywordSet::from_raw(kws), name);
         if !live {
@@ -363,5 +367,17 @@ mod tests {
         let offset = 40 + 1 + 8 + 8 + 4 + name_len;
         let err = load_with_stomped_corpus_word("keywords.ckpt", offset, 4, 0xFF << 24);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn rotted_keyword_id_is_invalid_data() {
+        // Slot 0's first keyword id, right after its keyword count: a
+        // corrupt id must not size the posting directory.
+        let o = corpus_with_tombstones(10).get(ObjectId(0)).clone();
+        assert!(!o.doc.is_empty(), "fixture object has keywords");
+        let offset = 40 + 1 + 8 + 8 + 4 + o.name.len() + 4;
+        let err = load_with_stomped_corpus_word("keyword-id.ckpt", offset, 4, 0xFF << 24);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("keyword id"), "{err}");
     }
 }

@@ -18,12 +18,13 @@
 //! [`PagedStats`] counts it: decoded-chunk hits, faults and evictions,
 //! what a query actually pays, plus the run bytes the file holds.
 //!
-//! The encoding is exact: keyword-count summaries round-trip
-//! bit-identically via [`KcAug::encode`] / [`KcAug::decode`] and MBR
-//! coordinates via `f64` bit patterns, so a paged
-//! tree answers every query byte-identically to its resident original
-//! (property-tested by the out-of-core oracle suite). The run file is
-//! private to one process, so its format carries no version.
+//! A chunk's run holds, per node, its MBR and its entries — a node has
+//! no keyword summary, so neither has the run. The encoding is exact: MBR
+//! coordinates round-trip via `f64` bit patterns and entries as `u32`
+//! ids, so a paged tree answers every query byte-identically to its
+//! resident original (property-tested by the out-of-core oracle suite).
+//! The run file is private to one process, so its format carries no
+//! version.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -32,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use yask_index::{KcAug, Node, NodeChunk, NodeKind, NodeSource, RTree, RTreeParams};
+use yask_index::{Node, NodeChunk, NodeKind, NodeSource, RTree, RTreeParams};
 use yask_geo::{Point, Rect};
 use yask_index::{NodeId, ObjectId};
 
@@ -239,18 +240,6 @@ fn encode_chunk(nodes: &[Node], out: &mut Vec<u8>) {
         for v in [n.mbr.lo.x, n.mbr.lo.y, n.mbr.hi.x, n.mbr.hi.y] {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        match n.aug_opt() {
-            None => out.push(0),
-            Some(a) => {
-                out.push(1);
-                // The augmentation's length prefix, patched once encoded.
-                let at = out.len();
-                put_u32(out, 0);
-                a.encode(out);
-                let len = (out.len() - at - 4) as u32;
-                out[at..at + 4].copy_from_slice(&len.to_le_bytes());
-            }
-        }
         match &n.kind {
             NodeKind::Leaf(entries) => {
                 out.push(KIND_LEAF);
@@ -308,25 +297,6 @@ fn decode_chunk(mut buf: &[u8]) -> io::Result<NodeChunk> {
         let lo = Point { x: take_f64(buf)?, y: take_f64(buf)? };
         let hi = Point { x: take_f64(buf)?, y: take_f64(buf)? };
         let mbr = Rect { lo, hi };
-        let aug = match take::<1>(buf)?[0] {
-            0 => None,
-            1 => {
-                let len = take_u32(buf)? as usize;
-                if len > 1 << 24 {
-                    return Err(corrupt(format!("implausible augmentation length {len}")));
-                }
-                let (mut aug, rest) =
-                    buf.split_at_checked(len).ok_or_else(|| corrupt("run ends mid-augmentation"))?;
-                *buf = rest;
-                let a = KcAug::decode(&mut aug)
-                    .ok_or_else(|| corrupt("augmentation failed to decode"))?;
-                if !aug.is_empty() {
-                    return Err(corrupt("augmentation decode left trailing bytes"));
-                }
-                Some(a)
-            }
-            t => return Err(corrupt(format!("bad augmentation presence tag {t}"))),
-        };
         let tag = take::<1>(buf)?[0];
         let n = take_u32(buf)? as usize;
         if n > RTreeParams::MAX_FANOUT {
@@ -337,7 +307,7 @@ fn decode_chunk(mut buf: &[u8]) -> io::Result<NodeChunk> {
             KIND_INTERNAL => NodeKind::Internal(take_ids(buf, n, NodeId)?),
             t => return Err(corrupt(format!("bad node kind tag {t}"))),
         };
-        nodes.push(Node::from_parts(mbr, aug, kind));
+        nodes.push(Node { mbr, kind });
     }
     if !buf.is_empty() {
         return Err(corrupt("trailing bytes after the chunk"));
@@ -464,13 +434,12 @@ mod tests {
     #[test]
     fn decode_rejects_an_entry_count_above_the_fan_out_bound() {
         let ids = (0..3).map(ObjectId).collect();
-        let node = Node::from_parts(Rect::EMPTY, None, NodeKind::Leaf(ids));
+        let node = Node { mbr: Rect::EMPTY, kind: NodeKind::Leaf(ids) };
         let mut bytes = Vec::new();
         encode_chunk(&[node], &mut bytes);
         assert_eq!(decode_chunk(&bytes).unwrap().nodes()[0].entries().len(), 3);
-        // node count, MBR, absent-augmentation tag, kind tag — then the
-        // entry count's low byte.
-        let count_at = 4 + 32 + 1 + 1;
+        // node count, MBR, kind tag — then the entry count's low byte.
+        let count_at = 4 + 32 + 1;
         assert_eq!(bytes[count_at], 3);
         bytes[count_at] = RTreeParams::MAX_FANOUT as u8 + 1;
         let err = decode_chunk(&bytes).unwrap_err();

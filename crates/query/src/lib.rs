@@ -12,15 +12,17 @@
 //!
 //! * [`Query`] / [`Weights`] — query parameters with the paper's
 //!   `ws + wt = 1` invariant,
-//! * [`ScoreParams`] — the scoring function plus node-level upper/lower
-//!   bounds from a KcR-tree node's keyword counts,
-//! * [`topk`] — the best-first priority-queue algorithm of §3.3, with
-//!   traversal statistics and an optional weaker bound view; the same
-//!   loop serves the sharded executor under a [`SharedBound`] and a
-//!   deadline,
+//! * [`ScoreParams`] — the scoring function plus the distance-only node
+//!   bound the served search descends on,
+//! * [`topk`] — the served top-k: the objects on the query keywords'
+//!   posting lists, scored exactly, plus a keyword-free k-NN by the one
+//!   best-first loop of §3.3, which the sharded executor runs per shard
+//!   under a [`SharedBound`] and a deadline,
+//! * [`view`] — experiment E5's bound views: the same loop under the
+//!   KcR-tree's keyword bounds, read off an on-demand side table,
 //! * [`bound`] — the [`SharedBound`] score certificate searches prune
 //!   against,
-//! * [`range`] — the viewport (range + keyword filter) query,
+//! * [`range`] — the viewport (range + posting-list filter) query,
 //! * [`scan`] — the exact linear-scan baseline and rank oracles.
 //!
 //! Ranking is a *total* order: score descending, object id ascending on
@@ -36,6 +38,7 @@ pub mod range;
 pub mod scan;
 pub mod score;
 pub mod topk;
+pub mod view;
 
 pub use bound::SharedBound;
 pub use query::{Query, Weights};
@@ -43,5 +46,7 @@ pub use range::{range_keyword_scan, range_keyword_tree, MatchMode};
 pub use scan::{rank_of_scan, ranks_of_scan, topk_scan};
 pub use score::{RankedObject, ScoreParams};
 pub use topk::{
-    topk_tree, topk_tree_bounded, topk_tree_with_stats, topk_tree_with_view, TraversalStats,
+    knn_bounded, merge_hybrid, merge_topk, postings_bound, topk_postings, topk_tree,
+    topk_tree_bounded, topk_tree_with_stats, TraversalStats,
 };
+pub use view::topk_tree_with_view;

@@ -3,8 +3,10 @@
 //! "All objects inside this map viewport that mention *harbour*" — the
 //! workhorse query behind the demo's map panel (grey/green markers in a
 //! viewport). Objects inside a rectangle whose keyword sets match the
-//! query keywords under a [`MatchMode`], pruned by both the MBRs and the
-//! nodes' keyword counts.
+//! query keywords under a [`MatchMode`]: the tree is descended by MBR,
+//! and each leaf entry inside the rectangle is checked against its own
+//! keyword set, so the cost follows the rectangle, not the length of
+//! the query keywords' posting lists.
 
 use yask_geo::Rect;
 use yask_index::{Corpus, NodeKind, ObjectId, RTree};
@@ -42,9 +44,9 @@ fn matches(query: &KeywordSet, doc: &KeywordSet, mode: MatchMode) -> bool {
     }
 }
 
-/// Index-backed spatio-textual range query: descends only subtrees whose
-/// MBR intersects `rect` *and* whose keyword summary can still satisfy
-/// the match mode.
+/// Index-backed spatio-textual range query: descends the subtrees whose
+/// MBR intersects `rect` and keeps the leaf entries inside `rect` whose
+/// keywords match `doc` under `mode`.
 pub fn range_keyword_tree(
     tree: &RTree,
     rect: &Rect,
@@ -59,14 +61,6 @@ pub fn range_keyword_tree(
     while let Some(nid) = stack.pop() {
         let node = tree.node(nid);
         if !node.mbr.intersects(rect) {
-            continue;
-        }
-        let stats = node.aug().text_stats(doc);
-        let viable = match mode {
-            MatchMode::Any => stats.max_inter > 0,
-            MatchMode::All => stats.max_inter == doc.len(),
-        };
-        if !viable {
             continue;
         }
         match &node.kind {

@@ -17,13 +17,7 @@ pub fn topk_scan(corpus: &Corpus, params: &ScoreParams, q: &Query) -> Vec<Ranked
     for o in corpus.iter() {
         heap.push(params.score(o, q), o.id);
     }
-    heap.into_sorted_vec()
-        .into_iter()
-        .map(|s| RankedObject {
-            id: s.item,
-            score: s.score.get(),
-        })
-        .collect()
+    crate::score::ranked(heap)
 }
 
 /// The exact rank of `target` under `q` (1-based; rank 1 = best), over the

@@ -1,8 +1,9 @@
-//! The ranking function `ST` (Eqn 1) and its node-level bounds.
+//! The ranking function `ST` (Eqn 1) and the served node bound.
 
 use yask_geo::{Rect, Space};
-use yask_index::{ObjectId, SpatioTextualObject, TextStats};
+use yask_index::{ObjectId, SpatioTextualObject};
 use yask_text::{KeywordSet, SimilarityModel};
+use yask_util::TopK;
 
 use crate::query::Query;
 
@@ -75,15 +76,15 @@ impl ScoreParams {
         q.weights.ws() * a + q.weights.wt() * b
     }
 
-    /// Upper bound of `ST(o, q)` over all objects `o` inside a node with
-    /// rectangle `mbr` whose keywords have [`TextStats`] `text` against
-    /// the query's — the form a search that bounds through a weaker view
-    /// of the summary (e.g. [`TextStats::without_intersection`]) calls.
+    /// Upper bound of the keyword-free score `ws·(1 − SDist(o, q)) +
+    /// wt·0` over all objects `o` inside a node with rectangle `mbr` —
+    /// the k-NN half of the served top-k bounds its nodes with this and
+    /// nothing else. For an object sharing no query keyword it bounds
+    /// `ST(o, q)` itself.
     #[inline]
-    pub(crate) fn stats_upper(&self, mbr: &Rect, text: TextStats, q: &Query) -> f64 {
+    pub fn spatial_upper(&self, mbr: &Rect, q: &Query) -> f64 {
         let a = 1.0 - self.space.sdist_min(&q.loc, mbr);
-        let b = text.upper(self.model);
-        q.weights.ws() * a + q.weights.wt() * b
+        q.weights.ws() * a + q.weights.wt() * 0.0
     }
 
     /// True when object `x` ranks strictly better than object `y` under
@@ -94,11 +95,22 @@ impl ScoreParams {
     }
 }
 
+/// A [`TopK`] of object ids, drained best first into result entries.
+pub(crate) fn ranked(top: TopK<ObjectId>) -> Vec<RankedObject> {
+    top.into_sorted_vec()
+        .into_iter()
+        .map(|s| RankedObject {
+            id: s.item,
+            score: s.score.get(),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use yask_geo::Point;
-    use yask_index::{CorpusBuilder, KcAug};
+    use yask_index::CorpusBuilder;
 
     fn ks(ids: &[u32]) -> KeywordSet {
         KeywordSet::from_raw(ids.iter().copied())
@@ -155,19 +167,22 @@ mod tests {
     }
 
     #[test]
-    fn node_bounds_bracket_member_scores() {
+    fn spatial_bound_brackets_keyword_free_scores() {
         let (corpus, params) = fixture();
         let q = Query::new(Point::new(0.2, 0.1), ks(&[1, 9]), 1);
-        let objs: Vec<&yask_index::SpatioTextualObject> = corpus.iter().collect();
-        let aug = KcAug::for_leaf(&objs);
+        let free = q.with_doc(KeywordSet::empty());
         let mut mbr = Rect::EMPTY;
-        for o in &objs {
+        for o in corpus.iter() {
             mbr.expand(&Rect::point(o.loc));
         }
-        let ub = params.stats_upper(&mbr, aug.text_stats(&q.doc), &q);
-        for o in &objs {
-            let s = params.score(o, &q);
-            assert!(s <= ub + 1e-12, "{s} > {ub}");
+        let ub = params.spatial_upper(&mbr, &q);
+        for o in corpus.iter() {
+            assert!(params.score(o, &free) <= ub, "{o:?}");
+            // The keyword-free score is the true score of an object
+            // sharing no query keyword, bit for bit.
+            if o.doc.intersection_size(&q.doc) == 0 {
+                assert_eq!(params.score(o, &free).to_bits(), params.score(o, &q).to_bits());
+            }
         }
     }
 

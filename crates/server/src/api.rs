@@ -125,7 +125,9 @@ pub struct YaskService {
     exec: Executor,
     ingest: Ingestor,
     coalescer: WriteCoalescer,
-    sessions: SessionStore<CorpusPin>,
+    sessions: SessionStore<SessionPin>,
+    /// Grown by writes only: a read looks its words up (see
+    /// [`YaskService::lookup_keywords`]).
     vocab: Arc<Mutex<Vocabulary>>,
     /// Sidecar the vocabulary is snapshotted to before every durable
     /// write batch. The WAL records keyword *ids*, which are
@@ -160,9 +162,21 @@ type ApiResult = Result<Json, (u16, String)>;
 /// cached answer from (flagged `degraded: true`).
 const DEGRADED_LOOKBACK: u64 = 4;
 
+/// What a session pins: the corpus version its query ran on, plus the
+/// query's words the vocabulary did not know — a read gives the i-th
+/// distinct one the id `u32::MAX - i` ([`YaskService::lookup_keywords`]),
+/// and a keyword refinement that keeps one renders it back from here.
+struct SessionPin {
+    version: CorpusPin,
+    unknown: Box<[String]>,
+}
+
+/// A read's keyword set and the words of it the vocabulary did not know.
+type ReadKeywords = (KeywordSet, Box<[String]>);
+
 /// A resolved why-not request: its session (pinning the corpus version
 /// to answer over) and the missing-object ids.
-type WhyNotTarget = (Arc<Session<CorpusPin>>, Vec<ObjectId>);
+type WhyNotTarget = (Arc<Session<SessionPin>>, Vec<ObjectId>);
 
 /// Handle to a background session-eviction thread; dropping it stops the
 /// sweeper and joins the thread.
@@ -540,7 +554,7 @@ impl YaskService {
         // published one.
         let (sessions_live, sessions_pinned) = self
             .sessions
-            .len_and_count_where(|session| session.pin.epoch() < exec.epoch);
+            .len_and_count_where(|session| session.pin.version.epoch() < exec.epoch);
         Observed {
             dataset: None,
             corpus_slots: corpus.slot_count(),
@@ -694,9 +708,12 @@ impl YaskService {
         let s = self.exec.stats();
         let w = &s.workload;
         let vocab = self.vocab.lock();
+        // A read's unknown words carry ids past the vocabulary: no word
+        // to show for them.
         let hot: Vec<Json> = w
             .hot_keywords
             .iter()
+            .filter(|&&(id, _)| (id as usize) < vocab.len())
             .map(|&(id, count)| {
                 Json::obj([
                     ("keyword", Json::str(vocab.resolve(KeywordId(id)))),
@@ -744,17 +761,51 @@ impl YaskService {
         ]))
     }
 
-    /// Interns a JSON keyword array into a [`KeywordSet`].
-    fn intern_keywords(&self, words: &[Json]) -> Result<KeywordSet, (u16, String)> {
-        let mut vocab = self.vocab.lock();
+    /// Maps a read's JSON keyword array onto keyword ids without growing
+    /// the vocabulary: a known word keeps its id, and the i-th distinct
+    /// unknown word gets `u32::MAX - i`. No object carries such an id (the
+    /// vocabulary interns upwards from 0), so the word matches nothing,
+    /// and `|q|` — every Jaccard denominator — is what interning would
+    /// have given. Returns the unknown words in id order.
+    fn lookup_keywords(&self, words: &[Json]) -> Result<ReadKeywords, (u16, String)> {
+        let vocab = self.vocab.lock();
+        let mut unknown: Vec<String> = Vec::new();
+        let mut position: std::collections::HashMap<String, u32> = std::collections::HashMap::new();
         let ids = words
             .iter()
             .map(|w| {
-                w.as_str()
-                    .map(|s| vocab.intern(&s.to_lowercase()))
-                    .ok_or_else(|| (400, "keywords must be strings".to_owned()))
+                let word = w
+                    .as_str()
+                    .ok_or_else(|| (400, "keywords must be strings".to_owned()))?
+                    .to_lowercase();
+                Ok(vocab.lookup(&word).unwrap_or_else(|| {
+                    let next = u32::try_from(unknown.len()).expect("a body holds fewer words than u32::MAX");
+                    let i = *position.entry(word).or_insert_with_key(|word| {
+                        unknown.push(word.clone());
+                        next
+                    });
+                    KeywordId(u32::MAX - i)
+                }))
             })
             .collect::<Result<Vec<_>, _>>()?;
+        Ok((KeywordSet::from_ids(ids), unknown.into()))
+    }
+
+    /// Interns a write's JSON keyword array into a [`KeywordSet`]. A new
+    /// word is refused, and nothing interned, once the vocabulary holds
+    /// every id a corpus indexes (up to [`yask_index::MAX_KEYWORD`]).
+    fn intern_keywords(&self, words: &[Json]) -> Result<KeywordSet, (u16, String)> {
+        let words = words
+            .iter()
+            .map(|w| w.as_str().map(str::to_lowercase))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| (400, "keywords must be strings".to_owned()))?;
+        let mut vocab = self.vocab.lock();
+        let new = words.iter().filter(|w| vocab.lookup(w).is_none()).count();
+        if vocab.len() + new > yask_index::MAX_KEYWORD as usize + 1 {
+            return Err((400, format!("the vocabulary is full at {} words", vocab.len())));
+        }
+        let ids: Vec<_> = words.iter().map(|w| vocab.intern(w)).collect();
         Ok(KeywordSet::from_ids(ids))
     }
 
@@ -787,7 +838,7 @@ impl YaskService {
             .get("keywords")
             .and_then(Json::as_array)
             .ok_or_else(|| (400, "field 'keywords' must be an array".to_owned()))?;
-        let doc = self.intern_keywords(words)?;
+        let (doc, unknown) = self.lookup_keywords(words)?;
 
         let query = Query::new(Point::new(x, y), doc, k);
         // Pin the engine epoch the query runs against. The session keeps
@@ -829,7 +880,8 @@ impl YaskService {
                     self.admission.count_degraded_answer();
                 }
                 let rendered = render_results(handle.corpus(), &results);
-                let session = self.sessions.create(query, handle.version());
+                let pin = SessionPin { version: handle.version(), unknown };
+                let session = self.sessions.create(query, pin);
                 return Ok(Json::obj([
                     ("session", Json::Num(session.0 as f64)),
                     ("degraded", Json::Bool(age > 0)),
@@ -851,7 +903,7 @@ impl YaskService {
         }
         let complete = out.complete;
         let rendered = render_results(handle.corpus(), &out.results);
-        let session = self.sessions.create(query, handle.version());
+        let session = self.sessions.create(query, SessionPin { version: handle.version(), unknown });
         Ok(Json::obj([
             ("session", Json::Num(session.0 as f64)),
             ("degraded", Json::Bool(!complete)),
@@ -875,7 +927,7 @@ impl YaskService {
         deadline: Option<Deadline>,
     ) -> ApiResult {
         let (session, missing) = self.session_and_missing(body)?;
-        let pin = &session.pin;
+        let pin = &session.pin.version;
         let lambda = match kind {
             WhyNotKind::Explain => 0.0,
             _ => optional_lambda(body, self.exec.config().yask.default_lambda)?,
@@ -916,7 +968,7 @@ impl YaskService {
                         "refined",
                         Json::obj([
                             ("k", Json::Num(r.query.k as f64)),
-                            ("keywords", self.words(&r.query.doc)),
+                            ("keywords", self.words(&r.query.doc, &session.pin.unknown)),
                         ]),
                     ),
                     ("penalty", Json::Num(r.penalty)),
@@ -935,7 +987,7 @@ impl YaskService {
                             ("k", Json::Num(r.query.k as f64)),
                             ("ws", Json::Num(r.query.weights.ws())),
                             ("wt", Json::Num(r.query.weights.wt())),
-                            ("keywords", self.words(&r.query.doc)),
+                            ("keywords", self.words(&r.query.doc, &session.pin.unknown)),
                         ]),
                     ),
                     ("penalty", Json::Num(r.penalty)),
@@ -951,10 +1003,18 @@ impl YaskService {
         Ok(Json::obj(fields))
     }
 
-    /// Resolves a refined keyword set back to its words.
-    fn words(&self, doc: &KeywordSet) -> Json {
+    /// Resolves a refined keyword set back to its words: the
+    /// vocabulary's, or the session query's unknown word with that id.
+    fn words(&self, doc: &KeywordSet, unknown: &[String]) -> Json {
         let vocab = self.vocab.lock();
-        Json::Arr(doc.iter().map(|id| Json::str(vocab.resolve(id))).collect())
+        let word = |id: KeywordId| {
+            if id.index() < vocab.len() {
+                vocab.resolve(id)
+            } else {
+                unknown.get((u32::MAX - id.0) as usize).map_or("", String::as_str)
+            }
+        };
+        Json::Arr(doc.iter().map(|id| Json::str(word(id))).collect())
     }
 
     /// The map panel's object listing: all objects in a rectangle,
@@ -976,7 +1036,7 @@ impl YaskService {
             .get("keywords")
             .and_then(Json::as_array)
             .unwrap_or(&[]);
-        let doc = self.intern_keywords(words)?;
+        let (doc, _) = self.lookup_keywords(words)?;
         let rect = yask_geo::Rect::from_coords(x0, y0, x1, y1);
         let found = self.exec.viewport(&rect, &doc, mode);
         let corpus = self.exec.corpus();
@@ -1141,7 +1201,7 @@ impl YaskService {
             .get("missing")
             .and_then(Json::as_array)
             .ok_or_else(|| (400, "field 'missing' must be an array".to_owned()))?;
-        let corpus = session.pin.corpus();
+        let corpus = session.pin.version.corpus();
         let mut missing = Vec::with_capacity(raw.len());
         for item in raw {
             let id = match item {
@@ -1281,6 +1341,7 @@ fn ingest_status(e: IngestError) -> (u16, String) {
     let status = match &e {
         IngestError::EmptyBatch
         | IngestError::NonFiniteLocation
+        | IngestError::KeywordOutOfRange(_)
         | IngestError::DuplicateDelete(_) => 400,
         IngestError::UnknownObject(_) => 404,
         IngestError::DeadObject(_) => 410,
@@ -1326,7 +1387,8 @@ fn render_route_windows(rw: &RouteWindows) -> Json {
 
 /// Renders a finished trace as `{label, total_us, spans}` with each span
 /// carrying its id and parent id (`null` for roots) so clients can
-/// rebuild the tree.
+/// rebuild the tree, plus the work `count` of a span whose layer reports
+/// one (top-k's `postings` and `scatter` spans).
 fn render_trace(t: &FinishedTrace) -> Json {
     Json::obj([
         ("label", Json::str(t.label.clone())),
@@ -1337,6 +1399,7 @@ fn render_trace(t: &FinishedTrace) -> Json {
                 t.spans
                     .iter()
                     .map(|s| {
+                        let count = s.count.map(|n| ("count", Json::Num(n as f64)));
                         Json::obj([
                             ("id", Json::Num(s.id as f64)),
                             (
@@ -1350,7 +1413,9 @@ fn render_trace(t: &FinishedTrace) -> Json {
                             ("name", Json::str(s.name.clone())),
                             ("start_us", Json::Num(s.start_ns as f64 / 1_000.0)),
                             ("dur_us", Json::Num(s.dur_ns as f64 / 1_000.0)),
-                        ])
+                        ]
+                        .into_iter()
+                        .chain(count))
                     })
                     .collect(),
             ),
@@ -2225,6 +2290,151 @@ mod tests {
         assert_eq!(status, 400);
     }
 
+    /// Reads look words up and never intern: ten thousand distinct
+    /// unknown words through `/query` (and more through `/viewport`)
+    /// leave the vocabulary and its `.vocab` sidecar byte-identical.
+    #[test]
+    fn reads_never_grow_the_vocabulary() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("yask-api-vocab-{}.wal", std::process::id()));
+        let sidecar = std::path::PathBuf::from(format!("{}.vocab", path.display()));
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&sidecar).ok();
+        let config = ServiceConfig {
+            exec: ExecConfig { shards: 2, ..ExecConfig::default() },
+            ..ServiceConfig::default()
+        };
+        let (corpus, vocab) = yask_data::hk_hotels();
+        let s = YaskService::with_wal(corpus, vocab, config, &path).unwrap();
+        // A write with a new word writes the sidecar.
+        let insert = Json::obj([
+            ("x", Json::Num(114.2)),
+            ("y", Json::Num(22.3)),
+            ("keywords", Json::Arr(vec![Json::str("skyloungeterrace")])),
+        ]);
+        assert_eq!(post(&s, "/objects", insert).0, 200);
+        let words_before = s.vocab.lock().len();
+        let sidecar_before = std::fs::read(&sidecar).unwrap();
+        for q in 0..1_000 {
+            let words: Vec<Json> = (0..10).map(|w| Json::str(format!("unheard{q}x{w}"))).collect();
+            let body = Json::obj([
+                ("x", Json::Num(114.17)),
+                ("y", Json::Num(22.30)),
+                ("keywords", Json::Arr(words.clone())),
+                ("k", Json::Num(3.0)),
+            ]);
+            assert_eq!(post(&s, "/query", body).0, 200);
+            if q % 100 == 0 {
+                let viewport = Json::obj([
+                    ("x0", Json::Num(114.0)),
+                    ("y0", Json::Num(22.0)),
+                    ("x1", Json::Num(114.5)),
+                    ("y1", Json::Num(22.5)),
+                    ("mode", Json::str("any")),
+                    ("keywords", Json::Arr(words)),
+                ]);
+                let (status, body) = post(&s, "/viewport", viewport);
+                assert_eq!(status, 200);
+                assert!(body.get("objects").unwrap().as_array().unwrap().is_empty());
+            }
+        }
+        // A write that interns nothing new leaves the sidecar alone too.
+        let insert = Json::obj([
+            ("x", Json::Num(114.3)),
+            ("y", Json::Num(22.3)),
+            ("keywords", Json::Arr(vec![Json::str("skyloungeterrace")])),
+        ]);
+        assert_eq!(post(&s, "/objects", insert).0, 200);
+        assert_eq!(s.vocab.lock().len(), words_before);
+        assert_eq!(std::fs::read(&sidecar).unwrap(), sidecar_before);
+        drop(s);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&sidecar).ok();
+        std::fs::remove_file(yask_ingest::checkpoint_path(&path)).ok();
+    }
+
+    /// A session whose query has a word the vocabulary does not know
+    /// answers all four why-not modules, and a refinement that keeps the
+    /// word renders it back.
+    #[test]
+    fn a_session_with_an_unknown_word_answers_every_module() {
+        let s = service();
+        let (status, body) = post(
+            &s,
+            "/query",
+            Json::obj([
+                ("x", Json::Num(114.172)),
+                ("y", Json::Num(22.297)),
+                ("keywords", Json::Arr(vec![Json::str("clean"), Json::str("Zeppelin")])),
+                ("k", Json::Num(3.0)),
+            ]),
+        );
+        assert_eq!(status, 200, "{body}");
+        let session = body.get("session").unwrap().as_f64().unwrap();
+        let shown: Vec<String> = body
+            .get("results")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|r| r.get("name").unwrap().as_str().unwrap().to_owned())
+            .collect();
+        let missing = s.corpus().iter().map(|o| o.name.clone()).find(|n| !shown.contains(n)).unwrap();
+        for path in ["/whynot/explain", "/whynot/preference", "/whynot/keywords", "/whynot/combined"] {
+            let (status, body) = post(
+                &s,
+                path,
+                Json::obj([
+                    ("session", Json::Num(session)),
+                    ("missing", Json::Arr(vec![Json::str(missing.clone())])),
+                ]),
+            );
+            assert_eq!(status, 200, "{path}: {body}");
+            if let Some(words) = body.get("refined").and_then(|r| r.get("keywords")) {
+                for w in words.as_array().unwrap() {
+                    let w = w.as_str().unwrap();
+                    assert!(w == "zeppelin" || s.vocab.lock().lookup(w).is_some(), "{path}: {w:?}");
+                }
+            }
+        }
+        assert!(s.vocab.lock().lookup("zeppelin").is_none());
+    }
+
+    /// `?trace=1` on a computed top-k shows which half did the work: the
+    /// `postings` span counts the objects scored off the posting lists,
+    /// the `scatter` span the k-NN nodes expanded, and both counters sit
+    /// on `/stats`.
+    #[test]
+    fn topk_trace_counts_both_halves() {
+        let s = service();
+        let (status, body) = post_q(
+            &s,
+            "/query",
+            "trace=1",
+            Json::obj([
+                ("x", Json::Num(114.15)),
+                ("y", Json::Num(22.28)),
+                ("keywords", Json::Arr(vec![Json::str("clean")])),
+                ("k", Json::Num(2.0)),
+            ]),
+        );
+        assert_eq!(status, 200, "{body}");
+        let spans = body.get("trace").unwrap().get("spans").unwrap().as_array().unwrap();
+        let count = |name: &str| {
+            spans
+                .iter()
+                .find(|sp| sp.get("name").unwrap().as_str() == Some(name))
+                .and_then(|sp| sp.get("count"))
+                .and_then(Json::as_f64)
+        };
+        let (_, stats) = get(&s, "/stats");
+        let exec = stats.get("exec").unwrap();
+        let postings = exec.get("postings_scored").unwrap().as_f64().unwrap();
+        assert!(postings > 0.0);
+        assert_eq!(count("postings"), Some(postings));
+        assert_eq!(count("scatter"), exec.get("knn_nodes_expanded").unwrap().as_f64());
+    }
+
     #[test]
     fn wal_backed_service_survives_restart() {
         let mut path = std::env::temp_dir();
@@ -2237,9 +2447,10 @@ mod tests {
         {
             let (corpus, vocab) = yask_data::hk_hotels();
             let s = YaskService::with_wal(corpus, vocab, config, &path).unwrap();
-            // A query interns a brand-new word *before* the insert does:
-            // without the vocabulary snapshot the replayed insert would
-            // rebind to whatever id the post-restart intern order assigns.
+            // A query of a brand-new word interns nothing; the insert's
+            // word is interned, and without the vocabulary snapshot the
+            // replayed insert would rebind to whatever id the
+            // post-restart intern order assigns.
             let (status, _) = post(
                 &s,
                 "/query",

@@ -192,6 +192,7 @@ fn is_rejection(e: &IngestError) -> bool {
             | IngestError::DeadObject(_)
             | IngestError::DuplicateDelete(_)
             | IngestError::NonFiniteLocation
+            | IngestError::KeywordOutOfRange(_)
     )
 }
 

@@ -157,6 +157,8 @@ pub(crate) fn describe(o: &Observed) -> Samples {
     s.counter("exec.queries", "yask_queries_total", "Top-k queries computed (cache hits excluded)", e.queries);
     s.counter("exec.scatter_queries", "yask_scatter_queries_total", "Queries computed by scatter-gather across shards", e.scatter_queries);
     s.counter("exec.scan_fallbacks", "yask_scan_fallbacks_total", "Top-k answered by the exact scan because a shard reply went missing", e.scan_fallbacks);
+    s.counter("exec.postings_scored", "yask_postings_scored_total", "Objects top-k scored off the query keywords' posting lists", e.postings_scored);
+    s.counter("exec.knn_nodes_expanded", "yask_knn_nodes_expanded_total", "Tree nodes top-k's keyword-free k-NN expanded across shards", e.knn_nodes_expanded);
 
     // -- corpus / epochs
     s.gauge("exec.epoch", "yask_epoch", "Published corpus epoch", e.epoch as f64);
@@ -428,7 +430,9 @@ mod tests {
     /// observatory-on service after a query, an explain and an insert),
     /// plus the `sessions.evicted` block added since, less the shard
     /// pager's five `exec.pager.pool_*` paths (its buffer pool is gone)
-    /// and plus `exec.pager.disk_bytes`: 114 paths. Paths may be added,
+    /// and plus `exec.pager.disk_bytes` and the top-k's two halves'
+    /// work counters (`exec.postings_scored`, `exec.knn_nodes_expanded`):
+    /// 116 paths. Paths may be added,
     /// not removed or retyped, except with the mechanism they measured:
     /// yaskbench and dashboards read them.
     const GOLDEN_STATS: &[(&str, &str)] = &[
@@ -495,6 +499,8 @@ mod tests {
         ("exec.queue_saturated", "num"),
         ("exec.rebalances", "num"),
         ("exec.scan_fallbacks", "num"),
+        ("exec.postings_scored", "num"),
+        ("exec.knn_nodes_expanded", "num"),
         ("exec.scatter_queries", "num"),
         ("exec.shards", "num"),
         ("exec.tombstones", "num"),
@@ -549,9 +555,10 @@ mod tests {
     ];
 
     /// Every `/metrics` family with its type, label keys and help string,
-    /// captured from the same run, plus `yask_sessions_evicted_total` and
-    /// `yask_paged_disk_bytes`: 82 families. Additions allowed, changes
-    /// not.
+    /// captured from the same run, plus `yask_sessions_evicted_total`,
+    /// `yask_paged_disk_bytes`, `yask_postings_scored_total` and
+    /// `yask_knn_nodes_expanded_total`: 84 families. Additions allowed,
+    /// changes not.
     const GOLDEN_FAMILIES: &[(&str, &str, &[&str], &str)] = &[
         ("yask_build_info", "gauge", &["version"], "Build metadata carried as labels; the value is always 1"),
         ("yask_cache_entries", "gauge", &["cache"], "Live answer cache entries by cache"),
@@ -604,6 +611,8 @@ mod tests {
         ("yask_route_p99_seconds", "gauge", &["route", "window"], "Windowed p99 latency per route"),
         ("yask_route_rate", "gauge", &["route", "window"], "Windowed request rate per route (events per second)"),
         ("yask_scan_fallbacks_total", "counter", &[], "Top-k answered by the exact scan because a shard reply went missing"),
+        ("yask_postings_scored_total", "counter", &[], "Objects top-k scored off the query keywords' posting lists"),
+        ("yask_knn_nodes_expanded_total", "counter", &[], "Tree nodes top-k's keyword-free k-NN expanded across shards"),
         ("yask_scatter_queries_total", "counter", &[], "Queries computed by scatter-gather across shards"),
         ("yask_sessions_evicted_total", "counter", &["reason"], "Why-not sessions the store evicted, by reason"),
         ("yask_sessions_live", "gauge", &[], "Live why-not sessions"),
@@ -872,7 +881,7 @@ mod tests {
         assert_eq!(one_sided, declared);
 
         // (c) the golden surface is a subset of what is rendered.
-        assert_eq!((GOLDEN_STATS.len(), GOLDEN_FAMILIES.len()), (114, 82));
+        assert_eq!((GOLDEN_STATS.len(), GOLDEN_FAMILIES.len()), (116, 84));
         for (path, kind) in GOLDEN_STATS {
             let got = at(&stats, path).unwrap_or_else(|| panic!("/stats lost {path}"));
             assert_eq!(json_type(got), *kind, "/stats {path}");

@@ -1,8 +1,8 @@
 //! Keyword interning.
 //!
 //! All text handling above this module works on dense `u32` ids: set
-//! operations become integer-slice merges, and the KcR-tree keyword-count
-//! maps become small integer-keyed hash maps. The [`Vocabulary`] owns the
+//! operations become integer-slice merges, and the corpus's posting
+//! lists are indexed by id. The [`Vocabulary`] owns the
 //! bidirectional string mapping.
 
 use std::collections::HashMap;

@@ -101,10 +101,12 @@ fn main() {
     let (status, stats) = http_get_text(addr, "/stats").expect("scrape /stats");
     assert_eq!(status, 200);
     let stats = Json::parse(&stats).expect("parse /stats");
-    let pairs: [(&[&str], &str); 3] = [
+    let pairs: [(&[&str], &str); 5] = [
         (&["exec", "queries"], "yask_queries_total"),
         (&["exec", "topk_cache", "misses"], r#"yask_cache_misses_total{cache="topk"}"#),
         (&["sessions", "live"], "yask_sessions_live"),
+        (&["exec", "postings_scored"], "yask_postings_scored_total"),
+        (&["exec", "knn_nodes_expanded"], "yask_knn_nodes_expanded_total"),
     ];
     for (path, series) in pairs {
         let on_stats = path
@@ -117,7 +119,10 @@ fn main() {
         assert!(on_stats.is_some(), "/stats has no {path:?}");
         assert_eq!(on_stats, on_metrics, "/stats {path:?} != /metrics {series}");
     }
-    println!("GET /stats -> exec.queries, exec.topk_cache.misses, sessions.live match /metrics");
+    println!(
+        "GET /stats -> exec.queries, exec.topk_cache.misses, sessions.live, \
+         exec.postings_scored, exec.knn_nodes_expanded match /metrics"
+    );
 
     // Both requests ran with ambient tracing on, so the slow-query log
     // must hold their span trees.

@@ -7,8 +7,8 @@ use yask::prelude::*;
 
 fn main() {
     // 1. Load the demo dataset (the 539-hotel Hong Kong stand-in) and
-    //    build the engine: one KcR-tree serves both the top-k engine and
-    //    the why-not modules.
+    //    build the engine: one R-tree and the corpus's posting lists serve
+    //    the top-k engine; the why-not modules read the corpus.
     let (corpus, vocab) = yask::data::hk_hotels();
     let engine = Yask::with_defaults(corpus);
     println!("database: {} hotels", engine.corpus().len());

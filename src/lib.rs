@@ -3,8 +3,9 @@
 //! A from-scratch Rust reproduction of *“YASK: A Why-Not Question
 //! Answering Engine for Spatial Keyword Query Services”* (Chen, Xu,
 //! Jensen, Li — PVLDB 9(13), VLDB 2016), including every substrate the
-//! system depends on: the KcR-tree index (whose keyword counts also give
-//! the SetR-tree's bounds), the spatial keyword top-k engine, the two why-not
+//! system depends on: the index (keyword posting lists and an R-tree; the
+//! KcR-tree's keyword counts, which also give the SetR-tree's bounds, as
+//! an on-demand side table), the spatial keyword top-k engine, the two why-not
 //! refinement models (preference adjustment and keyword adaptation), the
 //! explanation generator, a disk pager, and the browser–server web
 //! service.
@@ -55,7 +56,7 @@ pub use yask_geo as geo;
 /// Text substrate (vocabulary, keyword sets, similarity models).
 pub use yask_text as text;
 
-/// The KcR-tree index (one R-tree with keyword-count node summaries).
+/// The index (the corpus with its keyword posting lists, and one R-tree).
 pub use yask_index as index;
 
 /// Disk substrate (page file, buffer pool, checkpoints, paged node arena).

@@ -4,7 +4,7 @@
 
 use yask::core::{refine_keywords_naive, refine_preference_naive};
 use yask::data::{gen_queries, pick_missing, SynthConfig};
-use yask::index::{RTree, RTreeParams, TextStats};
+use yask::index::{KcAug, RTree, RTreeParams, TextStats};
 use yask::prelude::*;
 use yask::query::{topk_scan, topk_tree, topk_tree_with_view};
 
@@ -26,6 +26,7 @@ fn engines_agree_on_synthetic_workload() {
     let params = ScoreParams::new(corpus.space());
     let tp = RTreeParams::new(16, 6);
     let tree = RTree::bulk_load(corpus.clone(), tp);
+    let table = KcAug::side_table(&tree);
     let ids = |res: Vec<RankedObject>| res.iter().map(|r| r.id).collect::<Vec<ObjectId>>();
     for q in gen_queries(&corpus, 25, 3, 10, 2) {
         let want = ids(topk_scan(&corpus, &params, &q));
@@ -33,7 +34,7 @@ fn engines_agree_on_synthetic_workload() {
             ("setr view", ids(topk_tree(&tree, &params, &q))),
             (
                 "ir view",
-                ids(topk_tree_with_view(&tree, &params, &q, TextStats::without_intersection).0),
+                ids(topk_tree_with_view(&tree, &params, &q, &table, TextStats::without_intersection).0),
             ),
         ] {
             assert_eq!(got, want, "{name} diverged on {q:?}");

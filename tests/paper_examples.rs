@@ -37,19 +37,23 @@ fn fig2_kcr_tree_example() {
     tree.validate().unwrap();
     assert_eq!(tree.height(), 2, "one root over two leaves");
 
-    let root = tree.node(tree.root().unwrap());
-    let r3 = root.aug();
+    // The tree stores no keyword counts: the KcR-tree's maps come off
+    // the side table built from its leaves.
+    let table = yask::index::KcAug::side_table(&tree);
+    let root_id = tree.root().unwrap();
+    let r3 = &table[root_id.index()];
     assert_eq!(r3.cnt(), 5);
     assert_eq!(r3.count(chinese.0), 2);
     assert_eq!(r3.count(spanish.0), 2);
     assert_eq!(r3.count(restaurant.0), 5);
 
+    let root = tree.node(root_id);
     let children = root.children();
     assert_eq!(children.len(), 2);
     let (mut r1, mut r2) = (None, None);
     for &c in children {
-        let node = tree.node(c);
-        match node.aug().cnt() {
+        let node = &table[c.index()];
+        match node.cnt() {
             3 => r1 = Some(node),
             2 => r2 = Some(node),
             n => panic!("unexpected leaf size {n}"),
@@ -57,12 +61,12 @@ fn fig2_kcr_tree_example() {
     }
     let r1 = r1.expect("R1 leaf");
     let r2 = r2.expect("R2 leaf");
-    assert_eq!(r1.aug().count(chinese.0), 2);
-    assert_eq!(r1.aug().count(restaurant.0), 3);
-    assert_eq!(r1.aug().count(spanish.0), 0);
-    assert_eq!(r2.aug().count(spanish.0), 2);
-    assert_eq!(r2.aug().count(restaurant.0), 2);
-    assert_eq!(r2.aug().count(chinese.0), 0);
+    assert_eq!(r1.count(chinese.0), 2);
+    assert_eq!(r1.count(restaurant.0), 3);
+    assert_eq!(r1.count(spanish.0), 0);
+    assert_eq!(r2.count(spanish.0), 2);
+    assert_eq!(r2.count(restaurant.0), 2);
+    assert_eq!(r2.count(chinese.0), 0);
 }
 
 /// Paper Example 1 (Bob): the missing Starbucks is revived by preference
