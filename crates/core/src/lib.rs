@@ -20,7 +20,8 @@
 //! Both refinements — and [`combined`], which chains them — read every
 //! rank off one request table ([`SegmentSet`]): one pass over the corpus
 //! under `q.loc` and the keyword universe `U = q.doc ∪ M.doc` records each
-//! object's spatial part and keyword signature, which fixes its score
+//! object's spatial part and keyword signature (read off `U`'s posting
+//! lists, not the documents), which fixes its score
 //! under any keywords inside `U` and any weights. No why-not module reads
 //! an index tree; the R-tree serves top-k alone.
 //!

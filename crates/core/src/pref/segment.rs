@@ -18,7 +18,7 @@
 //! keyword set a request meets — `q.doc`, and every candidate `doc′` of
 //! keyword adaptation — is a subset of the universe `U = q.doc ∪ M.doc`,
 //! and a set similarity reads only `|doc′ ∩ o.doc|`, `|doc′|` and
-//! `|o.doc|`. So one pass under `(q.loc, U)` that records each object's
+//! `|o.doc|`. So a table under `(q.loc, U)` that records each object's
 //! spatial part `a_o` and its *signature* `(o.doc ∩ U, |o.doc|)` fixes
 //! `b_o = TSim(o, doc′)` for every `doc′ ⊆ U` at once: objects with one
 //! signature share one `b`, read off a representative document.
@@ -26,6 +26,15 @@
 //! keywords inside `U` and any weights, and hands the preference sweep
 //! the segments of any such keyword set, all bit-identical to a corpus
 //! scan.
+//!
+//! The build reads `o.doc ∩ U` off `U`'s posting lists
+//! ([`Corpus::posting`]), not off the documents: the lists mark each
+//! listed slot's bits, then one id-ascending pass over the live objects
+//! computes `a_o` and keys each object by its bits and `|o.doc|` (the
+//! length sits in the document's slice pointer). Only a new signature's
+//! first member has its document read, to clone it as the group's
+//! representative — the keyword-first reading of an inverted index that
+//! QDR-Tree argues for (PAPERS.md).
 
 use yask_geo::Point;
 use yask_index::{Corpus, ObjectId};
@@ -134,34 +143,36 @@ pub struct SegmentSet {
 }
 
 impl SegmentSet {
-    /// One pass over the live objects of the corpus under location `loc`
-    /// and keyword universe `universe`: each object's spatial part, and
-    /// its signature found by an allocation-free merge of its document
-    /// against `universe` (a new signature allocates its key once).
+    /// The table of the live objects of the corpus under location `loc`
+    /// and keyword universe `universe`. Bit `j` of a slot's signature is
+    /// set by walking the posting list of `U`'s `j`-th keyword (built run
+    /// and appended tail), into a slot-indexed scratch array of
+    /// `⌈|U|/64⌉` words per slot; dead ids on the lists set bits nobody
+    /// reads. One id-ascending pass over the live objects then computes
+    /// each spatial part and groups the object by its bits and `|o.doc|`
+    /// — an object with no bit set goes to group 0 — so groups appear in
+    /// order of their first member's id. No document is read but the one
+    /// a new signature clones as its representative.
     pub fn build(corpus: &Corpus, params: &ScoreParams, loc: Point, universe: KeywordSet) -> Self {
         let u = universe.raw();
         // One bit per keyword of U, then |o.doc|: exact for any |U|.
         let words = u.len().div_ceil(64);
+        let mut bits = vec![0u64; corpus.slot_count() * words];
+        for (j, &kw) in u.iter().enumerate() {
+            for id in corpus.posting(kw).iter() {
+                bits[id.index() * words + j / 64] |= 1 << (j % 64);
+            }
+        }
         let mut key = vec![0u64; words + 1];
         let mut index: FxHashMap<Box<[u64]>, u32> = FxHashMap::default();
         let mut groups = vec![Group::new(KeywordSet::empty())];
-        // A 512-bit filter of U's keywords (by id mod 512) rules most
-        // objects out before the merge.
-        let mut filter = [0u64; 8];
-        for &k in u {
-            filter[(k as usize >> 6) & 7] |= 1 << (k & 63);
-        }
-        let may_touch = |doc: &[u32]| {
-            doc.iter()
-                .fold(0, |acc, &k| acc | filter[(k as usize >> 6) & 7] >> (k & 63))
-                & 1
-                != 0
-        };
         let mut ids = Vec::with_capacity(corpus.len());
         let mut sig = Vec::with_capacity(corpus.len());
         // Corpus iteration is id-ascending already; skip the sort.
         for (p, o) in corpus.iter().enumerate() {
-            let g = if may_touch(o.doc.raw()) && mark(&mut key[..words], o.doc.raw(), u) {
+            let slot = &bits[o.id.index() * words..][..words];
+            let g = if slot.iter().any(|&w| w != 0) {
+                key[..words].copy_from_slice(slot);
                 key[words] = o.doc.len() as u64;
                 match index.get(&key[..]) {
                     Some(&g) => g,
@@ -199,8 +210,9 @@ impl SegmentSet {
     }
 
     /// Number of live objects sharing a keyword with `U` — the objects
-    /// whose textual part depends on the candidate keywords.
-    pub(crate) fn touching(&self) -> usize {
+    /// whose textual part depends on the candidate keywords (the count of
+    /// an executor trace's `request_table` span).
+    pub fn touching(&self) -> usize {
         self.ids.len() - self.groups[0].pos.len()
     }
 
@@ -310,26 +322,6 @@ impl SegmentSet {
     pub fn index_of(&self, id: ObjectId) -> Option<usize> {
         self.ids.binary_search(&id).ok()
     }
-}
-
-/// Sets in `key` the bit of every position of `universe` whose keyword
-/// `doc` holds (both sorted), one word per 64 keywords of `universe`;
-/// true when there is any. The merge is branch-free, like
-/// `KeywordSet::intersection_size`.
-fn mark(key: &mut [u64], doc: &[u32], universe: &[u32]) -> bool {
-    let (mut i, mut any) = (0, 0u64);
-    for (word, chunk) in key.iter_mut().zip(universe.chunks(64)) {
-        let (mut j, mut bits) = (0, 0u64);
-        while i < doc.len() && j < chunk.len() {
-            let (x, y) = (doc[i], chunk[j]);
-            bits |= u64::from(x == y) << j;
-            i += usize::from(x <= y);
-            j += usize::from(y <= x);
-        }
-        *word = bits;
-        any |= bits;
-    }
-    any != 0
 }
 
 #[cfg(test)]
@@ -527,6 +519,57 @@ mod tests {
         assert_eq!(table.index_of(ObjectId(3)), None);
         assert_eq!(table.touching(), 4, "the odd ids but the tombstone");
         assert_eq!(table.segments(&KeywordSet::from_raw([1u32])).len(), 9);
+    }
+
+    #[test]
+    fn table_reads_list_tails_and_skips_dead_listed_slots() {
+        let mut rng = Xoshiro256::seed_from_u64(11);
+        let built = tie_corpus(&mut rng, 80, 6);
+        // Objects inserted after the build sit on the lists' tails.
+        let inserts: Vec<(Point, KeywordSet, String)> = (0..40)
+            .map(|i| {
+                let loc = Point::new(rng.below(5) as f64 / 4.0, rng.below(5) as f64 / 4.0);
+                let doc: Vec<u32> = (0..1 + rng.below(3)).map(|_| rng.below(6) as u32).collect();
+                (loc, KeywordSet::from_raw(doc), format!("t{i}"))
+            })
+            .collect();
+        let (grown, _) = built.with_updates(inserts, &[]);
+        // Keyword 9 is beyond every list; `u32::MAX − 1` is an id a read
+        // gives a word the vocabulary does not know.
+        let unknown = u32::MAX - 1;
+        let universe = KeywordSet::from_raw([1u32, 2, 4, 9, unknown]);
+        // Tombstone the first and last live holders of each of U's
+        // keywords: one on the built run of its list, one on the tail.
+        // (Found by a scan, so the setup does not lean on the lists.)
+        let holders = |c: &Corpus, kw: u32| -> Vec<ObjectId> {
+            c.iter().filter(|o| o.doc.raw().contains(&kw)).map(|o| o.id).collect()
+        };
+        let tail_start = built.slot_count() as u32;
+        let mut dead = Vec::new();
+        for kw in [1u32, 2, 4] {
+            let live = holders(&grown, kw);
+            assert!(live[0].0 < tail_start && live[live.len() - 1].0 >= tail_start);
+            dead.extend([live[0], live[live.len() - 1]]);
+        }
+        dead.sort();
+        dead.dedup();
+        let (corpus, _) = grown.with_updates(std::iter::empty(), &dead);
+        for kw in [1u32, 2, 4] {
+            assert!(holders(&corpus, kw).iter().any(|id| id.0 >= tail_start), "{kw} lives on a tail");
+        }
+        let q = Query::new(Point::new(0.25, 0.75), KeywordSet::from_raw([2u32, unknown]), 3);
+        assert_table_equals_scan(&corpus, &q, &universe, &[0.0, 0.4, 1.0]);
+        let table = SegmentSet::build(
+            &corpus,
+            &ScoreParams::new(corpus.space()),
+            q.loc,
+            universe.clone(),
+        );
+        let touching = corpus
+            .iter()
+            .filter(|o| o.doc.intersection_size(&universe) > 0)
+            .count();
+        assert_eq!(table.touching(), touching);
     }
 
     #[test]

@@ -39,6 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use yask_obs::trace::SpanGuard;
 use yask_obs::Trace;
 use yask_core::{
     explain_given, refine_combined_on, refine_keywords_on, refine_preference_with_segments,
@@ -306,7 +307,10 @@ macro_rules! module_on {
 /// table. Why-not answers are all-or-nothing (a partial refinement is not
 /// a refinement), so the deadline *cancels*: it is checked after the
 /// table pass and before every candidate count, and on expiry the
-/// computation unwinds to [`WhyNotError::DeadlineExceeded`].
+/// computation unwinds to [`WhyNotError::DeadlineExceeded`]. Under a
+/// traced module span the table pass records a `request_table` child
+/// span counting the objects that share a keyword with `U`.
+#[allow(clippy::too_many_arguments)]
 fn compute_whynot(
     corpus: &Corpus,
     params: &ScoreParams,
@@ -315,11 +319,19 @@ fn compute_whynot(
     missing: &[ObjectId],
     lambda: f64,
     deadline: Option<Deadline>,
+    module_span: Option<&SpanGuard>,
 ) -> Result<CachedAnswer, WhyNotError> {
     let expired = || deadline.is_some_and(|d| d.expired());
     // Explanations never read λ: they validate under 0.
     let table_lambda = if kind == WhyNotKind::Explain { 0.0 } else { lambda };
-    let table = request_table(corpus, params, query, missing, table_lambda)?;
+    let table = {
+        let mut span = module_span.map(|s| s.child("request_table"));
+        let table = request_table(corpus, params, query, missing, table_lambda)?;
+        if let Some(span) = &mut span {
+            span.set_count(table.touching() as u64);
+        }
+        table
+    };
     if expired() {
         return Err(WhyNotError::DeadlineExceeded);
     }
@@ -756,10 +768,11 @@ impl Executor {
             return Err(WhyNotError::DeadlineExceeded);
         }
         let computed = {
-            let _span = trace.map(|t| t.span(format!("whynot_{}", kind.label())));
+            let span = trace.map(|t| t.span(format!("whynot_{}", kind.label())));
             let t0 = Instant::now();
-            let computed =
-                compute_whynot(pin.corpus(), &cur.params, kind, query, missing, lambda, deadline);
+            let computed = compute_whynot(
+                pin.corpus(), &cur.params, kind, query, missing, lambda, deadline, span.as_ref(),
+            );
             self.counters.whynot[kind as usize].record(t0.elapsed());
             self.workload.record_whynot(kind, t0.elapsed());
             computed
@@ -1229,6 +1242,12 @@ mod tests {
         for kind in kinds {
             let span = format!("whynot_{}", kind.label());
             assert!(names.contains(&span.as_str()), "{span} missing: {names:?}");
+            // Each module's table pass is a child span counting the
+            // objects that share a keyword with U.
+            let module = f3.spans.iter().find(|s| s.name == span).unwrap();
+            let table: Vec<_> = f3.children_of(module.id).filter(|s| s.name == "request_table").collect();
+            assert_eq!(table.len(), 1, "{span}: {names:?}");
+            assert!(table[0].count.is_some_and(|c| c > 0), "{span}: {:?}", table[0]);
         }
     }
 

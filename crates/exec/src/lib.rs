@@ -23,7 +23,9 @@
 //!   (property-tested for K ∈ {1, 2, 3} and paged trees);
 //! * why-not — [`Executor::whynot_on`] takes a [`CorpusPin`] (an epoch
 //!   number and its corpus, no tree), builds each request's table
-//!   ([`yask_core::SegmentSet`], one pass over the pinned corpus version)
+//!   ([`yask_core::SegmentSet`]: `U`'s posting lists, then one pass over
+//!   the pinned corpus version; a traced module records it as a
+//!   `request_table` span)
 //!   and runs `yask_core`'s table form of the module on it: explain's
 //!   top-k and ranks, every refinement rank and each refinement's result
 //!   preview come off that table, so the why-not path reads no shard tree

@@ -11,8 +11,9 @@
 //! off the per-shard fan-out). The [`WorkloadSnapshot`] feeds
 //! `/debug/health`, `/debug/heatmap` and the windowed `/metrics`
 //! gauges, and is the load-bearing input for load shedding and
-//! workload-aware cache admission (ROADMAP item 2) without committing
-//! to those policies here.
+//! workload-aware cache admission (the roadmap item "replicated shards
+//! and admission-controlled tiered caching") without committing to
+//! those policies here.
 
 use std::time::Duration;
 

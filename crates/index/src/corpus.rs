@@ -32,8 +32,12 @@
 //!
 //! **Posting lists.** Every version also carries the inverted index of
 //! its objects' keywords ([`Corpus::posting`]; layout, copy bill and
-//! liveness in [`crate::postings`]), which the exact top-k scores its
-//! keyword half from and the viewport filters through.
+//! liveness in [`crate::postings`]). Two readers walk it: the served
+//! top-k's keyword half (`topk_postings` in `yask_query`), which scores
+//! every live object on the query keywords' lists, and the why-not
+//! request table (`SegmentSet::build` in `yask_core`), which reads the
+//! signatures of the objects on the lists of `U = q.doc ∪ M.doc` off
+//! them instead of off the documents.
 
 use std::fmt;
 

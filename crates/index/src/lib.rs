@@ -11,8 +11,10 @@
 //!   entries only.
 //!
 //! The served top-k scores every object on a query keyword's posting
-//! list and adds a keyword-free k-NN descent of the tree; the viewport
-//! descends the tree by MBR and filters through the lists. No served
+//! list and adds a keyword-free k-NN descent of the tree; the why-not
+//! request table reads its keyword signatures off the lists; the
+//! viewport descends the tree by MBR and tests each object inside it
+//! against the query keywords. No served
 //! search reads a keyword bound, so no node carries one. The KcR-tree's
 //! keyword → count summary (paper Fig 2, [`KcAug`]) is computed on
 //! demand as a side table ([`KcAug::side_table`]) for the experiments

@@ -13,7 +13,12 @@
 //! to, and bills them to its [`CopyStats`], like every other per-epoch
 //! table: the bill does not grow with the ids appended before it. Ids
 //! only grow, so a list is its CSR run followed by its tail, ascending
-//! throughout.
+//! throughout. Neither reader depends on that order: `topk_postings`
+//! (`yask_query`) scores every listed live object into a top-k whose
+//! ties break by id, and the why-not request table (`SegmentSet::build`
+//! in `yask_core`) sets one bit per listed slot. A list stored in
+//! another order, say by the Morton code of its objects' locations,
+//! serves both unchanged.
 //!
 //! **Liveness.** A delete only tombstones its slot, and the id stays on
 //! its lists, exactly as the slot stays in the corpus: readers skip dead
